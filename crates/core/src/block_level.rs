@@ -226,15 +226,10 @@ mod tests {
     use super::*;
     use crate::bucket::{FnBuckets, RangeBuckets};
     use crate::common::no_values;
+    use crate::common::test_util::{keys_for, stats_of};
     use crate::cpu_ref::{multisplit_kv_ref, multisplit_ref};
     use crate::warp_level::multisplit_warp_level;
-    use simt::{BlockStats, Device, K40C};
-
-    fn keys_for(n: usize, seed: u32) -> Vec<u32> {
-        (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761).wrapping_add(seed))
-            .collect()
-    }
+    use simt::{Device, K40C};
 
     #[test]
     fn matches_reference_across_m_and_n() {
@@ -281,17 +276,6 @@ mod tests {
         assert_eq!(a.offsets, b.offsets);
     }
 
-    fn post_scan_sectors(dev: &Device, prefix: &str) -> u64 {
-        dev.records()
-            .iter()
-            .filter(|r| r.label.starts_with(prefix))
-            .fold(BlockStats::default(), |mut a, r| {
-                a += r.stats;
-                a
-            })
-            .sectors
-    }
-
     #[test]
     fn block_reorder_beats_warp_reorder_at_many_buckets() {
         // Paper Fig. 2 / §5.2.2: with 32 buckets a warp sees ~1 element per
@@ -304,8 +288,8 @@ mod tests {
         multisplit_warp_level(&dev_w, &keys, no_values(), n, &bucket, 8);
         let dev_b = Device::new(K40C);
         multisplit_block_level(&dev_b, &keys, no_values(), n, &bucket, 8);
-        let ws = post_scan_sectors(&dev_w, "warp/post-scan");
-        let bs = post_scan_sectors(&dev_b, "block/post-scan");
+        let ws = stats_of(&dev_w, "warp/post-scan").sectors;
+        let bs = stats_of(&dev_b, "block/post-scan").sectors;
         assert!(
             bs < ws,
             "block post-scan sectors {bs} should beat warp {ws} at m=32"

@@ -54,11 +54,12 @@ pub fn offsets_from_scanned(g: &GlobalBuffer<u32>, m: usize, l: usize, n: usize)
 
 /// Shared-memory budget of a sweep-style kernel, in 32-bit words: the full
 /// 48 kB block capacity, spent exactly. Single source of truth for the
-/// coarsening / capacity searches of `fused`, `fused_large_m`, and
-/// `onesweep` — a path that reserved private slack (as `fused` once did
-/// with a 512-byte margin) would disagree with the others about whether a
-/// footprint "fits", and the disagreement only surfaces at capacity
-/// boundaries the tests happen to straddle.
+/// coarsening / capacity searches of the shared tile sweep
+/// ([`crate::sweep::SweepKind::items_per_thread`]) — a path that reserved
+/// private slack (as `fused` once did with a 512-byte margin) would
+/// disagree with the others about whether a footprint "fits", and the
+/// disagreement only surfaces at capacity boundaries the tests happen to
+/// straddle.
 pub const SMEM_BUDGET_WORDS: usize = simt::SMEM_CAPACITY_BYTES / 4;
 
 /// Shared-memory staging words per staged element in a block-wide reorder:
@@ -71,12 +72,55 @@ pub const fn staging_words_per_element(value_words: usize) -> usize {
     2 + value_words
 }
 
+/// Run a caller-provided-output entry point (`multisplit_*_into`) on fresh
+/// `n`-element outputs with the write-race detector on, and wrap the
+/// result.
+pub fn with_fresh_outputs<V: Scalar>(
+    n: usize,
+    with_values: bool,
+    into: impl FnOnce(&GlobalBuffer<u32>, Option<&GlobalBuffer<V>>) -> Vec<u32>,
+) -> DeviceMultisplit<V> {
+    let keys = GlobalBuffer::<u32>::zeroed(n).tracked();
+    let values = with_values.then(|| GlobalBuffer::<V>::zeroed(n).tracked());
+    let offsets = into(&keys, values.as_ref());
+    DeviceMultisplit {
+        keys,
+        values,
+        offsets,
+    }
+}
+
 /// Empty result (n = 0): all-zero offsets, no launches.
 pub fn empty_result<V: Scalar>(m: usize, with_values: bool) -> DeviceMultisplit<V> {
     DeviceMultisplit {
         keys: GlobalBuffer::zeroed(0),
         values: with_values.then(|| GlobalBuffer::zeroed(0)),
         offsets: vec![0; m + 1],
+    }
+}
+
+/// Inputs and counters shared by the per-path unit tests.
+#[cfg(test)]
+pub(crate) mod test_util {
+    use simt::{BlockStats, Device};
+
+    /// `n` well-spread keys: a multiplicative hash of the index plus `seed`.
+    pub fn keys_for(n: usize, seed: u32) -> Vec<u32> {
+        (0..n as u32)
+            .map(|i| i.wrapping_mul(2654435761).wrapping_add(seed))
+            .collect()
+    }
+
+    /// Counted stats summed over `dev`'s launches whose label starts with
+    /// `prefix` (`""` for all of them).
+    pub fn stats_of(dev: &Device, prefix: &str) -> BlockStats {
+        dev.records()
+            .iter()
+            .filter(|r| r.label.starts_with(prefix))
+            .fold(BlockStats::default(), |mut a, r| {
+                a += r.stats;
+                a
+            })
     }
 }
 

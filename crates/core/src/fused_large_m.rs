@@ -6,23 +6,14 @@
 //! The three-kernel large-m pipeline (`large_m.rs`) reads every key from
 //! DRAM twice and round-trips the `m × L` histogram matrix through global
 //! memory; the matrix is `⌈m/32⌉`× bigger than in the `m ≤ 32` case, so
-//! the fusion win *grows* with `m`. This module collapses it to two
-//! launches:
-//!
-//! 1. `fused_large_m/pre-scan` — per-warp register-accumulated
-//!    multi-histograms ([`warp_histogram_multi`]) over a coarsened tile,
-//!    reduced across warps in shared memory, then one warp-wide
-//!    `atomicAdd` per 32-bucket row group into `m` global counters
-//!    (commutative, so totals and billing are schedule-independent).
-//!    The `m × L` matrix never exists.
-//! 2. `fused_large_m/sweep` — reads each tile's keys **once** into
-//!    registers, builds the row-vectorized `m × ncols` shared histogram
-//!    (one column per 32-element chunk), runs a single block-wide
-//!    exclusive scan of all `m·ncols` counters (§6.4, "as CUB does"),
-//!    resolves the **m-vector** tile prefix with the multi-row look-back
-//!    of [`TileStates::resolve_rows`] (records wider than a warp span
-//!    `⌈m/32⌉` warp-sized row groups), block-reorders through **padded**
-//!    staging, and scatters straight to final positions.
+//! the fusion win *grows* with `m`. This module collapses it to the two
+//! launches of `fused.rs` — `fused_large_m/pre-scan` and
+//! `fused_large_m/sweep` — the shared tile sweep of [`crate::sweep`] with
+//! the register-row histogram strategy ([`HistStrategy::Rows`]): `⌈m/32⌉`
+//! register rows per warp histogram, a row-vectorized `m × ncols` shared
+//! histogram scanned block-wide in one pass (§6.4, "as CUB does"), and
+//! multi-row look-back (records wider than a warp span `⌈m/32⌉`
+//! warp-sized row groups).
 //!
 //! ### Bank-conflict-free staging
 //!
@@ -36,41 +27,27 @@
 //! `padded_staging_*` test). The histogram itself keeps the odd-pitch
 //! trick (`ncols | 1`) the three-kernel path already uses.
 //!
-//! Shared memory bounds the bucket count exactly as in `large_m`, with
-//! every term derived from the actual allocations (the histogram, the
-//! [`staging_words_per_element`] staging, the block-scan scratch — no
-//! magic constants): [`max_buckets`] is tight at the minimum coarsening,
-//! and [`fused_large_m_items_per_thread`] grows tiles as far as the
+//! Shared memory bounds the bucket count, with every term derived from
+//! the sweep's one footprint function
+//! ([`SweepKind::footprint_words`]): [`max_buckets`] is tight at the
+//! minimum coarsening, and the coarsening grows tiles as far as the
 //! remaining budget allows.
 //!
 //! Output buffers are allocated with the write-race detector enabled
 //! ([`simt::GlobalBuffer::tracked`]), as in `fused.rs`.
 
-use simt::{
-    lanes_from_fn, padded_index, padded_len, Device, EventKind, GlobalBuffer, Scalar, WARP_SIZE,
-};
-
-use primitives::{block_exclusive_scan_shared, lookback::TileStates, low_lanes_mask, tail_mask};
+use simt::{Device, GlobalBuffer, Scalar};
 
 use crate::bucket::BucketFn;
-use crate::common::{
-    empty_result, eval_buckets, staging_words_per_element, DeviceMultisplit, SMEM_BUDGET_WORDS,
-};
-use crate::fused::MAX_ITEMS_PER_THREAD;
-use crate::warp_ops::{warp_histogram_multi, warp_offsets};
+use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit, SMEM_BUDGET_WORDS};
+use crate::fused::fused_into;
+use crate::sweep::{HistStrategy, Scatter, SweepKind};
 
-/// Sweep-kernel shared footprint in words for a given coarsening: the
-/// `m × (ncols | 1)` histogram, the `m`-word scatter-base row, padded
-/// staging of [`staging_words_per_element`] words per tile element, the
-/// tile-id word, and the `wpb + 1` warp-sums scratch of the block-wide
-/// scan. This is *the* budget function — [`max_buckets`] and
-/// [`fused_large_m_items_per_thread`] both derive from it, so they can
-/// never disagree with the kernel's actual allocations.
-pub(crate) fn sweep_footprint_words(wpb: usize, m: usize, ipt: usize, value_words: usize) -> usize {
-    let ncolp = (wpb * ipt) | 1;
-    let tile = wpb * WARP_SIZE * ipt;
-    m * ncolp + m + padded_len(tile) * staging_words_per_element(value_words) + 1 + (wpb + 1)
-}
+/// The direct register-row sweep whose footprint bounds the bucket count.
+const KIND: SweepKind = SweepKind {
+    hist: HistStrategy::Rows,
+    scatter: Scatter::Direct,
+};
 
 /// Largest supported bucket count: the sweep at minimum coarsening
 /// (`items_per_thread = 1`) must fit shared memory. Tight: `m ==
@@ -85,105 +62,12 @@ pub fn max_buckets(wpb: usize, key_value: bool) -> u32 {
 /// at wide blocks the capacity difference is real (e.g. `wpb = 32`:
 /// 267 buckets for `u32` payloads, 236 for `u64`).
 pub fn max_buckets_bytes(wpb: usize, value_bytes: u64) -> u32 {
-    let sw = staging_words_per_element(value_bytes as usize / 4);
-    let fixed = padded_len(wpb * WARP_SIZE) * sw + 1 + (wpb + 1);
-    // Each bucket costs one histogram row (pitch wpb | 1) + one base word.
-    ((SMEM_BUDGET_WORDS - fixed) / ((wpb | 1) + 1)) as u32
-}
-
-/// Thread-coarsening factor for the sweep: the largest
-/// `items_per_thread ≤ 8` whose [`sweep_footprint_words`] fits the 48 kB
-/// budget. The `m × ncols` histogram grows with both `m` and the tile, so
-/// large `m` forces smaller tiles — down to 1, which [`max_buckets`]
-/// guarantees always fits.
-pub fn fused_large_m_items_per_thread(wpb: usize, m: usize, value_bytes: u64) -> usize {
+    // The footprint is affine in m: a fixed part plus one histogram row
+    // (pitch wpb | 1) and one scatter-base word per bucket.
     let vw = value_bytes as usize / 4;
-    let mut ipt = MAX_ITEMS_PER_THREAD;
-    while ipt > 1 && sweep_footprint_words(wpb, m, ipt, vw) > SMEM_BUDGET_WORDS {
-        ipt -= 1;
-    }
-    ipt
-}
-
-/// Pass 1: `m` global per-bucket totals from one coalesced read of the
-/// keys. Register accumulation keeps one shared column per warp (not per
-/// chunk); the final warp-wide `atomicAdd`s commute, so the totals and
-/// their billing are schedule-independent.
-fn fused_large_m_histogram<B: BucketFn + ?Sized>(
-    dev: &Device,
-    keys: &GlobalBuffer<u32>,
-    n: usize,
-    bucket: &B,
-    wpb: usize,
-    ipt: usize,
-    totals: &GlobalBuffer<u32>,
-) {
-    let m = bucket.num_buckets();
-    let mu = m as usize;
-    let tile = wpb * WARP_SIZE * ipt;
-    let blocks = n.div_ceil(tile);
-    dev.launch("fused_large_m/pre-scan", blocks, wpb, |blk| {
-        let nw = blk.warps_per_block;
-        // Row-vectorized m x N_W histogram, odd pitch: [bucket * nwp + warp].
-        let nwp = nw | 1;
-        let hrow = blk.alloc_shared::<u32>(mu * nwp);
-        let tile_start = blk.block_id * tile;
-        for w in blk.warps() {
-            let mut acc = vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)];
-            for c in 0..ipt {
-                let base = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    break;
-                }
-                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k = w.gather(keys, idx, mask);
-                let b = eval_buckets(&w, bucket, k, mask);
-                let h = warp_histogram_multi(&w, b, m, mask);
-                for (hc, histo) in h.iter().enumerate() {
-                    for lane in 0..WARP_SIZE {
-                        acc[hc][lane] = acc[hc][lane].wrapping_add(histo[lane]);
-                    }
-                }
-                w.charge(mu as u64); // the accumulate adds
-            }
-            for (hc, histo) in acc.iter().enumerate() {
-                let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                hrow.st(
-                    lanes_from_fn(|lane| (hc * WARP_SIZE + lane.min(cnt - 1)) * nwp + w.warp_id),
-                    *histo,
-                    sm,
-                );
-            }
-        }
-        blk.sync();
-        // Reduce rows (buckets) across warps; one warp-wide atomicAdd per
-        // 32-bucket row group into the m global counters.
-        for w in blk.warps() {
-            let mut row = w.warp_id * WARP_SIZE;
-            while row < mu {
-                let cnt = (mu - row).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                let mut acc = [0u32; WARP_SIZE];
-                for wid in 0..nw {
-                    let v = hrow.ld(
-                        lanes_from_fn(|lane| (row + lane.min(cnt - 1)) * nwp + wid),
-                        sm,
-                    );
-                    acc = lanes_from_fn(|lane| acc[lane] + v[lane]);
-                }
-                w.charge(nw as u64 * cnt as u64);
-                w.atomic_add(
-                    totals,
-                    lanes_from_fn(|lane| row + lane.min(cnt - 1)),
-                    acc,
-                    sm,
-                );
-                row += nw * WARP_SIZE;
-            }
-        }
-    });
+    let fixed = KIND.footprint_words(wpb, 0, 1, vw);
+    let per_bucket = KIND.footprint_words(wpb, 1, 1, vw) - fixed;
+    ((SMEM_BUDGET_WORDS - fixed) / per_bucket) as u32
 }
 
 /// Fused two-launch multisplit for any `32 < m <= max_buckets(wpb, _)`.
@@ -204,23 +88,9 @@ pub fn multisplit_fused_large_m<B: BucketFn + ?Sized, V: Scalar>(
     if n == 0 {
         return empty_result(m as usize, values.is_some());
     }
-    let out_keys = GlobalBuffer::<u32>::zeroed(n).tracked();
-    let out_values = values.map(|_| GlobalBuffer::<V>::zeroed(n).tracked());
-    let offsets = multisplit_fused_large_m_into(
-        dev,
-        keys,
-        values,
-        n,
-        bucket,
-        wpb,
-        &out_keys,
-        out_values.as_ref(),
-    );
-    DeviceMultisplit {
-        keys: out_keys,
-        values: out_values,
-        offsets,
-    }
+    with_fresh_outputs(n, values.is_some(), |ok, ov| {
+        multisplit_fused_large_m_into(dev, keys, values, n, bucket, wpb, ok, ov)
+    })
 }
 
 /// [`multisplit_fused_large_m`] writing into **caller-provided** output
@@ -248,229 +118,7 @@ pub fn multisplit_fused_large_m_into<B: BucketFn + ?Sized, V: Scalar>(
         "m = {m} exceeds shared-memory capacity for {wpb} warps/block (max {})",
         max_buckets(wpb, values.is_some())
     );
-    assert!(keys.len() >= n, "key buffer shorter than n");
-    assert!(out_keys.len() >= n, "output key buffer shorter than n");
-    assert_eq!(
-        values.is_some(),
-        out_values.is_some(),
-        "value output must be provided exactly when values are"
-    );
-    if let Some(ov) = out_values {
-        assert!(ov.len() >= n, "output value buffer shorter than n");
-    }
-    if n == 0 {
-        return vec![0; m as usize + 1];
-    }
-    let mu = m as usize;
-    let ipt = fused_large_m_items_per_thread(wpb, mu, if values.is_some() { V::BYTES } else { 0 });
-    let tile = wpb * WARP_SIZE * ipt;
-    let l = n.div_ceil(tile); // tiles
-
-    // ====== Pass 1: m global bucket totals.
-    let totals = GlobalBuffer::<u32>::zeroed(mu);
-    fused_large_m_histogram(dev, keys, n, bucket, wpb, ipt, &totals);
-
-    // Host-side exclusive scan of the m counters into global bucket bases
-    // (what the scanned matrix G's row heads were in the three-kernel
-    // pipeline).
-    let mut bases_host = Vec::with_capacity(mu);
-    let mut run = 0u32;
-    for b in 0..mu {
-        bases_host.push(run);
-        run = run.wrapping_add(totals.get(b));
-    }
-    debug_assert_eq!(run as usize, n, "bucket totals must sum to n");
-    let bases = GlobalBuffer::from_slice(&bases_host);
-    let mut offsets = bases_host;
-    offsets.push(n as u32);
-
-    // ====== Pass 2: the fused sweep.
-    let ticket = GlobalBuffer::<u32>::zeroed(1);
-    let states = TileStates::new(l, mu);
-    dev.launch("fused_large_m/sweep", l, wpb, |blk| {
-        let nw = blk.warps_per_block;
-        let nchunks = nw * ipt; // one histogram column per 32-element chunk
-        let ncolp = nchunks | 1;
-        let hrow = blk.alloc_shared::<u32>(mu * ncolp);
-        let scatter_base = blk.alloc_shared::<u32>(mu);
-        let keys2_s = blk.alloc_shared::<u32>(padded_len(tile));
-        let buckets2_s = blk.alloc_shared::<u32>(padded_len(tile));
-        let values2_s = values.map(|_| blk.alloc_shared::<V>(padded_len(tile)));
-        let tile_id = blk.alloc_shared::<u32>(1);
-        // Per-chunk registers persisting across barriers: the tile's keys
-        // are read from DRAM exactly once.
-        let mut key_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut bucket_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut offs_reg = vec![[0u32; WARP_SIZE]; nchunks];
-        let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nchunks]);
-
-        // Phase 0: claim the next tile in task-start order — the look-back
-        // deadlock-freedom invariant.
-        {
-            let w = blk.warp(0);
-            tile_id.set(0, w.device_fetch_add(&ticket, 0, 1));
-            w.obs()
-                .flight_emit(EventKind::TicketClaim, tile_id.get(0), 0, 0);
-        }
-        blk.sync();
-        let t = tile_id.get(0) as usize;
-        let tile_start = t * tile;
-
-        // Phase 1: multi-histograms + in-warp ranks per chunk; elements
-        // stay in registers. Column stores stride by the odd pitch.
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                let h = if mask == 0 {
-                    vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)]
-                } else {
-                    let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                    let k = w.gather(keys, idx, mask);
-                    let b = eval_buckets(&w, bucket, k, mask);
-                    let offs = warp_offsets(&w, b, m, mask);
-                    key_reg[chunk] = k;
-                    bucket_reg[chunk] = b;
-                    offs_reg[chunk] = offs;
-                    if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
-                        vr[chunk] = w.gather(vin, idx, mask);
-                    }
-                    warp_histogram_multi(&w, b, m, mask)
-                };
-                for (hc, histo) in h.iter().enumerate() {
-                    let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                    let sm = low_lanes_mask(cnt);
-                    hrow.st(
-                        lanes_from_fn(|lane| (hc * WARP_SIZE + lane.min(cnt - 1)) * ncolp + chunk),
-                        *histo,
-                        sm,
-                    );
-                }
-            }
-        }
-        blk.sync();
-
-        // Phase 2: one block-wide exclusive scan of all m * ncols counters
-        // (§6.4; the zero pad cells are scan-neutral). Afterwards
-        // hrow[b*ncolp + c] is the tile-local dense rank base of bucket b
-        // in chunk c, and hrow[b*ncolp] the tile-local start of bucket b.
-        let tile_total = block_exclusive_scan_shared(blk, &hrow, mu * ncolp);
-        blk.sync();
-
-        // Phase 3 (warp 0): recover the tile's m-vector aggregate from the
-        // scanned row heads (head[b+1] - head[b]; the last bucket closes
-        // against the scan total), resolve the m-vector tile prefix by
-        // multi-row look-back, and store the global scatter bases.
-        {
-            let w = blk.warp(0);
-            let mut agg = vec![0u32; mu];
-            let mut g0 = 0usize;
-            while g0 < mu {
-                let cnt = (mu - g0).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                let heads = hrow.ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * ncolp), sm);
-                // The final bucket has no successor row; it is patched
-                // with the scan total below, so mask it out of the load.
-                let has_next = if g0 + cnt == mu {
-                    low_lanes_mask(cnt - 1)
-                } else {
-                    sm
-                };
-                let nexts = hrow.ld(
-                    lanes_from_fn(|l| {
-                        let b = g0 + l.min(cnt - 1);
-                        if b + 1 < mu {
-                            (b + 1) * ncolp
-                        } else {
-                            0
-                        }
-                    }),
-                    has_next,
-                );
-                for l in 0..cnt {
-                    let b = g0 + l;
-                    let next = if b + 1 < mu { nexts[l] } else { tile_total };
-                    agg[b] = next.wrapping_sub(heads[l]);
-                }
-                w.charge(cnt as u64); // the subtracts
-                g0 += WARP_SIZE;
-            }
-            let prefix = states.resolve_rows(&w, t, &agg);
-            let mut g0 = 0usize;
-            while g0 < mu {
-                let cnt = (mu - g0).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                let gb = w.gather_cached(&bases, lanes_from_fn(|l| g0 + l.min(cnt - 1)), sm);
-                scatter_base.st(
-                    lanes_from_fn(|l| g0 + l.min(cnt - 1)),
-                    lanes_from_fn(|l| gb[l].wrapping_add(prefix[g0 + l.min(cnt - 1)])),
-                    sm,
-                );
-                g0 += WARP_SIZE;
-            }
-        }
-        blk.sync();
-
-        // Phase 4: block-wide reorder into *padded* staging — any
-        // structured rank stride lands on distinct banks.
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    continue;
-                }
-                let b = bucket_reg[chunk];
-                let col_base = hrow.ld(lanes_from_fn(|l| b[l] as usize * ncolp + chunk), mask);
-                let new_idx =
-                    lanes_from_fn(|l| padded_index((col_base[l] + offs_reg[chunk][l]) as usize));
-                keys2_s.st(new_idx, key_reg[chunk], mask);
-                buckets2_s.st(new_idx, b, mask);
-                if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                    vs2.st(new_idx, vr[chunk], mask);
-                }
-            }
-        }
-        blk.sync();
-
-        // Phase 5: coalesced final store straight to global positions;
-        // rank within bucket = tile position - tile-local bucket start.
-        // The padded read of consecutive logical positions is itself
-        // conflict-free (32 consecutive physical words per warp).
-        for w in blk.warps() {
-            for c in 0..ipt {
-                let chunk = w.warp_id * ipt + c;
-                let base = tile_start + chunk * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    continue;
-                }
-                let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
-                let pidx = lanes_from_fn(|lane| padded_index(chunk * WARP_SIZE + lane));
-                let k2 = keys2_s.ld(pidx, mask);
-                let b2 = buckets2_s.ld(pidx, mask);
-                let bb = hrow.ld(lanes_from_fn(|lane| b2[lane] as usize * ncolp), mask);
-                let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                let dest = lanes_from_fn(|lane| {
-                    (sb[lane]
-                        .wrapping_add(tid[lane] as u32)
-                        .wrapping_sub(bb[lane])) as usize
-                });
-                w.scatter(out_keys, dest, k2, mask);
-                if let (Some(vs2), Some(vout)) = (&values2_s, out_values) {
-                    let v2 = vs2.ld(pidx, mask);
-                    w.scatter(vout, dest, v2, mask);
-                }
-            }
-        }
-        blk.stats()
-            .obs
-            .flight_emit(EventKind::ScatterComplete, t as u32, 0, 0);
-    });
-
-    offsets
+    fused_into(dev, keys, values, n, bucket, wpb, out_keys, out_values)
 }
 
 #[cfg(test)]
@@ -478,78 +126,18 @@ mod tests {
     use super::*;
     use crate::bucket::{FnBuckets, RangeBuckets};
     use crate::common::no_values;
+    use crate::common::test_util::{keys_for, stats_of};
     use crate::cpu_ref::{multisplit_kv_ref, multisplit_ref};
     use crate::large_m::multisplit_large_m;
-    use simt::{BlockStats, Device, K40C};
+    use simt::{lanes_from_fn, Device, K40C, WARP_SIZE};
 
-    fn keys_for(n: usize, seed: u32) -> Vec<u32> {
-        (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761).wrapping_add(seed))
-            .collect()
-    }
-
-    fn total_sectors(dev: &Device) -> u64 {
-        dev.records()
-            .iter()
-            .fold(BlockStats::default(), |mut a, r| {
-                a += r.stats;
-                a
-            })
-            .sectors
-    }
-
-    #[test]
-    fn matches_reference_for_many_buckets() {
-        let dev = Device::new(K40C);
-        for m in [33u32, 64, 96, 100, 256, 777, 1024] {
-            let n = 20_000;
-            let bucket = RangeBuckets::new(m);
-            let data = keys_for(n, m);
-            let keys = GlobalBuffer::from_slice(&data);
-            let r = multisplit_fused_large_m(&dev, &keys, no_values(), n, &bucket, 8);
-            let (expect, expect_offs) = multisplit_ref(&data, &bucket);
-            assert_eq!(r.keys.to_vec(), expect, "m={m}");
-            assert_eq!(r.offsets, expect_offs, "m={m}");
-        }
-    }
-
-    #[test]
-    fn key_value_matches_reference() {
-        let dev = Device::new(K40C);
-        let n = 9000;
-        let m = 128;
-        let bucket = RangeBuckets::new(m);
-        let data = keys_for(n, 2);
-        let vals: Vec<u32> = (0..n as u32).collect();
-        let keys = GlobalBuffer::from_slice(&data);
-        let values = GlobalBuffer::from_slice(&vals);
-        let r = multisplit_fused_large_m(&dev, &keys, Some(&values), n, &bucket, 8);
-        let (ek, ev, _) = multisplit_kv_ref(&data, Some(&vals), &bucket);
-        assert_eq!(r.keys.to_vec(), ek);
-        assert_eq!(r.values.unwrap().to_vec(), ev);
-    }
-
-    #[test]
-    fn small_and_partial_tiles_are_handled() {
-        let dev = Device::new(K40C);
-        let m = 50;
-        let bucket = RangeBuckets::new(m);
-        // 1 element, sub-warp, partial final tile, exactly one tile, a
-        // tile plus a sliver.
-        for n in [1usize, 33, 257, 2048, 2049, 5000] {
-            let data = keys_for(n, 9);
-            let keys = GlobalBuffer::from_slice(&data);
-            let r = multisplit_fused_large_m(&dev, &keys, no_values(), n, &bucket, 8);
-            let (expect, _) = multisplit_ref(&data, &bucket);
-            assert_eq!(r.keys.to_vec(), expect, "n={n}");
-        }
-    }
+    // Reference agreement, coarsening and schedule independence of every
+    // standalone path are tested once, in `crate::sweep`.
 
     #[test]
     fn budget_is_exact_at_the_capacity_boundary() {
-        // The fused half of the shared-budget satellite: a run at m ==
-        // max_buckets must fit (alloc_shared panics if the formula lied),
-        // and the bound must be tight, not merely safe.
+        // A run at m == max_buckets must fit (alloc_shared panics if the
+        // formula lied), and the bound must be tight, not merely safe.
         let dev = Device::new(K40C);
         let wpb = 8;
         for kv in [false, true] {
@@ -572,9 +160,9 @@ mod tests {
                 assert_eq!(r.keys.to_vec(), expect, "m={m}");
             }
             let vw = if kv { 1 } else { 0 };
-            assert!(sweep_footprint_words(wpb, m as usize, 1, vw) <= SMEM_BUDGET_WORDS);
+            assert!(KIND.footprint_words(wpb, m as usize, 1, vw) <= SMEM_BUDGET_WORDS);
             assert!(
-                sweep_footprint_words(wpb, m as usize + 1, 1, vw) > SMEM_BUDGET_WORDS,
+                KIND.footprint_words(wpb, m as usize + 1, 1, vw) > SMEM_BUDGET_WORDS,
                 "kv={kv}: max_buckets must be tight"
             );
         }
@@ -591,79 +179,18 @@ mod tests {
     }
 
     #[test]
-    fn coarsening_shrinks_with_m_and_always_fits() {
-        assert_eq!(fused_large_m_items_per_thread(8, 64, 0), 8);
-        let ipt_256 = fused_large_m_items_per_thread(8, 256, 0);
-        assert!((1..8).contains(&ipt_256), "ipt_256={ipt_256}");
-        assert_eq!(
-            fused_large_m_items_per_thread(8, max_buckets(8, false) as usize, 0),
-            1
-        );
-        for m in [33usize, 100, 500, 1100] {
-            for vb in [0u64, 4] {
-                let ipt = fused_large_m_items_per_thread(8, m, vb);
-                assert!(
-                    sweep_footprint_words(8, m, ipt, vb as usize / 4) <= SMEM_BUDGET_WORDS,
-                    "m={m} vb={vb} ipt={ipt}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_distribution_all_one_bucket() {
-        let dev = Device::new(K40C);
-        let n = 5000;
-        let m = 64;
-        let bucket = FnBuckets::new(m, |_| 40);
-        let data = keys_for(n, 4);
-        let keys = GlobalBuffer::from_slice(&data);
-        let r = multisplit_fused_large_m(&dev, &keys, no_values(), n, &bucket, 8);
-        assert_eq!(r.keys.to_vec(), data, "stability: one bucket is identity");
-        assert_eq!(r.offsets[40], 0);
-        assert_eq!(r.offsets[41], n as u32);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree_bit_and_stats() {
-        // Look-back walk paths differ across executors; outputs and
-        // counted traffic must not.
-        let n = 60_000;
-        let bucket = RangeBuckets::new(100);
-        let data = keys_for(n, 11);
-        let mut outs = Vec::new();
-        let mut stats = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let keys = GlobalBuffer::from_slice(&data);
-            let r = multisplit_fused_large_m(&dev, &keys, no_values(), n, &bucket, 8);
-            outs.push((r.keys.to_vec(), r.offsets));
-            stats.push(
-                dev.records()
-                    .iter()
-                    .fold(BlockStats::default(), |mut a, rec| {
-                        a += rec.stats;
-                        a
-                    }),
-            );
-        }
-        assert_eq!(outs[0], outs[1], "bit-identical across schedulers");
-        assert_eq!(stats[0], stats[1], "stats must be schedule-independent");
-    }
-
-    #[test]
     fn fused_moves_at_least_20_percent_fewer_sectors() {
-        // The tentpole claim (ISSUE acceptance) at one of the gated
-        // configs: n = 2^20, m = 64, fused vs three-kernel large-m.
+        // At n = 2^20, m = 64: fused vs three-kernel large-m.
         let n = 1 << 20;
         let bucket = RangeBuckets::new(64);
         let data = keys_for(n, 2);
         let dev_f = Device::sequential(K40C);
         let keys = GlobalBuffer::from_slice(&data);
         let rf = multisplit_fused_large_m(&dev_f, &keys, no_values(), n, &bucket, 8);
-        let fused = total_sectors(&dev_f);
+        let fused = stats_of(&dev_f, "").sectors;
         let dev_t = Device::sequential(K40C);
         let rt = multisplit_large_m(&dev_t, &keys, no_values(), n, &bucket, 8);
-        let three = total_sectors(&dev_t);
+        let three = stats_of(&dev_t, "").sectors;
         assert_eq!(
             rf.keys.to_vec(),
             rt.keys.to_vec(),
@@ -686,7 +213,7 @@ mod tests {
         // conflicts end to end.
         let wpb = 8;
         let m = 64u32;
-        let ipt = fused_large_m_items_per_thread(wpb, m as usize, 0);
+        let ipt = KIND.items_per_thread(wpb, m as usize, 0, 0).unwrap();
         assert_eq!(ipt, 8);
         let tile = wpb * WARP_SIZE * ipt;
         let n = 2 * tile;

@@ -245,14 +245,9 @@ mod tests {
     use super::*;
     use crate::bucket::{FnBuckets, RangeBuckets};
     use crate::common::no_values;
+    use crate::common::test_util::keys_for;
     use crate::cpu_ref::{multisplit_kv_ref, multisplit_ref};
     use simt::{Device, K40C};
-
-    fn keys_for(n: usize, seed: u32) -> Vec<u32> {
-        (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761).wrapping_add(seed))
-            .collect()
-    }
 
     #[test]
     fn matches_reference_for_many_buckets() {

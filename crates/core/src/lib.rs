@@ -56,6 +56,7 @@ pub mod fused_large_m;
 pub mod large_m;
 pub mod onesweep;
 pub mod segmented;
+pub mod sweep;
 pub mod warp_level;
 pub mod warp_ops;
 
@@ -71,14 +72,13 @@ pub use bucket::{
 pub use common::{no_values, DeviceMultisplit};
 pub use cpu_ref::{check_multisplit, multisplit_kv_ref, multisplit_ref};
 pub use direct::multisplit_direct;
-pub use fused::{fused_items_per_thread, multisplit_fused, multisplit_fused_into};
+pub use fused::{multisplit_fused, multisplit_fused_into};
 pub use fused_large_m::{
-    fused_large_m_items_per_thread, max_buckets as fused_max_buckets,
-    max_buckets_bytes as fused_max_buckets_bytes, multisplit_fused_large_m,
-    multisplit_fused_large_m_into,
+    max_buckets as fused_max_buckets, max_buckets_bytes as fused_max_buckets_bytes,
+    multisplit_fused_large_m, multisplit_fused_large_m_into,
 };
 pub use large_m::{max_buckets, multisplit_large_m};
-pub use onesweep::{multisplit_onesweep, onesweep_items_per_thread};
+pub use onesweep::multisplit_onesweep;
 pub use segmented::{
     multisplit_segmented, multisplit_segmented_into, segment_fits_sweep, SegmentSpec,
     SegmentedMultisplit,

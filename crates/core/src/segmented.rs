@@ -12,64 +12,53 @@
 //! ### Structure
 //!
 //! Every segment is classified by [`Method::auto_for`]'s segmented-aware
-//! face ([`Method::auto_for_segmented`]): `m ≤ 32` segments run the
-//! `fused.rs` sweep body, `32 < m ≤ capacity` the `fused_large_m.rs`
-//! body, and anything else (past fused capacity, or a pinned
-//! three-kernel pipeline) falls back to its own standalone launches
-//! under a `segmented/fallback` scope. The coalesced work then runs as:
+//! face ([`Method::auto_for_segmented`]): segments `auto_for` sends to a
+//! fused path join the coalesced launch, with the ballot histogram
+//! strategy for `m ≤ 32` and register rows for `32 < m ≤ capacity`;
+//! anything else (past fused capacity, or a pinned three-kernel pipeline)
+//! falls back to its own standalone launches under a `segmented/fallback`
+//! scope. The coalesced work is the shared tile sweep of
+//! [`crate::sweep`] over many segments:
 //!
 //! 1. `segmented/pre-scan[fused=K,largem=J]` — one block per tile of
 //!    every segment. Each block reads its 8-word tile descriptor
 //!    (segment id, offset, n, m, coarsening, local tile, histogram base,
-//!    class) from a device table — one extra 32-byte sector per tile,
+//!    padding) from a device table — one extra 32-byte sector per tile,
 //!    the entire coalescing overhead — and accumulates its segment's
 //!    bucket totals into a **flattened** `Σmᵢ` counter array.
 //! 2. Host: per-segment exclusive scans of the flat totals into
-//!    per-segment bucket bases (the `m ≤ 32` loop of `fused.rs`, once
-//!    per segment).
+//!    per-segment bucket bases.
 //! 3. `segmented/sweep[fused=K,largem=J]` — blocks self-schedule across
 //!    the **flattened segment×tile ticket space** (one global
 //!    `device_fetch_add` counter). A ticket decodes through the
 //!    descriptor table to `(segment, local tile)`; the block then runs
-//!    the segment's class body unchanged, except that every global index
-//!    is offset by the segment's base and the decoupled look-back goes
-//!    through [`SegmentedTileStates`]: per-segment state windows in one
-//!    buffer, so tile `t` of a segment only ever waits on tile `t-1`
-//!    **of the same segment**. No cross-segment dependency exists —
-//!    and none is needed for deadlock freedom, because each segment's
-//!    tiles occupy consecutive global tickets, so a tile's predecessor
-//!    always holds a smaller ticket and is already running or done.
+//!    the same sweep body a standalone run does, every global index
+//!    offset by the segment's base, and the decoupled look-back goes
+//!    through [`primitives::SegmentedTileStates`]: per-segment state
+//!    windows in one buffer, so tile `t` of a segment only ever waits on
+//!    tile `t-1` **of the same segment**. No cross-segment dependency
+//!    exists — and none is needed for deadlock freedom, because each
+//!    segment's tiles occupy consecutive global tickets, so a tile's
+//!    predecessor always holds a smaller ticket and is already running or
+//!    done.
 //!
-//! Per-segment outputs are bit-identical to standalone
-//! [`Method::auto`](crate::api::Method::auto) runs of each segment
-//! (same bodies, same per-segment look-back protocol), and total counted
-//! DRAM sectors stay within a few percent of the sum of standalone runs
-//! (the descriptor reads); what collapses is the *launch count* — 2
-//! instead of `2 × segments` — which is the whole serving story
-//! (`paper serve`, DESIGN.md §14).
+//! A standalone fused run is this pipeline's one-segment case with the
+//! descriptor passed by value, so per-segment outputs are bit-identical
+//! to standalone [`Method::auto`](crate::api::Method::auto) runs of each
+//! segment, and total counted DRAM sectors stay within a few percent of
+//! the sum of standalone runs (the descriptor reads); what collapses is
+//! the *launch count* — 2 instead of `2 × segments` — which is the whole
+//! serving story (`paper serve`, DESIGN.md §14).
 //!
 //! Outputs land in a flat buffer at each segment's own offset, so a
 //! batch executor can bind one pooled arena for the whole batch
 //! ([`simt::BufferPool`]) instead of allocating per request.
 
-use simt::{
-    lanes_from_fn, padded_index, padded_len, BlockCtx, Device, EventKind, GlobalBuffer, Scalar,
-    SharedBuf, WARP_SIZE,
-};
-
-use primitives::{
-    block_exclusive_scan_shared, low_lanes_mask, multi_exclusive_scan_across_cols,
-    multi_reduce_across_warps, tail_mask, warp_scan, SegmentedTileStates,
-};
+use simt::{Device, GlobalBuffer, Scalar};
 
 use crate::api::{multisplit_device, Method};
 use crate::bucket::BucketFn;
-use crate::common::{eval_buckets, SMEM_BUDGET_WORDS};
-use crate::fused::{fused_footprint_words, fused_items_per_thread};
-use crate::fused_large_m::{fused_large_m_items_per_thread, sweep_footprint_words};
-use crate::warp_ops::{
-    warp_histogram, warp_histogram_and_offsets, warp_histogram_multi, warp_offsets,
-};
+use crate::sweep::{HistStrategy, Scatter, SweepKind, SweepPlan, SweepSeg, DESC_WORDS};
 
 /// One independent multisplit problem inside a segmented batch: a
 /// sub-range `[offset, offset + n)` of the flat key (and value) buffer,
@@ -92,83 +81,24 @@ pub struct SegmentedMultisplit<V: Scalar = u32> {
     pub offsets: Vec<Vec<u32>>,
 }
 
-/// Words per tile descriptor: `[segment, offset, n, m, items_per_thread,
-/// local_tile, hist_base, class]`. Exactly one 32-byte sector, so the
-/// per-tile decode costs one aligned read.
-const DESC_WORDS: usize = 8;
-const CLASS_FUSED: u32 = 0;
-const CLASS_LARGE_M: u32 = 1;
-
-/// Shared tile decode: warp 0 reads tile `t`'s descriptor (the counted
-/// coalescing overhead — one aligned sector per tile), everyone reads
-/// it back from shared memory after the block barrier.
-fn read_desc<'b>(desc: &GlobalBuffer<u32>, blk: &'b BlockCtx, t: usize) -> SharedBuf<'b, u32> {
-    let desc_s = blk.alloc_shared::<u32>(DESC_WORDS);
-    {
-        let w = blk.warp(0);
-        let d = w.gather_cached(
-            desc,
-            lanes_from_fn(|l| t * DESC_WORDS + l.min(DESC_WORDS - 1)),
-            low_lanes_mask(DESC_WORDS),
-        );
-        desc_s.st(
-            lanes_from_fn(|l| l.min(DESC_WORDS - 1)),
-            d,
-            low_lanes_mask(DESC_WORDS),
-        );
-    }
-    blk.sync();
-    desc_s
-}
-
-/// A classified segment of the coalesced launch (fallback segments are
-/// not in this list).
-struct LaunchSeg {
-    /// Index into the caller's `segs`.
-    seg: usize,
-    class: u32,
-    mu: usize,
-    ipt: usize,
-    tiles: usize,
-    /// This segment's base into the flattened totals/bases arrays.
-    hist_base: usize,
-}
-
-/// Coarsening for a fused-class segment inside the segmented sweep: the
-/// standalone choice, shrunk if the extra descriptor words tip the
-/// footprint over the budget (only possible exactly at the boundary).
-fn seg_fused_ipt(wpb: usize, mu: usize, value_bytes: u64) -> usize {
-    let vw = value_bytes as usize / 4;
-    let mut ipt = fused_items_per_thread(wpb, mu, value_bytes);
-    while ipt > 1 && fused_footprint_words(wpb, mu, ipt, vw) + DESC_WORDS > SMEM_BUDGET_WORDS {
-        ipt -= 1;
-    }
-    ipt
-}
-
-/// Coarsening for a large-m-class segment, or `None` when even the
-/// minimum coarsening plus the descriptor words overflows shared memory
-/// (the segment then falls back to standalone launches).
-fn seg_large_m_ipt(wpb: usize, mu: usize, value_bytes: u64) -> Option<usize> {
-    let vw = value_bytes as usize / 4;
-    let mut ipt = fused_large_m_items_per_thread(wpb, mu, value_bytes);
-    while ipt > 1 && sweep_footprint_words(wpb, mu, ipt, vw) + DESC_WORDS > SMEM_BUDGET_WORDS {
-        ipt -= 1;
-    }
-    (sweep_footprint_words(wpb, mu, ipt, vw) + DESC_WORDS <= SMEM_BUDGET_WORDS).then_some(ipt)
+/// Coarsening of an `m`-bucket segment inside the segmented sweep: the
+/// largest that fits shared memory next to the tile descriptor, or `None`
+/// when even one item per thread overflows.
+fn coalesced_ipt(m: u32, value_bytes: u64, wpb: usize) -> Option<usize> {
+    SweepKind::for_buckets(m, Scatter::Direct).items_per_thread(
+        wpb,
+        m as usize,
+        value_bytes,
+        DESC_WORDS,
+    )
 }
 
 /// Whether an `m`-bucket segment can run inside the segmented sweep at
-/// this block size (shared memory fits the class body plus the tile
+/// this block size (shared memory fits the sweep body plus the tile
 /// descriptor). Used by [`Method::auto_for_segmented`]; assumes the
 /// one-word payload convention of [`Method::auto_for`].
 pub fn segment_fits_sweep(m: u32, key_value: bool, wpb: usize) -> bool {
-    let vb = if key_value { 4 } else { 0 };
-    if m <= 32 {
-        true
-    } else {
-        seg_large_m_ipt(wpb, m as usize, vb).is_some()
-    }
+    coalesced_ipt(m, if key_value { 4 } else { 0 }, wpb).is_some()
 }
 
 /// [`multisplit_segmented_into`] with freshly allocated (race-tracked)
@@ -251,35 +181,29 @@ pub fn multisplit_segmented_into<V: Scalar>(
         .map(|s| vec![0u32; s.bucket.num_buckets() as usize + 1])
         .collect();
 
-    // ====== Classify: coalesced (fused / large-m body) vs fallback.
-    let mut lsegs: Vec<LaunchSeg> = Vec::new();
+    // ====== Classify: coalesced (a fused method that fits next to the
+    // descriptor) vs fallback.
+    let mut coalesced = Vec::new();
+    let mut owners = Vec::new();
     let mut fallback: Vec<usize> = Vec::new();
-    let mut hist_words = 0usize;
     for (i, s) in segs.iter().enumerate() {
         if s.n == 0 {
             continue; // all-zero offsets, no tiles
         }
         let m = s.bucket.num_buckets();
-        let plan = match Method::auto_for(m, values.is_some(), wpb) {
-            Method::Fused => Some((CLASS_FUSED, seg_fused_ipt(wpb, m as usize, kv_bytes))),
-            Method::FusedLargeM => {
-                seg_large_m_ipt(wpb, m as usize, kv_bytes).map(|ipt| (CLASS_LARGE_M, ipt))
-            }
+        let ipt = match Method::auto_for(m, values.is_some(), wpb) {
+            Method::Fused | Method::FusedLargeM => coalesced_ipt(m, kv_bytes, wpb),
             _ => None,
         };
-        match plan {
-            Some((class, ipt)) => {
-                let mu = m as usize;
-                let tile = wpb * WARP_SIZE * ipt;
-                lsegs.push(LaunchSeg {
-                    seg: i,
-                    class,
-                    mu,
+        match ipt {
+            Some(ipt) => {
+                coalesced.push(SweepSeg {
+                    offset: s.offset,
+                    n: s.n,
+                    bucket: s.bucket,
                     ipt,
-                    tiles: s.n.div_ceil(tile),
-                    hist_base: hist_words,
                 });
-                hist_words += mu;
+                owners.push(i);
             }
             None => fallback.push(i),
         }
@@ -287,484 +211,26 @@ pub fn multisplit_segmented_into<V: Scalar>(
 
     // ====== The coalesced two-launch pipeline over all classified
     // segments at once.
-    if !lsegs.is_empty() {
-        let total_tiles: usize = lsegs.iter().map(|l| l.tiles).sum();
-        let nf = lsegs.iter().filter(|l| l.class == CLASS_FUSED).count();
-        let nl = lsegs.len() - nf;
+    if !coalesced.is_empty() {
+        let nf = coalesced
+            .iter()
+            .filter(|s| HistStrategy::for_buckets(s.bucket.num_buckets()) == HistStrategy::Ballot)
+            .count();
+        let nl = coalesced.len() - nf;
         let pre_label = format!("segmented/pre-scan[fused={nf},largem={nl}]");
         let sweep_label = format!("segmented/sweep[fused={nf},largem={nl}]");
-
-        // Host-built per-tile descriptor table, one sector per tile.
-        let mut desc_host: Vec<u32> = Vec::with_capacity(total_tiles * DESC_WORDS);
-        for (sseg, ls) in lsegs.iter().enumerate() {
-            let s = &segs[ls.seg];
-            for local_t in 0..ls.tiles {
-                desc_host.extend_from_slice(&[
-                    sseg as u32,
-                    s.offset as u32,
-                    s.n as u32,
-                    ls.mu as u32,
-                    ls.ipt as u32,
-                    local_t as u32,
-                    ls.hist_base as u32,
-                    ls.class,
-                ]);
-            }
+        let plan = SweepPlan::batch(coalesced, wpb);
+        let seg_offsets = plan.split(
+            dev,
+            [&pre_label, &sweep_label],
+            keys,
+            values,
+            out_keys,
+            out_values,
+        );
+        for (i, o) in owners.into_iter().zip(seg_offsets) {
+            offsets[i] = o;
         }
-        let desc = GlobalBuffer::from_slice(&desc_host);
-        let totals = GlobalBuffer::<u32>::zeroed(hist_words);
-
-        // ====== Launch 1: flattened per-segment bucket totals.
-        dev.launch(&pre_label, total_tiles, wpb, |blk| {
-            let desc_s = read_desc(&desc, blk, blk.block_id);
-            let sseg = desc_s.get(0) as usize;
-            let off = desc_s.get(1) as usize;
-            let seg_n = desc_s.get(2) as usize;
-            let m = desc_s.get(3);
-            let mu = m as usize;
-            let ipt = desc_s.get(4) as usize;
-            let local_t = desc_s.get(5) as usize;
-            let hb = desc_s.get(6) as usize;
-            let class = desc_s.get(7);
-            let bucket = segs[lsegs[sseg].seg].bucket;
-            let nw = blk.warps_per_block;
-            let tile = nw * WARP_SIZE * ipt;
-            let tile_start = local_t * tile;
-
-            if class == CLASS_FUSED {
-                // The fused.rs pre-scan body, segment-local.
-                let pitch = mu | 1;
-                let h2 = blk.alloc_shared::<u32>(nw * pitch);
-                let block_hist = blk.alloc_shared::<u32>(mu);
-                for w in blk.warps() {
-                    let mut acc = [0u32; WARP_SIZE];
-                    for c in 0..ipt {
-                        let lb = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            break;
-                        }
-                        let idx = lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                        let k = w.gather(keys, idx, mask);
-                        let b = eval_buckets(&w, bucket, k, mask);
-                        let h = warp_histogram(&w, b, m, mask);
-                        for lane in 0..WARP_SIZE {
-                            acc[lane] = acc[lane].wrapping_add(h[lane]);
-                        }
-                        w.charge(mu as u64); // the accumulate adds
-                    }
-                    let col = w.warp_id * pitch;
-                    h2.st(
-                        lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                        acc,
-                        low_lanes_mask(mu),
-                    );
-                }
-                blk.sync();
-                multi_reduce_across_warps(blk, &h2, mu, pitch, &block_hist);
-                {
-                    let w = blk.warp(0);
-                    let mask = low_lanes_mask(mu);
-                    let v = block_hist.ld(lanes_from_fn(|lane| lane.min(mu - 1)), mask);
-                    w.atomic_add(
-                        &totals,
-                        lanes_from_fn(|lane| hb + lane.min(mu - 1)),
-                        v,
-                        mask,
-                    );
-                }
-            } else {
-                // The fused_large_m.rs pre-scan body, segment-local.
-                let nwp = nw | 1;
-                let hrow = blk.alloc_shared::<u32>(mu * nwp);
-                for w in blk.warps() {
-                    let mut acc = vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)];
-                    for c in 0..ipt {
-                        let lb = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            break;
-                        }
-                        let idx = lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                        let k = w.gather(keys, idx, mask);
-                        let b = eval_buckets(&w, bucket, k, mask);
-                        let h = warp_histogram_multi(&w, b, m, mask);
-                        for (hc, histo) in h.iter().enumerate() {
-                            for lane in 0..WARP_SIZE {
-                                acc[hc][lane] = acc[hc][lane].wrapping_add(histo[lane]);
-                            }
-                        }
-                        w.charge(mu as u64);
-                    }
-                    for (hc, histo) in acc.iter().enumerate() {
-                        let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        hrow.st(
-                            lanes_from_fn(|lane| {
-                                (hc * WARP_SIZE + lane.min(cnt - 1)) * nwp + w.warp_id
-                            }),
-                            *histo,
-                            sm,
-                        );
-                    }
-                }
-                blk.sync();
-                for w in blk.warps() {
-                    let mut row = w.warp_id * WARP_SIZE;
-                    while row < mu {
-                        let cnt = (mu - row).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        let mut acc = [0u32; WARP_SIZE];
-                        for wid in 0..nw {
-                            let v = hrow.ld(
-                                lanes_from_fn(|lane| (row + lane.min(cnt - 1)) * nwp + wid),
-                                sm,
-                            );
-                            acc = lanes_from_fn(|lane| acc[lane] + v[lane]);
-                        }
-                        w.charge(nw as u64 * cnt as u64);
-                        w.atomic_add(
-                            &totals,
-                            lanes_from_fn(|lane| hb + row + lane.min(cnt - 1)),
-                            acc,
-                            sm,
-                        );
-                        row += nw * WARP_SIZE;
-                    }
-                }
-            }
-        });
-
-        // ====== Host: per-segment exclusive scans of the flat totals.
-        let mut bases_host = vec![0u32; hist_words];
-        for ls in &lsegs {
-            let mut run = 0u32;
-            for b in 0..ls.mu {
-                bases_host[ls.hist_base + b] = run;
-                run = run.wrapping_add(totals.get(ls.hist_base + b));
-            }
-            debug_assert_eq!(
-                run as usize, segs[ls.seg].n,
-                "segment {}: bucket totals must sum to n",
-                ls.seg
-            );
-            let o = &mut offsets[ls.seg];
-            o[..ls.mu].copy_from_slice(&bases_host[ls.hist_base..ls.hist_base + ls.mu]);
-            o[ls.mu] = segs[ls.seg].n as u32;
-        }
-        let bases = GlobalBuffer::from_slice(&bases_host);
-
-        // ====== Launch 2: one sweep over the flattened segment×tile
-        // ticket space, look-back partitioned per segment.
-        let parts: Vec<(usize, usize)> = lsegs.iter().map(|l| (l.tiles, l.mu)).collect();
-        let states = SegmentedTileStates::new(&parts);
-        debug_assert_eq!(states.total_tiles(), total_tiles);
-        let ticket = GlobalBuffer::<u32>::zeroed(1);
-        dev.launch(&sweep_label, total_tiles, wpb, |blk| {
-            let tile_id = blk.alloc_shared::<u32>(1);
-            {
-                let w = blk.warp(0);
-                tile_id.set(0, w.device_fetch_add(&ticket, 0, 1));
-                w.obs()
-                    .flight_emit(EventKind::TicketClaim, tile_id.get(0), 0, 0);
-            }
-            blk.sync();
-            let t = tile_id.get(0) as usize; // global ticket
-            let desc_s = read_desc(&desc, blk, t);
-            let sseg = desc_s.get(0) as usize;
-            let off = desc_s.get(1) as usize;
-            let seg_n = desc_s.get(2) as usize;
-            let m = desc_s.get(3);
-            let mu = m as usize;
-            let ipt = desc_s.get(4) as usize;
-            let local_t = desc_s.get(5) as usize;
-            let hb = desc_s.get(6) as usize;
-            let class = desc_s.get(7);
-            let bucket = segs[lsegs[sseg].seg].bucket;
-            let nw = blk.warps_per_block;
-            let nchunks = nw * ipt;
-            let tile = nchunks * WARP_SIZE;
-            let tile_start = local_t * tile;
-
-            if class == CLASS_FUSED {
-                // ------ The fused.rs sweep body (phases 1–5),
-                // segment-local: indices offset by `off`, masks against
-                // `seg_n`, look-back inside segment `sseg`'s window.
-                let pitch = mu | 1;
-                let h2 = blk.alloc_shared::<u32>(nchunks * pitch);
-                let tile_hist = blk.alloc_shared::<u32>(mu);
-                let bucket_base = blk.alloc_shared::<u32>(mu);
-                let scatter_base = blk.alloc_shared::<u32>(mu);
-                let keys2_s = blk.alloc_shared::<u32>(tile);
-                let buckets2_s = blk.alloc_shared::<u32>(tile);
-                let values2_s = values.map(|_| blk.alloc_shared::<V>(tile));
-                let mut key_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut bucket_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut offs_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nchunks]);
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        let col = chunk * pitch;
-                        if mask == 0 {
-                            h2.st(
-                                lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                                [0; WARP_SIZE],
-                                low_lanes_mask(mu),
-                            );
-                            continue;
-                        }
-                        let idx = lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                        let k = w.gather(keys, idx, mask);
-                        let b = eval_buckets(&w, bucket, k, mask);
-                        let (histo, offs) = warp_histogram_and_offsets(&w, b, m, mask);
-                        h2.st(
-                            lanes_from_fn(|lane| col + lane.min(mu - 1)),
-                            histo,
-                            low_lanes_mask(mu),
-                        );
-                        key_reg[chunk] = k;
-                        bucket_reg[chunk] = b;
-                        offs_reg[chunk] = offs;
-                        if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
-                            vr[chunk] = w.gather(vin, idx, mask);
-                        }
-                    }
-                }
-                blk.sync();
-
-                multi_exclusive_scan_across_cols(blk, &h2, mu, pitch, nchunks, Some(&tile_hist));
-
-                {
-                    let w = blk.warp(0);
-                    let mask = low_lanes_mask(mu);
-                    let agg = tile_hist.ld(lanes_from_fn(|lane| lane.min(mu - 1)), mask);
-                    let prefix = states.resolve(&w, sseg, local_t, agg);
-                    let padded = lanes_from_fn(|lane| if lane < mu { agg[lane] } else { 0 });
-                    let exc = warp_scan::exclusive_scan_add(&w, padded);
-                    bucket_base.st(lanes_from_fn(|lane| lane.min(mu - 1)), exc, mask);
-                    let gb =
-                        w.gather_cached(&bases, lanes_from_fn(|lane| hb + lane.min(mu - 1)), mask);
-                    scatter_base.st(
-                        lanes_from_fn(|lane| lane.min(mu - 1)),
-                        lanes_from_fn(|lane| gb[lane].wrapping_add(prefix[lane])),
-                        mask,
-                    );
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let b = bucket_reg[chunk];
-                        let col = chunk * pitch;
-                        let prev_chunks = h2.ld(lanes_from_fn(|lane| col + b[lane] as usize), mask);
-                        let bb = bucket_base.ld(lanes_from_fn(|lane| b[lane] as usize), mask);
-                        let new_idx = lanes_from_fn(|lane| {
-                            (bb[lane] + prev_chunks[lane] + offs_reg[chunk][lane]) as usize
-                        });
-                        keys2_s.st(new_idx, key_reg[chunk], mask);
-                        buckets2_s.st(new_idx, b, mask);
-                        if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                            vs2.st(new_idx, vr[chunk], mask);
-                        }
-                    }
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
-                        let k2 = keys2_s.ld(tid, mask);
-                        let b2 = buckets2_s.ld(tid, mask);
-                        let bb = bucket_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                        let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                        let dest = lanes_from_fn(|lane| {
-                            off + (sb[lane]
-                                .wrapping_add(tid[lane] as u32)
-                                .wrapping_sub(bb[lane])) as usize
-                        });
-                        w.scatter(out_keys, dest, k2, mask);
-                        if let (Some(vs2), Some(vout)) = (&values2_s, out_values) {
-                            let v2 = vs2.ld(tid, mask);
-                            w.scatter(vout, dest, v2, mask);
-                        }
-                    }
-                }
-            } else {
-                // ------ The fused_large_m.rs sweep body (phases 1–5),
-                // segment-local, with multi-row look-back in segment
-                // `sseg`'s window and padded staging.
-                let ncolp = nchunks | 1;
-                let hrow = blk.alloc_shared::<u32>(mu * ncolp);
-                let scatter_base = blk.alloc_shared::<u32>(mu);
-                let keys2_s = blk.alloc_shared::<u32>(padded_len(tile));
-                let buckets2_s = blk.alloc_shared::<u32>(padded_len(tile));
-                let values2_s = values.map(|_| blk.alloc_shared::<V>(padded_len(tile)));
-                let mut key_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut bucket_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut offs_reg = vec![[0u32; WARP_SIZE]; nchunks];
-                let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nchunks]);
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        let h = if mask == 0 {
-                            vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)]
-                        } else {
-                            let idx =
-                                lanes_from_fn(|j| off + if lb + j < seg_n { lb + j } else { lb });
-                            let k = w.gather(keys, idx, mask);
-                            let b = eval_buckets(&w, bucket, k, mask);
-                            let offs = warp_offsets(&w, b, m, mask);
-                            key_reg[chunk] = k;
-                            bucket_reg[chunk] = b;
-                            offs_reg[chunk] = offs;
-                            if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
-                                vr[chunk] = w.gather(vin, idx, mask);
-                            }
-                            warp_histogram_multi(&w, b, m, mask)
-                        };
-                        for (hc, histo) in h.iter().enumerate() {
-                            let cnt = (mu - hc * WARP_SIZE).min(WARP_SIZE);
-                            let sm = low_lanes_mask(cnt);
-                            hrow.st(
-                                lanes_from_fn(|lane| {
-                                    (hc * WARP_SIZE + lane.min(cnt - 1)) * ncolp + chunk
-                                }),
-                                *histo,
-                                sm,
-                            );
-                        }
-                    }
-                }
-                blk.sync();
-
-                let tile_total = block_exclusive_scan_shared(blk, &hrow, mu * ncolp);
-                blk.sync();
-
-                {
-                    let w = blk.warp(0);
-                    let mut agg = vec![0u32; mu];
-                    let mut g0 = 0usize;
-                    while g0 < mu {
-                        let cnt = (mu - g0).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        let heads = hrow.ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * ncolp), sm);
-                        let has_next = if g0 + cnt == mu {
-                            low_lanes_mask(cnt - 1)
-                        } else {
-                            sm
-                        };
-                        let nexts = hrow.ld(
-                            lanes_from_fn(|l| {
-                                let b = g0 + l.min(cnt - 1);
-                                if b + 1 < mu {
-                                    (b + 1) * ncolp
-                                } else {
-                                    0
-                                }
-                            }),
-                            has_next,
-                        );
-                        for l in 0..cnt {
-                            let b = g0 + l;
-                            let next = if b + 1 < mu { nexts[l] } else { tile_total };
-                            agg[b] = next.wrapping_sub(heads[l]);
-                        }
-                        w.charge(cnt as u64); // the subtracts
-                        g0 += WARP_SIZE;
-                    }
-                    let prefix = states.resolve_rows(&w, sseg, local_t, &agg);
-                    let mut g0 = 0usize;
-                    while g0 < mu {
-                        let cnt = (mu - g0).min(WARP_SIZE);
-                        let sm = low_lanes_mask(cnt);
-                        let gb = w.gather_cached(
-                            &bases,
-                            lanes_from_fn(|l| hb + g0 + l.min(cnt - 1)),
-                            sm,
-                        );
-                        scatter_base.st(
-                            lanes_from_fn(|l| g0 + l.min(cnt - 1)),
-                            lanes_from_fn(|l| gb[l].wrapping_add(prefix[g0 + l.min(cnt - 1)])),
-                            sm,
-                        );
-                        g0 += WARP_SIZE;
-                    }
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let b = bucket_reg[chunk];
-                        let col_base =
-                            hrow.ld(lanes_from_fn(|l| b[l] as usize * ncolp + chunk), mask);
-                        let new_idx = lanes_from_fn(|l| {
-                            padded_index((col_base[l] + offs_reg[chunk][l]) as usize)
-                        });
-                        keys2_s.st(new_idx, key_reg[chunk], mask);
-                        buckets2_s.st(new_idx, b, mask);
-                        if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                            vs2.st(new_idx, vr[chunk], mask);
-                        }
-                    }
-                }
-                blk.sync();
-
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let lb = tile_start + chunk * WARP_SIZE;
-                        let mask = tail_mask(lb, seg_n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
-                        let pidx = lanes_from_fn(|lane| padded_index(chunk * WARP_SIZE + lane));
-                        let k2 = keys2_s.ld(pidx, mask);
-                        let b2 = buckets2_s.ld(pidx, mask);
-                        let bb = hrow.ld(lanes_from_fn(|lane| b2[lane] as usize * ncolp), mask);
-                        let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
-                        let dest = lanes_from_fn(|lane| {
-                            off + (sb[lane]
-                                .wrapping_add(tid[lane] as u32)
-                                .wrapping_sub(bb[lane])) as usize
-                        });
-                        w.scatter(out_keys, dest, k2, mask);
-                        if let (Some(vs2), Some(vout)) = (&values2_s, out_values) {
-                            let v2 = vs2.ld(pidx, mask);
-                            w.scatter(vout, dest, v2, mask);
-                        }
-                    }
-                }
-            }
-            blk.stats()
-                .obs
-                .flight_emit(EventKind::ScatterComplete, t as u32, 0, 0);
-        });
     }
 
     // ====== Fallback segments: standalone launches, scoped so the log
@@ -809,14 +275,9 @@ mod tests {
     use super::*;
     use crate::bucket::RangeBuckets;
     use crate::common::no_values;
+    use crate::common::test_util::{keys_for, stats_of};
     use crate::cpu_ref::{multisplit_kv_ref, multisplit_ref};
     use simt::{AdvSchedule, BlockStats, Device, K40C};
-
-    fn keys_for(n: usize, seed: u32) -> Vec<u32> {
-        (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761).wrapping_add(seed))
-            .collect()
-    }
 
     /// Build a flat buffer + specs from (n, m) pairs, with a one-sector
     /// (8-word) gap between segments to check untouched regions stay
@@ -839,36 +300,60 @@ mod tests {
         (flat, ranges)
     }
 
-    fn check_against_reference(dev: &Device, parts: &[(usize, u32)]) {
-        let (flat, ranges) = flat_case(parts);
-        let buckets: Vec<RangeBuckets> = parts.iter().map(|&(_, m)| RangeBuckets::new(m)).collect();
-        let specs: Vec<SegmentSpec> = ranges
+    fn specs<'a>(ranges: &[(usize, usize)], buckets: &'a [RangeBuckets]) -> Vec<SegmentSpec<'a>> {
+        ranges
             .iter()
-            .zip(&buckets)
+            .zip(buckets)
             .map(|(&(offset, n), b)| SegmentSpec {
                 offset,
                 n,
                 bucket: b,
             })
-            .collect();
+            .collect()
+    }
+
+    /// Run `parts` as one batch on `dev` and check every segment (keys,
+    /// payloads, offsets) against its own reference and every gap against
+    /// stray writes. Returns the flat output and per-launch counted stats.
+    fn check_against_reference(
+        dev: &Device,
+        parts: &[(usize, u32)],
+        kv: bool,
+    ) -> (Vec<u32>, Vec<BlockStats>) {
+        let (flat, ranges) = flat_case(parts);
+        let vals: Vec<u32> = (0..flat.len() as u32).map(|i| !i).collect();
+        let buckets: Vec<RangeBuckets> = parts.iter().map(|&(_, m)| RangeBuckets::new(m)).collect();
         let keys = GlobalBuffer::from_slice(&flat);
-        let r = multisplit_segmented(dev, &keys, no_values(), &specs, 8);
+        let values = GlobalBuffer::from_slice(&vals);
+        let r = multisplit_segmented(
+            dev,
+            &keys,
+            kv.then_some(&values),
+            &specs(&ranges, &buckets),
+            8,
+        );
         let out = r.keys.to_vec();
+        let out_vals = r.values.map(|v| v.to_vec());
         for (i, (&(off, n), b)) in ranges.iter().zip(&buckets).enumerate() {
-            let (expect, expect_offs) = multisplit_ref(&flat[off..off + n], b);
-            assert_eq!(&out[off..off + n], &expect[..], "segment {i}");
-            assert_eq!(r.offsets[i], expect_offs, "segment {i} offsets");
+            let (ek, ev, eo) = multisplit_kv_ref(&flat[off..off + n], Some(&vals[off..off + n]), b);
+            assert_eq!(&out[off..off + n], &ek[..], "segment {i} keys");
+            if let Some(ov) = &out_vals {
+                assert_eq!(&ov[off..off + n], &ev[..], "segment {i} values");
+            }
+            assert_eq!(r.offsets[i], eo, "segment {i} offsets");
             assert_eq!(
                 out[off - 1],
                 0,
                 "gap before segment {i} must stay untouched"
             );
         }
+        (out, dev.records().iter().map(|rec| rec.stats).collect())
     }
 
     #[test]
-    fn matches_per_segment_reference_mixed_classes() {
-        // Small/large m, tiny/partial/multi-tile n, in one batch.
+    fn matches_per_segment_reference_on_every_executor() {
+        // Small/large m, tiny/partial/multi-tile n, in one batch; outputs
+        // and counted stats identical under every executor.
         let parts = [
             (1usize, 1u32),
             (33, 32),
@@ -878,47 +363,22 @@ mod tests {
             (257, 100),
             (4096, 2),
         ];
-        check_against_reference(&Device::new(K40C), &parts);
-        check_against_reference(&Device::sequential(K40C), &parts);
-        check_against_reference(
-            &Device::adversarial(K40C, AdvSchedule::from_seed(9)),
-            &parts,
-        );
-    }
-
-    #[test]
-    fn key_value_segments_match_reference() {
-        let parts = [(700usize, 5u32), (1500, 32), (900, 40)];
-        let (flat, ranges) = flat_case(&parts);
-        let vals: Vec<u32> = (0..flat.len() as u32).map(|i| !i).collect();
-        let buckets: Vec<RangeBuckets> = parts.iter().map(|&(_, m)| RangeBuckets::new(m)).collect();
-        let specs: Vec<SegmentSpec> = ranges
-            .iter()
-            .zip(&buckets)
-            .map(|(&(offset, n), b)| SegmentSpec {
-                offset,
-                n,
-                bucket: b,
-            })
-            .collect();
-        let dev = Device::new(K40C);
-        let keys = GlobalBuffer::from_slice(&flat);
-        let values = GlobalBuffer::from_slice(&vals);
-        let r = multisplit_segmented(&dev, &keys, Some(&values), &specs, 8);
-        let ov = r.values.unwrap().to_vec();
-        let ok = r.keys.to_vec();
-        for (i, (&(off, n), b)) in ranges.iter().zip(&buckets).enumerate() {
-            let (ek, ev, eo) = multisplit_kv_ref(&flat[off..off + n], Some(&vals[off..off + n]), b);
-            assert_eq!(&ok[off..off + n], &ek[..], "segment {i} keys");
-            assert_eq!(&ov[off..off + n], &ev[..], "segment {i} values");
-            assert_eq!(r.offsets[i], eo, "segment {i} offsets");
+        for kv in [false, true] {
+            let seq = check_against_reference(&Device::sequential(K40C), &parts, kv);
+            for dev in [
+                Device::new(K40C),
+                Device::adversarial(K40C, AdvSchedule::from_seed(9)),
+            ] {
+                let run = check_against_reference(&dev, &parts, kv);
+                assert_eq!(run, seq, "kv={kv}: schedule-independent");
+            }
         }
     }
 
     #[test]
     fn label_encodes_per_segment_dispatch_at_the_boundary() {
-        // Satellite: m = 32 and m = 33 in ONE segmented launch dispatch to
-        // the fused and large-m bodies respectively, visible in the label.
+        // m = 32 and m = 33 in ONE segmented launch dispatch to the ballot
+        // and register-row histogram strategies, visible in the label.
         assert_eq!(
             Method::auto_for_segmented(32, false, 8),
             Some(Method::Fused)
@@ -927,25 +387,8 @@ mod tests {
             Method::auto_for_segmented(33, false, 8),
             Some(Method::FusedLargeM)
         );
-        let parts = [(2048usize, 32u32), (2048, 33)];
-        let (flat, ranges) = flat_case(&parts);
-        let buckets: Vec<RangeBuckets> = parts.iter().map(|&(_, m)| RangeBuckets::new(m)).collect();
-        let specs: Vec<SegmentSpec> = ranges
-            .iter()
-            .zip(&buckets)
-            .map(|(&(offset, n), b)| SegmentSpec {
-                offset,
-                n,
-                bucket: b,
-            })
-            .collect();
         let dev = Device::sequential(K40C);
-        let keys = GlobalBuffer::from_slice(&flat);
-        let r = multisplit_segmented(&dev, &keys, no_values(), &specs, 8);
-        for (i, (&(off, n), b)) in ranges.iter().zip(&buckets).enumerate() {
-            let (expect, _) = multisplit_ref(&flat[off..off + n], b);
-            assert_eq!(&r.keys.to_vec()[off..off + n], &expect[..], "segment {i}");
-        }
+        check_against_reference(&dev, &[(2048, 32), (2048, 33)], false);
         let labels: Vec<String> = dev.records().iter().map(|rec| rec.label.clone()).collect();
         assert_eq!(
             labels,
@@ -989,38 +432,20 @@ mod tests {
 
     #[test]
     fn sectors_within_5_percent_of_standalone_runs() {
-        // The acceptance shape at test scale: coalescing must not cost
-        // more than 5% extra counted DRAM traffic over the sum of
-        // standalone per-segment runs (the delta is the descriptor reads).
-        let nseg = 64usize;
-        let n = 1024usize;
-        let m = 16u32;
+        // Coalescing must not cost more than 5% extra counted DRAM traffic
+        // over the sum of standalone per-segment runs (the delta is the
+        // descriptor reads), while launches collapse from 2 per segment
+        // to 2.
+        let (nseg, n, m) = (64usize, 1024usize, 16u32);
         let parts: Vec<(usize, u32)> = (0..nseg).map(|_| (n, m)).collect();
-        let (flat, ranges) = flat_case(&parts);
-        let bucket = RangeBuckets::new(m);
-        let specs: Vec<SegmentSpec> = ranges
-            .iter()
-            .map(|&(offset, n)| SegmentSpec {
-                offset,
-                n,
-                bucket: &bucket,
-            })
-            .collect();
-        let total_sectors = |dev: &Device| {
-            dev.records()
-                .iter()
-                .fold(BlockStats::default(), |mut a, r| {
-                    a += r.stats;
-                    a
-                })
-                .sectors
-        };
+        let total_sectors = |dev: &Device| stats_of(dev, "").sectors;
         let dev_s = Device::sequential(K40C);
-        let keys = GlobalBuffer::from_slice(&flat);
-        let r = multisplit_segmented(&dev_s, &keys, no_values(), &specs, 8);
+        check_against_reference(&dev_s, &parts, false);
         let seg_sectors = total_sectors(&dev_s);
         assert_eq!(dev_s.records().len(), 2, "one coalesced pipeline");
 
+        let (flat, ranges) = flat_case(&parts);
+        let bucket = RangeBuckets::new(m);
         let dev_p = Device::sequential(K40C);
         for &(off, n) in &ranges {
             let seg_keys = GlobalBuffer::from_slice(&flat[off..off + n]);
@@ -1033,41 +458,39 @@ mod tests {
             (seg_sectors as f64) <= 1.05 * standalone_sectors as f64,
             "segmented {seg_sectors} vs standalone sum {standalone_sectors} sectors"
         );
-        // And launches collapse: 2 vs 2 per segment.
         assert_eq!(dev_p.records().len(), 2 * nseg);
-        drop(r);
     }
 
     #[test]
-    fn parallel_and_sequential_agree_bit_and_stats() {
-        let parts = [(3000usize, 32u32), (2048, 7), (4000, 48), (100, 3)];
-        let (flat, ranges) = flat_case(&parts);
-        let buckets: Vec<RangeBuckets> = parts.iter().map(|&(_, m)| RangeBuckets::new(m)).collect();
-        let specs: Vec<SegmentSpec> = ranges
-            .iter()
-            .zip(&buckets)
-            .map(|(&(offset, n), b)| SegmentSpec {
-                offset,
-                n,
-                bucket: b,
-            })
-            .collect();
-        let mut outs = Vec::new();
-        let mut stats = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let keys = GlobalBuffer::from_slice(&flat);
-            let r = multisplit_segmented(&dev, &keys, no_values(), &specs, 8);
-            outs.push((r.keys.to_vec(), r.offsets));
-            stats.push(
-                dev.records()
-                    .iter()
-                    .fold(BlockStats::default(), |mut a, rec| {
-                        a += rec.stats;
-                        a
-                    }),
-            );
+    fn a_one_segment_batch_bills_the_standalone_run_plus_its_descriptors() {
+        // The standalone path is the sweep's one-segment case with the
+        // descriptor passed by value; the table form differs by exactly
+        // the descriptor traffic (one sector read per tile per launch),
+        // its shared round trip (each word stored once and read back
+        // once) and one barrier per block. Every other counter is
+        // identical.
+        let n = 5000;
+        for m in [16u32, 100] {
+            let dev_s = Device::sequential(K40C);
+            check_against_reference(&dev_s, &[(n, m)], false);
+            let (flat, ranges) = flat_case(&[(n, m)]);
+            let (off, _) = ranges[0];
+            let dev_f = Device::sequential(K40C);
+            let keys = GlobalBuffer::from_slice(&flat[off..off + n]);
+            let bucket = RangeBuckets::new(m);
+            let method = Method::auto_for(m, false, 8);
+            crate::api::multisplit_device(&dev_f, method, &keys, no_values(), n, &bucket, 8);
+            for (seg, alone) in dev_s.records().iter().zip(dev_f.records()) {
+                let blocks = seg.blocks as u64;
+                let mut expect = alone.stats;
+                expect.sectors += blocks;
+                expect.useful_bytes += blocks * DESC_WORDS as u64 * 4;
+                expect.global_requests += blocks;
+                expect.lane_ops += blocks * DESC_WORDS as u64;
+                expect.smem_ops += blocks * 2 * DESC_WORDS as u64;
+                expect.barriers += blocks;
+                assert_eq!(seg.stats, expect, "m={m} {}", seg.label);
+            }
         }
-        assert_eq!(outs[0], outs[1], "bit-identical across schedulers");
-        assert_eq!(stats[0], stats[1], "stats must be schedule-independent");
     }
 }

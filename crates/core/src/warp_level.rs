@@ -117,15 +117,10 @@ mod tests {
     use super::*;
     use crate::bucket::{FnBuckets, RangeBuckets};
     use crate::common::no_values;
+    use crate::common::test_util::{keys_for, stats_of};
     use crate::cpu_ref::{multisplit_kv_ref, multisplit_ref};
     use crate::direct::multisplit_direct;
-    use simt::{BlockStats, Device, K40C};
-
-    fn keys_for(n: usize, seed: u32) -> Vec<u32> {
-        (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761).wrapping_add(seed))
-            .collect()
-    }
+    use simt::{Device, K40C};
 
     #[test]
     fn matches_reference_across_m_and_n() {
@@ -175,16 +170,6 @@ mod tests {
         assert_eq!(a.offsets, b.offsets);
     }
 
-    fn post_scan_stats(dev: &Device, prefix: &str) -> BlockStats {
-        dev.records()
-            .iter()
-            .filter(|r| r.label.starts_with(prefix))
-            .fold(BlockStats::default(), |mut a, r| {
-                a += r.stats;
-                a
-            })
-    }
-
     #[test]
     fn reordering_eliminates_store_replays_for_few_buckets() {
         // Direct MS and Warp-level MS scatter to the *same address set* per
@@ -199,16 +184,16 @@ mod tests {
         multisplit_direct(&dev_d, &keys, no_values(), n, &bucket, 8);
         let dev_w = Device::new(K40C);
         multisplit_warp_level(&dev_w, &keys, no_values(), n, &bucket, 8);
-        let d = post_scan_stats(&dev_d, "direct/post-scan").replays;
-        let w = post_scan_stats(&dev_w, "warp/post-scan").replays;
+        let d = stats_of(&dev_d, "direct/post-scan").replays;
+        let w = stats_of(&dev_w, "warp/post-scan").replays;
         assert!(
             w * 4 < d,
             "warp-level post-scan replays {w} should be far below direct's {d}"
         );
         // And the address sets really are the same: equal sector counts.
         assert_eq!(
-            post_scan_stats(&dev_d, "direct/post-scan").sectors,
-            post_scan_stats(&dev_w, "warp/post-scan").sectors
+            stats_of(&dev_d, "direct/post-scan").sectors,
+            stats_of(&dev_w, "warp/post-scan").sectors
         );
     }
 

@@ -256,6 +256,44 @@ fn resolve_rows_at(
     prefix
 }
 
+/// Counted read of tile `t`'s resolved (INCLUSIVE) record inside a
+/// state-word window: one record-sized `device_gather` per row group, the
+/// same deterministic charge [`resolve_rows_at`] bills for its look-back
+/// read. Window and ticket bases as in [`resolve_rows_at`].
+fn read_record_at(
+    state: &GlobalBuffer<u64>,
+    word_base: usize,
+    ticket_base: usize,
+    rows: usize,
+    w: &WarpCtx,
+    t: usize,
+) -> Vec<u32> {
+    let mut vals = vec![0u32; rows];
+    for g in 0..rows.div_ceil(WARP_SIZE) {
+        let (rec, mask) = group_record_at(word_base, rows, t, g);
+        let words = w.device_gather(state, rec, mask);
+        w.obs().flight_emit(
+            EventKind::LookbackRead,
+            (ticket_base + t) as u32,
+            g as u32,
+            0,
+        );
+        let base = g * WARP_SIZE;
+        let cnt = (rows - base).min(WARP_SIZE);
+        for l in 0..cnt {
+            let (value, flag) = unpack(words[l]);
+            debug_assert_eq!(
+                flag,
+                FLAG_INCLUSIVE,
+                "read_record requires a resolved record (tile {t} row {})",
+                base + l
+            );
+            vals[base + l] = value;
+        }
+    }
+    vals
+}
+
 /// Per-tile `(aggregate | inclusive-prefix)` flag records for a chained
 /// single-pass kernel: `rows` packed words per tile (`rows = 1` for the
 /// scalar scan, `rows = m` for the fused multisplit's bucket histograms).
@@ -307,15 +345,6 @@ impl TileStates {
     /// `tiles * row_groups()` for a complete kernel.
     pub fn row_groups(&self) -> usize {
         self.rows.div_ceil(WARP_SIZE)
-    }
-
-    /// Lane-indexed word addresses and active mask of group `g` of tile
-    /// `t`'s record (lane `r` = row `g*32 + r`). Group 0 of a
-    /// `rows <= 32` record is exactly the scalar/vector record the chained
-    /// scan has always used.
-    #[inline]
-    fn group_record(&self, t: usize, g: usize) -> (Lanes<usize>, u32) {
-        group_record_at(0, self.rows, t, g)
     }
 
     /// Publish tile `t`'s per-row `aggregate` and resolve its exclusive
@@ -374,27 +403,7 @@ impl TileStates {
     /// spin: reading an unresolved record is a caller bug, caught by the
     /// debug assertion.
     pub fn read_record(&self, w: &WarpCtx, t: usize) -> Vec<u32> {
-        let rows = self.rows;
-        let mut vals = vec![0u32; rows];
-        for g in 0..self.row_groups() {
-            let (rec, mask) = self.group_record(t, g);
-            let words = w.device_gather(&self.state, rec, mask);
-            w.obs()
-                .flight_emit(EventKind::LookbackRead, t as u32, g as u32, 0);
-            let base = g * WARP_SIZE;
-            let cnt = (rows - base).min(WARP_SIZE);
-            for l in 0..cnt {
-                let (value, flag) = unpack(words[l]);
-                debug_assert_eq!(
-                    flag,
-                    FLAG_INCLUSIVE,
-                    "read_record requires a resolved record (tile {t} row {})",
-                    base + l
-                );
-                vals[base + l] = value;
-            }
-        }
-        vals
+        read_record_at(&self.state, 0, 0, self.rows, w, t)
     }
 
     /// Host-side read of one row's grand total (the last tile's inclusive
@@ -519,18 +528,6 @@ impl SegmentedTileStates {
         self.segs[seg].rows.div_ceil(WARP_SIZE)
     }
 
-    /// [`TileStates::resolve`] inside segment `seg`'s window: lane-shaped
-    /// wrapper for `rows <= 32`; lanes beyond the segment's rows return 0.
-    pub fn resolve(&self, w: &WarpCtx, seg: usize, t: usize, aggregate: Lanes<u32>) -> Lanes<u32> {
-        let sw = self.segs[seg];
-        assert!(
-            sw.rows <= WARP_SIZE,
-            "lane-shaped resolve covers rows <= 32; use resolve_rows"
-        );
-        let prefix = self.resolve_rows(w, seg, t, &aggregate[..sw.rows]);
-        lanes_from_fn(|l| prefix.get(l).copied().unwrap_or(0))
-    }
-
     /// [`TileStates::resolve_rows`] inside segment `seg`'s window:
     /// publish local tile `t`'s per-row aggregate and resolve its
     /// exclusive per-row prefix by decoupled look-back over **this
@@ -549,6 +546,14 @@ impl SegmentedTileStates {
             t,
             aggregate,
         )
+    }
+
+    /// [`TileStates::read_record`] inside segment `seg`'s window: counted
+    /// read of local tile `t`'s resolved inclusive record.
+    pub fn read_record(&self, w: &WarpCtx, seg: usize, t: usize) -> Vec<u32> {
+        let sw = self.segs[seg];
+        assert!(t < sw.tiles, "tile {t} out of segment {seg}'s range");
+        read_record_at(&self.state, sw.word_base, sw.tile_base, sw.rows, w, t)
     }
 
     /// Host-side read of one row's grand total within segment `seg` (its
