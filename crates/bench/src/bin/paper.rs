@@ -1565,7 +1565,8 @@ fn onesweep_compare(opts: &Opts) {
 /// ms-sort (multisplit-iterated radix sort on the fused pipelines) vs the
 /// CUB-like radix baseline: total counted DRAM sectors for 8-, 16- and
 /// 32-bit key ranges, key-only and key-value, with ms-sort's per-pass
-/// sector breakdown (each digit pass is scoped `ms_sort/passK/...`).
+/// sector breakdown (each digit pass is scoped `ms_sort/passK/...`; the
+/// one all-digit pre-scan is `ms_sort/pre-scan`).
 /// Verifies bit-identity with the host stable sort under sequential,
 /// parallel, and all four adversarial schedulers, and reports the
 /// reduced-bit pipeline's MsSort-vs-Legacy strategy delta.
@@ -1578,8 +1579,9 @@ fn sort_cmd(opts: &Opts) {
         "ms-sort (multisplit-iterated radix, b = {} bits/pass) vs radix sort\n\
          n = 2^{}, K40c. Keys are uniform over an 8-, 16- or 32-bit range;\n\
          the radix baseline always sorts all 32 bits, ms-sort probes the\n\
-         effective width first (one counted reduction, stage `probe`) and\n\
-         runs ceil(eff/{}) fused digit passes over ping-pong buffers.\n\n",
+         effective width first (one counted reduction, stage `probe`),\n\
+         histograms every digit in one pre-scan launch, and runs\n\
+         ceil(eff/{}) fused digit sweeps over ping-pong buffers.\n\n",
         ms_sort::DEFAULT_DIGIT_BITS,
         n.ilog2(),
         ms_sort::DEFAULT_DIGIT_BITS,
@@ -1711,7 +1713,7 @@ fn sort_cmd(opts: &Opts) {
         }
     }
     out.push_str(&t.render());
-    out.push_str("\nper-pass counted sectors (key-only; pass = one fused multisplit):\n");
+    out.push_str("\nper-pass counted sectors (key-only; pass = one fused sweep):\n");
     for (key_bits, passes) in &pass_rows {
         out.push_str(&format!(
             "  {key_bits:>2}-bit keys: {}\n",

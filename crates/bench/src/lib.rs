@@ -602,9 +602,10 @@ mod tests {
         assert_eq!(stage_of("reduced/sort/pass0/block/pre-scan"), "pre-scan");
         assert_eq!(stage_of("reduced/pack"), "packing");
         assert_eq!(stage_of("recursive-split/round0/split"), "splitting");
-        // ms-sort scopes each digit pass; the kernel segment wins, so
-        // sweeps classify as sweeps even under a "/passK" scope.
-        assert_eq!(stage_of("ms_sort/pass0/fused/pre-scan"), "pre-scan");
+        // ms-sort runs one all-digit pre-scan and scopes each digit
+        // pass; the kernel segment wins, so sweeps classify as sweeps
+        // even under a "/passK" scope.
+        assert_eq!(stage_of("ms_sort/pre-scan"), "pre-scan");
         assert_eq!(stage_of("ms_sort/pass2/fused_large_m/sweep"), "sweep");
         assert_eq!(stage_of("ms_sort/bits"), "probe");
         assert_eq!(stage_of("ms_sort/permute"), "permute");

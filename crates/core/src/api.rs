@@ -204,42 +204,6 @@ pub fn multisplit_device<B: BucketFn + ?Sized, V: Scalar>(
     }
 }
 
-/// Device-level multisplit writing into **caller-provided** output
-/// buffers — the pass-chaining form used by ms-sort's ping-pong loop, so
-/// pass `k` scatters directly into pass `k+1`'s input with no copy kernel
-/// or buffer re-tracking in between. Returns the `m + 1` bucket offsets.
-///
-/// Only the single-pass fused paths support caller-provided outputs
-/// ([`Method::Fused`] / [`Method::FusedLargeM`] — exactly what
-/// [`Method::auto_for`] selects under the default pipeline); the
-/// three-kernel and onesweep paths own their staging layout and panic
-/// here.
-#[allow(clippy::too_many_arguments)]
-pub fn multisplit_device_into<B: BucketFn + ?Sized, V: Scalar>(
-    dev: &Device,
-    method: Method,
-    keys: &GlobalBuffer<u32>,
-    values: Option<&GlobalBuffer<V>>,
-    n: usize,
-    bucket: &B,
-    wpb: usize,
-    out_keys: &GlobalBuffer<u32>,
-    out_values: Option<&GlobalBuffer<V>>,
-) -> Vec<u32> {
-    match method {
-        Method::Fused => crate::fused::multisplit_fused_into(
-            dev, keys, values, n, bucket, wpb, out_keys, out_values,
-        ),
-        Method::FusedLargeM => crate::fused_large_m::multisplit_fused_large_m_into(
-            dev, keys, values, n, bucket, wpb, out_keys, out_values,
-        ),
-        other => panic!(
-            "multisplit_device_into supports the fused paths only, not {:?}",
-            other
-        ),
-    }
-}
-
 /// Host-convenience key-only multisplit: uploads, runs the auto-selected
 /// method, downloads. Returns the permuted keys and the `m + 1` bucket
 /// offsets.

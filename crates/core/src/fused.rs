@@ -54,26 +54,18 @@ use simt::{Device, GlobalBuffer, Scalar};
 
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit};
-use crate::sweep::{HistStrategy, Scatter, SweepKind, SweepPlan, SweepSeg};
+use crate::sweep::{HistStrategy, Out, Scatter, SweepKind, SweepPlan, SweepSeg};
 
 pub use crate::sweep::MAX_ITEMS_PER_THREAD;
 
-/// The standalone fused pipeline for any `m` the direct sweep fits at
-/// this block size: the one-segment case of the sweep, its descriptor
-/// passed by value. Launch labels name the histogram strategy (`fused/…`
-/// for ballot, `fused_large_m/…` for register rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
-    dev: &Device,
+/// Check a caller-provided-output call's buffer lengths and pairing.
+fn check_into_buffers<V: Scalar>(
     keys: &GlobalBuffer<u32>,
     values: Option<&GlobalBuffer<V>>,
     n: usize,
-    bucket: &B,
-    wpb: usize,
     out_keys: &GlobalBuffer<u32>,
     out_values: Option<&GlobalBuffer<V>>,
-) -> Vec<u32> {
-    let m = bucket.num_buckets();
+) {
     assert!(keys.len() >= n, "key buffer shorter than n");
     assert!(out_keys.len() >= n, "output key buffer shorter than n");
     assert_eq!(
@@ -84,11 +76,20 @@ pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
     if let Some(ov) = out_values {
         assert!(ov.len() >= n, "output value buffer shorter than n");
     }
-    if n == 0 {
-        return vec![0; m as usize + 1];
-    }
+}
+
+/// The standalone direct sweep of `n` keys: the one-segment plan at the
+/// tightest coarsening that fits, and its `[pre-scan, sweep]` launch
+/// labels, which name the histogram strategy (`fused/…` for ballot,
+/// `fused_large_m/…` for register rows).
+fn direct_plan<B: BucketFn + ?Sized>(
+    n: usize,
+    bucket: &B,
+    wpb: usize,
+    value_bytes: u64,
+) -> (SweepPlan<'_, B>, [&'static str; 2]) {
+    let m = bucket.num_buckets();
     let kind = SweepKind::for_buckets(m, Scatter::Direct);
-    let value_bytes = if values.is_some() { V::BYTES } else { 0 };
     let ipt = kind
         .items_per_thread(wpb, m as usize, value_bytes, 0)
         .unwrap_or_else(|| panic!("m = {m} overflows shared memory at {wpb} warps/block"));
@@ -102,10 +103,79 @@ pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
         bucket,
         ipt,
     };
-    let plan = SweepPlan::one(seg, wpb);
-    plan.split(dev, labels, keys, values, out_keys, out_values)
-        .pop()
-        .expect("one segment")
+    (SweepPlan::one(seg, wpb), labels)
+}
+
+/// The standalone fused pipeline for any `m` the direct sweep fits at
+/// this block size: a pre-scan for the bucket totals, then
+/// [`multisplit_sweep_into`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
+    dev: &Device,
+    keys: &GlobalBuffer<u32>,
+    values: Option<&GlobalBuffer<V>>,
+    n: usize,
+    bucket: &B,
+    wpb: usize,
+    out_keys: &GlobalBuffer<u32>,
+    out_values: Option<&GlobalBuffer<V>>,
+) -> Vec<u32> {
+    check_into_buffers(keys, values, n, out_keys, out_values);
+    if n == 0 {
+        return vec![0; bucket.num_buckets() as usize + 1];
+    }
+    let value_bytes = if values.is_some() { V::BYTES } else { 0 };
+    let (plan, labels) = direct_plan(n, bucket, wpb, value_bytes);
+    let totals = plan.prescan(dev, labels[0], keys);
+    multisplit_sweep_into(
+        dev, keys, values, n, bucket, wpb, &totals, out_keys, out_values,
+    )
+}
+
+/// The direct sweep alone, for callers that already know every bucket's
+/// total: one launch that scatters the keys (and values) of `[0, n)` to
+/// their final bucket positions in the caller-provided outputs. This is
+/// the one sweep entry point of the standalone fused paths (which run a
+/// pre-scan first) and of ms-sort's digit passes (whose totals all come
+/// from one up-front histogram launch). The launch is labelled
+/// `fused/sweep` for `m <= 32` and `fused_large_m/sweep` beyond.
+///
+/// `totals[b]` must be the number of the `n` keys in bucket `b`. Returns
+/// the `m + 1` bucket offsets. The outputs may be `tracked()`, and reused
+/// across calls: each launch opens a fresh race-detector epoch.
+#[allow(clippy::too_many_arguments)]
+pub fn multisplit_sweep_into<B: BucketFn + ?Sized, V: Scalar>(
+    dev: &Device,
+    keys: &GlobalBuffer<u32>,
+    values: Option<&GlobalBuffer<V>>,
+    n: usize,
+    bucket: &B,
+    wpb: usize,
+    totals: &[u32],
+    out_keys: &GlobalBuffer<u32>,
+    out_values: Option<&GlobalBuffer<V>>,
+) -> Vec<u32> {
+    let m = bucket.num_buckets() as usize;
+    check_into_buffers(keys, values, n, out_keys, out_values);
+    assert_eq!(totals.len(), m, "one bucket total per bucket");
+    assert_eq!(
+        totals.iter().map(|&t| t as u64).sum::<u64>(),
+        n as u64,
+        "bucket totals must sum to n"
+    );
+    if n == 0 {
+        return vec![0; m + 1];
+    }
+    let value_bytes = if values.is_some() { V::BYTES } else { 0 };
+    let (plan, labels) = direct_plan(n, bucket, wpb, value_bytes);
+    let (bases, mut offsets) = plan.bases(totals);
+    let out = Out::Final {
+        bases: &bases,
+        keys: out_keys,
+        values: out_values,
+    };
+    plan.sweep(dev, labels[1], keys, values, &out);
+    offsets.pop().expect("one segment")
 }
 
 /// Fused single-kernel-sweep multisplit over `m <= 32` buckets.
@@ -130,13 +200,11 @@ pub fn multisplit_fused<B: BucketFn + ?Sized, V: Scalar>(
     })
 }
 
-/// [`multisplit_fused`] writing into **caller-provided** output buffers —
-/// the pass-chaining entry point for ms-sort's ping-pong buffering: pass
-/// `k` scatters directly into pass `k+1`'s input with no copy kernel in
-/// between. Returns the `m + 1` bucket offsets.
+/// [`multisplit_fused`] writing into **caller-provided** output buffers.
+/// Returns the `m + 1` bucket offsets.
 ///
 /// The output buffers may be `tracked()`; each launch opens a fresh
-/// race-detector epoch, so reusing them across passes is safe. Contents
+/// race-detector epoch, so reusing them across calls is safe. Contents
 /// beyond `n` are left untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn multisplit_fused_into<B: BucketFn + ?Sized, V: Scalar>(
@@ -164,6 +232,26 @@ mod tests {
     use crate::common::no_values;
     use crate::common::test_util::{keys_for, stats_of};
     use simt::{Device, K40C};
+
+    #[test]
+    #[should_panic(expected = "bucket totals must sum to n")]
+    fn sweep_rejects_totals_that_miss_keys() {
+        let dev = Device::new(K40C);
+        let keys = GlobalBuffer::from_slice(&[1u32, 2, 3]);
+        let out = GlobalBuffer::<u32>::zeroed(3);
+        let bucket = RangeBuckets::new(2);
+        let _ = multisplit_sweep_into(
+            &dev,
+            &keys,
+            no_values(),
+            3,
+            &bucket,
+            8,
+            &[1, 1],
+            &out,
+            no_values(),
+        );
+    }
 
     #[test]
     fn fused_moves_at_least_20_percent_fewer_sectors() {

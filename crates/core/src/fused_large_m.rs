@@ -94,8 +94,7 @@ pub fn multisplit_fused_large_m<B: BucketFn + ?Sized, V: Scalar>(
 }
 
 /// [`multisplit_fused_large_m`] writing into **caller-provided** output
-/// buffers — the pass-chaining entry point for ms-sort's ping-pong
-/// buffering (see [`crate::fused::multisplit_fused_into`]). Returns the
+/// buffers (see [`crate::fused::multisplit_fused_into`]). Returns the
 /// `m + 1` bucket offsets.
 #[allow(clippy::too_many_arguments)]
 pub fn multisplit_fused_large_m_into<B: BucketFn + ?Sized, V: Scalar>(

@@ -61,8 +61,8 @@ pub mod warp_level;
 pub mod warp_ops;
 
 pub use api::{
-    multisplit, multisplit_device, multisplit_device_into, multisplit_kv, pipeline, with_pipeline,
-    Method, Pipeline, DEFAULT_WARPS_PER_BLOCK,
+    multisplit, multisplit_device, multisplit_kv, pipeline, with_pipeline, Method, Pipeline,
+    DEFAULT_WARPS_PER_BLOCK,
 };
 pub use block_level::multisplit_block_level;
 pub use bucket::{
@@ -72,7 +72,7 @@ pub use bucket::{
 pub use common::{no_values, DeviceMultisplit};
 pub use cpu_ref::{check_multisplit, multisplit_kv_ref, multisplit_ref};
 pub use direct::multisplit_direct;
-pub use fused::{multisplit_fused, multisplit_fused_into};
+pub use fused::{multisplit_fused, multisplit_fused_into, multisplit_sweep_into};
 pub use fused_large_m::{
     max_buckets as fused_max_buckets, max_buckets_bytes as fused_max_buckets_bytes,
     multisplit_fused_large_m, multisplit_fused_large_m_into,

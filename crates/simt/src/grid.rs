@@ -476,18 +476,27 @@ impl Device {
 
     /// Total estimated seconds over all recorded launches — the
     /// *serialized* baseline: one launch after another, no overlap.
+    /// Summed in `(stream, stream_seq)` order, so the total is
+    /// bit-identical however concurrent streams interleaved their pushes.
     pub fn total_seconds(&self) -> f64 {
-        self.records.lock().iter().map(|r| r.seconds).sum()
+        stream::sum_in_stream_order(
+            self.records
+                .lock()
+                .iter()
+                .map(|r| (r.stream, r.stream_seq, r.seconds)),
+        )
     }
 
-    /// Total estimated seconds over launches whose label starts with `prefix`.
+    /// Total estimated seconds over launches whose label starts with
+    /// `prefix`, summed in `(stream, stream_seq)` order.
     pub fn seconds_with_prefix(&self, prefix: &str) -> f64 {
-        self.records
-            .lock()
-            .iter()
-            .filter(|r| r.label.starts_with(prefix))
-            .map(|r| r.seconds)
-            .sum()
+        stream::sum_in_stream_order(
+            self.records
+                .lock()
+                .iter()
+                .filter(|r| r.label.starts_with(prefix))
+                .map(|r| (r.stream, r.stream_seq, r.seconds)),
+        )
     }
 
     /// Modeled end-to-end time with stream overlap: a deterministic
@@ -701,6 +710,26 @@ mod tests {
         assert_eq!(blocks_for(256, 8), 1);
         assert_eq!(blocks_for(257, 8), 2);
         assert_eq!(blocks_for(1 << 20, 8), 4096);
+    }
+
+    #[test]
+    fn total_seconds_ignore_push_order() {
+        // Launch order and push order agree on one host thread; reversing
+        // the log stands in for streams that finish out of order. The
+        // durations are chosen so that f64 addition order shows.
+        let dev = Device::sequential(K40C);
+        for _ in 0..3 {
+            dev.launch("noop", 1, 1, |_| {});
+        }
+        let tiny = f64::EPSILON / 2.0;
+        for (r, s) in dev.records.lock().iter_mut().zip([1.0, tiny, tiny]) {
+            r.seconds = s;
+        }
+        let forward = dev.total_seconds();
+        assert_eq!(forward, 1.0, "launch order: 1 + tiny + tiny");
+        dev.records.lock().reverse();
+        assert_eq!(dev.total_seconds().to_bits(), forward.to_bits());
+        assert_eq!(dev.seconds_with_prefix("no").to_bits(), forward.to_bits());
     }
 
     /// A copy kernel: every thread moves one element.

@@ -555,8 +555,23 @@ pub(crate) struct TimelineEntry {
 pub(crate) fn simulate_makespan(entries: &[TimelineEntry]) -> (f64, f64) {
     let ends = simulate_end_times(entries);
     let makespan = ends.iter().fold(0.0f64, |a, &b| a.max(b));
-    let busy = entries.iter().map(|e| e.seconds * e.occ).sum();
+    let busy = sum_in_stream_order(entries.iter().map(|e| (e.stream, e.seq, e.seconds * e.occ)));
     (makespan, busy)
+}
+
+/// Sum per-launch values keyed by `(stream, seq)` in that key order.
+/// Floating-point addition is not associative, and concurrent streams
+/// push their launches in whatever order they finish; summing in key
+/// order makes the total bit-identical however they interleaved. A
+/// single-stream log is already in key order, so its sum is unchanged.
+pub(crate) fn sum_in_stream_order(items: impl Iterator<Item = (u32, u32, f64)> + Clone) -> f64 {
+    let key = |(stream, seq, _): (u32, u32, f64)| (stream, seq);
+    if items.clone().is_sorted_by_key(key) {
+        return items.map(|(_, _, v)| v).sum();
+    }
+    let mut items: Vec<(u32, u32, f64)> = items.collect();
+    items.sort_by_key(|&e| key(e));
+    items.iter().map(|&(_, _, v)| v).sum()
 }
 
 /// Per-entry finish times under the same simulation, indexed like
@@ -678,6 +693,22 @@ mod tests {
             occ,
             deps: Vec::new(),
         }
+    }
+
+    #[test]
+    fn busy_integral_ignores_push_order() {
+        // 1 + 2^-53 + 2^-53 rounds differently depending on which term
+        // comes first.
+        let tiny = f64::EPSILON / 2.0;
+        let entries = vec![
+            entry(0, 0, 1.0, 1.0),
+            entry(0, 1, tiny, 1.0),
+            entry(1, 0, tiny, 1.0),
+        ];
+        let reversed: Vec<TimelineEntry> = entries.iter().rev().cloned().collect();
+        let (a, b) = (simulate_makespan(&entries), simulate_makespan(&reversed));
+        assert_eq!(a.0.to_bits(), b.0.to_bits(), "makespan");
+        assert_eq!(a.1.to_bits(), b.1.to_bits(), "busy integral");
     }
 
     #[test]

@@ -1,20 +1,30 @@
 //! # ms-sort — multisplit-iterated LSB radix sort (paper §3.3–3.4)
 //!
 //! The paper's headline application: radix sort **is** iterated
-//! multisplit. Each pass runs one fused single-pass multisplit
-//! ([`multisplit::Method::Fused`] for digit widths up to 5 bits,
-//! [`multisplit::Method::FusedLargeM`] beyond, chosen through
-//! [`multisplit::Method::auto_for`]) over a [`DigitBuckets`] extraction of
-//! `b` key bits, LSB-first; stability of each pass makes the whole sort
-//! correct.
+//! multisplit. The engine is a OneSweep LSB radix sort over `b`-bit
+//! digits ([`DigitBuckets`]): one up-front pre-scan launch histograms
+//! every digit, and each digit pass is then a single direct sweep
+//! ([`multisplit::multisplit_sweep_into`], ballot histograms up to 5-bit
+//! digits, register rows beyond) whose bucket bases come from that one
+//! histogram. Stability of each pass makes the whole sort correct.
 //!
-//! Three design points carry the sector budget:
+//! Four design points carry the cost:
 //!
+//! * **One pre-scan per sort** — a digit's histogram does not depend on
+//!   the key order the earlier passes leave behind, so the `{local,
+//!   global, local}` factoring of a multisplit hoists its global step out
+//!   of the pass loop. The `ms_sort/pre-scan` launch reads each key once
+//!   and counts all digits into block-private shared counters with
+//!   shared-memory atomics (`Σ 2^width` words, at most 8,448 at the
+//!   widest legal digits; digits of 3 bits or fewer go through ballot
+//!   histograms in registers first), over large tiles so the merge into
+//!   the global totals costs few atomics. A digit whose histogram has
+//!   one non-empty bucket is the identity pass and is skipped.
 //! * **Ping-pong buffers** — the engine allocates two output buffers once
 //!   and alternates, so every pass scatters *directly into the next
 //!   pass's input*. No copy kernels, no re-tracking: each launch opens a
 //!   fresh race-detector epoch, so reusing a tracked buffer across passes
-//!   is safe by construction (see `multisplit_fused_into`).
+//!   is safe by construction.
 //! * **Effective-bit-range pruning** — [`sort_keys`] / [`sort_pairs`]
 //!   first run one counted OR-reduction over the keys
 //!   ([`effective_key_bits`]) and sort only the live low bits. Keys drawn
@@ -46,18 +56,20 @@
 //! assert_eq!(sorted, expect);
 //! ```
 
-use multisplit::{multisplit_device_into, with_pipeline, BucketFn, DigitBuckets, Method, Pipeline};
-use primitives::{tail_mask, warp_scan};
-use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WARP_SIZE};
+use multisplit::common::{eval_buckets, SMEM_BUDGET_WORDS};
+use multisplit::warp_ops::warp_histogram;
+use multisplit::{multisplit_sweep_into, BucketFn, DigitBuckets};
+use primitives::{low_lanes_mask, tail_mask, warp_scan};
+use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WarpCtx, WARP_SIZE};
 
 /// Digit width `b` (buckets per pass `m = 2^b`) used when the caller does
 /// not choose one: the counted-sector sweet spot of the `paper sorttune`
 /// sweep at `n = 2^20`. Seven bits means five passes over full 32-bit
-/// keys, each a fused large-m multisplit over 128 buckets. The classic
-/// radix choice of 8 loses here — doubling `m` to 256 shrinks the tiles
-/// the `m × ncols` shared histogram allows and grows the per-tile
-/// look-back records faster than dropping the fifth pass saves, costing
-/// ~26% more counted sectors than b = 7.
+/// keys: four large-m sweeps over 128 buckets and one over 16. The
+/// classic radix choice of 8 loses here — doubling `m` to 256 shrinks
+/// the tiles the `m × ncols` shared histogram allows and grows the
+/// per-tile look-back records faster than dropping the fifth sweep
+/// saves, costing ~46% more counted sectors than b = 7.
 pub const DEFAULT_DIGIT_BITS: u32 = 7;
 
 /// Thread-coarsening of the small ms-sort utility kernels (bit-range
@@ -67,8 +79,9 @@ const UTIL_ITEMS_PER_THREAD: usize = 8;
 /// Largest digit width whose `2^b`-bucket pass still dispatches to a
 /// fused path at this block size and payload width (`value_bytes = 0` for
 /// key-only passes, `V::BYTES` otherwise). Widths up to 5 always fit
-/// ([`Method::Fused`]); beyond that the fused large-m sweep's shared
-/// memory bounds `m`, and the bound shrinks with the payload staging.
+/// ([`multisplit::Method::Fused`]); beyond that the fused large-m
+/// sweep's shared memory bounds `m`, and the bound shrinks with the
+/// payload staging.
 pub fn max_digit_bits(wpb: usize, value_bytes: u64) -> u32 {
     let cap = multisplit::fused_max_buckets_bytes(wpb, value_bytes);
     let large = 31 - cap.leading_zeros(); // floor(log2 cap)
@@ -170,10 +183,129 @@ fn copy_out<T: Scalar>(
     out
 }
 
-/// The ms-sort engine: stable LSB radix sort of the key bit field
-/// `[lo_bit, lo_bit + bits)` in `ceil(bits / digit_bits)` fused multisplit
-/// passes, ping-ponging between two internally-allocated output buffers so
-/// each pass scatters directly into the next pass's input. Bits outside
+/// Thread-coarsening of the all-digit pre-scan: chunks of 32 keys per
+/// warp per tile. Large tiles (8,192 keys at 8 warps) keep the merge of
+/// the block-private counters into the global totals at one atomic per
+/// counter per tile.
+const PRESCAN_ITEMS_PER_THREAD: usize = 32;
+
+/// Digits up to this width are counted with ballot histograms in
+/// registers: with 8 or fewer buckets the 32 lanes' shared-memory
+/// atomics collide, while a ballot count costs one ballot per bit.
+/// `paper sorttune` puts the crossover here: 4-bit digits cost the same
+/// either way, 5-bit digits less with atomics.
+const BALLOT_DIGIT_BITS: u32 = 3;
+
+/// The all-digit pre-scan: one launch that reads each key once and
+/// counts every digit of the sort. Each block keeps `Σ 2^width` private
+/// shared counters, one window per digit, bumped with shared-memory
+/// atomics (narrow digits: once per warp, from a ballot histogram), and
+/// then adds its non-zero counters into the global totals.
+/// A digit's histogram does not depend on the key order, so these totals
+/// hold for every pass, whatever the earlier passes did. Returns one
+/// `2^width`-entry totals vector per digit.
+fn digit_totals(
+    dev: &Device,
+    keys: &GlobalBuffer<u32>,
+    n: usize,
+    digits: &[DigitBuckets],
+    wpb: usize,
+) -> Vec<Vec<u32>> {
+    let mut window = Vec::with_capacity(digits.len());
+    let mut words = 0usize;
+    for d in digits {
+        window.push(words);
+        words += d.num_buckets() as usize;
+    }
+    assert!(
+        words <= SMEM_BUDGET_WORDS,
+        "the pre-scan's {words} digit counters ({} digits) exceed the \
+         {SMEM_BUDGET_WORDS}-word shared-memory budget",
+        digits.len()
+    );
+    let totals = GlobalBuffer::<u32>::zeroed(words);
+    let ipt = PRESCAN_ITEMS_PER_THREAD;
+    let tile = wpb * WARP_SIZE * ipt;
+    dev.launch("ms_sort/pre-scan", n.div_ceil(tile), wpb, |blk| {
+        let nw = blk.warps_per_block;
+        let counts = blk.alloc_shared::<u32>(words);
+        // The warps stride over the counters in warp-sized groups.
+        let groups = |w: &WarpCtx| (w.warp_id * WARP_SIZE..words).step_by(nw * WARP_SIZE);
+        for w in blk.warps() {
+            for g in groups(&w) {
+                let cnt = (words - g).min(WARP_SIZE);
+                counts.st(
+                    lanes_from_fn(|l| g + l.min(cnt - 1)),
+                    splat(0),
+                    low_lanes_mask(cnt),
+                );
+            }
+        }
+        blk.sync();
+        let tile_start = blk.block_id * tile;
+        // Narrow digits accumulate ballot histograms in registers (lane b
+        // counts bucket b) and reach the shared counters once per warp.
+        let mut acc = vec![[0u32; WARP_SIZE]; digits.len()];
+        for w in blk.warps() {
+            acc.fill([0; WARP_SIZE]);
+            for c in 0..ipt {
+                let base = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
+                let mask = tail_mask(base, n);
+                if mask == 0 {
+                    break;
+                }
+                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
+                let k = w.gather(keys, idx, mask);
+                for ((d, &win), a) in digits.iter().zip(&window).zip(&mut acc) {
+                    let b = eval_buckets(&w, d, k, mask);
+                    if d.bits <= BALLOT_DIGIT_BITS {
+                        let h = warp_histogram(&w, b, d.num_buckets(), mask);
+                        *a = lanes_from_fn(|l| a[l] + h[l]);
+                        w.charge(d.num_buckets() as u64);
+                    } else {
+                        counts.atomic_add(lanes_from_fn(|l| win + b[l] as usize), splat(1), mask);
+                    }
+                }
+            }
+            for ((d, &win), a) in digits.iter().zip(&window).zip(&acc) {
+                if d.bits <= BALLOT_DIGIT_BITS {
+                    let m = d.num_buckets() as usize;
+                    counts.atomic_add(lanes_from_fn(|l| win + l.min(m - 1)), *a, low_lanes_mask(m));
+                }
+            }
+        }
+        blk.sync();
+        for w in blk.warps() {
+            for g in groups(&w) {
+                let cnt = (words - g).min(WARP_SIZE);
+                let idx = lanes_from_fn(|l| g + l.min(cnt - 1));
+                let v = counts.ld(idx, low_lanes_mask(cnt));
+                let live = (0..cnt)
+                    .filter(|&l| v[l] != 0)
+                    .fold(0u32, |m, l| m | 1 << l);
+                w.charge(cnt as u64); // the zero tests
+                if live != 0 {
+                    w.atomic_add(&totals, idx, v, live);
+                }
+            }
+        }
+    });
+    let flat = totals.to_vec();
+    digits
+        .iter()
+        .zip(&window)
+        .map(|(d, &win)| flat[win..win + d.num_buckets() as usize].to_vec())
+        .collect()
+}
+
+/// The ms-sort engine: a OneSweep stable LSB radix sort of the key bit
+/// field `[lo_bit, lo_bit + bits)` over `ceil(bits / digit_bits)` digits.
+/// One pre-scan launch histograms every digit; each digit pass is then a
+/// single direct sweep ([`multisplit_sweep_into`]) whose bucket bases come
+/// from that histogram, ping-ponging between two internally-allocated
+/// output buffers so each pass scatters directly into the next pass's
+/// input. A digit whose keys all share one value is the identity pass and
+/// is skipped; when every digit is, the result is a copy. Bits outside
 /// the field ride along untouched (the reduced-bit paths sort
 /// `[index_bits, index_bits + label_bits)` and keep the packed index
 /// intact). Returns the sorted keys and, when given, the payload values
@@ -206,15 +338,28 @@ pub fn sort_by_bit_range_with<V: Scalar>(
             values.map(|_| GlobalBuffer::zeroed(0)),
         );
     }
-    if bits == 0 {
-        return (
+    let copy = || {
+        (
             copy_out(dev, keys, n, wpb),
             values.map(|v| copy_out(dev, v, n, wpb)),
-        );
+        )
+    };
+    if bits == 0 {
+        return copy();
     }
-    let passes = bits.div_ceil(digit_bits) as usize;
+    let digits: Vec<DigitBuckets> = (lo_bit..lo_bit + bits)
+        .step_by(digit_bits as usize)
+        .map(|shift| DigitBuckets::new(shift, digit_bits.min(lo_bit + bits - shift)))
+        .collect();
+    let totals = digit_totals(dev, keys, n, &digits, wpb);
+    let live: Vec<usize> = (0..digits.len())
+        .filter(|&d| totals[d].iter().filter(|&&t| t > 0).count() > 1)
+        .collect();
+    if live.is_empty() {
+        return copy();
+    }
     // Two ping-pong buffers (one suffices for a single pass).
-    let nbuf = passes.min(2);
+    let nbuf = live.len().min(2);
     let mut kbufs: Vec<GlobalBuffer<u32>> = (0..nbuf)
         .map(|_| GlobalBuffer::zeroed(n).tracked())
         .collect();
@@ -223,44 +368,31 @@ pub fn sort_by_bit_range_with<V: Scalar>(
             .map(|_| GlobalBuffer::zeroed(n).tracked())
             .collect()
     });
-    for pass in 0..passes {
-        let shift = lo_bit + pass as u32 * digit_bits;
-        let width = digit_bits.min(lo_bit + bits - shift);
-        let bucket = DigitBuckets::new(shift, width);
-        // auto_for under the fused pipeline regardless of the caller's
-        // thread-local pin: only the fused paths can chain into
-        // caller-provided buffers.
-        let method = with_pipeline(Pipeline::Fused, || {
-            Method::auto_for(bucket.num_buckets(), values.is_some(), wpb)
-        });
-        debug_assert!(
-            matches!(method, Method::Fused | Method::FusedLargeM),
-            "digit clamp must keep every pass on a fused path, got {method:?}"
-        );
-        let dst = pass % nbuf;
-        let src = (pass + 1) % nbuf;
-        let (kin, vin): (&GlobalBuffer<u32>, Option<&GlobalBuffer<V>>) = if pass == 0 {
+    for (i, &d) in live.iter().enumerate() {
+        let dst = i % nbuf;
+        let src = (i + 1) % nbuf;
+        let (kin, vin): (&GlobalBuffer<u32>, Option<&GlobalBuffer<V>>) = if i == 0 {
             (keys, values)
         } else {
             (&kbufs[src], vbufs.as_ref().map(|v| &v[src]))
         };
-        // Scope each pass so launch logs (and the bench's per-pass sector
-        // breakdown) read "ms_sort/pass2/fused/sweep".
-        dev.with_scope(&format!("ms_sort/pass{pass}"), || {
-            multisplit_device_into(
+        // Scope each pass by its digit so launch logs (and the bench's
+        // per-pass sector breakdown) read "ms_sort/pass2/fused_large_m/sweep".
+        dev.with_scope(&format!("ms_sort/pass{d}"), || {
+            multisplit_sweep_into(
                 dev,
-                method,
                 kin,
                 vin,
                 n,
-                &bucket,
+                &digits[d],
                 wpb,
+                &totals[d],
                 &kbufs[dst],
                 vbufs.as_ref().map(|v| &v[dst]),
             )
         });
     }
-    let last = (passes - 1) % nbuf;
+    let last = (live.len() - 1) % nbuf;
     (
         kbufs.swap_remove(last),
         vbufs.as_mut().map(|v| v.swap_remove(last)),
@@ -535,9 +667,136 @@ mod tests {
             let out = sort_keys(&dev, &keys, n, 8);
             let launches = dev.records().len() - launches_before;
             assert_eq!(out.to_vec(), host_sorted(&data), "range={range_bits}");
-            // 1 bits-reduction + 2 per pass.
+            // The bits probe, the all-digit pre-scan, one sweep per pass.
             let expect_passes = range_bits.div_ceil(DEFAULT_DIGIT_BITS) as usize;
-            assert_eq!(launches, 1 + 2 * expect_passes, "range={range_bits}");
+            assert_eq!(launches, 2 + expect_passes, "range={range_bits}");
+        }
+    }
+
+    #[test]
+    fn digit_totals_match_a_host_histogram() {
+        let dev = Device::new(K40C);
+        // Several tiles and a partial one, at two block sizes.
+        let n = 40_000;
+        let data = keys_for(n, 29);
+        let keys = GlobalBuffer::from_slice(&data);
+        let digits = [
+            DigitBuckets::new(0, 7),
+            DigitBuckets::new(7, 12),
+            DigitBuckets::new(19, 12),
+            DigitBuckets::new(0, 3),
+            DigitBuckets::new(31, 1),
+        ];
+        for wpb in [1usize, 8] {
+            let totals = digit_totals(&dev, &keys, n, &digits, wpb);
+            for (d, got) in digits.iter().zip(&totals) {
+                let mut expect = vec![0u32; d.num_buckets() as usize];
+                for &k in &data {
+                    expect[d.bucket_of(k) as usize] += 1;
+                }
+                assert_eq!(*got, expect, "wpb={wpb} digit at bit {}", d.shift);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 12288-word shared-memory budget")]
+    fn prescan_counters_past_the_shared_budget_are_rejected() {
+        let dev = Device::new(K40C);
+        let keys = GlobalBuffer::from_slice(&[1u32, 2, 3]);
+        // Three 12-bit digits need 3 x 4096 counters, one word too many
+        // once a fourth 1-bit digit joins them.
+        let digits = [
+            DigitBuckets::new(0, 12),
+            DigitBuckets::new(12, 12),
+            DigitBuckets::new(24, 12),
+            DigitBuckets::new(31, 1),
+        ];
+        let _ = digit_totals(&dev, &keys, 3, &digits, 8);
+    }
+
+    #[test]
+    fn every_sort_runs_one_prescan_launch() {
+        let dev = Device::new(K40C);
+        let n = 9000;
+        let data = keys_for(n, 31);
+        let keys = GlobalBuffer::from_slice(&data);
+        let widest = max_digit_bits(8, 0);
+        for (bits, b) in [(32u32, 7u32), (32, 1), (32, widest), (16, 4), (5, 5)] {
+            let before = dev.records().len();
+            let (out, _) = sort_by_bit_range_with::<u32>(&dev, &keys, None, n, 0, bits, b, 8);
+            let records = dev.records();
+            let labels: Vec<&str> = records[before..].iter().map(|r| &r.label[..]).collect();
+            // The bench's `stage_of` puts every label naming "pre-scan"
+            // in the pre-scan stage.
+            let prescans = labels.iter().filter(|l| l.contains("pre-scan")).count();
+            let sweeps = labels.iter().filter(|l| l.ends_with("/sweep")).count();
+            assert_eq!(prescans, 1, "bits={bits} b={b}: {labels:?}");
+            assert_eq!(sweeps, bits.div_ceil(b) as usize, "bits={bits} b={b}");
+            let mask = ((1u64 << bits) - 1) as u32;
+            let mut expect = data.clone();
+            expect.sort_by_key(|&k| k & mask);
+            assert_eq!(out.to_vec(), expect, "bits={bits} b={b}");
+        }
+    }
+
+    #[test]
+    fn constant_digits_skip_their_pass() {
+        // Multiples of 2^7: the first 7-bit digit is 0 for every key, so
+        // its pass would be the identity.
+        let dev = Device::new(K40C);
+        let n = 20_000;
+        let data: Vec<u32> = keys_for(n, 37).iter().map(|k| k << 7).collect();
+        let vals: Vec<u32> = (0..n as u32).collect();
+        let keys = GlobalBuffer::from_slice(&data);
+        let values = GlobalBuffer::from_slice(&vals);
+        let (sk, sv) = sort_pairs(&dev, &keys, &values, n, 8);
+        let mut expect: Vec<(u32, u32)> = data.iter().copied().zip(vals).collect();
+        expect.sort_by_key(|&(k, _)| k);
+        assert_eq!(sk.to_vec(), expect.iter().map(|p| p.0).collect::<Vec<_>>());
+        assert_eq!(sv.to_vec(), expect.iter().map(|p| p.1).collect::<Vec<_>>());
+        let labels: Vec<String> = dev.records().iter().map(|r| r.label.clone()).collect();
+        let sweeps: Vec<&String> = labels.iter().filter(|l| l.ends_with("/sweep")).collect();
+        let passes = effective_key_bits(&dev, &keys, n, 8).div_ceil(DEFAULT_DIGIT_BITS);
+        assert_eq!(sweeps.len(), passes as usize - 1, "{labels:?}");
+        assert!(
+            sweeps.iter().all(|l| !l.starts_with("ms_sort/pass0/")),
+            "{labels:?}"
+        );
+        // One constant key: every digit is, and the sort is a copy.
+        let dev = Device::new(K40C);
+        let same = GlobalBuffer::from_slice(&vec![0x5A5A_5A5Au32; n]);
+        let (sk, _) = sort_by_bit_range_with::<u32>(&dev, &same, None, n, 0, 32, 7, 8);
+        assert_eq!(sk.to_vec(), vec![0x5A5A_5A5Au32; n]);
+        let labels: Vec<String> = dev.records().iter().map(|r| r.label.clone()).collect();
+        assert_eq!(labels, ["ms_sort/pre-scan", "ms_sort/copy"]);
+    }
+
+    #[test]
+    fn widest_digits_and_widest_blocks_sort_exactly() {
+        // The shapes with the most pre-scan counters: 12-bit digits at one
+        // warp per block (12 + 12 + 8 bits, 8,448 counters), and 8-bit
+        // digits at 32 warps per block.
+        let dev = Device::new(K40C);
+        let n = 30_000;
+        let data = keys_for(n, 41);
+        let vals: Vec<u32> = (0..n as u32).map(|i| !i).collect();
+        let keys = GlobalBuffer::from_slice(&data);
+        let values = GlobalBuffer::from_slice(&vals);
+        let mut expect: Vec<(u32, u32)> = data.iter().copied().zip(vals).collect();
+        expect.sort_by_key(|&(k, _)| k);
+        let (ek, ev): (Vec<u32>, Vec<u32>) = expect.into_iter().unzip();
+        let widest = max_digit_bits(1, 0);
+        assert_eq!(widest, 12);
+        let (sk, _) = sort_by_bit_range_with::<u32>(&dev, &keys, None, n, 0, 32, widest, 1);
+        assert_eq!(sk.to_vec(), ek, "b={widest} wpb=1");
+        for kv in [false, true] {
+            let vin = kv.then_some(&values);
+            let (sk, sv) = sort_by_bit_range_with(&dev, &keys, vin, n, 0, 32, 8, 32);
+            assert_eq!(sk.to_vec(), ek, "b=8 wpb=32 kv={kv}");
+            if let Some(sv) = sv {
+                assert_eq!(sv.to_vec(), ev, "b=8 wpb=32 payloads");
+            }
         }
     }
 
