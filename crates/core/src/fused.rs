@@ -22,10 +22,11 @@
 //! the fused path is **two** launches instead of five-plus
 //! (pre-scan + the chained scan + post-scan):
 //!
-//! 1. `fused/pre-scan` — per-warp register-accumulated histograms over a
-//!    coarsened tile, multi-reduced across warps, then one warp-wide
-//!    `atomicAdd` into `m` global counters. Traffic: n key reads +
-//!    O(m · blocks) atomics; the m × L matrix never exists.
+//! 1. `fused/pre-scan` — the one pre-scan kernel of [`crate::prescan`]:
+//!    each block counts an 8,192-key tile (at 8 warps) into block-private
+//!    shared counters with ballot histograms, then adds its non-zero
+//!    counters into `m` global counters. Traffic: n key reads + at most
+//!    `m` atomics per 8,192 keys; the m × L matrix never exists.
 //! 2. `fused/sweep` — everything else, with the per-bucket tile prefixes
 //!    resolved through flag words instead of a scanned matrix. Traffic:
 //!    n key reads + n coalesced writes + 3 record-sized flag accesses per
@@ -40,10 +41,11 @@
 //! and same-bucket runs in the block reorder approach sector length even
 //! at m = 32.
 //!
-//! Both kernels are the shared tile sweep of [`crate::sweep`] with the
+//! The sweep is the shared tile sweep of [`crate::sweep`] with the
 //! ballot histogram strategy, run as its one-segment case (descriptor
 //! passed by value). `fused_large_m.rs` is the same pipeline with
-//! register-row histograms.
+//! register-row histograms and a pre-scan that counts with shared
+//! atomics.
 //!
 //! Output buffers are always allocated with the simulator's write-race
 //! detector enabled ([`simt::GlobalBuffer::tracked`]): a double-write to
@@ -54,6 +56,7 @@ use simt::{Device, GlobalBuffer, Scalar};
 
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit};
+use crate::prescan::bucket_totals;
 use crate::sweep::{HistStrategy, Out, Scatter, SweepKind, SweepPlan, SweepSeg};
 
 pub use crate::sweep::MAX_ITEMS_PER_THREAD;
@@ -78,32 +81,14 @@ fn check_into_buffers<V: Scalar>(
     }
 }
 
-/// The standalone direct sweep of `n` keys: the one-segment plan at the
-/// tightest coarsening that fits, and its `[pre-scan, sweep]` launch
-/// labels, which name the histogram strategy (`fused/…` for ballot,
-/// `fused_large_m/…` for register rows).
-fn direct_plan<B: BucketFn + ?Sized>(
-    n: usize,
-    bucket: &B,
-    wpb: usize,
-    value_bytes: u64,
-) -> (SweepPlan<'_, B>, [&'static str; 2]) {
-    let m = bucket.num_buckets();
-    let kind = SweepKind::for_buckets(m, Scatter::Direct);
-    let ipt = kind
-        .items_per_thread(wpb, m as usize, value_bytes, 0)
-        .unwrap_or_else(|| panic!("m = {m} overflows shared memory at {wpb} warps/block"));
-    let labels = match kind.hist {
+/// The standalone `[pre-scan, sweep]` launch labels, which name the
+/// histogram strategy (`fused/…` for ballot, `fused_large_m/…` for
+/// register rows).
+fn labels(m: u32) -> [&'static str; 2] {
+    match HistStrategy::for_buckets(m) {
         HistStrategy::Ballot => ["fused/pre-scan", "fused/sweep"],
         HistStrategy::Rows => ["fused_large_m/pre-scan", "fused_large_m/sweep"],
-    };
-    let seg = SweepSeg {
-        offset: 0,
-        n,
-        bucket,
-        ipt,
-    };
-    (SweepPlan::one(seg, wpb), labels)
+    }
 }
 
 /// The standalone fused pipeline for any `m` the direct sweep fits at
@@ -124,9 +109,8 @@ pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
     if n == 0 {
         return vec![0; bucket.num_buckets() as usize + 1];
     }
-    let value_bytes = if values.is_some() { V::BYTES } else { 0 };
-    let (plan, labels) = direct_plan(n, bucket, wpb, value_bytes);
-    let totals = plan.prescan(dev, labels[0], keys);
+    let label = labels(bucket.num_buckets())[0];
+    let totals = bucket_totals(dev, label, keys, n, &[bucket], wpb).remove(0);
     multisplit_sweep_into(
         dev, keys, values, n, bucket, wpb, &totals, out_keys, out_values,
     )
@@ -167,14 +151,23 @@ pub fn multisplit_sweep_into<B: BucketFn + ?Sized, V: Scalar>(
         return vec![0; m + 1];
     }
     let value_bytes = if values.is_some() { V::BYTES } else { 0 };
-    let (plan, labels) = direct_plan(n, bucket, wpb, value_bytes);
+    let ipt = SweepKind::for_buckets(m as u32, Scatter::Direct)
+        .items_per_thread(wpb, m, value_bytes, 0)
+        .unwrap_or_else(|| panic!("m = {m} overflows shared memory at {wpb} warps/block"));
+    let seg = SweepSeg {
+        offset: 0,
+        n,
+        bucket,
+        ipt,
+    };
+    let plan = SweepPlan::one(seg, wpb);
     let (bases, mut offsets) = plan.bases(totals);
     let out = Out::Final {
         bases: &bases,
         keys: out_keys,
         values: out_values,
     };
-    plan.sweep(dev, labels[1], keys, values, &out);
+    plan.sweep(dev, labels(m as u32)[1], keys, values, &out);
     offsets.pop().expect("one segment")
 }
 

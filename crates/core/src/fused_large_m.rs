@@ -7,8 +7,10 @@
 //! DRAM twice and round-trips the `m × L` histogram matrix through global
 //! memory; the matrix is `⌈m/32⌉`× bigger than in the `m ≤ 32` case, so
 //! the fusion win *grows* with `m`. This module collapses it to the two
-//! launches of `fused.rs` — `fused_large_m/pre-scan` and
-//! `fused_large_m/sweep` — the shared tile sweep of [`crate::sweep`] with
+//! launches of `fused.rs`. `fused_large_m/pre-scan` is the one pre-scan
+//! kernel of [`crate::prescan`], counting 8,192-key tiles (at 8 warps)
+//! with one shared-memory atomic per key into block-private counters.
+//! `fused_large_m/sweep` is the shared tile sweep of [`crate::sweep`] with
 //! the register-row histogram strategy ([`HistStrategy::Rows`]): `⌈m/32⌉`
 //! register rows per warp histogram, a row-vectorized `m × ncols` shared
 //! histogram scanned block-wide in one pass (§6.4, "as CUB does"), and

@@ -55,6 +55,7 @@ pub mod fused;
 pub mod fused_large_m;
 pub mod large_m;
 pub mod onesweep;
+pub mod prescan;
 pub mod segmented;
 pub mod sweep;
 pub mod warp_level;
@@ -79,6 +80,7 @@ pub use fused_large_m::{
 };
 pub use large_m::{max_buckets, multisplit_large_m};
 pub use onesweep::multisplit_onesweep;
+pub use prescan::{bucket_totals, PRESCAN_ITEMS_PER_THREAD};
 pub use segmented::{
     multisplit_segmented, multisplit_segmented_into, segment_fits_sweep, SegmentSpec,
     SegmentedMultisplit,

@@ -20,18 +20,20 @@
 //! scope. The coalesced work is the shared tile sweep of
 //! [`crate::sweep`] over many segments:
 //!
-//! 1. `segmented/pre-scan[fused=K,largem=J]` — one block per tile of
-//!    every segment. Each block reads its 8-word tile descriptor
-//!    (segment id, offset, n, m, coarsening, local tile, histogram base,
-//!    padding) from a device table — one extra 32-byte sector per tile,
-//!    the entire coalescing overhead — and accumulates its segment's
-//!    bucket totals into a **flattened** `Σmᵢ` counter array.
+//! 1. `segmented/pre-scan[fused=K,largem=J]` — the one pre-scan kernel
+//!    of [`crate::prescan`], one block per 8,192-key pre-scan tile (at 8
+//!    warps) of every segment. Each block reads its 8-word tile
+//!    descriptor (segment id, offset, n, m, coarsening, local tile,
+//!    histogram base, padding) from a device table built at the
+//!    pre-scan's tile geometry — one extra 32-byte sector per tile, the
+//!    entire coalescing overhead — and adds its segment's non-zero
+//!    block-private counts into a **flattened** `Σmᵢ` totals array.
 //! 2. Host: per-segment exclusive scans of the flat totals into
 //!    per-segment bucket bases.
 //! 3. `segmented/sweep[fused=K,largem=J]` — blocks self-schedule across
 //!    the **flattened segment×tile ticket space** (one global
-//!    `device_fetch_add` counter). A ticket decodes through the
-//!    descriptor table to `(segment, local tile)`; the block then runs
+//!    `device_fetch_add` counter). A ticket decodes through the sweep's
+//!    own descriptor table to `(segment, local tile)`; the block then runs
 //!    the same sweep body a standalone run does, every global index
 //!    offset by the segment's base, and the decoupled look-back goes
 //!    through [`primitives::SegmentedTileStates`]: per-segment state

@@ -3,20 +3,16 @@
 //! [`Method::Fused`](crate::api::Method::Fused) (`m ≤ 32`),
 //! [`Method::FusedLargeM`](crate::api::Method::FusedLargeM) (`m > 32`),
 //! a segmented batch ([`crate::segmented`]) and the Onesweep key pass
-//! ([`crate::onesweep`]) all run the kernels written once here:
-//!
-//! 1. **pre-scan** — each block histograms one tile of its segment in
-//!    registers, reduces across warps, and `atomicAdd`s the block
-//!    histogram into the segment's `m` global counters. The `m × L`
-//!    matrix of the three-kernel pipelines never exists. (Onesweep runs no
-//!    pre-scan: its look-back records carry the histogram.)
-//! 2. **sweep** — blocks claim tiles in ticket order, read the tile's
-//!    keys once into registers, build the tile histogram, resolve the
-//!    tile's m-vector prefix by decoupled look-back inside the segment's
-//!    window of a [`SegmentedTileStates`], reorder the tile in shared
-//!    memory, and then either scatter straight to final positions
-//!    ([`Scatter::Direct`]) or stage the bucket-dense tile for a later
-//!    scatter launch ([`Scatter::Deferred`], the Onesweep flag).
+//! ([`crate::onesweep`]) all run the sweep kernel written once here.
+//! Blocks claim tiles in ticket order, read the tile's keys once into
+//! registers, build the tile histogram, resolve the tile's m-vector
+//! prefix by decoupled look-back inside the segment's window of a
+//! [`SegmentedTileStates`], reorder the tile in shared memory, and then
+//! either scatter straight to final positions ([`Scatter::Direct`], with
+//! the bucket bases from the pre-scan of [`crate::prescan`]) or stage the
+//! bucket-dense tile for a later scatter launch ([`Scatter::Deferred`],
+//! the Onesweep flag; its look-back records carry the histogram, so it
+//! runs no pre-scan).
 //!
 //! What changes with `m` is only the **histogram strategy**
 //! ([`HistStrategy`]): ballot bitmaps with one `m`-lane column per
@@ -30,7 +26,8 @@
 //! descriptor reaches every block by value, so it costs no table sector
 //! and no barrier, and its counted stats are exactly those of a dedicated
 //! single-problem kernel. A segmented batch (`SweepPlan::batch`) reads
-//! one [`DESC_WORDS`]-word descriptor per tile from a device table.
+//! one [`DESC_WORDS`]-word descriptor per tile from a device table
+//! (`read_desc`; the pre-scan reads its own table the same way).
 //!
 //! [`SweepKind::footprint_words`] is the single shared-memory budget: the
 //! coarsening search, the large-m capacity bound and the kernel's
@@ -42,35 +39,40 @@ use simt::{
 };
 
 use primitives::{
-    block_exclusive_scan_shared, low_lanes_mask, multi_exclusive_scan_across_cols,
-    multi_reduce_across_warps, tail_mask, warp_scan, SegmentedTileStates,
+    block_exclusive_scan_shared, low_lanes_mask, multi_exclusive_scan_across_cols, tail_mask,
+    warp_scan, SegmentedTileStates,
 };
 
 use crate::bucket::BucketFn;
 use crate::common::{eval_buckets, staging_words_per_element, SMEM_BUDGET_WORDS};
-use crate::warp_ops::{
-    warp_histogram, warp_histogram_and_offsets, warp_histogram_multi, warp_offsets,
-};
+use crate::prescan::{prescan, CountSeg};
+use crate::warp_ops::{warp_histogram_and_offsets, warp_histogram_multi, warp_offsets};
 
 /// Most chunks of 32 elements a warp processes per tile.
 pub const MAX_ITEMS_PER_THREAD: usize = 8;
 
 /// Words per tile descriptor in a segmented launch's table: `[segment,
-/// offset, n, m, items_per_thread, local_tile, hist_base, 0]`. The last
-/// word is padding: exactly one 32-byte sector, so the per-tile decode
-/// costs one aligned read.
+/// offset, n, m, items_per_thread, local_tile, hist_base, 0]` (the
+/// pre-scan's `m` is its counter words). The last word is padding:
+/// exactly one 32-byte sector, so the per-tile decode costs one aligned
+/// read.
 pub const DESC_WORDS: usize = 8;
 
-/// How a tile's bucket histogram is built and scanned.
+/// How a tile's bucket histogram is built and scanned, and how the
+/// pre-scan counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistStrategy {
     /// `m ≤ 32`: ballot-bitmap warp histograms (Algorithm 2), one `m`-lane
     /// column per chunk at odd pitch, multi-scanned across the columns
-    /// (§5.1); the tile histogram falls out of the same shuffles.
+    /// (§5.1); the tile histogram falls out of the same shuffles. The
+    /// pre-scan accumulates ballot histograms in registers and adds them
+    /// into its shared counters once per warp, at a cost independent of
+    /// the key distribution.
     Ballot,
     /// `m > 32`: `⌈m/32⌉` register rows per warp histogram, a row-major
     /// `m × chunks` shared histogram (odd pitch), and one block-wide
-    /// exclusive scan of all of it (§6.4).
+    /// exclusive scan of all of it (§6.4). The pre-scan bumps one shared
+    /// counter per key with a shared-memory atomic.
     Rows,
 }
 
@@ -209,24 +211,65 @@ pub(crate) struct SweepSeg<'a, B: ?Sized> {
     pub ipt: usize,
 }
 
-/// A tile's view of its segment.
+/// A tile's view of its segment: tile `local_tile` of segment `seg`, at
+/// `offset` holding `n` keys, at coarsening `ipt`.
 #[derive(Debug, Clone, Copy)]
-struct TileDesc {
-    seg: usize,
-    span: TileSpan,
-    m: u32,
+pub(crate) struct TileDesc {
+    pub seg: usize,
+    pub offset: usize,
+    pub n: usize,
+    pub ipt: usize,
+    pub local_tile: usize,
+    /// The segment's bucket count (sweep) or counter words (pre-scan).
+    pub m: u32,
     /// The segment's base into the flattened totals and bases arrays.
-    hist_base: usize,
+    pub hist_base: usize,
 }
 
-/// The keys one block covers: tile `local_tile` of a segment at `offset`
-/// holding `n` keys, at coarsening `ipt`.
-#[derive(Debug, Clone, Copy)]
-struct TileSpan {
-    offset: usize,
-    n: usize,
-    ipt: usize,
-    local_tile: usize,
+/// A batch's device table: one [`DESC_WORDS`]-word descriptor per tile
+/// of each segment `(offset, n, m, ipt, hist_base)`, in segment order, at
+/// tiles of `wpb × 32 × ipt` keys.
+pub(crate) fn desc_table(
+    segs: impl Iterator<Item = (usize, usize, u32, usize, usize)>,
+    wpb: usize,
+) -> GlobalBuffer<u32> {
+    let mut words = Vec::new();
+    for (i, (offset, n, m, ipt, hist_base)) in segs.enumerate() {
+        for t in 0..n.div_ceil(wpb * WARP_SIZE * ipt) {
+            words.extend([i, offset, n, m as usize, ipt, t, hist_base, 0].map(|w| w as u32));
+        }
+    }
+    GlobalBuffer::from_slice(&words)
+}
+
+/// Tile `t`'s descriptor from a batch table. Warp 0 reads it (the counted
+/// coalescing overhead: one aligned sector per tile) and every warp reads
+/// it back from shared memory after the barrier.
+pub(crate) fn read_desc(blk: &BlockCtx, table: &GlobalBuffer<u32>, t: usize) -> TileDesc {
+    let desc_s = blk.alloc_shared::<u32>(DESC_WORDS);
+    {
+        let w = blk.warp(0);
+        let mask = low_lanes_mask(DESC_WORDS);
+        let words = w.gather_cached(
+            table,
+            lanes_from_fn(|l| t * DESC_WORDS + l.min(DESC_WORDS - 1)),
+            mask,
+        );
+        desc_s.st(lanes_from_fn(|l| l.min(DESC_WORDS - 1)), words, mask);
+    }
+    blk.sync();
+    // Read back the whole sector, padding word included: one counted
+    // shared read per descriptor word.
+    let word: [usize; DESC_WORDS] = std::array::from_fn(|i| desc_s.get(i) as usize);
+    TileDesc {
+        seg: word[0],
+        offset: word[1],
+        n: word[2],
+        m: word[3] as u32,
+        ipt: word[4],
+        local_tile: word[5],
+        hist_base: word[6],
+    }
 }
 
 /// Where the sweep writes a reordered tile.
@@ -292,31 +335,23 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
             .collect();
         let mut hist_base = Vec::with_capacity(segs.len());
         let mut hist_words = 0usize;
-        let mut words = Vec::with_capacity(tiles.iter().sum::<usize>() * DESC_WORDS);
-        for (i, s) in segs.iter().enumerate() {
-            let m = s.bucket.num_buckets();
-            for t in 0..tiles[i] {
-                words.extend_from_slice(&[
-                    i as u32,
-                    s.offset as u32,
-                    s.n as u32,
-                    m,
-                    s.ipt as u32,
-                    t as u32,
-                    hist_words as u32,
-                    0,
-                ]);
-            }
+        for s in &segs {
             hist_base.push(hist_words);
-            hist_words += m as usize;
+            hist_words += s.bucket.num_buckets() as usize;
         }
+        let table = desc_table(
+            segs.iter()
+                .zip(&hist_base)
+                .map(|(s, &hb)| (s.offset, s.n, s.bucket.num_buckets(), s.ipt, hb)),
+            wpb,
+        );
         Self {
             segs,
             wpb,
             tiles,
             hist_base,
             hist_words,
-            table: Some(GlobalBuffer::from_slice(&words)),
+            table: Some(table),
         }
     }
 
@@ -324,62 +359,22 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
         self.tiles.iter().sum()
     }
 
-    /// Tile `t`'s descriptor. From the table, warp 0 reads it (the counted
-    /// coalescing overhead: one aligned sector per tile) and every warp
-    /// reads it back from shared memory after the barrier.
+    /// Tile `t`'s descriptor: by value for one segment, else from the
+    /// table.
     fn desc(&self, blk: &BlockCtx, t: usize) -> TileDesc {
         let Some(table) = &self.table else {
             let s = &self.segs[0];
             return TileDesc {
                 seg: 0,
-                span: TileSpan {
-                    offset: s.offset,
-                    n: s.n,
-                    ipt: s.ipt,
-                    local_tile: t,
-                },
+                offset: s.offset,
+                n: s.n,
+                ipt: s.ipt,
+                local_tile: t,
                 m: s.bucket.num_buckets(),
                 hist_base: 0,
             };
         };
-        let desc_s = blk.alloc_shared::<u32>(DESC_WORDS);
-        {
-            let w = blk.warp(0);
-            let mask = low_lanes_mask(DESC_WORDS);
-            let words = w.gather_cached(
-                table,
-                lanes_from_fn(|l| t * DESC_WORDS + l.min(DESC_WORDS - 1)),
-                mask,
-            );
-            desc_s.st(lanes_from_fn(|l| l.min(DESC_WORDS - 1)), words, mask);
-        }
-        blk.sync();
-        // Read back the whole sector, padding word included: one counted
-        // shared read per descriptor word.
-        let word: [usize; DESC_WORDS] = std::array::from_fn(|i| desc_s.get(i) as usize);
-        TileDesc {
-            seg: word[0],
-            span: TileSpan {
-                offset: word[1],
-                n: word[2],
-                ipt: word[4],
-                local_tile: word[5],
-            },
-            m: word[3] as u32,
-            hist_base: word[6],
-        }
-    }
-
-    /// The pre-scan launch: every segment's bucket totals, flattened at
-    /// its `hist_base`. One block per tile; the `atomicAdd`s commute, so
-    /// the totals and their billing are schedule-independent.
-    pub fn prescan(&self, dev: &Device, label: &str, keys: &GlobalBuffer<u32>) -> Vec<u32> {
-        let totals = GlobalBuffer::<u32>::zeroed(self.hist_words);
-        dev.launch(label, self.total_tiles(), self.wpb, |blk| {
-            let d = self.desc(blk, blk.block_id);
-            prescan_tile(blk, keys, self.segs[d.seg].bucket, &d, &totals);
-        });
-        totals.to_vec()
+        read_desc(blk, table, t)
     }
 
     /// Host: exclusive-scan each segment's flattened totals into its
@@ -445,9 +440,10 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
         states
     }
 
-    /// The whole split (pre-scan, host bases, direct sweep) into
-    /// `out_keys` / `out_values`. Returns each segment's `m + 1`
-    /// segment-local offsets.
+    /// The whole split of a batch (a pre-scan batch over the same
+    /// segments at the pre-scan's own tile geometry, host bases, direct
+    /// sweep) into `out_keys` / `out_values`. Returns each segment's
+    /// `m + 1` segment-local offsets.
     pub fn split<V: Scalar>(
         &self,
         dev: &Device,
@@ -457,7 +453,17 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
         out_keys: &GlobalBuffer<u32>,
         out_values: Option<&GlobalBuffer<V>>,
     ) -> Vec<Vec<u32>> {
-        let (bases, offsets) = self.bases(&self.prescan(dev, labels[0], keys));
+        let counted: Vec<_> = self
+            .segs
+            .iter()
+            .map(|s| CountSeg {
+                offset: s.offset,
+                n: s.n,
+                targets: vec![s.bucket],
+            })
+            .collect();
+        let totals = prescan(dev, labels[0], keys, &counted, self.wpb, true);
+        let (bases, offsets) = self.bases(&totals);
         let out = Out::Final {
             bases: &bases,
             keys: out_keys,
@@ -471,7 +477,7 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
 /// Lane addresses of the 32-element chunk at segment-local index `lb` of
 /// a segment at `offset` holding `n` keys. Lanes past the end alias the
 /// chunk start; callers mask them off.
-fn chunk_lanes(offset: usize, lb: usize, n: usize) -> Lanes<usize> {
+pub(crate) fn chunk_lanes(offset: usize, lb: usize, n: usize) -> Lanes<usize> {
     lanes_from_fn(|j| offset + if lb + j < n { lb + j } else { lb })
 }
 
@@ -491,97 +497,6 @@ fn store_rows(
             row(g),
             low_lanes_mask(cnt),
         );
-    }
-}
-
-/// Pre-scan body for one tile. Each warp reads its chunks of keys once
-/// and accumulates their histogram in registers (one shared column per
-/// warp, not per chunk); the columns are then reduced across warps and
-/// `atomicAdd`ed into `totals[hist_base..]`.
-fn prescan_tile<B: BucketFn + ?Sized>(
-    blk: &BlockCtx,
-    keys: &GlobalBuffer<u32>,
-    bucket: &B,
-    d: &TileDesc,
-    totals: &GlobalBuffer<u32>,
-) {
-    let (m, span, hb) = (d.m, d.span, d.hist_base);
-    let mu = m as usize;
-    let nw = blk.warps_per_block;
-    let tile_start = span.local_tile * nw * WARP_SIZE * span.ipt;
-    let hist = HistStrategy::for_buckets(m);
-    // The per-warp columns, addressed `bucket * row_pitch + warp *
-    // warp_stride` (odd pitch either way), and Ballot's reduction row.
-    let (buf, row_pitch, warp_stride, block_hist) = match hist {
-        HistStrategy::Ballot => (
-            blk.alloc_shared::<u32>(nw * (mu | 1)),
-            1,
-            mu | 1,
-            Some(blk.alloc_shared::<u32>(mu)),
-        ),
-        HistStrategy::Rows => (blk.alloc_shared::<u32>(mu * (nw | 1)), nw | 1, 1, None),
-    };
-    let mut acc = vec![[0u32; WARP_SIZE]; mu.div_ceil(WARP_SIZE)];
-    for w in blk.warps() {
-        acc.fill([0; WARP_SIZE]);
-        for c in 0..span.ipt {
-            let lb = tile_start + (w.warp_id * span.ipt + c) * WARP_SIZE;
-            let mask = tail_mask(lb, span.n);
-            if mask == 0 {
-                break;
-            }
-            let k = w.gather(keys, chunk_lanes(span.offset, lb, span.n), mask);
-            let b = eval_buckets(&w, bucket, k, mask);
-            match hist {
-                HistStrategy::Ballot => {
-                    let h = warp_histogram(&w, b, m, mask);
-                    acc[0] = lanes_from_fn(|l| acc[0][l].wrapping_add(h[l]));
-                }
-                HistStrategy::Rows => {
-                    for (a, h) in acc.iter_mut().zip(warp_histogram_multi(&w, b, m, mask)) {
-                        *a = lanes_from_fn(|l| a[l].wrapping_add(h[l]));
-                    }
-                }
-            }
-            w.charge(m as u64); // the accumulate adds
-        }
-        store_rows(&buf, mu, row_pitch, w.warp_id * warp_stride, |g| acc[g]);
-    }
-    blk.sync();
-    if let Some(block_hist) = block_hist {
-        // Ballot: multi-reduce the warp columns, then one warp adds the
-        // block histogram into the m global counters.
-        multi_reduce_across_warps(blk, &buf, mu, warp_stride, &block_hist);
-        let w = blk.warp(0);
-        let mask = low_lanes_mask(mu);
-        let v = block_hist.ld(lanes_from_fn(|l| l.min(mu - 1)), mask);
-        w.atomic_add(totals, lanes_from_fn(|l| hb + l.min(mu - 1)), v, mask);
-        return;
-    }
-    // Rows: reduce each 32-bucket row group across warps; one warp-wide
-    // atomicAdd per group.
-    for w in blk.warps() {
-        let mut row = w.warp_id * WARP_SIZE;
-        while row < mu {
-            let cnt = (mu - row).min(WARP_SIZE);
-            let sm = low_lanes_mask(cnt);
-            let mut acc = [0u32; WARP_SIZE];
-            for wid in 0..nw {
-                let v = buf.ld(
-                    lanes_from_fn(|l| (row + l.min(cnt - 1)) * row_pitch + wid),
-                    sm,
-                );
-                acc = lanes_from_fn(|l| acc[l] + v[l]);
-            }
-            w.charge(nw as u64 * cnt as u64);
-            w.atomic_add(
-                totals,
-                lanes_from_fn(|l| hb + row + l.min(cnt - 1)),
-                acc,
-                sm,
-            );
-            row += nw * WARP_SIZE;
-        }
     }
 }
 
@@ -779,12 +694,12 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let m = d.m;
     let mu = m as usize;
     let nw = blk.warps_per_block;
-    let chunks = nw * d.span.ipt;
-    let tile_start = d.span.local_tile * chunks * WARP_SIZE;
+    let chunks = nw * d.ipt;
+    let tile_start = d.local_tile * chunks * WARP_SIZE;
     let kind = SweepKind::for_buckets(m, out.scatter());
     let direct = kind.scatter == Scatter::Direct;
     let value_words = values.map_or(0, |_| V::BYTES as usize / 4);
-    let lay = kind.layout(nw, mu, d.span.ipt, value_words);
+    let lay = kind.layout(nw, mu, d.ipt, value_words);
     let hist = TileHist::alloc(blk, kind.hist, mu, chunks);
     let scatter_base = direct.then(|| blk.alloc_shared::<u32>(mu));
     let keys_s = blk.alloc_shared::<u32>(lay.slots);
@@ -796,20 +711,20 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let mut bucket_reg = vec![[0u32; WARP_SIZE]; chunks];
     let mut rank_reg = vec![[0u32; WARP_SIZE]; chunks];
     let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; chunks]);
-    let chunk_mask = |chunk: usize| tail_mask(tile_start + chunk * WARP_SIZE, d.span.n);
+    let chunk_mask = |chunk: usize| tail_mask(tile_start + chunk * WARP_SIZE, d.n);
 
     // Phase 1: chunk histograms and in-chunk ranks; elements stay in
     // registers.
     for w in blk.warps() {
-        for c in 0..d.span.ipt {
-            let chunk = w.warp_id * d.span.ipt + c;
+        for c in 0..d.ipt {
+            let chunk = w.warp_id * d.ipt + c;
             let lb = tile_start + chunk * WARP_SIZE;
             let mask = chunk_mask(chunk);
             if mask == 0 {
                 hist.store(chunk, mu, |_| [0; WARP_SIZE]);
                 continue;
             }
-            let idx = chunk_lanes(d.span.offset, lb, d.span.n);
+            let idx = chunk_lanes(d.offset, lb, d.n);
             let k = w.gather(keys, idx, mask);
             let b = eval_buckets(&w, bucket, k, mask);
             rank_reg[chunk] = hist.count(&w, chunk, b, m, mask);
@@ -831,7 +746,7 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     {
         let w = blk.warp(0);
         let agg = hist.aggregate(&w, mu, tile_total);
-        let prefix = states.resolve_rows(&w, d.seg, d.span.local_tile, &agg);
+        let prefix = states.resolve_rows(&w, d.seg, d.local_tile, &agg);
         hist.store_bucket_starts(&w, &agg);
         if let (Out::Final { bases, .. }, Some(sb)) = (out, &scatter_base) {
             for g0 in (0..mu).step_by(WARP_SIZE) {
@@ -854,8 +769,8 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
 
     // Phase 4: block-wide reorder into shared staging.
     for w in blk.warps() {
-        for c in 0..d.span.ipt {
-            let chunk = w.warp_id * d.span.ipt + c;
+        for c in 0..d.ipt {
+            let chunk = w.warp_id * d.ipt + c;
             let mask = chunk_mask(chunk);
             if mask == 0 {
                 continue;
@@ -878,8 +793,8 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     // positions (rank within bucket = tile position - bucket tile start)
     // or, bucket-dense, to the staging scratch.
     for w in blk.warps() {
-        for c in 0..d.span.ipt {
-            let chunk = w.warp_id * d.span.ipt + c;
+        for c in 0..d.ipt {
+            let chunk = w.warp_id * d.ipt + c;
             let mask = chunk_mask(chunk);
             if mask == 0 {
                 continue;
@@ -893,13 +808,13 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
                     let start = hist.bucket_start(b2, mask);
                     let base = sb.ld(lanes_from_fn(|l| b2[l] as usize), mask);
                     let dest = lanes_from_fn(|l| {
-                        d.span.offset
+                        d.offset
                             + (base[l].wrapping_add(tid[l] as u32).wrapping_sub(start[l])) as usize
                     });
                     (dest, *keys, *values)
                 }
                 (Out::Staged { keys, values }, ..) => {
-                    let dest = lanes_from_fn(|l| d.span.offset + tile_start + tid[l]);
+                    let dest = lanes_from_fn(|l| d.offset + tile_start + tid[l]);
                     (dest, *keys, *values)
                 }
                 _ => unreachable!("a direct scatter allocates its bucket and base tables"),

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::block::BlockCtx;
 use crate::flight::{FlightEvent, FlightLog};
+use crate::lock_unpoisoned;
 use crate::obs::{telemetry, ObsStats, Telemetry};
 use crate::profile::DeviceProfile;
 use crate::sched::{self, AdvCore, AdvSchedule, Schedule, ScheduleAborted, ADV_WORKERS};
@@ -54,13 +55,6 @@ pub struct Device {
     /// Modeled-concurrency timeline: one entry per recorded launch, from
     /// which [`Device::makespan`] computes overlapped execution time.
     timeline: FairMutex<Vec<TimelineEntry>>,
-}
-
-/// Lock a mutex, recovering the data if a previous holder panicked. The
-/// scope string and launch log are plain data; a panic while appending
-/// never leaves them in an invalid state worth propagating.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl Device {

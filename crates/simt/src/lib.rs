@@ -93,3 +93,11 @@ pub use trace::{
     write_chrome_trace_with_tiles,
 };
 pub use warp::WarpCtx;
+
+/// Lock a mutex, recovering the data if a previous holder panicked. Every
+/// mutex in this crate guards plain data (scope strings, launch logs,
+/// scheduler and stream state) that a panicking holder never leaves
+/// invalid, and the panic itself is what the caller should see.
+pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -55,7 +55,9 @@
 //! the host*.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
+
+use crate::lock_unpoisoned;
 
 /// Host workers an adversarial launch multiplexes its blocks onto. Fixed
 /// (not `available_parallelism`) so schedules are identical on every
@@ -261,10 +263,6 @@ pub(crate) struct AdvCore {
     spin_budget: u64,
     inner: Mutex<Inner>,
     cv: Condvar,
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl AdvCore {

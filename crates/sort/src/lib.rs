@@ -13,13 +13,13 @@
 //! * **One pre-scan per sort** — a digit's histogram does not depend on
 //!   the key order the earlier passes leave behind, so the `{local,
 //!   global, local}` factoring of a multisplit hoists its global step out
-//!   of the pass loop. The `ms_sort/pre-scan` launch reads each key once
-//!   and counts all digits into block-private shared counters with
-//!   shared-memory atomics (`Σ 2^width` words, at most 8,448 at the
-//!   widest legal digits; digits of 3 bits or fewer go through ballot
-//!   histograms in registers first), over large tiles so the merge into
-//!   the global totals costs few atomics. A digit whose histogram has
-//!   one non-empty bucket is the identity pass and is skipped.
+//!   of the pass loop. The `ms_sort/pre-scan` launch
+//!   ([`multisplit::bucket_totals`], one counter window per digit) reads
+//!   each key once and counts all digits into block-private shared
+//!   counters (`Σ 2^width` words, at most 8,448 at the widest legal
+//!   digits): ballot histograms up to 5-bit digits, shared atomics
+//!   beyond. A digit whose histogram has one non-empty bucket is the
+//!   identity pass and is skipped.
 //! * **Ping-pong buffers** — the engine allocates two output buffers once
 //!   and alternates, so every pass scatters *directly into the next
 //!   pass's input*. No copy kernels, no re-tracking: each launch opens a
@@ -56,11 +56,9 @@
 //! assert_eq!(sorted, expect);
 //! ```
 
-use multisplit::common::{eval_buckets, SMEM_BUDGET_WORDS};
-use multisplit::warp_ops::warp_histogram;
-use multisplit::{multisplit_sweep_into, BucketFn, DigitBuckets};
-use primitives::{low_lanes_mask, tail_mask, warp_scan};
-use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WarpCtx, WARP_SIZE};
+use multisplit::{bucket_totals, multisplit_sweep_into, DigitBuckets};
+use primitives::{tail_mask, warp_scan};
+use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WARP_SIZE};
 
 /// Digit width `b` (buckets per pass `m = 2^b`) used when the caller does
 /// not choose one: the counted-sector sweet spot of the `paper sorttune`
@@ -183,121 +181,6 @@ fn copy_out<T: Scalar>(
     out
 }
 
-/// Thread-coarsening of the all-digit pre-scan: chunks of 32 keys per
-/// warp per tile. Large tiles (8,192 keys at 8 warps) keep the merge of
-/// the block-private counters into the global totals at one atomic per
-/// counter per tile.
-const PRESCAN_ITEMS_PER_THREAD: usize = 32;
-
-/// Digits up to this width are counted with ballot histograms in
-/// registers: with 8 or fewer buckets the 32 lanes' shared-memory
-/// atomics collide, while a ballot count costs one ballot per bit.
-/// `paper sorttune` puts the crossover here: 4-bit digits cost the same
-/// either way, 5-bit digits less with atomics.
-const BALLOT_DIGIT_BITS: u32 = 3;
-
-/// The all-digit pre-scan: one launch that reads each key once and
-/// counts every digit of the sort. Each block keeps `Σ 2^width` private
-/// shared counters, one window per digit, bumped with shared-memory
-/// atomics (narrow digits: once per warp, from a ballot histogram), and
-/// then adds its non-zero counters into the global totals.
-/// A digit's histogram does not depend on the key order, so these totals
-/// hold for every pass, whatever the earlier passes did. Returns one
-/// `2^width`-entry totals vector per digit.
-fn digit_totals(
-    dev: &Device,
-    keys: &GlobalBuffer<u32>,
-    n: usize,
-    digits: &[DigitBuckets],
-    wpb: usize,
-) -> Vec<Vec<u32>> {
-    let mut window = Vec::with_capacity(digits.len());
-    let mut words = 0usize;
-    for d in digits {
-        window.push(words);
-        words += d.num_buckets() as usize;
-    }
-    assert!(
-        words <= SMEM_BUDGET_WORDS,
-        "the pre-scan's {words} digit counters ({} digits) exceed the \
-         {SMEM_BUDGET_WORDS}-word shared-memory budget",
-        digits.len()
-    );
-    let totals = GlobalBuffer::<u32>::zeroed(words);
-    let ipt = PRESCAN_ITEMS_PER_THREAD;
-    let tile = wpb * WARP_SIZE * ipt;
-    dev.launch("ms_sort/pre-scan", n.div_ceil(tile), wpb, |blk| {
-        let nw = blk.warps_per_block;
-        let counts = blk.alloc_shared::<u32>(words);
-        // The warps stride over the counters in warp-sized groups.
-        let groups = |w: &WarpCtx| (w.warp_id * WARP_SIZE..words).step_by(nw * WARP_SIZE);
-        for w in blk.warps() {
-            for g in groups(&w) {
-                let cnt = (words - g).min(WARP_SIZE);
-                counts.st(
-                    lanes_from_fn(|l| g + l.min(cnt - 1)),
-                    splat(0),
-                    low_lanes_mask(cnt),
-                );
-            }
-        }
-        blk.sync();
-        let tile_start = blk.block_id * tile;
-        // Narrow digits accumulate ballot histograms in registers (lane b
-        // counts bucket b) and reach the shared counters once per warp.
-        let mut acc = vec![[0u32; WARP_SIZE]; digits.len()];
-        for w in blk.warps() {
-            acc.fill([0; WARP_SIZE]);
-            for c in 0..ipt {
-                let base = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    break;
-                }
-                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k = w.gather(keys, idx, mask);
-                for ((d, &win), a) in digits.iter().zip(&window).zip(&mut acc) {
-                    let b = eval_buckets(&w, d, k, mask);
-                    if d.bits <= BALLOT_DIGIT_BITS {
-                        let h = warp_histogram(&w, b, d.num_buckets(), mask);
-                        *a = lanes_from_fn(|l| a[l] + h[l]);
-                        w.charge(d.num_buckets() as u64);
-                    } else {
-                        counts.atomic_add(lanes_from_fn(|l| win + b[l] as usize), splat(1), mask);
-                    }
-                }
-            }
-            for ((d, &win), a) in digits.iter().zip(&window).zip(&acc) {
-                if d.bits <= BALLOT_DIGIT_BITS {
-                    let m = d.num_buckets() as usize;
-                    counts.atomic_add(lanes_from_fn(|l| win + l.min(m - 1)), *a, low_lanes_mask(m));
-                }
-            }
-        }
-        blk.sync();
-        for w in blk.warps() {
-            for g in groups(&w) {
-                let cnt = (words - g).min(WARP_SIZE);
-                let idx = lanes_from_fn(|l| g + l.min(cnt - 1));
-                let v = counts.ld(idx, low_lanes_mask(cnt));
-                let live = (0..cnt)
-                    .filter(|&l| v[l] != 0)
-                    .fold(0u32, |m, l| m | 1 << l);
-                w.charge(cnt as u64); // the zero tests
-                if live != 0 {
-                    w.atomic_add(&totals, idx, v, live);
-                }
-            }
-        }
-    });
-    let flat = totals.to_vec();
-    digits
-        .iter()
-        .zip(&window)
-        .map(|(d, &win)| flat[win..win + d.num_buckets() as usize].to_vec())
-        .collect()
-}
-
 /// The ms-sort engine: a OneSweep stable LSB radix sort of the key bit
 /// field `[lo_bit, lo_bit + bits)` over `ceil(bits / digit_bits)` digits.
 /// One pre-scan launch histograms every digit; each digit pass is then a
@@ -351,7 +234,10 @@ pub fn sort_by_bit_range_with<V: Scalar>(
         .step_by(digit_bits as usize)
         .map(|shift| DigitBuckets::new(shift, digit_bits.min(lo_bit + bits - shift)))
         .collect();
-    let totals = digit_totals(dev, keys, n, &digits, wpb);
+    // The all-digit pre-scan: a digit's histogram does not depend on the
+    // key order, so these totals hold for every pass.
+    let targets: Vec<&DigitBuckets> = digits.iter().collect();
+    let totals = bucket_totals(dev, "ms_sort/pre-scan", keys, n, &targets, wpb);
     let live: Vec<usize> = (0..digits.len())
         .filter(|&d| totals[d].iter().filter(|&&t| t > 0).count() > 1)
         .collect();
@@ -630,7 +516,19 @@ pub fn sort_pairs_reduced_bit<V: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multisplit::BucketFn;
     use simt::{BlockStats, K40C};
+
+    fn digit_totals(
+        dev: &Device,
+        keys: &GlobalBuffer<u32>,
+        n: usize,
+        digits: &[DigitBuckets],
+        wpb: usize,
+    ) -> Vec<Vec<u32>> {
+        let targets: Vec<&DigitBuckets> = digits.iter().collect();
+        bucket_totals(dev, "ms_sort/pre-scan", keys, n, &targets, wpb)
+    }
 
     fn keys_for(n: usize, seed: u32) -> Vec<u32> {
         (0..n as u32)

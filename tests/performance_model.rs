@@ -3,7 +3,10 @@
 //! quantifies; here they gate CI).
 
 use msbench::{run_contender, run_scan_split, Contender, Distribution};
-use simt::{GTX750TI, K40C};
+use multisplit::{
+    multisplit_device, multisplit_segmented, no_values, Method, RangeBuckets, SegmentSpec,
+};
+use simt::{BlockStats, Device, GlobalBuffer, GTX750TI, K40C};
 
 const N: usize = 1 << 16;
 
@@ -273,4 +276,131 @@ fn stage_breakdown_sums_to_total() {
         "stages {sum} != total {}",
         o.total
     );
+}
+
+// ---- Cost-model properties: every modeled number rests on how
+// `DeviceProfile::estimate` prices counted events, on both profiles.
+
+/// A `BlockStats` counter, by name.
+type Counter = (&'static str, fn(&mut BlockStats) -> &mut u64);
+
+/// Every `BlockStats` counter.
+const COUNTERS: [Counter; 12] = [
+    ("sectors", |s| &mut s.sectors),
+    ("useful_bytes", |s| &mut s.useful_bytes),
+    ("global_requests", |s| &mut s.global_requests),
+    ("replays", |s| &mut s.replays),
+    ("atomic_ops", |s| &mut s.atomic_ops),
+    ("atomic_conflicts", |s| &mut s.atomic_conflicts),
+    ("smem_ops", |s| &mut s.smem_ops),
+    ("smem_bank_conflicts", |s| &mut s.smem_bank_conflicts),
+    ("intrinsics", |s| &mut s.intrinsics),
+    ("lane_ops", |s| &mut s.lane_ops),
+    ("barriers", |s| &mut s.barriers),
+    ("divergent_iters", |s| &mut s.divergent_iters),
+];
+
+/// Launches of every pre-scan and sweep shape on `dev`: fused, fused
+/// large-m, a segmented batch and an ms-sort.
+fn run_mixed_launches(dev: &Device) {
+    let n = 20_000;
+    let data: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
+    let keys = GlobalBuffer::from_slice(&data);
+    for m in [8u32, 100] {
+        let bucket = RangeBuckets::new(m);
+        multisplit_device(
+            dev,
+            Method::auto_for(m, false, 8),
+            &keys,
+            no_values(),
+            n,
+            &bucket,
+            8,
+        );
+    }
+    let (b1, b2) = (RangeBuckets::new(4), RangeBuckets::new(64));
+    let segs = [
+        SegmentSpec {
+            offset: 0,
+            n: 1000,
+            bucket: &b1,
+        },
+        SegmentSpec {
+            offset: 1024,
+            n: 9000,
+            bucket: &b2,
+        },
+    ];
+    multisplit_segmented(dev, &keys, no_values(), &segs, 8);
+    ms_sort::sort_keys(dev, &keys, n, 8);
+}
+
+#[test]
+fn estimate_never_falls_when_a_counter_rises() {
+    for profile in [K40C, GTX750TI] {
+        let dev = Device::sequential(profile);
+        run_mixed_launches(&dev);
+        let mut bases: Vec<BlockStats> = dev.records().iter().map(|r| r.stats).collect();
+        bases.push(BlockStats::default());
+        for base in bases {
+            let before = profile.estimate(&base);
+            for (name, counter) in COUNTERS {
+                for delta in [1u64, 977, 1 << 20, 1 << 36] {
+                    let mut raised = base;
+                    *counter(&mut raised) += delta;
+                    if name == "useful_bytes" {
+                        // Useful bytes are a share of the sector bytes:
+                        // at fixed sectors they would only move bytes out
+                        // of the waste term, which GTX750TI prices above
+                        // useful traffic. Raised, they arrive in sectors.
+                        raised.sectors += delta.div_ceil(32);
+                    }
+                    let after = profile.estimate(&raised);
+                    assert!(
+                        after >= before,
+                        "{}: +{delta} {name} lowers {before} to {after} ({base:?})",
+                        profile.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn total_seconds_is_the_sum_of_the_launch_records() {
+    for profile in [K40C, GTX750TI] {
+        let dev = Device::sequential(profile);
+        run_mixed_launches(&dev);
+        let records = dev.records();
+        assert!(records.len() > 6, "{} launches", records.len());
+        let mut sum = 0.0;
+        for r in &records {
+            assert_eq!(r.seconds, profile.estimate(&r.stats), "{}", r.label);
+            sum += r.seconds;
+        }
+        assert_eq!(dev.total_seconds(), sum, "{}", profile.name);
+        // Launch groups partition the total.
+        let parts: f64 = ["fused/", "fused_large_m/", "segmented/", "ms_sort/"]
+            .iter()
+            .map(|p| dev.seconds_with_prefix(p))
+            .sum();
+        assert!(
+            (parts - sum).abs() <= 1e-15 * sum.max(1.0),
+            "{parts} vs {sum}"
+        );
+    }
+}
+
+#[test]
+fn an_empty_launch_costs_exactly_the_launch_overhead() {
+    for profile in [K40C, GTX750TI] {
+        let overhead = profile.launch_overhead_us * 1e-6;
+        assert_eq!(profile.estimate(&BlockStats::default()), overhead);
+        let dev = Device::sequential(profile);
+        dev.launch("empty", 4, 8, |_| {});
+        assert_eq!(dev.records()[0].stats, BlockStats::default());
+        assert_eq!(dev.records()[0].seconds, overhead, "{}", profile.name);
+        assert_eq!(dev.total_seconds(), overhead);
+    }
 }
