@@ -140,7 +140,6 @@ pub fn multisplit_block_atomic<B: BucketFn + ?Sized, V: Scalar>(
         // Phase 2: cross-warp offsets + block bucket bases.
         multi_exclusive_scan_across_warps(blk, &counters, mu, mp, Some(&bucket_base));
         block_exclusive_scan_shared(blk, &bucket_base, mu);
-        blk.sync();
 
         // Phase 3: block-wide reorder.
         for w in blk.warps() {

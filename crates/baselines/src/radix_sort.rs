@@ -183,7 +183,6 @@ fn radix_pass<V: Scalar>(
         // Phase 2: cross-warp digit offsets + block digit bases.
         multi_exclusive_scan_across_warps(blk, &counters, m, mp, Some(&digit_base));
         block_exclusive_scan_shared(blk, &digit_base, m);
-        blk.sync();
 
         // Phase 3: block-wide reorder through shared memory.
         for w in blk.warps() {

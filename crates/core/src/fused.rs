@@ -44,8 +44,8 @@
 //! The sweep is the shared tile sweep of [`crate::sweep`] with the
 //! ballot histogram strategy, run as its one-segment case (descriptor
 //! passed by value). `fused_large_m.rs` is the same pipeline with
-//! register-row histograms and a pre-scan that counts with shared
-//! atomics.
+//! the per-warp `m × N_W` histogram strategy and a pre-scan that counts
+//! with shared atomics.
 //!
 //! Output buffers are always allocated with the simulator's write-race
 //! detector enabled ([`simt::GlobalBuffer::tracked`]): a double-write to
@@ -82,8 +82,8 @@ fn check_into_buffers<V: Scalar>(
 }
 
 /// The standalone `[pre-scan, sweep]` launch labels, which name the
-/// histogram strategy (`fused/…` for ballot, `fused_large_m/…` for
-/// register rows).
+/// histogram strategy (`fused/…` for ballot, `fused_large_m/…` for the
+/// per-warp `m × N_W` rows).
 fn labels(m: u32) -> [&'static str; 2] {
     match HistStrategy::for_buckets(m) {
         HistStrategy::Ballot => ["fused/pre-scan", "fused/sweep"],

@@ -5,17 +5,18 @@
 //!
 //! The three-kernel large-m pipeline (`large_m.rs`) reads every key from
 //! DRAM twice and round-trips the `m × L` histogram matrix through global
-//! memory; the matrix is `⌈m/32⌉`× bigger than in the `m ≤ 32` case, so
-//! the fusion win *grows* with `m`. This module collapses it to the two
-//! launches of `fused.rs`. `fused_large_m/pre-scan` is the one pre-scan
-//! kernel of [`crate::prescan`], counting 8,192-key tiles (at 8 warps)
-//! with one shared-memory atomic per key into block-private counters.
+//! memory; the matrix grows with `m`, so the fusion win *grows* with `m`.
+//! This module collapses it to the two launches of `fused.rs`.
+//! `fused_large_m/pre-scan` is the one pre-scan kernel of
+//! [`crate::prescan`], counting 8,192-key tiles (at 8 warps) with one
+//! shared-memory atomic per key into block-private counters.
 //! `fused_large_m/sweep` is the shared tile sweep of [`crate::sweep`] with
-//! the register-row histogram strategy ([`HistStrategy::Rows`]): `⌈m/32⌉`
-//! register rows per warp histogram, a row-vectorized `m × ncols` shared
-//! histogram scanned block-wide in one pass (§6.4, "as CUB does"), and
-//! multi-row look-back (records wider than a warp span `⌈m/32⌉`
-//! warp-sized row groups).
+//! the row-vectorized histogram strategy ([`HistStrategy::Rows`]): the
+//! paper's `m × N_W` shared histogram, one running-count column per warp
+//! fed by Algorithm 3's peer counts, scanned block-wide by one raking scan
+//! (§6.4, "as CUB does"), and multi-row look-back (records wider than a
+//! warp span `⌈m/32⌉` warp-sized row groups). The histogram does not grow
+//! with the tile, so the coarsening reaches its cap well past `m = 256`.
 //!
 //! ### Bank-conflict-free staging
 //!
@@ -27,7 +28,7 @@
 //! 32 elements), which maps any power-of-two stride to distinct banks;
 //! `BlockStats::smem_bank_conflicts` counts what this buys (see the
 //! `padded_staging_*` test). The histogram itself keeps the odd-pitch
-//! trick (`ncols | 1`) the three-kernel path already uses.
+//! trick (`N_W | 1`) the three-kernel path already uses.
 //!
 //! Shared memory bounds the bucket count, with every term derived from
 //! the sweep's one footprint function
@@ -45,7 +46,7 @@ use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit, SMEM_BUD
 use crate::fused::fused_into;
 use crate::sweep::{HistStrategy, Scatter, SweepKind};
 
-/// The direct register-row sweep whose footprint bounds the bucket count.
+/// The direct per-warp-rows sweep whose footprint bounds the bucket count.
 const KIND: SweepKind = SweepKind {
     hist: HistStrategy::Rows,
     scatter: Scatter::Direct,

@@ -180,7 +180,6 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
         // Phase 2: one block-wide exclusive scan of all m*N_W counters
         // (the zero pad cells are scan-neutral).
         block_exclusive_scan_shared(blk, &hrow, mu * nwp);
-        blk.sync();
 
         // Phase 3: block-wide reorder. hrow[b*nw + w] is the block-local
         // base for bucket b elements of warp w.

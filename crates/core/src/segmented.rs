@@ -14,7 +14,8 @@
 //! Every segment is classified by [`Method::auto_for`]'s segmented-aware
 //! face ([`Method::auto_for_segmented`]): segments `auto_for` sends to a
 //! fused path join the coalesced launch, with the ballot histogram
-//! strategy for `m ≤ 32` and register rows for `32 < m ≤ capacity`;
+//! strategy for `m ≤ 32` and per-warp `m × N_W` rows for `32 < m ≤
+//! capacity`;
 //! anything else (past fused capacity, or a pinned three-kernel pipeline)
 //! falls back to its own standalone launches under a `segmented/fallback`
 //! scope. The coalesced work is the shared tile sweep of
@@ -380,7 +381,7 @@ mod tests {
     #[test]
     fn label_encodes_per_segment_dispatch_at_the_boundary() {
         // m = 32 and m = 33 in ONE segmented launch dispatch to the ballot
-        // and register-row histogram strategies, visible in the label.
+        // and per-warp-rows histogram strategies, visible in the label.
         assert_eq!(
             Method::auto_for_segmented(32, false, 8),
             Some(Method::Fused)

@@ -16,11 +16,12 @@
 //!
 //! What changes with `m` is only the **histogram strategy**
 //! ([`HistStrategy`]): ballot bitmaps with one `m`-lane column per
-//! 32-element chunk up to the warp width, `⌈m/32⌉` register rows and a
-//! row-major `m × chunks` histogram scanned block-wide beyond it. The
-//! sweep asks a histogram five questions — count a chunk, scan the
-//! chunks, the tile aggregate, an element's rank base, a bucket's tile
-//! start — and `TileHist` answers them per strategy.
+//! 32-element chunk up to the warp width; beyond it the paper's
+//! row-vectorized `m × N_W` histogram, one running-count column per warp
+//! fed by Algorithm 3's peer counts and scanned block-wide. The sweep
+//! asks a histogram five questions — count a chunk, scan the chunks, the
+//! tile aggregate, an element's rank base, a bucket's tile start — and
+//! `TileHist` answers them per strategy.
 //!
 //! A standalone run is the one-segment case (`SweepPlan::one`). Its
 //! descriptor reaches every block by value, so it costs no table sector
@@ -46,7 +47,7 @@ use primitives::{
 use crate::bucket::BucketFn;
 use crate::common::{eval_buckets, staging_words_per_element, SMEM_BUDGET_WORDS};
 use crate::prescan::{prescan, CountSeg};
-use crate::warp_ops::{warp_histogram_and_offsets, warp_histogram_multi, warp_offsets};
+use crate::warp_ops::{warp_histogram_and_offsets, warp_offsets_and_peer_counts};
 
 /// Most chunks of 32 elements a warp processes per tile.
 pub const MAX_ITEMS_PER_THREAD: usize = 8;
@@ -69,15 +70,20 @@ pub enum HistStrategy {
     /// into its shared counters once per warp, at a cost independent of
     /// the key distribution.
     Ballot,
-    /// `m > 32`: `⌈m/32⌉` register rows per warp histogram, a row-major
-    /// `m × chunks` shared histogram (odd pitch), and one block-wide
-    /// exclusive scan of all of it (§6.4). The pre-scan bumps one shared
-    /// counter per key with a shared-memory atomic.
+    /// `m > 32`: the paper's row-vectorized `m × N_W` shared histogram
+    /// (§5.3, §6.4), one column per warp at odd pitch `N_W | 1`. Each warp
+    /// keeps running per-bucket counts in its column: per chunk it loads
+    /// the counts at its lanes' buckets, ranks each lane as that count
+    /// plus its Algorithm 3 offset, and the last peer of each bucket
+    /// stores the count plus the bucket's peer count back. One block-wide
+    /// raking scan of the whole histogram then yields every rank base
+    /// (§6.4, "as CUB does"). The pre-scan bumps one shared counter per
+    /// key with a shared-memory atomic.
     Rows,
 }
 
 impl HistStrategy {
-    /// Ballot bitmaps up to the warp width, register rows beyond it.
+    /// Ballot bitmaps up to the warp width, per-warp rows beyond it.
     pub fn for_buckets(m: u32) -> Self {
         if m as usize <= WARP_SIZE {
             Self::Ballot
@@ -112,8 +118,8 @@ pub struct SweepKind {
 /// budget searches and the allocations cannot drift apart.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
-    /// The chunk histogram: `chunks × (m | 1)` (Ballot) or
-    /// `m × (chunks | 1)` (Rows).
+    /// The histogram: `chunks × (m | 1)` (Ballot) or `m × (wpb | 1)`
+    /// (Rows).
     hist: usize,
     /// The `m`-word tables: Ballot's tile histogram and bucket starts,
     /// plus the scatter bases of a direct scatter.
@@ -159,7 +165,7 @@ impl SweepKind {
         let direct = self.scatter == Scatter::Direct;
         let (hist, ballot_tables, scan_scratch) = match self.hist {
             HistStrategy::Ballot => (chunks * (m | 1), 2, 0),
-            HistStrategy::Rows => (m * (chunks | 1), 0, wpb + 1),
+            HistStrategy::Rows => (m * (wpb | 1), 0, wpb + 1),
         };
         let padded = self.hist == HistStrategy::Rows || !direct;
         Layout {
@@ -481,23 +487,13 @@ pub(crate) fn chunk_lanes(offset: usize, lb: usize, n: usize) -> Lanes<usize> {
     lanes_from_fn(|j| offset + if lb + j < n { lb + j } else { lb })
 }
 
-/// Store `m` per-bucket counts, `row(g)` holding warp-sized row group `g`,
-/// into column `col` of a row-major histogram of the given pitch.
-fn store_rows(
-    buf: &SharedBuf<u32>,
-    m: usize,
-    pitch: usize,
-    col: usize,
-    row: impl Fn(usize) -> Lanes<u32>,
-) {
-    for g in 0..m.div_ceil(WARP_SIZE) {
-        let cnt = (m - g * WARP_SIZE).min(WARP_SIZE);
-        buf.st(
-            lanes_from_fn(|l| (g * WARP_SIZE + l.min(cnt - 1)) * pitch + col),
-            row(g),
-            low_lanes_mask(cnt),
-        );
-    }
+/// Store the low `m ≤ 32` lanes of `counts` at `h2[base..base + m]`.
+fn store_column(h2: &SharedBuf<u32>, base: usize, m: usize, counts: Lanes<u32>) {
+    h2.st(
+        lanes_from_fn(|l| base + l.min(m - 1)),
+        counts,
+        low_lanes_mask(m),
+    );
 }
 
 /// A sweep tile's shared histogram under one [`HistStrategy`].
@@ -513,11 +509,14 @@ enum TileHist<'b> {
         bucket_base: SharedBuf<'b, u32>,
     },
     Rows {
-        /// `hrow[b * ncolp + chunk]`: bucket `b`'s count in `chunk`, then
-        /// (after the block-wide scan) its tile-local rank base; the row
-        /// head `hrow[b * ncolp]` is the bucket's tile-local start.
+        /// `hrow[b * pitch + warp]`: the warp's running count of bucket
+        /// `b`, then (after the block-wide scan) the tile-local rank base
+        /// of the warp's bucket-`b` elements; the row head `hrow[b *
+        /// pitch]` is the bucket's tile-local start.
         hrow: SharedBuf<'b, u32>,
-        ncolp: usize,
+        pitch: usize,
+        /// The odd-pitch pad column of an even block.
+        pad: Option<usize>,
     },
 }
 
@@ -534,45 +533,72 @@ impl<'b> TileHist<'b> {
                 }
             }
             HistStrategy::Rows => {
-                let ncolp = chunks | 1;
+                let nw = blk.warps_per_block;
+                let pitch = nw | 1;
                 TileHist::Rows {
-                    hrow: blk.alloc_shared(m * ncolp),
-                    ncolp,
+                    hrow: blk.alloc_shared(m * pitch),
+                    pitch,
+                    pad: (pitch > nw).then_some(nw),
                 }
             }
         }
     }
 
-    /// Store per-bucket counts (`row(g)` = warp-sized row group `g`) as
-    /// `chunk`'s column.
-    fn store(&self, chunk: usize, m: usize, row: impl Fn(usize) -> Lanes<u32>) {
-        match self {
-            TileHist::Ballot { h2, pitch, .. } => store_rows(h2, m, 1, chunk * pitch, row),
-            TileHist::Rows { hrow, ncolp } => store_rows(hrow, m, *ncolp, chunk, row),
+    /// Warp `w`, before its first chunk. Rows zeroes the warp's column,
+    /// and warp 0 also the odd-pitch pad column, so the scan reads only
+    /// written words (shared memory is not zeroed on a GPU).
+    fn open_warp(&self, w: &WarpCtx, m: usize) {
+        let TileHist::Rows { hrow, pitch, pad } = self else {
+            return;
+        };
+        for col in std::iter::once(w.warp_id).chain(pad.filter(|_| w.warp_id == 0)) {
+            for g0 in (0..m).step_by(WARP_SIZE) {
+                let cnt = (m - g0).min(WARP_SIZE);
+                hrow.st(
+                    lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * pitch + col),
+                    [0; WARP_SIZE],
+                    low_lanes_mask(cnt),
+                );
+            }
         }
     }
 
-    /// Histogram one chunk's bucket ids into its column; returns each
-    /// lane's rank among the chunk's same-bucket lanes.
+    /// A chunk wholly past the segment's end: Ballot stores its zero
+    /// column; a Rows warp's running counts just stop.
+    fn skip(&self, chunk: usize, m: usize) {
+        if let TileHist::Ballot { h2, pitch, .. } = self {
+            store_column(h2, chunk * pitch, m, [0; WARP_SIZE]);
+        }
+    }
+
+    /// Count one chunk's bucket ids. Returns each lane's rank among the
+    /// same-bucket lanes of the chunk (Ballot) or of the warp's chunks so
+    /// far (Rows).
     fn count(&self, w: &WarpCtx, chunk: usize, b: Lanes<u32>, m: u32, mask: u32) -> Lanes<u32> {
         match self {
-            TileHist::Ballot { .. } => {
+            TileHist::Ballot { h2, pitch, .. } => {
                 let (counts, ranks) = warp_histogram_and_offsets(w, b, m, mask);
-                self.store(chunk, m as usize, |_| counts);
+                store_column(h2, chunk * pitch, m as usize, counts);
                 ranks
             }
-            TileHist::Rows { .. } => {
-                let ranks = warp_offsets(w, b, m, mask);
-                let rows = warp_histogram_multi(w, b, m, mask);
-                self.store(chunk, m as usize, |g| rows[g]);
-                ranks
+            TileHist::Rows { hrow, pitch, .. } => {
+                let (ranks, peers) = warp_offsets_and_peer_counts(w, b, m, mask);
+                let idx = lanes_from_fn(|l| b[l] as usize * pitch + w.warp_id);
+                let prior = hrow.ld(idx, mask);
+                let last = (0..WARP_SIZE)
+                    .filter(|&l| ranks[l] + 1 == peers[l])
+                    .fold(0u32, |acc, l| acc | 1 << l)
+                    & mask;
+                hrow.st(idx, lanes_from_fn(|l| prior[l] + peers[l]), last);
+                w.charge(2 * mask.count_ones() as u64); // the two adds
+                lanes_from_fn(|l| prior[l] + ranks[l])
             }
         }
     }
 
-    /// Whole block: turn the chunk counts into exclusive prefixes. Returns
-    /// the tile's element count for Rows (Ballot's per-bucket totals land
-    /// in `tile_hist` instead).
+    /// Whole block: turn the counts into exclusive prefixes. Returns the
+    /// tile's element count for Rows (Ballot's per-bucket totals land in
+    /// `tile_hist` instead).
     fn scan(&self, blk: &BlockCtx, m: usize, chunks: usize) -> u32 {
         match self {
             TileHist::Ballot {
@@ -584,11 +610,7 @@ impl<'b> TileHist<'b> {
                 multi_exclusive_scan_across_cols(blk, h2, m, *pitch, chunks, Some(tile_hist));
                 0
             }
-            TileHist::Rows { hrow, ncolp } => {
-                let total = block_exclusive_scan_shared(blk, hrow, m * ncolp);
-                blk.sync();
-                total
-            }
+            TileHist::Rows { hrow, pitch, .. } => block_exclusive_scan_shared(blk, hrow, m * pitch),
         }
     }
 
@@ -601,12 +623,12 @@ impl<'b> TileHist<'b> {
                 let counts = tile_hist.ld(lanes_from_fn(|l| l.min(m - 1)), low_lanes_mask(m));
                 counts[..m].to_vec()
             }
-            TileHist::Rows { hrow, ncolp } => {
+            TileHist::Rows { hrow, pitch, .. } => {
                 let mut agg = vec![0u32; m];
                 for g0 in (0..m).step_by(WARP_SIZE) {
                     let cnt = (m - g0).min(WARP_SIZE);
                     let sm = low_lanes_mask(cnt);
-                    let heads = hrow.ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * ncolp), sm);
+                    let heads = hrow.ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * pitch), sm);
                     // The final bucket has no successor row; it closes
                     // against the scan total, so mask it out of the load.
                     let has_next = if g0 + cnt == m {
@@ -618,7 +640,7 @@ impl<'b> TileHist<'b> {
                         lanes_from_fn(|l| {
                             let b = g0 + l.min(cnt - 1);
                             if b + 1 < m {
-                                (b + 1) * ncolp
+                                (b + 1) * pitch
                             } else {
                                 0
                             }
@@ -648,9 +670,11 @@ impl<'b> TileHist<'b> {
         }
     }
 
-    /// Tile-local rank base of each lane's bucket in `chunk`: the bucket's
-    /// tile start plus its count in the tile's earlier chunks.
-    fn rank_base(&self, chunk: usize, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
+    /// Tile-local rank base of each lane's bucket in warp `w`'s `chunk`:
+    /// the bucket's tile start plus its count in the tile's earlier chunks
+    /// (Ballot) or earlier warps (Rows, whose ranks already count the
+    /// warp's earlier chunks).
+    fn rank_base(&self, w: &WarpCtx, chunk: usize, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
         match self {
             TileHist::Ballot {
                 h2,
@@ -662,8 +686,8 @@ impl<'b> TileHist<'b> {
                 let start = bucket_base.ld(lanes_from_fn(|l| b[l] as usize), mask);
                 lanes_from_fn(|l| start[l] + earlier[l])
             }
-            TileHist::Rows { hrow, ncolp } => {
-                hrow.ld(lanes_from_fn(|l| b[l] as usize * ncolp + chunk), mask)
+            TileHist::Rows { hrow, pitch, .. } => {
+                hrow.ld(lanes_from_fn(|l| b[l] as usize * pitch + w.warp_id), mask)
             }
         }
     }
@@ -674,8 +698,8 @@ impl<'b> TileHist<'b> {
             TileHist::Ballot { bucket_base, .. } => {
                 bucket_base.ld(lanes_from_fn(|l| b[l] as usize), mask)
             }
-            TileHist::Rows { hrow, ncolp } => {
-                hrow.ld(lanes_from_fn(|l| b[l] as usize * ncolp), mask)
+            TileHist::Rows { hrow, pitch, .. } => {
+                hrow.ld(lanes_from_fn(|l| b[l] as usize * pitch), mask)
             }
         }
     }
@@ -713,15 +737,16 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; chunks]);
     let chunk_mask = |chunk: usize| tail_mask(tile_start + chunk * WARP_SIZE, d.n);
 
-    // Phase 1: chunk histograms and in-chunk ranks; elements stay in
+    // Phase 1: count every chunk and rank its lanes; elements stay in
     // registers.
     for w in blk.warps() {
+        hist.open_warp(&w, mu);
         for c in 0..d.ipt {
             let chunk = w.warp_id * d.ipt + c;
             let lb = tile_start + chunk * WARP_SIZE;
             let mask = chunk_mask(chunk);
             if mask == 0 {
-                hist.store(chunk, mu, |_| [0; WARP_SIZE]);
+                hist.skip(chunk, mu);
                 continue;
             }
             let idx = chunk_lanes(d.offset, lb, d.n);
@@ -776,7 +801,7 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
                 continue;
             }
             let b = bucket_reg[chunk];
-            let base = hist.rank_base(chunk, b, mask);
+            let base = hist.rank_base(&w, chunk, b, mask);
             let slot = lanes_from_fn(|l| lay.slot((base[l] + rank_reg[chunk][l]) as usize));
             keys_s.st(slot, key_reg[chunk], mask);
             if let Some(bs) = &buckets_s {
@@ -866,7 +891,7 @@ mod tests {
         let m = 300;
         assert_eq!(
             KINDS[1].footprint_words(wpb, m, ipt, vw),
-            m * (chunks | 1) + m + padded_len(tile) * (2 + vw) + 1 + (wpb + 1)
+            m * (wpb | 1) + m + padded_len(tile) * (2 + vw) + 1 + (wpb + 1)
         );
         let m = 17;
         assert_eq!(
@@ -909,10 +934,121 @@ mod tests {
         assert_eq!(ipt(ballot, 8, 32, 0), Some(8));
         assert!((1..8).contains(&ipt(ballot, 16, 32, 4).unwrap()));
         assert_eq!(ipt(rows, 8, 64, 0), Some(8));
-        assert!((1..8).contains(&ipt(rows, 8, 256, 0).unwrap()));
+        // The per-warp histogram does not grow with the tile: m = 256
+        // key-value reaches the coarsening cap.
+        assert_eq!(ipt(rows, 8, 256, 4), Some(MAX_ITEMS_PER_THREAD));
+        assert!((1..8).contains(&ipt(rows, 8, 1024, 4).unwrap()));
         let cap = crate::fused_large_m::max_buckets(8, false) as usize;
         assert_eq!(ipt(rows, 8, cap, 0), Some(1));
         assert_eq!(ipt(rows, 8, cap + 1, 0), None, "past capacity nothing fits");
+    }
+
+    /// The Rows histogram is `m · (wpb | 1)` words at every coarsening, the
+    /// footprint of `ipt = 1` before it, so the capacity bound keeps its
+    /// values.
+    #[test]
+    fn max_buckets_keeps_its_values() {
+        use crate::fused_large_m::max_buckets;
+        for (wpb, key, kv) in [
+            (1, 6110, 6094),
+            (2, 3038, 3022),
+            (4, 2003, 1981),
+            (8, 1175, 1148),
+            (16, 623, 593),
+            (32, 298, 267),
+        ] {
+            assert_eq!(max_buckets(wpb, false), key, "wpb={wpb} key");
+            assert_eq!(max_buckets(wpb, true), kv, "wpb={wpb} kv");
+        }
+    }
+
+    /// Every word the Rows scan reads is written first: a histogram
+    /// allocated over poisoned shared words still scans to the host
+    /// ranks, for even and odd blocks (pad column or none), for warps
+    /// with no live chunk, and for one bucket whose running count crosses
+    /// every chunk of a warp.
+    #[test]
+    fn rows_histogram_writes_every_word_it_scans() {
+        const POISON: u32 = 0xDEAD_BEEF;
+        let m = 40usize;
+        for (nw, ipt, n, one_bucket) in [
+            (8usize, 3usize, 8 * 3 * 32, false),
+            (8, 3, 100, false),
+            (3, 4, 200, true),
+            (4, 2, 4 * 2 * 32, true),
+        ] {
+            let bucket_of = |i: usize| {
+                if one_bucket {
+                    7
+                } else {
+                    (i * 13 % 97 % m) as u32
+                }
+            };
+            let dev = Device::sequential(K40C);
+            let got = std::sync::Mutex::new(None);
+            dev.launch("rows", 1, nw, |blk| {
+                let hist = TileHist::alloc(blk, HistStrategy::Rows, m, nw * ipt);
+                let TileHist::Rows { hrow, .. } = &hist else {
+                    unreachable!()
+                };
+                for i in 0..hrow.len() {
+                    hrow.set(i, POISON);
+                }
+                let mut ranks = vec![0u32; nw * ipt * WARP_SIZE];
+                for w in blk.warps() {
+                    hist.open_warp(&w, m);
+                    for c in 0..ipt {
+                        let chunk = w.warp_id * ipt + c;
+                        let mask = tail_mask(chunk * WARP_SIZE, n);
+                        if mask == 0 {
+                            hist.skip(chunk, m);
+                            continue;
+                        }
+                        let b = lanes_from_fn(|l| bucket_of(chunk * WARP_SIZE + l));
+                        let r = hist.count(&w, chunk, b, m as u32, mask);
+                        ranks[chunk * WARP_SIZE..][..WARP_SIZE].copy_from_slice(&r);
+                    }
+                }
+                blk.sync();
+                let total = hist.scan(blk, m, nw * ipt);
+                let agg = hist.aggregate(&blk.warp(0), m, total);
+                let mut pos = vec![0u32; n];
+                for w in blk.warps() {
+                    for c in 0..ipt {
+                        let chunk = w.warp_id * ipt + c;
+                        let mask = tail_mask(chunk * WARP_SIZE, n);
+                        if mask == 0 {
+                            continue;
+                        }
+                        let b = lanes_from_fn(|l| bucket_of(chunk * WARP_SIZE + l));
+                        let base = hist.rank_base(&w, chunk, b, mask);
+                        for l in 0..(n - chunk * WARP_SIZE).min(WARP_SIZE) {
+                            pos[chunk * WARP_SIZE + l] = base[l] + ranks[chunk * WARP_SIZE + l];
+                        }
+                    }
+                }
+                *got.lock().unwrap() = Some((total, agg, pos));
+            });
+            let (total, agg, pos) = got.into_inner().unwrap().unwrap();
+            let case = format!("nw={nw} ipt={ipt} n={n} one_bucket={one_bucket}");
+            let mut hist = vec![0u32; m];
+            (0..n).for_each(|i| hist[bucket_of(i) as usize] += 1);
+            assert_eq!(total as usize, n, "{case}");
+            assert_eq!(agg, hist, "{case}");
+            // The stable counting-sort position of every element.
+            let mut start: Vec<u32> = hist
+                .iter()
+                .scan(0, |run, &h| {
+                    *run += h;
+                    Some(*run - h)
+                })
+                .collect();
+            for (i, &p) in pos.iter().enumerate() {
+                let b = bucket_of(i) as usize;
+                assert_eq!(p, start[b], "{case}: element {i}");
+                start[b] += 1;
+            }
+        }
     }
 
     /// The standalone paths over the sweep, with the bucket counts each
@@ -1010,20 +1146,62 @@ mod tests {
     fn parallel_and_sequential_agree_bit_and_stats() {
         let n = 60_000;
         let data = keys_for(n, 11);
-        for (method, m) in [
-            (Method::Fused, 32),
-            (Method::FusedLargeM, 100),
-            (Method::Onesweep, 32),
+        let vals: Vec<u32> = (0..n as u32).collect();
+        for (method, m, kv) in [
+            (Method::Fused, 32, false),
+            (Method::FusedLargeM, 100, false),
+            (Method::FusedLargeM, 256, true),
+            (Method::Onesweep, 32, false),
         ] {
             let bucket = RangeBuckets::new(m);
             let mut runs = Vec::new();
             for dev in [Device::new(K40C), Device::sequential(K40C)] {
                 let keys = GlobalBuffer::from_slice(&data);
-                let r = multisplit_device(&dev, method, &keys, no_values(), n, &bucket, 8);
+                let values = GlobalBuffer::from_slice(&vals);
+                let values = kv.then_some(&values);
+                let r = multisplit_device(&dev, method, &keys, values, n, &bucket, 8);
                 let stats: Vec<_> = dev.records().iter().map(|rec| rec.stats).collect();
-                runs.push((r.keys.to_vec(), r.offsets, stats));
+                runs.push((
+                    r.keys.to_vec(),
+                    r.values.map(|v| v.to_vec()),
+                    r.offsets,
+                    stats,
+                ));
             }
-            assert_eq!(runs[0], runs[1], "{method:?}: schedule-independent");
+            assert_eq!(runs[0], runs[1], "{method:?} m={m}: schedule-independent");
+        }
+    }
+
+    /// The m = 256 key-value sweep at 8 warps: tiles of 2,048 keys and 7
+    /// barriers per block (ticket, histogram, the scan's three, look-back,
+    /// reorder), whatever the bucket count.
+    #[test]
+    fn rows_sweep_has_constant_barriers() {
+        let n = 3 * 2048 + 5;
+        let data = keys_for(n, 256);
+        let vals: Vec<u32> = (0..n as u32).collect();
+        for m in [64u32, 256, 1000] {
+            let dev = Device::sequential(K40C);
+            let keys = GlobalBuffer::from_slice(&data);
+            let values = GlobalBuffer::from_slice(&vals);
+            let bucket = RangeBuckets::new(m);
+            multisplit_device(
+                &dev,
+                Method::FusedLargeM,
+                &keys,
+                Some(&values),
+                n,
+                &bucket,
+                8,
+            );
+            let sweep = dev
+                .records()
+                .into_iter()
+                .find(|r| r.label.ends_with("sweep"));
+            let sweep = sweep.expect("a sweep launch");
+            let ipt = KINDS[1].items_per_thread(8, m as usize, 4, 0).unwrap();
+            assert_eq!(sweep.blocks, n.div_ceil(8 * WARP_SIZE * ipt), "m={m}");
+            assert_eq!(sweep.stats.barriers, 7 * sweep.blocks as u64, "m={m}");
         }
     }
 }

@@ -78,11 +78,25 @@ pub fn warp_histogram(w: &WarpCtx, bucket_id: Lanes<u32>, m: u32, mask: u32) -> 
 /// element shares lane `i`'s bucket — 0 for the first element of each
 /// bucket within the warp, preserving input order (stability).
 pub fn warp_offsets(w: &WarpCtx, bucket_id: Lanes<u32>, m: u32, mask: u32) -> Lanes<u32> {
-    let mut offset_bmp = [mask; WARP_SIZE];
+    warp_offsets_and_peer_counts(w, bucket_id, m, mask).0
+}
+
+/// [`warp_offsets`] plus each active lane's peer count. After the ballot
+/// rounds a lane's bitmap is its peer set: the active lanes whose element
+/// shares its bucket, itself included. Its popcount below the lane is the
+/// offset, its full popcount the bucket's count in the warp; a lane whose
+/// offset is its peer count minus one is its bucket's last peer.
+pub(crate) fn warp_offsets_and_peer_counts(
+    w: &WarpCtx,
+    bucket_id: Lanes<u32>,
+    m: u32,
+    mask: u32,
+) -> (Lanes<u32>, Lanes<u32>) {
+    let mut peer_bmp = [mask; WARP_SIZE];
     let mut b = bucket_id;
     for _ in 0..ballot_rounds(m) {
         let ballot = w.ballot(lanes_from_fn(|l| b[l] & 1 == 1), mask);
-        for (lane, bmp) in offset_bmp.iter_mut().enumerate() {
+        for (lane, bmp) in peer_bmp.iter_mut().enumerate() {
             if b[lane] & 1 == 1 {
                 *bmp &= ballot;
             } else {
@@ -92,7 +106,10 @@ pub fn warp_offsets(w: &WarpCtx, bucket_id: Lanes<u32>, m: u32, mask: u32) -> La
         b = lanes_from_fn(|l| b[l] >> 1);
         w.charge(2 * WARP_SIZE as u64);
     }
-    lanes_from_fn(|lane| popc(offset_bmp[lane] & lane_mask_lt(lane)))
+    (
+        lanes_from_fn(|lane| popc(peer_bmp[lane] & lane_mask_lt(lane))),
+        lanes_from_fn(|lane| popc(peer_bmp[lane])),
+    )
 }
 
 /// Fused Algorithms 2 + 3 for `m <= 32`: one ballot per round feeds both
@@ -372,6 +389,32 @@ mod tests {
         let b = lanes_from_fn(|l| (l as u32 * 131) % m);
         let (o, _) = with_warp(|w| warp_offsets(w, b, m, FULL_MASK));
         assert_eq!(&o[..], &ref_offsets(&b, FULL_MASK)[..]);
+    }
+
+    #[test]
+    fn peer_counts_match_a_host_histogram() {
+        for m in [1u32, 2, 33, 64, 256, 1000] {
+            for mask in [FULL_MASK, 0x0000_FFFF, 0xAAAA_AAAA, 0x8000_0001, 1] {
+                let b = pseudo_buckets(4, m);
+                let ((o, peers), stats) =
+                    with_warp(|w| warp_offsets_and_peer_counts(w, b, m, mask));
+                let (o1, alone) = with_warp(|w| warp_offsets(w, b, m, mask));
+                assert_eq!(stats, alone, "m={m}: the ballots of Algorithm 3 alone");
+                let mut h = vec![0u32; m as usize];
+                for lane in 0..32 {
+                    if mask >> lane & 1 == 1 {
+                        h[b[lane] as usize] += 1;
+                    }
+                }
+                for lane in 0..32 {
+                    if mask >> lane & 1 == 1 {
+                        let case = format!("m={m} mask={mask:08x} lane={lane}");
+                        assert_eq!(peers[lane], h[b[lane] as usize], "{case}");
+                        assert_eq!(o[lane], o1[lane], "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -136,65 +136,69 @@ pub fn multi_exclusive_scan_across_cols(
     blk.sync();
 }
 
-/// Block-wide exclusive prefix sum over `data[0..len]` in shared memory.
+/// Block-wide exclusive prefix sum over `data[0..len]` in shared memory,
+/// as a raking scan. Returns the total.
 ///
-/// Used by the `m > 32` multisplit path, which scans a row-vectorized
-/// `m x N_W` histogram that no single warp can hold (paper §6.4, using a
-/// block-wide scan "as CUB does"). Returns the total. Handles any `len`
-/// by looping block-sized tiles with a carry.
+/// Used by the `m > 32` multisplit paths, which scan a row-vectorized
+/// `m × N_W` histogram that no single warp can hold (paper §6.4, using a
+/// block-wide scan "as CUB does"). Warp `w` owns a contiguous slice of
+/// whole 32-word chunks and:
+///
+/// 1. scans its slice chunk by chunk in place, carrying a running sum, and
+///    posts the slice total;
+/// 2. warp 0 scans the slice totals;
+/// 3. every warp but warp 0 adds its slice offset.
+///
+/// That is 3 barriers whatever `len`, the last one making the result
+/// visible to every warp on return.
 pub fn block_exclusive_scan_shared(blk: &BlockCtx, data: &SharedBuf<u32>, len: usize) -> u32 {
     let nw = blk.warps_per_block;
-    let threads = blk.threads();
+    let slice_words = len.div_ceil(WARP_SIZE).div_ceil(nw) * WARP_SIZE;
+    let chunks = |warp: usize| {
+        ((warp * slice_words).min(len)..((warp + 1) * slice_words).min(len)).step_by(WARP_SIZE)
+    };
+    let chunk_lanes = |base: usize| lanes_from_fn(|l| if base + l < len { base + l } else { base });
     let warp_sums = blk.alloc_shared::<u32>(nw + 1);
-    let mut carry = 0u32;
-    let mut tile = 0usize;
-    while tile < len {
-        // Phase A: each warp scans its 32-element chunk of the tile.
-        for w in blk.warps() {
-            let base = tile + w.warp_id * WARP_SIZE;
+    // Phase A: each warp scans its slice with a running carry.
+    for w in blk.warps() {
+        let mut carry = 0u32;
+        for base in chunks(w.warp_id) {
             let mask = tail_mask(base, len);
-            if mask != 0 {
-                let idx = lanes_from_fn(|l| if base + l < len { base + l } else { base });
-                let v = data.ld(idx, mask);
-                let inc = warp_scan::inclusive_scan_add(&w, v);
-                let exc = lanes_from_fn(|l| inc[l] - v[l]);
-                data.st(idx, exc, mask);
-                let active = mask.count_ones() as usize;
-                warp_sums.set(w.warp_id, inc[active - 1]);
-            } else {
-                warp_sums.set(w.warp_id, 0);
-            }
+            let idx = chunk_lanes(base);
+            let v = data.ld(idx, mask);
+            let inc = warp_scan::inclusive_scan_add(&w, v);
+            data.st(idx, lanes_from_fn(|l| carry + inc[l] - v[l]), mask);
+            // Inactive lanes loaded zero, so the last lane holds the sum.
+            carry += inc[WARP_SIZE - 1];
         }
-        blk.sync();
-        // Phase B: warp 0 scans the warp totals.
-        {
-            let w = blk.warp(0);
-            let mask = low_lanes_mask(nw);
-            let idx = lanes_from_fn(|l| if l < nw { l } else { 0 });
-            let v = warp_sums.ld(idx, mask);
-            let inc = warp_scan::inclusive_scan_add_low(&w, v, nw);
-            let exc = lanes_from_fn(|l| if l < nw { inc[l] - v[l] } else { 0 });
-            warp_sums.st(idx, exc, mask);
-            warp_sums.set(nw, inc[nw - 1]); // tile total
-        }
-        blk.sync();
-        // Phase C: add warp offset + running carry.
-        for w in blk.warps() {
-            let base = tile + w.warp_id * WARP_SIZE;
-            let mask = tail_mask(base, len);
-            if mask != 0 {
-                let off = warp_sums.get(w.warp_id) + carry;
-                let idx = lanes_from_fn(|l| if base + l < len { base + l } else { base });
-                let v = data.ld(idx, mask);
-                data.st(idx, lanes_from_fn(|l| v[l] + off), mask);
-                w.charge(mask.count_ones() as u64);
-            }
-        }
-        blk.sync();
-        carry += warp_sums.get(nw);
-        tile += threads;
+        warp_sums.set(w.warp_id, carry);
     }
-    carry
+    blk.sync();
+    // Phase B: warp 0 scans the slice totals.
+    {
+        let w = blk.warp(0);
+        let mask = low_lanes_mask(nw);
+        let idx = lanes_from_fn(|l| if l < nw { l } else { 0 });
+        let v = warp_sums.ld(idx, mask);
+        let inc = warp_scan::inclusive_scan_add_low(&w, v, nw);
+        let exc = lanes_from_fn(|l| if l < nw { inc[l] - v[l] } else { 0 });
+        warp_sums.st(idx, exc, mask);
+        warp_sums.set(nw, inc[nw - 1]);
+    }
+    blk.sync();
+    // Phase C: every later slice adds its offset.
+    for w in blk.warps().skip(1) {
+        let off = warp_sums.get(w.warp_id);
+        for base in chunks(w.warp_id) {
+            let mask = tail_mask(base, len);
+            let idx = chunk_lanes(base);
+            let v = data.ld(idx, mask);
+            data.st(idx, lanes_from_fn(|l| v[l] + off), mask);
+            w.charge(mask.count_ones() as u64);
+        }
+    }
+    blk.sync();
+    warp_sums.get(nw)
 }
 
 #[cfg(test)]
@@ -302,32 +306,27 @@ mod tests {
 
     #[test]
     fn block_scan_matches_reference_across_lengths() {
-        for (nw, len) in [
-            (1, 1),
-            (2, 31),
-            (4, 32),
-            (8, 255),
-            (8, 256),
-            (8, 257),
-            (4, 1000),
-            (8, 4096),
-        ] {
-            let vals: Vec<u32> = (0..len).map(|i| (i as u32).wrapping_mul(37) % 11).collect();
-            let vals2 = vals.clone();
-            let (scanned, total) = run_in_block(nw, move |blk| {
-                let data = blk.alloc_shared::<u32>(len);
-                for (i, v) in vals2.iter().enumerate() {
-                    data.set(i, *v);
+        for nw in [1, 3, 8] {
+            for len in [1, 33, 255, 2304, 8448, 8449] {
+                let vals: Vec<u32> = (0..len).map(|i| (i as u32).wrapping_mul(37) % 11).collect();
+                let vals2 = vals.clone();
+                let (scanned, total, barriers) = run_in_block(nw, move |blk| {
+                    let data = blk.alloc_shared::<u32>(len);
+                    for (i, v) in vals2.iter().enumerate() {
+                        data.set(i, *v);
+                    }
+                    let before = blk.stats().barriers.get();
+                    let total = block_exclusive_scan_shared(blk, &data, len);
+                    (data.snapshot(), total, blk.stats().barriers.get() - before)
+                });
+                assert_eq!(barriers, 3, "nw={nw} len={len}: three barriers per call");
+                let mut run = 0u32;
+                for i in 0..len {
+                    assert_eq!(scanned[i], run, "nw={nw} len={len} idx={i}");
+                    run += vals[i];
                 }
-                let total = block_exclusive_scan_shared(blk, &data, len);
-                (data.snapshot(), total)
-            });
-            let mut run = 0u32;
-            for i in 0..len {
-                assert_eq!(scanned[i], run, "nw={nw} len={len} idx={i}");
-                run += vals[i];
+                assert_eq!(total, run, "nw={nw} len={len} total");
             }
-            assert_eq!(total, run, "nw={nw} len={len} total");
         }
     }
 }

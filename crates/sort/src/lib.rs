@@ -5,8 +5,8 @@
 //! digits ([`DigitBuckets`]): one up-front pre-scan launch histograms
 //! every digit, and each digit pass is then a single direct sweep
 //! ([`multisplit::multisplit_sweep_into`], ballot histograms up to 5-bit
-//! digits, register rows beyond) whose bucket bases come from that one
-//! histogram. Stability of each pass makes the whole sort correct.
+//! digits, per-warp `m × N_W` rows beyond) whose bucket bases come from
+//! that one histogram. Stability of each pass makes the whole sort correct.
 //!
 //! Four design points carry the cost:
 //!
@@ -33,8 +33,7 @@
 //! * **Tunable digit width** — `m = 2^b` buckets per pass.
 //!   [`DEFAULT_DIGIT_BITS`] holds the counted-sector sweet spot measured
 //!   by `paper sorttune` (wider digits mean fewer passes until the
-//!   look-back records and shrinking tiles of the large-`m` sweep eat the
-//!   gain); [`max_digit_bits`] bounds `b` by the fused sweep's
+//!   look-back records of the large-`m` sweep eat the gain); [`max_digit_bits`] bounds `b` by the fused sweep's
 //!   shared-memory capacity for the payload width actually in flight.
 //!
 //! On top of the engine sits the **reduced-bit key–value sort** (§3.4):
@@ -64,10 +63,9 @@ use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WARP_
 /// not choose one: the counted-sector sweet spot of the `paper sorttune`
 /// sweep at `n = 2^20`. Seven bits means five passes over full 32-bit
 /// keys: four large-m sweeps over 128 buckets and one over 16. The
-/// classic radix choice of 8 loses here — doubling `m` to 256 shrinks
-/// the tiles the `m × ncols` shared histogram allows and grows the
+/// classic radix choice of 8 loses here — doubling `m` to 256 grows the
 /// per-tile look-back records faster than dropping the fifth sweep
-/// saves, costing ~46% more counted sectors than b = 7.
+/// saves, costing ~7% more counted sectors than b = 7.
 pub const DEFAULT_DIGIT_BITS: u32 = 7;
 
 /// Thread-coarsening of the small ms-sort utility kernels (bit-range
