@@ -1256,8 +1256,9 @@ fn largem_compare(opts: &Opts) {
          n = 2^{}, m in {{64, 128, 256}}, uniform keys; total counted DRAM\n\
          sectors per stage and estimated ms. `confl` = shared-memory bank\n\
          conflicts over the whole run (the fused sweep's reorder staging is\n\
-         padded, so its conflicts come only from same-bucket histogram\n\
-         atomics, never from the staging permutation).\n\n",
+         padded, so a stride-32 permutation costs none; what remains comes\n\
+         from buckets whose histogram counts share a bank and from reorder\n\
+         stores at data-dependent offsets).\n\n",
         n.ilog2()
     );
     let mut t = Table::new(&[

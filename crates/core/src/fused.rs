@@ -6,8 +6,9 @@
 //! round-trips the `m × L` histogram matrix through global memory. This
 //! module collapses the per-tile portion of all three stages into one
 //! *sweep* kernel: each block takes a tile ticket from a device atomic,
-//! reads its tile of keys once into registers, computes warp→block
-//! histograms (Algorithm 2 + the §5.1 multi-scan, unchanged), resolves
+//! reads its tile of keys once into registers, builds the block's
+//! per-warp `m × N_W` histogram (§5.2's Block-level layout, running
+//! counts fed by Algorithm 3) and scans it block-wide, resolves
 //! its **m-vector** exclusive tile prefix with the decoupled look-back of
 //! [`primitives::lookback`] (one `(aggregate | inclusive-prefix)` flag
 //! word per bucket per tile, L2-modeled), block-reorders in shared
@@ -36,16 +37,16 @@
 //! sectors saved — measured ≈ one-third fewer counted sectors than the
 //! three-kernel block-level MS (see `paper fused` / EXPERIMENTS.md).
 //!
-//! Tiles are coarsened (up to [`MAX_ITEMS_PER_THREAD`] chunks of 32 per
-//! warp, as much as shared memory allows) so flag-word traffic amortizes
-//! and same-bucket runs in the block reorder approach sector length even
-//! at m = 32.
+//! Tiles are coarsened as far as shared memory allows (the per-warp
+//! histogram does not grow with the tile, so staging takes the rest of
+//! the budget; key-only tiles at 8 warps reach [`MAX_ITEMS_PER_THREAD`])
+//! so flag-word traffic and the histogram scan amortize and same-bucket
+//! runs in the block reorder approach sector length even at m = 32.
 //!
-//! The sweep is the shared tile sweep of [`crate::sweep`] with the
-//! ballot histogram strategy, run as its one-segment case (descriptor
-//! passed by value). `fused_large_m.rs` is the same pipeline with
-//! the per-warp `m × N_W` histogram strategy and a pre-scan that counts
-//! with shared atomics.
+//! The sweep is the shared tile sweep of [`crate::sweep`], the same
+//! kernel for every `m`, run as its one-segment case (descriptor passed
+//! by value). `fused_large_m.rs` is the same pipeline beyond 32 buckets,
+//! where the pre-scan counts with shared atomics instead of ballots.
 //!
 //! Output buffers are always allocated with the simulator's write-race
 //! detector enabled ([`simt::GlobalBuffer::tracked`]): a double-write to
@@ -56,8 +57,8 @@ use simt::{Device, GlobalBuffer, Scalar};
 
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit};
-use crate::prescan::bucket_totals;
-use crate::sweep::{HistStrategy, Out, Scatter, SweepKind, SweepPlan, SweepSeg};
+use crate::prescan::{bucket_totals, HistStrategy};
+use crate::sweep::{Out, SweepKind, SweepPlan, SweepSeg};
 
 pub use crate::sweep::MAX_ITEMS_PER_THREAD;
 
@@ -82,12 +83,12 @@ fn check_into_buffers<V: Scalar>(
 }
 
 /// The standalone `[pre-scan, sweep]` launch labels, which name the
-/// histogram strategy (`fused/…` for ballot, `fused_large_m/…` for the
-/// per-warp `m × N_W` rows).
+/// pre-scan's counting (`fused/…` for ballots, `fused_large_m/…` for
+/// shared atomics).
 fn labels(m: u32) -> [&'static str; 2] {
     match HistStrategy::for_buckets(m) {
         HistStrategy::Ballot => ["fused/pre-scan", "fused/sweep"],
-        HistStrategy::Rows => ["fused_large_m/pre-scan", "fused_large_m/sweep"],
+        HistStrategy::Atomic => ["fused_large_m/pre-scan", "fused_large_m/sweep"],
     }
 }
 
@@ -151,7 +152,7 @@ pub fn multisplit_sweep_into<B: BucketFn + ?Sized, V: Scalar>(
         return vec![0; m + 1];
     }
     let value_bytes = if values.is_some() { V::BYTES } else { 0 };
-    let ipt = SweepKind::for_buckets(m as u32, Scatter::Direct)
+    let ipt = SweepKind::DIRECT
         .items_per_thread(wpb, m, value_bytes, 0)
         .unwrap_or_else(|| panic!("m = {m} overflows shared memory at {wpb} warps/block"));
     let seg = SweepSeg {

@@ -10,13 +10,14 @@
 //! `fused_large_m/pre-scan` is the one pre-scan kernel of
 //! [`crate::prescan`], counting 8,192-key tiles (at 8 warps) with one
 //! shared-memory atomic per key into block-private counters.
-//! `fused_large_m/sweep` is the shared tile sweep of [`crate::sweep`] with
-//! the row-vectorized histogram strategy ([`HistStrategy::Rows`]): the
-//! paper's `m × N_W` shared histogram, one running-count column per warp
-//! fed by Algorithm 3's peer counts, scanned block-wide by one raking scan
-//! (§6.4, "as CUB does"), and multi-row look-back (records wider than a
-//! warp span `⌈m/32⌉` warp-sized row groups). The histogram does not grow
-//! with the tile, so the coarsening reaches its cap well past `m = 256`.
+//! `fused_large_m/sweep` is the shared tile sweep of [`crate::sweep`], the
+//! same kernel as for `m ≤ 32`: the paper's row-vectorized `m × N_W`
+//! shared histogram, one running-count column per warp fed by Algorithm
+//! 3's peer counts, scanned block-wide by one raking scan (§6.4, "as CUB
+//! does"), and multi-row look-back (records wider than a warp span
+//! `⌈m/32⌉` warp-sized row groups). The histogram does not grow with the
+//! tile, so the coarsening is bound by staging, not by `m`, until `m`
+//! nears capacity.
 //!
 //! ### Bank-conflict-free staging
 //!
@@ -44,13 +45,10 @@ use simt::{Device, GlobalBuffer, Scalar};
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit, SMEM_BUDGET_WORDS};
 use crate::fused::fused_into;
-use crate::sweep::{HistStrategy, Scatter, SweepKind};
+use crate::sweep::SweepKind;
 
-/// The direct per-warp-rows sweep whose footprint bounds the bucket count.
-const KIND: SweepKind = SweepKind {
-    hist: HistStrategy::Rows,
-    scatter: Scatter::Direct,
-};
+/// The direct sweep whose footprint bounds the bucket count.
+const KIND: SweepKind = SweepKind::DIRECT;
 
 /// Largest supported bucket count: the sweep at minimum coarsening
 /// (`items_per_thread = 1`) must fit shared memory. Tight: `m ==
@@ -207,17 +205,18 @@ mod tests {
 
     #[test]
     fn padded_staging_eliminates_reorder_conflicts() {
-        // bucket = key % 64 on consecutive keys gives every bucket exactly
-        // 32 elements per tile, so the reorder scatter is a pure stride-32
-        // store — 32-way serialized on an unpadded layout, the worst case
-        // padding exists for. With padding (and the odd histogram pitch),
-        // every shared access in both kernels is structured: zero bank
-        // conflicts end to end.
+        // bucket = key % m on consecutive keys with m = tile / 32 gives
+        // every bucket exactly 32 elements per tile, so the reorder
+        // scatter is a pure stride-32 store — 32-way serialized on an
+        // unpadded layout, the worst case padding exists for. With padding
+        // (and the odd histogram pitch), every shared access in both
+        // kernels is structured: zero bank conflicts end to end.
         let wpb = 8;
-        let m = 64u32;
+        let m = 128u32;
         let ipt = KIND.items_per_thread(wpb, m as usize, 0, 0).unwrap();
-        assert_eq!(ipt, 8);
+        assert_eq!(ipt, 16);
         let tile = wpb * WARP_SIZE * ipt;
+        assert_eq!(tile / WARP_SIZE, m as usize);
         let n = 2 * tile;
         let data: Vec<u32> = (0..n as u32).collect();
         let bucket = FnBuckets::new(m, move |k| k % m);

@@ -146,8 +146,20 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
         let mut offs_reg = vec![[0u32; WARP_SIZE]; nw];
         let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nw]);
 
-        // Phase 1: histograms + offsets; elements stay in registers.
+        // Phase 1: histograms + offsets; elements stay in registers. Warp
+        // 0 also zeroes the odd-pitch pad column of an even block, which
+        // the scan reads (shared memory is not zeroed on a GPU).
         for w in blk.warps() {
+            if w.warp_id == 0 && nwp > nw {
+                for g0 in (0..mu).step_by(WARP_SIZE) {
+                    let cnt = (mu - g0).min(WARP_SIZE);
+                    hrow.st(
+                        lanes_from_fn(|lane| (g0 + lane.min(cnt - 1)) * nwp + nw),
+                        [0; WARP_SIZE],
+                        low_lanes_mask(cnt),
+                    );
+                }
+            }
             let base = tile + w.warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);
             let chunks = if mask == 0 {
@@ -178,7 +190,7 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
         blk.sync();
 
         // Phase 2: one block-wide exclusive scan of all m*N_W counters
-        // (the zero pad cells are scan-neutral).
+        // (the zeroed pad cells are scan-neutral).
         block_exclusive_scan_shared(blk, &hrow, mu * nwp);
 
         // Phase 3: block-wide reorder. hrow[b*nw + w] is the block-local

@@ -14,8 +14,10 @@
 //! resolved, so the scatter is *deferred*:
 //!
 //! 1. `onesweep/sweep` (ticketed) — the shared tile sweep of
-//!    [`crate::sweep`] with the [`Scatter::Deferred`] flag: read the
-//!    tile's keys **once**, histogram, publish + resolve the m-row
+//!    [`crate::sweep`] with the
+//!    [`Scatter::Deferred`](crate::sweep::Scatter::Deferred) flag: read
+//!    the tile's keys **once**, build the per-warp `m × N_W` histogram every
+//!    sweep builds and scan it block-wide, publish + resolve the m-row
 //!    look-back record, block-reorder into bank-padded shared staging,
 //!    and write the bucket-dense tile to a global `staged` scratch at
 //!    `[t*tile ..]` (coalesced).
@@ -54,7 +56,7 @@ use primitives::{low_lanes_mask, tail_mask, warp_scan};
 
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, eval_buckets, DeviceMultisplit};
-use crate::sweep::{Out, Scatter, SweepKind, SweepPlan, SweepSeg};
+use crate::sweep::{Out, SweepKind, SweepPlan, SweepSeg};
 
 /// Single-key-pass multisplit over `m <= 32` buckets via chained tile
 /// histograms and a deferred scatter.
@@ -81,7 +83,7 @@ pub fn multisplit_onesweep<B: BucketFn + ?Sized, V: Scalar>(
     }
     let mu = m as usize;
     let value_bytes = if values.is_some() { V::BYTES } else { 0 };
-    let ipt = SweepKind::for_buckets(m, Scatter::Deferred)
+    let ipt = SweepKind::DEFERRED
         .items_per_thread(wpb, mu, value_bytes, 0)
         .unwrap_or_else(|| panic!("onesweep overflows shared memory at {wpb} warps/block"));
     let tile = wpb * WARP_SIZE * ipt;

@@ -4,12 +4,12 @@
 //!
 //! Each block zeroes block-private shared counters (one `m`-word window
 //! per target bucket function), counts its tile into them, and after a
-//! barrier adds only its non-zero counters into the global totals. A
-//! target with `m ≤ 32` buckets ([`HistStrategy::Ballot`]) accumulates
-//! Algorithm 2 ballot histograms in registers and adds them into its
-//! window once per warp, at the same cost on any key distribution; a
-//! wider one does one shared-memory atomic per key, which serializes on
-//! skewed keys. Tiles are [`PRESCAN_ITEMS_PER_THREAD`] chunks of 32 keys
+//! barrier adds only its non-zero counters into the global totals.
+//! [`HistStrategy`] picks how a target counts: with `m ≤ 32` buckets it
+//! accumulates Algorithm 2 ballot histograms in registers and adds them
+//! into its window once per warp, at the same cost on any key
+//! distribution; a wider one does one shared-memory atomic per key, which
+//! serializes on skewed keys. Tiles are [`PRESCAN_ITEMS_PER_THREAD`] chunks of 32 keys
 //! per warp (8,192 keys at 8 warps), whatever the sweep's coarsening.
 //! The atomics commute, so totals and billing are schedule-independent.
 
@@ -19,11 +19,33 @@ use primitives::{low_lanes_mask, tail_mask};
 
 use crate::bucket::BucketFn;
 use crate::common::{eval_buckets, SMEM_BUDGET_WORDS};
-use crate::sweep::{chunk_lanes, desc_table, read_desc, HistStrategy, TileDesc};
+use crate::sweep::{chunk_lanes, desc_table, read_desc, TileDesc};
 use crate::warp_ops::warp_histogram;
 
 /// Chunks of 32 keys per warp in a pre-scan tile.
 pub const PRESCAN_ITEMS_PER_THREAD: usize = 32;
+
+/// How the pre-scan counts one target's buckets into its shared window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistStrategy {
+    /// `m ≤ 32`: ballot-bitmap warp histograms (Algorithm 2), accumulated
+    /// in registers and added into the shared counters once per warp, at
+    /// a cost independent of the key distribution.
+    Ballot,
+    /// `m > 32`: one shared-memory atomic per key.
+    Atomic,
+}
+
+impl HistStrategy {
+    /// Ballot bitmaps up to the warp width, shared atomics beyond it.
+    pub fn for_buckets(m: u32) -> Self {
+        if m as usize <= WARP_SIZE {
+            Self::Ballot
+        } else {
+            Self::Atomic
+        }
+    }
+}
 
 /// Keys `[offset, offset + n)` and the bucket functions that count them,
 /// one counter window each.

@@ -13,9 +13,9 @@
 //!
 //! Every segment is classified by [`Method::auto_for`]'s segmented-aware
 //! face ([`Method::auto_for_segmented`]): segments `auto_for` sends to a
-//! fused path join the coalesced launch, with the ballot histogram
-//! strategy for `m ≤ 32` and per-warp `m × N_W` rows for `32 < m ≤
-//! capacity`;
+//! fused path join the coalesced launch, every `m ≤ capacity` with the
+//! same per-warp `m × N_W` histogram (the pre-scan counts `m ≤ 32`
+//! segments with ballots and wider ones with shared atomics);
 //! anything else (past fused capacity, or a pinned three-kernel pipeline)
 //! falls back to its own standalone launches under a `segmented/fallback`
 //! scope. The coalesced work is the shared tile sweep of
@@ -61,7 +61,8 @@ use simt::{Device, GlobalBuffer, Scalar};
 
 use crate::api::{multisplit_device, Method};
 use crate::bucket::BucketFn;
-use crate::sweep::{HistStrategy, Scatter, SweepKind, SweepPlan, SweepSeg, DESC_WORDS};
+use crate::prescan::HistStrategy;
+use crate::sweep::{SweepKind, SweepPlan, SweepSeg, DESC_WORDS};
 
 /// One independent multisplit problem inside a segmented batch: a
 /// sub-range `[offset, offset + n)` of the flat key (and value) buffer,
@@ -88,12 +89,7 @@ pub struct SegmentedMultisplit<V: Scalar = u32> {
 /// largest that fits shared memory next to the tile descriptor, or `None`
 /// when even one item per thread overflows.
 fn coalesced_ipt(m: u32, value_bytes: u64, wpb: usize) -> Option<usize> {
-    SweepKind::for_buckets(m, Scatter::Direct).items_per_thread(
-        wpb,
-        m as usize,
-        value_bytes,
-        DESC_WORDS,
-    )
+    SweepKind::DIRECT.items_per_thread(wpb, m as usize, value_bytes, DESC_WORDS)
 }
 
 /// Whether an `m`-bucket segment can run inside the segmented sweep at

@@ -14,14 +14,17 @@
 //! the Onesweep flag; its look-back records carry the histogram, so it
 //! runs no pre-scan).
 //!
-//! What changes with `m` is only the **histogram strategy**
-//! ([`HistStrategy`]): ballot bitmaps with one `m`-lane column per
-//! 32-element chunk up to the warp width; beyond it the paper's
-//! row-vectorized `m × N_W` histogram, one running-count column per warp
-//! fed by Algorithm 3's peer counts and scanned block-wide. The sweep
-//! asks a histogram five questions — count a chunk, scan the chunks, the
-//! tile aggregate, an element's rank base, a bucket's tile start — and
-//! `TileHist` answers them per strategy.
+//! Every `m` builds the same histogram: the paper's per-warp `m × N_W`
+//! layout (§5.2 for `m ≤ 32`, §5.3/§6.4 beyond), one running-count
+//! column per warp at odd pitch `N_W | 1`. Per chunk a warp runs
+//! Algorithm 3 once, loads its column at its lanes' buckets, ranks each
+//! lane as that count plus its offset among its peers, and the last peer
+//! of each bucket stores the count plus the bucket's peer count back. One
+//! block-wide raking scan of the whole histogram then yields every rank
+//! base ("as CUB does"). The histogram does not grow with the tile, so
+//! staging takes the rest of shared memory. What varies is only the
+//! scatter ([`Scatter`]) and how the pre-scan counts
+//! ([`crate::prescan::HistStrategy`]).
 //!
 //! A standalone run is the one-segment case (`SweepPlan::one`). Its
 //! descriptor reaches every block by value, so it costs no table sector
@@ -39,18 +42,16 @@ use simt::{
     Scalar, SharedBuf, WarpCtx, WARP_SIZE,
 };
 
-use primitives::{
-    block_exclusive_scan_shared, low_lanes_mask, multi_exclusive_scan_across_cols, tail_mask,
-    warp_scan, SegmentedTileStates,
-};
+use primitives::{block_exclusive_scan_shared, low_lanes_mask, tail_mask, SegmentedTileStates};
 
 use crate::bucket::BucketFn;
 use crate::common::{eval_buckets, staging_words_per_element, SMEM_BUDGET_WORDS};
 use crate::prescan::{prescan, CountSeg};
-use crate::warp_ops::{warp_histogram_and_offsets, warp_offsets_and_peer_counts};
+use crate::warp_ops::warp_offsets_and_peer_counts;
 
-/// Most chunks of 32 elements a warp processes per tile.
-pub const MAX_ITEMS_PER_THREAD: usize = 8;
+/// Most chunks of 32 elements a warp processes per tile. Shared memory
+/// binds first for every bucket count and payload at 8 warps per block.
+pub const MAX_ITEMS_PER_THREAD: usize = 16;
 
 /// Words per tile descriptor in a segmented launch's table: `[segment,
 /// offset, n, m, items_per_thread, local_tile, hist_base, 0]` (the
@@ -58,40 +59,6 @@ pub const MAX_ITEMS_PER_THREAD: usize = 8;
 /// exactly one 32-byte sector, so the per-tile decode costs one aligned
 /// read.
 pub const DESC_WORDS: usize = 8;
-
-/// How a tile's bucket histogram is built and scanned, and how the
-/// pre-scan counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistStrategy {
-    /// `m ≤ 32`: ballot-bitmap warp histograms (Algorithm 2), one `m`-lane
-    /// column per chunk at odd pitch, multi-scanned across the columns
-    /// (§5.1); the tile histogram falls out of the same shuffles. The
-    /// pre-scan accumulates ballot histograms in registers and adds them
-    /// into its shared counters once per warp, at a cost independent of
-    /// the key distribution.
-    Ballot,
-    /// `m > 32`: the paper's row-vectorized `m × N_W` shared histogram
-    /// (§5.3, §6.4), one column per warp at odd pitch `N_W | 1`. Each warp
-    /// keeps running per-bucket counts in its column: per chunk it loads
-    /// the counts at its lanes' buckets, ranks each lane as that count
-    /// plus its Algorithm 3 offset, and the last peer of each bucket
-    /// stores the count plus the bucket's peer count back. One block-wide
-    /// raking scan of the whole histogram then yields every rank base
-    /// (§6.4, "as CUB does"). The pre-scan bumps one shared counter per
-    /// key with a shared-memory atomic.
-    Rows,
-}
-
-impl HistStrategy {
-    /// Ballot bitmaps up to the warp width, per-warp rows beyond it.
-    pub fn for_buckets(m: u32) -> Self {
-        if m as usize <= WARP_SIZE {
-            Self::Ballot
-        } else {
-            Self::Rows
-        }
-    }
-}
 
 /// What the sweep does with a reordered tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,10 +73,9 @@ pub enum Scatter {
     Deferred,
 }
 
-/// One sweep kernel variant: its histogram strategy and scatter mode.
+/// One sweep kernel variant: its scatter mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepKind {
-    pub hist: HistStrategy,
     pub scatter: Scatter,
 }
 
@@ -118,21 +84,17 @@ pub struct SweepKind {
 /// budget searches and the allocations cannot drift apart.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
-    /// The histogram: `chunks × (m | 1)` (Ballot) or `m × (wpb | 1)`
-    /// (Rows).
+    /// The per-warp histogram, `m × (wpb | 1)`.
     hist: usize,
-    /// The `m`-word tables: Ballot's tile histogram and bucket starts,
-    /// plus the scatter bases of a direct scatter.
+    /// The scatter bases of a direct scatter (`m` words).
     tables: usize,
-    /// Staging slots for the reordered tile.
+    /// Staging slots for the reordered tile, addressed through
+    /// [`padded_index`].
     slots: usize,
-    /// Whether staging goes through [`padded_index`]. Only Ballot with a
-    /// direct scatter stages unpadded.
-    padded: bool,
     /// Words staged per element: the key, the payload, and (direct
     /// scatter only) the bucket id.
     slot_words: usize,
-    /// The block-wide scan's warp-sums scratch (Rows).
+    /// The block-wide scan's warp-sums scratch.
     scan_scratch: usize,
 }
 
@@ -140,45 +102,28 @@ impl Layout {
     fn words(&self) -> usize {
         self.hist + self.tables + self.slots * self.slot_words + 1 + self.scan_scratch
     }
-
-    /// Physical staging slot of tile-local rank `i`.
-    fn slot(&self, i: usize) -> usize {
-        if self.padded {
-            padded_index(i)
-        } else {
-            i
-        }
-    }
 }
 
 impl SweepKind {
-    pub fn for_buckets(m: u32, scatter: Scatter) -> Self {
-        Self {
-            hist: HistStrategy::for_buckets(m),
-            scatter,
-        }
-    }
+    pub const DIRECT: Self = Self {
+        scatter: Scatter::Direct,
+    };
+    pub const DEFERRED: Self = Self {
+        scatter: Scatter::Deferred,
+    };
 
     fn layout(self, wpb: usize, m: usize, ipt: usize, value_words: usize) -> Layout {
-        let chunks = wpb * ipt;
-        let tile = chunks * WARP_SIZE;
         let direct = self.scatter == Scatter::Direct;
-        let (hist, ballot_tables, scan_scratch) = match self.hist {
-            HistStrategy::Ballot => (chunks * (m | 1), 2, 0),
-            HistStrategy::Rows => (m * (wpb | 1), 0, wpb + 1),
-        };
-        let padded = self.hist == HistStrategy::Rows || !direct;
         Layout {
-            hist,
-            tables: (ballot_tables + direct as usize) * m,
-            slots: if padded { padded_len(tile) } else { tile },
-            padded,
+            hist: m * (wpb | 1),
+            tables: if direct { m } else { 0 },
+            slots: padded_len(wpb * ipt * WARP_SIZE),
             slot_words: if direct {
                 staging_words_per_element(value_words)
             } else {
                 1 + value_words
             },
-            scan_scratch,
+            scan_scratch: wpb + 1,
         }
     }
 
@@ -191,9 +136,9 @@ impl SweepKind {
     /// The largest coarsening `ipt ≤ MAX_ITEMS_PER_THREAD` whose footprint
     /// plus `reserved_words` fits [`SMEM_BUDGET_WORDS`], or `None` when
     /// even one item per thread overflows. Bigger tiles amortize the
-    /// per-tile look-back records and lengthen same-bucket runs in the
-    /// scatter. A segmented launch reserves [`DESC_WORDS`] for the tile
-    /// descriptor.
+    /// per-tile histogram scan and look-back records and lengthen
+    /// same-bucket runs in the scatter. A segmented launch reserves
+    /// [`DESC_WORDS`] for the tile descriptor.
     pub fn items_per_thread(
         self,
         wpb: usize,
@@ -487,74 +432,41 @@ pub(crate) fn chunk_lanes(offset: usize, lb: usize, n: usize) -> Lanes<usize> {
     lanes_from_fn(|j| offset + if lb + j < n { lb + j } else { lb })
 }
 
-/// Store the low `m ≤ 32` lanes of `counts` at `h2[base..base + m]`.
-fn store_column(h2: &SharedBuf<u32>, base: usize, m: usize, counts: Lanes<u32>) {
-    h2.st(
-        lanes_from_fn(|l| base + l.min(m - 1)),
-        counts,
-        low_lanes_mask(m),
-    );
-}
-
-/// A sweep tile's shared histogram under one [`HistStrategy`].
-enum TileHist<'b> {
-    Ballot {
-        /// `h2[chunk * pitch + b]`: bucket `b`'s count in `chunk`, then its
-        /// exclusive prefix over the tile's earlier chunks.
-        h2: SharedBuf<'b, u32>,
-        pitch: usize,
-        /// The tile's per-bucket counts (the look-back aggregate).
-        tile_hist: SharedBuf<'b, u32>,
-        /// Tile-local start of each bucket.
-        bucket_base: SharedBuf<'b, u32>,
-    },
-    Rows {
-        /// `hrow[b * pitch + warp]`: the warp's running count of bucket
-        /// `b`, then (after the block-wide scan) the tile-local rank base
-        /// of the warp's bucket-`b` elements; the row head `hrow[b *
-        /// pitch]` is the bucket's tile-local start.
-        hrow: SharedBuf<'b, u32>,
-        pitch: usize,
-        /// The odd-pitch pad column of an even block.
-        pad: Option<usize>,
-    },
+/// A sweep tile's shared per-warp histogram.
+struct TileHist<'b> {
+    /// `hrow[b * pitch + warp]`: the warp's running count of bucket `b`,
+    /// then (after the block-wide scan) the tile-local rank base of the
+    /// warp's bucket-`b` elements; the row head `hrow[b * pitch]` is the
+    /// bucket's tile-local start.
+    hrow: SharedBuf<'b, u32>,
+    /// The bucket count (rows).
+    m: usize,
+    pitch: usize,
+    /// The odd-pitch pad column of an even block.
+    pad: Option<usize>,
 }
 
 impl<'b> TileHist<'b> {
-    fn alloc(blk: &'b BlockCtx, hist: HistStrategy, m: usize, chunks: usize) -> Self {
-        match hist {
-            HistStrategy::Ballot => {
-                let pitch = m | 1;
-                TileHist::Ballot {
-                    h2: blk.alloc_shared(chunks * pitch),
-                    pitch,
-                    tile_hist: blk.alloc_shared(m),
-                    bucket_base: blk.alloc_shared(m),
-                }
-            }
-            HistStrategy::Rows => {
-                let nw = blk.warps_per_block;
-                let pitch = nw | 1;
-                TileHist::Rows {
-                    hrow: blk.alloc_shared(m * pitch),
-                    pitch,
-                    pad: (pitch > nw).then_some(nw),
-                }
-            }
+    fn alloc(blk: &'b BlockCtx, m: usize) -> Self {
+        let nw = blk.warps_per_block;
+        let pitch = nw | 1;
+        TileHist {
+            hrow: blk.alloc_shared(m * pitch),
+            m,
+            pitch,
+            pad: (pitch > nw).then_some(nw),
         }
     }
 
-    /// Warp `w`, before its first chunk. Rows zeroes the warp's column,
-    /// and warp 0 also the odd-pitch pad column, so the scan reads only
-    /// written words (shared memory is not zeroed on a GPU).
-    fn open_warp(&self, w: &WarpCtx, m: usize) {
-        let TileHist::Rows { hrow, pitch, pad } = self else {
-            return;
-        };
-        for col in std::iter::once(w.warp_id).chain(pad.filter(|_| w.warp_id == 0)) {
+    /// Warp `w`, before its first chunk: zero the warp's column, and warp
+    /// 0 also the odd-pitch pad column, so the scan reads only written
+    /// words (shared memory is not zeroed on a GPU).
+    fn open_warp(&self, w: &WarpCtx) {
+        let (m, pitch) = (self.m, self.pitch);
+        for col in std::iter::once(w.warp_id).chain(self.pad.filter(|_| w.warp_id == 0)) {
             for g0 in (0..m).step_by(WARP_SIZE) {
                 let cnt = (m - g0).min(WARP_SIZE);
-                hrow.st(
+                self.hrow.st(
                     lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * pitch + col),
                     [0; WARP_SIZE],
                     low_lanes_mask(cnt),
@@ -563,145 +475,83 @@ impl<'b> TileHist<'b> {
         }
     }
 
-    /// A chunk wholly past the segment's end: Ballot stores its zero
-    /// column; a Rows warp's running counts just stop.
-    fn skip(&self, chunk: usize, m: usize) {
-        if let TileHist::Ballot { h2, pitch, .. } = self {
-            store_column(h2, chunk * pitch, m, [0; WARP_SIZE]);
-        }
-    }
-
-    /// Count one chunk's bucket ids. Returns each lane's rank among the
-    /// same-bucket lanes of the chunk (Ballot) or of the warp's chunks so
-    /// far (Rows).
-    fn count(&self, w: &WarpCtx, chunk: usize, b: Lanes<u32>, m: u32, mask: u32) -> Lanes<u32> {
-        match self {
-            TileHist::Ballot { h2, pitch, .. } => {
-                let (counts, ranks) = warp_histogram_and_offsets(w, b, m, mask);
-                store_column(h2, chunk * pitch, m as usize, counts);
-                ranks
-            }
-            TileHist::Rows { hrow, pitch, .. } => {
-                let (ranks, peers) = warp_offsets_and_peer_counts(w, b, m, mask);
-                let idx = lanes_from_fn(|l| b[l] as usize * pitch + w.warp_id);
-                let prior = hrow.ld(idx, mask);
-                let last = (0..WARP_SIZE)
-                    .filter(|&l| ranks[l] + 1 == peers[l])
-                    .fold(0u32, |acc, l| acc | 1 << l)
-                    & mask;
-                hrow.st(idx, lanes_from_fn(|l| prior[l] + peers[l]), last);
-                w.charge(2 * mask.count_ones() as u64); // the two adds
-                lanes_from_fn(|l| prior[l] + ranks[l])
-            }
-        }
+    /// Count one chunk's bucket ids into warp `w`'s running counts.
+    /// Returns each lane's rank among the same-bucket lanes of the warp's
+    /// chunks so far.
+    fn count(&self, w: &WarpCtx, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
+        let (ranks, peers) = warp_offsets_and_peer_counts(w, b, self.m as u32, mask);
+        let idx = lanes_from_fn(|l| b[l] as usize * self.pitch + w.warp_id);
+        let prior = self.hrow.ld(idx, mask);
+        let last = (0..WARP_SIZE)
+            .filter(|&l| ranks[l] + 1 == peers[l])
+            .fold(0u32, |acc, l| acc | 1 << l)
+            & mask;
+        self.hrow
+            .st(idx, lanes_from_fn(|l| prior[l] + peers[l]), last);
+        w.charge(2 * mask.count_ones() as u64); // the two adds
+        lanes_from_fn(|l| prior[l] + ranks[l])
     }
 
     /// Whole block: turn the counts into exclusive prefixes. Returns the
-    /// tile's element count for Rows (Ballot's per-bucket totals land in
-    /// `tile_hist` instead).
-    fn scan(&self, blk: &BlockCtx, m: usize, chunks: usize) -> u32 {
-        match self {
-            TileHist::Ballot {
-                h2,
-                pitch,
-                tile_hist,
-                ..
-            } => {
-                multi_exclusive_scan_across_cols(blk, h2, m, *pitch, chunks, Some(tile_hist));
-                0
-            }
-            TileHist::Rows { hrow, pitch, .. } => block_exclusive_scan_shared(blk, hrow, m * pitch),
-        }
+    /// tile's element count.
+    fn scan(&self, blk: &BlockCtx) -> u32 {
+        block_exclusive_scan_shared(blk, &self.hrow, self.m * self.pitch)
     }
 
-    /// Warp 0, after [`scan`](Self::scan): the tile's per-bucket counts.
-    /// Rows recovers them from the scanned row heads (`head[b+1] -
-    /// head[b]`, the last bucket closing against the scan total).
-    fn aggregate(&self, w: &WarpCtx, m: usize, tile_total: u32) -> Vec<u32> {
-        match self {
-            TileHist::Ballot { tile_hist, .. } => {
-                let counts = tile_hist.ld(lanes_from_fn(|l| l.min(m - 1)), low_lanes_mask(m));
-                counts[..m].to_vec()
-            }
-            TileHist::Rows { hrow, pitch, .. } => {
-                let mut agg = vec![0u32; m];
-                for g0 in (0..m).step_by(WARP_SIZE) {
-                    let cnt = (m - g0).min(WARP_SIZE);
-                    let sm = low_lanes_mask(cnt);
-                    let heads = hrow.ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * pitch), sm);
-                    // The final bucket has no successor row; it closes
-                    // against the scan total, so mask it out of the load.
-                    let has_next = if g0 + cnt == m {
-                        low_lanes_mask(cnt - 1)
+    /// Warp 0, after [`scan`](Self::scan): the tile's per-bucket counts,
+    /// recovered from the scanned row heads (`head[b+1] - head[b]`, the
+    /// last bucket closing against the scan total).
+    fn aggregate(&self, w: &WarpCtx, tile_total: u32) -> Vec<u32> {
+        let (m, pitch) = (self.m, self.pitch);
+        let mut agg = vec![0u32; m];
+        for g0 in (0..m).step_by(WARP_SIZE) {
+            let cnt = (m - g0).min(WARP_SIZE);
+            let sm = low_lanes_mask(cnt);
+            let heads = self
+                .hrow
+                .ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * pitch), sm);
+            // The final bucket has no successor row; it closes against the
+            // scan total, so mask it out of the load.
+            let has_next = if g0 + cnt == m {
+                low_lanes_mask(cnt - 1)
+            } else {
+                sm
+            };
+            let nexts = self.hrow.ld(
+                lanes_from_fn(|l| {
+                    let b = g0 + l.min(cnt - 1);
+                    if b + 1 < m {
+                        (b + 1) * pitch
                     } else {
-                        sm
-                    };
-                    let nexts = hrow.ld(
-                        lanes_from_fn(|l| {
-                            let b = g0 + l.min(cnt - 1);
-                            if b + 1 < m {
-                                (b + 1) * pitch
-                            } else {
-                                0
-                            }
-                        }),
-                        has_next,
-                    );
-                    for l in 0..cnt {
-                        let b = g0 + l;
-                        let next = if b + 1 < m { nexts[l] } else { tile_total };
-                        agg[b] = next.wrapping_sub(heads[l]);
+                        0
                     }
-                    w.charge(cnt as u64); // the subtracts
-                }
-                agg
+                }),
+                has_next,
+            );
+            for l in 0..cnt {
+                let b = g0 + l;
+                let next = if b + 1 < m { nexts[l] } else { tile_total };
+                agg[b] = next.wrapping_sub(heads[l]);
             }
+            w.charge(cnt as u64); // the subtracts
         }
+        agg
     }
 
-    /// Warp 0: record each bucket's tile-local start. Ballot scans the
-    /// aggregate; Rows's scanned row heads already hold the starts.
-    fn store_bucket_starts(&self, w: &WarpCtx, agg: &[u32]) {
-        if let TileHist::Ballot { bucket_base, .. } = self {
-            let m = agg.len();
-            let padded = lanes_from_fn(|l| if l < m { agg[l] } else { 0 });
-            let starts = warp_scan::exclusive_scan_add(w, padded);
-            bucket_base.st(lanes_from_fn(|l| l.min(m - 1)), starts, low_lanes_mask(m));
-        }
-    }
-
-    /// Tile-local rank base of each lane's bucket in warp `w`'s `chunk`:
-    /// the bucket's tile start plus its count in the tile's earlier chunks
-    /// (Ballot) or earlier warps (Rows, whose ranks already count the
-    /// warp's earlier chunks).
-    fn rank_base(&self, w: &WarpCtx, chunk: usize, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
-        match self {
-            TileHist::Ballot {
-                h2,
-                pitch,
-                bucket_base,
-                ..
-            } => {
-                let earlier = h2.ld(lanes_from_fn(|l| chunk * pitch + b[l] as usize), mask);
-                let start = bucket_base.ld(lanes_from_fn(|l| b[l] as usize), mask);
-                lanes_from_fn(|l| start[l] + earlier[l])
-            }
-            TileHist::Rows { hrow, pitch, .. } => {
-                hrow.ld(lanes_from_fn(|l| b[l] as usize * pitch + w.warp_id), mask)
-            }
-        }
+    /// Tile-local rank base of each lane's bucket in warp `w`: the
+    /// bucket's tile start plus its count in earlier warps (the lanes'
+    /// ranks already count the warp's earlier chunks).
+    fn rank_base(&self, w: &WarpCtx, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
+        self.hrow.ld(
+            lanes_from_fn(|l| b[l] as usize * self.pitch + w.warp_id),
+            mask,
+        )
     }
 
     /// Tile-local start of each lane's bucket.
     fn bucket_start(&self, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
-        match self {
-            TileHist::Ballot { bucket_base, .. } => {
-                bucket_base.ld(lanes_from_fn(|l| b[l] as usize), mask)
-            }
-            TileHist::Rows { hrow, pitch, .. } => {
-                hrow.ld(lanes_from_fn(|l| b[l] as usize * pitch), mask)
-            }
-        }
+        self.hrow
+            .ld(lanes_from_fn(|l| b[l] as usize * self.pitch), mask)
     }
 }
 
@@ -715,16 +565,17 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     states: &SegmentedTileStates,
     out: &Out<'_, V>,
 ) {
-    let m = d.m;
-    let mu = m as usize;
+    let mu = d.m as usize;
     let nw = blk.warps_per_block;
     let chunks = nw * d.ipt;
     let tile_start = d.local_tile * chunks * WARP_SIZE;
-    let kind = SweepKind::for_buckets(m, out.scatter());
+    let kind = SweepKind {
+        scatter: out.scatter(),
+    };
     let direct = kind.scatter == Scatter::Direct;
     let value_words = values.map_or(0, |_| V::BYTES as usize / 4);
     let lay = kind.layout(nw, mu, d.ipt, value_words);
-    let hist = TileHist::alloc(blk, kind.hist, mu, chunks);
+    let hist = TileHist::alloc(blk, mu);
     let scatter_base = direct.then(|| blk.alloc_shared::<u32>(mu));
     let keys_s = blk.alloc_shared::<u32>(lay.slots);
     let buckets_s = direct.then(|| blk.alloc_shared::<u32>(lay.slots));
@@ -740,19 +591,18 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     // Phase 1: count every chunk and rank its lanes; elements stay in
     // registers.
     for w in blk.warps() {
-        hist.open_warp(&w, mu);
+        hist.open_warp(&w);
         for c in 0..d.ipt {
             let chunk = w.warp_id * d.ipt + c;
             let lb = tile_start + chunk * WARP_SIZE;
             let mask = chunk_mask(chunk);
             if mask == 0 {
-                hist.skip(chunk, mu);
                 continue;
             }
             let idx = chunk_lanes(d.offset, lb, d.n);
             let k = w.gather(keys, idx, mask);
             let b = eval_buckets(&w, bucket, k, mask);
-            rank_reg[chunk] = hist.count(&w, chunk, b, m, mask);
+            rank_reg[chunk] = hist.count(&w, b, mask);
             key_reg[chunk] = k;
             bucket_reg[chunk] = b;
             if let (Some(vin), Some(vr)) = (values, &mut val_reg) {
@@ -762,17 +612,16 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     }
     blk.sync();
 
-    // Phase 2: exclusive prefixes of the chunk counts.
-    let tile_total = hist.scan(blk, mu, chunks);
+    // Phase 2: exclusive prefixes of the per-warp counts.
+    let tile_total = hist.scan(blk);
 
     // Phase 3 (warp 0): publish the tile aggregate and resolve the
     // m-vector tile prefix by decoupled look-back in the segment's window;
     // a direct scatter folds it with the global bases into scatter_base.
     {
         let w = blk.warp(0);
-        let agg = hist.aggregate(&w, mu, tile_total);
+        let agg = hist.aggregate(&w, tile_total);
         let prefix = states.resolve_rows(&w, d.seg, d.local_tile, &agg);
-        hist.store_bucket_starts(&w, &agg);
         if let (Out::Final { bases, .. }, Some(sb)) = (out, &scatter_base) {
             for g0 in (0..mu).step_by(WARP_SIZE) {
                 let cnt = (mu - g0).min(WARP_SIZE);
@@ -801,8 +650,8 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
                 continue;
             }
             let b = bucket_reg[chunk];
-            let base = hist.rank_base(&w, chunk, b, mask);
-            let slot = lanes_from_fn(|l| lay.slot((base[l] + rank_reg[chunk][l]) as usize));
+            let base = hist.rank_base(&w, b, mask);
+            let slot = lanes_from_fn(|l| padded_index((base[l] + rank_reg[chunk][l]) as usize));
             keys_s.st(slot, key_reg[chunk], mask);
             if let Some(bs) = &buckets_s {
                 bs.st(slot, b, mask);
@@ -825,7 +674,7 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
                 continue;
             }
             let tid = lanes_from_fn(|l| chunk * WARP_SIZE + l);
-            let slot = lanes_from_fn(|l| lay.slot(tid[l]));
+            let slot = lanes_from_fn(|l| padded_index(tid[l]));
             let k2 = keys_s.ld(slot, mask);
             let (dest, out_keys, out_values) = match (out, &buckets_s, &scatter_base) {
                 (Out::Final { keys, values, .. }, Some(bs), Some(sb)) => {
@@ -863,41 +712,24 @@ mod tests {
     use crate::cpu_ref::multisplit_kv_ref;
     use simt::K40C;
 
-    const KINDS: [SweepKind; 3] = [
-        SweepKind {
-            hist: HistStrategy::Ballot,
-            scatter: Scatter::Direct,
-        },
-        SweepKind {
-            hist: HistStrategy::Rows,
-            scatter: Scatter::Direct,
-        },
-        SweepKind {
-            hist: HistStrategy::Ballot,
-            scatter: Scatter::Deferred,
-        },
-    ];
+    const KINDS: [SweepKind; 2] = [SweepKind::DIRECT, SweepKind::DEFERRED];
 
     #[test]
     fn footprints_have_their_closed_forms() {
         let (wpb, ipt, vw) = (8usize, 5usize, 1usize);
-        let chunks = wpb * ipt;
-        let tile = chunks * WARP_SIZE;
-        let m = 32;
-        assert_eq!(
-            KINDS[0].footprint_words(wpb, m, ipt, vw),
-            chunks * (m | 1) + 3 * m + tile * (2 + vw) + 1
-        );
-        let m = 300;
-        assert_eq!(
-            KINDS[1].footprint_words(wpb, m, ipt, vw),
-            m * (wpb | 1) + m + padded_len(tile) * (2 + vw) + 1 + (wpb + 1)
-        );
-        let m = 17;
-        assert_eq!(
-            KINDS[2].footprint_words(wpb, m, ipt, vw),
-            chunks * (m | 1) + 2 * m + padded_len(tile) * (1 + vw) + 1
-        );
+        let tile = wpb * ipt * WARP_SIZE;
+        for m in [1usize, 17, 32, 300] {
+            assert_eq!(
+                KINDS[0].footprint_words(wpb, m, ipt, vw),
+                m * (wpb | 1) + m + padded_len(tile) * (2 + vw) + 1 + (wpb + 1),
+                "direct m={m}"
+            );
+            assert_eq!(
+                KINDS[1].footprint_words(wpb, m, ipt, vw),
+                m * (wpb | 1) + padded_len(tile) * (1 + vw) + 1 + (wpb + 1),
+                "deferred m={m}"
+            );
+        }
     }
 
     #[test]
@@ -905,9 +737,11 @@ mod tests {
         for kind in KINDS {
             for (wpb, m, vb, reserved) in [
                 (8usize, 32usize, 0u64, 0usize),
+                (8, 32, 4, 0),
                 (16, 32, 4, 0),
                 (16, 32, 16, DESC_WORDS),
                 (8, 1, 0, 0),
+                (8, 2, 0, 0),
                 (8, 256, 4, DESC_WORDS),
                 (32, 200, 8, 0),
             ] {
@@ -929,23 +763,25 @@ mod tests {
 
     #[test]
     fn coarsening_shrinks_to_fit() {
-        let ipt = |kind: SweepKind, wpb, m, vb| kind.items_per_thread(wpb, m, vb, 0);
-        let (ballot, rows) = (KINDS[0], KINDS[1]);
-        assert_eq!(ipt(ballot, 8, 32, 0), Some(8));
-        assert!((1..8).contains(&ipt(ballot, 16, 32, 4).unwrap()));
-        assert_eq!(ipt(rows, 8, 64, 0), Some(8));
-        // The per-warp histogram does not grow with the tile: m = 256
-        // key-value reaches the coarsening cap.
-        assert_eq!(ipt(rows, 8, 256, 4), Some(MAX_ITEMS_PER_THREAD));
-        assert!((1..8).contains(&ipt(rows, 8, 1024, 4).unwrap()));
+        let direct = |wpb, m, vb| KINDS[0].items_per_thread(wpb, m, vb, 0);
+        // Key-only tiles at 8 warps reach the cap at any small m.
+        assert_eq!(MAX_ITEMS_PER_THREAD, 16);
+        for m in [1, 2, 32, 64] {
+            assert_eq!(direct(8, m, 0), Some(16), "m={m}");
+        }
+        // A payload word per key: staging binds below the cap.
+        assert_eq!(direct(8, 32, 4), Some(15));
+        assert_eq!(direct(8, 256, 4), Some(12));
+        assert!((1..8).contains(&direct(16, 32, 4).unwrap()));
+        assert!((1..8).contains(&direct(8, 1024, 4).unwrap()));
         let cap = crate::fused_large_m::max_buckets(8, false) as usize;
-        assert_eq!(ipt(rows, 8, cap, 0), Some(1));
-        assert_eq!(ipt(rows, 8, cap + 1, 0), None, "past capacity nothing fits");
+        assert_eq!(direct(8, cap, 0), Some(1));
+        assert_eq!(direct(8, cap + 1, 0), None, "past capacity nothing fits");
     }
 
-    /// The Rows histogram is `m · (wpb | 1)` words at every coarsening, the
-    /// footprint of `ipt = 1` before it, so the capacity bound keeps its
-    /// values.
+    /// The histogram is `m · (wpb | 1)` words at every coarsening, the
+    /// footprint of `ipt = 1` before per-warp rows, so the capacity bound
+    /// keeps its values.
     #[test]
     fn max_buckets_keeps_its_values() {
         use crate::fused_large_m::max_buckets;
@@ -962,91 +798,88 @@ mod tests {
         }
     }
 
-    /// Every word the Rows scan reads is written first: a histogram
-    /// allocated over poisoned shared words still scans to the host
-    /// ranks, for even and odd blocks (pad column or none), for warps
-    /// with no live chunk, and for one bucket whose running count crosses
-    /// every chunk of a warp.
+    /// Every word the scan reads is written first: a histogram allocated
+    /// over poisoned shared words still scans to the host ranks, for one
+    /// bucket up to the warp width and beyond, for even and odd blocks
+    /// (pad column or none), for warps with no live chunk, and for one
+    /// bucket whose running count crosses every chunk of a warp.
     #[test]
     fn rows_histogram_writes_every_word_it_scans() {
         const POISON: u32 = 0xDEAD_BEEF;
-        let m = 40usize;
-        for (nw, ipt, n, one_bucket) in [
-            (8usize, 3usize, 8 * 3 * 32, false),
-            (8, 3, 100, false),
-            (3, 4, 200, true),
-            (4, 2, 4 * 2 * 32, true),
-        ] {
-            let bucket_of = |i: usize| {
-                if one_bucket {
-                    7
-                } else {
-                    (i * 13 % 97 % m) as u32
-                }
-            };
-            let dev = Device::sequential(K40C);
-            let got = std::sync::Mutex::new(None);
-            dev.launch("rows", 1, nw, |blk| {
-                let hist = TileHist::alloc(blk, HistStrategy::Rows, m, nw * ipt);
-                let TileHist::Rows { hrow, .. } = &hist else {
-                    unreachable!()
+        for m in [1usize, 2, 32, 40] {
+            for (nw, ipt, n, one_bucket) in [
+                (8usize, 3usize, 8 * 3 * 32, false),
+                (8, 3, 100, false),
+                (3, 4, 200, true),
+                (4, 2, 4 * 2 * 32, true),
+            ] {
+                let bucket_of = |i: usize| {
+                    if one_bucket {
+                        (7 % m) as u32
+                    } else {
+                        (i * 13 % 97 % m) as u32
+                    }
                 };
-                for i in 0..hrow.len() {
-                    hrow.set(i, POISON);
-                }
-                let mut ranks = vec![0u32; nw * ipt * WARP_SIZE];
-                for w in blk.warps() {
-                    hist.open_warp(&w, m);
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let mask = tail_mask(chunk * WARP_SIZE, n);
-                        if mask == 0 {
-                            hist.skip(chunk, m);
-                            continue;
-                        }
-                        let b = lanes_from_fn(|l| bucket_of(chunk * WARP_SIZE + l));
-                        let r = hist.count(&w, chunk, b, m as u32, mask);
-                        ranks[chunk * WARP_SIZE..][..WARP_SIZE].copy_from_slice(&r);
+                let dev = Device::sequential(K40C);
+                let got = std::sync::Mutex::new(None);
+                dev.launch("rows", 1, nw, |blk| {
+                    let hist = TileHist::alloc(blk, m);
+                    for i in 0..hist.hrow.len() {
+                        hist.hrow.set(i, POISON);
                     }
-                }
-                blk.sync();
-                let total = hist.scan(blk, m, nw * ipt);
-                let agg = hist.aggregate(&blk.warp(0), m, total);
-                let mut pos = vec![0u32; n];
-                for w in blk.warps() {
-                    for c in 0..ipt {
-                        let chunk = w.warp_id * ipt + c;
-                        let mask = tail_mask(chunk * WARP_SIZE, n);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let b = lanes_from_fn(|l| bucket_of(chunk * WARP_SIZE + l));
-                        let base = hist.rank_base(&w, chunk, b, mask);
-                        for l in 0..(n - chunk * WARP_SIZE).min(WARP_SIZE) {
-                            pos[chunk * WARP_SIZE + l] = base[l] + ranks[chunk * WARP_SIZE + l];
+                    let mut ranks = vec![0u32; nw * ipt * WARP_SIZE];
+                    for w in blk.warps() {
+                        hist.open_warp(&w);
+                        for c in 0..ipt {
+                            let chunk = w.warp_id * ipt + c;
+                            let mask = tail_mask(chunk * WARP_SIZE, n);
+                            if mask == 0 {
+                                continue;
+                            }
+                            let b = lanes_from_fn(|l| bucket_of(chunk * WARP_SIZE + l));
+                            let r = hist.count(&w, b, mask);
+                            ranks[chunk * WARP_SIZE..][..WARP_SIZE].copy_from_slice(&r);
                         }
                     }
+                    blk.sync();
+                    let total = hist.scan(blk);
+                    let agg = hist.aggregate(&blk.warp(0), total);
+                    let mut pos = vec![0u32; n];
+                    for w in blk.warps() {
+                        for c in 0..ipt {
+                            let chunk = w.warp_id * ipt + c;
+                            let mask = tail_mask(chunk * WARP_SIZE, n);
+                            if mask == 0 {
+                                continue;
+                            }
+                            let b = lanes_from_fn(|l| bucket_of(chunk * WARP_SIZE + l));
+                            let base = hist.rank_base(&w, b, mask);
+                            for l in 0..(n - chunk * WARP_SIZE).min(WARP_SIZE) {
+                                pos[chunk * WARP_SIZE + l] = base[l] + ranks[chunk * WARP_SIZE + l];
+                            }
+                        }
+                    }
+                    *got.lock().unwrap() = Some((total, agg, pos));
+                });
+                let (total, agg, pos) = got.into_inner().unwrap().unwrap();
+                let case = format!("m={m} nw={nw} ipt={ipt} n={n} one_bucket={one_bucket}");
+                let mut hist = vec![0u32; m];
+                (0..n).for_each(|i| hist[bucket_of(i) as usize] += 1);
+                assert_eq!(total as usize, n, "{case}");
+                assert_eq!(agg, hist, "{case}");
+                // The stable counting-sort position of every element.
+                let mut start: Vec<u32> = hist
+                    .iter()
+                    .scan(0, |run, &h| {
+                        *run += h;
+                        Some(*run - h)
+                    })
+                    .collect();
+                for (i, &p) in pos.iter().enumerate() {
+                    let b = bucket_of(i) as usize;
+                    assert_eq!(p, start[b], "{case}: element {i}");
+                    start[b] += 1;
                 }
-                *got.lock().unwrap() = Some((total, agg, pos));
-            });
-            let (total, agg, pos) = got.into_inner().unwrap().unwrap();
-            let case = format!("nw={nw} ipt={ipt} n={n} one_bucket={one_bucket}");
-            let mut hist = vec![0u32; m];
-            (0..n).for_each(|i| hist[bucket_of(i) as usize] += 1);
-            assert_eq!(total as usize, n, "{case}");
-            assert_eq!(agg, hist, "{case}");
-            // The stable counting-sort position of every element.
-            let mut start: Vec<u32> = hist
-                .iter()
-                .scan(0, |run, &h| {
-                    *run += h;
-                    Some(*run - h)
-                })
-                .collect();
-            for (i, &p) in pos.iter().enumerate() {
-                let b = bucket_of(i) as usize;
-                assert_eq!(p, start[b], "{case}: element {i}");
-                start[b] += 1;
             }
         }
     }
@@ -1063,8 +896,10 @@ mod tests {
     ];
 
     /// Empty, single-element, sub-warp, partial, exact-tile, tile-plus-one
-    /// and multi-tile inputs.
-    const SIZES: [usize; 10] = [0, 1, 32, 33, 255, 257, 2048, 2049, 5000, 10_000];
+    /// and multi-tile inputs, for a run whose tiles hold `tile` keys.
+    fn sizes(tile: usize) -> [usize; 10] {
+        [0, 1, 32, 33, 255, 257, tile, tile + 1, 5000, 10_000]
+    }
 
     /// Run one case on `dev` and check it against the CPU reference:
     /// keys, payloads, offsets, and no launches at all for `n = 0`.
@@ -1098,7 +933,7 @@ mod tests {
     }
 
     /// Every standalone path against the CPU reference: every size in
-    /// [`SIZES`], key-only and key-value, across block sizes (including a
+    /// [`sizes`] at the case's own tile, key-only and key-value, across block sizes (including a
     /// single-warp block whose tiles hold one chunk column), plus a fully
     /// skewed input whose keys all land in one bucket (stability makes the
     /// split the identity).
@@ -1106,13 +941,20 @@ mod tests {
     fn every_standalone_path_matches_reference() {
         let dev = Device::new(K40C);
         for (method, ms) in PATHS {
+            let kind = if method == Method::Onesweep {
+                SweepKind::DEFERRED
+            } else {
+                SweepKind::DIRECT
+            };
             for (i, &m) in ms.iter().enumerate() {
-                for (j, n) in SIZES.into_iter().enumerate() {
+                for j in 0..sizes(0).len() {
                     let kv = (i + j) % 2 == 1;
                     let wpb = match [8, 1, 2, 4, 16][(i + j) % 5] {
                         w if m > crate::fused_large_m::max_buckets(w, kv) => 8,
                         w => w,
                     };
+                    let ipt = kind.items_per_thread(wpb, m as usize, 4 * kv as u64, 0);
+                    let n = sizes(wpb * WARP_SIZE * ipt.unwrap())[j];
                     check_case(&dev, method, &RangeBuckets::new(m), n, kv, wpb);
                 }
             }
@@ -1145,18 +987,24 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree_bit_and_stats() {
         let n = 60_000;
-        let data = keys_for(n, 11);
+        let uniform = keys_for(n, 11);
+        // Three keys in four in bucket 0 of 32, the rest spread.
+        let skewed: Vec<u32> = uniform
+            .iter()
+            .map(|&k| if k % 4 != 0 { k >> 5 } else { k })
+            .collect();
         let vals: Vec<u32> = (0..n as u32).collect();
-        for (method, m, kv) in [
-            (Method::Fused, 32, false),
-            (Method::FusedLargeM, 100, false),
-            (Method::FusedLargeM, 256, true),
-            (Method::Onesweep, 32, false),
+        for (method, m, kv, data) in [
+            (Method::Fused, 32, false, &uniform),
+            (Method::Fused, 32, true, &skewed),
+            (Method::FusedLargeM, 100, false, &uniform),
+            (Method::FusedLargeM, 256, true, &uniform),
+            (Method::Onesweep, 32, false, &uniform),
         ] {
             let bucket = RangeBuckets::new(m);
             let mut runs = Vec::new();
             for dev in [Device::new(K40C), Device::sequential(K40C)] {
-                let keys = GlobalBuffer::from_slice(&data);
+                let keys = GlobalBuffer::from_slice(data);
                 let values = GlobalBuffer::from_slice(&vals);
                 let values = kv.then_some(&values);
                 let r = multisplit_device(&dev, method, &keys, values, n, &bucket, 8);
@@ -1168,38 +1016,38 @@ mod tests {
                     stats,
                 ));
             }
-            assert_eq!(runs[0], runs[1], "{method:?} m={m}: schedule-independent");
+            assert_eq!(
+                runs[0], runs[1],
+                "{method:?} m={m} kv={kv}: schedule-independent"
+            );
         }
     }
 
-    /// The m = 256 key-value sweep at 8 warps: tiles of 2,048 keys and 7
-    /// barriers per block (ticket, histogram, the scan's three, look-back,
-    /// reorder), whatever the bucket count.
+    /// The key-value sweep at 8 warps: 7 barriers per block (ticket,
+    /// histogram, the scan's three, look-back, reorder), whatever the
+    /// bucket count, from one bucket to past the warp width.
     #[test]
     fn rows_sweep_has_constant_barriers() {
-        let n = 3 * 2048 + 5;
+        let n = 3 * 4096 + 5;
         let data = keys_for(n, 256);
         let vals: Vec<u32> = (0..n as u32).collect();
-        for m in [64u32, 256, 1000] {
+        for m in [1u32, 2, 32, 64, 256, 1000] {
             let dev = Device::sequential(K40C);
             let keys = GlobalBuffer::from_slice(&data);
             let values = GlobalBuffer::from_slice(&vals);
             let bucket = RangeBuckets::new(m);
-            multisplit_device(
-                &dev,
-                Method::FusedLargeM,
-                &keys,
-                Some(&values),
-                n,
-                &bucket,
-                8,
-            );
+            let method = if m <= 32 {
+                Method::Fused
+            } else {
+                Method::FusedLargeM
+            };
+            multisplit_device(&dev, method, &keys, Some(&values), n, &bucket, 8);
             let sweep = dev
                 .records()
                 .into_iter()
                 .find(|r| r.label.ends_with("sweep"));
             let sweep = sweep.expect("a sweep launch");
-            let ipt = KINDS[1].items_per_thread(8, m as usize, 4, 0).unwrap();
+            let ipt = KINDS[0].items_per_thread(8, m as usize, 4, 0).unwrap();
             assert_eq!(sweep.blocks, n.div_ceil(8 * WARP_SIZE * ipt), "m={m}");
             assert_eq!(sweep.stats.barriers, 7 * sweep.blocks as u64, "m={m}");
         }

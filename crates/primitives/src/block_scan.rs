@@ -79,56 +79,19 @@ pub fn multi_exclusive_scan_across_warps(
     pitch: usize,
     totals: Option<&SharedBuf<u32>>,
 ) {
-    multi_exclusive_scan_across_cols(blk, h2, m, pitch, blk.warps_per_block, totals);
-}
-
-/// [`multi_exclusive_scan_across_warps`] generalized to any column count:
-/// exclusively scan each bucket row of the column-major `h2`
-/// (`m x ncols`, column pitch `pitch >= m`) in place, carrying across
-/// 32-column chunks when `ncols > 32`. The fused multisplit's coarsened
-/// tiles have one column per *chunk* (`warps x items_per_thread` of them),
-/// not one per warp, which is how `ncols` ends up past warp width. Row
-/// totals (the tile histogram) are stored to `totals` when given.
-pub fn multi_exclusive_scan_across_cols(
-    blk: &BlockCtx,
-    h2: &SharedBuf<u32>,
-    m: usize,
-    pitch: usize,
-    ncols: usize,
-    totals: Option<&SharedBuf<u32>>,
-) {
     let nw = blk.warps_per_block;
-    debug_assert!(pitch >= m && h2.len() >= ncols * pitch);
+    debug_assert!(pitch >= m && h2.len() >= nw * pitch);
+    let mask = low_lanes_mask(nw);
     for w in blk.warps() {
         let mut row = w.warp_id;
         while row < m {
-            let mut carry = 0u32;
-            let mut base = 0usize;
-            while base < ncols {
-                let cnt = (ncols - base).min(WARP_SIZE);
-                let mask = low_lanes_mask(cnt);
-                let idx = lanes_from_fn(|lane| {
-                    if lane < cnt {
-                        (base + lane) * pitch + row
-                    } else {
-                        row
-                    }
-                });
-                let vals = h2.ld(idx, mask);
-                let inc = warp_scan::inclusive_scan_add_low(&w, vals, cnt);
-                let exc = lanes_from_fn(|lane| {
-                    if lane < cnt {
-                        inc[lane] - vals[lane] + carry
-                    } else {
-                        0
-                    }
-                });
-                h2.st(idx, exc, mask);
-                carry += inc[cnt - 1];
-                base += WARP_SIZE;
-            }
+            let idx = lanes_from_fn(|lane| if lane < nw { lane * pitch + row } else { row });
+            let vals = h2.ld(idx, mask);
+            let inc = warp_scan::inclusive_scan_add_low(&w, vals, nw);
+            let exc = lanes_from_fn(|lane| if lane < nw { inc[lane] - vals[lane] } else { 0 });
+            h2.st(idx, exc, mask);
             if let Some(t) = totals {
-                t.set(row, carry);
+                t.set(row, inc[nw - 1]);
             }
             row += nw;
         }
@@ -273,34 +236,6 @@ mod tests {
                     "warp {w} row {r}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn multi_scan_across_cols_carries_past_warp_width() {
-        // ncols = 48 > 32 exercises the chunk carry; m = 3 rows on 4 warps.
-        let (m, nw, ncols) = (3usize, 4usize, 48usize);
-        let v = |c: usize, r: usize| ((c * 7 + r * 3) % 5 + 1) as u32;
-        let (scanned, totals) = run_in_block(nw, move |blk| {
-            let pitch = m | 1;
-            let h2 = blk.alloc_shared::<u32>(ncols * pitch);
-            for c in 0..ncols {
-                for r in 0..m {
-                    h2.set(c * pitch + r, v(c, r));
-                }
-            }
-            let tot = blk.alloc_shared::<u32>(m);
-            multi_exclusive_scan_across_cols(blk, &h2, m, pitch, ncols, Some(&tot));
-            (h2.snapshot(), tot.snapshot())
-        });
-        let pitch = m | 1;
-        for r in 0..m {
-            let mut run = 0u32;
-            for c in 0..ncols {
-                assert_eq!(scanned[c * pitch + r], run, "col {c} row {r}");
-                run += v(c, r);
-            }
-            assert_eq!(totals[r], run, "row {r} total");
         }
     }
 

@@ -36,6 +36,19 @@ where
     let blocks = blocks_for(n, wpb);
     dev.launch(label, blocks, wpb, |blk| {
         let local = blk.alloc_shared::<u32>(m);
+        // Shared memory is not zeroed on a GPU: clear the private
+        // histogram before any warp counts into it.
+        for w in blk.warps() {
+            for base in (w.warp_id * WARP_SIZE..m).step_by(blk.warps_per_block * WARP_SIZE) {
+                let cnt = (m - base).min(WARP_SIZE);
+                local.st(
+                    lanes_from_fn(|l| base + l.min(cnt - 1)),
+                    splat(0),
+                    low_lanes_mask(cnt),
+                );
+            }
+        }
+        blk.sync();
         for w in blk.warps() {
             let base = w.global_warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);

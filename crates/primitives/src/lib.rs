@@ -25,8 +25,8 @@ pub mod scan;
 pub mod warp_scan;
 
 pub use block_scan::{
-    block_exclusive_scan_shared, low_lanes_mask, multi_exclusive_scan_across_cols,
-    multi_exclusive_scan_across_warps, multi_reduce_across_warps, tail_mask,
+    block_exclusive_scan_shared, low_lanes_mask, multi_exclusive_scan_across_warps,
+    multi_reduce_across_warps, tail_mask,
 };
 pub use compact::{compact_by_pred, split_by_pred, SplitResult};
 pub use histogram::{histogram_global_atomic, histogram_per_thread, histogram_shared_atomic};

@@ -61,12 +61,13 @@ use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WARP_
 
 /// Digit width `b` (buckets per pass `m = 2^b`) used when the caller does
 /// not choose one: the counted-sector sweet spot of the `paper sorttune`
-/// sweep at `n = 2^20`. Seven bits means five passes over full 32-bit
-/// keys: four large-m sweeps over 128 buckets and one over 16. The
-/// classic radix choice of 8 loses here — doubling `m` to 256 grows the
-/// per-tile look-back records faster than dropping the fifth sweep
-/// saves, costing ~7% more counted sectors than b = 7.
-pub const DEFAULT_DIGIT_BITS: u32 = 7;
+/// sweep at `n = 2^20`. Eight bits means four passes over full 32-bit
+/// keys, each a large-m sweep over 256 buckets. The sweep's per-warp
+/// histogram does not grow with the tile, so a 256-bucket pass still
+/// runs tiles of 3,072 keys with payloads (4,096 without), and dropping
+/// the fifth pass of b = 7 saves more than the wider look-back records
+/// cost: ~3.5% fewer counted sectors than b = 7.
+pub const DEFAULT_DIGIT_BITS: u32 = 8;
 
 /// Thread-coarsening of the small ms-sort utility kernels (bit-range
 /// reduction, copy): chunks of 32 elements per warp per tile.
@@ -638,11 +639,14 @@ mod tests {
 
     #[test]
     fn constant_digits_skip_their_pass() {
-        // Multiples of 2^7: the first 7-bit digit is 0 for every key, so
+        // Multiples of 2^b: the first b-bit digit is 0 for every key, so
         // its pass would be the identity.
         let dev = Device::new(K40C);
         let n = 20_000;
-        let data: Vec<u32> = keys_for(n, 37).iter().map(|k| k << 7).collect();
+        let data: Vec<u32> = keys_for(n, 37)
+            .iter()
+            .map(|k| k << DEFAULT_DIGIT_BITS)
+            .collect();
         let vals: Vec<u32> = (0..n as u32).collect();
         let keys = GlobalBuffer::from_slice(&data);
         let values = GlobalBuffer::from_slice(&vals);

@@ -155,7 +155,8 @@ fn effective_bits_prune_matches_full_sort() {
     let keys_full = GlobalBuffer::from_slice(&input);
     let (full, _) = sort_by_bit_range_with::<u32>(&d_full, &keys_full, None, n, 0, 32, 8, WPB);
     assert_eq!(pruned, full.to_vec());
-    // The probe narrows the field to 11 bits: two 7-bit passes. The full
+    // The probe narrows the field to 11 bits: two passes at the default
+    // digit width. The full
     // 32-bit sort at 8-bit digits finds digits 2 and 3 all zero in its
     // pre-scan and skips them. Either way two passes run, not four.
     let sweeps = |d: &Device| {
