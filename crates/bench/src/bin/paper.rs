@@ -55,8 +55,8 @@
 //!               --replay TOKEN (re-run one shrunk case verbatim)
 //!   serve       batched serving front-end: thousands of small independent
 //!               requests coalesced into segmented launches over a pooled
-//!               arena, sharded across simulated devices, vs one standalone
-//!               launch pair per request — modeled requests/s, p50/p99
+//!               arena, sharded across simulated devices, vs standalone
+//!               launches per request — modeled requests/s, p50/p99
 //!               latency, counted sectors, bit-identity verification.
 //!               own options: --requests K (default 4096), --n N (keys per
 //!               request, default 1024), --m M (max buckets, default 32),
@@ -2343,13 +2343,14 @@ fn fuzz_cmd(args: &[String]) {
 
 // ====================== Serve (batched front-end) ======================
 
-/// The PR-9 tentpole claim under test: coalescing thousands of small
-/// independent multisplit requests into segmented launches (one
-/// pre-scan + sweep pair per batch, pooled arena, no per-request
-/// allocation) beats one standalone launch pair per request by >= 5x in
-/// modeled throughput while staying within 5% of the naive executor's
-/// counted DRAM sectors, with every answer bit-identical to its
-/// standalone `Method::auto` run.
+/// The serve claim under test: coalescing thousands of small
+/// independent multisplit requests into segmented launches (one sweep
+/// per batch, after one pre-scan when a request spans several sweep
+/// tiles; pooled arena, no per-request allocation) beats standalone
+/// launches per request by >= 5x in modeled throughput while staying
+/// within 5% of the naive executor's counted DRAM sectors, with every
+/// answer bit-identical to the host reference and to its standalone
+/// `Method::auto` run.
 ///
 /// Parsed here (not via `parse_opts`) because the options differ.
 fn serve_cmd(args: &[String]) {

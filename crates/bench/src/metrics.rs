@@ -356,8 +356,9 @@ pub fn serve_sector_baseline_current() -> Json {
 /// serialized wall; a scheduling pessimization shows up directly.
 pub fn serve_overlap_baseline_current() -> Json {
     // Each device gets 32 requests in 8 batches of 4, so each of its 2
-    // streams carries 4 launch pairs. A batch's grids run one block per
-    // segment — 4 of the K40C's 15 SMs — so the two streams' launches
+    // streams carries 4 batches. A 128-key request is one sweep tile, so
+    // a batch is one sweep launch of one block per segment — 4 of the
+    // K40C's 15 SMs — so the two streams' launches
     // genuinely pack (4/15 + 4/15 < 1): the overlap the makespan metric
     // gates. (At batch = 8 each launch would occupy 8/15 and two could
     // never co-run.)
@@ -642,7 +643,13 @@ mod tests {
             Some("Fused MS")
         );
         assert_eq!(data.get("n").and_then(Json::as_f64), Some(4096.0));
-        assert!(data.get("launches").unwrap().as_arr().unwrap().len() >= 2);
+        // n = 4,096 at m = 8 is one sweep tile: the sweep alone.
+        let launches = data.get("launches").unwrap().as_arr().unwrap();
+        let labels: Vec<_> = launches
+            .iter()
+            .map(|l| l.get("label").and_then(Json::as_str))
+            .collect();
+        assert_eq!(labels, [Some("fused/sweep")]);
     }
 
     #[test]

@@ -5,19 +5,20 @@
 //! on a pool of simulated devices. Two executors are compared:
 //!
 //! * **naive** — every request becomes its own standalone
-//!   [`Method::auto`]-selected run (one `GlobalBuffer` allocation and a
-//!   full pre-scan + sweep launch pair per request), sharded round-robin
-//!   across the devices;
+//!   [`Method::auto`]-selected run (one `GlobalBuffer` allocation and its
+//!   own launches: a sweep, after a pre-scan when the request spans more
+//!   than one sweep tile), sharded round-robin across the devices;
 //! * **coalesced** — requests are sharded the same way, then each
 //!   device's queue is chopped into batches that run as **one**
-//!   [`multisplit_segmented_into`] launch pair over a pooled arena
+//!   [`multisplit_segmented_into`] call (one sweep launch, after one
+//!   pre-scan when some request spans several tiles) over a pooled arena
 //!   ([`simt::BufferPool`] — no per-request allocation; segments are
 //!   packed at sector-aligned offsets so coalescing costs no extra
 //!   DRAM traffic);
 //! * **overlapped** — the coalesced batches additionally spread across
 //!   `cfg.streams` concurrent [`simt::Stream`]s per device (one
 //!   [`Device::concurrent`] session, one arena pool per stream), so
-//!   launch pairs whose grids underfill the device overlap. Wall time
+//!   batches whose grids underfill the device overlap. Wall time
 //!   is the device's modeled **makespan** (occupancy-packed, per-stream
 //!   FIFO — see `simt::Device::makespan`), strictly below the
 //!   serialized launch-sum whenever any launch leaves SMs idle.
@@ -31,7 +32,8 @@
 use crate::{gen_keys, run_schedule, stage_sector_counts, Distribution, Table};
 use msrng::SmallRng;
 use multisplit::{
-    multisplit_device, multisplit_segmented_into, no_values, Method, RangeBuckets, SegmentSpec,
+    multisplit_device, multisplit_ref, multisplit_segmented_into, no_values, Method, RangeBuckets,
+    SegmentSpec,
 };
 use simt::{BufferPool, Device, DeviceProfile, GlobalBuffer, Json, K40C};
 
@@ -54,8 +56,8 @@ pub struct ServeConfig {
     pub seed: u64,
     pub profile: DeviceProfile,
     pub wpb: usize,
-    /// Check every coalesced answer bit-for-bit against its standalone
-    /// `Method::auto` run.
+    /// Check every answer of every executor bit-for-bit against the host
+    /// reference and against the other executors.
     pub verify: bool,
 }
 
@@ -130,7 +132,8 @@ pub struct ServeReport {
     /// Arena allocations vs shelf reuses across every device's pool.
     pub pool_allocs: u64,
     pub pool_reuses: u64,
-    /// Requests bit-checked against standalone `Method::auto` runs.
+    /// Requests whose three answers were bit-checked against the host
+    /// reference.
     pub verified: usize,
 }
 
@@ -235,8 +238,8 @@ fn run_naive(cfg: &ServeConfig, reqs: &[Request]) -> (ExecStats, Vec<Answer>) {
     (exec_stats(&devs, latencies), answers)
 }
 
-/// Pack one batch's segments into a pooled arena and run them as a
-/// single segmented launch pair, returning each request's answer in
+/// Pack one batch's segments into a pooled arena and run them as one
+/// segmented multisplit, returning each request's answer in
 /// batch order. Shared by the coalesced and overlapped executors.
 ///
 /// Segments are packed at sector-aligned (8-word) offsets: a misaligned
@@ -303,7 +306,7 @@ fn run_batch(
 }
 
 /// The coalescing executor: each device's shard runs in batches of
-/// `cfg.batch`, one segmented launch pair per batch, over a pooled arena.
+/// `cfg.batch`, one segmented multisplit per batch, over a pooled arena.
 fn run_coalesced(cfg: &ServeConfig, reqs: &[Request]) -> (ExecStats, Vec<Answer>, (u64, u64)) {
     let devs = fresh_devices(cfg);
     let pools: Vec<BufferPool> = (0..cfg.devices).map(|_| BufferPool::new()).collect();
@@ -425,10 +428,11 @@ fn run_overlapped(cfg: &ServeConfig, reqs: &[Request]) -> (ExecStats, Vec<Answer
     (stats, answers, agg)
 }
 
-/// Run both executors over the same deterministic request set and
-/// compare them. With `cfg.verify`, every coalesced answer is checked
-/// bit-for-bit against its standalone `Method::auto` run (the naive
-/// executor doubles as the reference).
+/// Run the three executors over the same deterministic request set and
+/// compare them. With `cfg.verify`, every answer of every executor is
+/// checked bit-for-bit against the host reference (`multisplit_ref`),
+/// and the coalesced and overlapped answers against the standalone
+/// `Method::auto` run.
 pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
     let reqs = gen_requests(cfg);
     let (naive, naive_answers) = run_naive(cfg, &reqs);
@@ -442,6 +446,11 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
             .zip(&overlapped_answers)
             .enumerate()
         {
+            let (keys, offsets) = multisplit_ref(&reqs[i].keys, &RangeBuckets::new(reqs[i].m));
+            assert!(
+                a.keys == keys && a.offsets == offsets,
+                "request {i}: the standalone Method::auto run diverges from the host reference"
+            );
             assert_eq!(
                 a.keys, b.keys,
                 "request {i}: coalesced keys diverge from the standalone Method::auto run"
@@ -538,7 +547,7 @@ pub fn render(cfg: &ServeConfig, r: &ServeReport) -> String {
     ));
     if cfg.verify {
         out.push_str(&format!(
-            "{} / {} answers verified bit-identical to standalone Method::auto runs\n",
+            "{} / {} answers verified bit-identical to the host reference on every executor\n",
             r.verified, cfg.requests
         ));
     }
@@ -619,10 +628,11 @@ mod tests {
         let cfg = small();
         let r = run_serve(&cfg);
         assert_eq!(r.verified, cfg.requests, "every answer bit-checked");
-        // 2 launches per request vs 2 per batch: 12 requests per device
-        // become batches of 8 + 4, so 2 devices x 2 batches x 2 launches.
-        assert_eq!(r.naive.launches, 2 * cfg.requests);
-        assert_eq!(r.coalesced.launches, 8);
+        // Every request fits one sweep tile, so each request and each
+        // batch is one sweep launch: 12 requests per device become
+        // batches of 8 + 4, so 2 devices x 2 batches x 1 launch.
+        assert_eq!(r.naive.launches, cfg.requests);
+        assert_eq!(r.coalesced.launches, 4);
         assert!(
             r.speedup >= 5.0,
             "launch-overhead amortization must reach 5x at n = 128 (got {:.2})",

@@ -21,7 +21,11 @@
 //! occupied by an earlier tile doing the same), which is exactly why
 //! Onesweep radix sort keeps a separate lightweight histogram kernel. So
 //! the fused path is **two** launches instead of five-plus
-//! (pre-scan + the chained scan + post-scan):
+//! (pre-scan + the chained scan + post-scan), and **one** when `n` fits
+//! one sweep tile (`wpb × 32 × items_per_thread` keys, 4,096 at 8 warps
+//! key-only): the tile's own histogram scan then gives every final
+//! position, so the sweep writes its reordered tile in place and reads
+//! the offsets from its look-back record, with no pre-scan:
 //!
 //! 1. `fused/pre-scan` — the one pre-scan kernel of [`crate::prescan`]:
 //!    each block counts an 8,192-key tile (at 8 warps) into block-private
@@ -44,9 +48,10 @@
 //! runs in the block reorder approach sector length even at m = 32.
 //!
 //! The sweep is the shared tile sweep of [`crate::sweep`], the same
-//! kernel for every `m`, run as its one-segment case (descriptor passed
-//! by value). `fused_large_m.rs` is the same pipeline beyond 32 buckets,
-//! where the pre-scan counts with shared atomics instead of ballots.
+//! kernel for every `m`, and the whole pipeline is the one-segment case
+//! of a segmented batch (`SweepPlan::one`, descriptors passed by value).
+//! `fused_large_m.rs` is the same pipeline beyond 32 buckets, where the
+//! pre-scan counts with shared atomics instead of ballots.
 //!
 //! Output buffers are always allocated with the simulator's write-race
 //! detector enabled ([`simt::GlobalBuffer::tracked`]): a double-write to
@@ -57,8 +62,8 @@ use simt::{Device, GlobalBuffer, Scalar};
 
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit};
-use crate::prescan::{bucket_totals, HistStrategy};
-use crate::sweep::{Out, SweepKind, SweepPlan, SweepSeg};
+use crate::prescan::HistStrategy;
+use crate::sweep::{offsets_of, Out, SweepKind, SweepPlan, SweepSeg};
 
 pub use crate::sweep::MAX_ITEMS_PER_THREAD;
 
@@ -92,9 +97,18 @@ fn labels(m: u32) -> [&'static str; 2] {
     }
 }
 
+/// The largest direct-sweep coarsening for `m` buckets at this block
+/// size; panics when even one item per thread overflows shared memory.
+fn sweep_ipt(m: usize, value_bytes: u64, wpb: usize) -> usize {
+    SweepKind::DIRECT
+        .items_per_thread(wpb, m, value_bytes, 0)
+        .unwrap_or_else(|| panic!("m = {m} overflows shared memory at {wpb} warps/block"))
+}
+
 /// The standalone fused pipeline for any `m` the direct sweep fits at
-/// this block size: a pre-scan for the bucket totals, then
-/// [`multisplit_sweep_into`].
+/// this block size: the one-segment case of [`SweepPlan::split`], a
+/// pre-scan for the bucket totals and then the sweep, or the sweep alone
+/// when `n` fits one tile.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
     dev: &Device,
@@ -106,15 +120,21 @@ pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
     out_keys: &GlobalBuffer<u32>,
     out_values: Option<&GlobalBuffer<V>>,
 ) -> Vec<u32> {
+    let m = bucket.num_buckets();
     check_into_buffers(keys, values, n, out_keys, out_values);
     if n == 0 {
-        return vec![0; bucket.num_buckets() as usize + 1];
+        return vec![0; m as usize + 1];
     }
-    let label = labels(bucket.num_buckets())[0];
-    let totals = bucket_totals(dev, label, keys, n, &[bucket], wpb).remove(0);
-    multisplit_sweep_into(
-        dev, keys, values, n, bucket, wpb, &totals, out_keys, out_values,
-    )
+    let value_bytes = if values.is_some() { V::BYTES } else { 0 };
+    let seg = SweepSeg {
+        offset: 0,
+        n,
+        bucket,
+        ipt: sweep_ipt(m as usize, value_bytes, wpb),
+    };
+    let plan = SweepPlan::one(seg, wpb);
+    let mut offsets = plan.split(dev, labels(m), keys, values, out_keys, out_values);
+    offsets.pop().expect("one segment")
 }
 
 /// The direct sweep alone, for callers that already know every bucket's
@@ -152,24 +172,21 @@ pub fn multisplit_sweep_into<B: BucketFn + ?Sized, V: Scalar>(
         return vec![0; m + 1];
     }
     let value_bytes = if values.is_some() { V::BYTES } else { 0 };
-    let ipt = SweepKind::DIRECT
-        .items_per_thread(wpb, m, value_bytes, 0)
-        .unwrap_or_else(|| panic!("m = {m} overflows shared memory at {wpb} warps/block"));
     let seg = SweepSeg {
         offset: 0,
         n,
         bucket,
-        ipt,
+        ipt: sweep_ipt(m, value_bytes, wpb),
     };
-    let plan = SweepPlan::one(seg, wpb);
-    let (bases, mut offsets) = plan.bases(totals);
+    let offsets = offsets_of(totals);
+    let bases = GlobalBuffer::from_slice(&offsets[..m]);
     let out = Out::Final {
         bases: &bases,
         keys: out_keys,
         values: out_values,
     };
-    plan.sweep(dev, labels(m as u32)[1], keys, values, &out);
-    offsets.pop().expect("one segment")
+    SweepPlan::one(seg, wpb).sweep(dev, labels(m as u32)[1], keys, values, &out);
+    offsets
 }
 
 /// Fused single-kernel-sweep multisplit over `m <= 32` buckets.

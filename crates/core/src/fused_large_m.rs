@@ -6,7 +6,8 @@
 //! The three-kernel large-m pipeline (`large_m.rs`) reads every key from
 //! DRAM twice and round-trips the `m × L` histogram matrix through global
 //! memory; the matrix grows with `m`, so the fusion win *grows* with `m`.
-//! This module collapses it to the two launches of `fused.rs`.
+//! This module collapses it to the two launches of `fused.rs` (one when
+//! `n` fits one sweep tile).
 //! `fused_large_m/pre-scan` is the one pre-scan kernel of
 //! [`crate::prescan`], counting 8,192-key tiles (at 8 warps) with one
 //! shared-memory atomic per key into block-private counters.
@@ -71,7 +72,8 @@ pub fn max_buckets_bytes(wpb: usize, value_bytes: u64) -> u32 {
     ((SMEM_BUDGET_WORDS - fixed) / per_bucket) as u32
 }
 
-/// Fused two-launch multisplit for any `32 < m <= max_buckets(wpb, _)`.
+/// Fused two-launch (one-launch for one tile) multisplit for any
+/// `32 < m <= max_buckets(wpb, _)`.
 ///
 /// Same contract as [`crate::large_m::multisplit_large_m`] (stable, keys
 /// permuted into `m` contiguous buckets, `m + 1` offsets returned) with

@@ -32,6 +32,10 @@
 //!    ([`SegmentedTileStates::read_record`], the same counted per-group
 //!    charge the walk bills), and scatter to final positions.
 //!
+//! An input that fits one tile skips the scratch and step 3: its
+//! bucket-dense tile *is* the answer, so the sweep stages it straight
+//! into the outputs, and the offsets come from its own record.
+//!
 //! Traffic honesty: the *key buffer* is read once (n sectors' worth vs
 //! the fused path's 2n), but the staged round-trip makes **total**
 //! traffic ~4n words against fused's ~3n. That is the known floor: "read
@@ -56,7 +60,7 @@ use primitives::{low_lanes_mask, tail_mask, warp_scan};
 
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, eval_buckets, DeviceMultisplit};
-use crate::sweep::{Out, SweepKind, SweepPlan, SweepSeg};
+use crate::sweep::{offsets_of, Out, SweepKind, SweepPlan, SweepSeg};
 
 /// Single-key-pass multisplit over `m <= 32` buckets via chained tile
 /// histograms and a deferred scatter.
@@ -91,9 +95,18 @@ pub fn multisplit_onesweep<B: BucketFn + ?Sized, V: Scalar>(
 
     // Bucket-dense staging scratch: tile t's region [t*tile, t*tile+valid)
     // holds its reordered keys (and payloads), written once in the sweep
-    // and read once in the scatter.
-    let staged = GlobalBuffer::<u32>::zeroed(n).tracked();
-    let staged_vals = values.map(|_| GlobalBuffer::<V>::zeroed(n).tracked());
+    // and read once in the scatter. A one-tile input's bucket-dense tile
+    // is already the answer, so it is staged straight into the outputs.
+    let out_keys = GlobalBuffer::<u32>::zeroed(n).tracked();
+    let out_values = values.map(|_| GlobalBuffer::<V>::zeroed(n).tracked());
+    let scratch = (l > 1).then(|| {
+        let staged_vals = values.map(|_| GlobalBuffer::<V>::zeroed(n).tracked());
+        (GlobalBuffer::<u32>::zeroed(n).tracked(), staged_vals)
+    });
+    let (staged, staged_vals) = match &scratch {
+        Some((k, v)) => (k, v.as_ref()),
+        None => (&out_keys, out_values.as_ref()),
+    };
 
     // ====== Launch 1: the single pass over the keys.
     let seg = SweepSeg {
@@ -104,22 +117,27 @@ pub fn multisplit_onesweep<B: BucketFn + ?Sized, V: Scalar>(
     };
     let plan = SweepPlan::one(seg, wpb);
     let out = Out::Staged {
-        keys: &staged,
-        values: staged_vals.as_ref(),
+        keys: staged,
+        values: staged_vals,
     };
     let states = plan.sweep(dev, "onesweep/sweep", keys, values, &out);
 
     // ====== Host: the last tile's inclusive record *is* the global
     // histogram — exclusive-scan it into the m bucket bases (uncounted
     // host reads, like the fused path's pre-scan totals).
-    let (bases, mut offsets) = plan.bases(&states.row_totals(0));
-    let offsets = offsets.pop().expect("one segment");
+    let offsets = offsets_of(&states.row_totals(0));
+    if scratch.is_none() {
+        return DeviceMultisplit {
+            keys: out_keys,
+            values: out_values,
+            offsets,
+        };
+    }
+    let bases = GlobalBuffer::from_slice(&offsets[..mu]);
 
     // ====== Launch 2: deferred scatter. Block = tile (no ticket needed:
     // nothing waits on anything), every record already INCLUSIVE, so this
     // kernel never spins and its stats are trivially schedule-independent.
-    let out_keys = GlobalBuffer::<u32>::zeroed(n).tracked();
-    let out_values = values.map(|_| GlobalBuffer::<V>::zeroed(n).tracked());
     dev.launch("onesweep/scatter", l, wpb, |blk| {
         let t = blk.block_id;
         let tile_start = t * tile;
@@ -173,12 +191,12 @@ pub fn multisplit_onesweep<B: BucketFn + ?Sized, V: Scalar>(
                 }
                 let tid = lanes_from_fn(|lane| chunk * WARP_SIZE + lane);
                 let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k2 = w.gather(&staged, idx, mask);
+                let k2 = w.gather(staged, idx, mask);
                 let b2 = eval_buckets(&w, bucket, k2, mask);
                 let sb = scatter_base.ld(lanes_from_fn(|lane| b2[lane] as usize), mask);
                 let dest = lanes_from_fn(|lane| sb[lane].wrapping_add(tid[lane] as u32) as usize);
                 w.scatter(&out_keys, dest, k2, mask);
-                if let (Some(vstg), Some(vout)) = (&staged_vals, &out_values) {
+                if let (Some(vstg), Some(vout)) = (staged_vals, &out_values) {
                     let v2 = w.gather(vstg, idx, mask);
                     w.scatter(vout, dest, v2, mask);
                 }

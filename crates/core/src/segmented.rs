@@ -3,11 +3,12 @@
 //! The paper benchmarks one large `(n, m)` problem, but serving-shaped
 //! traffic is thousands of *independent small* segments — exactly where
 //! the fixed per-launch overhead (9 µs on the K40C profile) drowns the
-//! kernels: a standalone fused multisplit of n = 2¹⁰ pays two launches
-//! (≈18 µs) to move ~4 KB of keys (≈0.1 µs of DRAM time). This module
+//! kernels: a standalone fused multisplit of n = 2¹⁰ pays a launch
+//! (≈9 µs) to move ~4 KB of keys (≈0.1 µs of DRAM time). This module
 //! amortizes that cost across a whole batch: **one grid** processes many
-//! segments, each with its own `n`, `m`, and bucket function, in the same
-//! two launches a single problem would take.
+//! segments, each with its own `n`, `m`, and bucket function, in the
+//! launches a single problem would take — one sweep, plus one pre-scan
+//! when some segment spans more than one sweep tile.
 //!
 //! ### Structure
 //!
@@ -23,14 +24,17 @@
 //!
 //! 1. `segmented/pre-scan[fused=K,largem=J]` — the one pre-scan kernel
 //!    of [`crate::prescan`], one block per 8,192-key pre-scan tile (at 8
-//!    warps) of every segment. Each block reads its 8-word tile
+//!    warps) of every segment that spans more than one sweep tile (its
+//!    label counts only those; with none, there is no pre-scan launch).
+//!    Each block reads its 8-word tile
 //!    descriptor (segment id, offset, n, m, coarsening, local tile,
 //!    histogram base, padding) from a device table built at the
 //!    pre-scan's tile geometry — one extra 32-byte sector per tile, the
 //!    entire coalescing overhead — and adds its segment's non-zero
 //!    block-private counts into a **flattened** `Σmᵢ` totals array.
 //! 2. Host: per-segment exclusive scans of the flat totals into
-//!    per-segment bucket bases.
+//!    per-segment bucket bases. A one-tile segment gets none: its tile
+//!    is the whole segment, so its reordered tile is already its output.
 //! 3. `segmented/sweep[fused=K,largem=J]` — blocks self-schedule across
 //!    the **flattened segment×tile ticket space** (one global
 //!    `device_fetch_add` counter). A ticket decodes through the sweep's
@@ -43,15 +47,17 @@
 //!    exists — and none is needed for deadlock freedom, because each
 //!    segment's tiles occupy consecutive global tickets, so a tile's
 //!    predecessor always holds a smaller ticket and is already running or
-//!    done.
+//!    done. A one-tile segment's tile writes in place at its own range
+//!    and its offsets come from its own look-back record.
 //!
 //! A standalone fused run is this pipeline's one-segment case with the
 //! descriptor passed by value, so per-segment outputs are bit-identical
 //! to standalone [`Method::auto`](crate::api::Method::auto) runs of each
 //! segment, and total counted DRAM sectors stay within a few percent of
 //! the sum of standalone runs (the descriptor reads); what collapses is
-//! the *launch count* — 2 instead of `2 × segments` — which is the whole
-//! serving story (`paper serve`, DESIGN.md §14).
+//! the *launch count* — at most 2 instead of up to `2 × segments`, and a
+//! batch of one-tile segments is 1 launch instead of `segments` — which
+//! is the whole serving story (`paper serve`, DESIGN.md §14).
 //!
 //! Outputs land in a flat buffer at each segment's own offset, so a
 //! batch executor can bind one pooled arena for the whole batch
@@ -208,16 +214,26 @@ pub fn multisplit_segmented_into<V: Scalar>(
         }
     }
 
-    // ====== The coalesced two-launch pipeline over all classified
-    // segments at once.
+    // ====== The coalesced pipeline over all classified segments at once:
+    // a pre-scan of the multi-tile segments (none: no launch), then one
+    // sweep of them all. Each label counts the segments its launch covers.
     if !coalesced.is_empty() {
-        let nf = coalesced
-            .iter()
-            .filter(|s| HistStrategy::for_buckets(s.bucket.num_buckets()) == HistStrategy::Ballot)
-            .count();
-        let nl = coalesced.len() - nf;
-        let pre_label = format!("segmented/pre-scan[fused={nf},largem={nl}]");
-        let sweep_label = format!("segmented/sweep[fused={nf},largem={nl}]");
+        let label = |stage: &str, multi_tile_only: bool| {
+            let covered: Vec<_> = coalesced
+                .iter()
+                .filter(|s| !multi_tile_only || s.tiles(wpb) > 1)
+                .collect();
+            let nf = covered
+                .iter()
+                .filter(|s| {
+                    HistStrategy::for_buckets(s.bucket.num_buckets()) == HistStrategy::Ballot
+                })
+                .count();
+            let nl = covered.len() - nf;
+            format!("segmented/{stage}[fused={nf},largem={nl}]")
+        };
+        let pre_label = label("pre-scan", true);
+        let sweep_label = label("sweep", false);
         let plan = SweepPlan::batch(coalesced, wpb);
         let seg_offsets = plan.split(
             dev,
@@ -276,7 +292,7 @@ mod tests {
     use crate::common::no_values;
     use crate::common::test_util::{keys_for, stats_of};
     use crate::cpu_ref::{multisplit_kv_ref, multisplit_ref};
-    use simt::{AdvSchedule, BlockStats, Device, K40C};
+    use simt::{AdvSchedule, BlockStats, Device, K40C, WARP_SIZE};
 
     /// Build a flat buffer + specs from (n, m) pairs, with a one-sector
     /// (8-word) gap between segments to check untouched regions stay
@@ -374,10 +390,19 @@ mod tests {
         }
     }
 
+    /// Keys per sweep tile of a key-only `m`-bucket segment at 8 warps.
+    fn tile(m: u32) -> usize {
+        8 * WARP_SIZE * coalesced_ipt(m, 0, 8).unwrap()
+    }
+
+    fn labels(dev: &Device) -> Vec<String> {
+        dev.records().iter().map(|rec| rec.label.clone()).collect()
+    }
+
     #[test]
     fn label_encodes_per_segment_dispatch_at_the_boundary() {
         // m = 32 and m = 33 in ONE segmented launch dispatch to the ballot
-        // and per-warp-rows histogram strategies, visible in the label.
+        // and atomic pre-scan counting, visible in the label.
         assert_eq!(
             Method::auto_for_segmented(32, false, 8),
             Some(Method::Fused)
@@ -387,16 +412,49 @@ mod tests {
             Some(Method::FusedLargeM)
         );
         let dev = Device::sequential(K40C);
-        check_against_reference(&dev, &[(2048, 32), (2048, 33)], false);
-        let labels: Vec<String> = dev.records().iter().map(|rec| rec.label.clone()).collect();
+        let parts = [(2 * tile(32) + 1, 32), (2 * tile(33) + 1, 33)];
+        check_against_reference(&dev, &parts, false);
         assert_eq!(
-            labels,
-            vec![
-                "segmented/pre-scan[fused=1,largem=1]".to_string(),
-                "segmented/sweep[fused=1,largem=1]".to_string(),
+            labels(&dev),
+            [
+                "segmented/pre-scan[fused=1,largem=1]",
+                "segmented/sweep[fused=1,largem=1]",
             ],
             "exactly two coalesced launches, both classes inside"
         );
+        // The same classes in one tile each: the sweep alone.
+        let dev = Device::sequential(K40C);
+        check_against_reference(&dev, &[(tile(32), 32), (tile(33), 33)], false);
+        assert_eq!(labels(&dev), ["segmented/sweep[fused=1,largem=1]"]);
+    }
+
+    #[test]
+    fn prescan_covers_only_the_multi_tile_segments() {
+        use crate::prescan::PRESCAN_ITEMS_PER_THREAD;
+        let prescan_tile = 8 * WARP_SIZE * PRESCAN_ITEMS_PER_THREAD;
+        let parts = [
+            (tile(8), 8u32),
+            (tile(8) + 1, 8),
+            (100, 40),
+            (3 * prescan_tile + 5, 33),
+            (1, 2),
+            (2 * tile(32) + 1, 32),
+        ];
+        let dev = Device::sequential(K40C);
+        check_against_reference(&dev, &parts, false);
+        let records = dev.records();
+        assert_eq!(
+            labels(&dev),
+            [
+                "segmented/pre-scan[fused=2,largem=1]",
+                "segmented/sweep[fused=4,largem=2]",
+            ]
+        );
+        let multi = parts.iter().filter(|&&(n, m)| n > tile(m));
+        let prescan_blocks: usize = multi.map(|&(n, _)| n.div_ceil(prescan_tile)).sum();
+        assert_eq!(records[0].blocks, prescan_blocks);
+        let sweep_blocks: usize = parts.iter().map(|&(n, m)| n.div_ceil(tile(m))).sum();
+        assert_eq!(records[1].blocks, sweep_blocks);
     }
 
     #[test]
@@ -433,15 +491,15 @@ mod tests {
     fn sectors_within_5_percent_of_standalone_runs() {
         // Coalescing must not cost more than 5% extra counted DRAM traffic
         // over the sum of standalone per-segment runs (the delta is the
-        // descriptor reads), while launches collapse from 2 per segment
-        // to 2.
+        // descriptor reads), while launches collapse from 1 per segment
+        // to 1 (every segment fits one sweep tile).
         let (nseg, n, m) = (64usize, 1024usize, 16u32);
         let parts: Vec<(usize, u32)> = (0..nseg).map(|_| (n, m)).collect();
         let total_sectors = |dev: &Device| stats_of(dev, "").sectors;
         let dev_s = Device::sequential(K40C);
         check_against_reference(&dev_s, &parts, false);
         let seg_sectors = total_sectors(&dev_s);
-        assert_eq!(dev_s.records().len(), 2, "one coalesced pipeline");
+        assert_eq!(dev_s.records().len(), 1, "one coalesced sweep");
 
         let (flat, ranges) = flat_case(&parts);
         let bucket = RangeBuckets::new(m);
@@ -457,7 +515,7 @@ mod tests {
             (seg_sectors as f64) <= 1.05 * standalone_sectors as f64,
             "segmented {seg_sectors} vs standalone sum {standalone_sectors} sectors"
         );
-        assert_eq!(dev_p.records().len(), 2 * nseg);
+        assert_eq!(dev_p.records().len(), nseg);
     }
 
     #[test]

@@ -162,6 +162,13 @@ pub(crate) struct SweepSeg<'a, B: ?Sized> {
     pub ipt: usize,
 }
 
+impl<B: ?Sized> SweepSeg<'_, B> {
+    /// Sweep tiles of `wpb × 32 × ipt` keys the segment spans.
+    pub fn tiles(&self, wpb: usize) -> usize {
+        self.n.div_ceil(wpb * WARP_SIZE * self.ipt)
+    }
+}
+
 /// A tile's view of its segment: tile `local_tile` of segment `seg`, at
 /// `offset` holding `n` keys, at coarsening `ipt`.
 #[derive(Debug, Clone, Copy)]
@@ -264,7 +271,7 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
     /// The standalone case: one segment, its descriptor passed to every
     /// block by value — no table, no extra sector, no extra barrier.
     pub fn one(seg: SweepSeg<'a, B>, wpb: usize) -> Self {
-        let tiles = vec![seg.n.div_ceil(wpb * WARP_SIZE * seg.ipt)];
+        let tiles = vec![seg.tiles(wpb)];
         let hist_words = seg.bucket.num_buckets() as usize;
         Self {
             segs: vec![seg],
@@ -280,10 +287,7 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
     /// [`DESC_WORDS`]-word descriptor from a device table and shares it
     /// through shared memory.
     pub fn batch(segs: Vec<SweepSeg<'a, B>>, wpb: usize) -> Self {
-        let tiles: Vec<usize> = segs
-            .iter()
-            .map(|s| s.n.div_ceil(wpb * WARP_SIZE * s.ipt))
-            .collect();
+        let tiles: Vec<usize> = segs.iter().map(|s| s.tiles(wpb)).collect();
         let mut hist_base = Vec::with_capacity(segs.len());
         let mut hist_words = 0usize;
         for s in &segs {
@@ -328,28 +332,6 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
         read_desc(blk, table, t)
     }
 
-    /// Host: exclusive-scan each segment's flattened totals into its
-    /// global bucket bases. Returns the device copy of the flattened bases
-    /// and each segment's `m + 1` offsets.
-    pub fn bases(&self, totals: &[u32]) -> (GlobalBuffer<u32>, Vec<Vec<u32>>) {
-        assert_eq!(totals.len(), self.hist_words, "one total per bucket");
-        let mut bases = vec![0u32; self.hist_words];
-        let mut offsets = Vec::with_capacity(self.segs.len());
-        for (s, &hb) in self.segs.iter().zip(&self.hist_base) {
-            let mu = s.bucket.num_buckets() as usize;
-            let mut run = 0u32;
-            for (base, &total) in bases[hb..hb + mu].iter_mut().zip(&totals[hb..hb + mu]) {
-                *base = run;
-                run = run.wrapping_add(total);
-            }
-            debug_assert_eq!(run as usize, s.n, "bucket totals must sum to n");
-            let mut o = bases[hb..hb + mu].to_vec();
-            o.push(s.n as u32);
-            offsets.push(o);
-        }
-        (GlobalBuffer::from_slice(&bases), offsets)
-    }
-
     /// The sweep launch over the flattened segment × tile ticket space,
     /// look-back partitioned per segment. Returns the resolved tile
     /// states (every record INCLUSIVE).
@@ -391,9 +373,12 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
         states
     }
 
-    /// The whole split of a batch (a pre-scan batch over the same
-    /// segments at the pre-scan's own tile geometry, host bases, direct
-    /// sweep) into `out_keys` / `out_values`. Returns each segment's
+    /// The whole split of a batch into `out_keys` / `out_values`: a
+    /// pre-scan (at its own tile geometry) of the segments that span more
+    /// than one sweep tile, host bases, and the direct sweep. A one-tile
+    /// segment needs no bases: its tile is the whole segment, written in
+    /// place, and its totals are its own look-back record. A plan of
+    /// one-tile segments is therefore one launch. Returns each segment's
     /// `m + 1` segment-local offsets.
     pub fn split<V: Scalar>(
         &self,
@@ -404,25 +389,67 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
         out_keys: &GlobalBuffer<u32>,
         out_values: Option<&GlobalBuffer<V>>,
     ) -> Vec<Vec<u32>> {
-        let counted: Vec<_> = self
-            .segs
-            .iter()
-            .map(|s| CountSeg {
-                offset: s.offset,
-                n: s.n,
-                targets: vec![s.bucket],
-            })
+        // The multi-tile segments' offsets, from the pre-scan's totals.
+        let mut offsets: Vec<Option<Vec<u32>>> = vec![None; self.segs.len()];
+        let multi: Vec<usize> = (0..self.segs.len())
+            .filter(|&i| self.tiles[i] > 1)
             .collect();
-        let totals = prescan(dev, labels[0], keys, &counted, self.wpb, true);
-        let (bases, offsets) = self.bases(&totals);
+        if !multi.is_empty() {
+            let counted: Vec<_> = multi
+                .iter()
+                .map(|&i| CountSeg {
+                    offset: self.segs[i].offset,
+                    n: self.segs[i].n,
+                    targets: vec![self.segs[i].bucket],
+                })
+                .collect();
+            let table = self.table.is_some();
+            let mut flat = prescan(dev, labels[0], keys, &counted, self.wpb, table).into_iter();
+            for &i in &multi {
+                let m = self.segs[i].bucket.num_buckets() as usize;
+                offsets[i] = Some(offsets_of(&flat.by_ref().take(m).collect::<Vec<_>>()));
+            }
+        }
+        // One-tile segments keep all-zero bases; their tiles never read them.
+        let mut bases = vec![0u32; self.hist_words];
+        for (o, &hb) in offsets.iter().zip(&self.hist_base) {
+            if let Some((_, starts)) = o.as_ref().and_then(|o| o.split_last()) {
+                bases[hb..hb + starts.len()].copy_from_slice(starts);
+            }
+        }
+        let bases = GlobalBuffer::from_slice(&bases);
         let out = Out::Final {
             bases: &bases,
             keys: out_keys,
             values: out_values,
         };
-        self.sweep(dev, labels[1], keys, values, &out);
+        let states = self.sweep(dev, labels[1], keys, values, &out);
         offsets
+            .into_iter()
+            .enumerate()
+            .map(|(i, o)| {
+                let o = o.unwrap_or_else(|| offsets_of(&states.row_totals(i)));
+                debug_assert_eq!(o.last().copied(), Some(self.segs[i].n as u32));
+                o
+            })
+            .collect()
     }
+}
+
+/// Host: the `m + 1` offsets of per-bucket `totals` (their exclusive scan
+/// closed by the sum).
+pub(crate) fn offsets_of(totals: &[u32]) -> Vec<u32> {
+    let mut run = 0u32;
+    let mut offsets: Vec<u32> = totals
+        .iter()
+        .map(|&t| {
+            let base = run;
+            run = run.wrapping_add(t);
+            base
+        })
+        .collect();
+    offsets.push(run);
+    offsets
 }
 
 /// Lane addresses of the 32-element chunk at segment-local index `lb` of
@@ -572,7 +599,10 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let kind = SweepKind {
         scatter: out.scatter(),
     };
-    let direct = kind.scatter == Scatter::Direct;
+    // A tile that is its whole segment is already in final order once
+    // reordered: it scatters in place, like a deferred tile, and reads no
+    // bucket bases.
+    let direct = kind.scatter == Scatter::Direct && d.n > chunks * WARP_SIZE;
     let value_words = values.map_or(0, |_| V::BYTES as usize / 4);
     let lay = kind.layout(nw, mu, d.ipt, value_words);
     let hist = TileHist::alloc(blk, mu);
@@ -665,7 +695,8 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
 
     // Phase 5: coalesced read of the staged tile, written either to final
     // positions (rank within bucket = tile position - bucket tile start)
-    // or, bucket-dense, to the staging scratch.
+    // or, bucket-dense, at the tile's own range (the staging scratch, or
+    // the final outputs of a one-tile segment).
     for w in blk.warps() {
         for c in 0..d.ipt {
             let chunk = w.warp_id * d.ipt + c;
@@ -687,11 +718,10 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
                     });
                     (dest, *keys, *values)
                 }
-                (Out::Staged { keys, values }, ..) => {
+                (Out::Final { keys, values, .. } | Out::Staged { keys, values }, ..) => {
                     let dest = lanes_from_fn(|l| d.offset + tile_start + tid[l]);
                     (dest, *keys, *values)
                 }
-                _ => unreachable!("a direct scatter allocates its bucket and base tables"),
             };
             w.scatter(out_keys, dest, k2, mask);
             if let (Some(vs), Some(vout)) = (&values_s, out_values) {
@@ -941,11 +971,7 @@ mod tests {
     fn every_standalone_path_matches_reference() {
         let dev = Device::new(K40C);
         for (method, ms) in PATHS {
-            let kind = if method == Method::Onesweep {
-                SweepKind::DEFERRED
-            } else {
-                SweepKind::DIRECT
-            };
+            let kind = kind_of(method);
             for (i, &m) in ms.iter().enumerate() {
                 for j in 0..sizes(0).len() {
                     let kv = (i + j) % 2 == 1;
@@ -978,6 +1004,108 @@ mod tests {
                     .map(|b| if b <= only { 0 } else { n as u32 })
                     .collect();
                 assert_eq!(r.offsets, expect, "{method:?}");
+            }
+        }
+    }
+
+    /// The sweep kind a standalone path runs.
+    fn kind_of(method: Method) -> SweepKind {
+        if method == Method::Onesweep {
+            SweepKind::DEFERRED
+        } else {
+            SweepKind::DIRECT
+        }
+    }
+
+    /// Launch labels of a standalone run of `n` keys on a fresh device,
+    /// checked against the CPU reference.
+    fn labels_of(method: Method, m: u32, n: usize, kv: bool) -> Vec<String> {
+        let dev = Device::new(K40C);
+        check_case(&dev, method, &RangeBuckets::new(m), n, kv, 8);
+        dev.records().into_iter().map(|r| r.label).collect()
+    }
+
+    /// An input that fits one sweep tile is one launch, the sweep: no
+    /// pre-scan and no deferred scatter. One key more is two launches.
+    #[test]
+    fn one_tile_is_one_launch_and_one_key_more_is_two() {
+        for (method, m, pair) in [
+            (Method::Fused, 13u32, ["fused/pre-scan", "fused/sweep"]),
+            (
+                Method::FusedLargeM,
+                100,
+                ["fused_large_m/pre-scan", "fused_large_m/sweep"],
+            ),
+            (Method::Onesweep, 13, ["onesweep/sweep", "onesweep/scatter"]),
+        ] {
+            let sweep = if method == Method::Onesweep {
+                pair[0]
+            } else {
+                pair[1]
+            };
+            for kv in [false, true] {
+                let ipt = kind_of(method).items_per_thread(8, m as usize, 4 * kv as u64, 0);
+                let tile = 8 * WARP_SIZE * ipt.unwrap();
+                assert_eq!(
+                    labels_of(method, m, tile, kv),
+                    [sweep],
+                    "{method:?} kv={kv}"
+                );
+                assert_eq!(
+                    labels_of(method, m, tile + 1, kv),
+                    pair,
+                    "{method:?} kv={kv}"
+                );
+            }
+        }
+    }
+
+    /// A one-tile run bills the same counted stats, and writes the same
+    /// outputs, under all six schedules: sequential, parallel and the four
+    /// adversarial flavors.
+    #[test]
+    fn one_tile_runs_are_schedule_independent() {
+        use simt::{AdvFlavor, AdvSchedule};
+        let n = 3000;
+        let data = keys_for(n, 100);
+        let vals: Vec<u32> = (0..n as u32).collect();
+        for (method, m) in [
+            (Method::Fused, 13u32),
+            (Method::FusedLargeM, 100),
+            (Method::Onesweep, 13),
+        ] {
+            for kv in [false, true] {
+                let bucket = RangeBuckets::new(m);
+                let mut devs = vec![Device::sequential(K40C), Device::new(K40C)];
+                devs.extend(
+                    AdvFlavor::ALL
+                        .map(|f| Device::adversarial(K40C, AdvSchedule::with_flavor(0x0717, f))),
+                );
+                let runs: Vec<_> = devs
+                    .iter()
+                    .map(|dev| {
+                        let keys = GlobalBuffer::from_slice(&data);
+                        let values = GlobalBuffer::from_slice(&vals);
+                        let values = kv.then_some(&values);
+                        let r = multisplit_device(dev, method, &keys, values, n, &bucket, 8);
+                        let stats: Vec<_> = dev.records().iter().map(|rec| rec.stats).collect();
+                        assert_eq!(stats.len(), 1, "{method:?} kv={kv}: one launch");
+                        (
+                            r.keys.to_vec(),
+                            r.values.map(|v| v.to_vec()),
+                            r.offsets,
+                            stats,
+                        )
+                    })
+                    .collect();
+                let (ek, ev, eo) = multisplit_kv_ref(&data, kv.then_some(&vals[..]), &bucket);
+                assert_eq!((&runs[0].0, &runs[0].2), (&ek, &eo), "{method:?} kv={kv}");
+                if kv {
+                    assert_eq!(runs[0].1.as_ref(), Some(&ev), "{method:?}");
+                }
+                for run in &runs[1..] {
+                    assert_eq!(run, &runs[0], "{method:?} kv={kv}: schedule-independent");
+                }
             }
         }
     }

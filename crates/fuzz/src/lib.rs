@@ -48,16 +48,22 @@
 use msrng::SmallRng;
 use multisplit::{
     fused_max_buckets, max_buckets as large_m_max_buckets, multisplit_device, multisplit_kv_ref,
-    multisplit_ref, multisplit_segmented, no_values, Method, RangeBuckets, SegmentSpec,
+    multisplit_ref, multisplit_segmented, no_values,
+    sweep::{SweepKind, DESC_WORDS},
+    Method, RangeBuckets, SegmentSpec,
 };
 use simt::{
     AdvFlavor, AdvSchedule, Device, GlobalBuffer, LaunchRecord, Schedule, Stream, StreamTask, K40C,
 };
 
-/// Upper bound on generated `n`: big enough for multi-tile grids (dozens
-/// of look-back tiles at every `wpb`), small enough that a 200-case run
-/// finishes in seconds.
+/// Upper bound on a uniformly drawn `n`, small enough that a 200-case run
+/// finishes in seconds. Tile-edge draws ([`draw_n`]) go past it: they come
+/// from the case's real tile (a sweep tile holds 4,096 keys at 8 warps),
+/// up to [`MAX_TILES`] of them.
 pub const MAX_N: usize = 4096;
+
+/// Most tiles a `k × tile` size draw spans.
+pub const MAX_TILES: usize = 4;
 
 /// Upper bound on generated `m` for the large-m methods (their
 /// shared-memory capacity allows ~1.2k, but histogram setup cost scales
@@ -816,17 +822,6 @@ pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
     let kv = ix % 2 == 1;
     let sched = sched_for(ix / 2, &mut rng);
     let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
-    let tile = wpb * 32;
-    let n = match rng.next_u32() % 8 {
-        0 => 0,
-        1 => 1,
-        2 => tile,
-        3 => tile + 1,
-        4 => (rng.next_u32() as usize % 63) + 2,
-        5 => tile * ((rng.next_u32() as usize % 8) + 1),
-        _ => (rng.next_u32() as usize % MAX_N) + 1,
-    };
-    let dist = KeyDist::ALL[(rng.next_u32() % 4) as usize];
     let max_db = ms_sort::max_digit_bits(wpb, if kv { 4 } else { 0 });
     let digit_bits = match rng.next_u32() % 4 {
         0 => 1,
@@ -834,6 +829,10 @@ pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
         2 => 6.min(max_db), // first width on FusedLargeM
         _ => 1 + rng.next_u32() % max_db,
     };
+    // A digit pass is a direct sweep over 2^digit_bits buckets.
+    let tile = tile_of(Method::Fused, 1 << digit_bits, kv, wpb, 0);
+    let n = draw_n(&mut rng, tile, MAX_N);
+    let dist = KeyDist::ALL[(rng.next_u32() % 4) as usize];
     let bits = match rng.next_u32() % 4 {
         0 => 0,
         1 => 32,
@@ -1197,19 +1196,10 @@ pub fn gen_seg_case(seed: u64, ix: usize) -> SegCase {
     let kv = ix % 2 == 1;
     let sched = sched_for(ix / 2, &mut rng);
     let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
-    let tile = wpb * 32;
     let nsegs = (rng.next_u32() as usize) % (MAX_SEGS + 1);
     let mut ns = [0usize; MAX_SEGS];
     let mut ms = [0u32; MAX_SEGS];
     for i in 0..nsegs {
-        ns[i] = match rng.next_u32() % 6 {
-            0 => 0,
-            1 => 1,
-            2 => tile,
-            3 => tile + 1,
-            4 => (rng.next_u32() as usize % 63) + 2,
-            _ => (rng.next_u32() as usize % (MAX_N / 4)) + 1,
-        };
         ms[i] = match rng.next_u32() % 5 {
             0 => 1,
             1 => 32,                       // last m on the fused class
@@ -1217,6 +1207,11 @@ pub fn gen_seg_case(seed: u64, ix: usize) -> SegCase {
             3 => 33 + rng.next_u32() % 96, // deeper multi-row look-back
             _ => 1 + rng.next_u32() % 32,
         };
+        // The segmented sweep's tile (next to the tile descriptor), so a
+        // batch mixes one-tile segments with pre-scanned multi-tile ones.
+        let method = Method::auto_for(ms[i], kv, wpb);
+        let tile = tile_of(method, ms[i], kv, wpb, DESC_WORDS);
+        ns[i] = draw_n(&mut rng, tile, MAX_N / 4);
     }
     SegCase {
         nsegs,
@@ -1237,6 +1232,35 @@ pub fn gen_seg_case(seed: u64, ix: usize) -> SegCase {
 /// matrix wants 2–4 concurrent launches; 4 tasks already exercise every
 /// session-executor arbitration path.
 pub const MAX_STREAM_TASKS: usize = 4;
+
+/// Keys per tile of one `method` run at `m` buckets: the sweep tile for
+/// the single-pass paths (as many items per thread as shared memory holds
+/// next to `reserved_words`), one 32-key chunk per warp for the
+/// three-kernel ones and past the sweep's capacity.
+fn tile_of(method: Method, m: u32, kv: bool, wpb: usize, reserved_words: usize) -> usize {
+    let kind = match method {
+        Method::Fused | Method::FusedLargeM => SweepKind::DIRECT,
+        Method::Onesweep => SweepKind::DEFERRED,
+        _ => return wpb * 32,
+    };
+    let ipt = kind.items_per_thread(wpb, m as usize, if kv { 4 } else { 0 }, reserved_words);
+    wpb * 32 * ipt.unwrap_or(1)
+}
+
+/// A size drawn with a bias toward the edges of `tile`: empty, one key,
+/// one tile exactly, one key past it (the first two-tile input), a few
+/// whole tiles, sub-warp sizes, and uniform up to `max_uniform`.
+fn draw_n(rng: &mut SmallRng, tile: usize, max_uniform: usize) -> usize {
+    match rng.next_u32() % 8 {
+        0 => 0,
+        1 => 1,
+        2 => tile,
+        3 => tile + 1,
+        4 => (rng.next_u32() as usize % 63) + 2,
+        5 => tile * ((rng.next_u32() as usize % MAX_TILES) + 1),
+        _ => (rng.next_u32() as usize % max_uniform) + 1,
+    }
+}
 
 /// Smallest legal `m` for a method (the large-m paths need `m > 32`).
 fn stream_min_m(method: Method) -> u32 {
@@ -1674,7 +1698,6 @@ pub fn gen_stream_case(seed: u64, ix: usize) -> StreamCase {
     let kv = ix % 2 == 1;
     let sched = sched_for(ix / 2, &mut rng);
     let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
-    let tile = wpb * 32;
     let ntasks = 2 + (rng.next_u32() as usize) % (MAX_STREAM_TASKS - 1);
     let mut ns = [0usize; MAX_STREAM_TASKS];
     let mut ms = [0u32; MAX_STREAM_TASKS];
@@ -1682,20 +1705,13 @@ pub fn gen_stream_case(seed: u64, ix: usize) -> StreamCase {
     for i in 0..ntasks {
         let (method, _) = METHODS[(rng.next_u32() as usize) % METHODS.len()];
         methods[i] = method;
-        ns[i] = match rng.next_u32() % 6 {
-            0 => 0,
-            1 => 1,
-            2 => tile,
-            3 => tile + 1,
-            4 => (rng.next_u32() as usize % 63) + 2,
-            _ => (rng.next_u32() as usize % (MAX_N / 4)) + 1,
-        };
         let (lo, hi) = (stream_min_m(method), stream_max_m(method, wpb, kv));
         ms[i] = match rng.next_u32() % 4 {
             0 => lo,
             1 => hi,
             _ => lo + rng.next_u32() % (hi - lo + 1),
         };
+        ns[i] = draw_n(&mut rng, tile_of(method, ms[i], kv, wpb, 0), MAX_N / 4);
     }
     StreamCase {
         ntasks,
@@ -1905,24 +1921,13 @@ pub fn gen_case(seed: u64, ix: usize) -> FuzzCase {
     let kv = (ix / METHODS.len()) % 2 == 1;
     let sched = sched_for(ix / (METHODS.len() * 2), &mut rng);
     let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
-    let tile = wpb * 32;
-    let n = match rng.next_u32() % 8 {
-        0 => 0,
-        1 => 1,
-        2 => tile,
-        3 => tile + 1,
-        4 => (rng.next_u32() as usize % 63) + 2,
-        5 => tile * ((rng.next_u32() as usize % 8) + 1),
-        _ => (rng.next_u32() as usize % MAX_N) + 1,
-    };
-    let dist = KeyDist::ALL[(rng.next_u32() % 4) as usize];
     let mut case = FuzzCase {
-        n,
+        n: 0,
         m: 1,
         method,
         kv,
-        dist,
-        key_seed: rng.next_u64(),
+        dist: KeyDist::Uniform,
+        key_seed: 0,
         wpb,
         sched,
     };
@@ -1932,6 +1937,9 @@ pub fn gen_case(seed: u64, ix: usize) -> FuzzCase {
         1 => hi,
         _ => lo + rng.next_u32() % (hi - lo + 1),
     };
+    case.n = draw_n(&mut rng, tile_of(method, case.m, kv, wpb, 0), MAX_N);
+    case.dist = KeyDist::ALL[(rng.next_u32() % 4) as usize];
+    case.key_seed = rng.next_u64();
     case
 }
 
@@ -2038,7 +2046,7 @@ mod tests {
                 SchedSpec::Adversarial { flavor, .. } => flavor.name().to_string(),
             });
             assert!(c.m >= c.min_m() && c.m <= c.max_m(), "m in range for {c:?}");
-            assert!(c.n <= MAX_N);
+            assert!(c.n <= MAX_N.max(MAX_TILES * tile_of(c.method, c.m, c.kv, c.wpb, 0)));
         }
         assert_eq!(methods.len(), 7, "{methods:?}");
         assert_eq!(kvs.len(), 2);
@@ -2062,7 +2070,8 @@ mod tests {
             digits.insert(c.digit_bits);
             let max_db = ms_sort::max_digit_bits(c.wpb, if c.kv { 4 } else { 0 });
             assert!(c.digit_bits >= 1 && c.digit_bits <= max_db, "{c:?}");
-            assert!(c.bits <= 32 && c.n <= MAX_N);
+            let tile = tile_of(Method::Fused, 1 << c.digit_bits, c.kv, c.wpb, 0);
+            assert!(c.bits <= 32 && c.n <= MAX_N.max(MAX_TILES * tile));
         }
         assert_eq!(kvs.len(), 2);
         assert_eq!(scheds.len(), 6, "{scheds:?}");
@@ -2281,6 +2290,36 @@ mod tests {
         assert!(parse_replay("seg,ns=x,ms=1,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq").is_err());
     }
 
+    /// The size draws reach both sides of every sweep path's one-tile
+    /// edge (one launch at `n = tile`, the multi-tile pipeline at
+    /// `tile + 1`), and some segmented batch mixes a one-tile coalesced
+    /// segment with a multi-tile one.
+    #[test]
+    fn size_draws_cross_the_sweep_tile_edge() {
+        for method in [Method::Fused, Method::FusedLargeM, Method::Onesweep] {
+            let (mut at, mut past) = (false, false);
+            for c in (0..3000).map(|ix| gen_case(5, ix)) {
+                if c.method == method {
+                    let tile = tile_of(method, c.m, c.kv, c.wpb, 0);
+                    at |= c.n == tile;
+                    past |= c.n == tile + 1;
+                }
+            }
+            assert!(at && past, "{method:?}: n = tile {at}, n = tile + 1 {past}");
+        }
+        let mixed = (0..500).map(|ix| gen_seg_case(5, ix)).any(|c| {
+            let tiles: Vec<usize> = (0..c.nsegs)
+                .filter(|&i| Method::auto_for_segmented(c.ms[i], c.kv, c.wpb).is_some())
+                .map(|i| {
+                    let method = Method::auto_for(c.ms[i], c.kv, c.wpb);
+                    c.ns[i].div_ceil(tile_of(method, c.ms[i], c.kv, c.wpb, DESC_WORDS))
+                })
+                .collect();
+            tiles.contains(&1) && tiles.iter().any(|&t| t > 1)
+        });
+        assert!(mixed, "no batch mixes one-tile and multi-tile segments");
+    }
+
     #[test]
     fn seg_generator_covers_its_matrix() {
         let mut kvs = std::collections::HashSet::new();
@@ -2299,7 +2338,9 @@ mod tests {
             assert!(c.nsegs <= MAX_SEGS);
             empty_batch |= c.nsegs == 0;
             for i in 0..c.nsegs {
-                assert!(c.ns[i] <= MAX_N / 4);
+                let method = Method::auto_for(c.ms[i], c.kv, c.wpb);
+                let tile = tile_of(method, c.ms[i], c.kv, c.wpb, DESC_WORDS);
+                assert!(c.ns[i] <= (MAX_N / 4).max(MAX_TILES * tile));
                 assert!(c.ms[i] >= 1);
                 fused |= c.ms[i] <= 32;
                 largem |= c.ms[i] > 32;
@@ -2430,7 +2471,8 @@ mod tests {
             assert!((2..=MAX_STREAM_TASKS).contains(&c.ntasks), "{c:?}");
             ntasks_seen.insert(c.ntasks);
             for i in 0..c.ntasks {
-                assert!(c.ns[i] <= MAX_N / 4);
+                let tile = tile_of(c.methods[i], c.ms[i], c.kv, c.wpb, 0);
+                assert!(c.ns[i] <= (MAX_N / 4).max(MAX_TILES * tile));
                 let (lo, hi) = (
                     stream_min_m(c.methods[i]),
                     stream_max_m(c.methods[i], c.wpb, c.kv),

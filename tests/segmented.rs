@@ -167,8 +167,12 @@ fn oversized_m_segment_falls_back_to_standalone_launches() {
     assert!(
         labels
             .iter()
-            .any(|l| l == "segmented/pre-scan[fused=1,largem=1]"),
+            .any(|l| l == "segmented/sweep[fused=1,largem=1]"),
         "the in-capacity segments still coalesce: {labels:?}"
+    );
+    assert!(
+        !labels.iter().any(|l| l.starts_with("segmented/pre-scan")),
+        "the in-capacity segments fit one sweep tile each, so nothing is pre-scanned: {labels:?}"
     );
     assert!(
         labels.iter().any(|l| l.starts_with("segmented/fallback/")),
