@@ -14,7 +14,7 @@
 //! digit buckets), so it doubles as an ablation of the *ranking mechanism*
 //! alone.
 
-use simt::{lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WARP_SIZE};
+use simt::{lanes_from_fn, splat, Device, GlobalBuffer, Scalar, SharedBuf, WarpCtx, WARP_SIZE};
 
 use multisplit::common::{empty_result, eval_buckets, offsets_from_scanned, DeviceMultisplit};
 use multisplit::BucketFn;
@@ -26,6 +26,22 @@ use primitives::{
 /// Largest bucket count the shared counters support for `wpb` warps.
 pub fn max_buckets_atomic(wpb: usize) -> u32 {
     ((simt::SMEM_CAPACITY_BYTES / 4 - 3 * wpb * WARP_SIZE) / (wpb + 2)) as u32
+}
+
+/// Warp `w`, before its first atomic: zero its own row of `m` counters at
+/// pitch `mp`. Shared memory is not zeroed on a GPU, and the cross-warp
+/// scan reads every warp's row, including those of warps with no keys.
+/// Each warp touches only its own row until the block's next barrier, so
+/// the zeroing needs no barrier of its own.
+fn zero_counter_row(w: &WarpCtx, counters: &SharedBuf<u32>, m: usize, mp: usize) {
+    for g0 in (0..m).step_by(WARP_SIZE) {
+        let cnt = (m - g0).min(WARP_SIZE);
+        counters.st(
+            lanes_from_fn(|j| w.warp_id * mp + g0 + j.min(cnt - 1)),
+            splat(0),
+            low_lanes_mask(cnt),
+        );
+    }
 }
 
 /// Stable multisplit using shared-atomic ranking (Patidar style), any
@@ -59,6 +75,7 @@ pub fn multisplit_block_atomic<B: BucketFn + ?Sized, V: Scalar>(
         let block_hist = blk.alloc_shared::<u32>(mu);
         let tile = blk.block_id * nw * WARP_SIZE;
         for w in blk.warps() {
+            zero_counter_row(&w, &counters, mu, mp);
             let base = tile + w.warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);
             if mask == 0 {
@@ -115,6 +132,7 @@ pub fn multisplit_block_atomic<B: BucketFn + ?Sized, V: Scalar>(
         // Phase 1: atomic ranking (the Patidar mechanism: the previous
         // counter value is the element's intra-warp, intra-bucket rank).
         for w in blk.warps() {
+            zero_counter_row(&w, &counters, mu, mp);
             let base = tile + w.warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);
             if mask == 0 {

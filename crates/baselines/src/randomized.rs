@@ -14,7 +14,7 @@
 //! fit warp-synchronous hardware; `paper randomized` reproduces the `x`
 //! sweep. The output is a valid but **non-stable** multisplit.
 
-use simt::{blocks_for, lanes_from_fn, Device, GlobalBuffer, WARP_SIZE};
+use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, WARP_SIZE};
 
 use multisplit::BucketFn;
 use primitives::{exclusive_scan_u32, histogram_shared_atomic, tail_mask};
@@ -100,6 +100,23 @@ pub fn randomized_multisplit<B: BucketFn + ?Sized>(
         let slots = blk.alloc_shared::<u32>(m * sbuf);
         let occ = blk.alloc_shared::<u32>(m * sbuf);
         let counts = blk.alloc_shared::<u32>(m);
+        // Shared memory is not zeroed on a GPU: clear the slots (a full
+        // flush writes empty ones out too), their occupancy flags and the
+        // counters before any warp throws.
+        for w in blk.warps() {
+            for buf in [&slots, &occ, &counts] {
+                let len = buf.len();
+                for base in (w.warp_id * WARP_SIZE..len).step_by(wpb * WARP_SIZE) {
+                    let c = (len - base).min(WARP_SIZE);
+                    buf.st(
+                        lanes_from_fn(|l| base + l.min(c - 1)),
+                        splat(0),
+                        primitives::low_lanes_mask(c),
+                    );
+                }
+            }
+        }
+        blk.sync();
         // Flush bucket `b`: reserve from the global cursor and write the
         // buffer out through warp `w`. `full` flushes write the entire
         // buffer including empty slots (the paper's behaviour); the final

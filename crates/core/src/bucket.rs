@@ -10,8 +10,8 @@
 //! scenario the paper shows radix sort winning (§3.1, Table 4 footnote).
 
 /// Maps keys to buckets. Implementations must be cheap and pure: the
-/// multisplit kernels evaluate keys twice (pre-scan and post-scan) because
-/// recomputation beats a global store/load round-trip (paper §5.1).
+/// kernels recompute bucket ids rather than carry them (paper §5.1) — a
+/// multi-tile direct sweep evaluates each key in pre-scan, count and scatter.
 pub trait BucketFn: Sync {
     /// Number of buckets `m`. Every key must map into `0..m`.
     fn num_buckets(&self) -> u32;

@@ -63,13 +63,14 @@ pub fn offsets_from_scanned(g: &GlobalBuffer<u32>, m: usize, l: usize, n: usize)
 pub const SMEM_BUDGET_WORDS: usize = simt::SMEM_CAPACITY_BYTES / 4;
 
 /// Shared-memory staging words per staged element in a block-wide reorder:
-/// one word for the permuted key, one for its bucket id, plus `value_words`
-/// for the payload (0 key-only, 1 for `u32` values, 2 for packed `u64`
-/// pairs). Single source of truth for the shared-memory budgets of both
-/// the three-kernel `large_m` path and the fused large-m sweep — the two
-/// must never disagree on how big staging is.
+/// one word for the permuted key plus `value_words` for the payload (0
+/// key-only, 1 for `u32` values, 2 for packed `u64` pairs). No bucket id is
+/// staged: the scatter recomputes it from the key (paper §5.1). Single
+/// source of truth for the shared-memory budgets of both the three-kernel
+/// `large_m` path and the sweep (direct and deferred) — they must never
+/// disagree on how big staging is.
 pub const fn staging_words_per_element(value_words: usize) -> usize {
-    2 + value_words
+    1 + value_words
 }
 
 /// Run a caller-provided-output entry point (`multisplit_*_into`) on fresh

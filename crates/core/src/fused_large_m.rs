@@ -53,7 +53,9 @@ const KIND: SweepKind = SweepKind::DIRECT;
 
 /// Largest supported bucket count: the sweep at minimum coarsening
 /// (`items_per_thread = 1`) must fit shared memory. Tight: `m ==
-/// max_buckets` fits, `m + 1` would overflow `alloc_shared`.
+/// max_buckets` fits, `m + 1` would overflow `alloc_shared`. Below
+/// [`crate::large_m::max_buckets`] at every block size, which `auto_for`
+/// relies on.
 pub fn max_buckets(wpb: usize, key_value: bool) -> u32 {
     max_buckets_bytes(wpb, if key_value { 4 } else { 0 })
 }
@@ -62,7 +64,7 @@ pub fn max_buckets(wpb: usize, key_value: bool) -> u32 {
 /// one-word payload, but staging grows with `V::BYTES` — ms-sort's
 /// reduced-bit fallback runs packed `u64` payloads through this sweep, and
 /// at wide blocks the capacity difference is real (e.g. `wpb = 32`:
-/// 267 buckets for `u32` payloads, 236 for `u64`).
+/// 298 buckets for `u32` payloads, 267 for `u64`).
 pub fn max_buckets_bytes(wpb: usize, value_bytes: u64) -> u32 {
     // The footprint is affine in m: a fixed part plus one histogram row
     // (pitch wpb | 1) and one scatter-base word per bucket.

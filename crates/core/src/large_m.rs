@@ -26,7 +26,8 @@ use crate::common::{
 use crate::warp_ops::{warp_histogram_multi, warp_offsets};
 
 /// Largest supported bucket count for a given block size: the `m x N_W`
-/// histogram plus per-element staging must fit in shared memory.
+/// histogram plus staging of keys and payloads (the store recomputes bucket
+/// ids) must fit in shared memory. Above the fused sweep's capacity.
 ///
 /// The post-scan kernel allocates, in words: the row-vectorized histogram
 /// `m * (wpb | 1)` (odd pitch for bank-conflict-free strided access),
@@ -138,7 +139,6 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
         let tile = blk.block_id * nw * WARP_SIZE;
         let hrow = blk.alloc_shared::<u32>(mu * nwp);
         let keys2_s = blk.alloc_shared::<u32>(nw * WARP_SIZE);
-        let buckets2_s = blk.alloc_shared::<u32>(nw * WARP_SIZE);
         let values2_s = values.map(|_| blk.alloc_shared::<V>(nw * WARP_SIZE));
         // Per-warp registers persisting across barriers.
         let mut key_reg = vec![[0u32; WARP_SIZE]; nw];
@@ -210,15 +210,14 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
             );
             let new_idx = lanes_from_fn(|lane| (bases[lane] + offs[lane]) as usize);
             keys2_s.st(new_idx, k, mask);
-            buckets2_s.st(new_idx, b, mask);
             if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
                 vs2.st(new_idx, vr[w.warp_id], mask);
             }
         }
         blk.sync();
 
-        // Phase 4: coalesced store. Bucket b's block-local start is
-        // hrow[b*nw] (warp-0 term of the scanned layout).
+        // Phase 4: coalesced store of recomputed buckets. Bucket b's
+        // block-local start is hrow[b*nw] (warp-0 term of the scanned layout).
         for w in blk.warps() {
             let base = tile + w.warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);
@@ -227,7 +226,7 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
             }
             let tid = lanes_from_fn(|lane| w.warp_id * WARP_SIZE + lane);
             let k2 = keys2_s.ld(tid, mask);
-            let b2 = buckets2_s.ld(tid, mask);
+            let b2 = eval_buckets(&w, bucket, k2, mask);
             let bb = hrow.ld(lanes_from_fn(|lane| b2[lane] as usize * nwp), mask);
             let gbase = w.gather_cached(
                 &g,

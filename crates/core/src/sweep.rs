@@ -14,6 +14,9 @@
 //! the Onesweep flag; its look-back records carry the histogram, so it
 //! runs no pre-scan).
 //!
+//! The reorder stages keys and payloads only: a direct scatter recomputes
+//! each key's bucket (paper §5.1) and reads one folded base per bucket.
+//!
 //! Every `m` builds the same histogram: the paper's per-warp `m × N_W`
 //! layout (§5.2 for `m ≤ 32`, §5.3/§6.4 beyond), one running-count
 //! column per warp at odd pitch `N_W | 1`. Per chunk a warp runs
@@ -86,13 +89,13 @@ pub struct SweepKind {
 struct Layout {
     /// The per-warp histogram, `m × (wpb | 1)`.
     hist: usize,
-    /// The scatter bases of a direct scatter (`m` words).
+    /// The folded scatter bases of a direct scatter (`m` words).
     tables: usize,
     /// Staging slots for the reordered tile, addressed through
     /// [`padded_index`].
     slots: usize,
-    /// Words staged per element: the key, the payload, and (direct
-    /// scatter only) the bucket id.
+    /// Words staged per element: the key and the payload. A direct
+    /// scatter recomputes the bucket id from the staged key.
     slot_words: usize,
     /// The block-wide scan's warp-sums scratch.
     scan_scratch: usize,
@@ -118,11 +121,7 @@ impl SweepKind {
             hist: m * (wpb | 1),
             tables: if direct { m } else { 0 },
             slots: padded_len(wpb * ipt * WARP_SIZE),
-            slot_words: if direct {
-                staging_words_per_element(value_words)
-            } else {
-                1 + value_words
-            },
+            slot_words: staging_words_per_element(value_words),
             scan_scratch: wpb + 1,
         }
     }
@@ -525,12 +524,14 @@ impl<'b> TileHist<'b> {
         block_exclusive_scan_shared(blk, &self.hrow, self.m * self.pitch)
     }
 
-    /// Warp 0, after [`scan`](Self::scan): the tile's per-bucket counts,
-    /// recovered from the scanned row heads (`head[b+1] - head[b]`, the
-    /// last bucket closing against the scan total).
-    fn aggregate(&self, w: &WarpCtx, tile_total: u32) -> Vec<u32> {
+    /// Warp 0, after [`scan`](Self::scan): the tile's per-bucket counts
+    /// and starts. The starts are the scanned row heads; each count is
+    /// `head[b+1] - head[b]`, the last bucket closing against the scan
+    /// total.
+    fn aggregate(&self, w: &WarpCtx, tile_total: u32) -> (Vec<u32>, Vec<u32>) {
         let (m, pitch) = (self.m, self.pitch);
         let mut agg = vec![0u32; m];
+        let mut start = vec![0u32; m];
         for g0 in (0..m).step_by(WARP_SIZE) {
             let cnt = (m - g0).min(WARP_SIZE);
             let sm = low_lanes_mask(cnt);
@@ -559,10 +560,11 @@ impl<'b> TileHist<'b> {
                 let b = g0 + l;
                 let next = if b + 1 < m { nexts[l] } else { tile_total };
                 agg[b] = next.wrapping_sub(heads[l]);
+                start[b] = heads[l];
             }
             w.charge(cnt as u64); // the subtracts
         }
-        agg
+        (agg, start)
     }
 
     /// Tile-local rank base of each lane's bucket in warp `w`: the
@@ -573,12 +575,6 @@ impl<'b> TileHist<'b> {
             lanes_from_fn(|l| b[l] as usize * self.pitch + w.warp_id),
             mask,
         )
-    }
-
-    /// Tile-local start of each lane's bucket.
-    fn bucket_start(&self, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
-        self.hrow
-            .ld(lanes_from_fn(|l| b[l] as usize * self.pitch), mask)
     }
 }
 
@@ -608,7 +604,6 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let hist = TileHist::alloc(blk, mu);
     let scatter_base = direct.then(|| blk.alloc_shared::<u32>(mu));
     let keys_s = blk.alloc_shared::<u32>(lay.slots);
-    let buckets_s = direct.then(|| blk.alloc_shared::<u32>(lay.slots));
     let values_s = values.map(|_| blk.alloc_shared::<V>(lay.slots));
     // Per-chunk registers persisting across barriers, as in a real kernel:
     // the tile's keys are read from DRAM exactly once.
@@ -647,10 +642,11 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
 
     // Phase 3 (warp 0): publish the tile aggregate and resolve the
     // m-vector tile prefix by decoupled look-back in the segment's window;
-    // a direct scatter folds it with the global bases into scatter_base.
+    // a direct scatter folds it, the global bases and the tile-local bucket
+    // starts into scatter_base (plus tile position: the destination).
     {
         let w = blk.warp(0);
-        let agg = hist.aggregate(&w, tile_total);
+        let (agg, start) = hist.aggregate(&w, tile_total);
         let prefix = states.resolve_rows(&w, d.seg, d.local_tile, &agg);
         if let (Out::Final { bases, .. }, Some(sb)) = (out, &scatter_base) {
             for g0 in (0..mu).step_by(WARP_SIZE) {
@@ -663,7 +659,10 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
                 );
                 sb.st(
                     lanes_from_fn(|l| g0 + l.min(cnt - 1)),
-                    lanes_from_fn(|l| gb[l].wrapping_add(prefix[g0 + l.min(cnt - 1)])),
+                    lanes_from_fn(|l| {
+                        let b = g0 + l.min(cnt - 1);
+                        gb[l].wrapping_add(prefix[b]).wrapping_sub(start[b])
+                    }),
                     sm,
                 );
             }
@@ -683,9 +682,6 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
             let base = hist.rank_base(&w, b, mask);
             let slot = lanes_from_fn(|l| padded_index((base[l] + rank_reg[chunk][l]) as usize));
             keys_s.st(slot, key_reg[chunk], mask);
-            if let Some(bs) = &buckets_s {
-                bs.st(slot, b, mask);
-            }
             if let (Some(vr), Some(vs)) = (&val_reg, &values_s) {
                 vs.st(slot, vr[chunk], mask);
             }
@@ -694,9 +690,9 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     blk.sync();
 
     // Phase 5: coalesced read of the staged tile, written either to final
-    // positions (rank within bucket = tile position - bucket tile start)
-    // or, bucket-dense, at the tile's own range (the staging scratch, or
-    // the final outputs of a one-tile segment).
+    // positions (the key's bucket, recomputed, picks its scatter base) or,
+    // bucket-dense, at the tile's own range (the staging scratch, or the
+    // final outputs of a one-tile segment).
     for w in blk.warps() {
         for c in 0..d.ipt {
             let chunk = w.warp_id * d.ipt + c;
@@ -707,15 +703,12 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
             let tid = lanes_from_fn(|l| chunk * WARP_SIZE + l);
             let slot = lanes_from_fn(|l| padded_index(tid[l]));
             let k2 = keys_s.ld(slot, mask);
-            let (dest, out_keys, out_values) = match (out, &buckets_s, &scatter_base) {
-                (Out::Final { keys, values, .. }, Some(bs), Some(sb)) => {
-                    let b2 = bs.ld(slot, mask);
-                    let start = hist.bucket_start(b2, mask);
+            let (dest, out_keys, out_values) = match (out, &scatter_base) {
+                (Out::Final { keys, values, .. }, Some(sb)) => {
+                    let b2 = eval_buckets(&w, bucket, k2, mask);
                     let base = sb.ld(lanes_from_fn(|l| b2[l] as usize), mask);
-                    let dest = lanes_from_fn(|l| {
-                        d.offset
-                            + (base[l].wrapping_add(tid[l] as u32).wrapping_sub(start[l])) as usize
-                    });
+                    let dest =
+                        lanes_from_fn(|l| d.offset + base[l].wrapping_add(tid[l] as u32) as usize);
                     (dest, *keys, *values)
                 }
                 (Out::Final { keys, values, .. } | Out::Staged { keys, values }, ..) => {
@@ -751,7 +744,7 @@ mod tests {
         for m in [1usize, 17, 32, 300] {
             assert_eq!(
                 KINDS[0].footprint_words(wpb, m, ipt, vw),
-                m * (wpb | 1) + m + padded_len(tile) * (2 + vw) + 1 + (wpb + 1),
+                m * (wpb | 1) + m + padded_len(tile) * (1 + vw) + 1 + (wpb + 1),
                 "direct m={m}"
             );
             assert_eq!(
@@ -799,29 +792,29 @@ mod tests {
         for m in [1, 2, 32, 64] {
             assert_eq!(direct(8, m, 0), Some(16), "m={m}");
         }
-        // A payload word per key: staging binds below the cap.
-        assert_eq!(direct(8, 32, 4), Some(15));
-        assert_eq!(direct(8, 256, 4), Some(12));
-        assert!((1..8).contains(&direct(16, 32, 4).unwrap()));
+        // A payload word per key still reaches the cap at 8 warps.
+        assert_eq!(direct(8, 32, 4), Some(16));
+        assert_eq!(direct(8, 256, 4), Some(16));
+        assert_eq!(direct(16, 32, 4), Some(11));
         assert!((1..8).contains(&direct(8, 1024, 4).unwrap()));
         let cap = crate::fused_large_m::max_buckets(8, false) as usize;
         assert_eq!(direct(8, cap, 0), Some(1));
         assert_eq!(direct(8, cap + 1, 0), None, "past capacity nothing fits");
     }
 
-    /// The histogram is `m · (wpb | 1)` words at every coarsening, the
-    /// footprint of `ipt = 1` before per-warp rows, so the capacity bound
-    /// keeps its values.
+    /// The capacity is the direct sweep's footprint at `ipt = 1`: per
+    /// bucket a histogram row of `wpb | 1` words and one scatter base, plus
+    /// one chunk per warp of staged keys and payloads (no bucket ids).
     #[test]
     fn max_buckets_keeps_its_values() {
         use crate::fused_large_m::max_buckets;
         for (wpb, key, kv) in [
-            (1, 6110, 6094),
-            (2, 3038, 3022),
-            (4, 2003, 1981),
-            (8, 1175, 1148),
-            (16, 623, 593),
-            (32, 298, 267),
+            (1, 6126, 6110),
+            (2, 3054, 3038),
+            (4, 2025, 2003),
+            (8, 1201, 1175),
+            (16, 652, 623),
+            (32, 329, 298),
         ] {
             assert_eq!(max_buckets(wpb, false), key, "wpb={wpb} key");
             assert_eq!(max_buckets(wpb, true), kv, "wpb={wpb} kv");
@@ -873,7 +866,7 @@ mod tests {
                     }
                     blk.sync();
                     let total = hist.scan(blk);
-                    let agg = hist.aggregate(&blk.warp(0), total);
+                    let (agg, starts) = hist.aggregate(&blk.warp(0), total);
                     let mut pos = vec![0u32; n];
                     for w in blk.warps() {
                         for c in 0..ipt {
@@ -889,9 +882,9 @@ mod tests {
                             }
                         }
                     }
-                    *got.lock().unwrap() = Some((total, agg, pos));
+                    *got.lock().unwrap() = Some((total, agg, starts, pos));
                 });
-                let (total, agg, pos) = got.into_inner().unwrap().unwrap();
+                let (total, agg, starts, pos) = got.into_inner().unwrap().unwrap();
                 let case = format!("m={m} nw={nw} ipt={ipt} n={n} one_bucket={one_bucket}");
                 let mut hist = vec![0u32; m];
                 (0..n).for_each(|i| hist[bucket_of(i) as usize] += 1);
@@ -905,6 +898,7 @@ mod tests {
                         Some(*run - h)
                     })
                     .collect();
+                assert_eq!(starts, start, "{case}: bucket starts");
                 for (i, &p) in pos.iter().enumerate() {
                     let b = bucket_of(i) as usize;
                     assert_eq!(p, start[b], "{case}: element {i}");

@@ -89,6 +89,23 @@ fn auto_falls_back_to_three_kernel_large_m_past_the_fused_capacity() {
     }
 }
 
+/// `Method::auto_for` sends every `m` past the fused large-m capacity to
+/// the three-kernel path, so that path must fit strictly more buckets at
+/// every block size and payload.
+#[test]
+fn three_kernel_capacity_exceeds_fused_capacity_at_every_block_size() {
+    for wpb in 1..=32 {
+        for kv in [false, true] {
+            let fused = fused_max_buckets(wpb, kv);
+            let three = multisplit::max_buckets(wpb, kv);
+            assert!(
+                fused < three,
+                "wpb={wpb} kv={kv}: fused {fused} vs three-kernel {three}"
+            );
+        }
+    }
+}
+
 #[test]
 fn explicit_onesweep_runs_its_two_kernels_and_auto_never_picks_it() {
     // Onesweep is opt-in: `auto` keeps choosing the fused pipeline (its

@@ -6,7 +6,8 @@
 //! sequential, and adversarial schedulers.
 
 use multisplit::{
-    fused_max_buckets, multisplit_ref, no_values, FnBuckets, Method, RangeBuckets, SegmentSpec,
+    fused_max_buckets, multisplit_kv_ref, multisplit_ref, no_values, BucketFn, FnBuckets, Method,
+    RangeBuckets, SegmentSpec,
 };
 use simt::{AdvSchedule, Device, GlobalBuffer, K40C};
 
@@ -216,4 +217,54 @@ fn structured_bucket_functions_per_segment() {
     assert_eq!(outs[0].1, vec![skew_offs, uni_offs]);
     assert_eq!(outs[0], outs[1]);
     assert_eq!(outs[0], outs[2]);
+}
+
+#[test]
+fn scatter_recomputes_buckets_with_each_segments_own_function() {
+    // The direct scatter recomputes each staged key's bucket rather than
+    // reading a staged id, so every tile must evaluate its own segment's
+    // function. Key-value segments of several tiles each share m = 16 but
+    // alternate a range function and its reversal: a tile that borrowed
+    // its neighbour's function would scatter every key to the mirrored
+    // bucket's base.
+    let range = RangeBuckets::new(16);
+    let reversed = FnBuckets::new(16, move |k| 15 - range.bucket_of(k));
+    let buckets: [&dyn BucketFn; 3] = [&range, &reversed, &range];
+    let n = 10_000usize;
+    let flat: Vec<u32> = (0..buckets.len() as u32)
+        .flat_map(|i| keys_for(n, i))
+        .collect();
+    let vals: Vec<u32> = (0..flat.len() as u32).map(|v| !v).collect();
+    let specs: Vec<SegmentSpec> = buckets
+        .iter()
+        .enumerate()
+        .map(|(i, &bucket)| SegmentSpec {
+            offset: i * n,
+            n,
+            bucket,
+        })
+        .collect();
+    let mut outs = Vec::new();
+    for dev in devices() {
+        let keys = GlobalBuffer::from_slice(&flat);
+        let values = GlobalBuffer::from_slice(&vals);
+        let r = multisplit::multisplit_segmented(&dev, &keys, Some(&values), &specs, 8);
+        assert!(
+            dev.records()
+                .iter()
+                .any(|rec| rec.label.starts_with("segmented/pre-scan")),
+            "every segment spans several sweep tiles, so the batch is pre-scanned"
+        );
+        outs.push((r.keys.to_vec(), r.values.unwrap().to_vec(), r.offsets));
+    }
+    for (i, &bucket) in buckets.iter().enumerate() {
+        let range = i * n..(i + 1) * n;
+        let (ek, ev, eo) =
+            multisplit_kv_ref(&flat[range.clone()], Some(&vals[range.clone()]), bucket);
+        assert_eq!(&outs[0].0[range.clone()], &ek[..], "segment {i} keys");
+        assert_eq!(&outs[0].1[range], &ev[..], "segment {i} values");
+        assert_eq!(outs[0].2[i], eo, "segment {i} offsets");
+    }
+    assert_eq!(outs[0], outs[1], "parallel vs sequential");
+    assert_eq!(outs[0], outs[2], "parallel vs adversarial");
 }
