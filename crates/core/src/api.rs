@@ -193,6 +193,7 @@ pub fn multisplit_device<B: BucketFn + ?Sized, V: Scalar>(
     bucket: &B,
     wpb: usize,
 ) -> DeviceMultisplit<V> {
+    assert!(wpb >= 1, "need at least one warp per block");
     match method {
         Method::Direct => multisplit_direct(dev, keys, values, n, bucket, wpb),
         Method::WarpLevel => multisplit_warp_level(dev, keys, values, n, bucket, wpb),

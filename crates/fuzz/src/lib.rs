@@ -6,7 +6,7 @@
 //!   multisplit tuple, checked against the stable CPU reference.
 //! * [`SortCase`] — a seeded `(n, digit width, bit count, kv, schedule)`
 //!   ms-sort tuple, checked against the host's stable
-//!   `sort_by_key(k & mask)`.
+//!   `sort_by_key(k & mask)`. Replay tokens carry a `sort,` marker.
 //! * [`SegCase`] — a seeded batch of independent segments (random count,
 //!   sizes, and per-segment bucket counts spanning both sweep classes and
 //!   the fallback path) run through one `multisplit_segmented` call and
@@ -18,10 +18,16 @@
 //!   `Device::concurrent` session under the case's schedule (including
 //!   every adversarial flavor), checked task-by-task against the CPU
 //!   reference and bit-for-bit against the serialized (sequential
-//!   session) order, with per-stream launch logs compared by
-//!   `(stream, stream_seq)`. Its shrinker additionally drops whole
-//!   stream tasks, so reproducers name the minimal failing stream
-//!   *set*. Replay tokens carry a `stream,` marker.
+//!   session) order. Its shrinker additionally drops whole stream tasks,
+//!   so reproducers name the minimal failing stream *set*. Replay tokens
+//!   carry a `stream,` marker.
+//!
+//! Each family is a [`Family`]: it owns its fields, its generator draws,
+//! its device call and its reference, next to the [`Common`] header every
+//! family shares (payload, key distribution, key seed, block size,
+//! schedule). The rest is written once: the replay-token codec
+//! ([`Field`], [`Fields`]), the greedy shrinker ([`shrink`]) and the
+//! differential check ([`check`]).
 //!
 //! Each case executes three ways — the host reference, the simulated
 //! device under the case's schedule, and the same device sequentially —
@@ -29,26 +35,30 @@
 //!
 //! * **Output correctness**: permuted keys (and values, and bucket
 //!   offsets) match the stable CPU reference bit-for-bit.
-//! * **Schedule independence**: the launch-label sequence, per-label
-//!   summed [`simt::BlockStats`], and the look-back resolve counts are
-//!   identical to the sequential run (spin-poll counts and depth
-//!   *distributions* are legitimately schedule-dependent and excluded —
-//!   see DESIGN.md §10 for the formal statement).
+//! * **Schedule independence**: the launch sequence, keyed by
+//!   `(stream, stream_seq, label)`, per-launch summed
+//!   [`simt::BlockStats`], and the look-back resolve counts are identical
+//!   to the sequential run (spin-poll counts and depth *distributions*
+//!   are legitimately schedule-dependent and excluded — see DESIGN.md §10
+//!   for the formal statement).
 //! * **Race freedom**: input buffers run with the epoch race detector on
 //!   (`GlobalBuffer::tracked`), so a kernel reading data another block
 //!   wrote in the same epoch panics, which the harness reports as a
 //!   divergence.
 //!
 //! On failure [`fuzz`] shrinks the case to a *minimal* reproducer (halve
-//! then decrement `n` and `m`, simplify the distribution and schedule)
-//! and formats it as a one-line `paper fuzz --replay ...` command. A
-//! deliberately injected [`Fault`] (test-only) proves the shrinker finds
-//! exact minima.
+//! then decrement sizes and bucket counts, drop segments or stream tasks,
+//! simplify the payload, distribution and schedule) and formats it as a
+//! one-line `paper fuzz --replay ...` command. A deliberately injected
+//! fault ([`fuzz_with_fault`], test-only) proves the shrinker finds exact
+//! minima.
+
+use std::collections::BTreeMap;
 
 use msrng::SmallRng;
 use multisplit::{
     fused_max_buckets, max_buckets as large_m_max_buckets, multisplit_device, multisplit_kv_ref,
-    multisplit_ref, multisplit_segmented, no_values,
+    multisplit_segmented,
     sweep::{SweepKind, DESC_WORDS},
     Method, RangeBuckets, SegmentSpec,
 };
@@ -69,6 +79,11 @@ pub const MAX_TILES: usize = 4;
 /// shared-memory capacity allows ~1.2k, but histogram setup cost scales
 /// with `m` and the interesting boundaries are far below).
 pub const MAX_LARGE_M: u32 = 256;
+
+/// Most warps a replayed block may have: CUDA caps a block at 1,024
+/// threads (far wider blocks would underflow the shared-memory capacity
+/// helpers the replay checks call).
+pub const MAX_WPB: usize = 32;
 
 /// All seven methods with their replay-token names.
 pub const METHODS: [(Method, &str); 7] = [
@@ -95,20 +110,16 @@ pub enum KeyDist {
 }
 
 impl KeyDist {
-    pub const ALL: [KeyDist; 4] = [
-        KeyDist::Uniform,
-        KeyDist::Skew75,
-        KeyDist::OneBucket,
-        KeyDist::Sorted,
+    /// All four distributions with their replay-token names.
+    pub const NAMES: [(KeyDist, &'static str); 4] = [
+        (KeyDist::Uniform, "uniform"),
+        (KeyDist::Skew75, "skew75"),
+        (KeyDist::OneBucket, "onebucket"),
+        (KeyDist::Sorted, "sorted"),
     ];
 
-    fn token(&self) -> &'static str {
-        match self {
-            KeyDist::Uniform => "uniform",
-            KeyDist::Skew75 => "skew75",
-            KeyDist::OneBucket => "onebucket",
-            KeyDist::Sorted => "sorted",
-        }
+    fn draw(rng: &mut SmallRng) -> KeyDist {
+        KeyDist::NAMES[(rng.next_u32() % 4) as usize].0
     }
 }
 
@@ -137,8 +148,65 @@ impl SchedSpec {
             ),
         }
     }
+}
 
-    fn token(&self) -> String {
+// ================================ token codec ================================
+
+/// A value that reads and writes itself as one replay-token field.
+pub trait Field: Sized {
+    fn parse(v: &str) -> Result<Self, String>;
+    fn write(&self) -> String;
+}
+
+macro_rules! number_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn parse(v: &str) -> Result<Self, String> {
+                v.parse().map_err(|e: std::num::ParseIntError| e.to_string())
+            }
+            fn write(&self) -> String {
+                self.to_string()
+            }
+        }
+    )*};
+}
+number_field!(usize, u32, u64);
+
+/// Fields named by a token table.
+macro_rules! table_field {
+    ($($t:ty => $table:expr),*) => {$(
+        impl Field for $t {
+            fn parse(v: &str) -> Result<Self, String> {
+                let found = $table.iter().find(|(_, name)| *name == v);
+                found.map(|(t, _)| *t).ok_or_else(|| format!("unknown value {v:?}"))
+            }
+            fn write(&self) -> String {
+                $table.iter().find(|(t, _)| t == self).unwrap().1.to_string()
+            }
+        }
+    )*};
+}
+table_field!(bool => [(false, "0"), (true, "1")], KeyDist => KeyDist::NAMES, Method => METHODS);
+
+/// `seq`, `par`, or `adv:<seed>:<flavor>`.
+impl Field for SchedSpec {
+    fn parse(v: &str) -> Result<Self, String> {
+        match v {
+            "seq" => Ok(SchedSpec::Sequential),
+            "par" => Ok(SchedSpec::Parallel),
+            _ => {
+                let (seed, flavor) = (v.strip_prefix("adv:"))
+                    .and_then(|rest| rest.split_once(':'))
+                    .ok_or_else(|| format!("unknown schedule {v:?}"))?;
+                let flavor = AdvFlavor::ALL.into_iter().find(|f| f.name() == flavor);
+                Ok(SchedSpec::Adversarial {
+                    seed: u64::parse(seed).map_err(|e| format!("seed: {e}"))?,
+                    flavor: flavor.ok_or_else(|| format!("unknown flavor in {v:?}"))?,
+                })
+            }
+        }
+    }
+    fn write(&self) -> String {
         match self {
             SchedSpec::Sequential => "seq".to_string(),
             SchedSpec::Parallel => "par".to_string(),
@@ -147,668 +215,499 @@ impl SchedSpec {
     }
 }
 
-/// One generated differential test case.
+/// A `+`-separated list (`ns=128+0+4096`), empty for no entries.
+impl<T: Field> Field for Vec<T> {
+    fn parse(v: &str) -> Result<Self, String> {
+        if v.is_empty() {
+            return Ok(Vec::new());
+        }
+        v.split('+').map(T::parse).collect()
+    }
+    fn write(&self) -> String {
+        let parts: Vec<String> = self.iter().map(Field::write).collect();
+        parts.join("+")
+    }
+}
+
+/// A replay token's `k=v` fields, split once: the header and the family
+/// take their typed fields out by name, and whatever is left over is an
+/// unknown field.
+pub struct Fields<'a>(BTreeMap<&'a str, &'a str>);
+
+impl<'a> Fields<'a> {
+    fn split(s: &'a str) -> Result<Self, String> {
+        let mut map = BTreeMap::new();
+        for part in s.split(',') {
+            let (k, v) = part
+                .split_once('=')
+                .ok_or_else(|| format!("bad replay field {part:?} (want k=v)"))?;
+            if map.insert(k, v).is_some() {
+                return Err(format!("duplicate replay field {k:?}"));
+            }
+        }
+        Ok(Fields(map))
+    }
+
+    /// Remove field `k` and parse it.
+    pub fn take<T: Field>(&mut self, k: &str) -> Result<T, String> {
+        let v = self.0.remove(k).ok_or_else(|| format!("missing {k}"))?;
+        T::parse(v).map_err(|e| format!("{k}: {e}"))
+    }
+}
+
+// =============================== shared header ===============================
+
+/// The header every family shares: payload, key distribution, key seed,
+/// block size and schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuzzCase {
+pub struct Common {
+    pub kv: bool,
+    pub dist: KeyDist,
+    pub key_seed: u64,
+    pub wpb: usize,
+    pub sched: SchedSpec,
+}
+
+/// A tracked (race-detected) key buffer and, for kv cases, its tracked
+/// `0..len` payload.
+type Inputs = (GlobalBuffer<u32>, Option<GlobalBuffer<u32>>);
+
+impl Common {
+    /// The header's leading generator draws: the schedule for rotation
+    /// slot `sched_ix`, then the block size. Each family draws `dist` and
+    /// `key_seed` itself, at their place among its own draws.
+    fn draw(rng: &mut SmallRng, kv: bool, sched_ix: usize) -> Common {
+        let sched = sched_for(sched_ix, rng);
+        let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
+        Common {
+            kv,
+            dist: KeyDist::Uniform,
+            key_seed: 0,
+            wpb,
+            sched,
+        }
+    }
+
+    /// Payload bytes per key, as the capacity helpers take them.
+    fn value_bytes(&self) -> u64 {
+        4 * self.kv as u64
+    }
+
+    /// `n` input keys of the case's `i`-th segment or task (deterministic
+    /// from `key_seed`). `m_for_skew` sets the width of the hot low range
+    /// that `Skew75` concentrates 75% of keys into.
+    fn keys(&self, n: usize, m_for_skew: u32, i: usize) -> Vec<u32> {
+        let mut rng = SmallRng::seed_from_u64(self.key_seed.wrapping_add(i as u64));
+        let bucket0_width = (1u64 << 32).div_ceil(m_for_skew as u64).max(1);
+        let mut keys: Vec<u32> = match self.dist {
+            KeyDist::Uniform | KeyDist::Sorted => (0..n).map(|_| rng.next_u32()).collect(),
+            KeyDist::Skew75 => (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.75) {
+                        (rng.next_u64() % bucket0_width) as u32
+                    } else {
+                        rng.next_u32()
+                    }
+                })
+                .collect(),
+            KeyDist::OneBucket => {
+                let k = rng.next_u32();
+                vec![k; n]
+            }
+        };
+        if self.dist == KeyDist::Sorted {
+            keys.sort_unstable();
+        }
+        keys
+    }
+
+    fn inputs(&self, keys: &[u32]) -> Inputs {
+        let values = self
+            .kv
+            .then(|| GlobalBuffer::from_slice(&iota(keys.len())).tracked());
+        (GlobalBuffer::from_slice(keys).tracked(), values)
+    }
+
+    fn parse(f: &mut Fields) -> Result<Common, String> {
+        let common = Common {
+            kv: f.take("kv")?,
+            dist: f.take("dist")?,
+            key_seed: f.take("keyseed")?,
+            wpb: f.take("wpb")?,
+            sched: f.take("sched")?,
+        };
+        if !(1..=MAX_WPB).contains(&common.wpb) {
+            return Err(format!("wpb = {} is outside [1, {MAX_WPB}]", common.wpb));
+        }
+        Ok(common)
+    }
+
+    /// The header's shrink candidates: drop the payload, make the keys
+    /// uniform, then simplify the schedule (adversarial → parallel →
+    /// sequential).
+    fn candidates(&self) -> Vec<Common> {
+        let scheds: &[SchedSpec] = match self.sched {
+            SchedSpec::Adversarial { .. } => &[SchedSpec::Parallel, SchedSpec::Sequential],
+            SchedSpec::Parallel => &[SchedSpec::Sequential],
+            SchedSpec::Sequential => &[],
+        };
+        let kv = self.kv.then_some(Common { kv: false, ..*self });
+        let dist = KeyDist::Uniform;
+        let uniform = (self.dist != dist).then_some(Common { dist, ..*self });
+        let scheds = scheds.iter().map(|&sched| Common { sched, ..*self });
+        kv.into_iter().chain(uniform).chain(scheds).collect()
+    }
+}
+
+fn iota(n: usize) -> Vec<u32> {
+    (0..n as u32).collect()
+}
+
+/// A device call's outputs, copied to the host as one [`Task`].
+fn download(
+    keys: &GlobalBuffer<u32>,
+    values: Option<GlobalBuffer<u32>>,
+    offsets: Vec<u32>,
+) -> Task {
+    (keys.to_vec(), values.map(|v| v.to_vec()), offsets)
+}
+
+/// The two single-step reductions of a size or count: halve it, and
+/// decrement it (which makes the shrinker's fixpoint *exactly* minimal,
+/// not just within a factor of two).
+fn smaller<T>(v: T) -> Vec<T>
+where
+    T: Copy + PartialOrd + From<u8> + std::ops::Div<Output = T> + std::ops::Sub<Output = T>,
+{
+    if v > T::from(0) {
+        vec![v / T::from(2), v - T::from(1)]
+    } else {
+        Vec::new()
+    }
+}
+
+// =============================== family trait ================================
+
+/// One task's outputs: keys, values (kv cases only), bucket offsets.
+pub type Task = (Vec<u32>, Option<Vec<u32>>, Vec<u32>);
+
+/// A fuzz case family's own fields and behaviour: its token fields, its
+/// contract, its shrink steps, its device call and its reference. The
+/// [`Common`] header, the codec, the shrinker and the differential check
+/// are shared.
+pub trait Family: Clone + PartialEq + std::fmt::Debug + std::panic::RefUnwindSafe {
+    /// The token's leading marker (`sort` in `sort,n=…`); split tokens
+    /// carry none.
+    const MARKER: &'static str;
+    /// Where the header's `kv` field sits among the family's own token
+    /// fields. Sort tokens carry it right after `n`; every other family
+    /// writes the whole header after its own fields.
+    const KV_SLOT: usize = usize::MAX;
+
+    /// The family's own token fields, in token order.
+    fn fields(&self) -> Vec<(&'static str, String)>;
+    fn parse(f: &mut Fields) -> Result<Self, String>;
+    /// Reject a case the device contract does not admit. Replay tokens
+    /// and shrink candidates both pass through it.
+    fn validate(&self, c: &Common) -> Result<(), String>;
+    /// The family's own single-step shrink candidates, tried before the
+    /// header's.
+    fn candidates(&self) -> Vec<Self>;
+    /// The family's device call, on tracked inputs.
+    fn device(&self, c: &Common, dev: &Device) -> Vec<Task>;
+    /// What [`Family::device`] must return.
+    fn reference(&self, c: &Common) -> Vec<Task>;
+}
+
+/// A case of family `F`: the family's own fields next to the shared
+/// header.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Case<F> {
+    /// The family's own fields.
+    pub own: F,
+    pub common: Common,
+}
+
+/// A multisplit case: one launch.
+pub type FuzzCase = Case<Launch>;
+/// An ms-sort case.
+pub type SortCase = Case<Sort>;
+/// A segmented-multisplit case: its segments.
+pub type SegCase = Case<Vec<Seg>>;
+/// A concurrent-streams case: one launch per stream task.
+pub type StreamCase = Case<Vec<Launch>>;
+
+impl<F: Family> Case<F> {
+    pub fn new(own: F, common: Common) -> Self {
+        Case { own, common }
+    }
+
+    /// The self-contained replay token (inverse of [`parse_replay`]).
+    pub fn replay_token(&self) -> String {
+        let c = &self.common;
+        let mut fields = self.own.fields();
+        fields.insert(F::KV_SLOT.min(fields.len()), ("kv", c.kv.write()));
+        fields.extend([
+            ("dist", c.dist.write()),
+            ("keyseed", c.key_seed.write()),
+            ("wpb", c.wpb.write()),
+            ("sched", c.sched.write()),
+        ]);
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let body = body.join(",");
+        if F::MARKER.is_empty() {
+            body
+        } else {
+            format!("{},{body}", F::MARKER)
+        }
+    }
+
+    /// Parse a token's fields (marker stripped) and validate the case.
+    fn parse(s: &str) -> Result<Self, String> {
+        let mut f = Fields::split(s)?;
+        let common = Common::parse(&mut f)?;
+        let own = F::parse(&mut f)?;
+        if let Some(k) = f.0.keys().next() {
+            return Err(format!("unknown replay field {k:?}"));
+        }
+        own.validate(&common)?;
+        Ok(Case { own, common })
+    }
+
+    /// Every single-step reduction that still validates: the family's own
+    /// first, then the header's.
+    fn candidates(&self) -> Vec<Self> {
+        let common = self.common;
+        let own = self.own.candidates().into_iter();
+        let header = common.candidates().into_iter();
+        (own.map(|own| Case { own, common }))
+            .chain(header.map(|common| Case::new(self.own.clone(), common)))
+            .filter(|c| c.own.validate(&c.common).is_ok())
+            .collect()
+    }
+}
+
+/// Drop each whole part (so the shrinker's fixpoint is a minimal failing
+/// set of segments or stream tasks), then every single-step reduction of
+/// each part.
+fn list_candidates<T: Clone>(parts: &[T], reduce: impl Fn(&T) -> Vec<T>) -> Vec<Vec<T>> {
+    let dropped = (0..parts.len()).map(|i| [&parts[..i], &parts[i + 1..]].concat());
+    let reduced = parts.iter().enumerate().flat_map(|(i, p)| {
+        reduce(p).into_iter().map(move |q| {
+            let mut v = parts.to_vec();
+            v[i] = q;
+            v
+        })
+    });
+    dropped.chain(reduced).collect()
+}
+
+// =============================== split family ================================
+
+/// `[min, max]` bucket counts `method` is drawn from and replayed at: the
+/// large-m paths need `m > 32` and stop at their shared-memory capacity
+/// (capped at [`MAX_LARGE_M`]); every other method takes `1..=32`.
+pub fn m_range(method: Method, wpb: usize, kv: bool) -> (u32, u32) {
+    match method {
+        Method::LargeM => (33, large_m_max_buckets(wpb, kv).min(MAX_LARGE_M)),
+        Method::FusedLargeM => (33, fused_max_buckets(wpb, kv).min(MAX_LARGE_M)),
+        _ => (1, 32),
+    }
+}
+
+/// One multisplit launch: a split case, or one task of a stream case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Launch {
     pub n: usize,
     pub m: u32,
     pub method: Method,
-    pub kv: bool,
-    pub dist: KeyDist,
-    pub key_seed: u64,
-    pub wpb: usize,
-    pub sched: SchedSpec,
 }
 
-fn method_token(m: Method) -> &'static str {
-    METHODS.iter().find(|(mm, _)| *mm == m).unwrap().1
-}
-
-impl FuzzCase {
-    /// Smallest legal `m` for this case's method (the large-m paths only
-    /// accept `m > 32`).
-    pub fn min_m(&self) -> u32 {
-        match self.method {
-            Method::LargeM | Method::FusedLargeM => 33,
-            _ => 1,
-        }
-    }
-
-    /// Largest legal `m` for this case's method at its block size.
-    pub fn max_m(&self) -> u32 {
-        match self.method {
-            Method::LargeM => large_m_max_buckets(self.wpb, self.kv).min(MAX_LARGE_M),
-            Method::FusedLargeM => fused_max_buckets(self.wpb, self.kv).min(MAX_LARGE_M),
-            _ => 32,
-        }
-    }
-
-    /// The self-contained replay token (inverse of [`parse_replay`]).
-    pub fn replay_token(&self) -> String {
-        format!(
-            "n={},m={},method={},kv={},dist={},keyseed={},wpb={},sched={}",
-            self.n,
-            self.m,
-            method_token(self.method),
-            self.kv as u32,
-            self.dist.token(),
-            self.key_seed,
-            self.wpb,
-            self.sched.token()
-        )
-    }
-
-    /// The one-line command a human (or CI) pastes to replay this case.
-    pub fn replay_command(&self) -> String {
-        format!(
-            "cargo run --release -p ms-bench --bin paper -- fuzz --replay {}",
-            self.replay_token()
-        )
-    }
-}
-
-/// Parse a `k=v,...` replay token produced by [`FuzzCase::replay_token`].
-pub fn parse_split_replay(s: &str) -> Result<FuzzCase, String> {
-    let mut n = None;
-    let mut m = None;
-    let mut method = None;
-    let mut kv = None;
-    let mut dist = None;
-    let mut key_seed = None;
-    let mut wpb = None;
-    let mut sched = None;
-    for part in s.split(',') {
-        let (k, v) = part
-            .split_once('=')
-            .ok_or_else(|| format!("bad replay field {part:?} (want k=v)"))?;
-        match k {
-            "n" => n = Some(v.parse::<usize>().map_err(|e| format!("n: {e}"))?),
-            "m" => m = Some(v.parse::<u32>().map_err(|e| format!("m: {e}"))?),
-            "method" => {
-                method = Some(
-                    METHODS
-                        .iter()
-                        .find(|(_, t)| *t == v)
-                        .map(|(mm, _)| *mm)
-                        .ok_or_else(|| format!("unknown method {v:?}"))?,
-                )
-            }
-            "kv" => kv = Some(v == "1"),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
-            }
-            "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
-            "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
-            "sched" => {
-                sched = Some(match v {
-                    "seq" => SchedSpec::Sequential,
-                    "par" => SchedSpec::Parallel,
-                    adv => {
-                        let mut it = adv.split(':');
-                        let (Some("adv"), Some(seed), Some(flavor)) =
-                            (it.next(), it.next(), it.next())
-                        else {
-                            return Err(format!("unknown sched {v:?}"));
-                        };
-                        let seed = seed
-                            .parse::<u64>()
-                            .map_err(|e| format!("sched seed: {e}"))?;
-                        let flavor = AdvFlavor::ALL
-                            .into_iter()
-                            .find(|f| f.name() == flavor)
-                            .ok_or_else(|| format!("unknown flavor {flavor:?}"))?;
-                        SchedSpec::Adversarial { seed, flavor }
-                    }
-                })
-            }
-            other => return Err(format!("unknown replay field {other:?}")),
-        }
-    }
-    Ok(FuzzCase {
-        n: n.ok_or("missing n")?,
-        m: m.ok_or("missing m")?,
-        method: method.ok_or("missing method")?,
-        kv: kv.ok_or("missing kv")?,
-        dist: dist.ok_or("missing dist")?,
-        key_seed: key_seed.ok_or("missing keyseed")?,
-        wpb: wpb.ok_or("missing wpb")?,
-        sched: sched.ok_or("missing sched")?,
-    })
-}
-
-/// Generate `n` keys of the given distribution (deterministic in
-/// `key_seed`). `m_for_skew` sets the width of the hot low range that
-/// `Skew75` concentrates 75% of keys into.
-fn gen_keys_raw(n: usize, m_for_skew: u32, dist: KeyDist, key_seed: u64) -> Vec<u32> {
-    let mut rng = SmallRng::seed_from_u64(key_seed);
-    let bucket0_width = (1u64 << 32).div_ceil(m_for_skew as u64).max(1);
-    let mut keys: Vec<u32> = match dist {
-        KeyDist::Uniform | KeyDist::Sorted => (0..n).map(|_| rng.next_u32()).collect(),
-        KeyDist::Skew75 => (0..n)
-            .map(|_| {
-                if rng.gen_bool(0.75) {
-                    (rng.next_u64() % bucket0_width) as u32
-                } else {
-                    rng.next_u32()
-                }
-            })
-            .collect(),
-        KeyDist::OneBucket => {
-            let k = rng.next_u32();
-            vec![k; n]
-        }
-    };
-    if dist == KeyDist::Sorted {
-        keys.sort_unstable();
-    }
-    keys
-}
-
-/// Generate the case's input keys (deterministic from `key_seed`).
-pub fn gen_keys(case: &FuzzCase) -> Vec<u32> {
-    gen_keys_raw(case.n, case.m, case.dist, case.key_seed)
-}
-
-/// A deliberately injected output corruption, for exercising the shrinker
-/// without a real bug: any case with `n >= min_n && m >= min_m` has its
-/// first output key flipped before comparison. Test-only — the CLI never
-/// constructs one.
-#[derive(Debug, Clone, Copy)]
-pub struct Fault {
-    pub min_n: usize,
-    pub min_m: u32,
-}
-
-impl Fault {
-    fn applies(&self, case: &FuzzCase) -> bool {
-        case.n >= self.min_n && case.m >= self.min_m
-    }
-}
-
-/// Why a case failed.
-#[derive(Debug, Clone)]
-pub enum Divergence {
-    /// Device output differs from the CPU reference (or between schedules).
-    Output(String),
-    /// Counted stats or launch structure differ between schedules.
-    Stats(String),
-    /// A look-back observability invariant broke.
-    Obs(String),
-    /// A kernel panicked (race detector, look-back stall, executor bug).
-    Panic(String),
-}
-
-impl std::fmt::Display for Divergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Divergence::Output(s) => write!(f, "output divergence: {s}"),
-            Divergence::Stats(s) => write!(f, "stats divergence: {s}"),
-            Divergence::Obs(s) => write!(f, "obs divergence: {s}"),
-            Divergence::Panic(s) => write!(f, "panic: {s}"),
-        }
-    }
-}
-
-struct DeviceRun {
-    keys: Vec<u32>,
-    values: Option<Vec<u32>>,
-    offsets: Vec<u32>,
-    records: Vec<LaunchRecord>,
-}
-
-/// One full device execution of the case under `sched`, with tracked
-/// (race-detected) input buffers.
-fn device_run(case: &FuzzCase, keys: &[u32], sched: SchedSpec) -> Result<DeviceRun, Divergence> {
-    let result = std::panic::catch_unwind(|| {
-        let dev = Device::with_schedule(K40C, sched.to_schedule());
-        let bucket = RangeBuckets::new(case.m);
-        let kbuf = GlobalBuffer::from_slice(keys).tracked();
-        let out = if case.kv {
-            let values: Vec<u32> = (0..case.n as u32).collect();
-            let vbuf = GlobalBuffer::from_slice(&values).tracked();
-            multisplit_device(
-                &dev,
-                case.method,
-                &kbuf,
-                Some(&vbuf),
-                case.n,
-                &bucket,
-                case.wpb,
-            )
-        } else {
-            multisplit_device(
-                &dev,
-                case.method,
-                &kbuf,
-                no_values(),
-                case.n,
-                &bucket,
-                case.wpb,
-            )
+impl Launch {
+    /// Draw `m` (biased to the method's range ends), then `n` (biased to
+    /// the edges of its tile, uniform up to `max_uniform`).
+    fn draw(rng: &mut SmallRng, method: Method, c: &Common, max_uniform: usize) -> Launch {
+        let (lo, hi) = m_range(method, c.wpb, c.kv);
+        let m = match rng.next_u32() % 4 {
+            0 => lo,
+            1 => hi,
+            _ => lo + rng.next_u32() % (hi - lo + 1),
         };
-        DeviceRun {
-            keys: out.keys.to_vec(),
-            values: out.values.as_ref().map(|v| v.to_vec()),
-            offsets: out.offsets,
-            records: dev.records(),
+        let n = draw_n(rng, tile_of(method, m, c.kv, c.wpb, 0), max_uniform);
+        Launch { n, m, method }
+    }
+
+    fn run(&self, c: &Common, dev: &Device, (k, v): &Inputs) -> Task {
+        let bucket = RangeBuckets::new(self.m);
+        let out = multisplit_device(dev, self.method, k, v.as_ref(), self.n, &bucket, c.wpb);
+        download(&out.keys, out.values, out.offsets)
+    }
+
+    /// The stable CPU reference of the case's `i`-th launch.
+    fn expected(&self, c: &Common, i: usize) -> Task {
+        let values = iota(self.n);
+        let (k, v, o) = multisplit_kv_ref(
+            &c.keys(self.n, self.m, i),
+            c.kv.then_some(&values[..]),
+            &RangeBuckets::new(self.m),
+        );
+        (k, c.kv.then_some(v), o)
+    }
+}
+
+impl Family for Launch {
+    const MARKER: &'static str = "";
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("n", self.n.write()),
+            ("m", self.m.write()),
+            ("method", self.method.write()),
+        ]
+    }
+
+    fn parse(f: &mut Fields) -> Result<Self, String> {
+        Ok(Launch {
+            n: f.take("n")?,
+            m: f.take("m")?,
+            method: f.take("method")?,
+        })
+    }
+
+    fn validate(&self, c: &Common) -> Result<(), String> {
+        let (lo, hi) = m_range(self.method, c.wpb, c.kv);
+        if (lo..=hi).contains(&self.m) {
+            return Ok(());
         }
-    });
-    result.map_err(panic_divergence)
+        Err(format!(
+            "m = {} is outside {}'s [{lo}, {hi}] at wpb = {}, kv = {}",
+            self.m,
+            self.method.write(),
+            c.wpb,
+            c.kv.write()
+        ))
+    }
+
+    /// Halve or decrement `n`, then `m`.
+    fn candidates(&self) -> Vec<Self> {
+        let ns = smaller(self.n).into_iter().map(|n| Launch { n, ..*self });
+        let ms = smaller(self.m).into_iter().map(|m| Launch { m, ..*self });
+        ns.chain(ms).collect()
+    }
+
+    fn device(&self, c: &Common, dev: &Device) -> Vec<Task> {
+        vec![self.run(c, dev, &c.inputs(&c.keys(self.n, self.m, 0)))]
+    }
+
+    fn reference(&self, c: &Common) -> Vec<Task> {
+        vec![self.expected(c, 0)]
+    }
 }
 
-fn panic_divergence(payload: Box<dyn std::any::Any + Send>) -> Divergence {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    Divergence::Panic(msg)
+/// Deterministically generate case `ix` of a run seeded with `seed`.
+///
+/// Methods, kv, and schedules rotate (so 200 iterations exhaust the
+/// 7 methods x {key, kv} x 6 schedules matrix twice over) while
+/// sizes, bucket counts, seeds, and distributions are drawn from the
+/// run's RNG with a deliberate bias toward boundary values (0, 1, warp
+/// and tile multiples, capacity edges).
+pub fn gen_case(seed: u64, ix: usize) -> FuzzCase {
+    let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let (method, _) = METHODS[ix % METHODS.len()];
+    let kv = (ix / METHODS.len()) % 2 == 1;
+    let mut common = Common::draw(&mut rng, kv, ix / (METHODS.len() * 2));
+    let own = Launch::draw(&mut rng, method, &common, MAX_N);
+    common.dist = KeyDist::draw(&mut rng);
+    common.key_seed = rng.next_u64();
+    Case { own, common }
 }
 
-/// Schedule-independence check shared by both case families: identical
-/// outputs, launch-label sequence, per-launch summed stats, and look-back
-/// resolve totals against the sequential anchor run.
-fn check_against_sequential(
-    sched_token: &str,
-    run: &DeviceRun,
-    base: &DeviceRun,
-) -> Result<(), Divergence> {
-    if run.keys != base.keys || run.offsets != base.offsets || run.values != base.values {
-        return Err(Divergence::Output(format!(
-            "outputs differ between {sched_token} and sequential schedules"
-        )));
-    }
-    let labels =
-        |r: &[LaunchRecord]| -> Vec<String> { r.iter().map(|rec| rec.label.clone()).collect() };
-    if labels(&run.records) != labels(&base.records) {
-        return Err(Divergence::Stats(format!(
-            "launch sequence differs: {:?} vs {:?}",
-            labels(&run.records),
-            labels(&base.records)
-        )));
-    }
-    for (a, b) in run.records.iter().zip(&base.records) {
-        if a.stats != b.stats {
-            return Err(Divergence::Stats(format!(
-                "summed BlockStats differ for launch {:?}: {:?} vs {:?}",
-                a.label, a.stats, b.stats
-            )));
-        }
-        if a.obs.lookback_resolves != b.obs.lookback_resolves {
-            return Err(Divergence::Obs(format!(
-                "lookback_resolves differ for launch {:?}: {} vs {}",
-                a.label, a.obs.lookback_resolves, b.obs.lookback_resolves
-            )));
-        }
-    }
-    Ok(())
-}
+// ================================ sort family ================================
 
-/// Look-back introspection invariant: every resolve lands in the depth
-/// histogram, on every schedule.
-fn check_depth_hist(records: &[LaunchRecord]) -> Result<(), Divergence> {
-    for rec in records {
-        if rec.obs.depth_hist_total() != rec.obs.lookback_resolves {
-            return Err(Divergence::Obs(format!(
-                "launch {:?}: depth histogram total {} != resolves {}",
-                rec.label,
-                rec.obs.depth_hist_total(),
-                rec.obs.lookback_resolves
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn first_diff<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
-    if a.len() != b.len() {
-        return Some(a.len().min(b.len()));
-    }
-    (0..a.len()).find(|&i| a[i] != b[i])
-}
-
-/// Execute one case differentially. `fault` (test-only) corrupts the
-/// scheduled run's output to exercise the failure path.
-pub fn run_case_with_fault(case: &FuzzCase, fault: Option<Fault>) -> Result<(), Divergence> {
-    let keys = gen_keys(case);
-    let bucket = RangeBuckets::new(case.m);
-    // CPU reference (stable by construction).
-    let values: Vec<u32> = (0..case.n as u32).collect();
-    let (ref_keys, ref_values, ref_offsets) = if case.kv {
-        multisplit_kv_ref(&keys, Some(&values), &bucket)
-    } else {
-        let (k, o) = multisplit_ref(&keys, &bucket);
-        (k, Vec::new(), o)
-    };
-
-    let mut run = device_run(case, &keys, case.sched)?;
-    if let Some(f) = fault {
-        if f.applies(case) && !run.keys.is_empty() {
-            run.keys[0] ^= 1;
-        }
-    }
-
-    // 1. Output vs the CPU reference.
-    if let Some(i) = first_diff(&run.keys, &ref_keys) {
-        return Err(Divergence::Output(format!(
-            "keys[{i}]: device {:?} vs reference {:?} (lens {} vs {})",
-            run.keys.get(i),
-            ref_keys.get(i),
-            run.keys.len(),
-            ref_keys.len()
-        )));
-    }
-    if run.offsets != ref_offsets {
-        return Err(Divergence::Output(format!(
-            "bucket offsets: device {:?} vs reference {:?}",
-            run.offsets, ref_offsets
-        )));
-    }
-    if case.kv {
-        let dev_values = run.values.as_deref().unwrap_or(&[]);
-        if let Some(i) = first_diff(dev_values, &ref_values) {
-            return Err(Divergence::Output(format!(
-                "values[{i}]: device {:?} vs reference {:?}",
-                dev_values.get(i),
-                ref_values.get(i)
-            )));
-        }
-    }
-
-    // 2. Schedule independence vs a sequential run of the same case:
-    // identical outputs, launch structure, per-label summed stats, and
-    // look-back resolve totals. (The sequential run doubles as the
-    // "against each other" comparison — all schedules compare to the same
-    // anchor, so any two agree transitively.)
-    if case.sched != SchedSpec::Sequential {
-        let base = device_run(case, &keys, SchedSpec::Sequential)?;
-        check_against_sequential(&case.sched.token(), &run, &base)?;
-    }
-
-    // 3. Look-back introspection invariant.
-    check_depth_hist(&run.records)
-}
-
-/// Execute one multisplit case differentially.
-pub fn run_split_case(case: &FuzzCase) -> Result<(), Divergence> {
-    run_case_with_fault(case, None)
-}
-
-/// One generated ms-sort differential case: sort the low `bits` of `n`
-/// keys with `digit_bits`-wide multisplit digits, optionally carrying a
-/// payload, under the given schedule.
+/// An ms-sort case's own fields: sort the low `bits` of `n` keys with
+/// `digit`-wide multisplit digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortCase {
+pub struct Sort {
     pub n: usize,
-    pub kv: bool,
     /// Digit width in bits (1..= [`ms_sort::max_digit_bits`]); crosses the
     /// Fused → FusedLargeM boundary at 6.
-    pub digit_bits: u32,
+    pub digit: u32,
     /// How many low key bits participate in the sort (0..=32). Keys are
     /// compared by `k & ((1 << bits) - 1)`; ties keep input order.
     pub bits: u32,
-    pub dist: KeyDist,
-    pub key_seed: u64,
-    pub wpb: usize,
-    pub sched: SchedSpec,
 }
 
-impl SortCase {
-    /// The self-contained replay token (inverse of [`parse_replay`]).
-    /// Distinguished from multisplit tokens by the leading `sort` marker.
-    pub fn replay_token(&self) -> String {
-        format!(
-            "sort,n={},kv={},digit={},bits={},dist={},keyseed={},wpb={},sched={}",
+impl Sort {
+    /// The input keys. `Skew75` concentrates keys in the lowest digit of
+    /// the sorted range.
+    fn keys(&self, c: &Common) -> Vec<u32> {
+        c.keys(self.n, 1u32 << self.digit.min(8), 0)
+    }
+}
+
+impl Family for Sort {
+    const MARKER: &'static str = "sort";
+    const KV_SLOT: usize = 1;
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("n", self.n.write()),
+            ("digit", self.digit.write()),
+            ("bits", self.bits.write()),
+        ]
+    }
+
+    fn parse(f: &mut Fields) -> Result<Self, String> {
+        Ok(Sort {
+            n: f.take("n")?,
+            digit: f.take("digit")?,
+            bits: f.take("bits")?,
+        })
+    }
+
+    fn validate(&self, c: &Common) -> Result<(), String> {
+        let max_db = ms_sort::max_digit_bits(c.wpb, c.value_bytes());
+        if !(1..=max_db).contains(&self.digit) {
+            return Err(format!("digit = {} is outside [1, {max_db}]", self.digit));
+        }
+        if self.bits > 32 {
+            return Err(format!("bits = {} exceeds the 32-bit key", self.bits));
+        }
+        Ok(())
+    }
+
+    /// Smaller `n`, a narrower digit, fewer bits.
+    fn candidates(&self) -> Vec<Self> {
+        let ns = smaller(self.n).into_iter().map(|n| Sort { n, ..*self });
+        let digit = [self.digit.saturating_sub(1)].map(|digit| Sort { digit, ..*self });
+        let bits = (smaller(self.bits).into_iter()).map(|bits| Sort { bits, ..*self });
+        ns.chain(digit).chain(bits).collect()
+    }
+
+    fn device(&self, c: &Common, dev: &Device) -> Vec<Task> {
+        let (keys, values) = c.inputs(&self.keys(c));
+        let (k, v) = ms_sort::sort_by_bit_range_with(
+            dev,
+            &keys,
+            values.as_ref(),
             self.n,
-            self.kv as u32,
-            self.digit_bits,
+            0,
             self.bits,
-            self.dist.token(),
-            self.key_seed,
-            self.wpb,
-            self.sched.token()
-        )
+            self.digit,
+            c.wpb,
+        );
+        vec![download(&k, v, Vec::new())]
     }
 
-    /// The one-line command a human (or CI) pastes to replay this case.
-    pub fn replay_command(&self) -> String {
-        format!(
-            "cargo run --release -p ms-bench --bin paper -- fuzz --replay {}",
-            self.replay_token()
-        )
-    }
-}
-
-/// Parse the field list of a `sort,...` replay token.
-fn parse_sort_replay(s: &str) -> Result<SortCase, String> {
-    let mut n = None;
-    let mut kv = None;
-    let mut digit = None;
-    let mut bits = None;
-    let mut dist = None;
-    let mut key_seed = None;
-    let mut wpb = None;
-    let mut sched = None;
-    for part in s.split(',') {
-        let (k, v) = part
-            .split_once('=')
-            .ok_or_else(|| format!("bad replay field {part:?} (want k=v)"))?;
-        match k {
-            "n" => n = Some(v.parse::<usize>().map_err(|e| format!("n: {e}"))?),
-            "kv" => kv = Some(v == "1"),
-            "digit" => digit = Some(v.parse::<u32>().map_err(|e| format!("digit: {e}"))?),
-            "bits" => bits = Some(v.parse::<u32>().map_err(|e| format!("bits: {e}"))?),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
-            }
-            "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
-            "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
-            "sched" => {
-                sched = Some(match v {
-                    "seq" => SchedSpec::Sequential,
-                    "par" => SchedSpec::Parallel,
-                    adv => {
-                        let mut it = adv.split(':');
-                        let (Some("adv"), Some(seed), Some(flavor)) =
-                            (it.next(), it.next(), it.next())
-                        else {
-                            return Err(format!("unknown sched {v:?}"));
-                        };
-                        let seed = seed
-                            .parse::<u64>()
-                            .map_err(|e| format!("sched seed: {e}"))?;
-                        let flavor = AdvFlavor::ALL
-                            .into_iter()
-                            .find(|f| f.name() == flavor)
-                            .ok_or_else(|| format!("unknown flavor {flavor:?}"))?;
-                        SchedSpec::Adversarial { seed, flavor }
-                    }
-                })
-            }
-            other => return Err(format!("unknown sort replay field {other:?}")),
-        }
-    }
-    Ok(SortCase {
-        n: n.ok_or("missing n")?,
-        kv: kv.ok_or("missing kv")?,
-        digit_bits: digit.ok_or("missing digit")?,
-        bits: bits.ok_or("missing bits")?,
-        dist: dist.ok_or("missing dist")?,
-        key_seed: key_seed.ok_or("missing keyseed")?,
-        wpb: wpb.ok_or("missing wpb")?,
-        sched: sched.ok_or("missing sched")?,
-    })
-}
-
-/// Generate the sort case's input keys (deterministic from `key_seed`).
-/// `Skew75` concentrates keys in the lowest digit of the sorted range.
-pub fn gen_sort_keys(case: &SortCase) -> Vec<u32> {
-    gen_keys_raw(
-        case.n,
-        1u32 << case.digit_bits.min(8),
-        case.dist,
-        case.key_seed,
-    )
-}
-
-/// One full device sort of the case under `sched`, with tracked inputs.
-fn sort_device_run(
-    case: &SortCase,
-    keys: &[u32],
-    sched: SchedSpec,
-) -> Result<DeviceRun, Divergence> {
-    let result = std::panic::catch_unwind(|| {
-        let dev = Device::with_schedule(K40C, sched.to_schedule());
-        let kbuf = GlobalBuffer::from_slice(keys).tracked();
-        let (out_keys, out_values) = if case.kv {
-            let values: Vec<u32> = (0..case.n as u32).collect();
-            let vbuf = GlobalBuffer::from_slice(&values).tracked();
-            ms_sort::sort_by_bit_range_with(
-                &dev,
-                &kbuf,
-                Some(&vbuf),
-                case.n,
-                0,
-                case.bits,
-                case.digit_bits,
-                case.wpb,
-            )
-        } else {
-            ms_sort::sort_by_bit_range_with::<u32>(
-                &dev,
-                &kbuf,
-                None,
-                case.n,
-                0,
-                case.bits,
-                case.digit_bits,
-                case.wpb,
-            )
-        };
-        DeviceRun {
-            keys: out_keys.to_vec(),
-            values: out_values.map(|v| v.to_vec()),
-            offsets: Vec::new(),
-            records: dev.records(),
-        }
-    });
-    result.map_err(panic_divergence)
-}
-
-/// Execute one sort case differentially against the host's stable
-/// `sort_by_key` and the sequential-schedule anchor.
-pub fn run_sort_case(case: &SortCase) -> Result<(), Divergence> {
-    let keys = gen_sort_keys(case);
-    let mask = if case.bits >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << case.bits) - 1
-    };
-    // Host reference: Rust's sort_by_key is stable, so ties (equal masked
-    // keys) keep input order — exactly the device contract.
-    let (ref_keys, ref_values) = if case.kv {
-        let mut pairs: Vec<(u32, u32)> = keys.iter().copied().zip(0..case.n as u32).collect();
+    /// Rust's `sort_by_key` is stable, so ties (equal masked keys) keep
+    /// input order — exactly the device contract.
+    fn reference(&self, c: &Common) -> Vec<Task> {
+        // The low `bits` bits (none at 0, all at 32).
+        let mask = u32::MAX.checked_shr(32 - self.bits).unwrap_or(0);
+        let mut pairs: Vec<(u32, u32)> = self.keys(c).into_iter().zip(0..).collect();
         pairs.sort_by_key(|&(k, _)| k & mask);
-        (
-            pairs.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
-            Some(pairs.iter().map(|&(_, v)| v).collect::<Vec<_>>()),
-        )
-    } else {
-        let mut sorted = keys.clone();
-        sorted.sort_by_key(|&k| k & mask);
-        (sorted, None)
-    };
-
-    let run = sort_device_run(case, &keys, case.sched)?;
-    if let Some(i) = first_diff(&run.keys, &ref_keys) {
-        return Err(Divergence::Output(format!(
-            "sorted keys[{i}]: device {:?} vs host {:?} (lens {} vs {})",
-            run.keys.get(i),
-            ref_keys.get(i),
-            run.keys.len(),
-            ref_keys.len()
-        )));
-    }
-    if run.values != ref_values {
-        let dv = run.values.as_deref().unwrap_or(&[]);
-        let rv = ref_values.as_deref().unwrap_or(&[]);
-        let i = first_diff(dv, rv).unwrap_or(0);
-        return Err(Divergence::Output(format!(
-            "sorted values[{i}]: device {:?} vs host {:?}",
-            dv.get(i),
-            rv.get(i)
-        )));
-    }
-    if case.sched != SchedSpec::Sequential {
-        let base = sort_device_run(case, &keys, SchedSpec::Sequential)?;
-        check_against_sequential(&case.sched.token(), &run, &base)?;
-    }
-    check_depth_hist(&run.records)
-}
-
-/// Greedily shrink a failing sort case to a local minimum, mirroring
-/// [`shrink`]: smaller `n`, narrower digits, fewer bits, simpler
-/// distribution and schedule.
-pub fn shrink_sort(case: &SortCase, still_fails: impl Fn(&SortCase) -> bool) -> SortCase {
-    let mut cur = *case;
-    loop {
-        let mut candidates: Vec<SortCase> = Vec::new();
-        for n in [cur.n / 2, cur.n.saturating_sub(1)] {
-            if n < cur.n {
-                candidates.push(SortCase { n, ..cur });
-            }
-        }
-        if cur.digit_bits > 1 {
-            candidates.push(SortCase {
-                digit_bits: cur.digit_bits - 1,
-                ..cur
-            });
-        }
-        for bits in [cur.bits / 2, cur.bits.saturating_sub(1)] {
-            if bits < cur.bits {
-                candidates.push(SortCase { bits, ..cur });
-            }
-        }
-        if cur.kv {
-            candidates.push(SortCase { kv: false, ..cur });
-        }
-        if cur.dist != KeyDist::Uniform {
-            candidates.push(SortCase {
-                dist: KeyDist::Uniform,
-                ..cur
-            });
-        }
-        match cur.sched {
-            SchedSpec::Adversarial { .. } => {
-                candidates.push(SortCase {
-                    sched: SchedSpec::Parallel,
-                    ..cur
-                });
-                candidates.push(SortCase {
-                    sched: SchedSpec::Sequential,
-                    ..cur
-                });
-            }
-            SchedSpec::Parallel => candidates.push(SortCase {
-                sched: SchedSpec::Sequential,
-                ..cur
-            }),
-            SchedSpec::Sequential => {}
-        }
-        match candidates.into_iter().find(|c| still_fails(c)) {
-            Some(smaller) => cur = smaller,
-            None => return cur,
-        }
+        let (keys, values): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+        vec![(keys, c.kv.then_some(values), Vec::new())]
     }
 }
 
@@ -819,370 +718,139 @@ pub fn shrink_sort(case: &SortCase, still_fails: impl Fn(&SortCase) -> bool) -> 
 /// tile multiples.
 pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
     let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
-    let kv = ix % 2 == 1;
-    let sched = sched_for(ix / 2, &mut rng);
-    let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
-    let max_db = ms_sort::max_digit_bits(wpb, if kv { 4 } else { 0 });
-    let digit_bits = match rng.next_u32() % 4 {
+    let mut common = Common::draw(&mut rng, ix % 2 == 1, ix / 2);
+    let max_db = ms_sort::max_digit_bits(common.wpb, common.value_bytes());
+    let digit = match rng.next_u32() % 4 {
         0 => 1,
         1 => 5,             // last width on the Fused path
         2 => 6.min(max_db), // first width on FusedLargeM
         _ => 1 + rng.next_u32() % max_db,
     };
-    // A digit pass is a direct sweep over 2^digit_bits buckets.
-    let tile = tile_of(Method::Fused, 1 << digit_bits, kv, wpb, 0);
+    // A digit pass is a direct sweep over 2^digit buckets.
+    let tile = tile_of(Method::Fused, 1 << digit, common.kv, common.wpb, 0);
     let n = draw_n(&mut rng, tile, MAX_N);
-    let dist = KeyDist::ALL[(rng.next_u32() % 4) as usize];
+    common.dist = KeyDist::draw(&mut rng);
     let bits = match rng.next_u32() % 4 {
         0 => 0,
         1 => 32,
-        2 => digit_bits, // exactly one data pass
+        2 => digit, // exactly one data pass
         _ => rng.next_u32() % 33,
     };
-    SortCase {
-        n,
-        kv,
-        digit_bits,
-        bits,
-        dist,
-        key_seed: rng.next_u64(),
-        wpb,
-        sched,
-    }
+    common.key_seed = rng.next_u64();
+    let own = Sort { n, digit, bits };
+    Case { own, common }
 }
 
-/// Max segments a generated [`SegCase`] carries (fixed-size arrays keep
-/// the case `Copy` for the shrinker; real batches are far larger, but six
-/// segments already cover every class mix and both look-back window
-/// boundaries).
+// ============================= segmented family ==============================
+
+/// Max segments a generated or replayed [`SegCase`] carries (real batches
+/// are far larger, but six segments already cover every class mix and
+/// both look-back window boundaries).
 pub const MAX_SEGS: usize = 6;
 
-/// One generated segmented-multisplit differential case: `nsegs`
-/// independent segments with their own sizes and bucket counts, packed at
-/// sector-aligned offsets into one flat buffer and run through a single
+/// One segment of a [`SegCase`], run with its own bucket count inside one
 /// [`multisplit_segmented`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegCase {
-    pub nsegs: usize,
-    /// Per-segment key counts (entries past `nsegs` are zero).
-    pub ns: [usize; MAX_SEGS],
-    /// Per-segment bucket counts (entries past `nsegs` are zero).
-    pub ms: [u32; MAX_SEGS],
-    pub kv: bool,
-    pub dist: KeyDist,
-    pub key_seed: u64,
-    pub wpb: usize,
-    pub sched: SchedSpec,
-}
-
-impl SegCase {
-    /// The self-contained replay token (inverse of [`parse_replay`]).
-    /// Distinguished by the leading `seg` marker; the segment lists are
-    /// `+`-separated (`ns=128+0+4096`), empty for a zero-segment batch.
-    pub fn replay_token(&self) -> String {
-        let ns: Vec<String> = self.ns[..self.nsegs]
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        let ms: Vec<String> = self.ms[..self.nsegs]
-            .iter()
-            .map(|m| m.to_string())
-            .collect();
-        format!(
-            "seg,ns={},ms={},kv={},dist={},keyseed={},wpb={},sched={}",
-            ns.join("+"),
-            ms.join("+"),
-            self.kv as u32,
-            self.dist.token(),
-            self.key_seed,
-            self.wpb,
-            self.sched.token()
-        )
-    }
-
-    /// The one-line command a human (or CI) pastes to replay this case.
-    pub fn replay_command(&self) -> String {
-        format!(
-            "cargo run --release -p ms-bench --bin paper -- fuzz --replay {}",
-            self.replay_token()
-        )
-    }
-}
-
-/// Parse the field list of a `seg,...` replay token.
-fn parse_seg_replay(s: &str) -> Result<SegCase, String> {
-    fn list<T: std::str::FromStr>(v: &str, what: &str) -> Result<Vec<T>, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        if v.is_empty() {
-            return Ok(Vec::new());
-        }
-        v.split('+')
-            .map(|p| p.parse::<T>().map_err(|e| format!("{what}: {e}")))
-            .collect()
-    }
-    let mut ns: Option<Vec<usize>> = None;
-    let mut ms: Option<Vec<u32>> = None;
-    let mut kv = None;
-    let mut dist = None;
-    let mut key_seed = None;
-    let mut wpb = None;
-    let mut sched = None;
-    for part in s.split(',') {
-        let (k, v) = part
-            .split_once('=')
-            .ok_or_else(|| format!("bad replay field {part:?} (want k=v)"))?;
-        match k {
-            "ns" => ns = Some(list(v, "ns")?),
-            "ms" => ms = Some(list(v, "ms")?),
-            "kv" => kv = Some(v == "1"),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
-            }
-            "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
-            "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
-            "sched" => {
-                sched = Some(match v {
-                    "seq" => SchedSpec::Sequential,
-                    "par" => SchedSpec::Parallel,
-                    adv => {
-                        let mut it = adv.split(':');
-                        let (Some("adv"), Some(seed), Some(flavor)) =
-                            (it.next(), it.next(), it.next())
-                        else {
-                            return Err(format!("unknown sched {v:?}"));
-                        };
-                        let seed = seed
-                            .parse::<u64>()
-                            .map_err(|e| format!("sched seed: {e}"))?;
-                        let flavor = AdvFlavor::ALL
-                            .into_iter()
-                            .find(|f| f.name() == flavor)
-                            .ok_or_else(|| format!("unknown flavor {flavor:?}"))?;
-                        SchedSpec::Adversarial { seed, flavor }
-                    }
-                })
-            }
-            other => return Err(format!("unknown seg replay field {other:?}")),
-        }
-    }
-    let ns_list = ns.ok_or("missing ns")?;
-    let ms_list = ms.ok_or("missing ms")?;
-    if ns_list.len() != ms_list.len() {
-        return Err(format!(
-            "ns has {} entries but ms has {}",
-            ns_list.len(),
-            ms_list.len()
-        ));
-    }
-    if ns_list.len() > MAX_SEGS {
-        return Err(format!(
-            "at most {MAX_SEGS} segments, got {}",
-            ns_list.len()
-        ));
-    }
-    let mut case = SegCase {
-        nsegs: ns_list.len(),
-        ns: [0; MAX_SEGS],
-        ms: [0; MAX_SEGS],
-        kv: kv.ok_or("missing kv")?,
-        dist: dist.ok_or("missing dist")?,
-        key_seed: key_seed.ok_or("missing keyseed")?,
-        wpb: wpb.ok_or("missing wpb")?,
-        sched: sched.ok_or("missing sched")?,
-    };
-    case.ns[..case.nsegs].copy_from_slice(&ns_list);
-    case.ms[..case.nsegs].copy_from_slice(&ms_list);
-    Ok(case)
+pub struct Seg {
+    pub n: usize,
+    pub m: u32,
 }
 
 /// Sector-aligned (8-word) segment offsets plus the flat buffer length.
-fn seg_layout(case: &SegCase) -> (Vec<usize>, usize) {
-    let mut offs = Vec::with_capacity(case.nsegs);
+fn seg_layout(segs: &[Seg]) -> (Vec<usize>, usize) {
+    let mut offs = Vec::with_capacity(segs.len());
     let mut len = 0usize;
-    for i in 0..case.nsegs {
+    for s in segs {
         offs.push(len);
-        len += case.ns[i];
+        len += s.n;
         len = (len + 7) & !7;
     }
     (offs, len.max(1))
 }
 
-/// Generate the case's flat key buffer (deterministic from `key_seed`;
-/// gap words between segments stay zero).
-pub fn gen_seg_keys(case: &SegCase) -> Vec<u32> {
-    let (offs, len) = seg_layout(case);
+/// The flat key buffer (gap words between segments stay zero).
+fn seg_keys(segs: &[Seg], c: &Common) -> Vec<u32> {
+    let (offs, len) = seg_layout(segs);
     let mut flat = vec![0u32; len];
-    for i in 0..case.nsegs {
-        let keys = gen_keys_raw(
-            case.ns[i],
-            case.ms[i],
-            case.dist,
-            case.key_seed.wrapping_add(i as u64),
-        );
-        flat[offs[i]..offs[i] + case.ns[i]].copy_from_slice(&keys);
+    for (i, (s, &off)) in segs.iter().zip(&offs).enumerate() {
+        flat[off..off + s.n].copy_from_slice(&c.keys(s.n, s.m, i));
     }
     flat
 }
 
-/// One full segmented device run of the case under `sched`, with tracked
-/// inputs. Per-segment offset lists are flattened for comparison.
-fn seg_device_run(case: &SegCase, flat: &[u32], sched: SchedSpec) -> Result<DeviceRun, Divergence> {
-    let result = std::panic::catch_unwind(|| {
-        let dev = Device::with_schedule(K40C, sched.to_schedule());
-        let (offs, len) = seg_layout(case);
-        let buckets: Vec<RangeBuckets> = (0..case.nsegs)
-            .map(|i| RangeBuckets::new(case.ms[i]))
-            .collect();
-        let specs: Vec<SegmentSpec> = (0..case.nsegs)
-            .map(|i| SegmentSpec {
-                offset: offs[i],
-                n: case.ns[i],
-                bucket: &buckets[i],
+impl Family for Vec<Seg> {
+    const MARKER: &'static str = "seg";
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let ns: Vec<usize> = self.iter().map(|s| s.n).collect();
+        let ms: Vec<u32> = self.iter().map(|s| s.m).collect();
+        vec![("ns", ns.write()), ("ms", ms.write())]
+    }
+
+    fn parse(f: &mut Fields) -> Result<Self, String> {
+        let ns: Vec<usize> = f.take("ns")?;
+        let ms: Vec<u32> = f.take("ms")?;
+        if ns.len() != ms.len() {
+            let (a, b) = (ns.len(), ms.len());
+            return Err(format!("ns has {a} entries but ms has {b}"));
+        }
+        Ok(ns.into_iter().zip(ms).map(|(n, m)| Seg { n, m }).collect())
+    }
+
+    fn validate(&self, _: &Common) -> Result<(), String> {
+        if self.len() > MAX_SEGS {
+            return Err(format!("at most {MAX_SEGS} segments, got {}", self.len()));
+        }
+        match self.iter().position(|s| s.m == 0) {
+            Some(i) => Err(format!("segment {i}: m = 0, but a segment needs a bucket")),
+            None => Ok(()),
+        }
+    }
+
+    /// Drop whole segments, then halve or decrement a segment's `n` or `m`.
+    fn candidates(&self) -> Vec<Self> {
+        list_candidates(self, |s| {
+            let ns = smaller(s.n).into_iter().map(|n| Seg { n, ..*s });
+            let ms = smaller(s.m).into_iter().map(|m| Seg { m, ..*s });
+            ns.chain(ms).collect()
+        })
+    }
+
+    fn device(&self, c: &Common, dev: &Device) -> Vec<Task> {
+        let (offs, _) = seg_layout(self);
+        let buckets: Vec<RangeBuckets> = self.iter().map(|s| RangeBuckets::new(s.m)).collect();
+        let specs: Vec<SegmentSpec> = (self.iter().zip(&offs).zip(&buckets))
+            .map(|((s, &offset), bucket)| SegmentSpec {
+                offset,
+                n: s.n,
+                bucket,
             })
             .collect();
-        let kbuf = GlobalBuffer::from_slice(flat).tracked();
-        let out = if case.kv {
-            let values: Vec<u32> = (0..len as u32).collect();
-            let vbuf = GlobalBuffer::from_slice(&values).tracked();
-            multisplit_segmented(&dev, &kbuf, Some(&vbuf), &specs, case.wpb)
-        } else {
-            multisplit_segmented(&dev, &kbuf, no_values(), &specs, case.wpb)
-        };
-        DeviceRun {
-            keys: out.keys.to_vec(),
-            values: out.values.as_ref().map(|v| v.to_vec()),
-            offsets: out.offsets.concat(),
-            records: dev.records(),
-        }
-    });
-    result.map_err(panic_divergence)
-}
-
-/// Execute one segmented case differentially: every segment against its
-/// own CPU reference (gap words must stay untouched), then the whole run
-/// against the sequential-schedule anchor.
-pub fn run_seg_case(case: &SegCase) -> Result<(), Divergence> {
-    let flat = gen_seg_keys(case);
-    let (offs, len) = seg_layout(case);
-    // Per-segment CPU references assembled into flat expectations. The
-    // device's output buffers start zeroed, so gap words must stay 0.
-    let mut expect_keys = vec![0u32; len];
-    let mut expect_values = vec![0u32; len];
-    let mut expect_offsets: Vec<u32> = Vec::new();
-    for (i, &off) in offs.iter().enumerate().take(case.nsegs) {
-        let n = case.ns[i];
-        let bucket = RangeBuckets::new(case.ms[i]);
-        let seg_values: Vec<u32> = (off as u32..(off + n) as u32).collect();
-        let (k, v, o) = multisplit_kv_ref(&flat[off..off + n], Some(&seg_values), &bucket);
-        expect_keys[off..off + n].copy_from_slice(&k);
-        expect_values[off..off + n].copy_from_slice(&v);
-        expect_offsets.extend(o);
+        let (keys, values) = c.inputs(&seg_keys(self, c));
+        let out = multisplit_segmented(dev, &keys, values.as_ref(), &specs, c.wpb);
+        vec![download(&out.keys, out.values, out.offsets.concat())]
     }
 
-    let run = seg_device_run(case, &flat, case.sched)?;
-    if let Some(i) = first_diff(&run.keys, &expect_keys) {
-        return Err(Divergence::Output(format!(
-            "segmented keys[{i}]: device {:?} vs reference {:?}",
-            run.keys.get(i),
-            expect_keys.get(i)
-        )));
-    }
-    if run.offsets != expect_offsets {
-        return Err(Divergence::Output(format!(
-            "segment bucket offsets: device {:?} vs reference {:?}",
-            run.offsets, expect_offsets
-        )));
-    }
-    if case.kv {
-        let dev_values = run.values.as_deref().unwrap_or(&[]);
-        if let Some(i) = first_diff(dev_values, &expect_values) {
-            return Err(Divergence::Output(format!(
-                "segmented values[{i}]: device {:?} vs reference {:?}",
-                dev_values.get(i),
-                expect_values.get(i)
-            )));
+    /// Per-segment CPU references assembled into flat expectations. The
+    /// device's output buffers start zeroed, so gap words must stay 0.
+    fn reference(&self, c: &Common) -> Vec<Task> {
+        let flat = seg_keys(self, c);
+        let (offs, len) = seg_layout(self);
+        let mut keys = vec![0u32; len];
+        let mut values = vec![0u32; len];
+        let mut offsets = Vec::new();
+        for (s, &off) in self.iter().zip(&offs) {
+            let seg_values: Vec<u32> = (off as u32..(off + s.n) as u32).collect();
+            let (k, v, o) = multisplit_kv_ref(
+                &flat[off..off + s.n],
+                Some(&seg_values),
+                &RangeBuckets::new(s.m),
+            );
+            keys[off..off + s.n].copy_from_slice(&k);
+            values[off..off + s.n].copy_from_slice(&v);
+            offsets.extend(o);
         }
-    }
-    if case.sched != SchedSpec::Sequential {
-        let base = seg_device_run(case, &flat, SchedSpec::Sequential)?;
-        check_against_sequential(&case.sched.token(), &run, &base)?;
-    }
-    check_depth_hist(&run.records)
-}
-
-/// Greedily shrink a failing segmented case. Beyond the per-field
-/// reductions the other families use, it *drops whole segments* one at a
-/// time, so the fixpoint is a minimal failing segment set.
-pub fn shrink_seg(case: &SegCase, still_fails: impl Fn(&SegCase) -> bool) -> SegCase {
-    fn drop_seg(mut c: SegCase, i: usize) -> SegCase {
-        for j in i..c.nsegs - 1 {
-            c.ns[j] = c.ns[j + 1];
-            c.ms[j] = c.ms[j + 1];
-        }
-        c.nsegs -= 1;
-        c.ns[c.nsegs] = 0;
-        c.ms[c.nsegs] = 0;
-        c
-    }
-    let mut cur = *case;
-    loop {
-        let mut candidates: Vec<SegCase> = Vec::new();
-        for i in 0..cur.nsegs {
-            candidates.push(drop_seg(cur, i));
-        }
-        for i in 0..cur.nsegs {
-            for n in [cur.ns[i] / 2, cur.ns[i].saturating_sub(1)] {
-                if n < cur.ns[i] {
-                    let mut c = cur;
-                    c.ns[i] = n;
-                    candidates.push(c);
-                }
-            }
-            for m in [cur.ms[i] / 2, cur.ms[i].saturating_sub(1)] {
-                if m < cur.ms[i] && m >= 1 {
-                    let mut c = cur;
-                    c.ms[i] = m;
-                    candidates.push(c);
-                }
-            }
-        }
-        if cur.kv {
-            candidates.push(SegCase { kv: false, ..cur });
-        }
-        if cur.dist != KeyDist::Uniform {
-            candidates.push(SegCase {
-                dist: KeyDist::Uniform,
-                ..cur
-            });
-        }
-        match cur.sched {
-            SchedSpec::Adversarial { .. } => {
-                candidates.push(SegCase {
-                    sched: SchedSpec::Parallel,
-                    ..cur
-                });
-                candidates.push(SegCase {
-                    sched: SchedSpec::Sequential,
-                    ..cur
-                });
-            }
-            SchedSpec::Parallel => candidates.push(SegCase {
-                sched: SchedSpec::Sequential,
-                ..cur
-            }),
-            SchedSpec::Sequential => {}
-        }
-        match candidates.into_iter().find(|c| still_fails(c)) {
-            Some(smaller) => cur = smaller,
-            None => return cur,
-        }
+        vec![(keys, c.kv.then_some(values), offsets)]
     }
 }
 
@@ -1193,45 +861,128 @@ pub fn shrink_seg(case: &SegCase, still_fails: impl Fn(&SegCase) -> bool) -> Seg
 /// over-capacity fallback) and tile-edge sizes.
 pub fn gen_seg_case(seed: u64, ix: usize) -> SegCase {
     let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-    let kv = ix % 2 == 1;
-    let sched = sched_for(ix / 2, &mut rng);
-    let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
+    let mut common = Common::draw(&mut rng, ix % 2 == 1, ix / 2);
     let nsegs = (rng.next_u32() as usize) % (MAX_SEGS + 1);
-    let mut ns = [0usize; MAX_SEGS];
-    let mut ms = [0u32; MAX_SEGS];
-    for i in 0..nsegs {
-        ms[i] = match rng.next_u32() % 5 {
-            0 => 1,
-            1 => 32,                       // last m on the fused class
-            2 => 33,                       // first m on the large-m class
-            3 => 33 + rng.next_u32() % 96, // deeper multi-row look-back
-            _ => 1 + rng.next_u32() % 32,
-        };
-        // The segmented sweep's tile (next to the tile descriptor), so a
-        // batch mixes one-tile segments with pre-scanned multi-tile ones.
-        let method = Method::auto_for(ms[i], kv, wpb);
-        let tile = tile_of(method, ms[i], kv, wpb, DESC_WORDS);
-        ns[i] = draw_n(&mut rng, tile, MAX_N / 4);
+    let own = (0..nsegs)
+        .map(|_| {
+            let m = match rng.next_u32() % 5 {
+                0 => 1,
+                1 => 32,                       // last m on the fused class
+                2 => 33,                       // first m on the large-m class
+                3 => 33 + rng.next_u32() % 96, // deeper multi-row look-back
+                _ => 1 + rng.next_u32() % 32,
+            };
+            // The segmented sweep's tile (next to the tile descriptor), so a
+            // batch mixes one-tile segments with pre-scanned multi-tile ones.
+            let method = Method::auto_for(m, common.kv, common.wpb);
+            let tile = tile_of(method, m, common.kv, common.wpb, DESC_WORDS);
+            let n = draw_n(&mut rng, tile, MAX_N / 4);
+            Seg { n, m }
+        })
+        .collect();
+    common.dist = KeyDist::draw(&mut rng);
+    common.key_seed = rng.next_u64();
+    Case { own, common }
+}
+
+// =============================== stream family ===============================
+
+/// Max concurrent stream tasks a generated or replayed [`StreamCase`]
+/// carries: generated sessions have 2–4, and 4 tasks already exercise
+/// every session-executor arbitration path.
+pub const MAX_STREAM_TASKS: usize = 4;
+
+/// A stream case runs its launches — *mixed methods and sizes* — as
+/// concurrent stream tasks of a single [`Device::concurrent`] session,
+/// under the case's schedule. The tasks touch disjoint tracked buffers,
+/// so the versioned-clock race detector is armed on every case and must
+/// stay silent — any cross-stream false positive surfaces as a panic
+/// divergence with a replay token.
+impl Family for Vec<Launch> {
+    const MARKER: &'static str = "stream";
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let ns: Vec<usize> = self.iter().map(|t| t.n).collect();
+        let ms: Vec<u32> = self.iter().map(|t| t.m).collect();
+        let methods: Vec<Method> = self.iter().map(|t| t.method).collect();
+        vec![
+            ("ns", ns.write()),
+            ("ms", ms.write()),
+            ("methods", methods.write()),
+        ]
     }
-    SegCase {
-        nsegs,
-        ns,
-        ms,
-        kv,
-        dist: KeyDist::ALL[(rng.next_u32() % 4) as usize],
-        key_seed: rng.next_u64(),
-        wpb,
-        sched,
+
+    fn parse(f: &mut Fields) -> Result<Self, String> {
+        let ns: Vec<usize> = f.take("ns")?;
+        let ms: Vec<u32> = f.take("ms")?;
+        let methods: Vec<Method> = f.take("methods")?;
+        let lens = [ns.len(), ms.len(), methods.len()];
+        if lens[0] != lens[1] || lens[0] != lens[2] {
+            return Err(format!("ns/ms/methods lengths differ: {lens:?}"));
+        }
+        let tasks = ns.into_iter().zip(ms).zip(methods);
+        Ok(tasks
+            .map(|((n, m), method)| Launch { n, m, method })
+            .collect())
+    }
+
+    fn validate(&self, c: &Common) -> Result<(), String> {
+        if !(1..=MAX_STREAM_TASKS).contains(&self.len()) {
+            return Err(format!(
+                "between 1 and {MAX_STREAM_TASKS} stream tasks, got {}",
+                self.len()
+            ));
+        }
+        for (i, t) in self.iter().enumerate() {
+            t.validate(c).map_err(|e| format!("task {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Drop whole stream tasks, then halve or decrement a task's `n` or
+    /// `m`.
+    fn candidates(&self) -> Vec<Self> {
+        list_candidates(self, Launch::candidates)
+    }
+
+    fn device(&self, c: &Common, dev: &Device) -> Vec<Task> {
+        let inputs: Vec<Inputs> = (self.iter().enumerate())
+            .map(|(i, t)| c.inputs(&c.keys(t.n, t.m, i)))
+            .collect();
+        let tasks: Vec<StreamTask<Task>> = (self.iter().zip(&inputs))
+            .map(|(t, input)| {
+                Box::new(move |s: &Stream| s.run(|| t.run(c, dev, input))) as StreamTask<Task>
+            })
+            .collect();
+        dev.concurrent(tasks)
+    }
+
+    fn reference(&self, c: &Common) -> Vec<Task> {
+        (self.iter().enumerate())
+            .map(|(i, t)| t.expected(c, i))
+            .collect()
     }
 }
 
-// =========================== stream case family ===========================
+/// Deterministically generate stream case `ix` of a run seeded with
+/// `seed`: 2–4 tasks of mixed methods and sizes; kv and schedules rotate
+/// (12 consecutive indices cover the {key, kv} x 6-schedule matrix).
+pub fn gen_stream_case(seed: u64, ix: usize) -> StreamCase {
+    let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
+    let mut common = Common::draw(&mut rng, ix % 2 == 1, ix / 2);
+    let ntasks = 2 + (rng.next_u32() as usize) % (MAX_STREAM_TASKS - 1);
+    let own = (0..ntasks)
+        .map(|_| {
+            let (method, _) = METHODS[(rng.next_u32() as usize) % METHODS.len()];
+            Launch::draw(&mut rng, method, &common, MAX_N / 4)
+        })
+        .collect();
+    common.dist = KeyDist::draw(&mut rng);
+    common.key_seed = rng.next_u64();
+    Case { own, common }
+}
 
-/// Max concurrent stream tasks a generated [`StreamCase`] carries (the
-/// fixed-size arrays keep the case `Copy` for the shrinker). The ISSUE
-/// matrix wants 2–4 concurrent launches; 4 tasks already exercise every
-/// session-executor arbitration path.
-pub const MAX_STREAM_TASKS: usize = 4;
+// ============================ generator helpers ==============================
 
 /// Keys per tile of one `method` run at `m` buckets: the sweep tile for
 /// the single-pass paths (as many items per thread as shared memory holds
@@ -1262,74 +1013,252 @@ fn draw_n(rng: &mut SmallRng, tile: usize, max_uniform: usize) -> usize {
     }
 }
 
-/// Smallest legal `m` for a method (the large-m paths need `m > 32`).
-fn stream_min_m(method: Method) -> u32 {
-    match method {
-        Method::LargeM | Method::FusedLargeM => 33,
-        _ => 1,
+/// The schedule rotation the generator cycles through: sequential,
+/// parallel, and all four adversarial flavors (6 schedules — the
+/// acceptance matrix needs at least 3).
+fn sched_for(ix: usize, rng: &mut SmallRng) -> SchedSpec {
+    match ix % 6 {
+        0 => SchedSpec::Sequential,
+        1 => SchedSpec::Parallel,
+        k => SchedSpec::Adversarial {
+            seed: rng.next_u64(),
+            flavor: AdvFlavor::ALL[k - 2],
+        },
     }
 }
 
-/// Largest legal `m` for a method at the given block size.
-fn stream_max_m(method: Method, wpb: usize, kv: bool) -> u32 {
-    match method {
-        Method::LargeM => large_m_max_buckets(wpb, kv).min(MAX_LARGE_M),
-        Method::FusedLargeM => fused_max_buckets(wpb, kv).min(MAX_LARGE_M),
-        _ => 32,
+// ============================ differential check =============================
+
+/// Why a case failed.
+#[derive(Debug, Clone)]
+pub enum Divergence {
+    /// Device output differs from the CPU reference (or between schedules).
+    Output(String),
+    /// Counted stats or launch structure differ between schedules.
+    Stats(String),
+    /// A look-back observability invariant broke.
+    Obs(String),
+    /// A kernel panicked (race detector, look-back stall, executor bug).
+    Panic(String),
+}
+
+impl std::fmt::Display for Divergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Divergence::Output(s) => write!(f, "output divergence: {s}"),
+            Divergence::Stats(s) => write!(f, "stats divergence: {s}"),
+            Divergence::Obs(s) => write!(f, "obs divergence: {s}"),
+            Divergence::Panic(s) => write!(f, "panic: {s}"),
+        }
     }
 }
 
-/// One generated concurrent-streams differential case: `ntasks` (up to
-/// [`MAX_STREAM_TASKS`]) independent multisplit pipelines of *mixed
-/// methods and sizes* run as concurrent stream tasks of a single
-/// [`Device::concurrent`] session, under the case's schedule. The tasks
-/// touch disjoint tracked buffers, so the versioned-clock race detector
-/// is armed on every case and must stay silent — any cross-stream
-/// false positive surfaces as a panic divergence with a replay token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamCase {
-    pub ntasks: usize,
-    /// Per-task key counts (entries past `ntasks` are zero).
-    pub ns: [usize; MAX_STREAM_TASKS],
-    /// Per-task bucket counts (entries past `ntasks` are zero).
-    pub ms: [u32; MAX_STREAM_TASKS],
-    /// Per-task multisplit method (entries past `ntasks` are `Fused`).
-    pub methods: [Method; MAX_STREAM_TASKS],
-    pub kv: bool,
-    pub dist: KeyDist,
-    pub key_seed: u64,
-    pub wpb: usize,
-    pub sched: SchedSpec,
+/// One device execution of a case.
+struct Run {
+    tasks: Vec<Task>,
+    /// Launch records sorted by `(stream, stream_seq)` — the
+    /// deterministic per-stream order (push order across concurrent
+    /// streams is not stable; host-lane launches already count up in
+    /// submission order).
+    records: Vec<LaunchRecord>,
 }
 
-impl StreamCase {
+/// One full device execution of the case under `sched`; a panic (race
+/// detector, stall watchdog, executor bug) becomes a divergence.
+fn device_run<F: Family>(case: &Case<F>, sched: SchedSpec) -> Result<Run, Divergence> {
+    std::panic::catch_unwind(|| {
+        let dev = Device::with_schedule(K40C, sched.to_schedule());
+        let tasks = case.own.device(&case.common, &dev);
+        let mut records = dev.records();
+        records.sort_by_key(|r| (r.stream, r.stream_seq));
+        Run { tasks, records }
+    })
+    .map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Divergence::Panic(msg)
+    })
+}
+
+fn first_diff<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
+    if a.len() != b.len() {
+        return Some(a.len().min(b.len()));
+    }
+    (0..a.len()).find(|&i| a[i] != b[i])
+}
+
+/// Task `i`'s output against its reference.
+fn compare_task(i: usize, got: &Task, want: &Task) -> Result<(), Divergence> {
+    fn values(t: &Task) -> &[u32] {
+        t.1.as_deref().unwrap_or(&[])
+    }
+    let parts = [
+        ("keys", &got.0[..], &want.0[..]),
+        ("bucket offsets", &got.2[..], &want.2[..]),
+        ("values", values(got), values(want)),
+    ];
+    for (what, got, want) in parts {
+        if let Some(j) = first_diff(got, want) {
+            return Err(Divergence::Output(format!(
+                "task {i} {what}[{j}]: device {:?} vs reference {:?} (lens {} vs {})",
+                got.get(j),
+                want.get(j),
+                got.len(),
+                want.len()
+            )));
+        }
+    }
+    if got.1.is_some() != want.1.is_some() {
+        let (g, w) = (got.1.is_some(), want.1.is_some());
+        return Err(Divergence::Output(format!(
+            "task {i}: device returned values {g}, reference {w}"
+        )));
+    }
+    Ok(())
+}
+
+/// Schedule independence against the sequential anchor run: identical
+/// outputs, `(stream, stream_seq, label)` launch sequence, per-launch
+/// summed stats, and look-back resolve totals.
+fn check_against_sequential(sched: SchedSpec, run: &Run, base: &Run) -> Result<(), Divergence> {
+    if run.tasks != base.tasks {
+        return Err(Divergence::Output(format!(
+            "outputs differ between {} and the sequential schedule",
+            sched.write()
+        )));
+    }
+    let view = |r: &Run| -> Vec<_> {
+        (r.records.iter())
+            .map(|rec| (rec.stream, rec.stream_seq, rec.label.clone()))
+            .collect()
+    };
+    if view(run) != view(base) {
+        return Err(Divergence::Stats(format!(
+            "launch sequences differ: {:?} vs {:?}",
+            view(run),
+            view(base)
+        )));
+    }
+    for (a, b) in run.records.iter().zip(&base.records) {
+        if a.stats != b.stats {
+            return Err(Divergence::Stats(format!(
+                "summed BlockStats differ for stream {} launch {} ({:?}): {:?} vs {:?}",
+                a.stream, a.stream_seq, a.label, a.stats, b.stats
+            )));
+        }
+        if a.obs.lookback_resolves != b.obs.lookback_resolves {
+            return Err(Divergence::Obs(format!(
+                "lookback_resolves differ for stream {} launch {} ({:?}): {} vs {}",
+                a.stream, a.stream_seq, a.label, a.obs.lookback_resolves, b.obs.lookback_resolves
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Look-back introspection invariant: every resolve lands in the depth
+/// histogram, on every schedule.
+fn check_depth_hist(records: &[LaunchRecord]) -> Result<(), Divergence> {
+    for rec in records {
+        if rec.obs.depth_hist_total() != rec.obs.lookback_resolves {
+            return Err(Divergence::Obs(format!(
+                "launch {:?}: depth histogram total {} != resolves {}",
+                rec.label,
+                rec.obs.depth_hist_total(),
+                rec.obs.lookback_resolves
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Execute one case differentially: every task against the family's
+/// reference, then the whole run against the sequential anchor, then the
+/// look-back invariant. `corrupt` (test-only fault injection) flips the
+/// scheduled run's first output key.
+pub fn check<F: Family>(case: &Case<F>, corrupt: bool) -> Result<(), Divergence> {
+    let sched = case.common.sched;
+    let mut run = device_run(case, sched)?;
+    if corrupt {
+        if let Some(k) = run.tasks.first_mut().and_then(|t| t.0.first_mut()) {
+            *k ^= 1;
+        }
+    }
+
+    // 1. Every task against the family's reference.
+    let reference = case.own.reference(&case.common);
+    if run.tasks.len() != reference.len() {
+        return Err(Divergence::Output(format!(
+            "{} device tasks vs {} reference tasks",
+            run.tasks.len(),
+            reference.len()
+        )));
+    }
+    for (i, (got, want)) in run.tasks.iter().zip(&reference).enumerate() {
+        compare_task(i, got, want)?;
+    }
+
+    // 2. Schedule independence vs a sequential run of the same case. (The
+    // sequential run doubles as the "against each other" comparison — all
+    // schedules compare to the same anchor, so any two agree
+    // transitively. For a stream case it is the serialized order: stream
+    // 0's task runs to completion before stream 1's.)
+    if sched != SchedSpec::Sequential {
+        let base = device_run(case, SchedSpec::Sequential)?;
+        check_against_sequential(sched, &run, &base)?;
+    }
+
+    // 3. Look-back introspection invariant.
+    check_depth_hist(&run.records)
+}
+
+/// Greedily shrink a failing case to a local minimum: every single-step
+/// reduction that still validates — the family's own
+/// ([`Family::candidates`]), then the header's (drop the payload, uniform
+/// keys, simpler schedule) — makes it pass.
+pub fn shrink<F: Family>(case: &Case<F>, still_fails: impl Fn(&Case<F>) -> bool) -> Case<F> {
+    let mut cur = case.clone();
+    while let Some(smaller) = cur.candidates().into_iter().find(|c| still_fails(c)) {
+        cur = smaller;
+    }
+    cur
+}
+
+// ================================ any family =================================
+
+/// A case from any family, as produced by [`gen_any_case`] and
+/// [`parse_replay`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AnyCase {
+    Split(FuzzCase),
+    Sort(SortCase),
+    Seg(SegCase),
+    Stream(StreamCase),
+}
+
+/// Evaluate `$body` with `$c` bound to the family case inside `$case`
+/// and `$wrap` to the variant that wraps it back into an [`AnyCase`].
+macro_rules! each_family {
+    ($case:expr, $wrap:pat, $c:ident => $body:expr) => {
+        each_family!(@arms $case, $wrap, $c, $body, Split, Sort, Seg, Stream)
+    };
+    (@arms $case:expr, $wrap:pat, $c:ident, $body:expr, $($v:ident),*) => {
+        match $case {
+            $(AnyCase::$v($c) => {
+                let $wrap = AnyCase::$v;
+                $body
+            })*
+        }
+    };
+}
+
+impl AnyCase {
     /// The self-contained replay token (inverse of [`parse_replay`]).
-    /// Distinguished by the leading `stream` marker; per-task lists are
-    /// `+`-separated, mirroring the `seg,` family.
     pub fn replay_token(&self) -> String {
-        let ns: Vec<String> = self.ns[..self.ntasks]
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        let ms: Vec<String> = self.ms[..self.ntasks]
-            .iter()
-            .map(|m| m.to_string())
-            .collect();
-        let methods: Vec<String> = self.methods[..self.ntasks]
-            .iter()
-            .map(|m| method_token(*m).to_string())
-            .collect();
-        format!(
-            "stream,ns={},ms={},methods={},kv={},dist={},keyseed={},wpb={},sched={}",
-            ns.join("+"),
-            ms.join("+"),
-            methods.join("+"),
-            self.kv as u32,
-            self.dist.token(),
-            self.key_seed,
-            self.wpb,
-            self.sched.token()
-        )
+        each_family!(self, _, c => c.replay_token())
     }
 
     /// The one-line command a human (or CI) pastes to replay this case.
@@ -1341,438 +1270,19 @@ impl StreamCase {
     }
 }
 
-/// Parse the field list of a `stream,...` replay token.
-fn parse_stream_replay(s: &str) -> Result<StreamCase, String> {
-    fn list<T: std::str::FromStr>(v: &str, what: &str) -> Result<Vec<T>, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        if v.is_empty() {
-            return Ok(Vec::new());
-        }
-        v.split('+')
-            .map(|p| p.parse::<T>().map_err(|e| format!("{what}: {e}")))
-            .collect()
-    }
-    let mut ns: Option<Vec<usize>> = None;
-    let mut ms: Option<Vec<u32>> = None;
-    let mut methods: Option<Vec<Method>> = None;
-    let mut kv = None;
-    let mut dist = None;
-    let mut key_seed = None;
-    let mut wpb = None;
-    let mut sched = None;
-    for part in s.split(',') {
-        let (k, v) = part
-            .split_once('=')
-            .ok_or_else(|| format!("bad replay field {part:?} (want k=v)"))?;
-        match k {
-            "ns" => ns = Some(list(v, "ns")?),
-            "ms" => ms = Some(list(v, "ms")?),
-            "methods" => {
-                let parsed: Result<Vec<Method>, String> = if v.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    v.split('+')
-                        .map(|t| {
-                            METHODS
-                                .iter()
-                                .find(|(_, tok)| *tok == t)
-                                .map(|(m, _)| *m)
-                                .ok_or_else(|| format!("unknown method {t:?}"))
-                        })
-                        .collect()
-                };
-                methods = Some(parsed?);
-            }
-            "kv" => kv = Some(v == "1"),
-            "dist" => {
-                dist = Some(
-                    KeyDist::ALL
-                        .into_iter()
-                        .find(|d| d.token() == v)
-                        .ok_or_else(|| format!("unknown dist {v:?}"))?,
-                )
-            }
-            "keyseed" => key_seed = Some(v.parse::<u64>().map_err(|e| format!("keyseed: {e}"))?),
-            "wpb" => wpb = Some(v.parse::<usize>().map_err(|e| format!("wpb: {e}"))?),
-            "sched" => {
-                sched = Some(match v {
-                    "seq" => SchedSpec::Sequential,
-                    "par" => SchedSpec::Parallel,
-                    adv => {
-                        let mut it = adv.split(':');
-                        let (Some("adv"), Some(seed), Some(flavor)) =
-                            (it.next(), it.next(), it.next())
-                        else {
-                            return Err(format!("unknown sched {v:?}"));
-                        };
-                        let seed = seed
-                            .parse::<u64>()
-                            .map_err(|e| format!("sched seed: {e}"))?;
-                        let flavor = AdvFlavor::ALL
-                            .into_iter()
-                            .find(|f| f.name() == flavor)
-                            .ok_or_else(|| format!("unknown flavor {flavor:?}"))?;
-                        SchedSpec::Adversarial { seed, flavor }
-                    }
-                })
-            }
-            other => return Err(format!("unknown stream replay field {other:?}")),
-        }
-    }
-    let ns_list = ns.ok_or("missing ns")?;
-    let ms_list = ms.ok_or("missing ms")?;
-    let method_list = methods.ok_or("missing methods")?;
-    if ns_list.len() != ms_list.len() || ns_list.len() != method_list.len() {
-        return Err(format!(
-            "ns/ms/methods lengths differ: {}/{}/{}",
-            ns_list.len(),
-            ms_list.len(),
-            method_list.len()
-        ));
-    }
-    if ns_list.is_empty() || ns_list.len() > MAX_STREAM_TASKS {
-        return Err(format!(
-            "between 1 and {MAX_STREAM_TASKS} stream tasks, got {}",
-            ns_list.len()
-        ));
-    }
-    let mut case = StreamCase {
-        ntasks: ns_list.len(),
-        ns: [0; MAX_STREAM_TASKS],
-        ms: [0; MAX_STREAM_TASKS],
-        methods: [Method::Fused; MAX_STREAM_TASKS],
-        kv: kv.ok_or("missing kv")?,
-        dist: dist.ok_or("missing dist")?,
-        key_seed: key_seed.ok_or("missing keyseed")?,
-        wpb: wpb.ok_or("missing wpb")?,
-        sched: sched.ok_or("missing sched")?,
-    };
-    case.ns[..case.ntasks].copy_from_slice(&ns_list);
-    case.ms[..case.ntasks].copy_from_slice(&ms_list);
-    case.methods[..case.ntasks].copy_from_slice(&method_list);
-    Ok(case)
-}
-
-/// Generate task `i`'s input keys (deterministic from `key_seed`).
-pub fn gen_stream_keys(case: &StreamCase, i: usize) -> Vec<u32> {
-    gen_keys_raw(
-        case.ns[i],
-        case.ms[i],
-        case.dist,
-        case.key_seed.wrapping_add(i as u64),
-    )
-}
-
-/// One stream task's outputs plus its per-stream launch log view.
-type StreamTaskOut = (Vec<u32>, Option<Vec<u32>>, Vec<u32>);
-
-struct StreamRun {
-    tasks: Vec<StreamTaskOut>,
-    /// Launch records sorted by `(stream, stream_seq)` — the
-    /// deterministic per-stream order (push order across concurrent
-    /// streams is not stable).
-    records: Vec<LaunchRecord>,
-}
-
-/// One full concurrent-session execution of the case under `sched`, with
-/// tracked (race-detected) input buffers on every task.
-fn stream_device_run(case: &StreamCase, sched: SchedSpec) -> Result<StreamRun, Divergence> {
-    let result = std::panic::catch_unwind(|| {
-        let dev = Device::with_schedule(K40C, sched.to_schedule());
-        let keybufs: Vec<GlobalBuffer<u32>> = (0..case.ntasks)
-            .map(|i| GlobalBuffer::from_slice(&gen_stream_keys(case, i)).tracked())
-            .collect();
-        let valbufs: Vec<Option<GlobalBuffer<u32>>> = (0..case.ntasks)
-            .map(|i| {
-                case.kv.then(|| {
-                    let values: Vec<u32> = (0..case.ns[i] as u32).collect();
-                    GlobalBuffer::from_slice(&values).tracked()
-                })
-            })
-            .collect();
-        let tasks: Vec<StreamTask<StreamTaskOut>> = (0..case.ntasks)
-            .map(|i| {
-                let dev = &dev;
-                let kbuf = &keybufs[i];
-                let vbuf = valbufs[i].as_ref();
-                Box::new(move |s: &Stream| {
-                    s.run(|| {
-                        let bucket = RangeBuckets::new(case.ms[i]);
-                        let out = multisplit_device(
-                            dev,
-                            case.methods[i],
-                            kbuf,
-                            vbuf,
-                            case.ns[i],
-                            &bucket,
-                            case.wpb,
-                        );
-                        (
-                            out.keys.to_vec(),
-                            out.values.as_ref().map(|v| v.to_vec()),
-                            out.offsets,
-                        )
-                    })
-                }) as StreamTask<StreamTaskOut>
-            })
-            .collect();
-        let outs = dev.concurrent(tasks);
-        let mut records = dev.records();
-        records.sort_by_key(|r| (r.stream, r.stream_seq));
-        StreamRun {
-            tasks: outs,
-            records,
-        }
-    });
-    result.map_err(panic_divergence)
-}
-
-/// Execute one concurrent-streams case differentially: every task's
-/// output against its own CPU reference, then the whole session against
-/// the *serialized* anchor (the sequential session runs stream 0's task
-/// to completion before stream 1's — the reference order) comparing
-/// outputs and the per-stream launch logs keyed by `(stream,
-/// stream_seq)`.
-pub fn run_stream_case(case: &StreamCase) -> Result<(), Divergence> {
-    // 1. Per-task outputs vs the stable CPU reference.
-    let run = stream_device_run(case, case.sched)?;
-    for i in 0..case.ntasks {
-        let keys = gen_stream_keys(case, i);
-        let bucket = RangeBuckets::new(case.ms[i]);
-        let values: Vec<u32> = (0..case.ns[i] as u32).collect();
-        let (ref_keys, ref_values, ref_offsets) = if case.kv {
-            multisplit_kv_ref(&keys, Some(&values), &bucket)
-        } else {
-            let (k, o) = multisplit_ref(&keys, &bucket);
-            (k, Vec::new(), o)
-        };
-        let (got_keys, got_values, got_offsets) = &run.tasks[i];
-        if let Some(j) = first_diff(got_keys, &ref_keys) {
-            return Err(Divergence::Output(format!(
-                "stream {i} keys[{j}]: device {:?} vs reference {:?}",
-                got_keys.get(j),
-                ref_keys.get(j)
-            )));
-        }
-        if got_offsets != &ref_offsets {
-            return Err(Divergence::Output(format!(
-                "stream {i} bucket offsets: device {:?} vs reference {:?}",
-                got_offsets, ref_offsets
-            )));
-        }
-        if case.kv {
-            let dv = got_values.as_deref().unwrap_or(&[]);
-            if let Some(j) = first_diff(dv, &ref_values) {
-                return Err(Divergence::Output(format!(
-                    "stream {i} values[{j}]: device {:?} vs reference {:?}",
-                    dv.get(j),
-                    ref_values.get(j)
-                )));
-            }
-        }
-    }
-
-    // 2. Bit-identical to the serialized order: outputs plus the
-    // per-stream launch logs against the sequential-session anchor.
-    if case.sched != SchedSpec::Sequential {
-        let base = stream_device_run(case, SchedSpec::Sequential)?;
-        if run.tasks != base.tasks {
-            return Err(Divergence::Output(format!(
-                "stream outputs differ between {} and the serialized order",
-                case.sched.token()
-            )));
-        }
-        let view = |r: &LaunchRecord| (r.stream, r.stream_seq, r.label.clone());
-        let run_view: Vec<_> = run.records.iter().map(view).collect();
-        let base_view: Vec<_> = base.records.iter().map(view).collect();
-        if run_view != base_view {
-            return Err(Divergence::Stats(format!(
-                "per-stream launch sequences differ: {run_view:?} vs {base_view:?}"
-            )));
-        }
-        for (a, b) in run.records.iter().zip(&base.records) {
-            if a.stats != b.stats {
-                return Err(Divergence::Stats(format!(
-                    "summed BlockStats differ for stream {} launch {} ({:?}): {:?} vs {:?}",
-                    a.stream, a.stream_seq, a.label, a.stats, b.stats
-                )));
-            }
-            if a.obs.lookback_resolves != b.obs.lookback_resolves {
-                return Err(Divergence::Obs(format!(
-                    "lookback_resolves differ for stream {} launch {} ({:?}): {} vs {}",
-                    a.stream,
-                    a.stream_seq,
-                    a.label,
-                    a.obs.lookback_resolves,
-                    b.obs.lookback_resolves
-                )));
-            }
-        }
-    }
-
-    // 3. Look-back introspection invariant on the scheduled run.
-    check_depth_hist(&run.records)
-}
-
-/// Greedily shrink a failing stream case. Beyond the per-field
-/// reductions, it *drops whole stream tasks* one at a time, so the
-/// fixpoint names the minimal failing stream set.
-pub fn shrink_stream(case: &StreamCase, still_fails: impl Fn(&StreamCase) -> bool) -> StreamCase {
-    fn drop_task(mut c: StreamCase, i: usize) -> StreamCase {
-        for j in i..c.ntasks - 1 {
-            c.ns[j] = c.ns[j + 1];
-            c.ms[j] = c.ms[j + 1];
-            c.methods[j] = c.methods[j + 1];
-        }
-        c.ntasks -= 1;
-        c.ns[c.ntasks] = 0;
-        c.ms[c.ntasks] = 0;
-        c.methods[c.ntasks] = Method::Fused;
-        c
-    }
-    let mut cur = *case;
-    loop {
-        let mut candidates: Vec<StreamCase> = Vec::new();
-        if cur.ntasks > 1 {
-            for i in 0..cur.ntasks {
-                candidates.push(drop_task(cur, i));
-            }
-        }
-        for i in 0..cur.ntasks {
-            for n in [cur.ns[i] / 2, cur.ns[i].saturating_sub(1)] {
-                if n < cur.ns[i] {
-                    let mut c = cur;
-                    c.ns[i] = n;
-                    candidates.push(c);
-                }
-            }
-            let min_m = stream_min_m(cur.methods[i]);
-            for m in [cur.ms[i] / 2, cur.ms[i].saturating_sub(1)] {
-                if m < cur.ms[i] && m >= min_m {
-                    let mut c = cur;
-                    c.ms[i] = m;
-                    candidates.push(c);
-                }
-            }
-        }
-        if cur.kv {
-            candidates.push(StreamCase { kv: false, ..cur });
-        }
-        if cur.dist != KeyDist::Uniform {
-            candidates.push(StreamCase {
-                dist: KeyDist::Uniform,
-                ..cur
-            });
-        }
-        match cur.sched {
-            SchedSpec::Adversarial { .. } => {
-                candidates.push(StreamCase {
-                    sched: SchedSpec::Parallel,
-                    ..cur
-                });
-                candidates.push(StreamCase {
-                    sched: SchedSpec::Sequential,
-                    ..cur
-                });
-            }
-            SchedSpec::Parallel => candidates.push(StreamCase {
-                sched: SchedSpec::Sequential,
-                ..cur
-            }),
-            SchedSpec::Sequential => {}
-        }
-        match candidates.into_iter().find(|c| still_fails(c)) {
-            Some(smaller) => cur = smaller,
-            None => return cur,
-        }
-    }
-}
-
-/// Deterministically generate stream case `ix` of a run seeded with
-/// `seed`: 2–4 tasks of mixed methods and sizes; kv and schedules rotate
-/// (12 consecutive indices cover the {key, kv} x 6-schedule matrix).
-pub fn gen_stream_case(seed: u64, ix: usize) -> StreamCase {
-    let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    let kv = ix % 2 == 1;
-    let sched = sched_for(ix / 2, &mut rng);
-    let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
-    let ntasks = 2 + (rng.next_u32() as usize) % (MAX_STREAM_TASKS - 1);
-    let mut ns = [0usize; MAX_STREAM_TASKS];
-    let mut ms = [0u32; MAX_STREAM_TASKS];
-    let mut methods = [Method::Fused; MAX_STREAM_TASKS];
-    for i in 0..ntasks {
-        let (method, _) = METHODS[(rng.next_u32() as usize) % METHODS.len()];
-        methods[i] = method;
-        let (lo, hi) = (stream_min_m(method), stream_max_m(method, wpb, kv));
-        ms[i] = match rng.next_u32() % 4 {
-            0 => lo,
-            1 => hi,
-            _ => lo + rng.next_u32() % (hi - lo + 1),
-        };
-        ns[i] = draw_n(&mut rng, tile_of(method, ms[i], kv, wpb, 0), MAX_N / 4);
-    }
-    StreamCase {
-        ntasks,
-        ns,
-        ms,
-        methods,
-        kv,
-        dist: KeyDist::ALL[(rng.next_u32() % 4) as usize],
-        key_seed: rng.next_u64(),
-        wpb,
-        sched,
-    }
-}
-
-/// A case from any family, as produced by [`gen_any_case`] and
-/// [`parse_replay`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnyCase {
-    Split(FuzzCase),
-    Sort(SortCase),
-    Seg(SegCase),
-    Stream(StreamCase),
-}
-
-impl AnyCase {
-    /// The self-contained replay token (inverse of [`parse_replay`]).
-    pub fn replay_token(&self) -> String {
-        match self {
-            AnyCase::Split(c) => c.replay_token(),
-            AnyCase::Sort(c) => c.replay_token(),
-            AnyCase::Seg(c) => c.replay_token(),
-            AnyCase::Stream(c) => c.replay_token(),
-        }
-    }
-
-    /// The one-line command a human (or CI) pastes to replay this case.
-    pub fn replay_command(&self) -> String {
-        match self {
-            AnyCase::Split(c) => c.replay_command(),
-            AnyCase::Sort(c) => c.replay_command(),
-            AnyCase::Seg(c) => c.replay_command(),
-            AnyCase::Stream(c) => c.replay_command(),
-        }
-    }
-}
-
-/// Parse a replay token from any family: `sort,...` tokens come from
-/// [`SortCase::replay_token`], `seg,...` from [`SegCase::replay_token`],
-/// `stream,...` from [`StreamCase::replay_token`], everything else from
-/// [`FuzzCase::replay_token`].
+/// Parse a replay token from any family: a `sort,`, `seg,` or `stream,`
+/// marker names its family, and a token without one is a multisplit case.
+/// A field that is unknown, missing, repeated or malformed is an error
+/// here, and so is a case outside the device contract (`m` outside its
+/// method's [`m_range`], `wpb` outside `1..=`[`MAX_WPB`], a sort digit
+/// wider than ms-sort takes), rather than a false divergence later.
 pub fn parse_replay(s: &str) -> Result<AnyCase, String> {
-    if let Some(rest) = s.strip_prefix("sort,") {
-        return parse_sort_replay(rest).map(AnyCase::Sort);
+    match s.split_once(',') {
+        Some(("sort", rest)) => Case::parse(rest).map(AnyCase::Sort),
+        Some(("seg", rest)) => Case::parse(rest).map(AnyCase::Seg),
+        Some(("stream", rest)) => Case::parse(rest).map(AnyCase::Stream),
+        _ => Case::parse(s).map(AnyCase::Split),
     }
-    if let Some(rest) = s.strip_prefix("seg,") {
-        return parse_seg_replay(rest).map(AnyCase::Seg);
-    }
-    if let Some(rest) = s.strip_prefix("stream,") {
-        return parse_stream_replay(rest).map(AnyCase::Stream);
-    }
-    parse_split_replay(s).map(AnyCase::Split)
 }
 
 /// Every 7th generated case is a sort case (offset 4), every 7th a
@@ -1793,81 +1303,15 @@ pub fn gen_any_case(seed: u64, ix: usize) -> AnyCase {
     }
 }
 
-fn run_any_with_fault(case: &AnyCase, fault: Option<Fault>) -> Result<(), Divergence> {
-    match case {
-        AnyCase::Split(c) => run_case_with_fault(c, fault),
-        AnyCase::Sort(c) => run_sort_case(c),
-        AnyCase::Seg(c) => run_seg_case(c),
-        AnyCase::Stream(c) => run_stream_case(c),
-    }
-}
-
 /// Execute one case of any family differentially (the production
 /// entry point, e.g. for `paper fuzz --replay`).
 pub fn run_case(case: &AnyCase) -> Result<(), Divergence> {
-    run_any_with_fault(case, None)
+    each_family!(case, _, c => check(c, false))
 }
 
 /// Shrink a failing case within its own family.
 pub fn shrink_any(case: &AnyCase, still_fails: impl Fn(&AnyCase) -> bool) -> AnyCase {
-    match case {
-        AnyCase::Split(c) => AnyCase::Split(shrink(c, |s| still_fails(&AnyCase::Split(*s)))),
-        AnyCase::Sort(c) => AnyCase::Sort(shrink_sort(c, |s| still_fails(&AnyCase::Sort(*s)))),
-        AnyCase::Seg(c) => AnyCase::Seg(shrink_seg(c, |s| still_fails(&AnyCase::Seg(*s)))),
-        AnyCase::Stream(c) => {
-            AnyCase::Stream(shrink_stream(c, |s| still_fails(&AnyCase::Stream(*s))))
-        }
-    }
-}
-
-/// Greedily shrink a failing case to a local minimum: every single-step
-/// reduction (halve/decrement `n`, halve/decrement `m`, simplify the
-/// distribution, simplify the schedule) makes it pass. The decrement
-/// candidates make the fixpoint *exactly* minimal in `n` and `m`, not
-/// just within a factor of two.
-pub fn shrink(case: &FuzzCase, still_fails: impl Fn(&FuzzCase) -> bool) -> FuzzCase {
-    let mut cur = *case;
-    loop {
-        let mut candidates: Vec<FuzzCase> = Vec::new();
-        for n in [cur.n / 2, cur.n.saturating_sub(1)] {
-            if n < cur.n {
-                candidates.push(FuzzCase { n, ..cur });
-            }
-        }
-        let min_m = cur.min_m();
-        for m in [cur.m / 2, cur.m.saturating_sub(1)] {
-            if m < cur.m && m >= min_m {
-                candidates.push(FuzzCase { m, ..cur });
-            }
-        }
-        if cur.dist != KeyDist::Uniform {
-            candidates.push(FuzzCase {
-                dist: KeyDist::Uniform,
-                ..cur
-            });
-        }
-        match cur.sched {
-            SchedSpec::Adversarial { .. } => {
-                candidates.push(FuzzCase {
-                    sched: SchedSpec::Parallel,
-                    ..cur
-                });
-                candidates.push(FuzzCase {
-                    sched: SchedSpec::Sequential,
-                    ..cur
-                });
-            }
-            SchedSpec::Parallel => candidates.push(FuzzCase {
-                sched: SchedSpec::Sequential,
-                ..cur
-            }),
-            SchedSpec::Sequential => {}
-        }
-        match candidates.into_iter().find(|c| still_fails(c)) {
-            Some(smaller) => cur = smaller,
-            None => return cur,
-        }
-    }
+    each_family!(case, wrap, c => wrap(shrink(c, |s| still_fails(&wrap(s.clone())))))
 }
 
 /// A failing case together with its shrunk minimal reproducer.
@@ -1894,70 +1338,23 @@ pub struct FuzzReport {
     pub failure: Option<FuzzFailure>,
 }
 
-/// The schedule rotation the generator cycles through: sequential,
-/// parallel, and all four adversarial flavors (6 schedules — the
-/// acceptance matrix needs at least 3).
-fn sched_for(ix: usize, rng: &mut SmallRng) -> SchedSpec {
-    match ix % 6 {
-        0 => SchedSpec::Sequential,
-        1 => SchedSpec::Parallel,
-        k => SchedSpec::Adversarial {
-            seed: rng.next_u64(),
-            flavor: AdvFlavor::ALL[k - 2],
-        },
-    }
-}
-
-/// Deterministically generate case `ix` of a run seeded with `seed`.
-///
-/// Methods, kv, and schedules rotate (so 200 iterations exhaust the
-/// 7 methods x {key, kv} x 6 schedules matrix twice over) while
-/// sizes, bucket counts, seeds, and distributions are drawn from the
-/// run's RNG with a deliberate bias toward boundary values (0, 1, warp
-/// and tile multiples, capacity edges).
-pub fn gen_case(seed: u64, ix: usize) -> FuzzCase {
-    let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let (method, _) = METHODS[ix % METHODS.len()];
-    let kv = (ix / METHODS.len()) % 2 == 1;
-    let sched = sched_for(ix / (METHODS.len() * 2), &mut rng);
-    let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
-    let mut case = FuzzCase {
-        n: 0,
-        m: 1,
-        method,
-        kv,
-        dist: KeyDist::Uniform,
-        key_seed: 0,
-        wpb,
-        sched,
-    };
-    let (lo, hi) = (case.min_m(), case.max_m());
-    case.m = match rng.next_u32() % 4 {
-        0 => lo,
-        1 => hi,
-        _ => lo + rng.next_u32() % (hi - lo + 1),
-    };
-    case.n = draw_n(&mut rng, tile_of(method, case.m, kv, wpb, 0), MAX_N);
-    case.dist = KeyDist::ALL[(rng.next_u32() % 4) as usize];
-    case.key_seed = rng.next_u64();
-    case
-}
-
 /// Run `iters` generated cases; on the first failure, shrink it and stop.
-/// `on_progress` is called after every case with (index, case).
+/// `corrupt` (test-only fault injection) names the cases whose first
+/// output key is flipped before comparison, which exercises the shrinker
+/// without a real bug. `on_progress` is called after every case with
+/// (index, case).
 pub fn fuzz_with_fault(
     iters: usize,
     seed: u64,
-    fault: Option<Fault>,
+    corrupt: impl Fn(&AnyCase) -> bool,
     mut on_progress: impl FnMut(usize, &AnyCase),
 ) -> FuzzReport {
+    let run = |case: &AnyCase| each_family!(case, _, c => check(c, corrupt(case)));
     for ix in 0..iters {
         let case = gen_any_case(seed, ix);
-        if let Err(divergence) = run_any_with_fault(&case, fault) {
-            let shrunk = shrink_any(&case, |c| run_any_with_fault(c, fault).is_err());
-            let divergence = run_any_with_fault(&shrunk, fault)
-                .err()
-                .unwrap_or(divergence);
+        if let Err(divergence) = run(&case) {
+            let shrunk = shrink_any(&case, |c| run(c).is_err());
+            let divergence = run(&shrunk).err().unwrap_or(divergence);
             return FuzzReport {
                 iters_run: ix + 1,
                 failure: Some(FuzzFailure {
@@ -1978,103 +1375,206 @@ pub fn fuzz_with_fault(
 
 /// Run `iters` generated cases with no injected fault.
 pub fn fuzz(iters: usize, seed: u64, on_progress: impl FnMut(usize, &AnyCase)) -> FuzzReport {
-    fuzz_with_fault(iters, seed, None, on_progress)
+    fuzz_with_fault(iters, seed, |_| false, on_progress)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    fn sched_name(s: SchedSpec) -> &'static str {
+        match s {
+            SchedSpec::Sequential => "seq",
+            SchedSpec::Parallel => "par",
+            SchedSpec::Adversarial { flavor, .. } => flavor.name(),
+        }
+    }
+
+    fn header(kv: bool, dist: KeyDist, key_seed: u64, wpb: usize, sched: SchedSpec) -> Common {
+        Common {
+            kv,
+            dist,
+            key_seed,
+            wpb,
+            sched,
+        }
+    }
+
+    fn sort(n: usize, digit: u32, bits: u32) -> Sort {
+        Sort { n, digit, bits }
+    }
+
+    fn segs(parts: &[(usize, u32)]) -> Vec<Seg> {
+        parts.iter().map(|&(n, m)| Seg { n, m }).collect()
+    }
+
+    fn launches(parts: &[(usize, u32, Method)]) -> Vec<Launch> {
+        (parts.iter())
+            .map(|&(n, m, method)| Launch { n, m, method })
+            .collect()
+    }
+
+    fn adv(seed: u64, flavor: AdvFlavor) -> SchedSpec {
+        SchedSpec::Adversarial { seed, flavor }
+    }
+
+    /// The header the shrinker tests start from: every field away from
+    /// its simplest value.
+    fn noisy() -> Common {
+        header(true, KeyDist::Skew75, 11, 8, adv(3, AdvFlavor::ALL[0]))
+    }
+
+    /// Generated cases keep the replay contract and reach both payloads
+    /// and all six schedules.
+    fn assert_matrix<F: Family>(cases: &[Case<F>]) {
+        let (mut kvs, mut scheds) = (HashSet::new(), HashSet::new());
+        for c in cases {
+            assert!(c.own.validate(&c.common).is_ok(), "{c:?}");
+            kvs.insert(c.common.kv);
+            scheds.insert(sched_name(c.common.sched));
+        }
+        assert_eq!(kvs.len(), 2);
+        assert_eq!(scheds.len(), 6, "{scheds:?}");
+    }
+
+    /// A shrunk case has the simplest header, and its token replays it.
+    fn assert_minimal<F: Family>(s: &Case<F>) {
+        assert!(!s.common.kv, "payload simplified away");
+        assert_eq!(s.common.dist, KeyDist::Uniform, "distribution simplified");
+        assert_eq!(s.common.sched, SchedSpec::Sequential, "schedule simplified");
+        let token = s.replay_token();
+        assert_eq!(parse_replay(&token).unwrap().replay_token(), token);
+    }
 
     #[test]
-    fn replay_token_round_trips() {
+    fn replay_tokens_round_trip() {
+        // One row per family: how its tokens open (split tokens carry no
+        // marker), and a generated case.
         for ix in 0..48 {
-            let case = gen_case(99, ix);
-            let token = case.replay_token();
-            let parsed = parse_replay(&token).expect(&token);
-            assert_eq!(parsed, AnyCase::Split(case), "token {token}");
+            let rows = [
+                ("n=", AnyCase::Split(gen_case(99, ix))),
+                ("sort,", AnyCase::Sort(gen_sort_case(99, ix))),
+                ("seg,", AnyCase::Seg(gen_seg_case(99, ix))),
+                ("stream,", AnyCase::Stream(gen_stream_case(99, ix))),
+            ];
+            for (marker, case) in rows {
+                let token = case.replay_token();
+                assert!(token.starts_with(marker), "{marker} marker in {token}");
+                assert_eq!(parse_replay(&token).expect(&token), case, "token {token}");
+            }
         }
-        for ix in 0..24 {
-            let case = gen_sort_case(99, ix);
-            let token = case.replay_token();
-            assert!(token.starts_with("sort,"), "sort marker in {token}");
-            let parsed = parse_replay(&token).expect(&token);
-            assert_eq!(parsed, AnyCase::Sort(case), "token {token}");
-        }
+        // Zero segments serialize as empty lists and round-trip.
+        let empty = AnyCase::Seg(Case::new(Vec::new(), noisy()));
+        let token = empty.replay_token();
+        assert!(token.starts_with("seg,ns=,ms=,"), "{token}");
+        assert_eq!(parse_replay(&token).unwrap(), empty, "{token}");
     }
 
     #[test]
     fn replay_rejects_malformed_tokens() {
-        assert!(parse_replay("").is_err());
-        assert!(parse_replay("n=1").is_err(), "missing fields");
-        assert!(
-            parse_replay("n=1,m=2,method=nope,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq")
-                .is_err()
-        );
-        assert!(parse_replay(
-            "n=1,m=2,method=fused,kv=0,dist=uniform,keyseed=0,wpb=8,sched=adv:x:y"
-        )
-        .is_err());
-        assert!(
-            parse_replay("n=x,m=2,method=fused,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq")
-                .is_err()
-        );
-        assert!(parse_replay("sort,n=1").is_err(), "missing sort fields");
-        assert!(
-            parse_replay("sort,n=1,kv=0,digit=3,bits=8,dist=nope,keyseed=0,wpb=8,sched=seq")
-                .is_err()
-        );
-        assert!(
-            parse_replay("sort,n=1,kv=0,digit=3,bits=8,dist=uniform,keyseed=0,wpb=8,m=4").is_err(),
-            "m is not a sort field"
-        );
+        let hdr = "kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq";
+        let t = |own: &str| format!("{own},{hdr}");
+        let split = |from: &str, to: &str| t("n=1,m=2,method=fused").replace(from, to);
+        // (token, what the error must name)
+        let rows: Vec<(String, &str)> = vec![
+            // Structure, in any family.
+            (String::new(), "want k=v"),
+            ("n=1".into(), "missing"),
+            (t("n=1,n=5,m=2,method=fused"), "duplicate"),
+            (t("n=1,m=2,method=fused,x=1"), "unknown replay field"),
+            // Malformed values.
+            (t("n=1,m=2,method=nope"), "method: "),
+            (t("n=x,m=2,method=fused"), "n: "),
+            (split("seq", "adv:x:y"), "sched: "),
+            (split("kv=0", "kv=2"), "kv: "),
+            // The header's contract.
+            (split("wpb=8", "wpb=0"), "wpb = 0"),
+            (split("wpb=8", "wpb=64"), "wpb = 64"),
+            // Split's contract: m inside the method's range.
+            (t("n=1,m=0,method=fused"), "m = 0"),
+            (t("n=1,m=40,method=fused"), "m = 40"),
+            (t("n=1,m=32,method=largem"), "m = 32"),
+            // Sort: `m` is not a sort field.
+            ("sort,n=1".into(), "missing"),
+            (t("sort,n=1,digit=3,bits=8,dist=nope"), "duplicate"),
+            (
+                t("sort,n=1,digit=3,bits=8").replace("uniform", "x"),
+                "dist: ",
+            ),
+            (t("sort,n=1,digit=3,bits=8,m=4"), "unknown replay field"),
+            (t("sort,n=1,digit=0,bits=8"), "digit = 0"),
+            (t("sort,n=1,digit=40,bits=8"), "digit = 40"),
+            (t("sort,n=1,digit=3,bits=40"), "bits = 40"),
+            // Seg.
+            ("seg,ns=1".into(), "missing"),
+            (t("seg,ns=1+2,ms=4"), "ms has 1"),
+            (t("seg,ns=1+1+1+1+1+1+1,ms=1+1+1+1+1+1+1"), "at most 6"),
+            (t("seg,ns=x,ms=1"), "ns: "),
+            (t("seg,ns=1+4,ms=2+0"), "segment 1: m = 0"),
+            // Stream: a session needs at least one task.
+            ("stream,ns=1".into(), "missing"),
+            (t("stream,ns=1+2,ms=4,methods=fused+fused"), "differ"),
+            (
+                t("stream,ns=1+1+1+1+1,ms=1+1+1+1+1,methods=fused+fused+fused+fused+fused"),
+                "got 5",
+            ),
+            (t("stream,ns=,ms=,methods="), "got 0"),
+            (t("stream,ns=1,ms=1,methods=bogus"), "methods: "),
+            (
+                t("stream,ns=1+1,ms=1+0,methods=fused+fused"),
+                "task 1: m = 0",
+            ),
+            (t("stream,ns=1,ms=5,methods=fusedlargem"), "task 0: m = 5"),
+        ];
+        for (token, want) in &rows {
+            match parse_replay(token) {
+                Ok(case) => panic!("{token:?} parsed to {case:?}"),
+                Err(e) => assert!(e.contains(want), "{token:?}: {e:?} should name {want:?}"),
+            }
+        }
+    }
+
+    /// Every generated case, as its replay token, hashed (FNV-1a) over
+    /// seeds 1 and 5000 and the first 5,000 indices: a moved RNG draw or a
+    /// changed token format changes the digest.
+    #[test]
+    fn generator_stream_is_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for seed in [1, 5000] {
+            for ix in 0..5000 {
+                for b in gen_any_case(seed, ix).replay_token().bytes().chain([b'\n']) {
+                    h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xa8a9_8f3c_ca5b_e468, "digest {h:#018x}");
     }
 
     #[test]
     fn generator_covers_the_matrix() {
         // 84 consecutive cases (7 methods x 2 kv x 6 schedules) hit every
         // method x kv x schedule family exactly once.
-        let mut methods = std::collections::HashSet::new();
-        let mut kvs = std::collections::HashSet::new();
-        let mut scheds = std::collections::HashSet::new();
-        for ix in 0..84 {
-            let c = gen_case(5, ix);
-            methods.insert(method_token(c.method));
-            kvs.insert(c.kv);
-            scheds.insert(match c.sched {
-                SchedSpec::Sequential => "seq".to_string(),
-                SchedSpec::Parallel => "par".to_string(),
-                SchedSpec::Adversarial { flavor, .. } => flavor.name().to_string(),
-            });
-            assert!(c.m >= c.min_m() && c.m <= c.max_m(), "m in range for {c:?}");
-            assert!(c.n <= MAX_N.max(MAX_TILES * tile_of(c.method, c.m, c.kv, c.wpb, 0)));
-        }
+        let cases: Vec<FuzzCase> = (0..84).map(|ix| gen_case(5, ix)).collect();
+        assert_matrix(&cases);
+        let methods: HashSet<_> = cases.iter().map(|c| c.own.method.write()).collect();
         assert_eq!(methods.len(), 7, "{methods:?}");
-        assert_eq!(kvs.len(), 2);
-        assert_eq!(scheds.len(), 6, "{scheds:?}");
+        for Case { own: l, common: c } in &cases {
+            let tile = tile_of(l.method, l.m, c.kv, c.wpb, 0);
+            assert!(l.n <= MAX_N.max(MAX_TILES * tile));
+        }
     }
 
     #[test]
     fn sort_generator_covers_its_matrix() {
         // 12 consecutive sort cases hit every kv x schedule family.
-        let mut kvs = std::collections::HashSet::new();
-        let mut scheds = std::collections::HashSet::new();
-        let mut digits = std::collections::HashSet::new();
-        for ix in 0..48 {
-            let c = gen_sort_case(5, ix);
-            kvs.insert(c.kv);
-            scheds.insert(match c.sched {
-                SchedSpec::Sequential => "seq".to_string(),
-                SchedSpec::Parallel => "par".to_string(),
-                SchedSpec::Adversarial { flavor, .. } => flavor.name().to_string(),
-            });
-            digits.insert(c.digit_bits);
-            let max_db = ms_sort::max_digit_bits(c.wpb, if c.kv { 4 } else { 0 });
-            assert!(c.digit_bits >= 1 && c.digit_bits <= max_db, "{c:?}");
-            let tile = tile_of(Method::Fused, 1 << c.digit_bits, c.kv, c.wpb, 0);
-            assert!(c.bits <= 32 && c.n <= MAX_N.max(MAX_TILES * tile));
+        let cases: Vec<SortCase> = (0..48).map(|ix| gen_sort_case(5, ix)).collect();
+        assert_matrix(&cases);
+        for Case { own: s, common: c } in &cases {
+            let tile = tile_of(Method::Fused, 1 << s.digit, c.kv, c.wpb, 0);
+            assert!(s.n <= MAX_N.max(MAX_TILES * tile));
         }
-        assert_eq!(kvs.len(), 2);
-        assert_eq!(scheds.len(), 6, "{scheds:?}");
+        let digits: HashSet<u32> = cases.iter().map(|c| c.own.digit).collect();
         assert!(
             digits.contains(&5) && digits.contains(&6),
             "the Fused→FusedLargeM crossover widths must both appear: {digits:?}"
@@ -2083,74 +1583,46 @@ mod tests {
 
     #[test]
     fn any_generator_interleaves_all_families_densely() {
-        let mut split = 0usize;
-        let mut sort = 0usize;
-        let mut seg = 0usize;
-        let mut stream = 0usize;
+        let mut seen = [0usize; 4];
         for ix in 0..140 {
-            match gen_any_case(7, ix) {
-                AnyCase::Split(c) => {
-                    // Dense sub-indices in every family.
-                    assert_eq!(c, gen_case(7, split));
-                    split += 1;
-                }
-                AnyCase::Sort(c) => {
-                    assert_eq!(c, gen_sort_case(7, sort));
-                    sort += 1;
-                }
-                AnyCase::Seg(c) => {
-                    assert_eq!(c, gen_seg_case(7, seg));
-                    seg += 1;
-                }
-                AnyCase::Stream(c) => {
-                    assert_eq!(c, gen_stream_case(7, stream));
-                    stream += 1;
-                }
-            }
+            // Dense sub-indices in every family.
+            let (family, dense) = match gen_any_case(7, ix) {
+                AnyCase::Split(c) => (0, c == gen_case(7, seen[0])),
+                AnyCase::Sort(c) => (1, c == gen_sort_case(7, seen[1])),
+                AnyCase::Seg(c) => (2, c == gen_seg_case(7, seen[2])),
+                AnyCase::Stream(c) => (3, c == gen_stream_case(7, seen[3])),
+            };
+            assert!(dense, "index {ix}: family {family}, case {}", seen[family]);
+            seen[family] += 1;
         }
-        assert_eq!((split, sort, seg, stream), (80, 20, 20, 20));
+        assert_eq!(seen, [80, 20, 20, 20]);
     }
 
     #[test]
     fn key_distributions_have_their_shapes() {
-        let base = FuzzCase {
-            n: 512,
-            m: 8,
-            method: Method::Fused,
-            kv: false,
-            dist: KeyDist::OneBucket,
-            key_seed: 7,
-            wpb: 8,
-            sched: SchedSpec::Sequential,
-        };
-        let one = gen_keys(&base);
+        let keys = |dist| header(false, dist, 7, 8, SchedSpec::Sequential).keys(512, 8, 0);
+        let one = keys(KeyDist::OneBucket);
         assert!(
             one.windows(2).all(|w| w[0] == w[1]),
             "one-bucket is constant"
         );
-        let sorted = gen_keys(&FuzzCase {
-            dist: KeyDist::Sorted,
-            ..base
-        });
+        let sorted = keys(KeyDist::Sorted);
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        let skew = gen_keys(&FuzzCase {
-            dist: KeyDist::Skew75,
-            ..base
-        });
+        let skew = keys(KeyDist::Skew75);
         let bucket = RangeBuckets::new(8);
         use multisplit::BucketFn;
         let in0 = skew.iter().filter(|&&k| bucket.bucket_of(k) == 0).count();
         assert!(in0 > 512 / 2, "skew75 concentrates bucket 0 ({in0}/512)");
         // Deterministic in the seed.
-        assert_eq!(gen_keys(&base), gen_keys(&base));
+        assert_eq!(keys(KeyDist::OneBucket), one);
     }
 
     #[test]
     fn small_smoke_run_is_clean() {
-        // 140 iterations walk one full multisplit rotation (84 cases: every
-        // method x kv x schedule, including all four adversarial flavors)
-        // plus 28 interleaved sort cases and 28 segmented batches (beyond
-        // the 12-case kv x schedule rotation of each).
+        // 140 iterations run 80 multisplit cases (every method, kv and
+        // schedule of the 84-case rotation, all four adversarial flavors
+        // included) plus 20 each of the sort, segmented and stream
+        // families (past each one's 12-case kv x schedule rotation).
         let report = fuzz(140, 1234, |_, _| {});
         assert_eq!(report.iters_run, 140);
         assert!(
@@ -2164,27 +1636,23 @@ mod tests {
 
     #[test]
     fn injected_fault_shrinks_to_the_exact_minimum() {
-        let fault = Some(Fault {
-            min_n: 97,
-            min_m: 5,
-        });
-        // Any multisplit case with n >= 97 && m >= 5 fails (sort cases are
-        // unaffected); everything else passes.
+        // Any multisplit case with n >= 97 && m >= 5 fails (the other
+        // families are unaffected); everything else passes.
+        let fault = |c: &AnyCase| matches!(c, AnyCase::Split(s) if s.own.n >= 97 && s.own.m >= 5);
         let report = fuzz_with_fault(200, 42, fault, |_, _| {});
         let failure = report.failure.expect("the injected fault must be found");
-        let AnyCase::Split(s) = failure.shrunk else {
+        let AnyCase::Split(s) = &failure.shrunk else {
             panic!("the fault only corrupts multisplit cases: {failure:?}")
         };
-        assert_eq!(
-            (s.n, s.m),
-            (97, 5),
-            "shrinker must reach the exact minimum, got {s:?}"
-        );
-        assert_eq!(s.dist, KeyDist::Uniform, "distribution simplified");
-        assert_eq!(s.sched, SchedSpec::Sequential, "schedule simplified");
+        let Launch { n, m, .. } = s.own;
+        assert_eq!((n, m), (97, 5), "the exact minimum: {s:?}");
+        assert_minimal(s);
         // The reproducer replays to the same failure.
         let replayed = parse_replay(&s.replay_token()).unwrap();
-        assert!(run_any_with_fault(&replayed, fault).is_err());
+        let AnyCase::Split(r) = &replayed else {
+            unreachable!()
+        };
+        assert!(check(r, fault(&replayed)).is_err());
         assert!(run_case(&replayed).is_ok(), "no fault, no failure");
         assert!(failure.replay_command().contains("paper -- fuzz --replay"));
     }
@@ -2192,102 +1660,52 @@ mod tests {
     #[test]
     fn sort_shrinker_reaches_its_own_minimum() {
         // Synthetic failure predicate: any sort case with n >= 33 and
-        // digit_bits >= 3 and bits >= 7 "fails". The shrinker must land on
+        // digit >= 3 and bits >= 7 "fails". The shrinker must land on
         // exactly that corner and simplify everything orthogonal.
-        let fails = |c: &SortCase| c.n >= 33 && c.digit_bits >= 3 && c.bits >= 7;
-        let start = SortCase {
-            n: 2048,
-            kv: true,
-            digit_bits: 7,
-            bits: 29,
-            dist: KeyDist::Skew75,
-            key_seed: 11,
-            wpb: 8,
-            sched: SchedSpec::Adversarial {
-                seed: 3,
-                flavor: AdvFlavor::ALL[0],
-            },
-        };
+        let fails = |c: &SortCase| c.own.n >= 33 && c.own.digit >= 3 && c.own.bits >= 7;
+        let start = Case::new(sort(2048, 7, 29), noisy());
         assert!(fails(&start));
-        let s = shrink_sort(&start, fails);
-        assert_eq!((s.n, s.digit_bits, s.bits), (33, 3, 7), "{s:?}");
-        assert!(!s.kv, "payload simplified away");
-        assert_eq!(s.dist, KeyDist::Uniform);
-        assert_eq!(s.sched, SchedSpec::Sequential);
+        let s = shrink(&start, fails);
+        assert_eq!(s.own, sort(33, 3, 7), "{s:?}");
+        assert_minimal(&s);
     }
 
     #[test]
-    fn sort_cases_catch_real_output_corruption() {
-        // A direct failing sort comparison (not via fault injection):
-        // run a case whose device output we tamper with by replaying a
-        // *different* key seed through the host reference. Cheap sanity
-        // check that run_sort_case actually compares something.
-        let good = SortCase {
-            n: 513,
-            kv: true,
-            digit_bits: 6,
-            bits: 17,
-            dist: KeyDist::Uniform,
-            key_seed: 99,
-            wpb: 4,
-            sched: SchedSpec::Parallel,
+    fn hand_built_cases_run_clean() {
+        // A sort at the first FusedLargeM digit width, and zero-bit sorts
+        // (output must equal input) for both payloads.
+        let sort_case = |bits, kv| {
+            let common = header(kv, KeyDist::Uniform, 99, 4, SchedSpec::Parallel);
+            AnyCase::Sort(Case::new(sort(513, 6, bits), common))
         };
-        assert!(run_sort_case(&good).is_ok());
-        // Zero bits sorts nothing: output must equal input, under every
-        // schedule, for both families of payload.
-        for kv in [false, true] {
-            let copy_case = SortCase {
-                bits: 0,
-                kv,
-                ..good
-            };
-            assert!(run_sort_case(&copy_case).is_ok());
+        let mut cases = vec![sort_case(17, true), sort_case(0, false), sort_case(0, true)];
+        // A segmented batch crossing both sweep classes, the fallback path
+        // (m past the sweep capacity at wpb = 2), an empty segment, and an
+        // n = 1 segment, on an adversarial schedule.
+        let batch = segs(&[(700, 32), (0, 8), (1, 33), (260, 128), (513, 5)]);
+        let common = header(true, KeyDist::Skew75, 77, 2, adv(13, AdvFlavor::ALL[1]));
+        cases.push(AnyCase::Seg(Case::new(batch, common)));
+        // A stream session mixing both sweep classes and an n = 1 task,
+        // under all four adversarial flavors (overlapping launches on
+        // disjoint tracked buffers, bit-identical to the serialized order).
+        let tasks = launches(&[
+            (700, 32, Method::Onesweep),
+            (1, 5, Method::Fused),
+            (260, 40, Method::LargeM),
+        ]);
+        cases.extend(AdvFlavor::ALL.map(|flavor| {
+            let common = header(true, KeyDist::Skew75, 77, 2, adv(13, flavor));
+            AnyCase::Stream(Case::new(tasks.clone(), common))
+        }));
+        for case in &cases {
+            let result = run_case(case);
+            assert!(result.is_ok(), "{}: {result:?}", case.replay_token());
         }
-    }
-
-    #[test]
-    fn seg_replay_token_round_trips() {
-        for ix in 0..24 {
-            let case = gen_seg_case(99, ix);
-            let token = case.replay_token();
-            assert!(token.starts_with("seg,"), "seg marker in {token}");
-            let parsed = parse_replay(&token).expect(&token);
-            assert_eq!(parsed, AnyCase::Seg(case), "token {token}");
-        }
-        // Zero segments serialize as empty lists and round-trip.
-        let empty = SegCase {
-            nsegs: 0,
-            ns: [0; MAX_SEGS],
-            ms: [0; MAX_SEGS],
-            kv: false,
-            dist: KeyDist::Uniform,
-            key_seed: 5,
-            wpb: 8,
-            sched: SchedSpec::Sequential,
+        // The check compares something: a flipped output key fails it.
+        let AnyCase::Sort(sort) = &cases[0] else {
+            unreachable!()
         };
-        let token = empty.replay_token();
-        assert_eq!(
-            parse_replay(&token).unwrap(),
-            AnyCase::Seg(empty),
-            "{token}"
-        );
-    }
-
-    #[test]
-    fn seg_replay_rejects_malformed_tokens() {
-        assert!(parse_replay("seg,ns=1").is_err(), "missing fields");
-        assert!(
-            parse_replay("seg,ns=1+2,ms=4,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq").is_err(),
-            "list length mismatch"
-        );
-        assert!(
-            parse_replay(
-                "seg,ns=1+1+1+1+1+1+1,ms=1+1+1+1+1+1+1,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq"
-            )
-            .is_err(),
-            "too many segments"
-        );
-        assert!(parse_replay("seg,ns=x,ms=1,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq").is_err());
+        assert!(matches!(check(sort, true), Err(Divergence::Output(_))));
     }
 
     /// The size draws reach both sides of every sweep path's one-tile
@@ -2298,21 +1716,22 @@ mod tests {
     fn size_draws_cross_the_sweep_tile_edge() {
         for method in [Method::Fused, Method::FusedLargeM, Method::Onesweep] {
             let (mut at, mut past) = (false, false);
-            for c in (0..3000).map(|ix| gen_case(5, ix)) {
-                if c.method == method {
-                    let tile = tile_of(method, c.m, c.kv, c.wpb, 0);
-                    at |= c.n == tile;
-                    past |= c.n == tile + 1;
+            for Case { own: l, common: c } in (0..3000).map(|ix| gen_case(5, ix)) {
+                if l.method == method {
+                    let tile = tile_of(method, l.m, c.kv, c.wpb, 0);
+                    at |= l.n == tile;
+                    past |= l.n == tile + 1;
                 }
             }
             assert!(at && past, "{method:?}: n = tile {at}, n = tile + 1 {past}");
         }
         let mixed = (0..500).map(|ix| gen_seg_case(5, ix)).any(|c| {
-            let tiles: Vec<usize> = (0..c.nsegs)
-                .filter(|&i| Method::auto_for_segmented(c.ms[i], c.kv, c.wpb).is_some())
-                .map(|i| {
-                    let method = Method::auto_for(c.ms[i], c.kv, c.wpb);
-                    c.ns[i].div_ceil(tile_of(method, c.ms[i], c.kv, c.wpb, DESC_WORDS))
+            let Common { kv, wpb, .. } = c.common;
+            let tiles: Vec<usize> = (c.own.iter())
+                .filter(|s| Method::auto_for_segmented(s.m, kv, wpb).is_some())
+                .map(|s| {
+                    let method = Method::auto_for(s.m, kv, wpb);
+                    s.n.div_ceil(tile_of(method, s.m, kv, wpb, DESC_WORDS))
                 })
                 .collect();
             tiles.contains(&1) && tiles.iter().any(|&t| t > 1)
@@ -2322,37 +1741,27 @@ mod tests {
 
     #[test]
     fn seg_generator_covers_its_matrix() {
-        let mut kvs = std::collections::HashSet::new();
-        let mut scheds = std::collections::HashSet::new();
-        let mut fused = false;
-        let mut largem = false;
-        let mut empty_batch = false;
-        for ix in 0..48 {
-            let c = gen_seg_case(5, ix);
-            kvs.insert(c.kv);
-            scheds.insert(match c.sched {
-                SchedSpec::Sequential => "seq".to_string(),
-                SchedSpec::Parallel => "par".to_string(),
-                SchedSpec::Adversarial { flavor, .. } => flavor.name().to_string(),
-            });
-            assert!(c.nsegs <= MAX_SEGS);
-            empty_batch |= c.nsegs == 0;
-            for i in 0..c.nsegs {
-                let method = Method::auto_for(c.ms[i], c.kv, c.wpb);
-                let tile = tile_of(method, c.ms[i], c.kv, c.wpb, DESC_WORDS);
-                assert!(c.ns[i] <= (MAX_N / 4).max(MAX_TILES * tile));
-                assert!(c.ms[i] >= 1);
-                fused |= c.ms[i] <= 32;
-                largem |= c.ms[i] > 32;
-            }
-            for i in c.nsegs..MAX_SEGS {
-                assert_eq!((c.ns[i], c.ms[i]), (0, 0), "unused slots stay zero");
+        let cases: Vec<SegCase> = (0..48).map(|ix| gen_seg_case(5, ix)).collect();
+        assert_matrix(&cases);
+        for Case { own, common: c } in &cases {
+            for s in own {
+                let method = Method::auto_for(s.m, c.kv, c.wpb);
+                let tile = tile_of(method, s.m, c.kv, c.wpb, DESC_WORDS);
+                assert!(s.n <= (MAX_N / 4).max(MAX_TILES * tile));
             }
         }
-        assert_eq!(kvs.len(), 2);
-        assert_eq!(scheds.len(), 6, "{scheds:?}");
-        assert!(fused && largem, "both sweep classes must appear");
-        assert!(empty_batch, "the zero-segment batch must appear");
+        let ms: Vec<u32> = cases
+            .iter()
+            .flat_map(|c| c.own.iter().map(|s| s.m))
+            .collect();
+        assert!(
+            ms.iter().any(|&m| m <= 32) && ms.iter().any(|&m| m > 32),
+            "both sweep classes must appear"
+        );
+        assert!(
+            cases.iter().any(|c| c.own.is_empty()),
+            "the zero-segment batch must appear"
+        );
     }
 
     #[test]
@@ -2360,141 +1769,36 @@ mod tests {
         // Synthetic predicate: the case fails iff some segment has
         // n >= 65 with m >= 7. The shrinker must drop every other
         // segment, land exactly on (65, 7), and simplify the rest.
-        let fails = |c: &SegCase| (0..c.nsegs).any(|i| c.ns[i] >= 65 && c.ms[i] >= 7);
-        let mut start = SegCase {
-            nsegs: 4,
-            ns: [0; MAX_SEGS],
-            ms: [0; MAX_SEGS],
-            kv: true,
-            dist: KeyDist::Skew75,
-            key_seed: 11,
-            wpb: 8,
-            sched: SchedSpec::Adversarial {
-                seed: 3,
-                flavor: AdvFlavor::ALL[0],
-            },
-        };
-        start.ns[..4].copy_from_slice(&[512, 30, 900, 4]);
-        start.ms[..4].copy_from_slice(&[16, 33, 8, 2]);
+        let fails = |c: &SegCase| c.own.iter().any(|s| s.n >= 65 && s.m >= 7);
+        let start = Case::new(segs(&[(512, 16), (30, 33), (900, 8), (4, 2)]), noisy());
         assert!(fails(&start));
-        let s = shrink_seg(&start, fails);
-        assert_eq!(s.nsegs, 1, "minimal failing segment set is one segment");
-        assert_eq!((s.ns[0], s.ms[0]), (65, 7), "{s:?}");
-        assert!(!s.kv);
-        assert_eq!(s.dist, KeyDist::Uniform);
-        assert_eq!(s.sched, SchedSpec::Sequential);
-        // Dropped slots were normalized, so the token stays canonical.
-        assert_eq!(s.ns[1..], [0; MAX_SEGS - 1]);
-        let replayed = parse_replay(&s.replay_token()).unwrap();
-        assert_eq!(replayed, AnyCase::Seg(s));
-    }
-
-    #[test]
-    fn seg_cases_run_clean_across_classes_and_schedules() {
-        // A hand-built batch crossing both sweep classes, the fallback
-        // path (m past the sweep capacity at wpb = 2), an empty segment,
-        // and an n = 1 segment — clean on an adversarial schedule.
-        let mut case = SegCase {
-            nsegs: 5,
-            ns: [0; MAX_SEGS],
-            ms: [0; MAX_SEGS],
-            kv: true,
-            dist: KeyDist::Skew75,
-            key_seed: 77,
-            wpb: 2,
-            sched: SchedSpec::Adversarial {
-                seed: 13,
-                flavor: AdvFlavor::ALL[1],
-            },
-        };
-        case.ns[..5].copy_from_slice(&[700, 0, 1, 260, 513]);
-        case.ms[..5].copy_from_slice(&[32, 8, 33, 128, 5]);
-        assert!(run_seg_case(&case).is_ok(), "{:?}", run_seg_case(&case));
-    }
-
-    #[test]
-    fn stream_replay_token_round_trips() {
-        for ix in 0..24 {
-            let case = gen_stream_case(99, ix);
-            let token = case.replay_token();
-            assert!(token.starts_with("stream,"), "stream marker in {token}");
-            let parsed = parse_replay(&token).expect(&token);
-            assert_eq!(parsed, AnyCase::Stream(case), "token {token}");
-        }
-    }
-
-    #[test]
-    fn stream_replay_rejects_malformed_tokens() {
-        assert!(parse_replay("stream,ns=1").is_err(), "missing fields");
-        assert!(
-            parse_replay(
-                "stream,ns=1+2,ms=4,methods=fused+fused,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq"
-            )
-            .is_err(),
-            "list length mismatch"
-        );
-        assert!(
-            parse_replay(
-                "stream,ns=1+1+1+1+1,ms=1+1+1+1+1,methods=fused+fused+fused+fused+fused,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq"
-            )
-            .is_err(),
-            "too many stream tasks"
-        );
-        assert!(
-            parse_replay("stream,ns=,ms=,methods=,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq")
-                .is_err(),
-            "a session needs at least one stream task"
-        );
-        assert!(
-            parse_replay(
-                "stream,ns=1,ms=1,methods=bogus,kv=0,dist=uniform,keyseed=0,wpb=8,sched=seq"
-            )
-            .is_err(),
-            "unknown method"
-        );
+        let s = shrink(&start, fails);
+        assert_eq!(s.own, [Seg { n: 65, m: 7 }], "one minimal segment: {s:?}");
+        assert_minimal(&s);
     }
 
     #[test]
     fn stream_generator_covers_its_matrix() {
-        let mut kvs = std::collections::HashSet::new();
-        let mut scheds = std::collections::HashSet::new();
-        let mut ntasks_seen = std::collections::HashSet::new();
-        let mut methods_seen = std::collections::HashSet::new();
-        for ix in 0..48 {
-            let c = gen_stream_case(5, ix);
-            kvs.insert(c.kv);
-            scheds.insert(match c.sched {
-                SchedSpec::Sequential => "seq".to_string(),
-                SchedSpec::Parallel => "par".to_string(),
-                SchedSpec::Adversarial { flavor, .. } => flavor.name().to_string(),
-            });
-            assert!((2..=MAX_STREAM_TASKS).contains(&c.ntasks), "{c:?}");
-            ntasks_seen.insert(c.ntasks);
-            for i in 0..c.ntasks {
-                let tile = tile_of(c.methods[i], c.ms[i], c.kv, c.wpb, 0);
-                assert!(c.ns[i] <= (MAX_N / 4).max(MAX_TILES * tile));
-                let (lo, hi) = (
-                    stream_min_m(c.methods[i]),
-                    stream_max_m(c.methods[i], c.wpb, c.kv),
-                );
-                assert!((lo..=hi).contains(&c.ms[i]), "{c:?}");
-                methods_seen.insert(method_token(c.methods[i]));
-            }
-            for i in c.ntasks..MAX_STREAM_TASKS {
-                assert_eq!((c.ns[i], c.ms[i]), (0, 0), "unused slots stay zero");
-                assert_eq!(c.methods[i], Method::Fused, "unused slots stay canonical");
+        let cases: Vec<StreamCase> = (0..48).map(|ix| gen_stream_case(5, ix)).collect();
+        assert_matrix(&cases);
+        let mut methods = HashSet::new();
+        for Case { own, common: c } in &cases {
+            assert!((2..=MAX_STREAM_TASKS).contains(&own.len()), "{own:?}");
+            for t in own {
+                let tile = tile_of(t.method, t.m, c.kv, c.wpb, 0);
+                assert!(t.n <= (MAX_N / 4).max(MAX_TILES * tile));
+                methods.insert(t.method.write());
             }
         }
-        assert_eq!(kvs.len(), 2);
-        assert_eq!(scheds.len(), 6, "{scheds:?}");
+        let ntasks: HashSet<usize> = cases.iter().map(|c| c.own.len()).collect();
         assert_eq!(
-            ntasks_seen,
+            ntasks,
             (2..=MAX_STREAM_TASKS).collect(),
             "2, 3, and 4 concurrent launches must all appear"
         );
         assert!(
-            methods_seen.len() >= 5,
-            "mixed methods across tasks: {methods_seen:?}"
+            methods.len() >= 5,
+            "mixed methods across tasks: {methods:?}"
         );
     }
 
@@ -2503,71 +1807,19 @@ mod tests {
         // Synthetic predicate: the case fails iff some task has
         // n >= 65 with m >= 7. The shrinker must drop every other
         // stream task, land exactly on (65, 7), and simplify the rest.
-        let fails = |c: &StreamCase| (0..c.ntasks).any(|i| c.ns[i] >= 65 && c.ms[i] >= 7);
-        let mut start = StreamCase {
-            ntasks: 4,
-            ns: [0; MAX_STREAM_TASKS],
-            ms: [0; MAX_STREAM_TASKS],
-            methods: [Method::Fused; MAX_STREAM_TASKS],
-            kv: true,
-            dist: KeyDist::Skew75,
-            key_seed: 11,
-            wpb: 8,
-            sched: SchedSpec::Adversarial {
-                seed: 3,
-                flavor: AdvFlavor::ALL[0],
-            },
-        };
-        start.ns[..4].copy_from_slice(&[512, 30, 900, 4]);
-        start.ms[..4].copy_from_slice(&[16, 12, 8, 2]);
-        start.methods[..4].copy_from_slice(&[
-            Method::Onesweep,
-            Method::WarpLevel,
-            Method::BlockLevel,
-            Method::Direct,
+        let fails = |c: &StreamCase| c.own.iter().any(|t| t.n >= 65 && t.m >= 7);
+        let tasks = launches(&[
+            (512, 16, Method::Onesweep),
+            (30, 12, Method::WarpLevel),
+            (900, 8, Method::BlockLevel),
+            (4, 2, Method::Direct),
         ]);
+        let start = Case::new(tasks, noisy());
         assert!(fails(&start));
-        let s = shrink_stream(&start, fails);
-        assert_eq!(s.ntasks, 1, "minimal failing stream set is one task");
-        assert_eq!((s.ns[0], s.ms[0]), (65, 7), "{s:?}");
-        assert!(!s.kv);
-        assert_eq!(s.dist, KeyDist::Uniform);
-        assert_eq!(s.sched, SchedSpec::Sequential);
-        // Dropped slots were normalized, so the token stays canonical.
-        assert_eq!(s.ns[1..], [0; MAX_STREAM_TASKS - 1]);
-        assert_eq!(s.methods[1..], [Method::Fused; MAX_STREAM_TASKS - 1]);
-        let replayed = parse_replay(&s.replay_token()).unwrap();
-        assert_eq!(replayed, AnyCase::Stream(s));
-    }
-
-    #[test]
-    fn stream_cases_run_clean_under_every_adversarial_flavor() {
-        // A hand-built session mixing both sweep classes and an
-        // n = 1 task, clean under all four adversarial flavors (the
-        // ISSUE's concurrency matrix: overlapping launches on disjoint
-        // tracked buffers, bit-identical to the serialized order).
-        for flavor in AdvFlavor::ALL {
-            let mut case = StreamCase {
-                ntasks: 3,
-                ns: [0; MAX_STREAM_TASKS],
-                ms: [0; MAX_STREAM_TASKS],
-                methods: [Method::Fused; MAX_STREAM_TASKS],
-                kv: true,
-                dist: KeyDist::Skew75,
-                key_seed: 77,
-                wpb: 2,
-                sched: SchedSpec::Adversarial { seed: 13, flavor },
-            };
-            case.ns[..3].copy_from_slice(&[700, 1, 260]);
-            case.ms[..3].copy_from_slice(&[32, 5, 40]);
-            case.methods[..3].copy_from_slice(&[Method::Onesweep, Method::Fused, Method::LargeM]);
-            assert!(
-                run_stream_case(&case).is_ok(),
-                "{}: {:?}",
-                flavor.name(),
-                run_stream_case(&case)
-            );
-        }
+        let s = shrink(&start, fails);
+        assert_eq!(s.own.len(), 1, "minimal failing stream set is one task");
+        assert_eq!((s.own[0].n, s.own[0].m), (65, 7), "{s:?}");
+        assert_minimal(&s);
     }
 
     #[test]
@@ -2585,11 +1837,7 @@ mod tests {
     /// wait-for-graph dump) instead of a CI hang.
     #[test]
     fn adversarial_cases_arm_the_watchdog() {
-        let spec = SchedSpec::Adversarial {
-            seed: 7,
-            flavor: AdvFlavor::Straggler,
-        };
-        match spec.to_schedule() {
+        match adv(7, AdvFlavor::Straggler).to_schedule() {
             Schedule::Adversarial(adv) => {
                 assert_eq!(adv.spin_budget, FUZZ_SPIN_BUDGET);
                 assert_ne!(adv.spin_budget, 0, "budget 0 would disarm the watchdog");

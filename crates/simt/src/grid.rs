@@ -22,7 +22,7 @@ use crate::obs::{telemetry, ObsStats, Telemetry};
 use crate::profile::DeviceProfile;
 use crate::sched::{self, AdvCore, AdvSchedule, Schedule, ScheduleAborted, ADV_WORKERS};
 use crate::stats::{BlockStats, LaunchRecord};
-use crate::stream::{self, FairMutex, SessionKind, Stream, TimelineEntry, HOST_STREAM};
+use crate::stream::{self, SessionKind, Stream, TimelineEntry, HOST_STREAM};
 
 /// Below this grid size the thread fan-out costs more than it saves.
 const PARALLEL_GRID_THRESHOLD: usize = 16;
@@ -34,12 +34,10 @@ pub type StreamTask<'env, R> = Box<dyn FnOnce(&Stream) -> R + Send + 'env>;
 /// A simulated GPU: a profile plus the log of every kernel launched on it.
 pub struct Device {
     profile: DeviceProfile,
-    /// Launch log. Guarded by a fair FIFO ticket lock (MCS-style queued
-    /// arbitration, [`FairMutex`]) rather than a plain mutex: with
-    /// multiple streams submitting concurrently, record appends are
-    /// granted strictly in arrival order, so no stream's submissions can
-    /// barge past another's.
-    records: FairMutex<Vec<LaunchRecord>>,
+    /// Launch log, in push order. Concurrent streams push in whatever
+    /// order the host threads reach the lock; every reader that needs a
+    /// deterministic order sorts by `(stream, stream_seq)`.
+    records: Mutex<Vec<LaunchRecord>>,
     scope: Mutex<String>,
     schedule: Schedule,
     /// Launches so far — mixed into the adversarial seed so each launch in
@@ -54,7 +52,7 @@ pub struct Device {
     manual_session: u64,
     /// Modeled-concurrency timeline: one entry per recorded launch, from
     /// which [`Device::makespan`] computes overlapped execution time.
-    timeline: FairMutex<Vec<TimelineEntry>>,
+    timeline: Mutex<Vec<TimelineEntry>>,
 }
 
 impl Device {
@@ -81,13 +79,13 @@ impl Device {
     pub fn with_schedule(profile: DeviceProfile, schedule: Schedule) -> Self {
         Self {
             profile,
-            records: FairMutex::new(Vec::new()),
+            records: Mutex::new(Vec::new()),
             scope: Mutex::new(String::new()),
             schedule,
             launch_counter: AtomicU64::new(0),
             stream_count: AtomicU32::new(0),
             manual_session: stream::fresh_session_id(),
-            timeline: FairMutex::new(Vec::new()),
+            timeline: Mutex::new(Vec::new()),
         }
     }
 
@@ -439,14 +437,14 @@ impl Device {
             stream: stream_ix,
             stream_seq,
         };
-        self.timeline.lock().push(TimelineEntry {
+        lock_unpoisoned(&self.timeline).push(TimelineEntry {
             stream: stream_ix,
             seq: stream_seq,
             seconds,
             occ: (num_blocks as f64 / self.profile.sm_count as f64).min(1.0),
             deps,
         });
-        self.records.lock().push(record.clone());
+        lock_unpoisoned(&self.records).push(record.clone());
         record
     }
 
@@ -454,18 +452,18 @@ impl Device {
     /// the order *across* streams is nondeterministic; sort or filter by
     /// each record's `(stream, stream_seq)` for deterministic views.
     pub fn records(&self) -> Vec<LaunchRecord> {
-        self.records.lock().clone()
+        lock_unpoisoned(&self.records).clone()
     }
 
     /// Drain the launch log.
     pub fn take_records(&self) -> Vec<LaunchRecord> {
-        std::mem::take(&mut *self.records.lock())
+        std::mem::take(&mut *lock_unpoisoned(&self.records))
     }
 
     /// Clear the launch log (and the concurrency timeline with it).
     pub fn reset(&self) {
-        self.records.lock().clear();
-        self.timeline.lock().clear();
+        lock_unpoisoned(&self.records).clear();
+        lock_unpoisoned(&self.timeline).clear();
     }
 
     /// Total estimated seconds over all recorded launches — the
@@ -474,8 +472,7 @@ impl Device {
     /// bit-identical however concurrent streams interleaved their pushes.
     pub fn total_seconds(&self) -> f64 {
         stream::sum_in_stream_order(
-            self.records
-                .lock()
+            lock_unpoisoned(&self.records)
                 .iter()
                 .map(|r| (r.stream, r.stream_seq, r.seconds)),
         )
@@ -485,8 +482,7 @@ impl Device {
     /// `prefix`, summed in `(stream, stream_seq)` order.
     pub fn seconds_with_prefix(&self, prefix: &str) -> f64 {
         stream::sum_in_stream_order(
-            self.records
-                .lock()
+            lock_unpoisoned(&self.records)
                 .iter()
                 .filter(|r| r.label.starts_with(prefix))
                 .map(|r| (r.stream, r.stream_seq, r.seconds)),
@@ -502,13 +498,13 @@ impl Device {
     /// `makespan() == total_seconds()` exactly; with streams,
     /// `makespan() <= total_seconds()`, and the gap is the overlap win.
     pub fn makespan(&self) -> f64 {
-        stream::simulate_makespan(&self.timeline.lock()).0
+        stream::simulate_makespan(&lock_unpoisoned(&self.timeline)).0
     }
 
     /// Device utilization over the overlapped timeline:
     /// `Σ duration·occupancy / makespan` (0.0 on an empty log).
     pub fn utilization(&self) -> f64 {
-        let (makespan, busy) = stream::simulate_makespan(&self.timeline.lock());
+        let (makespan, busy) = stream::simulate_makespan(&lock_unpoisoned(&self.timeline));
         if makespan > 0.0 {
             busy / makespan
         } else {
@@ -522,7 +518,7 @@ impl Device {
     /// launches appear under [`crate::HOST_STREAM`] keyed by device
     /// launch index.
     pub fn completion_times(&self) -> Vec<(u32, u32, f64)> {
-        let tl = self.timeline.lock();
+        let tl = lock_unpoisoned(&self.timeline);
         let ends = stream::simulate_end_times(&tl);
         tl.iter()
             .zip(ends)
@@ -716,12 +712,15 @@ mod tests {
             dev.launch("noop", 1, 1, |_| {});
         }
         let tiny = f64::EPSILON / 2.0;
-        for (r, s) in dev.records.lock().iter_mut().zip([1.0, tiny, tiny]) {
+        for (r, s) in lock_unpoisoned(&dev.records)
+            .iter_mut()
+            .zip([1.0, tiny, tiny])
+        {
             r.seconds = s;
         }
         let forward = dev.total_seconds();
         assert_eq!(forward, 1.0, "launch order: 1 + tiny + tiny");
-        dev.records.lock().reverse();
+        lock_unpoisoned(&dev.records).reverse();
         assert_eq!(dev.total_seconds().to_bits(), forward.to_bits());
         assert_eq!(dev.seconds_with_prefix("no").to_bits(), forward.to_bits());
     }

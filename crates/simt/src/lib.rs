@@ -87,7 +87,7 @@ pub use profile::{DeviceProfile, GTX750TI, K40C};
 pub use sched::{AdvFlavor, AdvSchedule, Schedule, ADV_WORKERS, DEFAULT_SPIN_BUDGET};
 pub use shared::{padded_index, padded_len, SharedBuf, SMEM_BANKS};
 pub use stats::{BlockStats, LaunchRecord, StatCells};
-pub use stream::{Event, FairMutex, Stream, HOST_STREAM};
+pub use stream::{Event, Stream, HOST_STREAM};
 pub use trace::{
     chrome_trace_json, chrome_trace_json_with_tiles, write_chrome_trace,
     write_chrome_trace_with_tiles,

@@ -236,12 +236,16 @@ mod tests {
     fn atomics_serialize_same_word_lanes() {
         let st = StatCells::default();
         let buf = SharedBuf::<u32>::new(4, &st);
+        // Write the word before the atomic reads it, then count only the
+        // atomic's own traffic.
+        buf.set(0, 0);
+        let (ops, conflicts) = (st.smem_ops.get(), st.smem_bank_conflicts.get());
         buf.atomic_add(splat(0), splat(1u32), 0b1111);
+        // 4 serialized passes x 4 active lanes.
+        assert_eq!(st.smem_ops.get() - ops, 16);
+        // 3 avoidable passes x 4 active lanes.
+        assert_eq!(st.smem_bank_conflicts.get() - conflicts, 12);
         assert_eq!(buf.get(0), 4);
-        // 4 serialized passes x 4 active lanes (+1 for the get).
-        assert_eq!(st.smem_ops.get(), 17);
-        // 3 avoidable passes x 4 active lanes; the get is conflict-free.
-        assert_eq!(st.smem_bank_conflicts.get(), 12);
     }
 
     #[test]

@@ -440,87 +440,6 @@ fn actor(b: u32) -> String {
     }
 }
 
-// ============================ fair ticket lock =============================
-
-/// A fair, FIFO ticket lock (MCS-style queued arbitration): each waiter
-/// takes the next ticket and is granted the lock strictly in ticket
-/// order — no barging, no starvation — unlike `std::sync::Mutex`, which
-/// makes no fairness guarantee and under contention can let one stream's
-/// submissions overtake another's indefinitely. The device's launch log
-/// and timeline are guarded by this, so submission arbitration between
-/// streams is provably FIFO.
-pub struct FairMutex<T> {
-    next_ticket: AtomicU64,
-    now_serving: Mutex<u64>,
-    cv: Condvar,
-    data: std::cell::UnsafeCell<T>,
-}
-
-// Safety: access to `data` is serialized by the ticket protocol — a
-// thread touches it only between being granted `now_serving == ticket`
-// and bumping `now_serving` in the guard's drop.
-unsafe impl<T: Send> Sync for FairMutex<T> {}
-unsafe impl<T: Send> Send for FairMutex<T> {}
-
-pub struct FairGuard<'a, T> {
-    lock: &'a FairMutex<T>,
-}
-
-impl<T> FairMutex<T> {
-    pub fn new(value: T) -> Self {
-        Self {
-            next_ticket: AtomicU64::new(0),
-            now_serving: Mutex::new(0),
-            cv: Condvar::new(),
-            data: std::cell::UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquire in strict ticket (arrival) order.
-    pub fn lock(&self) -> FairGuard<'_, T> {
-        let t = self.enqueue();
-        self.wait_turn(t)
-    }
-
-    /// Phase 1: join the queue (the arrival point). Exposed separately so
-    /// tests can pin arrival order deterministically.
-    pub(crate) fn enqueue(&self) -> u64 {
-        self.next_ticket.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Phase 2: block until `ticket` is served, then hold the lock.
-    pub(crate) fn wait_turn(&self, ticket: u64) -> FairGuard<'_, T> {
-        let mut serving = lock_unpoisoned(&self.now_serving);
-        while *serving != ticket {
-            serving = self.cv.wait(serving).unwrap_or_else(|e| e.into_inner());
-        }
-        FairGuard { lock: self }
-    }
-}
-
-impl<T> Drop for FairGuard<'_, T> {
-    fn drop(&mut self) {
-        let mut serving = lock_unpoisoned(&self.lock.now_serving);
-        *serving += 1;
-        self.lock.cv.notify_all();
-    }
-}
-
-impl<T> std::ops::Deref for FairGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // Safety: see `Sync` impl — we hold the ticket.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T> std::ops::DerefMut for FairGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // Safety: see `Sync` impl — we hold the ticket.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
 // ========================= timeline + makespan model =========================
 
 /// One launch on the device's concurrency timeline.
@@ -773,48 +692,6 @@ mod tests {
         let mut b = a.clone();
         b.reverse();
         assert_eq!(simulate_makespan(&a), simulate_makespan(&b));
-    }
-
-    #[test]
-    fn fair_mutex_grants_in_strict_arrival_order() {
-        // Deterministic FIFO proof via the two-phase API: the main
-        // thread pins arrival order by taking every ticket itself (in
-        // order 0..n) while holding ticket 0, hands ticket k to thread
-        // k, and the grant order on release must be exactly 0..n —
-        // queued waiters can never overtake (no barging).
-        let n = 8;
-        let m = Arc::new(FairMutex::new(Vec::<u64>::new()));
-        let t0 = m.enqueue();
-        assert_eq!(t0, 0);
-        let held = m.wait_turn(t0);
-        let tickets: Vec<u64> = (1..n).map(|_| m.enqueue()).collect();
-        std::thread::scope(|s| {
-            for &t in &tickets {
-                let m = Arc::clone(&m);
-                s.spawn(move || {
-                    m.wait_turn(t).push(t);
-                });
-            }
-            drop(held);
-        });
-        let order = m.lock().clone();
-        assert_eq!(order, (1..n as u64).collect::<Vec<_>>(), "FIFO grants");
-    }
-
-    #[test]
-    fn fair_mutex_provides_mutual_exclusion() {
-        let m = Arc::new(FairMutex::new(0u64));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let m = Arc::clone(&m);
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        *m.lock() += 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(*m.lock(), 4000);
     }
 
     #[test]

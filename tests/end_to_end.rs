@@ -220,3 +220,14 @@ fn race_detector_passes_on_all_final_scatters() {
         );
     }
 }
+
+/// A zero-warp block is rejected at the API boundary with a clear message
+/// rather than dividing by zero inside the sweep's tile arithmetic.
+#[test]
+#[should_panic(expected = "need at least one warp per block")]
+fn zero_warps_per_block_is_rejected() {
+    let dev = Device::new(K40C);
+    let keys = GlobalBuffer::from_slice(&keys_for(64, 3));
+    let bucket = RangeBuckets::new(8);
+    multisplit_device(&dev, Method::Fused, &keys, no_values(), 64, &bucket, 0);
+}
