@@ -5,7 +5,7 @@
 //! substrate so the benchmark harness can regenerate the paper's
 //! comparisons:
 //!
-//! * [`radix_sort`] — full 32-bit LSB radix sort (the CUB baseline, §3.3),
+//! * [`radix_sort()`] — full 32-bit LSB radix sort (the CUB baseline, §3.3),
 //!   built from 8-bit-digit block-level multisplit passes.
 //! * [`scan_based_split`] / [`recursive_scan_multisplit`] — the classic
 //!   scan-based split and its `⌈log m⌉`-round extension (§3.2).
@@ -32,8 +32,7 @@ pub use radix_sort::{radix_sort, radix_sort_by_bits, RADIX_BITS_PER_PASS};
 pub use randomized::{randomized_multisplit, RandomizedConfig};
 pub use reduced_bit::{
     label_bits, reduced_bit_multisplit, reduced_bit_multisplit_kv,
-    reduced_bit_multisplit_kv_by_index, reduced_bit_strategy, with_reduced_bit_strategy,
-    ReducedBitStrategy,
+    reduced_bit_multisplit_kv_by_index, ReducedBitStrategy,
 };
 pub use scan_split::{recursive_scan_multisplit, scan_based_split};
 pub use thread_level::{multisplit_thread_level, THREAD_COARSENING};

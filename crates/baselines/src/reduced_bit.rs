@@ -11,22 +11,21 @@
 //!   beats the (label, index)+manual-gather alternative, whose random
 //!   gathers get worse with `m`; the ablation bench compares both.
 //!
-//! The label sort itself is pluggable ([`ReducedBitStrategy`]): the
-//!   default routes through `ms_sort` — fused single-pass multisplit
-//!   digits, so `⌈log2 m⌉ ≤ 8` label bits cost **one** pass with no
-//!   histogram-matrix round-trip — while [`ReducedBitStrategy::Legacy`]
-//!   keeps the original hand-rolled `radix_sort_by_bits` pipeline
-//!   (5-bit three-kernel passes) selectable for the bench comparison.
-//!   The index variant ([`reduced_bit_multisplit_kv_by_index`]) now rides
-//!   [`ms_sort::argsort_by_bits`]: labels and original indices packed into
-//!   a *single* `u32`, payloads permuted once through the sorted indices.
+//! Every caller names the label sort ([`ReducedBitStrategy`]) as an
+//! argument. [`ReducedBitStrategy::Legacy`] is the paper's baseline: the
+//! hand-rolled `radix_sort_by_bits` pipeline (5-bit three-kernel passes).
+//! [`ReducedBitStrategy::MsSort`] is this repo's extension: it routes
+//! through `ms_sort`'s fused single-pass multisplit digits, so
+//! `⌈log2 m⌉ ≤ 8` label bits cost **one** pass with no histogram-matrix
+//! round-trip. The index variant ([`reduced_bit_multisplit_kv_by_index`])
+//! rides [`ms_sort::argsort_by_bits`]: labels and original indices packed
+//! into a *single* `u32`, payloads permuted once through the sorted
+//! indices.
 //!
 //! The extra label/pack/unpack passes are the method's overhead — visible
 //! as the "Labeling" and "(un)Packing" rows of Table 4.
 
-use std::cell::Cell;
-
-use simt::{blocks_for, lanes_from_fn, Device, GlobalBuffer, WARP_SIZE};
+use simt::{blocks_for, lanes_from_fn, Device, GlobalBuffer, Scalar, WARP_SIZE};
 
 use multisplit::BucketFn;
 use primitives::tail_mask;
@@ -34,39 +33,14 @@ use primitives::tail_mask;
 use crate::radix_sort::radix_sort_by_bits;
 
 /// Which pipeline sorts the labels in `reduced_bit_multisplit{,_kv}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReducedBitStrategy {
-    /// Labels sorted by `ms_sort` fused multisplit digits (default:
-    /// one fused pass for `m <= 256`, no histogram-matrix round-trip).
-    #[default]
+    /// Labels sorted by `ms_sort` fused multisplit digits (one fused pass
+    /// for `m <= 256`, no histogram-matrix round-trip).
     MsSort,
-    /// The original hand-rolled pipeline over
-    /// [`radix_sort_by_bits`] (5-bit three-kernel passes). Kept
-    /// selectable as the bench comparison point.
+    /// The paper's pipeline over [`radix_sort_by_bits`] (5-bit
+    /// three-kernel passes).
     Legacy,
-}
-
-thread_local! {
-    static STRATEGY: Cell<ReducedBitStrategy> = const { Cell::new(ReducedBitStrategy::MsSort) };
-}
-
-/// The label-sort pipeline currently selected (per host thread).
-pub fn reduced_bit_strategy() -> ReducedBitStrategy {
-    STRATEGY.with(Cell::get)
-}
-
-/// Run `f` with the reduced-bit label sort pinned to `s`, restoring the
-/// previous strategy on the way out — including on panic (RAII drop
-/// guard, like `multisplit::with_pipeline`).
-pub fn with_reduced_bit_strategy<R>(s: ReducedBitStrategy, f: impl FnOnce() -> R) -> R {
-    struct Restore(ReducedBitStrategy);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            STRATEGY.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(STRATEGY.with(|c| c.replace(s)));
-    f()
 }
 
 /// Bits needed to sort `m` labels.
@@ -173,83 +147,65 @@ fn unpack_kv(
     (out_keys, out_values)
 }
 
-/// Key-only reduced-bit multisplit. Stable. The label sort runs on the
-/// pipeline selected by [`reduced_bit_strategy`].
+/// Label every key, then sort `payload` by its key's label on `strategy`.
+/// Returns the sorted payload and the `m + 1` bucket offsets.
+fn sort_by_labels<B: BucketFn + ?Sized, V: Scalar>(
+    dev: &Device,
+    strategy: ReducedBitStrategy,
+    keys: &GlobalBuffer<u32>,
+    payload: &GlobalBuffer<V>,
+    n: usize,
+    bucket: &B,
+    wpb: usize,
+) -> (GlobalBuffer<V>, Vec<u32>) {
+    let m = bucket.num_buckets();
+    let bits = label_bits(m);
+    let labels = GlobalBuffer::<u32>::zeroed(n);
+    write_labels(dev, "reduced/label", keys, &labels, n, bucket, wpb);
+    // Bucket counts are order-independent, so the offsets come from the
+    // unsorted labels — no extra device pass.
+    let offsets = offsets_from_labels(&labels.to_vec(), m as usize);
+    let sorted = match strategy {
+        ReducedBitStrategy::MsSort => {
+            ms_sort::sort_pairs_by_bits(dev, &labels, payload, n, bits, wpb).1
+        }
+        ReducedBitStrategy::Legacy => {
+            radix_sort_by_bits(dev, "reduced/sort", &labels, Some(payload), n, bits, wpb)
+                .1
+                .expect("payload present")
+        }
+    };
+    (sorted, offsets)
+}
+
+/// Key-only reduced-bit multisplit. Stable. The label sort runs on
+/// `strategy`.
 pub fn reduced_bit_multisplit<B: BucketFn + ?Sized>(
     dev: &Device,
+    strategy: ReducedBitStrategy,
     keys: &GlobalBuffer<u32>,
     n: usize,
     bucket: &B,
     wpb: usize,
 ) -> (GlobalBuffer<u32>, Vec<u32>) {
-    let m = bucket.num_buckets();
-    let labels = GlobalBuffer::<u32>::zeroed(n);
-    write_labels(dev, "reduced/label", keys, &labels, n, bucket, wpb);
-    match reduced_bit_strategy() {
-        ReducedBitStrategy::MsSort => {
-            // Bucket counts are order-independent, so the offsets come
-            // from the unsorted labels — no extra device pass.
-            let offsets = offsets_from_labels(&labels.to_vec(), m as usize);
-            let (_, out_keys) =
-                ms_sort::sort_pairs_by_bits(dev, &labels, keys, n, label_bits(m), wpb);
-            (out_keys, offsets)
-        }
-        ReducedBitStrategy::Legacy => {
-            let (sorted_labels, out_keys) = radix_sort_by_bits(
-                dev,
-                "reduced/sort",
-                &labels,
-                Some(keys),
-                n,
-                label_bits(m),
-                wpb,
-            );
-            (
-                out_keys.expect("payload present"),
-                offsets_from_labels(&sorted_labels.to_vec(), m as usize),
-            )
-        }
-    }
+    sort_by_labels(dev, strategy, keys, keys, n, bucket, wpb)
 }
 
 /// Key–value reduced-bit multisplit via 64-bit packing. Stable. The label
-/// sort runs on the pipeline selected by [`reduced_bit_strategy`].
+/// sort runs on `strategy`.
 pub fn reduced_bit_multisplit_kv<B: BucketFn + ?Sized>(
     dev: &Device,
+    strategy: ReducedBitStrategy,
     keys: &GlobalBuffer<u32>,
     values: &GlobalBuffer<u32>,
     n: usize,
     bucket: &B,
     wpb: usize,
 ) -> (GlobalBuffer<u32>, GlobalBuffer<u32>, Vec<u32>) {
-    let m = bucket.num_buckets();
     let packed = pack_kv(dev, keys, values, n, wpb);
-    let labels = GlobalBuffer::<u32>::zeroed(n);
-    write_labels(dev, "reduced/label", keys, &labels, n, bucket, wpb);
-    match reduced_bit_strategy() {
-        ReducedBitStrategy::MsSort => {
-            let offsets = offsets_from_labels(&labels.to_vec(), m as usize);
-            let (_, sorted_packed) =
-                ms_sort::sort_pairs_by_bits(dev, &labels, &packed, n, label_bits(m), wpb);
-            let (out_keys, out_values) = unpack_kv(dev, &sorted_packed, n, wpb);
-            (out_keys, out_values, offsets)
-        }
-        ReducedBitStrategy::Legacy => {
-            let (sorted_labels, sorted_packed) = radix_sort_by_bits(
-                dev,
-                "reduced/sort",
-                &labels,
-                Some(&packed),
-                n,
-                label_bits(m),
-                wpb,
-            );
-            let sorted_packed = sorted_packed.expect("payload present");
-            let (out_keys, out_values) = unpack_kv(dev, &sorted_packed, n, wpb);
-            let offsets = offsets_from_labels(&sorted_labels.to_vec(), m as usize);
-            (out_keys, out_values, offsets)
-        }
-    }
+    let (sorted_packed, offsets) = sort_by_labels(dev, strategy, keys, &packed, n, bucket, wpb);
+    let (out_keys, out_values) = unpack_kv(dev, &sorted_packed, n, wpb);
+    (out_keys, out_values, offsets)
 }
 
 /// The paper's alternative key–value strategy (§3.4): sort (label, index)
@@ -314,6 +270,7 @@ pub fn reduced_bit_multisplit_kv_by_index<B: BucketFn + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use super::ReducedBitStrategy::{Legacy, MsSort};
     use super::*;
     use multisplit::{multisplit_kv_ref, multisplit_ref, RangeBuckets};
     use simt::{Device, K40C};
@@ -342,7 +299,7 @@ mod tests {
             let bucket = RangeBuckets::new(m);
             let data = keys_for(n, m);
             let keys = GlobalBuffer::from_slice(&data);
-            let (out, offs) = reduced_bit_multisplit(&dev, &keys, n, &bucket, 8);
+            let (out, offs) = reduced_bit_multisplit(&dev, MsSort, &keys, n, &bucket, 8);
             let (expect, expect_offs) = multisplit_ref(&data, &bucket);
             assert_eq!(out.to_vec(), expect, "m={m} (stable)");
             assert_eq!(offs, expect_offs, "m={m}");
@@ -358,7 +315,7 @@ mod tests {
         let vals: Vec<u32> = (0..n as u32).collect();
         let keys = GlobalBuffer::from_slice(&data);
         let values = GlobalBuffer::from_slice(&vals);
-        let (ok, ov, offs) = reduced_bit_multisplit_kv(&dev, &keys, &values, n, &bucket, 8);
+        let (ok, ov, offs) = reduced_bit_multisplit_kv(&dev, MsSort, &keys, &values, n, &bucket, 8);
         let (ek, ev, eo) = multisplit_kv_ref(&data, Some(&vals), &bucket);
         assert_eq!(ok.to_vec(), ek);
         assert_eq!(ov.to_vec(), ev);
@@ -400,7 +357,7 @@ mod tests {
                 .sum::<u64>()
         };
         let dev_p = Device::new(K40C);
-        reduced_bit_multisplit_kv(&dev_p, &keys, &values, n, &bucket, 8);
+        reduced_bit_multisplit_kv(&dev_p, MsSort, &keys, &values, n, &bucket, 8);
         let dev_i = Device::new(K40C);
         reduced_bit_multisplit_kv_by_index(&dev_i, &keys, &values, n, &bucket, 8);
         let unpack = stage_waste(&dev_p, "reduced/unpack");
@@ -414,8 +371,8 @@ mod tests {
 
     #[test]
     fn legacy_strategy_still_matches_reference() {
-        // The hand-rolled pipeline stays selectable (and correct) for the
-        // bench comparison against the ms-sort default.
+        // The paper's label sort stays callable (and correct) next to the
+        // ms-sort extension.
         let dev = Device::new(K40C);
         let n = 4000;
         let bucket = RangeBuckets::new(24);
@@ -423,39 +380,36 @@ mod tests {
         let vals: Vec<u32> = (0..n as u32).collect();
         let keys = GlobalBuffer::from_slice(&data);
         let values = GlobalBuffer::from_slice(&vals);
-        with_reduced_bit_strategy(ReducedBitStrategy::Legacy, || {
-            let (out, offs) = reduced_bit_multisplit(&dev, &keys, n, &bucket, 8);
-            let (expect, expect_offs) = multisplit_ref(&data, &bucket);
-            assert_eq!(out.to_vec(), expect);
-            assert_eq!(offs, expect_offs);
-            // The legacy path actually ran: its three-kernel label sort
-            // leaves "reduced/sort" launch records behind.
-            assert!(dev
-                .records()
-                .iter()
-                .any(|r| r.label.starts_with("reduced/sort")));
+        let (out, offs) = reduced_bit_multisplit(&dev, Legacy, &keys, n, &bucket, 8);
+        let (expect, expect_offs) = multisplit_ref(&data, &bucket);
+        assert_eq!(out.to_vec(), expect);
+        assert_eq!(offs, expect_offs);
+        // The legacy path actually ran: its three-kernel label sort
+        // leaves "reduced/sort" launch records behind.
+        assert!(dev
+            .records()
+            .iter()
+            .any(|r| r.label.starts_with("reduced/sort")));
 
-            let (ok, ov, offs) = reduced_bit_multisplit_kv(&dev, &keys, &values, n, &bucket, 8);
-            let (ek, ev, eo) = multisplit_kv_ref(&data, Some(&vals), &bucket);
-            assert_eq!(ok.to_vec(), ek);
-            assert_eq!(ov.to_vec(), ev);
-            assert_eq!(offs, eo);
-        });
-        assert_eq!(reduced_bit_strategy(), ReducedBitStrategy::MsSort);
+        let (ok, ov, offs) = reduced_bit_multisplit_kv(&dev, Legacy, &keys, &values, n, &bucket, 8);
+        let (ek, ev, eo) = multisplit_kv_ref(&data, Some(&vals), &bucket);
+        assert_eq!(ok.to_vec(), ek);
+        assert_eq!(ov.to_vec(), ev);
+        assert_eq!(offs, eo);
     }
 
     #[test]
-    fn mssort_default_skips_the_legacy_sort_kernels() {
+    fn mssort_skips_the_legacy_sort_kernels() {
         let dev = Device::new(K40C);
         let n = 4096;
         let bucket = RangeBuckets::new(32);
         let data = keys_for(n, 6);
         let keys = GlobalBuffer::from_slice(&data);
-        reduced_bit_multisplit(&dev, &keys, n, &bucket, 8);
+        reduced_bit_multisplit(&dev, MsSort, &keys, n, &bucket, 8);
         let labels: Vec<_> = dev.records().iter().map(|r| r.label.clone()).collect();
         assert!(
             !labels.iter().any(|l| l.starts_with("reduced/sort")),
-            "default route must not touch the legacy pipeline: {labels:?}"
+            "the ms-sort route must not touch the legacy pipeline: {labels:?}"
         );
         assert!(
             labels.iter().any(|l| l.contains("fused")),
@@ -470,7 +424,7 @@ mod tests {
         let bucket = RangeBuckets::new(1);
         let data = keys_for(n, 1);
         let keys = GlobalBuffer::from_slice(&data);
-        let (out, offs) = reduced_bit_multisplit(&dev, &keys, n, &bucket, 8);
+        let (out, offs) = reduced_bit_multisplit(&dev, MsSort, &keys, n, &bucket, 8);
         assert_eq!(out.to_vec(), data);
         assert_eq!(offs, vec![0, n as u32]);
     }

@@ -1,6 +1,7 @@
 //! Wall-clock benches for the baseline methods (tiny offline harness;
 //! the *modeled* GPU times come from `paper table4/5`).
 
+use baselines::ReducedBitStrategy::MsSort;
 use msbench::microbench::time;
 use msbench::{gen_keys, Distribution};
 use multisplit::{no_values, RangeBuckets};
@@ -23,7 +24,7 @@ fn main() {
         let dev = Device::new(K40C);
         time("baselines/reduced_bit_m8", || {
             dev.reset();
-            baselines::reduced_bit_multisplit(&dev, &keys, n, &bucket, 8)
+            baselines::reduced_bit_multisplit(&dev, MsSort, &keys, n, &bucket, 8)
         });
     }
     {

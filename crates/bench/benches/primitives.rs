@@ -3,8 +3,7 @@
 
 use msbench::microbench::time;
 use primitives::{
-    exclusive_scan_u32, exclusive_scan_u32_with, histogram_shared_atomic, reduce_add_u32,
-    split_by_pred, ScanStrategy,
+    exclusive_scan_u32, histogram_shared_atomic, recursive_scan_u32, reduce_add_u32, split_by_pred,
 };
 use simt::{Device, GlobalBuffer, K40C};
 
@@ -22,15 +21,7 @@ fn main() {
             });
             time(&format!("scan/recursive/n{n}"), || {
                 dev.reset();
-                exclusive_scan_u32_with(
-                    ScanStrategy::Recursive,
-                    &dev,
-                    "bench",
-                    &input,
-                    &output,
-                    n,
-                    8,
-                )
+                recursive_scan_u32(&dev, "bench", &input, &output, n, 8)
             });
         }
         {

@@ -204,6 +204,19 @@ fn emit(name: &str, body: String) {
     }
 }
 
+/// Write `doc` to `BENCH_{snapshot}.json` when a snapshot name is given,
+/// then hand it to the `--json` sink as `section`.
+fn publish(section: &str, snapshot: Option<&str>, doc: Json) {
+    if let Some(name) = snapshot {
+        let snap = format!("BENCH_{name}.json");
+        match std::fs::write(&snap, doc.pretty() + "\n") {
+            Ok(()) => println!("[saved {snap}]\n"),
+            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
+        }
+    }
+    metrics::sink_push(section, doc);
+}
+
 // ====================== Table 3 ======================
 
 fn table3(opts: &Opts) {
@@ -942,7 +955,15 @@ fn ablate(opts: &Opts) {
             let values = GlobalBuffer::from_slice(&vals);
             let bucket = RangeBuckets::new(m);
             let dev_p = Device::new(K40C);
-            baselines::reduced_bit_multisplit_kv(&dev_p, &keys, &values, n, &bucket, 8);
+            baselines::reduced_bit_multisplit_kv(
+                &dev_p,
+                baselines::ReducedBitStrategy::MsSort,
+                &keys,
+                &values,
+                n,
+                &bucket,
+                8,
+            );
             let dev_i = Device::new(K40C);
             baselines::reduced_bit_multisplit_kv_by_index(&dev_i, &keys, &values, n, &bucket, 8);
             let waste: u64 = dev_i
@@ -1033,11 +1054,16 @@ fn ablate(opts: &Opts) {
 /// `*/scan-chained` stage moves >= 30% fewer global-memory sectors (and
 /// costs less estimated time) than the recursive `*/scan-reduce` +
 /// `*/scan-downsweep` pair, while every end-to-end multisplit result
-/// stays bit-identical between strategies and between parallel and
+/// stays bit-identical between scans and between parallel and
 /// sequential devices.
+///
+/// The chained side is the scan stage of each method's own run. The
+/// recursive side scans the method's m·L histogram directly with
+/// [`primitives::recursive_scan_u32`]: a scan's counted stats depend only
+/// on its length, and the post-scan consumes nothing but the scanned
+/// histogram, so matching scan outputs mean matching multisplits.
 fn scan_compare(opts: &Opts) {
     use multisplit::{check_multisplit, multisplit_device, no_values, Method, RangeBuckets};
-    use primitives::ScanStrategy;
     use simt::{Device, GlobalBuffer};
     // Capped at the claim's 2^20, but honoring smaller --n (CI smoke runs).
     let n: usize = opts.n.min(1 << 20);
@@ -1057,59 +1083,56 @@ fn scan_compare(opts: &Opts) {
         "chained ms",
         "recursive ms",
     ]);
-    for (method, name) in [
-        (Method::Direct, "direct"),
-        (Method::WarpLevel, "warp"),
-        (Method::BlockLevel, "block"),
+    for (method, name, sub) in [
+        (Method::Direct, "direct", 32),
+        (Method::WarpLevel, "warp", 32),
+        (Method::BlockLevel, "block", 32 * 8),
     ] {
-        let mut per: Vec<(u64, f64)> = Vec::new();
-        let mut outputs: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
-        for strat in [ScanStrategy::Chained, ScanStrategy::Recursive] {
-            let (sectors, msecs, result) = with_scan_strategy(strat, || {
-                let dev = Device::sequential(K40C);
-                let keys = GlobalBuffer::from_slice(&keys_host);
-                let r = multisplit_device(&dev, method, &keys, no_values(), n, &bucket, 8);
-                let scan = |f: &dyn Fn(&simt::LaunchRecord) -> f64| {
-                    dev.records()
-                        .iter()
-                        .filter(|rec| stage_of(&rec.label) == "scan")
-                        .map(f)
-                        .sum::<f64>()
-                };
-                let sectors = scan(&|rec| rec.stats.sectors as f64) as u64;
-                let secs = scan(&|rec| rec.seconds);
-                (sectors, secs * 1e3, (r.keys.to_vec(), r.offsets))
-            });
-            if opts.verify {
-                check_multisplit(&keys_host, &result.0, &result.1, &bucket)
-                    .expect("invalid multisplit");
-                let parallel = with_scan_strategy(strat, || {
-                    let dev = Device::new(K40C);
-                    let keys = GlobalBuffer::from_slice(&keys_host);
-                    let r = multisplit_device(&dev, method, &keys, no_values(), n, &bucket, 8);
-                    (r.keys.to_vec(), r.offsets)
-                });
-                assert_eq!(
-                    parallel, result,
-                    "{name}: parallel and sequential devices diverge"
-                );
-            }
-            per.push((sectors, msecs));
-            outputs.push(result);
+        let run = |dev: &Device| {
+            let keys = GlobalBuffer::from_slice(&keys_host);
+            let r = multisplit_device(dev, method, &keys, no_values(), n, &bucket, 8);
+            (r.keys.to_vec(), r.offsets)
+        };
+        let dev = Device::sequential(K40C);
+        let result = run(&dev);
+        let (cs, csecs) = scan_stage_cost(&dev);
+        let hist = subproblem_histogram(&keys_host, &bucket, sub);
+        let scanned = GlobalBuffer::<u32>::zeroed(hist.len());
+        let dev = Device::sequential(K40C);
+        let input = GlobalBuffer::from_slice(&hist);
+        primitives::recursive_scan_u32(&dev, "scan", &input, &scanned, hist.len(), 8);
+        let (rs, rsecs) = scan_stage_cost(&dev);
+        if opts.verify {
+            check_multisplit(&keys_host, &result.0, &result.1, &bucket)
+                .expect("invalid multisplit");
+            assert_eq!(
+                run(&Device::new(K40C)),
+                result,
+                "{name}: parallel and sequential devices diverge"
+            );
+            // The recursive scan is exact, and its bucket rows start at the
+            // chained run's offsets.
+            let expect: Vec<u32> = hist
+                .iter()
+                .scan(0, |acc, &h| Some(std::mem::replace(acc, *acc + h)))
+                .collect();
+            let scanned = scanned.to_vec();
+            assert_eq!(scanned, expect, "{name}: recursive scan is wrong");
+            let l = hist.len() / m as usize;
+            let row_starts: Vec<u32> = (0..m as usize).map(|b| scanned[b * l]).collect();
+            assert_eq!(
+                row_starts,
+                result.1[..m as usize],
+                "{name}: scan strategies give different results"
+            );
         }
-        assert_eq!(
-            outputs[0], outputs[1],
-            "{name}: scan strategies give different results"
-        );
-        let (cs, cms) = per[0];
-        let (rs, rms) = per[1];
         t.row(vec![
             name.into(),
             cs.to_string(),
             rs.to_string(),
             format!("{:.1}%", 100.0 * (1.0 - cs as f64 / rs as f64)),
-            format!("{cms:.3}"),
-            format!("{rms:.3}"),
+            format!("{:.3}", csecs * 1e3),
+            format!("{:.3}", rsecs * 1e3),
         ]);
     }
     out.push_str(&t.render());
@@ -1380,14 +1403,7 @@ fn largem_compare(opts: &Opts) {
         ("device".into(), Json::Str(K40C.name.into())),
         ("rows".into(), Json::Arr(rows)),
     ]);
-    if let Some(name) = &opts.snapshot {
-        let snap = format!("BENCH_{name}.json");
-        match std::fs::write(&snap, doc.pretty() + "\n") {
-            Ok(()) => println!("[saved {snap}]\n"),
-            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
-        }
-    }
-    metrics::sink_push("largem", doc);
+    publish("largem", opts.snapshot.as_deref(), doc);
 }
 
 // ====================== Onesweep pipeline ======================
@@ -1551,14 +1567,7 @@ fn onesweep_compare(opts: &Opts) {
         ("device".into(), Json::Str(K40C.name.into())),
         ("rows".into(), Json::Arr(rows)),
     ]);
-    if let Some(name) = &opts.snapshot {
-        let snap = format!("BENCH_{name}.json");
-        match std::fs::write(&snap, doc.pretty() + "\n") {
-            Ok(()) => println!("[saved {snap}]\n"),
-            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
-        }
-    }
-    metrics::sink_push("onesweep", doc);
+    publish("onesweep", opts.snapshot.as_deref(), doc);
 }
 
 // ====================== ms-sort (iterated multisplit) ======================
@@ -1775,10 +1784,10 @@ fn sort_cmd(opts: &Opts) {
         ));
     }
 
-    // The reduced-bit pipeline rides ms-sort by default; the old
-    // label-sort-via-radix pipeline survives as an explicit strategy.
+    // The reduced-bit multisplit under both label sorts: this repo's
+    // ms-sort extension and the paper's radix-sort pipeline.
     {
-        use baselines::{with_reduced_bit_strategy, ReducedBitStrategy};
+        use baselines::ReducedBitStrategy;
         use multisplit::RangeBuckets;
         let rn = n.min(1 << 18);
         let m = 32u32;
@@ -1797,9 +1806,7 @@ fn sort_cmd(opts: &Opts) {
             let dev = Device::new(K40C);
             let keys = GlobalBuffer::from_slice(&keys_host);
             let values = GlobalBuffer::from_slice(&values_host);
-            let _ = with_reduced_bit_strategy(strategy, || {
-                baselines::reduced_bit_multisplit_kv(&dev, &keys, &values, rn, &bucket, wpb)
-            });
+            baselines::reduced_bit_multisplit_kv(&dev, strategy, &keys, &values, rn, &bucket, wpb);
             let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
             out.push_str(&format!(
                 "  {name:>8}: {total} sectors, {} ms\n",
@@ -1827,14 +1834,7 @@ fn sort_cmd(opts: &Opts) {
         ),
         ("rows".into(), Json::Arr(rows)),
     ]);
-    if let Some(name) = &opts.snapshot {
-        let snap = format!("BENCH_{name}.json");
-        match std::fs::write(&snap, doc.pretty() + "\n") {
-            Ok(()) => println!("[saved {snap}]\n"),
-            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
-        }
-    }
-    metrics::sink_push("sort", doc);
+    publish("sort", opts.snapshot.as_deref(), doc);
 }
 
 /// Digit-width sweep behind [`ms_sort::DEFAULT_DIGIT_BITS`]: sort 32-bit
@@ -1995,14 +1995,7 @@ fn profile_cmd(opts: &Opts) {
         Ok(()) => println!("[saved {}]\n", path.display()),
         Err(e) => println!("[warn: could not save profile.json: {e}]\n"),
     }
-    if let Some(name) = &opts.snapshot {
-        let snap = format!("BENCH_{name}.json");
-        match std::fs::write(&snap, doc.pretty() + "\n") {
-            Ok(()) => println!("[saved {snap}]\n"),
-            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
-        }
-    }
-    metrics::sink_push("profile", doc);
+    publish("profile", opts.snapshot.as_deref(), doc);
 }
 
 // ====================== Trace (flight recorder) ======================
@@ -2013,7 +2006,7 @@ fn profile_cmd(opts: &Opts) {
 /// launch's tile dependency DAG and **exact** critical path from the
 /// recorded event stream, and compare against `launch_report`'s modeled
 /// estimate. Writes `bench_results/trace_chrome.json` — a chrome trace
-/// (load in `chrome://tracing` or https://ui.perfetto.dev) with one
+/// (load in `chrome://tracing` or <https://ui.perfetto.dev>) with one
 /// slice per tile and flow arrows along every stalled publisher →
 /// resolver edge.
 fn trace_cmd(opts: &Opts) {
@@ -2146,17 +2139,22 @@ fn check_cmd(opts: &Opts) {
         metrics::PROFILE_SEED
     );
     let mut current = metrics::sector_baseline_current(n, m);
-    let largem_current = metrics::largem_sector_baseline_current(n, largem_m);
-    let onesweep_current = metrics::onesweep_sector_baseline_current(n, m);
-    let sort_current = metrics::sort_sector_baseline_current(n, m);
-    let serve_current = metrics::serve_sector_baseline_current();
-    let serve_overlap_current = metrics::serve_overlap_baseline_current();
+    let sections = [
+        (
+            "largem",
+            metrics::largem_sector_baseline_current(n, largem_m),
+        ),
+        ("onesweep", metrics::onesweep_sector_baseline_current(n, m)),
+        ("sort", metrics::sort_sector_baseline_current(n, m)),
+        ("serve", metrics::serve_sector_baseline_current()),
+        ("serve_overlap", metrics::serve_overlap_baseline_current()),
+    ];
     if let Json::Obj(fields) = &mut current {
-        fields.push(("largem".into(), largem_current.clone()));
-        fields.push(("onesweep".into(), onesweep_current.clone()));
-        fields.push(("sort".into(), sort_current.clone()));
-        fields.push(("serve".into(), serve_current.clone()));
-        fields.push(("serve_overlap".into(), serve_overlap_current.clone()));
+        fields.extend(
+            sections
+                .iter()
+                .map(|(name, cur)| (name.to_string(), cur.clone())),
+        );
     }
     if opts.update {
         if let Some(parent) = path.parent() {
@@ -2180,54 +2178,16 @@ fn check_cmd(opts: &Opts) {
         Ok(ns) => notes.extend(ns),
         Err(fs) => failures.extend(fs),
     }
-    match baseline.get("largem") {
-        Some(largem_base) => {
-            match metrics::sector_baseline_compare(&largem_current, largem_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("largem: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("largem: {s}"))),
-            }
+    for (name, cur) in &sections {
+        match baseline.get(name) {
+            Some(base) => match metrics::sector_baseline_compare(cur, base, 0.02) {
+                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("{name}: {s}"))),
+                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("{name}: {s}"))),
+            },
+            None => failures.push(format!(
+                "baseline has no `{name}` section; refresh with `paper check --update`"
+            )),
         }
-        None => failures
-            .push("baseline has no `largem` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("onesweep") {
-        Some(onesweep_base) => {
-            match metrics::sector_baseline_compare(&onesweep_current, onesweep_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("onesweep: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("onesweep: {s}"))),
-            }
-        }
-        None => failures
-            .push("baseline has no `onesweep` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("sort") {
-        Some(sort_base) => match metrics::sector_baseline_compare(&sort_current, sort_base, 0.02) {
-            Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("sort: {s}"))),
-            Err(fs) => failures.extend(fs.into_iter().map(|s| format!("sort: {s}"))),
-        },
-        None => failures
-            .push("baseline has no `sort` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("serve") {
-        Some(serve_base) => {
-            match metrics::sector_baseline_compare(&serve_current, serve_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("serve: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("serve: {s}"))),
-            }
-        }
-        None => failures
-            .push("baseline has no `serve` section; refresh with `paper check --update`".into()),
-    }
-    match baseline.get("serve_overlap") {
-        Some(overlap_base) => {
-            match metrics::sector_baseline_compare(&serve_overlap_current, overlap_base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("serve_overlap: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("serve_overlap: {s}"))),
-            }
-        }
-        None => failures.push(
-            "baseline has no `serve_overlap` section; refresh with `paper check --update`".into(),
-        ),
     }
     if failures.is_empty() {
         for note in &notes {
@@ -2390,14 +2350,7 @@ fn serve_cmd(args: &[String]) {
     let report = serve::run_serve(&cfg);
     emit("serve", serve::render(&cfg, &report));
     let doc = serve::report_json(&cfg, &report);
-    if let Some(name) = &snapshot {
-        let snap = format!("BENCH_{name}.json");
-        match std::fs::write(&snap, doc.pretty() + "\n") {
-            Ok(()) => println!("[saved {snap}]\n"),
-            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
-        }
-    }
-    metrics::sink_push("serve", doc);
+    publish("serve", snapshot.as_deref(), doc);
     if let Some(path) = &json {
         if let Some(sink) = metrics::sink_take() {
             match sink.write(std::path::Path::new(path)) {

@@ -171,7 +171,31 @@ pub fn stage_sector_counts(dev: &Device) -> Vec<(&'static str, u64)> {
     acc
 }
 
-pub use primitives::with_scan_strategy;
+/// Sectors and modeled seconds of a device's `scan`-stage launches.
+pub fn scan_stage_cost(dev: &Device) -> (u64, f64) {
+    dev.records()
+        .iter()
+        .filter(|r| stage_of(&r.label) == "scan")
+        .fold((0, 0.0), |(s, t), r| (s + r.stats.sectors, t + r.seconds))
+}
+
+/// The m x L histogram a three-kernel method scans: bucket-major rows, one
+/// column per `sub`-key subproblem (32 keys for Direct and Warp-level, a
+/// block's `32 * wpb` for Block-level).
+pub fn subproblem_histogram<B: BucketFn + ?Sized>(
+    keys: &[u32],
+    bucket: &B,
+    sub: usize,
+) -> Vec<u32> {
+    let l = keys.len().div_ceil(sub);
+    let mut hist = vec![0u32; bucket.num_buckets() as usize * l];
+    for (j, chunk) in keys.chunks(sub).enumerate() {
+        for &k in chunk {
+            hist[bucket.bucket_of(k) as usize * l + j] += 1;
+        }
+    }
+    hist
+}
 
 /// Every method the evaluation compares.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,6 +213,7 @@ pub enum Contender {
     /// Single-key-pass multisplit (chained tile histograms, deferred
     /// scatter through a staged scratch).
     Onesweep,
+    /// Reduced-bit sort (§3.4) with its labels sorted by ms-sort.
     ReducedBit,
     RecursiveSplit,
     /// Full 32-bit radix sort (valid as multisplit for range buckets).
@@ -311,12 +336,16 @@ pub fn run_contender(
             Some((r.keys.to_vec(), r.values.map(|v| v.to_vec()), r.offsets))
         }
         Contender::ReducedBit => {
+            // The label sort runs on this repo's ms-sort extension, not the
+            // paper's `Legacy` pipeline (ROADMAP.md, paper-faithful baselines).
+            let strategy = baselines::ReducedBitStrategy::MsSort;
             if let Some(v) = &values {
                 let (k, v, o) =
-                    baselines::reduced_bit_multisplit_kv(&dev, &keys, v, n, &bucket, wpb);
+                    baselines::reduced_bit_multisplit_kv(&dev, strategy, &keys, v, n, &bucket, wpb);
                 Some((k.to_vec(), Some(v.to_vec()), o))
             } else {
-                let (k, o) = baselines::reduced_bit_multisplit(&dev, &keys, n, &bucket, wpb);
+                let (k, o) =
+                    baselines::reduced_bit_multisplit(&dev, strategy, &keys, n, &bucket, wpb);
                 Some((k.to_vec(), None, o))
             }
         }

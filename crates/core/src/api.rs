@@ -4,10 +4,12 @@
 //! The paper's guidance (§6.2): Warp-level MS wins for small bucket counts
 //! (`m <= 6` key-only, `m <= 5` key-value), Block-level MS wins for large
 //! ones (`m >= 22` / `m >= 16`), anything in between is a wash. Above the
-//! warp width only the block-granularity large-`m` paths apply.
-//! [`Method::auto`] encodes those crossovers — for the three-kernel
-//! pipeline. Under the default [`Pipeline::Fused`], the single-pass
-//! paths (per-bucket decoupled look-back) supersede them at every `m`:
+//! warp width only the block-granularity large-`m` paths apply. `paper
+//! fig3` measures those crossovers on the three-kernel methods, each named
+//! explicitly at its call to [`multisplit_device`].
+//!
+//! [`Method::auto`] picks from the single-pass paths (per-bucket decoupled
+//! look-back), which supersede the crossovers at every `m`:
 //! [`Method::Fused`] for `m <= 32`, [`Method::FusedLargeM`] — multi-row
 //! look-back, `fused_large_m.rs` — beyond the warp width up to its
 //! shared-memory capacity [`crate::fused_large_m::max_buckets`] (≈1.2k at
@@ -16,10 +18,7 @@
 //! staging). Past that capacity `auto` falls back to the three-kernel
 //! [`Method::LargeM`]. Both fused paths move strictly fewer DRAM sectors
 //! than their three-kernel counterparts at every measured `m`
-//! (`paper fused` / `paper largem`). Pin [`Pipeline::ThreeKernel`] with
-//! [`with_pipeline`] to recover the paper's original pipelines.
-
-use std::cell::Cell;
+//! (`paper fused` / `paper largem`).
 
 use simt::{Device, GlobalBuffer, Scalar};
 
@@ -65,53 +64,16 @@ pub enum Method {
     Onesweep,
 }
 
-/// Which pipeline family [`Method::auto`] selects from for `m <= 32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pipeline {
-    /// Single-pass fused multisplit (default: fewest DRAM sectors).
-    #[default]
-    Fused,
-    /// The paper's three-kernel `{pre-scan, scan, post-scan}` variants,
-    /// with the §6.2 warp/block crossovers. Kept selectable as the
-    /// baseline the bench harness compares against.
-    ThreeKernel,
-}
-
-thread_local! {
-    static PIPELINE: Cell<Pipeline> = const { Cell::new(Pipeline::Fused) };
-}
-
-/// The pipeline family [`Method::auto`] currently selects from (per host
-/// thread, so concurrent tests cannot race on it).
-pub fn pipeline() -> Pipeline {
-    PIPELINE.with(Cell::get)
-}
-
-/// Run `f` with [`Method::auto`] pinned to pipeline `p` for this host
-/// thread, restoring the previous value on the way out — **including on
-/// panic** (an RAII drop guard, like `primitives::with_scan_strategy`).
-pub fn with_pipeline<R>(p: Pipeline, f: impl FnOnce() -> R) -> R {
-    struct Restore(Pipeline);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PIPELINE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(PIPELINE.with(|c| c.replace(p)));
-    f()
-}
-
 impl Method {
-    /// The empirically-best method for `m` buckets: the fused single-pass
-    /// paths under the default pipeline ([`Method::Fused`] for `m <= 32`,
-    /// [`Method::FusedLargeM`] beyond, capacity permitting), or the
-    /// paper's §6.2 warp/block crossovers under [`Pipeline::ThreeKernel`].
+    /// The method with the fewest counted DRAM sectors for `m` buckets:
+    /// [`Method::Fused`] for `m <= 32`, [`Method::FusedLargeM`] beyond,
+    /// and [`Method::LargeM`] past the fused large-m capacity.
     ///
     /// Capacity awareness: the fused large-m sweep fits fewer buckets in
     /// shared memory than the three-kernel path (it also stages the
     /// scatter-base row and conflict-avoidance padding), so for
     /// `m > fused_large_m::max_buckets` at the default block size `auto`
-    /// selects [`Method::LargeM`] even under [`Pipeline::Fused`].
+    /// selects [`Method::LargeM`].
     pub fn auto(m: u32, key_value: bool) -> Method {
         Method::auto_for(m, key_value, DEFAULT_WARPS_PER_BLOCK)
     }
@@ -124,28 +86,12 @@ impl Method {
     /// into its own capacity assert instead of falling back to
     /// [`Method::LargeM`].
     pub fn auto_for(m: u32, key_value: bool, wpb: usize) -> Method {
-        if m > 32 {
-            let fused_cap = crate::fused_large_m::max_buckets(wpb, key_value);
-            return match pipeline() {
-                Pipeline::Fused if m <= fused_cap => Method::FusedLargeM,
-                _ => Method::LargeM,
-            };
-        }
-        match pipeline() {
-            Pipeline::Fused => Method::Fused,
-            Pipeline::ThreeKernel => {
-                let warp_limit = if key_value { 5 } else { 6 };
-                let block_limit = if key_value { 16 } else { 22 };
-                if m <= warp_limit {
-                    Method::WarpLevel
-                } else if m >= block_limit {
-                    Method::BlockLevel
-                } else {
-                    // The middle ground is a wash (§6.2.1); warp-level has
-                    // the simplest local work, so prefer it.
-                    Method::WarpLevel
-                }
-            }
+        if m <= 32 {
+            Method::Fused
+        } else if m <= crate::fused_large_m::max_buckets(wpb, key_value) {
+            Method::FusedLargeM
+        } else {
+            Method::LargeM
         }
     }
 
@@ -154,8 +100,8 @@ impl Method {
     /// (`crate::segmented`), or `None` when the segment must fall back
     /// to its own standalone launches. Only the two fused bodies are
     /// inlined in the segmented sweep, so anything `auto_for` would
-    /// route elsewhere — past fused large-m capacity, or a pinned
-    /// [`Pipeline::ThreeKernel`] — is not coalesced; large-m segments
+    /// route elsewhere — past fused large-m capacity — is not
+    /// coalesced; large-m segments
     /// additionally need the sweep's shared footprint to fit alongside
     /// the tile descriptor
     /// ([`crate::segmented::segment_fits_sweep`]).
@@ -275,7 +221,6 @@ mod tests {
 
     #[test]
     fn auto_prefers_fused_at_every_m_with_capacity_fallback() {
-        assert_eq!(pipeline(), Pipeline::Fused, "fused is the default");
         for m in [1, 2, 6, 16, 32] {
             assert_eq!(Method::auto(m, false), Method::Fused);
             assert_eq!(Method::auto(m, true), Method::Fused);
@@ -365,28 +310,6 @@ mod tests {
         );
         let (expect, _) = multisplit_ref(&keys, &bucket);
         assert_eq!(r.keys.to_vec(), expect);
-    }
-
-    #[test]
-    fn auto_matches_paper_crossovers_under_three_kernel() {
-        with_pipeline(Pipeline::ThreeKernel, || {
-            assert_eq!(Method::auto(2, false), Method::WarpLevel);
-            assert_eq!(Method::auto(6, false), Method::WarpLevel);
-            assert_eq!(Method::auto(22, false), Method::BlockLevel);
-            assert_eq!(Method::auto(32, false), Method::BlockLevel);
-            assert_eq!(Method::auto(5, true), Method::WarpLevel);
-            assert_eq!(Method::auto(16, true), Method::BlockLevel);
-            assert_eq!(Method::auto(33, false), Method::LargeM);
-            assert_eq!(Method::auto(1024, true), Method::LargeM);
-        });
-    }
-
-    #[test]
-    fn pipeline_knob_restores_on_panic() {
-        let caught =
-            std::panic::catch_unwind(|| with_pipeline(Pipeline::ThreeKernel, || panic!("boom")));
-        assert!(caught.is_err());
-        assert_eq!(pipeline(), Pipeline::Fused);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! lightweight global-histogram pass plus **one** sweep kernel that
 //! resolves per-bucket tile prefixes with the decoupled look-back of
 //! `primitives::lookback` (the Onesweep structure) — it is what
-//! [`Method::auto`] picks for `m <= 32` unless the three-kernel pipeline
-//! is pinned via [`with_pipeline`].
+//! [`Method::auto`] picks for `m <= 32`. The three-kernel methods run
+//! when a caller names them in [`multisplit_device`].
 //!
 //! ## Quickstart
 //!
@@ -61,10 +61,7 @@ pub mod sweep;
 pub mod warp_level;
 pub mod warp_ops;
 
-pub use api::{
-    multisplit, multisplit_device, multisplit_kv, pipeline, with_pipeline, Method, Pipeline,
-    DEFAULT_WARPS_PER_BLOCK,
-};
+pub use api::{multisplit, multisplit_device, multisplit_kv, Method, DEFAULT_WARPS_PER_BLOCK};
 pub use block_level::multisplit_block_level;
 pub use bucket::{
     is_prime, BucketFn, DeltaBuckets, DigitBuckets, FnBuckets, IdentityBuckets, LsbBuckets,
@@ -87,5 +84,6 @@ pub use segmented::{
 };
 pub use warp_level::multisplit_warp_level;
 // Observability knob: callers profile multisplit runs by wrapping them in
-// `with_telemetry(Telemetry::PerBlock, ..)`, like `with_pipeline` above.
+// `with_telemetry(Telemetry::PerBlock, ..)`. It chooses no algorithm,
+// only what each launch records.
 pub use simt::{telemetry, with_telemetry, Telemetry};

@@ -67,7 +67,7 @@ use simt::{
 };
 
 /// Upper bound on a uniformly drawn `n`, small enough that a 200-case run
-/// finishes in seconds. Tile-edge draws ([`draw_n`]) go past it: they come
+/// finishes in seconds. Tile-edge draws (`draw_n`) go past it: they come
 /// from the case's real tile (a sweep tile holds 4,096 keys at 8 warps),
 /// up to [`MAX_TILES`] of them.
 pub const MAX_N: usize = 4096;

@@ -7,10 +7,11 @@
 //! * [`warp_scan`] — shuffle-only warp scans/reductions (log `N_T` rounds).
 //! * [`block_scan`] — block-wide shared-memory scan, plus the per-row
 //!   `multi_reduce` / `multi_scan` operations of paper §5.1.
-//! * [`scan`] — device-wide exclusive prefix sum (single-pass chained scan
-//!   with decoupled look-back by default, recursive reduce / scan-partials
-//!   / downsweep behind the [`ScanStrategy`] knob) and sum reduction: the
-//!   **global** stage of every multisplit variant.
+//! * [`scan`] — device-wide exclusive prefix sum and sum reduction: the
+//!   **global** stage of every multisplit variant. [`exclusive_scan_u32`]
+//!   is the single-pass chained scan with decoupled look-back;
+//!   [`recursive_scan_u32`] is the recursive reduce / scan-partials /
+//!   downsweep baseline.
 //! * [`lookback`] — the decoupled look-back tile-state machinery itself,
 //!   parameterized over the aggregate shape (scalar rows for [`scan`],
 //!   m-vector histogram rows for `ms-core`'s fused multisplit).
@@ -32,6 +33,5 @@ pub use compact::{compact_by_pred, split_by_pred, SplitResult};
 pub use histogram::{histogram_global_atomic, histogram_per_thread, histogram_shared_atomic};
 pub use lookback::{SegmentedTileStates, TileStates};
 pub use scan::{
-    chained_scan_u32, exclusive_scan_u32, exclusive_scan_u32_with, recursive_scan_u32,
-    reduce_add_u32, scan_strategy, scan_tile, with_scan_strategy, ScanStrategy, ITEMS_PER_THREAD,
+    exclusive_scan_u32, recursive_scan_u32, reduce_add_u32, scan_tile, ITEMS_PER_THREAD,
 };

@@ -1,10 +1,10 @@
 //! Device-wide exclusive prefix sum (the paper's **global** operation).
 //!
 //! Multisplit's single global step is an exclusive scan over the
-//! row-vectorized histogram matrix `H` (size `m x L`). Two strategies are
-//! implemented behind the [`ScanStrategy`] knob:
+//! row-vectorized histogram matrix `H` (size `m x L`). Two algorithms are
+//! implemented, each under its own name:
 //!
-//! * [`chained_scan_u32`] (default) — a **single-pass chained scan with
+//! * [`exclusive_scan_u32`] — a **single-pass chained scan with
 //!   decoupled look-back** (Merrill & Garland, *Single-pass Parallel
 //!   Prefix Scan with Decoupled Look-back*): each block atomically takes a
 //!   ticket for its tile, publishes its local aggregate, then resolves its
@@ -13,9 +13,11 @@
 //!   and the output written once (~2n traffic), versus ~3n for the
 //!   recursive scheme — the "≈2× less scan traffic" this repo's bench
 //!   reports per stage.
-//! * `ScanStrategy::Recursive` — the classic three-kernel reduce /
+//!   Every multisplit and compaction in the workspace scans with it.
+//! * [`recursive_scan_u32`] — the classic three-kernel reduce /
 //!   scan-partials / downsweep structure (as CUB's `DeviceScan` once did),
 //!   recursing on the partials when the grid has more than one block.
+//!   Kept as the named baseline `paper scan` compares against.
 //!
 //! Each thread processes [`ITEMS_PER_THREAD`] elements in warp-contiguous
 //! chunks so every global access is fully coalesced.
@@ -29,8 +31,6 @@
 //! shared counter, so a started block always makes progress (the spin wait
 //! yields); on `Device::sequential` predecessors have finished before tile
 //! `t` even starts and every look-back resolves in one hop.
-
-use std::cell::Cell;
 
 use simt::{lanes_from_fn, BlockCtx, Device, GlobalBuffer, SharedBuf, WARP_SIZE};
 
@@ -46,47 +46,8 @@ pub fn scan_tile(warps_per_block: usize) -> usize {
     warps_per_block * WARP_SIZE * ITEMS_PER_THREAD
 }
 
-/// Which device-wide scan implementation [`exclusive_scan_u32`] runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ScanStrategy {
-    /// Single-pass chained scan with decoupled look-back (~2n traffic).
-    #[default]
-    Chained,
-    /// Recursive reduce / scan-partials / downsweep (~3n traffic). Kept as
-    /// the baseline the bench harness compares against.
-    Recursive,
-}
-
-thread_local! {
-    static SCAN_STRATEGY: Cell<ScanStrategy> = const { Cell::new(ScanStrategy::Chained) };
-}
-
-/// The strategy [`exclusive_scan_u32`] currently dispatches to (per host
-/// thread, so concurrent tests cannot race on it).
-pub fn scan_strategy() -> ScanStrategy {
-    SCAN_STRATEGY.with(Cell::get)
-}
-
-/// Run `f` with the dispatch strategy set to `s` for this host thread,
-/// restoring the previous value on the way out — **including on panic**
-/// (an RAII drop guard, like `Device::with_scope`), so a failing test can
-/// no longer leak a strategy into later tests on the same thread.
-pub fn with_scan_strategy<R>(s: ScanStrategy, f: impl FnOnce() -> R) -> R {
-    struct Restore(ScanStrategy);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SCAN_STRATEGY.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(SCAN_STRATEGY.with(|c| c.replace(s)));
-    f()
-}
-
 /// Exclusive prefix-sum of `input[0..n]` into `output[0..n]`; returns the
-/// total. `label` prefixes all launches (e.g. `"direct/scan"`).
-///
-/// Dispatches to the strategy selected by [`with_scan_strategy`]
-/// ([`ScanStrategy::Chained`] by default).
+/// total. `label` prefixes the launch (e.g. `"direct/scan"`).
 ///
 /// ```
 /// use simt::{Device, GlobalBuffer, K40C};
@@ -97,47 +58,9 @@ pub fn with_scan_strategy<R>(s: ScanStrategy, f: impl FnOnce() -> R) -> R {
 /// assert_eq!(output.to_vec(), vec![0, 3, 4, 8, 9]);
 /// assert_eq!(total, 14);
 /// ```
-pub fn exclusive_scan_u32(
-    dev: &Device,
-    label: &str,
-    input: &GlobalBuffer<u32>,
-    output: &GlobalBuffer<u32>,
-    n: usize,
-    warps_per_block: usize,
-) -> u32 {
-    exclusive_scan_u32_with(
-        scan_strategy(),
-        dev,
-        label,
-        input,
-        output,
-        n,
-        warps_per_block,
-    )
-}
-
-/// [`exclusive_scan_u32`] with an explicit strategy (the bench harness
-/// reports both sides of the comparison).
-pub fn exclusive_scan_u32_with(
-    strategy: ScanStrategy,
-    dev: &Device,
-    label: &str,
-    input: &GlobalBuffer<u32>,
-    output: &GlobalBuffer<u32>,
-    n: usize,
-    warps_per_block: usize,
-) -> u32 {
-    match strategy {
-        ScanStrategy::Chained => chained_scan_u32(dev, label, input, output, n, warps_per_block),
-        ScanStrategy::Recursive => {
-            recursive_scan_u32(dev, label, input, output, n, warps_per_block)
-        }
-    }
-}
-
-/// Single-pass chained scan with decoupled look-back.
 ///
-/// One kernel, launched as `"{label}/scan-chained"`. Per block:
+/// A single-pass chained scan with decoupled look-back: one kernel,
+/// launched as `"{label}/scan-chained"`. Per block:
 /// 1. claim a tile ticket (device-scope `fetch_add`);
 /// 2. locally scan the tile (one coalesced read of the input);
 /// 3. publish `aggregate | AGGREGATE`, look back over predecessors until an
@@ -147,9 +70,9 @@ pub fn exclusive_scan_u32_with(
 ///    write).
 ///
 /// Global traffic is ~2n elements plus 3 state words per tile, versus ~3n
-/// for [`ScanStrategy::Recursive`] — and one kernel launch instead of
+/// for [`recursive_scan_u32`] — and one kernel launch instead of
 /// 2 + 3·levels.
-pub fn chained_scan_u32(
+pub fn exclusive_scan_u32(
     dev: &Device,
     label: &str,
     input: &GlobalBuffer<u32>,
@@ -492,12 +415,20 @@ mod tests {
         (out, run)
     }
 
+    type Scan = fn(&Device, &str, &GlobalBuffer<u32>, &GlobalBuffer<u32>, usize, usize) -> u32;
+
+    /// Both device-wide scans, each by name.
+    const SCANS: [(&str, Scan); 2] = [
+        ("chained", exclusive_scan_u32),
+        ("recursive", recursive_scan_u32),
+    ];
+
     #[test]
     fn scan_matches_reference_across_sizes() {
         // Sizes straddle every edge: smaller than one tile (2048), exactly
         // one tile, one element past a tile boundary, and multi-tile with a
-        // ragged tail — under both strategies.
-        for strategy in [ScanStrategy::Chained, ScanStrategy::Recursive] {
+        // ragged tail — for both scans.
+        for (name, scan) in SCANS {
             let dev = Device::new(K40C);
             for n in [
                 1usize, 31, 32, 33, 255, 256, 2047, 2048, 2049, 10_000, 100_000,
@@ -507,27 +438,24 @@ mod tests {
                     .collect();
                 let input = GlobalBuffer::from_slice(&data);
                 let output = GlobalBuffer::<u32>::zeroed(n);
-                let total = exclusive_scan_u32_with(strategy, &dev, "t", &input, &output, n, 8);
+                let total = scan(&dev, "t", &input, &output, n, 8);
                 let (expect, expect_total) = scan_ref(&data);
-                assert_eq!(output.to_vec(), expect, "{strategy:?} n={n}");
-                assert_eq!(total, expect_total, "{strategy:?} n={n}");
+                assert_eq!(output.to_vec(), expect, "{name} n={n}");
+                assert_eq!(total, expect_total, "{name} n={n}");
             }
         }
     }
 
     #[test]
     fn scan_empty_is_zero() {
-        for strategy in [ScanStrategy::Chained, ScanStrategy::Recursive] {
+        for (name, scan) in SCANS {
             let dev = Device::new(K40C);
             let input = GlobalBuffer::<u32>::zeroed(0);
             let output = GlobalBuffer::<u32>::zeroed(0);
-            assert_eq!(
-                exclusive_scan_u32_with(strategy, &dev, "t", &input, &output, 0, 8),
-                0
-            );
+            assert_eq!(scan(&dev, "t", &input, &output, 0, 8), 0, "{name}");
             assert!(
                 dev.records().is_empty(),
-                "no kernel launched for empty scan"
+                "{name}: no kernel launched for empty scan"
             );
         }
     }
@@ -547,8 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn default_strategy_is_chained() {
-        assert_eq!(scan_strategy(), ScanStrategy::Chained);
+    fn exclusive_scan_is_one_chained_launch() {
         let dev = Device::new(K40C);
         let n = 10_000;
         let input = GlobalBuffer::from_slice(&vec![1u32; n]);
@@ -556,30 +483,6 @@ mod tests {
         exclusive_scan_u32(&dev, "t", &input, &output, n, 8);
         let labels: Vec<String> = dev.records().iter().map(|r| r.label.clone()).collect();
         assert_eq!(labels, vec!["t/scan-chained"], "one kernel, chained label");
-    }
-
-    #[test]
-    fn strategy_knob_restores() {
-        assert_eq!(scan_strategy(), ScanStrategy::Chained);
-        let r = with_scan_strategy(ScanStrategy::Recursive, || {
-            assert_eq!(scan_strategy(), ScanStrategy::Recursive);
-            // nesting restores the *inner* previous value
-            with_scan_strategy(ScanStrategy::Chained, scan_strategy)
-        });
-        assert_eq!(r, ScanStrategy::Chained);
-        assert_eq!(scan_strategy(), ScanStrategy::Chained);
-    }
-
-    #[test]
-    fn strategy_knob_restores_on_panic() {
-        // The bug class this guard fixes: a panicking closure (e.g. a failed
-        // assertion inside a test) must not leak its strategy into later
-        // tests on the same thread.
-        let caught = std::panic::catch_unwind(|| {
-            with_scan_strategy(ScanStrategy::Recursive, || panic!("boom"))
-        });
-        assert!(caught.is_err());
-        assert_eq!(scan_strategy(), ScanStrategy::Chained);
     }
 
     #[test]
@@ -598,7 +501,7 @@ mod tests {
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
             let input = GlobalBuffer::from_slice(&data);
             let output = GlobalBuffer::<u32>::zeroed(n);
-            totals.push(chained_scan_u32(&dev, "t", &input, &output, n, 8));
+            totals.push(exclusive_scan_u32(&dev, "t", &input, &output, n, 8));
             outputs.push(output.to_vec());
             stats.push(dev.records()[0].stats);
         }
@@ -623,7 +526,7 @@ mod tests {
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
             let input = GlobalBuffer::from_slice(&data);
             let output = GlobalBuffer::<u32>::zeroed(n);
-            chained_scan_u32(&dev, "t", &input, &output, n, 8);
+            exclusive_scan_u32(&dev, "t", &input, &output, n, 8);
             let obs = dev.records()[0].obs;
             assert_eq!(obs.lookback_resolves, tiles, "one resolve per tile");
             assert_eq!(obs.depth_hist_total(), obs.lookback_resolves);
@@ -651,7 +554,7 @@ mod tests {
         let dev = Device::sequential(K40C);
         let input = GlobalBuffer::from_slice(&data);
         let output = GlobalBuffer::<u32>::zeroed(n);
-        chained_scan_u32(&dev, "t", &input, &output, n, 8);
+        exclusive_scan_u32(&dev, "t", &input, &output, n, 8);
         let (chained, chained_secs) = sum_stats(&dev, "scan-chained");
         let dev = Device::sequential(K40C);
         let input = GlobalBuffer::from_slice(&data);
@@ -718,16 +621,15 @@ mod tests {
 
     #[test]
     fn multi_level_recursion_works() {
-        // Force 3 levels: tile = 8*32*8 = 2048; need > 2048 blocks. Pinned
-        // to the Recursive strategy — this test exists to exercise the
-        // recursion on partials, which the chained scan doesn't have.
+        // Force 3 levels: tile = 8*32*8 = 2048; need > 2048 blocks. This
+        // test exercises the recursion on partials, which the chained scan
+        // doesn't have.
         let dev = Device::new(K40C);
         let n = 2048 * 2048 + 17;
         let data = vec![1u32; n];
         let input = GlobalBuffer::from_slice(&data);
         let output = GlobalBuffer::<u32>::zeroed(n);
-        let total =
-            exclusive_scan_u32_with(ScanStrategy::Recursive, &dev, "t", &input, &output, n, 8);
+        let total = recursive_scan_u32(&dev, "t", &input, &output, n, 8);
         assert_eq!(total, n as u32);
         assert_eq!(output.get(n - 1), (n - 1) as u32);
         assert_eq!(output.get(12345), 12345);
@@ -742,7 +644,7 @@ mod tests {
         let data = vec![1u32; n];
         let input = GlobalBuffer::from_slice(&data);
         let output = GlobalBuffer::<u32>::zeroed(n);
-        let total = chained_scan_u32(&dev, "t", &input, &output, n, 8);
+        let total = exclusive_scan_u32(&dev, "t", &input, &output, n, 8);
         assert_eq!(total, n as u32);
         assert_eq!(output.get(n - 1), (n - 1) as u32);
         assert_eq!(output.get(12345), 12345);

@@ -7,7 +7,7 @@
 
 use simt::{lanes_from_fn, Lanes, WarpCtx, WARP_SIZE};
 
-/// Warp-wide inclusive prefix sum: out[i] = v[0] + ... + v[i].
+/// Warp-wide inclusive prefix sum: `out[i] = v[0] + ... + v[i]`.
 pub fn inclusive_scan_add(w: &WarpCtx, v: Lanes<u32>) -> Lanes<u32> {
     let mut acc = v;
     let mut d = 1;
@@ -26,7 +26,7 @@ pub fn inclusive_scan_add(w: &WarpCtx, v: Lanes<u32>) -> Lanes<u32> {
     acc
 }
 
-/// Warp-wide exclusive prefix sum: out[i] = v[0] + ... + v[i-1], out[0] = 0.
+/// Warp-wide exclusive prefix sum: `out[i] = v[0] + ... + v[i-1]`, `out[0] = 0`.
 pub fn exclusive_scan_add(w: &WarpCtx, v: Lanes<u32>) -> Lanes<u32> {
     let inc = inclusive_scan_add(w, v);
     lanes_from_fn(|lane| inc[lane] - v[lane])

@@ -553,7 +553,7 @@ impl Device {
     /// * [`Schedule::Parallel`] — one host thread per task; event waits
     ///   block on a condvar.
     /// * [`Schedule::Adversarial`] — all tasks become workers of a
-    ///   single session-wide [`AdvCore`]: one task runs at a time and
+    ///   single session-wide `AdvCore`: one task runs at a time and
     ///   the seeded policy picks who at every yield point (block claim,
     ///   ticket claim, device-scope op, look-back spin, event-wait
     ///   poll), interleaving *blocks of different streams' launches*

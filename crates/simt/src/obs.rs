@@ -6,9 +6,9 @@
 //! recording, which hides load imbalance, and every report the bench
 //! harness writes is plain text. This module adds the missing layers:
 //!
-//! * [`Telemetry`] — an RAII-scoped knob (like `with_pipeline` /
-//!   `with_scan_strategy` in the crates above) that asks `launch` to
-//!   retain per-block stats in [`crate::LaunchRecord::per_block`].
+//! * [`Telemetry`] — an RAII-scoped knob that asks `launch` to retain
+//!   per-block stats in [`crate::LaunchRecord::per_block`]. It chooses
+//!   no algorithm, only what a launch records.
 //! * [`ObsCells`] / [`ObsStats`] — an **uncounted side-channel** for
 //!   introspection counters that must never feed the cost model. The
 //!   rules: deterministic fields (look-back resolves) are asserted

@@ -35,7 +35,7 @@ pub fn chrome_trace_json(records: &[LaunchRecord]) -> String {
 }
 
 /// [`chrome_trace_json`] plus, for records carrying both a flight log
-/// and per-block stats (≤ [`MAX_TILE_SLICES`] tiles), a reconstructed
+/// and per-block stats (≤ `MAX_TILE_SLICES` tiles), a reconstructed
 /// per-tile timeline: one `"X"` slice per tile laid out on first-fit
 /// lanes from the stall DAG, with `ph:"s"`/`ph:"f"` flow arrows from
 /// each stalled publisher to its resolver. The `profile` weights tiles

@@ -1,5 +1,5 @@
 //! Delta-stepping SSSP on the simulated GPU — the application that
-//! motivated multisplit (paper §1, Davidson et al. [7]).
+//! motivated multisplit (paper §1, Davidson et al. \[7\]).
 //!
 //! Host-orchestrated, device-executed: each iteration relaxes the current
 //! frontier's edges with a CSR kernel (atomic-min distance updates,

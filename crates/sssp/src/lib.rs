@@ -9,7 +9,7 @@
 //! bucketing — can be reproduced on generated graphs matching the cited
 //! datasets ([`generators::footnote1_suite`]).
 //!
-//! Serial [`dijkstra`] and [`bellman_ford`] references validate every run.
+//! Serial [`dijkstra()`] and [`bellman_ford`] references validate every run.
 
 pub mod delta_stepping;
 pub mod dijkstra;

@@ -6,7 +6,7 @@
 
 use multisplit::{
     fused_max_buckets, multisplit, multisplit_device, multisplit_kv, multisplit_kv_ref, no_values,
-    with_pipeline, Method, Pipeline, RangeBuckets,
+    Method, RangeBuckets,
 };
 use simt::{Device, GlobalBuffer, K40C};
 
@@ -140,27 +140,4 @@ fn explicit_onesweep_runs_its_two_kernels_and_auto_never_picks_it() {
             assert_ne!(Method::auto(m, kv), Method::Onesweep, "kv={kv} m={m}");
         }
     }
-}
-
-#[test]
-fn three_kernel_pipeline_keeps_the_papers_crossovers() {
-    with_pipeline(Pipeline::ThreeKernel, || {
-        // Key-only: warp-level through m = 21, block-level from m = 22.
-        for (m, prefix) in [(2u32, "warp/"), (6, "warp/"), (21, "warp/"), (22, "block/")] {
-            let labels = labels_of(false, m);
-            assert_prefix(&labels, prefix, &format!("three-kernel m={m}"));
-        }
-        // Key-value crossover is earlier (m >= 16 → block-level).
-        for (m, prefix) in [(5u32, "warp/"), (15, "warp/"), (16, "block/")] {
-            let labels = labels_of(true, m);
-            assert_prefix(&labels, prefix, &format!("three-kernel kv m={m}"));
-        }
-        // Above the warp width the three-kernel large-m path applies
-        // regardless of pipeline pinning.
-        assert_eq!(Method::auto(33, false), Method::LargeM);
-        let labels = labels_of(false, 33);
-        assert_prefix(&labels, "large/", "three-kernel m=33");
-    });
-    // Pinning restored: the default pipeline is fused again.
-    assert_eq!(Method::auto(8, false), Method::Fused);
 }

@@ -1,14 +1,13 @@
 //! Degenerate-input matrix (ISSUE 5 satellite): zero-length,
 //! single-element, and all-one-bucket inputs across every public entry
 //! point — host-slice multisplit and multisplit_kv, multisplit_device for
-//! all seven methods, the compaction primitives, and both scan strategies —
+//! all seven methods, the compaction primitives, and both device-wide scans —
 //! on parallel, sequential, and adversarial devices alike.
 
 use multisplit::{
     multisplit, multisplit_device, multisplit_kv, multisplit_kv_ref, no_values, FnBuckets, Method,
     RangeBuckets,
 };
-use primitives::ScanStrategy;
 use simt::{AdvSchedule, Device, GlobalBuffer, K40C};
 
 const METHODS: [Method; 7] = [
@@ -19,6 +18,14 @@ const METHODS: [Method; 7] = [
     Method::Fused,
     Method::FusedLargeM,
     Method::Onesweep,
+];
+
+type Scan = fn(&Device, &str, &GlobalBuffer<u32>, &GlobalBuffer<u32>, usize, usize) -> u32;
+
+/// Both device-wide scans, each by name.
+const SCANS: [(&str, Scan); 2] = [
+    ("chained", primitives::exclusive_scan_u32),
+    ("recursive", primitives::recursive_scan_u32),
 ];
 
 /// One device of each schedule kind; every check below runs on all three.
@@ -61,10 +68,10 @@ fn zero_length_input_is_a_clean_no_op_everywhere() {
         assert_eq!(r.keys.len(), 0);
         let (c, kept) = primitives::compact_by_pred(&dev, "e", &empty, 0, 8, |k| k > 0);
         assert_eq!((c.len(), kept), (0, 0));
-        for strat in [ScanStrategy::Chained, ScanStrategy::Recursive] {
+        for (name, scan) in SCANS {
             let out = GlobalBuffer::<u32>::zeroed(0);
-            let total = primitives::exclusive_scan_u32_with(strat, &dev, "e", &empty, &out, 0, 8);
-            assert_eq!(total, 0, "{strat:?}");
+            let total = scan(&dev, "e", &empty, &out, 0, 8);
+            assert_eq!(total, 0, "{name}");
         }
     }
 }
@@ -90,11 +97,11 @@ fn single_element_input_lands_in_its_bucket_everywhere() {
         assert_eq!((r.false_count, r.keys.to_vec()), (0, vec![3]));
         let (c, kept) = primitives::compact_by_pred(&dev, "s", &one, 1, 8, |k| k >= 2);
         assert_eq!((c.to_vec(), kept), (vec![3], 1));
-        for strat in [ScanStrategy::Chained, ScanStrategy::Recursive] {
+        for (name, scan) in SCANS {
             let input = GlobalBuffer::from_slice(&[41u32]);
             let out = GlobalBuffer::<u32>::zeroed(1);
-            let total = primitives::exclusive_scan_u32_with(strat, &dev, "s", &input, &out, 1, 8);
-            assert_eq!((out.to_vec(), total), (vec![0], 41), "{strat:?}");
+            let total = scan(&dev, "s", &input, &out, 1, 8);
+            assert_eq!((out.to_vec(), total), (vec![0], 41), "{name}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration: every multisplit implementation (ours and the
 //! baselines) against the sequential reference, on shared workloads.
 
+use baselines::ReducedBitStrategy::MsSort;
 use multisplit::{
     multisplit_device, multisplit_kv_ref, multisplit_ref, no_values, DeltaBuckets, FnBuckets,
     LsbBuckets, Method, RangeBuckets,
@@ -45,7 +46,7 @@ fn baselines_agree_with_reference() {
     let bucket = RangeBuckets::new(12);
     let (expect, expect_offs) = multisplit_ref(&data, &bucket);
 
-    let (rb, rb_offs) = baselines::reduced_bit_multisplit(&dev, &keys, n, &bucket, 8);
+    let (rb, rb_offs) = baselines::reduced_bit_multisplit(&dev, MsSort, &keys, n, &bucket, 8);
     assert_eq!(rb.to_vec(), expect, "reduced-bit");
     assert_eq!(rb_offs, expect_offs);
 
@@ -82,7 +83,8 @@ fn key_value_pipelines_agree() {
         assert_eq!(r.values.unwrap().to_vec(), ev, "{method:?}");
         assert_eq!(r.offsets, eo, "{method:?}");
     }
-    let (pk, pv, po) = baselines::reduced_bit_multisplit_kv(&dev, &keys, &values, n, &bucket, 8);
+    let (pk, pv, po) =
+        baselines::reduced_bit_multisplit_kv(&dev, MsSort, &keys, &values, n, &bucket, 8);
     assert_eq!(
         (pk.to_vec(), pv.to_vec(), po),
         (ek.clone(), ev.clone(), eo.clone()),

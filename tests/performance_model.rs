@@ -2,7 +2,10 @@
 //! hold in the cost model (these are the claims the benchmark harness
 //! quantifies; here they gate CI).
 
-use msbench::{run_contender, run_scan_split, Contender, Distribution};
+use msbench::{
+    gen_keys, run_contender, run_scan_split, scan_stage_cost, subproblem_histogram, Contender,
+    Distribution,
+};
 use multisplit::{
     multisplit_device, multisplit_segmented, no_values, Method, RangeBuckets, SegmentSpec,
 };
@@ -276,6 +279,62 @@ fn stage_breakdown_sums_to_total() {
         "stages {sum} != total {}",
         o.total
     );
+}
+
+/// `paper scan` prices the recursive scan by scanning each three-kernel
+/// method's m·L histogram directly. The rule it rests on: a method's scan
+/// stage is exactly one `exclusive_scan_u32` over its m·L histogram, in
+/// sectors and modeled seconds; and `recursive_scan_u32` over that buffer
+/// gives the same scanned histogram (so the same multisplit) at a cost
+/// that depends only on the buffer's length.
+#[test]
+fn scan_stage_is_one_scan_of_the_m_by_l_histogram() {
+    type Scan = fn(&Device, &str, &GlobalBuffer<u32>, &GlobalBuffer<u32>, usize, usize) -> u32;
+    let (m, wpb) = (32u32, 8usize);
+    let bucket = RangeBuckets::new(m);
+    let keys_host = gen_keys(N, m, Distribution::Uniform, 7);
+    let keys = GlobalBuffer::from_slice(&keys_host);
+    // One scan of `input` on a fresh sequential device: its output and cost.
+    let scan_once = |scan: Scan, input: &[u32]| {
+        let dev = Device::sequential(K40C);
+        let output = GlobalBuffer::<u32>::zeroed(input.len());
+        let input = GlobalBuffer::from_slice(input);
+        scan(&dev, "x/scan", &input, &output, input.len(), wpb);
+        (output.to_vec(), scan_stage_cost(&dev))
+    };
+    for (method, sub) in [
+        (Method::Direct, 32),
+        (Method::WarpLevel, 32),
+        (Method::BlockLevel, 32 * wpb),
+    ] {
+        let dev = Device::sequential(K40C);
+        let r = multisplit_device(&dev, method, &keys, no_values(), N, &bucket, wpb);
+        let hist = subproblem_histogram(&keys_host, &bucket, sub);
+        assert_eq!(hist.len(), m as usize * N.div_ceil(sub));
+        let (chained, chained_cost) = scan_once(primitives::exclusive_scan_u32, &hist);
+        assert_eq!(
+            chained_cost,
+            scan_stage_cost(&dev),
+            "{method:?}: chained stage"
+        );
+        let l = N.div_ceil(sub);
+        let row_starts: Vec<u32> = (0..m as usize).map(|b| chained[b * l]).collect();
+        assert_eq!(row_starts, r.offsets[..m as usize], "{method:?}: histogram");
+        let (recursive, recursive_cost) = scan_once(primitives::recursive_scan_u32, &hist);
+        assert_eq!(recursive, chained, "{method:?}: recursive output");
+        assert!(recursive_cost.0 > chained_cost.0, "{method:?}");
+        let zeros = vec![0u32; hist.len()];
+        for scan in [
+            primitives::exclusive_scan_u32 as Scan,
+            primitives::recursive_scan_u32,
+        ] {
+            assert_eq!(
+                scan_once(scan, &zeros).1,
+                scan_once(scan, &hist).1,
+                "{method:?}"
+            );
+        }
+    }
 }
 
 // ---- Cost-model properties: every modeled number rests on how

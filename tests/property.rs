@@ -10,6 +10,7 @@
 //! same properties with seeded `msrng` loops instead (fixed seeds, so
 //! failures reproduce deterministically).
 
+use baselines::ReducedBitStrategy::MsSort;
 use msrng::SmallRng;
 use multisplit::{multisplit_device, multisplit_kv_ref, no_values, warp_ops, Method, RangeBuckets};
 use simt::{lanes_from_fn, Device, GlobalBuffer, StatCells, WarpCtx, K40C};
@@ -335,7 +336,8 @@ fn reduced_bit_matches_reference() {
         let bucket = RangeBuckets::new(m);
         let dev = Device::new(K40C);
         let buf = GlobalBuffer::from_slice(&keys);
-        let (out, offs) = baselines::reduced_bit_multisplit(&dev, &buf, keys.len(), &bucket, 8);
+        let (out, offs) =
+            baselines::reduced_bit_multisplit(&dev, MsSort, &buf, keys.len(), &bucket, 8);
         let (ek, _, eo) = multisplit_kv_ref(&keys, None, &bucket);
         assert_eq!(out.to_vec(), ek, "{ctx}");
         assert_eq!(offs, eo, "{ctx}");
