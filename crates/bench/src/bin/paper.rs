@@ -22,9 +22,6 @@
 //!   fused       single-pass fused MS vs three-kernel warp/block MS
 //!   largem      fused large-m MS (m > 32, multi-row look-back) vs the
 //!               three-kernel large-m pipeline, m in {64, 128, 256}
-//!   onesweep    single-key-pass onesweep MS (chained tile histograms,
-//!               deferred scatter) vs the fused pipeline: key-read vs
-//!               total sector tradeoff, all-scheduler bit-identity
 //!   sort        ms-sort (multisplit-iterated radix sort, crates/sort) vs
 //!               the CUB-like radix baseline: 8/16/32-bit key ranges, key
 //!               & key-value, per-pass sector breakdown, all-scheduler
@@ -39,8 +36,8 @@
 //!               chrome trace with per-tile slices and publisher→resolver
 //!               flow arrows to bench_results/trace_chrome.json
 //!   check       compare per-stage sector counts (n=2^16, m=32, plus a
-//!               large-m section at m=64, an onesweep section at m=32, a
-//!               sort section radix-vs-ms-sort and a serve section
+//!               large-m section at m=64, a sort section
+//!               radix-vs-ms-sort and a serve section
 //!               naive-vs-coalesced) against
 //!               bench_results/baseline_sectors.json; exits 1 on regression
 //!   fuzz        differential fuzz harness: seeded (n, m, method, distribution,
@@ -71,7 +68,7 @@
 //!   --no-verify    skip CPU-reference verification of every run
 //!   --trials <k>   average over k seeded trials (default 1)
 //!   --json <path>  additionally write every run + report to <path> as JSON
-//!   --snapshot <s> (profile, largem, onesweep, sort) also write a
+//!   --snapshot <s> (profile, largem, sort) also write a
 //!                  BENCH_<s>.json snapshot at the root
 //!   --update       (check) rewrite the committed baseline from current counts
 //! ```
@@ -1406,170 +1403,6 @@ fn largem_compare(opts: &Opts) {
     publish("largem", opts.snapshot.as_deref(), doc);
 }
 
-// ====================== Onesweep pipeline ======================
-
-/// The PR-6 tentpole claim under test: the onesweep multisplit (chained
-/// tile histograms, no pre-scan — `onesweep/sweep` + `onesweep/scatter`)
-/// reads the **key buffer** at least 25% fewer DRAM sectors than
-/// `Method::Fused` at m = 32 on the K40c (one key pass vs two; expected
-/// ~50%), with outputs bit-identical to the CPU reference and to the
-/// fused path under sequential, parallel, and all four adversarial
-/// schedulers. Total sectors are reported honestly: the staging
-/// round-trip makes onesweep's *total* traffic higher (~4n words vs
-/// fused's ~3n), which is why `Method::auto` still selects Fused.
-fn onesweep_compare(opts: &Opts) {
-    use multisplit::{multisplit_device, multisplit_ref, no_values, Method, RangeBuckets};
-    use simt::{AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer};
-    let n = opts.n;
-    let mut out = format!(
-        "Onesweep multisplit (single key pass) vs fused pipeline\n\
-         n = 2^{}, m in {{2, 8, 32}}, uniform keys, K40c. `key-read` counts\n\
-         DRAM sectors read from the key buffer itself (fused reads it twice:\n\
-         histogram pre-scan + sweep; onesweep once). `total` counts every\n\
-         counted sector — onesweep's staged round-trip costs more there,\n\
-         which is why Method::auto keeps preferring Fused.\n\n",
-        n.ilog2()
-    );
-    let mut t = Table::new(&[
-        "m",
-        "method",
-        "key-read",
-        "pre",
-        "sweep",
-        "scatter",
-        "total",
-        "key-saved",
-        "ms",
-    ]);
-    let mut rows: Vec<Json> = Vec::new();
-    for m in [2u32, 8, 32] {
-        let keys_host = gen_keys(n, m, Distribution::Uniform, 3000);
-        let bucket = RangeBuckets::new(m);
-        let (expect_keys, expect_offs) = if opts.verify {
-            multisplit_ref(&keys_host, &bucket)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let mut fused_key_sectors = 0u64;
-        for method in [Method::Fused, Method::Onesweep] {
-            let dev = Device::new(K40C);
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let r = multisplit_device(&dev, method, &keys, no_values(), n, &bucket, 8);
-            if opts.verify {
-                assert_eq!(r.keys.to_vec(), expect_keys, "{method:?} m={m}");
-                assert_eq!(r.offsets, expect_offs, "{method:?} m={m}");
-            }
-            let key_read = keys.read_sectors();
-            let stage = |name: &str| -> u64 {
-                dev.records()
-                    .iter()
-                    .filter(|rec| stage_of(&rec.label) == name)
-                    .map(|rec| rec.stats.sectors)
-                    .sum()
-            };
-            let (pre, sweep, scatter) = (stage("pre-scan"), stage("sweep"), stage("scatter"));
-            let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
-            if method == Method::Fused {
-                fused_key_sectors = key_read;
-            }
-            let saved_frac = (method == Method::Onesweep && fused_key_sectors > 0)
-                .then(|| 1.0 - key_read as f64 / fused_key_sectors as f64);
-            if method == Method::Onesweep && m == 32 {
-                assert!(
-                    (key_read as f64) <= 0.75 * fused_key_sectors as f64,
-                    "onesweep read {key_read} key sectors vs fused {fused_key_sectors} at \
-                     n={n}, m=32: need >= 25% fewer"
-                );
-            }
-            t.row(vec![
-                m.to_string(),
-                Method::name(&method).into(),
-                key_read.to_string(),
-                pre.to_string(),
-                sweep.to_string(),
-                scatter.to_string(),
-                total.to_string(),
-                saved_frac
-                    .map(|s| format!("{:.1}%", 100.0 * s))
-                    .unwrap_or_default(),
-                ms(dev.total_seconds()),
-            ]);
-            rows.push(Json::Obj(vec![
-                ("m".into(), Json::int(m as u64)),
-                ("method".into(), Json::Str(Method::name(&method).into())),
-                ("key_read_sectors".into(), Json::int(key_read)),
-                ("total_sectors".into(), Json::int(total)),
-                (
-                    "key_saved".into(),
-                    saved_frac.map(Json::Num).unwrap_or(Json::Null),
-                ),
-                ("total_seconds".into(), Json::Num(dev.total_seconds())),
-            ]));
-        }
-    }
-    out.push_str(&t.render());
-    // Scheduler independence: the chained m-row look-back may walk
-    // different paths under every scheduler, but outputs, offsets, and
-    // counted stats must be identical on all six (sequential, parallel,
-    // four adversarial flavors).
-    if opts.verify {
-        let sn = n.min(1 << 16);
-        let m = 32u32;
-        let keys_host = gen_keys(sn, m, Distribution::Uniform, 9);
-        let bucket = RangeBuckets::new(m);
-        let mut runs = Vec::new();
-        let mut sched_names = vec!["parallel".to_string(), "sequential".to_string()];
-        let mut devices = vec![Device::new(K40C), Device::sequential(K40C)];
-        for flavor in AdvFlavor::ALL {
-            sched_names.push(format!("adversarial/{}", flavor.name()));
-            devices.push(Device::adversarial(
-                K40C,
-                AdvSchedule::with_flavor(0xC0FFEE, flavor),
-            ));
-        }
-        for dev in devices {
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let r = multisplit_device(&dev, Method::Onesweep, &keys, no_values(), sn, &bucket, 8);
-            let stats = dev
-                .records()
-                .iter()
-                .fold(BlockStats::default(), |mut a, rec| {
-                    a += rec.stats;
-                    a
-                });
-            runs.push((r.keys.to_vec(), r.offsets, stats));
-        }
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            assert_eq!(
-                runs[0], *run,
-                "onesweep: {} and {} schedulers diverge",
-                sched_names[0], sched_names[i]
-            );
-        }
-        out.push_str(&format!(
-            "\nonesweep outputs, offsets and counted stats verified bit-identical\n\
-             across {} schedulers ({}) and against the fused path / CPU reference.\n",
-            sched_names.len(),
-            sched_names.join(", ")
-        ));
-    }
-    out.push_str(
-        "\nonesweep reads each key exactly once: the tile histogram rides the\n\
-         look-back records (the last tile's inclusive record IS the global\n\
-         histogram), so the pre-scan disappears. The price is a staged\n\
-         round-trip (write + read n keys) before the deferred scatter —\n\
-         total traffic ~4n words vs fused's ~3n. Use it when key-buffer\n\
-         reads are the scarce resource; Method::auto keeps picking Fused.\n",
-    );
-    emit("onesweep", out);
-    let doc = Json::Obj(vec![
-        ("n".into(), Json::int(n as u64)),
-        ("device".into(), Json::Str(K40C.name.into())),
-        ("rows".into(), Json::Arr(rows)),
-    ]);
-    publish("onesweep", opts.snapshot.as_deref(), doc);
-}
-
 // ====================== ms-sort (iterated multisplit) ======================
 
 /// ms-sort (multisplit-iterated radix sort on the fused pipelines) vs the
@@ -2000,8 +1833,8 @@ fn profile_cmd(opts: &Opts) {
 
 // ====================== Trace (flight recorder) ======================
 
-/// Causal tracing from the flight recorder: run the three single-pass
-/// look-back contenders (fused, fused-large-m, onesweep) on the
+/// Causal tracing from the flight recorder: run the two single-pass
+/// look-back contenders (fused, fused-large-m) on the
 /// sequential scheduler with per-block telemetry, derive each look-back
 /// launch's tile dependency DAG and **exact** critical path from the
 /// recorded event stream, and compare against `launch_report`'s modeled
@@ -2011,10 +1844,9 @@ fn profile_cmd(opts: &Opts) {
 /// resolver edge.
 fn trace_cmd(opts: &Opts) {
     let n = opts.n.min(1 << 20);
-    let runs: [(Contender, &'static str, u32); 3] = [
+    let runs: [(Contender, &'static str, u32); 2] = [
         (Contender::Fused, "fused", 32),
         (Contender::FusedLargeM, "fused-large-m", 64),
-        (Contender::Onesweep, "onesweep", 32),
     ];
     let mut out = format!(
         "Trace: flight-recorder causal analysis, n = 2^{}, seed {}, sequential schedule\n\
@@ -2144,7 +1976,6 @@ fn check_cmd(opts: &Opts) {
             "largem",
             metrics::largem_sector_baseline_current(n, largem_m),
         ),
-        ("onesweep", metrics::onesweep_sector_baseline_current(n, m)),
         ("sort", metrics::sort_sector_baseline_current(n, m)),
         ("serve", metrics::serve_sector_baseline_current()),
         ("serve_overlap", metrics::serve_overlap_baseline_current()),
@@ -2398,7 +2229,6 @@ fn main() {
         "scan" => scan_compare(&opts),
         "fused" => fused_compare(&opts),
         "largem" => largem_compare(&opts),
-        "onesweep" => onesweep_compare(&opts),
         "sort" => sort_cmd(&opts),
         "sorttune" => sorttune_cmd(&opts),
         "profile" => profile_cmd(&opts),
@@ -2421,12 +2251,11 @@ fn main() {
             scan_compare(&opts);
             fused_compare(&opts);
             largem_compare(&opts);
-            onesweep_compare(&opts);
             sort_cmd(&opts);
             sorttune_cmd(&opts);
         }
         _ => {
-            eprintln!("usage: paper <table1|table3|table4|table5|table6|fig2|fig3|fig4|fig5|light|sssp|randomized|ablate|scan|fused|largem|onesweep|sort|sorttune|profile|trace|check|fuzz|serve|all> [--n LOG2] [--full] [--no-verify] [--trials K] [--json PATH] [--snapshot NAME] [--update]");
+            eprintln!("usage: paper <table1|table3|table4|table5|table6|fig2|fig3|fig4|fig5|light|sssp|randomized|ablate|scan|fused|largem|sort|sorttune|profile|trace|check|fuzz|serve|all> [--n LOG2] [--full] [--no-verify] [--trials K] [--json PATH] [--snapshot NAME] [--update]");
             eprintln!("       paper fuzz [--iters K] [--seed S] [--replay TOKEN]");
             eprintln!("       paper serve [--requests K] [--n N] [--m M] [--devices D] [--batch B] [--streams S] [--seed S] [--no-verify] [--json PATH] [--snapshot NAME]");
             std::process::exit(2);

@@ -117,11 +117,11 @@ pub fn stage_of(label: &str) -> &'static str {
     } else if kernel.starts_with("sweep") {
         // The fused pipelines' main kernel: local scan + look-back +
         // reorder + scatter in one (fused's histogram pass is a
-        // pre-scan); the onesweep sweep classifies here too — it is the
-        // only stage that reads the key buffer.
+        // pre-scan).
         "sweep"
     } else if kernel.starts_with("scatter") {
-        // The onesweep deferred scatter: staged read + final placement.
+        // `compact_by_pred`'s final kernel (`{label}/scatter`): the kept
+        // elements written to their scanned positions.
         "scatter"
     } else if kernel.starts_with("scan") {
         "scan"
@@ -210,9 +210,6 @@ pub enum Contender {
     /// Single-pass fused pipeline for m > 32 (multi-row decoupled
     /// look-back, padded bank-conflict-free staging).
     FusedLargeM,
-    /// Single-key-pass multisplit (chained tile histograms, deferred
-    /// scatter through a staged scratch).
-    Onesweep,
     /// Reduced-bit sort (§3.4) with its labels sorted by ms-sort.
     ReducedBit,
     RecursiveSplit,
@@ -236,7 +233,6 @@ impl Contender {
             Contender::Fused => "Fused MS".into(),
             Contender::LargeM => "Block-level MS".into(),
             Contender::FusedLargeM => "Fused MS (m > 32)".into(),
-            Contender::Onesweep => "Onesweep MS".into(),
             Contender::ReducedBit => "Reduced-bit sort".into(),
             Contender::RecursiveSplit => "Recursive scan split".into(),
             Contender::RadixSort => "Radix sort (CUB-like)".into(),
@@ -321,15 +317,13 @@ pub fn run_contender(
         | Contender::BlockLevel
         | Contender::Fused
         | Contender::LargeM
-        | Contender::FusedLargeM
-        | Contender::Onesweep => {
+        | Contender::FusedLargeM => {
             let method = match contender {
                 Contender::Direct => Method::Direct,
                 Contender::WarpLevel => Method::WarpLevel,
                 Contender::BlockLevel => Method::BlockLevel,
                 Contender::Fused => Method::Fused,
                 Contender::FusedLargeM => Method::FusedLargeM,
-                Contender::Onesweep => Method::Onesweep,
                 _ => Method::LargeM,
             };
             let r = multisplit_device(&dev, method, &keys, values.as_ref(), n, &bucket, wpb);
@@ -625,8 +619,7 @@ mod tests {
         assert_eq!(stage_of("direct/post-scan"), "post-scan");
         assert_eq!(stage_of("fused/pre-scan"), "pre-scan");
         assert_eq!(stage_of("fused/sweep"), "sweep");
-        assert_eq!(stage_of("onesweep/sweep"), "sweep");
-        assert_eq!(stage_of("onesweep/scatter"), "scatter");
+        assert_eq!(stage_of("c/scatter"), "scatter");
         assert_eq!(stage_of("reduced/label"), "labeling");
         assert_eq!(stage_of("reduced/sort/pass0/block/pre-scan"), "pre-scan");
         assert_eq!(stage_of("reduced/pack"), "packing");
@@ -666,7 +659,6 @@ mod tests {
             Contender::WarpLevel,
             Contender::BlockLevel,
             Contender::Fused,
-            Contender::Onesweep,
             Contender::ReducedBit,
         ] {
             let o = run_contender(

@@ -137,16 +137,6 @@ pub const LARGEM_CONTENDERS: [(Contender, &str); 2] = [
     (Contender::FusedLargeM, "fused-large-m"),
 ];
 
-/// The pair the `onesweep` section of `paper check` covers: the fused
-/// two-key-pass pipeline vs the single-key-pass onesweep. Both directions
-/// of its sector tradeoff are pinned by the committed baseline — fused's
-/// lower total, onesweep's lower `sweep` stage (the only stage that
-/// touches the key buffer once).
-pub const ONESWEEP_CONTENDERS: [(Contender, &str); 2] = [
-    (Contender::Fused, "fused"),
-    (Contender::Onesweep, "onesweep"),
-];
-
 /// The pair the `sort` section of `paper check` covers: the CUB-like
 /// three-kernel radix sort vs ms-sort (the multisplit-iterated sort on
 /// the fused pipelines). The committed baseline pins ms-sort's lower
@@ -280,12 +270,6 @@ pub fn sector_baseline_current(n: usize, m: u32) -> Json {
 /// main section's, so it gets its own config header).
 pub fn largem_sector_baseline_current(n: usize, m: u32) -> Json {
     sector_baseline_for(&LARGEM_CONTENDERS, n, m)
-}
-
-/// The onesweep companion: fused vs onesweep sector counts, stored under
-/// the `"onesweep"` key of the committed baseline.
-pub fn onesweep_sector_baseline_current(n: usize, m: u32) -> Json {
-    sector_baseline_for(&ONESWEEP_CONTENDERS, n, m)
 }
 
 /// The sort companion: radix-sort vs ms-sort sector counts, stored under
@@ -764,13 +748,13 @@ mod tests {
     #[test]
     fn deleting_a_contender_from_the_report_fails_the_gate() {
         let stages: &[(&str, Option<u64>)] = &[("sweep", Some(100))];
-        let baseline = doc(&[("fused", Some(100), stages), ("onesweep", Some(50), stages)]);
-        let current = doc(&[("fused", Some(100), stages)]); // onesweep dropped
+        let baseline = doc(&[("fused", Some(100), stages), ("large-m", Some(50), stages)]);
+        let current = doc(&[("fused", Some(100), stages)]); // large-m dropped
         let err = sector_baseline_compare(&current, &baseline, 0.02)
             .expect_err("a missing contender must fail the gate");
         assert!(
             err.iter()
-                .any(|e| e.contains("`onesweep`") && e.contains("missing")),
+                .any(|e| e.contains("`large-m`") && e.contains("missing")),
             "failure must name the dropped contender: {err:?}"
         );
         // The unmodified report still passes.
@@ -807,28 +791,6 @@ mod tests {
                 .any(|e| e.contains("fused/sweep") && e.contains("missing")),
             "{err:?}"
         );
-    }
-
-    /// The onesweep check section: both directions of the tradeoff hold —
-    /// fused moves fewer *total* sectors, onesweep's sweep stage (the only
-    /// one reading the key buffer) moves fewer than fused's two key passes
-    /// combined.
-    #[test]
-    fn onesweep_baseline_section_roundtrips() {
-        let current = onesweep_sector_baseline_current(1 << 13, 32);
-        let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
-        assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
-        );
-        let names: Vec<&str> = current
-            .get("contenders")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|c| c.get("contender").and_then(Json::as_str).unwrap())
-            .collect();
-        assert_eq!(names, vec!["fused", "onesweep"]);
     }
 
     /// The sort check section: ms-sort's effective-bit pruning plus the

@@ -29,7 +29,6 @@ use crate::direct::multisplit_direct;
 use crate::fused::multisplit_fused;
 use crate::fused_large_m::multisplit_fused_large_m;
 use crate::large_m::multisplit_large_m;
-use crate::onesweep::multisplit_onesweep;
 use crate::warp_level::multisplit_warp_level;
 
 /// Warps per block used throughout the paper's evaluation (`N_W = 8`,
@@ -48,20 +47,12 @@ pub enum Method {
     /// Block-granularity path for more than 32 buckets (§5.3).
     LargeM,
     /// Single-pass fused pipeline via per-bucket decoupled look-back
-    /// (`fused.rs`; Onesweep structure, `m <= 32`).
+    /// (`fused.rs`; the OneSweep radix sort's structure, `m <= 32`).
     Fused,
     /// Single-pass fused pipeline for more than 32 buckets: multi-row
     /// look-back + padded bank-conflict-free staging
     /// (`fused_large_m.rs`; `32 < m <= fused_large_m::max_buckets`).
     FusedLargeM,
-    /// True single-key-pass multisplit (`onesweep.rs`, `m <= 32`): tile
-    /// histograms chained through the look-back records (the last tile's
-    /// inclusive record is the global histogram), deferred scatter
-    /// through a staged scratch. Fewest *key-buffer* reads of any method
-    /// (one pass vs the fused paths' two); total traffic is higher than
-    /// [`Method::Fused`] because of the staging round-trip, so
-    /// [`Method::auto`] does not select it.
-    Onesweep,
 }
 
 impl Method {
@@ -124,7 +115,6 @@ impl Method {
             Method::LargeM => "Block-level MS (m > 32)",
             Method::Fused => "Fused MS",
             Method::FusedLargeM => "Fused MS (m > 32)",
-            Method::Onesweep => "Onesweep MS",
         }
     }
 }
@@ -147,7 +137,6 @@ pub fn multisplit_device<B: BucketFn + ?Sized, V: Scalar>(
         Method::LargeM => multisplit_large_m(dev, keys, values, n, bucket, wpb),
         Method::Fused => multisplit_fused(dev, keys, values, n, bucket, wpb),
         Method::FusedLargeM => multisplit_fused_large_m(dev, keys, values, n, bucket, wpb),
-        Method::Onesweep => multisplit_onesweep(dev, keys, values, n, bucket, wpb),
     }
 }
 
@@ -319,7 +308,6 @@ mod tests {
         assert_eq!(Method::BlockLevel.name(), "Block-level MS");
         assert_eq!(Method::Fused.name(), "Fused MS");
         assert_eq!(Method::FusedLargeM.name(), "Fused MS (m > 32)");
-        assert_eq!(Method::Onesweep.name(), "Onesweep MS");
     }
 
     #[test]
@@ -361,7 +349,6 @@ mod tests {
             Method::WarpLevel,
             Method::BlockLevel,
             Method::Fused,
-            Method::Onesweep,
         ] {
             let r = multisplit_device(
                 &dev,

@@ -55,7 +55,7 @@ pub fn offsets_from_scanned(g: &GlobalBuffer<u32>, m: usize, l: usize, n: usize)
 /// Shared-memory budget of a sweep-style kernel, in 32-bit words: the full
 /// 48 kB block capacity, spent exactly. Single source of truth for the
 /// coarsening / capacity searches of the shared tile sweep
-/// ([`crate::sweep::SweepKind::items_per_thread`]) — a path that reserved
+/// ([`crate::sweep::items_per_thread`]) — a path that reserved
 /// private slack (as `fused` once did with a 512-byte margin) would
 /// disagree with the others about whether a footprint "fits", and the
 /// disagreement only surfaces at capacity boundaries the tests happen to
@@ -67,8 +67,8 @@ pub const SMEM_BUDGET_WORDS: usize = simt::SMEM_CAPACITY_BYTES / 4;
 /// key-only, 1 for `u32` values, 2 for packed `u64` pairs). No bucket id is
 /// staged: the scatter recomputes it from the key (paper §5.1). Single
 /// source of truth for the shared-memory budgets of both the three-kernel
-/// `large_m` path and the sweep (direct and deferred) — they must never
-/// disagree on how big staging is.
+/// `large_m` path and the sweep — they must never disagree on how big
+/// staging is.
 pub const fn staging_words_per_element(value_words: usize) -> usize {
     1 + value_words
 }

@@ -1,5 +1,6 @@
 //! Fused single-pass multisplit (m ≤ 32) via per-bucket decoupled
-//! look-back — the Onesweep structure applied to multisplit.
+//! look-back — the structure of the OneSweep radix sort applied to
+//! multisplit.
 //!
 //! The three-kernel skeleton (`pre-scan → scan → post-scan`) reads every
 //! key from DRAM **twice** (once to histogram, once to scatter) and
@@ -19,7 +20,7 @@
 //! `< b`, a function of the entire input. A tile that waited on
 //! later-ticketed tiles to learn it would deadlock (every worker would be
 //! occupied by an earlier tile doing the same), which is exactly why
-//! Onesweep radix sort keeps a separate lightweight histogram kernel. So
+//! the OneSweep radix sort keeps a separate lightweight histogram kernel. So
 //! the fused path is **two** launches instead of five-plus
 //! (pre-scan + the chained scan + post-scan), and **one** when `n` fits
 //! one sweep tile (`wpb × 32 × items_per_thread` keys, 4,096 at 8 warps
@@ -63,7 +64,7 @@ use simt::{Device, GlobalBuffer, Scalar};
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit};
 use crate::prescan::HistStrategy;
-use crate::sweep::{offsets_of, Out, SweepKind, SweepPlan, SweepSeg};
+use crate::sweep::{items_per_thread, offsets_of, Out, SweepPlan, SweepSeg};
 
 pub use crate::sweep::MAX_ITEMS_PER_THREAD;
 
@@ -97,15 +98,14 @@ fn labels(m: u32) -> [&'static str; 2] {
     }
 }
 
-/// The largest direct-sweep coarsening for `m` buckets at this block
+/// The largest sweep coarsening for `m` buckets at this block
 /// size; panics when even one item per thread overflows shared memory.
 fn sweep_ipt(m: usize, value_bytes: u64, wpb: usize) -> usize {
-    SweepKind::DIRECT
-        .items_per_thread(wpb, m, value_bytes, 0)
+    items_per_thread(wpb, m, value_bytes, 0)
         .unwrap_or_else(|| panic!("m = {m} overflows shared memory at {wpb} warps/block"))
 }
 
-/// The standalone fused pipeline for any `m` the direct sweep fits at
+/// The standalone fused pipeline for any `m` the sweep fits at
 /// this block size: the one-segment case of [`SweepPlan::split`], a
 /// pre-scan for the bucket totals and then the sweep, or the sweep alone
 /// when `n` fits one tile.
@@ -137,7 +137,7 @@ pub(crate) fn fused_into<B: BucketFn + ?Sized, V: Scalar>(
     offsets.pop().expect("one segment")
 }
 
-/// The direct sweep alone, for callers that already know every bucket's
+/// The sweep alone, for callers that already know every bucket's
 /// total: one launch that scatters the keys (and values) of `[0, n)` to
 /// their final bucket positions in the caller-provided outputs. This is
 /// the one sweep entry point of the standalone fused paths (which run a
@@ -180,7 +180,7 @@ pub fn multisplit_sweep_into<B: BucketFn + ?Sized, V: Scalar>(
     };
     let offsets = offsets_of(totals);
     let bases = GlobalBuffer::from_slice(&offsets[..m]);
-    let out = Out::Final {
+    let out = Out {
         bases: &bases,
         keys: out_keys,
         values: out_values,

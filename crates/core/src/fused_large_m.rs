@@ -1,5 +1,5 @@
 //! Fused single-pass multisplit for **more than 32 buckets** — the
-//! `fused.rs` Onesweep structure generalized to the `m > 32` regime of
+//! `fused.rs` look-back structure generalized to the `m > 32` regime of
 //! paper §5.3/§6.4, with multi-row decoupled look-back and
 //! bank-conflict-free staging.
 //!
@@ -34,7 +34,7 @@
 //!
 //! Shared memory bounds the bucket count, with every term derived from
 //! the sweep's one footprint function
-//! ([`SweepKind::footprint_words`]): [`max_buckets`] is tight at the
+//! ([`footprint_words`]): [`max_buckets`] is tight at the
 //! minimum coarsening, and the coarsening grows tiles as far as the
 //! remaining budget allows.
 //!
@@ -46,10 +46,7 @@ use simt::{Device, GlobalBuffer, Scalar};
 use crate::bucket::BucketFn;
 use crate::common::{empty_result, with_fresh_outputs, DeviceMultisplit, SMEM_BUDGET_WORDS};
 use crate::fused::fused_into;
-use crate::sweep::SweepKind;
-
-/// The direct sweep whose footprint bounds the bucket count.
-const KIND: SweepKind = SweepKind::DIRECT;
+use crate::sweep::footprint_words;
 
 /// Largest supported bucket count: the sweep at minimum coarsening
 /// (`items_per_thread = 1`) must fit shared memory. Tight: `m ==
@@ -69,8 +66,8 @@ pub fn max_buckets_bytes(wpb: usize, value_bytes: u64) -> u32 {
     // The footprint is affine in m: a fixed part plus one histogram row
     // (pitch wpb | 1) and one scatter-base word per bucket.
     let vw = value_bytes as usize / 4;
-    let fixed = KIND.footprint_words(wpb, 0, 1, vw);
-    let per_bucket = KIND.footprint_words(wpb, 1, 1, vw) - fixed;
+    let fixed = footprint_words(wpb, 0, 1, vw);
+    let per_bucket = footprint_words(wpb, 1, 1, vw) - fixed;
     ((SMEM_BUDGET_WORDS - fixed) / per_bucket) as u32
 }
 
@@ -164,9 +161,9 @@ mod tests {
                 assert_eq!(r.keys.to_vec(), expect, "m={m}");
             }
             let vw = if kv { 1 } else { 0 };
-            assert!(KIND.footprint_words(wpb, m as usize, 1, vw) <= SMEM_BUDGET_WORDS);
+            assert!(footprint_words(wpb, m as usize, 1, vw) <= SMEM_BUDGET_WORDS);
             assert!(
-                KIND.footprint_words(wpb, m as usize + 1, 1, vw) > SMEM_BUDGET_WORDS,
+                footprint_words(wpb, m as usize + 1, 1, vw) > SMEM_BUDGET_WORDS,
                 "kv={kv}: max_buckets must be tight"
             );
         }
@@ -217,7 +214,7 @@ mod tests {
         // kernels is structured: zero bank conflicts end to end.
         let wpb = 8;
         let m = 128u32;
-        let ipt = KIND.items_per_thread(wpb, m as usize, 0, 0).unwrap();
+        let ipt = crate::sweep::items_per_thread(wpb, m as usize, 0, 0).unwrap();
         assert_eq!(ipt, 16);
         let tile = wpb * WARP_SIZE * ipt;
         assert_eq!(tile / WARP_SIZE, m as usize);

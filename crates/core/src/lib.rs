@@ -26,8 +26,8 @@
 //! scatter. [`multisplit_fused`] collapses that skeleton into a
 //! lightweight global-histogram pass plus **one** sweep kernel that
 //! resolves per-bucket tile prefixes with the decoupled look-back of
-//! `primitives::lookback` (the Onesweep structure) — it is what
-//! [`Method::auto`] picks for `m <= 32`. The three-kernel methods run
+//! `primitives::lookback` (the structure of the OneSweep radix sort) — it
+//! is what [`Method::auto`] picks for `m <= 32`. The three-kernel methods run
 //! when a caller names them in [`multisplit_device`].
 //!
 //! ## Quickstart
@@ -54,7 +54,6 @@ pub mod direct;
 pub mod fused;
 pub mod fused_large_m;
 pub mod large_m;
-pub mod onesweep;
 pub mod prescan;
 pub mod segmented;
 pub mod sweep;
@@ -76,7 +75,6 @@ pub use fused_large_m::{
     multisplit_fused_large_m, multisplit_fused_large_m_into,
 };
 pub use large_m::{max_buckets, multisplit_large_m};
-pub use onesweep::multisplit_onesweep;
 pub use prescan::{bucket_totals, PRESCAN_ITEMS_PER_THREAD};
 pub use segmented::{
     multisplit_segmented, multisplit_segmented_into, segment_fits_sweep, SegmentSpec,

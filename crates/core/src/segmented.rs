@@ -68,7 +68,7 @@ use simt::{Device, GlobalBuffer, Scalar};
 use crate::api::{multisplit_device, Method};
 use crate::bucket::BucketFn;
 use crate::prescan::HistStrategy;
-use crate::sweep::{SweepKind, SweepPlan, SweepSeg, DESC_WORDS};
+use crate::sweep::{items_per_thread, SweepPlan, SweepSeg, DESC_WORDS};
 
 /// One independent multisplit problem inside a segmented batch: a
 /// sub-range `[offset, offset + n)` of the flat key (and value) buffer,
@@ -95,7 +95,7 @@ pub struct SegmentedMultisplit<V: Scalar = u32> {
 /// largest that fits shared memory next to the tile descriptor, or `None`
 /// when even one item per thread overflows.
 fn coalesced_ipt(m: u32, value_bytes: u64, wpb: usize) -> Option<usize> {
-    SweepKind::DIRECT.items_per_thread(wpb, m as usize, value_bytes, DESC_WORDS)
+    items_per_thread(wpb, m as usize, value_bytes, DESC_WORDS)
 }
 
 /// Whether an `m`-bucket segment can run inside the segmented sweep at

@@ -2,19 +2,16 @@
 //!
 //! [`Method::Fused`](crate::api::Method::Fused) (`m ≤ 32`),
 //! [`Method::FusedLargeM`](crate::api::Method::FusedLargeM) (`m > 32`),
-//! a segmented batch ([`crate::segmented`]) and the Onesweep key pass
-//! ([`crate::onesweep`]) all run the sweep kernel written once here.
-//! Blocks claim tiles in ticket order, read the tile's keys once into
-//! registers, build the tile histogram, resolve the tile's m-vector
-//! prefix by decoupled look-back inside the segment's window of a
-//! [`SegmentedTileStates`], reorder the tile in shared memory, and then
-//! either scatter straight to final positions ([`Scatter::Direct`], with
-//! the bucket bases from the pre-scan of [`crate::prescan`]) or stage the
-//! bucket-dense tile for a later scatter launch ([`Scatter::Deferred`],
-//! the Onesweep flag; its look-back records carry the histogram, so it
-//! runs no pre-scan).
+//! and a segmented batch ([`crate::segmented`]) all run the sweep kernel
+//! written once here. Blocks claim tiles in ticket order, read the tile's
+//! keys once into registers, build the tile histogram, resolve the tile's
+//! m-vector prefix by decoupled look-back inside the segment's window of
+//! a [`SegmentedTileStates`], reorder the tile in shared memory, and
+//! scatter straight to final positions with the bucket bases from the
+//! pre-scan of [`crate::prescan`]. A tile that is its whole segment needs
+//! no bases: it writes its reordered tile in place.
 //!
-//! The reorder stages keys and payloads only: a direct scatter recomputes
+//! The reorder stages keys and payloads only: the scatter recomputes
 //! each key's bucket (paper §5.1) and reads one folded base per bucket.
 //!
 //! Every `m` builds the same histogram: the paper's per-warp `m × N_W`
@@ -25,9 +22,8 @@
 //! of each bucket stores the count plus the bucket's peer count back. One
 //! block-wide raking scan of the whole histogram then yields every rank
 //! base ("as CUB does"). The histogram does not grow with the tile, so
-//! staging takes the rest of shared memory. What varies is only the
-//! scatter ([`Scatter`]) and how the pre-scan counts
-//! ([`crate::prescan::HistStrategy`]).
+//! staging takes the rest of shared memory. What varies is only how the
+//! pre-scan counts ([`crate::prescan::HistStrategy`]).
 //!
 //! A standalone run is the one-segment case (`SweepPlan::one`). Its
 //! descriptor reaches every block by value, so it costs no table sector
@@ -36,7 +32,7 @@
 //! one [`DESC_WORDS`]-word descriptor per tile from a device table
 //! (`read_desc`; the pre-scan reads its own table the same way).
 //!
-//! [`SweepKind::footprint_words`] is the single shared-memory budget: the
+//! [`footprint_words`] is the single shared-memory budget: the
 //! coarsening search, the large-m capacity bound and the kernel's
 //! allocations all derive from the same `Layout`.
 
@@ -63,25 +59,6 @@ pub const MAX_ITEMS_PER_THREAD: usize = 16;
 /// read.
 pub const DESC_WORDS: usize = 8;
 
-/// What the sweep does with a reordered tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scatter {
-    /// Scatter straight to final positions: the segment's global bucket
-    /// bases (from the pre-scan) plus the resolved tile prefix.
-    Direct,
-    /// Onesweep: the published look-back aggregate is the tile histogram,
-    /// so the last tile's inclusive record is the global histogram. The
-    /// bucket-dense tile is staged at its own input range, and a later
-    /// launch scatters it once the bases are known.
-    Deferred,
-}
-
-/// One sweep kernel variant: its scatter mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepKind {
-    pub scatter: Scatter,
-}
-
 /// The shared-memory words of one sweep block, buffer by buffer, plus
 /// the one-word tile ticket. The kernel allocates from this struct, so the
 /// budget searches and the allocations cannot drift apart.
@@ -89,67 +66,56 @@ pub struct SweepKind {
 struct Layout {
     /// The per-warp histogram, `m × (wpb | 1)`.
     hist: usize,
-    /// The folded scatter bases of a direct scatter (`m` words).
+    /// The folded scatter bases (`m` words).
     tables: usize,
     /// Staging slots for the reordered tile, addressed through
     /// [`padded_index`].
     slots: usize,
-    /// Words staged per element: the key and the payload. A direct
-    /// scatter recomputes the bucket id from the staged key.
+    /// Words staged per element: the key and the payload. The scatter
+    /// recomputes the bucket id from the staged key.
     slot_words: usize,
     /// The block-wide scan's warp-sums scratch.
     scan_scratch: usize,
 }
 
 impl Layout {
-    fn words(&self) -> usize {
-        self.hist + self.tables + self.slots * self.slot_words + 1 + self.scan_scratch
-    }
-}
-
-impl SweepKind {
-    pub const DIRECT: Self = Self {
-        scatter: Scatter::Direct,
-    };
-    pub const DEFERRED: Self = Self {
-        scatter: Scatter::Deferred,
-    };
-
-    fn layout(self, wpb: usize, m: usize, ipt: usize, value_words: usize) -> Layout {
-        let direct = self.scatter == Scatter::Direct;
+    fn new(wpb: usize, m: usize, ipt: usize, value_words: usize) -> Self {
         Layout {
             hist: m * (wpb | 1),
-            tables: if direct { m } else { 0 },
+            tables: m,
             slots: padded_len(wpb * ipt * WARP_SIZE),
             slot_words: staging_words_per_element(value_words),
             scan_scratch: wpb + 1,
         }
     }
 
-    /// Shared words one sweep block allocates at coarsening `ipt` — the
-    /// one footprint function of every single-pass path.
-    pub fn footprint_words(self, wpb: usize, m: usize, ipt: usize, value_words: usize) -> usize {
-        self.layout(wpb, m, ipt, value_words).words()
+    fn words(&self) -> usize {
+        self.hist + self.tables + self.slots * self.slot_words + 1 + self.scan_scratch
     }
+}
 
-    /// The largest coarsening `ipt ≤ MAX_ITEMS_PER_THREAD` whose footprint
-    /// plus `reserved_words` fits [`SMEM_BUDGET_WORDS`], or `None` when
-    /// even one item per thread overflows. Bigger tiles amortize the
-    /// per-tile histogram scan and look-back records and lengthen
-    /// same-bucket runs in the scatter. A segmented launch reserves
-    /// [`DESC_WORDS`] for the tile descriptor.
-    pub fn items_per_thread(
-        self,
-        wpb: usize,
-        m: usize,
-        value_bytes: u64,
-        reserved_words: usize,
-    ) -> Option<usize> {
-        let vw = value_bytes as usize / 4;
-        (1..=MAX_ITEMS_PER_THREAD).rev().find(|&ipt| {
-            self.footprint_words(wpb, m, ipt, vw) + reserved_words <= SMEM_BUDGET_WORDS
-        })
-    }
+/// Shared words one sweep block allocates at coarsening `ipt` — the one
+/// footprint function of every single-pass path.
+pub fn footprint_words(wpb: usize, m: usize, ipt: usize, value_words: usize) -> usize {
+    Layout::new(wpb, m, ipt, value_words).words()
+}
+
+/// The largest coarsening `ipt ≤ MAX_ITEMS_PER_THREAD` whose footprint
+/// plus `reserved_words` fits [`SMEM_BUDGET_WORDS`], or `None` when even
+/// one item per thread overflows. Bigger tiles amortize the per-tile
+/// histogram scan and look-back records and lengthen same-bucket runs in
+/// the scatter. A segmented launch reserves [`DESC_WORDS`] for the tile
+/// descriptor.
+pub fn items_per_thread(
+    wpb: usize,
+    m: usize,
+    value_bytes: u64,
+    reserved_words: usize,
+) -> Option<usize> {
+    let vw = value_bytes as usize / 4;
+    (1..=MAX_ITEMS_PER_THREAD)
+        .rev()
+        .find(|&ipt| footprint_words(wpb, m, ipt, vw) + reserved_words <= SMEM_BUDGET_WORDS)
 }
 
 /// One segment of a sweep launch: keys `[offset, offset + n)` split by
@@ -229,29 +195,12 @@ pub(crate) fn read_desc(blk: &BlockCtx, table: &GlobalBuffer<u32>, t: usize) -> 
     }
 }
 
-/// Where the sweep writes a reordered tile.
-pub(crate) enum Out<'a, V: Scalar> {
-    /// [`Scatter::Direct`]: final positions. `bases` holds every segment's
-    /// global bucket bases at its `hist_base`.
-    Final {
-        bases: &'a GlobalBuffer<u32>,
-        keys: &'a GlobalBuffer<u32>,
-        values: Option<&'a GlobalBuffer<V>>,
-    },
-    /// [`Scatter::Deferred`]: the bucket-dense tile at its own input range.
-    Staged {
-        keys: &'a GlobalBuffer<u32>,
-        values: Option<&'a GlobalBuffer<V>>,
-    },
-}
-
-impl<V: Scalar> Out<'_, V> {
-    fn scatter(&self) -> Scatter {
-        match self {
-            Out::Final { .. } => Scatter::Direct,
-            Out::Staged { .. } => Scatter::Deferred,
-        }
-    }
+/// Where the sweep writes a reordered tile: its final positions. `bases`
+/// holds every segment's global bucket bases at its `hist_base`.
+pub(crate) struct Out<'a, V: Scalar> {
+    pub bases: &'a GlobalBuffer<u32>,
+    pub keys: &'a GlobalBuffer<u32>,
+    pub values: Option<&'a GlobalBuffer<V>>,
 }
 
 /// The segments of one sweep launch and their tile geometry.
@@ -417,7 +366,7 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
             }
         }
         let bases = GlobalBuffer::from_slice(&bases);
-        let out = Out::Final {
+        let out = Out {
             bases: &bases,
             keys: out_keys,
             values: out_values,
@@ -592,17 +541,13 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let nw = blk.warps_per_block;
     let chunks = nw * d.ipt;
     let tile_start = d.local_tile * chunks * WARP_SIZE;
-    let kind = SweepKind {
-        scatter: out.scatter(),
-    };
     // A tile that is its whole segment is already in final order once
-    // reordered: it scatters in place, like a deferred tile, and reads no
-    // bucket bases.
-    let direct = kind.scatter == Scatter::Direct && d.n > chunks * WARP_SIZE;
+    // reordered: it writes in place and reads no bucket bases.
+    let multi_tile = d.n > chunks * WARP_SIZE;
     let value_words = values.map_or(0, |_| V::BYTES as usize / 4);
-    let lay = kind.layout(nw, mu, d.ipt, value_words);
+    let lay = Layout::new(nw, mu, d.ipt, value_words);
     let hist = TileHist::alloc(blk, mu);
-    let scatter_base = direct.then(|| blk.alloc_shared::<u32>(mu));
+    let scatter_base = multi_tile.then(|| blk.alloc_shared::<u32>(mu));
     let keys_s = blk.alloc_shared::<u32>(lay.slots);
     let values_s = values.map(|_| blk.alloc_shared::<V>(lay.slots));
     // Per-chunk registers persisting across barriers, as in a real kernel:
@@ -642,18 +587,18 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
 
     // Phase 3 (warp 0): publish the tile aggregate and resolve the
     // m-vector tile prefix by decoupled look-back in the segment's window;
-    // a direct scatter folds it, the global bases and the tile-local bucket
-    // starts into scatter_base (plus tile position: the destination).
+    // a multi-tile segment folds it, the global bases and the tile-local
+    // bucket starts into scatter_base (plus tile position: the destination).
     {
         let w = blk.warp(0);
         let (agg, start) = hist.aggregate(&w, tile_total);
         let prefix = states.resolve_rows(&w, d.seg, d.local_tile, &agg);
-        if let (Out::Final { bases, .. }, Some(sb)) = (out, &scatter_base) {
+        if let Some(sb) = &scatter_base {
             for g0 in (0..mu).step_by(WARP_SIZE) {
                 let cnt = (mu - g0).min(WARP_SIZE);
                 let sm = low_lanes_mask(cnt);
                 let gb = w.gather_cached(
-                    bases,
+                    out.bases,
                     lanes_from_fn(|l| d.hist_base + g0 + l.min(cnt - 1)),
                     sm,
                 );
@@ -689,10 +634,9 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     }
     blk.sync();
 
-    // Phase 5: coalesced read of the staged tile, written either to final
-    // positions (the key's bucket, recomputed, picks its scatter base) or,
-    // bucket-dense, at the tile's own range (the staging scratch, or the
-    // final outputs of a one-tile segment).
+    // Phase 5: coalesced read of the staged tile, written to final
+    // positions: the key's bucket, recomputed, picks its scatter base, or
+    // a one-tile segment writes its bucket-dense tile at its own range.
     for w in blk.warps() {
         for c in 0..d.ipt {
             let chunk = w.warp_id * d.ipt + c;
@@ -703,21 +647,16 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
             let tid = lanes_from_fn(|l| chunk * WARP_SIZE + l);
             let slot = lanes_from_fn(|l| padded_index(tid[l]));
             let k2 = keys_s.ld(slot, mask);
-            let (dest, out_keys, out_values) = match (out, &scatter_base) {
-                (Out::Final { keys, values, .. }, Some(sb)) => {
+            let dest = match &scatter_base {
+                Some(sb) => {
                     let b2 = eval_buckets(&w, bucket, k2, mask);
                     let base = sb.ld(lanes_from_fn(|l| b2[l] as usize), mask);
-                    let dest =
-                        lanes_from_fn(|l| d.offset + base[l].wrapping_add(tid[l] as u32) as usize);
-                    (dest, *keys, *values)
+                    lanes_from_fn(|l| d.offset + base[l].wrapping_add(tid[l] as u32) as usize)
                 }
-                (Out::Final { keys, values, .. } | Out::Staged { keys, values }, ..) => {
-                    let dest = lanes_from_fn(|l| d.offset + tile_start + tid[l]);
-                    (dest, *keys, *values)
-                }
+                None => lanes_from_fn(|l| d.offset + tile_start + tid[l]),
             };
-            w.scatter(out_keys, dest, k2, mask);
-            if let (Some(vs), Some(vout)) = (&values_s, out_values) {
+            w.scatter(out.keys, dest, k2, mask);
+            if let (Some(vs), Some(vout)) = (&values_s, out.values) {
                 let v2 = vs.ld(slot, mask);
                 w.scatter(vout, dest, v2, mask);
             }
@@ -735,58 +674,49 @@ mod tests {
     use crate::cpu_ref::multisplit_kv_ref;
     use simt::K40C;
 
-    const KINDS: [SweepKind; 2] = [SweepKind::DIRECT, SweepKind::DEFERRED];
-
     #[test]
     fn footprints_have_their_closed_forms() {
         let (wpb, ipt, vw) = (8usize, 5usize, 1usize);
         let tile = wpb * ipt * WARP_SIZE;
         for m in [1usize, 17, 32, 300] {
             assert_eq!(
-                KINDS[0].footprint_words(wpb, m, ipt, vw),
+                footprint_words(wpb, m, ipt, vw),
                 m * (wpb | 1) + m + padded_len(tile) * (1 + vw) + 1 + (wpb + 1),
-                "direct m={m}"
-            );
-            assert_eq!(
-                KINDS[1].footprint_words(wpb, m, ipt, vw),
-                m * (wpb | 1) + padded_len(tile) * (1 + vw) + 1 + (wpb + 1),
-                "deferred m={m}"
+                "m={m}"
             );
         }
     }
 
     #[test]
-    fn coarsening_is_the_tight_fit_for_every_kind() {
-        for kind in KINDS {
-            for (wpb, m, vb, reserved) in [
-                (8usize, 32usize, 0u64, 0usize),
-                (8, 32, 4, 0),
-                (16, 32, 4, 0),
-                (16, 32, 16, DESC_WORDS),
-                (8, 1, 0, 0),
-                (8, 2, 0, 0),
-                (8, 256, 4, DESC_WORDS),
-                (32, 200, 8, 0),
-            ] {
-                let vw = vb as usize / 4;
-                let Some(ipt) = kind.items_per_thread(wpb, m, vb, reserved) else {
-                    assert!(kind.footprint_words(wpb, m, 1, vw) + reserved > SMEM_BUDGET_WORDS);
-                    continue;
-                };
-                assert!(kind.footprint_words(wpb, m, ipt, vw) + reserved <= SMEM_BUDGET_WORDS);
-                if ipt < MAX_ITEMS_PER_THREAD {
-                    assert!(
-                        kind.footprint_words(wpb, m, ipt + 1, vw) + reserved > SMEM_BUDGET_WORDS,
-                        "{kind:?} wpb={wpb} m={m} vb={vb}: ipt={ipt} is not tight"
-                    );
-                }
+    fn coarsening_is_the_tight_fit() {
+        for (wpb, m, vb, reserved) in [
+            (8usize, 32usize, 0u64, 0usize),
+            (8, 32, 4, 0),
+            (16, 32, 4, 0),
+            (16, 32, 16, DESC_WORDS),
+            (8, 1, 0, 0),
+            (8, 2, 0, 0),
+            (8, 256, 4, DESC_WORDS),
+            (32, 200, 8, 0),
+        ] {
+            let vw = vb as usize / 4;
+            let Some(ipt) = items_per_thread(wpb, m, vb, reserved) else {
+                assert!(footprint_words(wpb, m, 1, vw) + reserved > SMEM_BUDGET_WORDS);
+                continue;
+            };
+            assert!(footprint_words(wpb, m, ipt, vw) + reserved <= SMEM_BUDGET_WORDS);
+            if ipt < MAX_ITEMS_PER_THREAD {
+                assert!(
+                    footprint_words(wpb, m, ipt + 1, vw) + reserved > SMEM_BUDGET_WORDS,
+                    "wpb={wpb} m={m} vb={vb}: ipt={ipt} is not tight"
+                );
             }
         }
     }
 
     #[test]
     fn coarsening_shrinks_to_fit() {
-        let direct = |wpb, m, vb| KINDS[0].items_per_thread(wpb, m, vb, 0);
+        let direct = |wpb, m, vb| items_per_thread(wpb, m, vb, 0);
         // Key-only tiles at 8 warps reach the cap at any small m.
         assert_eq!(MAX_ITEMS_PER_THREAD, 16);
         for m in [1, 2, 32, 64] {
@@ -910,13 +840,12 @@ mod tests {
 
     /// The standalone paths over the sweep, with the bucket counts each
     /// covers.
-    const PATHS: [(Method, &[u32]); 3] = [
+    const PATHS: [(Method, &[u32]); 2] = [
         (Method::Fused, &[1, 2, 4, 8, 9, 13, 17, 32]),
         (
             Method::FusedLargeM,
             &[33, 50, 64, 96, 100, 128, 256, 777, 1024],
         ),
-        (Method::Onesweep, &[1, 2, 4, 8, 9, 13, 17, 32]),
     ];
 
     /// Empty, single-element, sub-warp, partial, exact-tile, tile-plus-one
@@ -965,7 +894,6 @@ mod tests {
     fn every_standalone_path_matches_reference() {
         let dev = Device::new(K40C);
         for (method, ms) in PATHS {
-            let kind = kind_of(method);
             for (i, &m) in ms.iter().enumerate() {
                 for j in 0..sizes(0).len() {
                     let kv = (i + j) % 2 == 1;
@@ -973,7 +901,7 @@ mod tests {
                         w if m > crate::fused_large_m::max_buckets(w, kv) => 8,
                         w => w,
                     };
-                    let ipt = kind.items_per_thread(wpb, m as usize, 4 * kv as u64, 0);
+                    let ipt = items_per_thread(wpb, m as usize, 4 * kv as u64, 0);
                     let n = sizes(wpb * WARP_SIZE * ipt.unwrap())[j];
                     check_case(&dev, method, &RangeBuckets::new(m), n, kv, wpb);
                 }
@@ -1002,15 +930,6 @@ mod tests {
         }
     }
 
-    /// The sweep kind a standalone path runs.
-    fn kind_of(method: Method) -> SweepKind {
-        if method == Method::Onesweep {
-            SweepKind::DEFERRED
-        } else {
-            SweepKind::DIRECT
-        }
-    }
-
     /// Launch labels of a standalone run of `n` keys on a fresh device,
     /// checked against the CPU reference.
     fn labels_of(method: Method, m: u32, n: usize, kv: bool) -> Vec<String> {
@@ -1020,7 +939,7 @@ mod tests {
     }
 
     /// An input that fits one sweep tile is one launch, the sweep: no
-    /// pre-scan and no deferred scatter. One key more is two launches.
+    /// pre-scan. One key more is two launches.
     #[test]
     fn one_tile_is_one_launch_and_one_key_more_is_two() {
         for (method, m, pair) in [
@@ -1030,19 +949,13 @@ mod tests {
                 100,
                 ["fused_large_m/pre-scan", "fused_large_m/sweep"],
             ),
-            (Method::Onesweep, 13, ["onesweep/sweep", "onesweep/scatter"]),
         ] {
-            let sweep = if method == Method::Onesweep {
-                pair[0]
-            } else {
-                pair[1]
-            };
             for kv in [false, true] {
-                let ipt = kind_of(method).items_per_thread(8, m as usize, 4 * kv as u64, 0);
+                let ipt = items_per_thread(8, m as usize, 4 * kv as u64, 0);
                 let tile = 8 * WARP_SIZE * ipt.unwrap();
                 assert_eq!(
                     labels_of(method, m, tile, kv),
-                    [sweep],
+                    [pair[1]],
                     "{method:?} kv={kv}"
                 );
                 assert_eq!(
@@ -1063,11 +976,7 @@ mod tests {
         let n = 3000;
         let data = keys_for(n, 100);
         let vals: Vec<u32> = (0..n as u32).collect();
-        for (method, m) in [
-            (Method::Fused, 13u32),
-            (Method::FusedLargeM, 100),
-            (Method::Onesweep, 13),
-        ] {
+        for (method, m) in [(Method::Fused, 13u32), (Method::FusedLargeM, 100)] {
             for kv in [false, true] {
                 let bucket = RangeBuckets::new(m);
                 let mut devs = vec![Device::sequential(K40C), Device::new(K40C)];
@@ -1121,7 +1030,6 @@ mod tests {
             (Method::Fused, 32, true, &skewed),
             (Method::FusedLargeM, 100, false, &uniform),
             (Method::FusedLargeM, 256, true, &uniform),
-            (Method::Onesweep, 32, false, &uniform),
         ] {
             let bucket = RangeBuckets::new(m);
             let mut runs = Vec::new();
@@ -1169,7 +1077,7 @@ mod tests {
                 .into_iter()
                 .find(|r| r.label.ends_with("sweep"));
             let sweep = sweep.expect("a sweep launch");
-            let ipt = KINDS[0].items_per_thread(8, m as usize, 4, 0).unwrap();
+            let ipt = items_per_thread(8, m as usize, 4, 0).unwrap();
             assert_eq!(sweep.blocks, n.div_ceil(8 * WARP_SIZE * ipt), "m={m}");
             assert_eq!(sweep.stats.barriers, 7 * sweep.blocks as u64, "m={m}");
         }

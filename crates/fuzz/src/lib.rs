@@ -59,7 +59,7 @@ use msrng::SmallRng;
 use multisplit::{
     fused_max_buckets, max_buckets as large_m_max_buckets, multisplit_device, multisplit_kv_ref,
     multisplit_segmented,
-    sweep::{SweepKind, DESC_WORDS},
+    sweep::{items_per_thread, DESC_WORDS},
     Method, RangeBuckets, SegmentSpec,
 };
 use simt::{
@@ -85,15 +85,14 @@ pub const MAX_LARGE_M: u32 = 256;
 /// helpers the replay checks call).
 pub const MAX_WPB: usize = 32;
 
-/// All seven methods with their replay-token names.
-pub const METHODS: [(Method, &str); 7] = [
+/// All six methods with their replay-token names.
+pub const METHODS: [(Method, &str); 6] = [
     (Method::Direct, "direct"),
     (Method::WarpLevel, "warp"),
     (Method::BlockLevel, "block"),
     (Method::LargeM, "largem"),
     (Method::Fused, "fused"),
     (Method::FusedLargeM, "fusedlargem"),
-    (Method::Onesweep, "onesweep"),
 ];
 
 /// Input key distribution.
@@ -607,7 +606,7 @@ impl Family for Launch {
 /// Deterministically generate case `ix` of a run seeded with `seed`.
 ///
 /// Methods, kv, and schedules rotate (so 200 iterations exhaust the
-/// 7 methods x {key, kv} x 6 schedules matrix twice over) while
+/// 6 methods x {key, kv} x 6 schedules matrix twice over) while
 /// sizes, bucket counts, seeds, and distributions are drawn from the
 /// run's RNG with a deliberate bias toward boundary values (0, 1, warp
 /// and tile multiples, capacity edges).
@@ -989,12 +988,10 @@ pub fn gen_stream_case(seed: u64, ix: usize) -> StreamCase {
 /// next to `reserved_words`), one 32-key chunk per warp for the
 /// three-kernel ones and past the sweep's capacity.
 fn tile_of(method: Method, m: u32, kv: bool, wpb: usize, reserved_words: usize) -> usize {
-    let kind = match method {
-        Method::Fused | Method::FusedLargeM => SweepKind::DIRECT,
-        Method::Onesweep => SweepKind::DEFERRED,
-        _ => return wpb * 32,
-    };
-    let ipt = kind.items_per_thread(wpb, m as usize, if kv { 4 } else { 0 }, reserved_words);
+    if !matches!(method, Method::Fused | Method::FusedLargeM) {
+        return wpb * 32;
+    }
+    let ipt = items_per_thread(wpb, m as usize, if kv { 4 } else { 0 }, reserved_words);
     wpb * 32 * ipt.unwrap_or(1)
 }
 
@@ -1289,7 +1286,7 @@ pub fn parse_replay(s: &str) -> Result<AnyCase, String> {
 /// segmented case (offset 2), and every 7th a concurrent-streams case
 /// (offset 6); the other four walk the multisplit matrix. Sub-indices
 /// stay dense in each family, so 140 consecutive indices cover most of
-/// the 84-case multisplit rotation *and* the sort, segmented, and stream
+/// the 72-case multisplit rotation *and* the sort, segmented, and stream
 /// rotations (20 cases each — past the 12-index schedule matrices).
 pub fn gen_any_case(seed: u64, ix: usize) -> AnyCase {
     if ix % 7 == 4 {
@@ -1485,6 +1482,8 @@ mod tests {
             (t("n=1,m=2,method=fused,x=1"), "unknown replay field"),
             // Malformed values.
             (t("n=1,m=2,method=nope"), "method: "),
+            // A retired method fails loudly rather than replaying another.
+            (t("n=1,m=2,method=onesweep"), "method: "),
             (t("n=x,m=2,method=fused"), "n: "),
             (split("seq", "adv:x:y"), "sched: "),
             (split("kv=0", "kv=2"), "kv: "),
@@ -1548,17 +1547,17 @@ mod tests {
                 }
             }
         }
-        assert_eq!(h, 0xa8a9_8f3c_ca5b_e468, "digest {h:#018x}");
+        assert_eq!(h, 0x0406_e5c8_28c7_62f0, "digest {h:#018x}");
     }
 
     #[test]
     fn generator_covers_the_matrix() {
-        // 84 consecutive cases (7 methods x 2 kv x 6 schedules) hit every
+        // 72 consecutive cases (6 methods x 2 kv x 6 schedules) hit every
         // method x kv x schedule family exactly once.
-        let cases: Vec<FuzzCase> = (0..84).map(|ix| gen_case(5, ix)).collect();
+        let cases: Vec<FuzzCase> = (0..72).map(|ix| gen_case(5, ix)).collect();
         assert_matrix(&cases);
         let methods: HashSet<_> = cases.iter().map(|c| c.own.method.write()).collect();
-        assert_eq!(methods.len(), 7, "{methods:?}");
+        assert_eq!(methods.len(), 6, "{methods:?}");
         for Case { own: l, common: c } in &cases {
             let tile = tile_of(l.method, l.m, c.kv, c.wpb, 0);
             assert!(l.n <= MAX_N.max(MAX_TILES * tile));
@@ -1620,7 +1619,7 @@ mod tests {
     #[test]
     fn small_smoke_run_is_clean() {
         // 140 iterations run 80 multisplit cases (every method, kv and
-        // schedule of the 84-case rotation, all four adversarial flavors
+        // schedule of the 72-case rotation, all four adversarial flavors
         // included) plus 20 each of the sort, segmented and stream
         // families (past each one's 12-case kv x schedule rotation).
         let report = fuzz(140, 1234, |_, _| {});
@@ -1689,7 +1688,7 @@ mod tests {
         // under all four adversarial flavors (overlapping launches on
         // disjoint tracked buffers, bit-identical to the serialized order).
         let tasks = launches(&[
-            (700, 32, Method::Onesweep),
+            (700, 32, Method::Fused),
             (1, 5, Method::Fused),
             (260, 40, Method::LargeM),
         ]);
@@ -1714,7 +1713,7 @@ mod tests {
     /// segment with a multi-tile one.
     #[test]
     fn size_draws_cross_the_sweep_tile_edge() {
-        for method in [Method::Fused, Method::FusedLargeM, Method::Onesweep] {
+        for method in [Method::Fused, Method::FusedLargeM] {
             let (mut at, mut past) = (false, false);
             for Case { own: l, common: c } in (0..3000).map(|ix| gen_case(5, ix)) {
                 if l.method == method {
@@ -1809,7 +1808,7 @@ mod tests {
         // stream task, land exactly on (65, 7), and simplify the rest.
         let fails = |c: &StreamCase| c.own.iter().any(|t| t.n >= 65 && t.m >= 7);
         let tasks = launches(&[
-            (512, 16, Method::Onesweep),
+            (512, 16, Method::Fused),
             (30, 12, Method::WarpLevel),
             (900, 8, Method::BlockLevel),
             (4, 2, Method::Direct),

@@ -1,12 +1,15 @@
 //! Decoupled look-back tile states, reusable across aggregate shapes.
 //!
-//! The chained scan (PR 1) resolved **scalar** tile prefixes by publishing
-//! one packed `(value << 2 | flag)` word per tile and walking predecessor
+//! The chained scan resolves **scalar** tile prefixes by publishing one
+//! packed `(value << 2 | flag)` word per tile and walking predecessor
 //! tiles' words. The fused multisplit needs the same protocol over
 //! **m-row vectors** — one flag word per bucket per tile — so the
-//! machinery lives here, parameterized by the number of rows:
-//! [`TileStates::new(tiles, 1)`](TileStates::new) is the scalar scan's
-//! state, `TileStates::new(tiles, m)` carries a bucket histogram per tile.
+//! machinery lives here, parameterized by the number of rows, in one
+//! state type, [`SegmentedTileStates`]:
+//! [`SegmentedTileStates::new(&[(tiles, 1)])`](SegmentedTileStates::new)
+//! is the scalar scan's state, `new(&[(tiles, m)])` carries a bucket
+//! histogram per tile, and a segmented batch packs one window per
+//! segment.
 //!
 //! Protocol (Merrill & Garland, *Single-pass Parallel Prefix Scan with
 //! Decoupled Look-back*): a tile publishes `aggregate | AGGREGATE`, walks
@@ -64,7 +67,7 @@ pub fn unpack(word: u64) -> (u32, u64) {
 /// Spin until the state word at `idx` is published (flag != EMPTY).
 ///
 /// Polls through the uncounted `device_peek` path; the deterministic
-/// charge happens once per tile in [`TileStates::resolve`]. Poll
+/// charge happens once per tile in `resolve_rows_at`. Poll
 /// iterations go to the uncounted `obs` side-channel — they depend on
 /// thread interleaving, so they are exported for inspection but never
 /// priced or compared for equality.
@@ -105,9 +108,8 @@ fn spin_wait_published(
 }
 
 /// Lane-indexed word addresses and active mask of group `g` of tile `t`'s
-/// record inside a state-word window starting at `word_base`. The shared
-/// addressing of [`TileStates`] (whole-buffer window, `word_base = 0`) and
-/// each segment's partition of a [`SegmentedTileStates`].
+/// record inside a state-word window starting at `word_base`: one
+/// segment's partition of a [`SegmentedTileStates`].
 #[inline]
 fn group_record_at(word_base: usize, rows: usize, t: usize, g: usize) -> (Lanes<usize>, u32) {
     let cnt = (rows - g * WARP_SIZE).min(WARP_SIZE);
@@ -126,15 +128,16 @@ fn group_record_at(word_base: usize, rows: usize, t: usize, g: usize) -> (Lanes<
 /// `word_base .. word_base + tiles * rows`, which is what makes the
 /// per-segment partitioning of [`SegmentedTileStates`] dependency-free
 /// across segments. `ticket_base` maps the window-local tile id onto the
-/// *global* ticket space of the launch (0 for [`TileStates`], the
-/// segment's first ticket for a segmented launch): the adversarial
-/// scheduler's straggler release and stall watchdog key on claimed
-/// tickets, and the flight recorder's DAG joins publishes to resolves by
-/// ticket, so both must see global ids even when the walk is local.
+/// *global* ticket space of the launch (the segment's first ticket; 0 for
+/// a one-segment launch): the adversarial scheduler's straggler release
+/// and stall watchdog key on claimed tickets, and the flight recorder's
+/// DAG joins publishes to resolves by ticket, so both must see global ids
+/// even when the walk is local.
 ///
 /// Billing is independent of both bases: per warp-sized row group, the
-/// two record publishes plus one counted record-sized look-back read —
-/// exactly the charge [`TileStates::resolve_rows`] has always made.
+/// two record publishes plus one counted record-sized look-back read.
+/// `rows <= 32` is one group: for `rows = 1` that is exactly the scalar
+/// chained scan's three words per tile.
 fn resolve_rows_at(
     state: &GlobalBuffer<u64>,
     word_base: usize,
@@ -256,179 +259,6 @@ fn resolve_rows_at(
     prefix
 }
 
-/// Counted read of tile `t`'s resolved (INCLUSIVE) record inside a
-/// state-word window: one record-sized `device_gather` per row group, the
-/// same deterministic charge [`resolve_rows_at`] bills for its look-back
-/// read. Window and ticket bases as in [`resolve_rows_at`].
-fn read_record_at(
-    state: &GlobalBuffer<u64>,
-    word_base: usize,
-    ticket_base: usize,
-    rows: usize,
-    w: &WarpCtx,
-    t: usize,
-) -> Vec<u32> {
-    let mut vals = vec![0u32; rows];
-    for g in 0..rows.div_ceil(WARP_SIZE) {
-        let (rec, mask) = group_record_at(word_base, rows, t, g);
-        let words = w.device_gather(state, rec, mask);
-        w.obs().flight_emit(
-            EventKind::LookbackRead,
-            (ticket_base + t) as u32,
-            g as u32,
-            0,
-        );
-        let base = g * WARP_SIZE;
-        let cnt = (rows - base).min(WARP_SIZE);
-        for l in 0..cnt {
-            let (value, flag) = unpack(words[l]);
-            debug_assert_eq!(
-                flag,
-                FLAG_INCLUSIVE,
-                "read_record requires a resolved record (tile {t} row {})",
-                base + l
-            );
-            vals[base + l] = value;
-        }
-    }
-    vals
-}
-
-/// Per-tile `(aggregate | inclusive-prefix)` flag records for a chained
-/// single-pass kernel: `rows` packed words per tile (`rows = 1` for the
-/// scalar scan, `rows = m` for the fused multisplit's bucket histograms).
-pub struct TileStates {
-    state: GlobalBuffer<u64>,
-    rows: usize,
-    /// Test-only fault: this tile's `resolve_rows` returns without
-    /// publishing anything (`usize::MAX` = no fault). Lets tests prove
-    /// the stall watchdog converts a real livelock into a diagnosis.
-    stall_tile: AtomicUsize,
-}
-
-impl TileStates {
-    /// Allocate EMPTY state records for `tiles` tiles of `rows` rows each.
-    ///
-    /// `rows` may exceed the warp width: records are then processed in
-    /// [`row_groups`](Self::row_groups) warp-sized slices (one lane per
-    /// row within a group).
-    pub fn new(tiles: usize, rows: usize) -> Self {
-        assert!(rows >= 1, "tile-state records need at least one row");
-        Self {
-            state: GlobalBuffer::zeroed(tiles * rows),
-            rows,
-            stall_tile: AtomicUsize::new(usize::MAX),
-        }
-    }
-
-    /// **Test-only fault injection**: make tile `t`'s `resolve_rows`
-    /// return immediately without publishing AGGREGATE or INCLUSIVE —
-    /// every successor's look-back walk then spins on EMPTY words
-    /// forever. Under an adversarial schedule the stall watchdog must
-    /// convert that livelock into a structured abort; that conversion is
-    /// exactly what the injected-stall tests assert.
-    pub fn inject_publish_stall(&self, t: usize) {
-        self.stall_tile.store(t, Ordering::Relaxed);
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn tiles(&self) -> usize {
-        self.state.len() / self.rows
-    }
-
-    /// Number of warp-sized row groups each tile's record spans (1 for
-    /// `rows <= 32`). The deterministic look-back charge is one counted
-    /// record-sized read *per group*, so `lookback_resolves` totals
-    /// `tiles * row_groups()` for a complete kernel.
-    pub fn row_groups(&self) -> usize {
-        self.rows.div_ceil(WARP_SIZE)
-    }
-
-    /// Publish tile `t`'s per-row `aggregate` and resolve its exclusive
-    /// prefix (per row: the sum of that row's aggregates over tiles
-    /// `0..t`) by decoupled look-back; publishes the inclusive record
-    /// before returning. Lane-shaped convenience wrapper over
-    /// [`resolve_rows`](Self::resolve_rows) for `rows <= 32` (the chained
-    /// scan and the fused `m <= 32` sweep); lanes beyond `self.rows`
-    /// return 0. The one-group path issues exactly the operation sequence
-    /// the scalar chained scan always has, so its billing is bit-for-bit
-    /// unchanged.
-    ///
-    /// Warp-synchronous: call from a single warp (conventionally warp 0);
-    /// `t` must have been claimed via a device-scope ticket `fetch_add`
-    /// (see the module docs on deadlock freedom).
-    pub fn resolve(&self, w: &WarpCtx, t: usize, aggregate: Lanes<u32>) -> Lanes<u32> {
-        assert!(
-            self.rows <= WARP_SIZE,
-            "lane-shaped resolve covers rows <= 32; use resolve_rows"
-        );
-        let prefix = self.resolve_rows(w, t, &aggregate[..self.rows]);
-        lanes_from_fn(|l| prefix.get(l).copied().unwrap_or(0))
-    }
-
-    /// Multi-row [`resolve`](Self::resolve): publish tile `t`'s per-row
-    /// `aggregate` (`aggregate.len() == self.rows`, any size) and return
-    /// its exclusive per-row prefix.
-    ///
-    /// The record is handled in warp-sized row groups. All groups'
-    /// AGGREGATE words publish before any group walks, so successors
-    /// spinning on a later group never wait for this tile's earlier-group
-    /// walk to finish. Each group is then walked and charged
-    /// independently — one `record_lookback` and one counted record-sized
-    /// read per group per tile — so summed stats stay
-    /// schedule-independent and `rows <= 32` (one group) reproduces the
-    /// chained scan's billing exactly.
-    pub fn resolve_rows(&self, w: &WarpCtx, t: usize, aggregate: &[u32]) -> Vec<u32> {
-        assert_eq!(aggregate.len(), self.rows, "one aggregate per row");
-        if self.stall_tile.load(Ordering::Relaxed) == t {
-            // Injected fault (see `inject_publish_stall`): hang this
-            // tile's publishes forever. Successors now spin on EMPTY.
-            return vec![0; self.rows];
-        }
-        resolve_rows_at(&self.state, 0, 0, self.rows, w, t, aggregate)
-    }
-
-    /// Device-side counted read of tile `t`'s resolved record: the
-    /// per-row *inclusive* prefixes it published. Bills exactly one
-    /// counted record-sized `device_gather` per row group — the same
-    /// deterministic charge [`resolve_rows`](Self::resolve_rows) uses for
-    /// its look-back read — so a kernel that reads predecessor records
-    /// (the onesweep scatter pass) keeps schedule-independent stats.
-    ///
-    /// The record must already be INCLUSIVE (e.g. published by an earlier
-    /// launch; a launch boundary is a device-wide barrier). This does not
-    /// spin: reading an unresolved record is a caller bug, caught by the
-    /// debug assertion.
-    pub fn read_record(&self, w: &WarpCtx, t: usize) -> Vec<u32> {
-        read_record_at(&self.state, 0, 0, self.rows, w, t)
-    }
-
-    /// Host-side read of one row's grand total (the last tile's inclusive
-    /// value). Only valid after the kernel has completed.
-    pub fn total(&self, row: usize) -> u32 {
-        assert!(row < self.rows);
-        let (value, flag) = unpack(self.state.get((self.tiles() - 1) * self.rows + row));
-        debug_assert_eq!(
-            flag, FLAG_INCLUSIVE,
-            "last tile must have resolved its inclusive prefix"
-        );
-        value
-    }
-
-    /// Host-side read of every row's grand total — the last tile's
-    /// inclusive record. This is the readback that lets a single-pass
-    /// kernel drop its separate global-totals buffer: the chained
-    /// protocol's final record *is* the per-bucket total count. Uncounted
-    /// host reads, matching the uncounted `totals.get(b)` convention of
-    /// the two-launch paths.
-    pub fn row_totals(&self) -> Vec<u32> {
-        (0..self.rows).map(|r| self.total(r)).collect()
-    }
-}
-
 /// One segment's window into a [`SegmentedTileStates`] buffer.
 #[derive(Debug, Clone, Copy)]
 struct SegWindow {
@@ -446,11 +276,12 @@ struct SegWindow {
 /// into one state buffer.
 ///
 /// Each segment `s` owns a contiguous window of `tiles(s) * rows(s)`
-/// state words; [`resolve_rows`](Self::resolve_rows) runs the exact
-/// [`TileStates::resolve_rows`] protocol *inside that window*, so a tile
-/// only ever waits on earlier tiles **of its own segment** — no
-/// cross-segment dependency exists, and one stalled segment cannot wedge
-/// another's walks.
+/// state words; [`resolve_rows`](Self::resolve_rows) runs the look-back
+/// protocol *inside that window*, so a tile only ever waits on earlier
+/// tiles **of its own segment** — no cross-segment dependency exists, and
+/// one stalled segment cannot wedge another's walks. A standalone
+/// single-pass kernel (the chained scan, a standalone multisplit sweep)
+/// is the one-segment case.
 ///
 /// ### Deadlock freedom in the flattened ticket space
 ///
@@ -459,21 +290,24 @@ struct SegWindow {
 /// ticket `tile_base(s) + t`). Because segments' tiles are consecutive,
 /// local tile `t` waits only on local `t - 1` = global ticket
 /// `tile_base(s) + t - 1` — a strictly earlier ticket, i.e. an
-/// already-started block, exactly the [`TileStates`] invariant. The
-/// global ticket is also what the walk reports to the adversarial
-/// scheduler's stall watchdog and the flight recorder, so segmented
-/// launches keep full causal observability.
+/// already-started block. The global ticket is also what the walk
+/// reports to the adversarial scheduler's stall watchdog and the flight
+/// recorder, so segmented launches keep full causal observability.
 ///
 /// ### Billing
 ///
-/// Identical to a [`TileStates::new(tiles(s), rows(s))`](TileStates::new)
-/// per segment: per warp-sized row group, two record publishes plus one
-/// counted record-sized look-back read — so a segmented launch's summed
-/// look-back stats equal the sum of the per-segment launches it replaces
-/// (the serve front-end's ±5% sector acceptance leans on this).
+/// Identical to a one-segment instance per segment: per warp-sized row
+/// group, two record publishes plus one counted record-sized look-back
+/// read — so a segmented launch's summed look-back stats equal the sum of
+/// the per-segment launches it replaces (the serve front-end's ±5% sector
+/// acceptance leans on this).
 pub struct SegmentedTileStates {
     state: GlobalBuffer<u64>,
     segs: Vec<SegWindow>,
+    /// Test-only fault: the global ticket whose `resolve_rows` returns
+    /// without publishing anything (`usize::MAX` = no fault). Lets tests
+    /// prove the stall watchdog converts a real livelock into a diagnosis.
+    stall_ticket: AtomicUsize,
 }
 
 impl SegmentedTileStates {
@@ -498,11 +332,21 @@ impl SegmentedTileStates {
         Self {
             state: GlobalBuffer::zeroed(word_base),
             segs,
+            stall_ticket: AtomicUsize::new(usize::MAX),
         }
     }
 
-    pub fn segments(&self) -> usize {
-        self.segs.len()
+    /// **Test-only fault injection**: make segment `seg`'s local tile `t`
+    /// return from `resolve_rows` without publishing AGGREGATE or
+    /// INCLUSIVE — every later tile of the segment then spins on EMPTY
+    /// words forever. Under an adversarial schedule the stall watchdog
+    /// must convert that livelock into a structured abort naming global
+    /// ticket `tile_base(seg) + t`; that conversion is exactly what the
+    /// injected-stall tests assert.
+    pub fn inject_publish_stall(&self, seg: usize, t: usize) {
+        let sw = self.segs[seg];
+        assert!(t < sw.tiles, "tile {t} out of segment {seg}'s range");
+        self.stall_ticket.store(sw.tile_base + t, Ordering::Relaxed);
     }
 
     pub fn tiles(&self, seg: usize) -> usize {
@@ -528,15 +372,33 @@ impl SegmentedTileStates {
         self.segs[seg].rows.div_ceil(WARP_SIZE)
     }
 
-    /// [`TileStates::resolve_rows`] inside segment `seg`'s window:
-    /// publish local tile `t`'s per-row aggregate and resolve its
-    /// exclusive per-row prefix by decoupled look-back over **this
-    /// segment's tiles only**. `t` is segment-local; it must correspond to
-    /// global ticket `tile_base(seg) + t` claimed via the launch's shared
+    /// Publish segment `seg`'s local tile `t`'s per-row `aggregate`
+    /// (`aggregate.len() == rows(seg)`, any size) and resolve its
+    /// exclusive per-row prefix (per row: the sum of that row's aggregates
+    /// over the segment's tiles `0..t`) by decoupled look-back over **this
+    /// segment's tiles only**; publishes the inclusive record before
+    /// returning.
+    ///
+    /// The record is handled in warp-sized row groups. All groups'
+    /// AGGREGATE words publish before any group walks, so successors
+    /// spinning on a later group never wait for this tile's earlier-group
+    /// walk to finish. Each group is then walked and charged
+    /// independently — one `record_lookback` and one counted record-sized
+    /// read per group per tile — so summed stats stay
+    /// schedule-independent.
+    ///
+    /// Warp-synchronous: call from a single warp (conventionally warp 0).
+    /// `t` is segment-local; it must correspond to global ticket
+    /// `tile_base(seg) + t` claimed via the launch's shared device-scope
     /// ticket counter (see the type docs on deadlock freedom).
     pub fn resolve_rows(&self, w: &WarpCtx, seg: usize, t: usize, aggregate: &[u32]) -> Vec<u32> {
         let sw = self.segs[seg];
         assert!(t < sw.tiles, "tile {t} out of segment {seg}'s range");
+        if self.stall_ticket.load(Ordering::Relaxed) == sw.tile_base + t {
+            // Injected fault (see `inject_publish_stall`): hang this
+            // tile's publishes forever. Successors now spin on EMPTY.
+            return vec![0; sw.rows];
+        }
         resolve_rows_at(
             &self.state,
             sw.word_base,
@@ -546,14 +408,6 @@ impl SegmentedTileStates {
             t,
             aggregate,
         )
-    }
-
-    /// [`TileStates::read_record`] inside segment `seg`'s window: counted
-    /// read of local tile `t`'s resolved inclusive record.
-    pub fn read_record(&self, w: &WarpCtx, seg: usize, t: usize) -> Vec<u32> {
-        let sw = self.segs[seg];
-        assert!(t < sw.tiles, "tile {t} out of segment {seg}'s range");
-        read_record_at(&self.state, sw.word_base, sw.tile_base, sw.rows, w, t)
     }
 
     /// Host-side read of one row's grand total within segment `seg` (its
@@ -576,7 +430,10 @@ impl SegmentedTileStates {
         value
     }
 
-    /// Host-side read of every row's grand total within segment `seg`.
+    /// Host-side read of every row's grand total within segment `seg` —
+    /// its last tile's inclusive record. This readback is what lets a
+    /// one-tile segment skip the pre-scan: the chained protocol's final
+    /// record *is* the per-bucket total count. Uncounted host reads.
     pub fn row_totals(&self, seg: usize) -> Vec<u32> {
         (0..self.segs[seg].rows)
             .map(|r| self.total(seg, r))
@@ -607,18 +464,18 @@ mod tests {
         // aggregate of tile t, row r
         let agg = |t: usize, r: usize| ((t * 31 + r * 7) % 13) as u32;
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             let out = simt::GlobalBuffer::<u32>::zeroed(tiles * rows);
             dev.launch("lookback-test", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                let a = lanes_from_fn(|l| agg(t, l.min(rows - 1)));
-                let prefix = states.resolve(&w, t, a);
+                let a: Vec<u32> = (0..rows).map(|r| agg(t, r)).collect();
+                let prefix = states.resolve_rows(&w, 0, t, &a);
                 w.scatter_merged(
                     &out,
                     lanes_from_fn(|l| t * rows + l.min(rows - 1)),
-                    prefix,
+                    lanes_from_fn(|l| prefix[l.min(rows - 1)]),
                     low_lanes_mask(rows),
                 );
             });
@@ -632,7 +489,7 @@ mod tests {
             }
             for r in 0..rows {
                 let expect: u32 = (0..tiles).map(|p| agg(p, r)).sum();
-                assert_eq!(states.total(r), expect, "grand total row {r}");
+                assert_eq!(states.total(0, r), expect, "grand total row {r}");
             }
         }
     }
@@ -642,12 +499,13 @@ mod tests {
         let (tiles, rows) = (200usize, 32usize);
         let mut all = Vec::new();
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
+            let a: Vec<u32> = (0..rows as u32).collect();
             dev.launch("lookback-stats", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                states.resolve(&w, t, lanes_from_fn(|l| l as u32));
+                states.resolve_rows(&w, 0, t, &a);
             });
             all.push(dev.records()[0].stats);
         }
@@ -669,12 +527,13 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
+            let a: Vec<u32> = (0..rows as u32).collect();
             dev.launch("lookback-obs", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                states.resolve(&w, t, lanes_from_fn(|l| l as u32));
+                states.resolve_rows(&w, 0, t, &a);
             });
             let obs = dev.records()[0].obs;
             assert_eq!(obs.lookback_resolves, tiles as u64, "one resolve per tile");
@@ -702,14 +561,14 @@ mod tests {
         let (tiles, rows) = (41usize, 70usize);
         let agg = |t: usize, r: usize| ((t * 13 + r * 5) % 17) as u32;
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             let out = simt::GlobalBuffer::<u32>::zeroed(tiles * rows);
             dev.launch("lookback-multirow", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 let a: Vec<u32> = (0..rows).map(|r| agg(t, r)).collect();
-                let prefix = states.resolve_rows(&w, t, &a);
+                let prefix = states.resolve_rows(&w, 0, t, &a);
                 for (r, &p) in prefix.iter().enumerate() {
                     out.set(t * rows + r, p);
                 }
@@ -723,88 +582,46 @@ mod tests {
             }
             for r in 0..rows {
                 let expect: u32 = (0..tiles).map(|p| agg(p, r)).sum();
-                assert_eq!(states.total(r), expect, "grand total row {r}");
+                assert_eq!(states.total(0, r), expect, "grand total row {r}");
             }
         }
     }
 
-    /// The `rows = 1` case (the chained scan's state) must bill exactly
-    /// the same through the lane-shaped `resolve` and the generalized
-    /// `resolve_rows` — the scalar scan's accounting is the contract.
+    /// The `rows = 1` case (the chained scan's state) bills exactly the
+    /// scalar chained scan's word sequence: tile 0 publishes its INCLUSIVE
+    /// word; every later tile publishes its AGGREGATE word, reads its
+    /// predecessor's word once and publishes its INCLUSIVE word. The
+    /// scalar scan's accounting is the contract.
     #[test]
     fn rows_one_billing_matches_chained_scan() {
         let tiles = 100usize;
-        let mut runs = Vec::new();
-        for use_rows in [false, true] {
-            let dev = Device::sequential(K40C);
-            let states = TileStates::new(tiles, 1);
-            let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
-            dev.launch("lookback-rows1", tiles, 1, |blk| {
-                let w = blk.warp(0);
-                let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                if use_rows {
-                    let p = states.resolve_rows(&w, t, &[t as u32]);
-                    assert_eq!(p.len(), 1);
-                } else {
-                    let p = states.resolve(&w, t, simt::splat(t as u32));
-                    assert_eq!(p[1], 0, "lanes beyond the rows return 0");
-                }
-            });
-            let rec = &dev.records()[0];
-            runs.push((rec.stats, rec.obs, states.total(0)));
-        }
-        assert_eq!(
-            runs[0], runs[1],
-            "resolve and resolve_rows must bill rows = 1 identically"
-        );
-    }
-
-    /// A second launch can read back predecessors' resolved records with
-    /// the same per-group counted charge the walk uses; values match the
-    /// host reference (inclusive prefixes) and billing is
-    /// schedule-independent.
-    #[test]
-    fn read_record_returns_inclusive_prefixes_with_counted_billing() {
-        let (tiles, rows) = (23usize, 40usize);
-        let agg = |t: usize, r: usize| ((t * 11 + r * 3) % 19) as u32;
-        let mut stats = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let states = TileStates::new(tiles, rows);
-            let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
-            dev.launch("readback-resolve", tiles, 1, |blk| {
-                let w = blk.warp(0);
-                let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                let a: Vec<u32> = (0..rows).map(|r| agg(t, r)).collect();
-                states.resolve_rows(&w, t, &a);
-            });
-            // Launch boundary: every record is INCLUSIVE, no spinning.
-            let out = simt::GlobalBuffer::<u32>::zeroed(tiles * rows);
-            dev.launch("readback-read", tiles, 1, |blk| {
-                let w = blk.warp(0);
-                let t = blk.block_id;
-                let rec = states.read_record(&w, t);
-                for (r, &v) in rec.iter().enumerate() {
-                    out.set(t * rows + r, v);
-                }
-            });
-            let got = out.to_vec();
-            for t in 0..tiles {
-                for r in 0..rows {
-                    let expect: u32 = (0..=t).map(|p| agg(p, r)).sum();
-                    assert_eq!(got[t * rows + r], expect, "tile {t} row {r}");
-                }
+        let dev = Device::sequential(K40C);
+        let states = SegmentedTileStates::new(&[(tiles, 1)]);
+        let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
+        dev.launch("lookback-rows1", tiles, 1, |blk| {
+            let w = blk.warp(0);
+            let t = w.device_fetch_add(&ticket, 0, 1) as usize;
+            let p = states.resolve_rows(&w, 0, t, &[t as u32]);
+            assert_eq!(p, [(0..t as u32).sum::<u32>()], "tile {t}");
+        });
+        assert_eq!(states.total(0, 0), (0..tiles as u32).sum::<u32>());
+        let words = simt::GlobalBuffer::<u64>::zeroed(tiles);
+        let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
+        dev.launch("scalar-chain", tiles, 1, |blk| {
+            let w = blk.warp(0);
+            let t = w.device_fetch_add(&ticket, 0, 1) as usize;
+            if t > 0 {
+                let agg = simt::splat(pack(t as u32, FLAG_AGGREGATE));
+                w.device_scatter(&words, simt::splat(t), agg, 1);
+                w.device_gather(&words, simt::splat(t - 1), 1);
             }
-            assert_eq!(
-                states.row_totals(),
-                (0..rows)
-                    .map(|r| (0..tiles).map(|p| agg(p, r)).sum::<u32>())
-                    .collect::<Vec<_>>()
-            );
-            stats.push(dev.records()[1].stats);
-        }
+            let inc = simt::splat(pack(t as u32, FLAG_INCLUSIVE));
+            w.device_scatter(&words, simt::splat(t), inc, 1);
+        });
+        let recs = dev.records();
         assert_eq!(
-            stats[0], stats[1],
-            "record readback must bill schedule-independently"
+            recs[0].stats, recs[1].stats,
+            "a rows = 1 resolve must bill the scalar chain's three words"
         );
     }
 
@@ -821,14 +638,14 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let states = TileStates::new(tiles, rows);
-            assert_eq!(states.row_groups(), groups);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
+            assert_eq!(states.row_groups(0), groups);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             dev.launch("lookback-multirow-obs", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 let a: Vec<u32> = (0..rows).map(|r| r as u32).collect();
-                states.resolve_rows(&w, t, &a);
+                states.resolve_rows(&w, 0, t, &a);
             });
             let obs = dev.records()[0].obs;
             assert_eq!(
@@ -895,7 +712,7 @@ mod tests {
 
     /// The partitioning contract the serve front-end's sector acceptance
     /// leans on: one segmented launch bills exactly the sum of the
-    /// per-segment [`TileStates`] launches it replaces, and the billing
+    /// one-segment launches it replaces, and the billing
     /// is schedule-independent.
     #[test]
     fn segmented_billing_equals_sum_of_per_segment_launches() {
@@ -932,19 +749,19 @@ mod tests {
             seg_stats[0], seg_stats[1],
             "segmented look-back billing must be schedule-independent"
         );
-        // Per-segment reference: one TileStates launch per segment.
+        // Per-segment reference: a one-segment launch for each segment.
         let dev = Device::sequential(K40C);
         for (s, &(tiles, rows)) in parts.iter().enumerate() {
             if tiles == 0 {
                 continue;
             }
-            let states = TileStates::new(tiles, rows);
+            let states = SegmentedTileStates::new(&[(tiles, rows)]);
             let ticket = simt::GlobalBuffer::<u32>::zeroed(1);
             dev.launch("lookback-one-segment", tiles, 1, |blk| {
                 let w = blk.warp(0);
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
                 let a: Vec<u32> = (0..rows).map(|r| agg(s, t, r)).collect();
-                states.resolve_rows(&w, t, &a);
+                states.resolve_rows(&w, 0, t, &a);
             });
         }
         assert_eq!(

@@ -35,7 +35,7 @@
 use simt::{lanes_from_fn, BlockCtx, Device, GlobalBuffer, SharedBuf, WARP_SIZE};
 
 use crate::block_scan::{low_lanes_mask, tail_mask};
-use crate::lookback::TileStates;
+use crate::lookback::SegmentedTileStates;
 use crate::warp_scan;
 
 /// Thread coarsening factor for scan kernels.
@@ -90,8 +90,9 @@ pub fn exclusive_scan_u32(
     let tile = scan_tile(warps_per_block);
     let blocks = n.div_ceil(tile);
     let ticket = GlobalBuffer::<u32>::zeroed(1);
-    // Scalar prefixes: one-row tile-state records (see `lookback`).
-    let states = TileStates::new(blocks, 1);
+    // Scalar prefixes: one segment of one-row tile-state records (see
+    // `lookback`).
+    let states = SegmentedTileStates::new(&[(blocks, 1)]);
     dev.launch(
         &format!("{label}/scan-chained"),
         blocks,
@@ -118,7 +119,7 @@ pub fn exclusive_scan_u32(
             // traffic, negligible next to the tile's 2·tile elements).
             let block_base = {
                 let w = blk.warp(0);
-                states.resolve(&w, t, simt::splat(aggregate))[0]
+                states.resolve_rows(&w, 0, t, &[aggregate])[0]
             };
             blk.sync();
             // 4. Add the resolved prefix and write the tile's output.
@@ -140,7 +141,7 @@ pub fn exclusive_scan_u32(
             }
         },
     );
-    states.total(0)
+    states.total(0, 0)
 }
 
 /// Recursive reduce / scan-partials / downsweep scan (the pre-chained

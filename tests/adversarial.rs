@@ -134,25 +134,25 @@ fn straggler_multi_row_lookback_terminates_and_matches_sequential() {
     }
 }
 
-/// Onesweep chains the per-tile m-vector histograms themselves through the
-/// multi-row look-back (no separate pre-scan publishes totals first), so
-/// the Straggler policy parking the tile-0 publisher attacks its only
-/// source of global bucket counts. Termination plus a bit-identical
-/// fingerprint is the deadlock-freedom proof for the chained-histogram
-/// walk, across both a single row group (m = 32) and a ragged one (m = 13).
+/// The fused sweep chains per-tile m-vector histograms through the
+/// look-back, so the Straggler policy parking the tile-0 publisher stalls
+/// every later tile's walk. Termination plus a bit-identical fingerprint
+/// is the deadlock-freedom proof for the histogram walk, across both a
+/// full row group (m = 32) and a ragged one (m = 13), on a multi-tile
+/// input.
 #[test]
-fn straggler_onesweep_chained_histograms_terminate_and_match_sequential() {
+fn straggler_fused_histograms_terminate_and_match_sequential() {
     let keys = gen_keys(6000, 0xAD07);
     for (kv, m) in [(false, 32u32), (true, 32), (false, 13)] {
-        let seq = run_fingerprint(&Device::sequential(K40C), Method::Onesweep, &keys, kv, m);
+        let seq = run_fingerprint(&Device::sequential(K40C), Method::Fused, &keys, kv, m);
         let adv = run_fingerprint(
             &Device::adversarial(K40C, AdvSchedule::with_flavor(0xFACE, AdvFlavor::Straggler)),
-            Method::Onesweep,
+            Method::Fused,
             &keys,
             kv,
             m,
         );
-        assert_eq!(seq, adv, "kv={kv} m={m}: straggler onesweep run diverges");
+        assert_eq!(seq, adv, "kv={kv} m={m}: straggler fused run diverges");
         let vals: Vec<u32> = (0..6000).collect();
         let (ek, ev, eo) = multisplit_kv_ref(&keys, kv.then_some(&vals[..]), &RangeBuckets::new(m));
         assert_eq!(adv.keys, ek, "kv={kv} m={m}");
@@ -176,7 +176,6 @@ fn all_methods_agree_with_sequential_under_every_flavor() {
         (Method::LargeM, 64),
         (Method::Fused, 13),
         (Method::FusedLargeM, 64),
-        (Method::Onesweep, 13),
     ] {
         let seq = run_fingerprint(&Device::sequential(K40C), method, &keys, false, m);
         let (ek, _, eo) = multisplit_kv_ref(&keys, None, &RangeBuckets::new(m));
@@ -261,17 +260,25 @@ fn per_block_telemetry_is_schedule_independent_up_to_block_order() {
     assert_eq!(seq, adv);
 }
 
-/// ISSUE 8 acceptance: a *real* livelock — tile 1's publish suppressed via
-/// `TileStates::inject_publish_stall` — must terminate through the stall
-/// watchdog with a structured diagnosis naming the blocked ticket, instead
-/// of hanging the process. The panic payload is the watchdog's diagnosis
-/// string: headline plus wait-for-graph snapshot.
+/// The panic payload of a watchdog abort: its diagnosis string.
+fn diagnosis(payload: Box<dyn std::any::Any + Send>) -> Option<String> {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+}
+
+/// A *real* livelock — tile 1's publish suppressed via
+/// `SegmentedTileStates::inject_publish_stall`, on the one-segment state
+/// the chained scan and every standalone sweep run — must terminate
+/// through the stall watchdog with a structured diagnosis naming the
+/// blocked ticket, instead of hanging the process. The panic payload is
+/// the watchdog's diagnosis string: headline plus wait-for-graph snapshot.
 #[test]
 fn injected_publish_stall_trips_the_watchdog_with_a_diagnosis() {
-    use simt::{lanes_from_fn, splat};
     let blocks = 8usize;
-    let states = primitives::TileStates::new(blocks, 1);
-    states.inject_publish_stall(1);
+    let states = primitives::SegmentedTileStates::new(&[(blocks, 1)]);
+    states.inject_publish_stall(0, 1);
     let ticket = GlobalBuffer::<u32>::zeroed(1);
     let dev = Device::adversarial(
         K40C,
@@ -281,17 +288,12 @@ fn injected_publish_stall_trips_the_watchdog_with_a_diagnosis() {
         dev.launch("stall/kernel", blocks, 1, |blk| {
             for w in blk.warps() {
                 let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                let _ = states.resolve(&w, t, splat(1));
-                let _ = lanes_from_fn(|l| l); // keep lane helpers exercised
+                let _ = states.resolve_rows(&w, 0, t, &[1]);
             }
         });
     }))
     .expect_err("an unpublishable predecessor must abort, not hang");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .expect("watchdog panics carry a String diagnosis");
+    let msg = diagnosis(payload).expect("watchdog panics carry a String diagnosis");
     assert!(
         msg.contains("stall watchdog"),
         "diagnosis must identify the watchdog: {msg}"
@@ -321,10 +323,9 @@ fn injected_stall_terminates_under_every_flavor() {
         AdvFlavor::Straggler,
         AdvFlavor::BoundedPreempt,
     ] {
-        use simt::splat;
         let blocks = 4usize;
-        let states = primitives::TileStates::new(blocks, 1);
-        states.inject_publish_stall(0);
+        let states = primitives::SegmentedTileStates::new(&[(blocks, 1)]);
+        states.inject_publish_stall(0, 0);
         let ticket = GlobalBuffer::<u32>::zeroed(1);
         let dev = Device::adversarial(
             K40C,
@@ -334,20 +335,56 @@ fn injected_stall_terminates_under_every_flavor() {
             dev.launch("stall/flavors", blocks, 1, |blk| {
                 for w in blk.warps() {
                     let t = w.device_fetch_add(&ticket, 0, 1) as usize;
-                    let _ = states.resolve(&w, t, splat(1));
+                    let _ = states.resolve_rows(&w, 0, t, &[1]);
                 }
             });
         }))
         .expect_err("livelock must abort under every flavor");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = diagnosis(payload).unwrap_or_default();
         assert!(
             msg.contains("waiting on ticket 0"),
             "{flavor:?}: diagnosis must name ticket 0: {msg}"
         );
     }
+}
+
+/// A segmented launch reports *global* tickets to the watchdog: stalling
+/// segment 1's local tile 0 leaves segment 1's later tiles waiting on
+/// global ticket `tile_base(1)`, and the diagnosis names that ticket, not
+/// the segment-local 0. Segment 0 resolves normally.
+#[test]
+fn injected_stall_in_a_later_segment_names_its_global_ticket() {
+    let parts = [(3usize, 2usize), (4, 1)];
+    let states = primitives::SegmentedTileStates::new(&parts);
+    states.inject_publish_stall(1, 0);
+    let stalled = states.tile_base(1);
+    assert_eq!(stalled, 3);
+    // Global ticket -> (segment, local tile).
+    let map: Vec<(usize, usize)> = (0..parts.len())
+        .flat_map(|s| (0..states.tiles(s)).map(move |t| (s, t)))
+        .collect();
+    let ticket = GlobalBuffer::<u32>::zeroed(1);
+    let dev = Device::adversarial(
+        K40C,
+        AdvSchedule::with_flavor(0x5E61, AdvFlavor::Random).with_spin_budget(5_000),
+    );
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        dev.launch("stall/segmented", states.total_tiles(), 1, |blk| {
+            let w = blk.warp(0);
+            let (s, t) = map[w.device_fetch_add(&ticket, 0, 1) as usize];
+            let _ = states.resolve_rows(&w, s, t, &vec![1; states.rows(s)]);
+        });
+    }))
+    .expect_err("an unpublishable predecessor must abort, not hang");
+    let msg = diagnosis(payload).expect("watchdog panics carry a String diagnosis");
+    assert!(
+        msg.contains(&format!("waiting on ticket {stalled}")),
+        "diagnosis must name the stalled tile's global ticket: {msg}"
+    );
+    assert!(
+        msg.contains("EMPTY (never published)"),
+        "diagnosis must report the last word the waiter saw: {msg}"
+    );
 }
 
 // ================= cross-stream deadlock freedom (ISSUE 10) =================

@@ -5,10 +5,9 @@
 //! reference permutation.
 
 use multisplit::{
-    fused_max_buckets, multisplit, multisplit_device, multisplit_kv, multisplit_kv_ref, no_values,
-    Method, RangeBuckets,
+    fused_max_buckets, multisplit, multisplit_kv, multisplit_kv_ref, Method, RangeBuckets,
 };
-use simt::{Device, GlobalBuffer, K40C};
+use simt::{Device, K40C};
 
 fn keys_for(_m: u32) -> Vec<u32> {
     // A full-range multiplicative hash: every bucket is populated for every
@@ -102,42 +101,6 @@ fn three_kernel_capacity_exceeds_fused_capacity_at_every_block_size() {
                 fused < three,
                 "wpb={wpb} kv={kv}: fused {fused} vs three-kernel {three}"
             );
-        }
-    }
-}
-
-#[test]
-fn explicit_onesweep_runs_its_two_kernels_and_auto_never_picks_it() {
-    // Onesweep is opt-in: `auto` keeps choosing the fused pipeline (its
-    // total DRAM traffic is lower), but an explicit dispatch must run
-    // exactly the sweep + deferred-scatter pair and match the reference.
-    for m in [2u32, 32] {
-        let keys = keys_for(m);
-        let bucket = RangeBuckets::new(m);
-        let dev = Device::new(K40C);
-        let buf = GlobalBuffer::from_slice(&keys);
-        let r = multisplit_device(
-            &dev,
-            Method::Onesweep,
-            &buf,
-            no_values(),
-            keys.len(),
-            &bucket,
-            8,
-        );
-        let (ek, _, eo) = multisplit_kv_ref(&keys, None, &bucket);
-        assert_eq!(r.keys.to_vec(), ek, "onesweep m={m}");
-        assert_eq!(r.offsets, eo, "onesweep m={m}");
-        let labels: Vec<String> = dev.records().iter().map(|rec| rec.label.clone()).collect();
-        assert_eq!(
-            labels,
-            vec!["onesweep/sweep".to_string(), "onesweep/scatter".to_string()],
-            "onesweep must launch exactly its two kernels (m={m})"
-        );
-    }
-    for kv in [false, true] {
-        for m in [1u32, 8, 32] {
-            assert_ne!(Method::auto(m, kv), Method::Onesweep, "kv={kv} m={m}");
         }
     }
 }

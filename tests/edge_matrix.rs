@@ -1,7 +1,7 @@
 //! Degenerate-input matrix (ISSUE 5 satellite): zero-length,
 //! single-element, and all-one-bucket inputs across every public entry
 //! point — host-slice multisplit and multisplit_kv, multisplit_device for
-//! all seven methods, the compaction primitives, and both device-wide scans —
+//! all six methods, the compaction primitives, and both device-wide scans —
 //! on parallel, sequential, and adversarial devices alike.
 
 use multisplit::{
@@ -10,14 +10,13 @@ use multisplit::{
 };
 use simt::{AdvSchedule, Device, GlobalBuffer, K40C};
 
-const METHODS: [Method; 7] = [
+const METHODS: [Method; 6] = [
     Method::Direct,
     Method::WarpLevel,
     Method::BlockLevel,
     Method::LargeM,
     Method::Fused,
     Method::FusedLargeM,
-    Method::Onesweep,
 ];
 
 type Scan = fn(&Device, &str, &GlobalBuffer<u32>, &GlobalBuffer<u32>, usize, usize) -> u32;
