@@ -20,7 +20,7 @@
 //!   ablate      design-choice ablations (N_W sweep, packed-vs-index, reorder)
 //!   scan        chained (decoupled lookback) vs recursive scan traffic
 //!   fused       single-pass fused MS vs three-kernel warp/block MS
-//!   largem      fused large-m MS (m > 32, multi-row look-back) vs the
+//!   largem      fused MS past the warp width (multi-row look-back) vs the
 //!               three-kernel large-m pipeline, m in {64, 128, 256}
 //!   sort        ms-sort (multisplit-iterated radix sort, crates/sort) vs
 //!               the CUB-like radix baseline: 8/16/32-bit key ranges, key
@@ -58,8 +58,7 @@
 //!               own options: --requests K (default 4096), --n N (keys per
 //!               request, default 1024), --m M (max buckets, default 32),
 //!               --devices D (default 4), --batch B (default 256),
-//!               --seed S (default 9000), --no-verify, --json PATH,
-//!               --snapshot NAME (write BENCH_<NAME>.json)
+//!               --seed S (default 9000), --no-verify, --json PATH
 //!   all         everything above (except profile/check/fuzz)
 //!
 //! options:
@@ -68,8 +67,6 @@
 //!   --no-verify    skip CPU-reference verification of every run
 //!   --trials <k>   average over k seeded trials (default 1)
 //!   --json <path>  additionally write every run + report to <path> as JSON
-//!   --snapshot <s> (profile, largem, sort) also write a
-//!                  BENCH_<s>.json snapshot at the root
 //!   --update       (check) rewrite the committed baseline from current counts
 //! ```
 
@@ -82,7 +79,6 @@ struct Opts {
     verify: bool,
     trials: u64,
     json: Option<String>,
-    snapshot: Option<String>,
     update: bool,
 }
 
@@ -92,7 +88,6 @@ fn parse_opts(args: &[String]) -> Opts {
     let mut verify = true;
     let mut trials = 1u64;
     let mut json = None;
-    let mut snapshot = None;
     let mut update = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -117,7 +112,6 @@ fn parse_opts(args: &[String]) -> Opts {
                     .expect("bad --trials")
             }
             "--json" => json = Some(it.next().expect("--json needs a path").clone()),
-            "--snapshot" => snapshot = Some(it.next().expect("--snapshot needs a name").clone()),
             "--update" => update = true,
             other => panic!("unknown option {other}"),
         }
@@ -128,7 +122,6 @@ fn parse_opts(args: &[String]) -> Opts {
         verify,
         trials,
         json,
-        snapshot,
         update,
     }
 }
@@ -199,19 +192,6 @@ fn emit(name: &str, body: String) {
         Ok(p) => println!("[saved {}]\n", p.display()),
         Err(e) => println!("[warn: could not save report: {e}]\n"),
     }
-}
-
-/// Write `doc` to `BENCH_{snapshot}.json` when a snapshot name is given,
-/// then hand it to the `--json` sink as `section`.
-fn publish(section: &str, snapshot: Option<&str>, doc: Json) {
-    if let Some(name) = snapshot {
-        let snap = format!("BENCH_{name}.json");
-        match std::fs::write(&snap, doc.pretty() + "\n") {
-            Ok(()) => println!("[saved {snap}]\n"),
-            Err(e) => println!("[warn: could not save {snap}: {e}]\n"),
-        }
-    }
-    metrics::sink_push(section, doc);
 }
 
 // ====================== Table 3 ======================
@@ -1288,7 +1268,7 @@ fn largem_compare(opts: &Opts) {
     for kv in [false, true] {
         for m in [64u32, 128, 256] {
             let mut three_total = 0u64;
-            for c in [Contender::LargeM, Contender::FusedLargeM] {
+            for c in [Contender::LargeM, Contender::Fused] {
                 let o = avg(opts, |tr| {
                     run_contender(
                         c,
@@ -1307,7 +1287,7 @@ fn largem_compare(opts: &Opts) {
                 if c == Contender::LargeM {
                     three_total = total;
                 }
-                let fused = c == Contender::FusedLargeM;
+                let fused = c == Contender::Fused;
                 let saved_frac =
                     (fused && three_total > 0).then(|| 1.0 - total as f64 / three_total as f64);
                 if fused && !kv && (m == 64 || m == 256) {
@@ -1359,15 +1339,7 @@ fn largem_compare(opts: &Opts) {
         let mut runs = Vec::new();
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
             let keys = GlobalBuffer::from_slice(&keys_host);
-            let r = multisplit_device(
-                &dev,
-                Method::FusedLargeM,
-                &keys,
-                no_values(),
-                sn,
-                &bucket,
-                8,
-            );
+            let r = multisplit_device(&dev, Method::Fused, &keys, no_values(), sn, &bucket, 8);
             let stats = dev
                 .records()
                 .iter()
@@ -1400,7 +1372,7 @@ fn largem_compare(opts: &Opts) {
         ("device".into(), Json::Str(K40C.name.into())),
         ("rows".into(), Json::Arr(rows)),
     ]);
-    publish("largem", opts.snapshot.as_deref(), doc);
+    metrics::sink_push("largem", doc);
 }
 
 // ====================== ms-sort (iterated multisplit) ======================
@@ -1667,7 +1639,7 @@ fn sort_cmd(opts: &Opts) {
         ),
         ("rows".into(), Json::Arr(rows)),
     ]);
-    publish("sort", opts.snapshot.as_deref(), doc);
+    metrics::sink_push("sort", doc);
 }
 
 /// Digit-width sweep behind [`ms_sort::DEFAULT_DIGIT_BITS`]: sort 32-bit
@@ -1828,13 +1800,13 @@ fn profile_cmd(opts: &Opts) {
         Ok(()) => println!("[saved {}]\n", path.display()),
         Err(e) => println!("[warn: could not save profile.json: {e}]\n"),
     }
-    publish("profile", opts.snapshot.as_deref(), doc);
+    metrics::sink_push("profile", doc);
 }
 
 // ====================== Trace (flight recorder) ======================
 
-/// Causal tracing from the flight recorder: run the two single-pass
-/// look-back contenders (fused, fused-large-m) on the
+/// Causal tracing from the flight recorder: run the single-pass fused
+/// method at m = 32 (`fused`) and m = 64 (`fused-large-m`) on the
 /// sequential scheduler with per-block telemetry, derive each look-back
 /// launch's tile dependency DAG and **exact** critical path from the
 /// recorded event stream, and compare against `launch_report`'s modeled
@@ -1846,7 +1818,7 @@ fn trace_cmd(opts: &Opts) {
     let n = opts.n.min(1 << 20);
     let runs: [(Contender, &'static str, u32); 2] = [
         (Contender::Fused, "fused", 32),
-        (Contender::FusedLargeM, "fused-large-m", 64),
+        (Contender::Fused, "fused-large-m", 64),
     ];
     let mut out = format!(
         "Trace: flight-recorder causal analysis, n = 2^{}, seed {}, sequential schedule\n\
@@ -2147,7 +2119,6 @@ fn fuzz_cmd(args: &[String]) {
 fn serve_cmd(args: &[String]) {
     let mut cfg = serve::ServeConfig::default();
     let mut json: Option<String> = None;
-    let mut snapshot: Option<String> = None;
     fn num(it: &mut std::slice::Iter<'_, String>, what: &str) -> u64 {
         it.next()
             .unwrap_or_else(|| panic!("{what} needs a value"))
@@ -2166,7 +2137,6 @@ fn serve_cmd(args: &[String]) {
             "--seed" => cfg.seed = num(&mut it, "--seed"),
             "--no-verify" => cfg.verify = false,
             "--json" => json = Some(it.next().expect("--json needs a path").clone()),
-            "--snapshot" => snapshot = Some(it.next().expect("--snapshot needs a name").clone()),
             other => panic!("unknown serve option {other}"),
         }
     }
@@ -2181,7 +2151,7 @@ fn serve_cmd(args: &[String]) {
     let report = serve::run_serve(&cfg);
     emit("serve", serve::render(&cfg, &report));
     let doc = serve::report_json(&cfg, &report);
-    publish("serve", snapshot.as_deref(), doc);
+    metrics::sink_push("serve", doc);
     if let Some(path) = &json {
         if let Some(sink) = metrics::sink_take() {
             match sink.write(std::path::Path::new(path)) {
@@ -2255,9 +2225,9 @@ fn main() {
             sorttune_cmd(&opts);
         }
         _ => {
-            eprintln!("usage: paper <table1|table3|table4|table5|table6|fig2|fig3|fig4|fig5|light|sssp|randomized|ablate|scan|fused|largem|sort|sorttune|profile|trace|check|fuzz|serve|all> [--n LOG2] [--full] [--no-verify] [--trials K] [--json PATH] [--snapshot NAME] [--update]");
+            eprintln!("usage: paper <table1|table3|table4|table5|table6|fig2|fig3|fig4|fig5|light|sssp|randomized|ablate|scan|fused|largem|sort|sorttune|profile|trace|check|fuzz|serve|all> [--n LOG2] [--full] [--no-verify] [--trials K] [--json PATH] [--update]");
             eprintln!("       paper fuzz [--iters K] [--seed S] [--replay TOKEN]");
-            eprintln!("       paper serve [--requests K] [--n N] [--m M] [--devices D] [--batch B] [--streams S] [--seed S] [--no-verify] [--json PATH] [--snapshot NAME]");
+            eprintln!("       paper serve [--requests K] [--n N] [--m M] [--devices D] [--batch B] [--streams S] [--seed S] [--no-verify] [--json PATH]");
             std::process::exit(2);
         }
     }

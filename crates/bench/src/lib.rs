@@ -203,13 +203,11 @@ pub enum Contender {
     Direct,
     WarpLevel,
     BlockLevel,
-    /// Single-pass fused pipeline (per-bucket decoupled look-back).
+    /// Single-pass fused pipeline (per-bucket decoupled look-back), for
+    /// any m up to its shared-memory capacity.
     Fused,
     /// Block-level for m > 32.
     LargeM,
-    /// Single-pass fused pipeline for m > 32 (multi-row decoupled
-    /// look-back, padded bank-conflict-free staging).
-    FusedLargeM,
     /// Reduced-bit sort (§3.4) with its labels sorted by ms-sort.
     ReducedBit,
     RecursiveSplit,
@@ -232,7 +230,6 @@ impl Contender {
             Contender::BlockLevel => "Block-level MS".into(),
             Contender::Fused => "Fused MS".into(),
             Contender::LargeM => "Block-level MS".into(),
-            Contender::FusedLargeM => "Fused MS (m > 32)".into(),
             Contender::ReducedBit => "Reduced-bit sort".into(),
             Contender::RecursiveSplit => "Recursive scan split".into(),
             Contender::RadixSort => "Radix sort (CUB-like)".into(),
@@ -316,14 +313,12 @@ pub fn run_contender(
         | Contender::WarpLevel
         | Contender::BlockLevel
         | Contender::Fused
-        | Contender::LargeM
-        | Contender::FusedLargeM => {
+        | Contender::LargeM => {
             let method = match contender {
                 Contender::Direct => Method::Direct,
                 Contender::WarpLevel => Method::WarpLevel,
                 Contender::BlockLevel => Method::BlockLevel,
                 Contender::Fused => Method::Fused,
-                Contender::FusedLargeM => Method::FusedLargeM,
                 _ => Method::LargeM,
             };
             let r = multisplit_device(&dev, method, &keys, values.as_ref(), n, &bucket, wpb);
@@ -675,7 +670,7 @@ mod tests {
             assert!(o.total > 0.0, "{}", c.name());
         }
         // The m > 32 pair needs a larger bucket count.
-        for c in [Contender::LargeM, Contender::FusedLargeM] {
+        for c in [Contender::LargeM, Contender::Fused] {
             let o = run_contender(
                 c,
                 false,

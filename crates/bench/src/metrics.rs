@@ -131,10 +131,11 @@ pub const PROFILE_CONTENDERS: [(Contender, &str); 4] = [
 ];
 
 /// The `m > 32` pair the `largem` section of `paper check` covers: the
-/// three-kernel pipeline and its fused single-pass replacement.
+/// three-kernel pipeline and the fused single-pass method, whose row
+/// keeps its committed short name `fused-large-m`.
 pub const LARGEM_CONTENDERS: [(Contender, &str); 2] = [
     (Contender::LargeM, "large-m"),
-    (Contender::FusedLargeM, "fused-large-m"),
+    (Contender::Fused, "fused-large-m"),
 ];
 
 /// The pair the `sort` section of `paper check` covers: the CUB-like
@@ -265,7 +266,7 @@ pub fn sector_baseline_current(n: usize, m: u32) -> Json {
 }
 
 /// The `m > 32` companion of [`sector_baseline_current`]: three-kernel
-/// large-m vs fused-large-m sector counts, same shape, stored under the
+/// large-m vs fused sector counts, same shape, stored under the
 /// `"largem"` key of the committed baseline (its `n`/`m` differ from the
 /// main section's, so it gets its own config header).
 pub fn largem_sector_baseline_current(n: usize, m: u32) -> Json {

@@ -579,7 +579,7 @@ fn exec_json(e: &ExecStats) -> Json {
     ])
 }
 
-/// JSON document for `--json` / `--snapshot` (BENCH_PR9.json).
+/// JSON document for `--json`.
 pub fn report_json(cfg: &ServeConfig, r: &ServeReport) -> Json {
     Json::Obj(vec![
         ("requests".into(), Json::int(cfg.requests as u64)),

@@ -8,17 +8,15 @@
 //! fig3` measures those crossovers on the three-kernel methods, each named
 //! explicitly at its call to [`multisplit_device`].
 //!
-//! [`Method::auto`] picks from the single-pass paths (per-bucket decoupled
-//! look-back), which supersede the crossovers at every `m`:
-//! [`Method::Fused`] for `m <= 32`, [`Method::FusedLargeM`] — multi-row
-//! look-back, `fused_large_m.rs` — beyond the warp width up to its
-//! shared-memory capacity [`crate::fused_large_m::max_buckets`] (≈1.2k at
-//! the default block size; slightly below the three-kernel path's limit
-//! because the fused sweep also stages a scatter-base row and padded
-//! staging). Past that capacity `auto` falls back to the three-kernel
-//! [`Method::LargeM`]. Both fused paths move strictly fewer DRAM sectors
-//! than their three-kernel counterparts at every measured `m`
-//! (`paper fused` / `paper largem`).
+//! [`Method::auto`] picks the single-pass path (per-bucket decoupled
+//! look-back), which supersedes the crossovers at every `m`:
+//! [`Method::Fused`], one method for every `m` up to its shared-memory
+//! capacity [`crate::fused::max_buckets`] (≈1.2k at the default block
+//! size; slightly below the three-kernel path's limit because the fused
+//! sweep also stages a scatter-base row and padded staging). Past that
+//! capacity `auto` falls back to the three-kernel [`Method::LargeM`]. The
+//! fused path moves strictly fewer DRAM sectors than the three-kernel
+//! pipelines at every measured `m` (`paper fused` / `paper largem`).
 
 use simt::{Device, GlobalBuffer, Scalar};
 
@@ -27,7 +25,6 @@ use crate::bucket::BucketFn;
 use crate::common::DeviceMultisplit;
 use crate::direct::multisplit_direct;
 use crate::fused::multisplit_fused;
-use crate::fused_large_m::multisplit_fused_large_m;
 use crate::large_m::multisplit_large_m;
 use crate::warp_level::multisplit_warp_level;
 
@@ -47,62 +44,36 @@ pub enum Method {
     /// Block-granularity path for more than 32 buckets (§5.3).
     LargeM,
     /// Single-pass fused pipeline via per-bucket decoupled look-back
-    /// (`fused.rs`; the OneSweep radix sort's structure, `m <= 32`).
+    /// (`fused.rs`; the OneSweep radix sort's structure) for any
+    /// `m <= fused::max_buckets`.
     Fused,
-    /// Single-pass fused pipeline for more than 32 buckets: multi-row
-    /// look-back + padded bank-conflict-free staging
-    /// (`fused_large_m.rs`; `32 < m <= fused_large_m::max_buckets`).
-    FusedLargeM,
 }
 
 impl Method {
     /// The method with the fewest counted DRAM sectors for `m` buckets:
-    /// [`Method::Fused`] for `m <= 32`, [`Method::FusedLargeM`] beyond,
-    /// and [`Method::LargeM`] past the fused large-m capacity.
+    /// [`Method::Fused`] up to its capacity, [`Method::LargeM`] beyond.
     ///
-    /// Capacity awareness: the fused large-m sweep fits fewer buckets in
-    /// shared memory than the three-kernel path (it also stages the
-    /// scatter-base row and conflict-avoidance padding), so for
-    /// `m > fused_large_m::max_buckets` at the default block size `auto`
-    /// selects [`Method::LargeM`].
+    /// Capacity awareness: the fused sweep fits fewer buckets in shared
+    /// memory than the three-kernel path (it also stages the scatter-base
+    /// row and conflict-avoidance padding), so for
+    /// `m > fused::max_buckets` at the default block size `auto` selects
+    /// [`Method::LargeM`].
     pub fn auto(m: u32, key_value: bool) -> Method {
         Method::auto_for(m, key_value, DEFAULT_WARPS_PER_BLOCK)
     }
 
-    /// [`Method::auto`] for a caller-chosen block size. The fused large-m
+    /// [`Method::auto`] for a caller-chosen block size. The fused
     /// capacity *shrinks* as `wpb` grows (more warps share the fixed
     /// 48 kB), so the capacity check must use the `wpb` the kernels will
     /// actually run with — checking `DEFAULT_WARPS_PER_BLOCK` here and
-    /// launching with a larger block dispatched [`Method::FusedLargeM`]
-    /// into its own capacity assert instead of falling back to
+    /// launching with a larger block dispatched [`Method::Fused`] into
+    /// its own capacity check instead of falling back to
     /// [`Method::LargeM`].
     pub fn auto_for(m: u32, key_value: bool, wpb: usize) -> Method {
-        if m <= 32 {
+        if m <= crate::fused::max_buckets(wpb, key_value) {
             Method::Fused
-        } else if m <= crate::fused_large_m::max_buckets(wpb, key_value) {
-            Method::FusedLargeM
         } else {
             Method::LargeM
-        }
-    }
-
-    /// The segmented-aware face of [`Method::auto_for`]: the method a
-    /// segment of `m` buckets runs under **inside one segmented launch**
-    /// (`crate::segmented`), or `None` when the segment must fall back
-    /// to its own standalone launches. Only the two fused bodies are
-    /// inlined in the segmented sweep, so anything `auto_for` would
-    /// route elsewhere — past fused large-m capacity — is not
-    /// coalesced; large-m segments
-    /// additionally need the sweep's shared footprint to fit alongside
-    /// the tile descriptor
-    /// ([`crate::segmented::segment_fits_sweep`]).
-    pub fn auto_for_segmented(m: u32, key_value: bool, wpb: usize) -> Option<Method> {
-        match Method::auto_for(m, key_value, wpb) {
-            Method::Fused => Some(Method::Fused),
-            Method::FusedLargeM if crate::segmented::segment_fits_sweep(m, key_value, wpb) => {
-                Some(Method::FusedLargeM)
-            }
-            _ => None,
         }
     }
 
@@ -114,7 +85,6 @@ impl Method {
             Method::BlockLevel => "Block-level MS",
             Method::LargeM => "Block-level MS (m > 32)",
             Method::Fused => "Fused MS",
-            Method::FusedLargeM => "Fused MS (m > 32)",
         }
     }
 }
@@ -136,7 +106,6 @@ pub fn multisplit_device<B: BucketFn + ?Sized, V: Scalar>(
         Method::BlockLevel => multisplit_block_level(dev, keys, values, n, bucket, wpb),
         Method::LargeM => multisplit_large_m(dev, keys, values, n, bucket, wpb),
         Method::Fused => multisplit_fused(dev, keys, values, n, bucket, wpb),
-        Method::FusedLargeM => multisplit_fused_large_m(dev, keys, values, n, bucket, wpb),
     }
 }
 
@@ -210,29 +179,25 @@ mod tests {
 
     #[test]
     fn auto_prefers_fused_at_every_m_with_capacity_fallback() {
-        for m in [1, 2, 6, 16, 32] {
+        for m in [1, 2, 6, 16, 32, 33, 64, 256, 1024] {
             assert_eq!(Method::auto(m, false), Method::Fused);
             assert_eq!(Method::auto(m, true), Method::Fused);
-        }
-        for m in [33, 64, 256, 1024] {
-            assert_eq!(Method::auto(m, false), Method::FusedLargeM);
-            assert_eq!(Method::auto(m, true), Method::FusedLargeM);
         }
         // Past the fused sweep's shared-memory capacity, auto falls back
         // to the three-kernel pipeline (which fits slightly more buckets).
         for kv in [false, true] {
-            let cap = crate::fused_large_m::max_buckets(DEFAULT_WARPS_PER_BLOCK, kv);
-            assert_eq!(Method::auto(cap, kv), Method::FusedLargeM);
+            let cap = crate::fused::max_buckets(DEFAULT_WARPS_PER_BLOCK, kv);
+            assert_eq!(Method::auto(cap, kv), Method::Fused);
             assert_eq!(Method::auto(cap + 1, kv), Method::LargeM);
         }
     }
 
     /// Satellite-1 regression: `auto` (and `auto_for`) must never dispatch
     /// a method that asserts on capacity. Sweep wpb × m across the
-    /// fused-large-m boundary and *run* every selection — before the fix,
-    /// `auto` at a non-default wpb straddling the boundary picked
-    /// `FusedLargeM` and died on `multisplit_fused_large_m`'s capacity
-    /// assert instead of falling back to `LargeM`.
+    /// fused capacity boundary and *run* every selection — before the
+    /// fix, `auto` at a non-default wpb straddling the boundary picked the
+    /// fused path and died on its capacity check instead of falling back
+    /// to `LargeM`.
     #[test]
     fn auto_for_never_dispatches_past_capacity() {
         let dev = Device::new(K40C);
@@ -240,7 +205,7 @@ mod tests {
         let buf = GlobalBuffer::from_slice(&keys);
         for wpb in [1usize, 2, 8, 16, 32] {
             for kv in [false, true] {
-                let cap = crate::fused_large_m::max_buckets(wpb, kv);
+                let cap = crate::fused::max_buckets(wpb, kv);
                 for m in [32u32, 33, cap - 1, cap, cap + 1, cap + 7] {
                     let method = Method::auto_for(m, kv, wpb);
                     let bucket = RangeBuckets::new(m);
@@ -265,14 +230,14 @@ mod tests {
         }
     }
 
-    /// The concrete pre-fix failure shape: at wpb = 32 the fused large-m
+    /// The concrete pre-fix failure shape: at wpb = 32 the fused
     /// capacity is far below the default-block capacity, so an `m` that
     /// fits the default block must fall back to `LargeM`, not assert.
     #[test]
     fn auto_for_straddles_the_boundary_at_nondefault_wpb() {
         let wpb = 32usize;
-        let cap_default = crate::fused_large_m::max_buckets(DEFAULT_WARPS_PER_BLOCK, false);
-        let cap_wide = crate::fused_large_m::max_buckets(wpb, false);
+        let cap_default = crate::fused::max_buckets(DEFAULT_WARPS_PER_BLOCK, false);
+        let cap_wide = crate::fused::max_buckets(wpb, false);
         assert!(
             cap_wide < cap_default,
             "wider blocks must have less per-warp capacity for this test to bite"
@@ -280,7 +245,7 @@ mod tests {
         let m = cap_wide + 1; // fits the default block, not wpb = 32
         assert_eq!(
             Method::auto_for(m, false, DEFAULT_WARPS_PER_BLOCK),
-            Method::FusedLargeM
+            Method::Fused
         );
         assert_eq!(Method::auto_for(m, false, wpb), Method::LargeM);
         // And the dispatched method actually runs at that block size.
@@ -307,7 +272,6 @@ mod tests {
         assert_eq!(Method::WarpLevel.name(), "Warp-level MS");
         assert_eq!(Method::BlockLevel.name(), "Block-level MS");
         assert_eq!(Method::Fused.name(), "Fused MS");
-        assert_eq!(Method::FusedLargeM.name(), "Fused MS (m > 32)");
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! | [`multisplit_warp_level`] | warp (32) | intra-warp | small `m` |
 //! | [`multisplit_block_level`] | block (256) | intra-block | large `m` (≤ 32) |
 //! | [`multisplit_large_m`] | block (256) | intra-block | `32 < m ≲ 1.3k` |
-//! | [`multisplit_fused`] | coarsened tile | intra-block | any `m ≤ 32` (default) |
-//! | [`multisplit_fused_large_m`] | coarsened tile | intra-block | any `32 < m ≲ 1.2k` (default) |
+//! | [`multisplit_fused`] | coarsened tile | intra-block | any `m ≤ fused_max_buckets` (default) |
 //!
 //! The three paper methods follow the `{pre-scan, scan, post-scan}`
 //! skeleton: ballot-based local histograms
@@ -27,7 +26,9 @@
 //! lightweight global-histogram pass plus **one** sweep kernel that
 //! resolves per-bucket tile prefixes with the decoupled look-back of
 //! `primitives::lookback` (the structure of the OneSweep radix sort) — it
-//! is what [`Method::auto`] picks for `m <= 32`. The three-kernel methods run
+//! is what [`Method::auto`] picks for every `m` up to its shared-memory
+//! capacity ([`fused_max_buckets`], ≈1.2k at 8 warps), past which `auto`
+//! falls back to [`multisplit_large_m`]. The three-kernel methods run
 //! when a caller names them in [`multisplit_device`].
 //!
 //! ## Quickstart
@@ -52,7 +53,6 @@ pub mod common;
 pub mod cpu_ref;
 pub mod direct;
 pub mod fused;
-pub mod fused_large_m;
 pub mod large_m;
 pub mod prescan;
 pub mod segmented;
@@ -69,10 +69,9 @@ pub use bucket::{
 pub use common::{no_values, DeviceMultisplit};
 pub use cpu_ref::{check_multisplit, multisplit_kv_ref, multisplit_ref};
 pub use direct::multisplit_direct;
-pub use fused::{multisplit_fused, multisplit_fused_into, multisplit_sweep_into};
-pub use fused_large_m::{
+pub use fused::{
     max_buckets as fused_max_buckets, max_buckets_bytes as fused_max_buckets_bytes,
-    multisplit_fused_large_m, multisplit_fused_large_m_into,
+    multisplit_fused, multisplit_fused_into, multisplit_sweep_into,
 };
 pub use large_m::{max_buckets, multisplit_large_m};
 pub use prescan::{bucket_totals, PRESCAN_ITEMS_PER_THREAD};

@@ -1,5 +1,5 @@
-//! The one pre-scan kernel, behind `fused/pre-scan`,
-//! `fused_large_m/pre-scan`, `segmented/pre-scan[…]` and
+//! The one pre-scan kernel, behind the fused method's `fused/pre-scan`
+//! (`fused_large_m/pre-scan` past 32 buckets), `segmented/pre-scan[…]` and
 //! `ms_sort/pre-scan` (one counter window per digit).
 //!
 //! Each block zeroes block-private shared counters (one `m`-word window
@@ -214,7 +214,7 @@ fn count_tile<B: BucketFn + ?Sized>(
 mod tests {
     use super::*;
     use crate::bucket::RangeBuckets;
-    use crate::fused_large_m::max_buckets;
+    use crate::fused::max_buckets;
     use simt::{BlockStats, K40C};
 
     const TILE: usize = 8 * WARP_SIZE * PRESCAN_ITEMS_PER_THREAD;

@@ -12,15 +12,14 @@
 //!
 //! ### Structure
 //!
-//! Every segment is classified by [`Method::auto_for`]'s segmented-aware
-//! face ([`Method::auto_for_segmented`]): segments `auto_for` sends to a
-//! fused path join the coalesced launch, every `m ≤ capacity` with the
-//! same per-warp `m × N_W` histogram (the pre-scan counts `m ≤ 32`
-//! segments with ballots and wider ones with shared atomics);
-//! anything else (past fused capacity, or a pinned three-kernel pipeline)
-//! falls back to its own standalone launches under a `segmented/fallback`
-//! scope. The coalesced work is the shared tile sweep of
-//! [`crate::sweep`] over many segments:
+//! Every segment is classified by [`segment_fits_sweep`]: a segment whose
+//! sweep fits shared memory next to its tile descriptor joins the
+//! coalesced launch, every such `m` with the same per-warp `m × N_W`
+//! histogram (the pre-scan counts `m ≤ 32` segments with ballots and
+//! wider ones with shared atomics); anything else (near or past fused
+//! capacity) falls back to its own standalone [`Method::auto_for`]
+//! launches under a `segmented/fallback` scope. The coalesced work is
+//! the shared tile sweep of [`crate::sweep`] over many segments:
 //!
 //! 1. `segmented/pre-scan[fused=K,largem=J]` — the one pre-scan kernel
 //!    of [`crate::prescan`], one block per 8,192-key pre-scan tile (at 8
@@ -100,8 +99,9 @@ fn coalesced_ipt(m: u32, value_bytes: u64, wpb: usize) -> Option<usize> {
 
 /// Whether an `m`-bucket segment can run inside the segmented sweep at
 /// this block size (shared memory fits the sweep body plus the tile
-/// descriptor). Used by [`Method::auto_for_segmented`]; assumes the
-/// one-word payload convention of [`Method::auto_for`].
+/// descriptor). Assumes the one-word payload convention of
+/// [`Method::auto_for`]. Every `m ≤ 32` fits at up to 32 warps per
+/// block, and every fitting `m` is within the standalone fused capacity.
 pub fn segment_fits_sweep(m: u32, key_value: bool, wpb: usize) -> bool {
     coalesced_ipt(m, if key_value { 4 } else { 0 }, wpb).is_some()
 }
@@ -186,8 +186,8 @@ pub fn multisplit_segmented_into<V: Scalar>(
         .map(|s| vec![0u32; s.bucket.num_buckets() as usize + 1])
         .collect();
 
-    // ====== Classify: coalesced (a fused method that fits next to the
-    // descriptor) vs fallback.
+    // ====== Classify: coalesced (the sweep fits next to the descriptor)
+    // vs fallback.
     let mut coalesced = Vec::new();
     let mut owners = Vec::new();
     let mut fallback: Vec<usize> = Vec::new();
@@ -195,12 +195,7 @@ pub fn multisplit_segmented_into<V: Scalar>(
         if s.n == 0 {
             continue; // all-zero offsets, no tiles
         }
-        let m = s.bucket.num_buckets();
-        let ipt = match Method::auto_for(m, values.is_some(), wpb) {
-            Method::Fused | Method::FusedLargeM => coalesced_ipt(m, kv_bytes, wpb),
-            _ => None,
-        };
-        match ipt {
+        match coalesced_ipt(s.bucket.num_buckets(), kv_bytes, wpb) {
             Some(ipt) => {
                 coalesced.push(SweepSeg {
                     offset: s.offset,
@@ -403,14 +398,7 @@ mod tests {
     fn label_encodes_per_segment_dispatch_at_the_boundary() {
         // m = 32 and m = 33 in ONE segmented launch dispatch to the ballot
         // and atomic pre-scan counting, visible in the label.
-        assert_eq!(
-            Method::auto_for_segmented(32, false, 8),
-            Some(Method::Fused)
-        );
-        assert_eq!(
-            Method::auto_for_segmented(33, false, 8),
-            Some(Method::FusedLargeM)
-        );
+        assert!(segment_fits_sweep(32, false, 8) && segment_fits_sweep(33, false, 8));
         let dev = Device::sequential(K40C);
         let parts = [(2 * tile(32) + 1, 32), (2 * tile(33) + 1, 33)];
         check_against_reference(&dev, &parts, false);

@@ -1,9 +1,8 @@
 //! The one tile sweep behind every single-pass multisplit.
 //!
-//! [`Method::Fused`](crate::api::Method::Fused) (`m ≤ 32`),
-//! [`Method::FusedLargeM`](crate::api::Method::FusedLargeM) (`m > 32`),
-//! and a segmented batch ([`crate::segmented`]) all run the sweep kernel
-//! written once here. Blocks claim tiles in ticket order, read the tile's
+//! [`Method::Fused`](crate::api::Method::Fused) (every `m` up to its
+//! shared-memory capacity), ms-sort's digit passes and a segmented batch
+//! ([`crate::segmented`]) all run the sweep kernel written once here. Blocks claim tiles in ticket order, read the tile's
 //! keys once into registers, build the tile histogram, resolve the tile's
 //! m-vector prefix by decoupled look-back inside the segment's window of
 //! a [`SegmentedTileStates`], reorder the tile in shared memory, and
@@ -33,7 +32,7 @@
 //! (`read_desc`; the pre-scan reads its own table the same way).
 //!
 //! [`footprint_words`] is the single shared-memory budget: the
-//! coarsening search, the large-m capacity bound and the kernel's
+//! coarsening search, the fused capacity bound and the kernel's
 //! allocations all derive from the same `Layout`.
 
 use simt::{
@@ -727,7 +726,7 @@ mod tests {
         assert_eq!(direct(8, 256, 4), Some(16));
         assert_eq!(direct(16, 32, 4), Some(11));
         assert!((1..8).contains(&direct(8, 1024, 4).unwrap()));
-        let cap = crate::fused_large_m::max_buckets(8, false) as usize;
+        let cap = crate::fused::max_buckets(8, false) as usize;
         assert_eq!(direct(8, cap, 0), Some(1));
         assert_eq!(direct(8, cap + 1, 0), None, "past capacity nothing fits");
     }
@@ -737,7 +736,7 @@ mod tests {
     /// one chunk per warp of staged keys and payloads (no bucket ids).
     #[test]
     fn max_buckets_keeps_its_values() {
-        use crate::fused_large_m::max_buckets;
+        use crate::fused::max_buckets;
         for (wpb, key, kv) in [
             (1, 6126, 6110),
             (2, 3054, 3038),
@@ -838,14 +837,10 @@ mod tests {
         }
     }
 
-    /// The standalone paths over the sweep, with the bucket counts each
-    /// covers.
-    const PATHS: [(Method, &[u32]); 2] = [
-        (Method::Fused, &[1, 2, 4, 8, 9, 13, 17, 32]),
-        (
-            Method::FusedLargeM,
-            &[33, 50, 64, 96, 100, 128, 256, 777, 1024],
-        ),
+    /// The bucket counts the standalone fused path is checked at: both
+    /// pre-scan countings, from one bucket to near capacity.
+    const MS: [u32; 17] = [
+        1, 2, 4, 8, 9, 13, 17, 32, 33, 50, 64, 96, 100, 128, 256, 777, 1024,
     ];
 
     /// Empty, single-element, sub-warp, partial, exact-tile, tile-plus-one
@@ -856,14 +851,7 @@ mod tests {
 
     /// Run one case on `dev` and check it against the CPU reference:
     /// keys, payloads, offsets, and no launches at all for `n = 0`.
-    fn check_case(
-        dev: &Device,
-        method: Method,
-        bucket: &dyn BucketFn,
-        n: usize,
-        kv: bool,
-        wpb: usize,
-    ) {
+    fn check_case(dev: &Device, bucket: &dyn BucketFn, n: usize, kv: bool, wpb: usize) {
         let m = bucket.num_buckets();
         let data = keys_for(n, m);
         let vals: Vec<u32> = (0..n as u32).map(|v| !v).collect();
@@ -871,9 +859,9 @@ mod tests {
         let values = GlobalBuffer::from_slice(&vals);
         let values = kv.then_some(&values);
         let launches = dev.records().len();
-        let r = multisplit_device(dev, method, &keys, values, n, bucket, wpb);
+        let r = multisplit_device(dev, Method::Fused, &keys, values, n, bucket, wpb);
         let (ek, ev, eo) = multisplit_kv_ref(&data, kv.then_some(&vals[..]), bucket);
-        let case = format!("{method:?} m={m} n={n} kv={kv} wpb={wpb}");
+        let case = format!("m={m} n={n} kv={kv} wpb={wpb}");
         assert_eq!(r.keys.to_vec(), ek, "{case}");
         if let Some(v) = r.values {
             assert_eq!(v.to_vec(), ev, "{case}");
@@ -885,84 +873,65 @@ mod tests {
         }
     }
 
-    /// Every standalone path against the CPU reference: every size in
-    /// [`sizes`] at the case's own tile, key-only and key-value, across block sizes (including a
-    /// single-warp block whose tiles hold one chunk column), plus a fully
-    /// skewed input whose keys all land in one bucket (stability makes the
-    /// split the identity).
+    /// The standalone fused path against the CPU reference at every
+    /// bucket count in [`MS`]: every size in [`sizes`] at the case's own
+    /// tile, key-only and key-value, across block sizes (including a
+    /// single-warp block whose tiles hold one chunk column), plus fully
+    /// skewed inputs whose keys all land in one bucket, on both sides of
+    /// 32 (stability makes the split the identity).
     #[test]
     fn every_standalone_path_matches_reference() {
         let dev = Device::new(K40C);
-        for (method, ms) in PATHS {
-            for (i, &m) in ms.iter().enumerate() {
-                for j in 0..sizes(0).len() {
-                    let kv = (i + j) % 2 == 1;
-                    let wpb = match [8, 1, 2, 4, 16][(i + j) % 5] {
-                        w if m > crate::fused_large_m::max_buckets(w, kv) => 8,
-                        w => w,
-                    };
-                    let ipt = items_per_thread(wpb, m as usize, 4 * kv as u64, 0);
-                    let n = sizes(wpb * WARP_SIZE * ipt.unwrap())[j];
-                    check_case(&dev, method, &RangeBuckets::new(m), n, kv, wpb);
-                }
+        for (i, &m) in MS.iter().enumerate() {
+            for j in 0..sizes(0).len() {
+                let kv = (i + j) % 2 == 1;
+                let wpb = match [8, 1, 2, 4, 16][(i + j) % 5] {
+                    w if m > crate::fused::max_buckets(w, kv) => 8,
+                    w => w,
+                };
+                let ipt = items_per_thread(wpb, m as usize, 4 * kv as u64, 0);
+                let n = sizes(wpb * WARP_SIZE * ipt.unwrap())[j];
+                check_case(&dev, &RangeBuckets::new(m), n, kv, wpb);
             }
-            let (m, only) = if method == Method::FusedLargeM {
-                (64, 40)
-            } else {
-                (8, 3)
-            };
+        }
+        for (m, only) in [(8, 3), (64, 40)] {
             let one = FnBuckets::new(m, move |_| only);
             for (n, kv) in [(1000, false), (5000, true)] {
-                check_case(&dev, method, &one, n, kv, 8);
+                check_case(&dev, &one, n, kv, 8);
                 let data = keys_for(n, m);
                 let keys = GlobalBuffer::from_slice(&data);
-                let r = multisplit_device(&dev, method, &keys, no_values(), n, &one, 8);
-                assert_eq!(
-                    r.keys.to_vec(),
-                    data,
-                    "{method:?}: one bucket is the identity"
-                );
+                let r = multisplit_device(&dev, Method::Fused, &keys, no_values(), n, &one, 8);
+                assert_eq!(r.keys.to_vec(), data, "m={m}: one bucket is the identity");
                 let expect: Vec<u32> = (0..=m)
                     .map(|b| if b <= only { 0 } else { n as u32 })
                     .collect();
-                assert_eq!(r.offsets, expect, "{method:?}");
+                assert_eq!(r.offsets, expect, "m={m}");
             }
         }
     }
 
     /// Launch labels of a standalone run of `n` keys on a fresh device,
     /// checked against the CPU reference.
-    fn labels_of(method: Method, m: u32, n: usize, kv: bool) -> Vec<String> {
+    fn labels_of(m: u32, n: usize, kv: bool) -> Vec<String> {
         let dev = Device::new(K40C);
-        check_case(&dev, method, &RangeBuckets::new(m), n, kv, 8);
+        check_case(&dev, &RangeBuckets::new(m), n, kv, 8);
         dev.records().into_iter().map(|r| r.label).collect()
     }
 
     /// An input that fits one sweep tile is one launch, the sweep: no
-    /// pre-scan. One key more is two launches.
+    /// pre-scan. One key more is two launches. The labels name the
+    /// pre-scan's counting: ballots up to 32 buckets, atomics beyond.
     #[test]
     fn one_tile_is_one_launch_and_one_key_more_is_two() {
-        for (method, m, pair) in [
-            (Method::Fused, 13u32, ["fused/pre-scan", "fused/sweep"]),
-            (
-                Method::FusedLargeM,
-                100,
-                ["fused_large_m/pre-scan", "fused_large_m/sweep"],
-            ),
+        for (m, pair) in [
+            (13u32, ["fused/pre-scan", "fused/sweep"]),
+            (100, ["fused_large_m/pre-scan", "fused_large_m/sweep"]),
         ] {
             for kv in [false, true] {
                 let ipt = items_per_thread(8, m as usize, 4 * kv as u64, 0);
                 let tile = 8 * WARP_SIZE * ipt.unwrap();
-                assert_eq!(
-                    labels_of(method, m, tile, kv),
-                    [pair[1]],
-                    "{method:?} kv={kv}"
-                );
-                assert_eq!(
-                    labels_of(method, m, tile + 1, kv),
-                    pair,
-                    "{method:?} kv={kv}"
-                );
+                assert_eq!(labels_of(m, tile, kv), [pair[1]], "m={m} kv={kv}");
+                assert_eq!(labels_of(m, tile + 1, kv), pair, "m={m} kv={kv}");
             }
         }
     }
@@ -976,7 +945,7 @@ mod tests {
         let n = 3000;
         let data = keys_for(n, 100);
         let vals: Vec<u32> = (0..n as u32).collect();
-        for (method, m) in [(Method::Fused, 13u32), (Method::FusedLargeM, 100)] {
+        for m in [13u32, 100] {
             for kv in [false, true] {
                 let bucket = RangeBuckets::new(m);
                 let mut devs = vec![Device::sequential(K40C), Device::new(K40C)];
@@ -990,9 +959,9 @@ mod tests {
                         let keys = GlobalBuffer::from_slice(&data);
                         let values = GlobalBuffer::from_slice(&vals);
                         let values = kv.then_some(&values);
-                        let r = multisplit_device(dev, method, &keys, values, n, &bucket, 8);
+                        let r = multisplit_device(dev, Method::Fused, &keys, values, n, &bucket, 8);
                         let stats: Vec<_> = dev.records().iter().map(|rec| rec.stats).collect();
-                        assert_eq!(stats.len(), 1, "{method:?} kv={kv}: one launch");
+                        assert_eq!(stats.len(), 1, "m={m} kv={kv}: one launch");
                         (
                             r.keys.to_vec(),
                             r.values.map(|v| v.to_vec()),
@@ -1002,12 +971,12 @@ mod tests {
                     })
                     .collect();
                 let (ek, ev, eo) = multisplit_kv_ref(&data, kv.then_some(&vals[..]), &bucket);
-                assert_eq!((&runs[0].0, &runs[0].2), (&ek, &eo), "{method:?} kv={kv}");
+                assert_eq!((&runs[0].0, &runs[0].2), (&ek, &eo), "m={m} kv={kv}");
                 if kv {
-                    assert_eq!(runs[0].1.as_ref(), Some(&ev), "{method:?}");
+                    assert_eq!(runs[0].1.as_ref(), Some(&ev), "m={m}");
                 }
                 for run in &runs[1..] {
-                    assert_eq!(run, &runs[0], "{method:?} kv={kv}: schedule-independent");
+                    assert_eq!(run, &runs[0], "m={m} kv={kv}: schedule-independent");
                 }
             }
         }
@@ -1025,11 +994,11 @@ mod tests {
             .map(|&k| if k % 4 != 0 { k >> 5 } else { k })
             .collect();
         let vals: Vec<u32> = (0..n as u32).collect();
-        for (method, m, kv, data) in [
-            (Method::Fused, 32, false, &uniform),
-            (Method::Fused, 32, true, &skewed),
-            (Method::FusedLargeM, 100, false, &uniform),
-            (Method::FusedLargeM, 256, true, &uniform),
+        for (m, kv, data) in [
+            (32, false, &uniform),
+            (32, true, &skewed),
+            (100, false, &uniform),
+            (256, true, &uniform),
         ] {
             let bucket = RangeBuckets::new(m);
             let mut runs = Vec::new();
@@ -1037,7 +1006,7 @@ mod tests {
                 let keys = GlobalBuffer::from_slice(data);
                 let values = GlobalBuffer::from_slice(&vals);
                 let values = kv.then_some(&values);
-                let r = multisplit_device(&dev, method, &keys, values, n, &bucket, 8);
+                let r = multisplit_device(&dev, Method::Fused, &keys, values, n, &bucket, 8);
                 let stats: Vec<_> = dev.records().iter().map(|rec| rec.stats).collect();
                 runs.push((
                     r.keys.to_vec(),
@@ -1046,10 +1015,7 @@ mod tests {
                     stats,
                 ));
             }
-            assert_eq!(
-                runs[0], runs[1],
-                "{method:?} m={m} kv={kv}: schedule-independent"
-            );
+            assert_eq!(runs[0], runs[1], "m={m} kv={kv}: schedule-independent");
         }
     }
 
@@ -1066,12 +1032,7 @@ mod tests {
             let keys = GlobalBuffer::from_slice(&data);
             let values = GlobalBuffer::from_slice(&vals);
             let bucket = RangeBuckets::new(m);
-            let method = if m <= 32 {
-                Method::Fused
-            } else {
-                Method::FusedLargeM
-            };
-            multisplit_device(&dev, method, &keys, Some(&values), n, &bucket, 8);
+            multisplit_device(&dev, Method::Fused, &keys, Some(&values), n, &bucket, 8);
             let sweep = dev
                 .records()
                 .into_iter()

@@ -75,9 +75,9 @@ pub const MAX_N: usize = 4096;
 /// Most tiles a `k × tile` size draw spans.
 pub const MAX_TILES: usize = 4;
 
-/// Upper bound on generated `m` for the large-m methods (their
-/// shared-memory capacity allows ~1.2k, but histogram setup cost scales
-/// with `m` and the interesting boundaries are far below).
+/// Upper bound on generated `m` for the methods that go past the warp
+/// width (their shared-memory capacity allows ~1.2k, but histogram setup
+/// cost scales with `m` and the interesting boundaries are far below).
 pub const MAX_LARGE_M: u32 = 256;
 
 /// Most warps a replayed block may have: CUDA caps a block at 1,024
@@ -85,14 +85,13 @@ pub const MAX_LARGE_M: u32 = 256;
 /// helpers the replay checks call).
 pub const MAX_WPB: usize = 32;
 
-/// All six methods with their replay-token names.
-pub const METHODS: [(Method, &str); 6] = [
+/// All five methods with their replay-token names.
+pub const METHODS: [(Method, &str); 5] = [
     (Method::Direct, "direct"),
     (Method::WarpLevel, "warp"),
     (Method::BlockLevel, "block"),
     (Method::LargeM, "largem"),
     (Method::Fused, "fused"),
-    (Method::FusedLargeM, "fusedlargem"),
 ];
 
 /// Input key distribution.
@@ -503,13 +502,14 @@ fn list_candidates<T: Clone>(parts: &[T], reduce: impl Fn(&T) -> Vec<T>) -> Vec<
 
 // =============================== split family ================================
 
-/// `[min, max]` bucket counts `method` is drawn from and replayed at: the
-/// large-m paths need `m > 32` and stop at their shared-memory capacity
-/// (capped at [`MAX_LARGE_M`]); every other method takes `1..=32`.
+/// `[min, max]` bucket counts `method` is drawn from and replayed at,
+/// capped at [`MAX_LARGE_M`]: the fused path takes every `m` up to its
+/// shared-memory capacity, the three-kernel large-m path needs `m > 32`
+/// and stops at its own, and every other method takes `1..=32`.
 pub fn m_range(method: Method, wpb: usize, kv: bool) -> (u32, u32) {
     match method {
+        Method::Fused => (1, fused_max_buckets(wpb, kv).min(MAX_LARGE_M)),
         Method::LargeM => (33, large_m_max_buckets(wpb, kv).min(MAX_LARGE_M)),
-        Method::FusedLargeM => (33, fused_max_buckets(wpb, kv).min(MAX_LARGE_M)),
         _ => (1, 32),
     }
 }
@@ -523,13 +523,16 @@ pub struct Launch {
 }
 
 impl Launch {
-    /// Draw `m` (biased to the method's range ends), then `n` (biased to
-    /// the edges of its tile, uniform up to `max_uniform`).
+    /// Draw `m` (biased to the method's range ends, and for the fused
+    /// path to both sides of its ballot → atomic pre-scan counting at
+    /// 32 | 33), then `n` (biased to the edges of its tile, uniform up to
+    /// `max_uniform`).
     fn draw(rng: &mut SmallRng, method: Method, c: &Common, max_uniform: usize) -> Launch {
         let (lo, hi) = m_range(method, c.wpb, c.kv);
         let m = match rng.next_u32() % 4 {
             0 => lo,
             1 => hi,
+            2 if method == Method::Fused => 32 + rng.next_u32() % 2,
             _ => lo + rng.next_u32() % (hi - lo + 1),
         };
         let n = draw_n(rng, tile_of(method, m, c.kv, c.wpb, 0), max_uniform);
@@ -606,7 +609,7 @@ impl Family for Launch {
 /// Deterministically generate case `ix` of a run seeded with `seed`.
 ///
 /// Methods, kv, and schedules rotate (so 200 iterations exhaust the
-/// 6 methods x {key, kv} x 6 schedules matrix twice over) while
+/// 5 methods x {key, kv} x 6 schedules matrix three times over) while
 /// sizes, bucket counts, seeds, and distributions are drawn from the
 /// run's RNG with a deliberate bias toward boundary values (0, 1, warp
 /// and tile multiples, capacity edges).
@@ -628,8 +631,8 @@ pub fn gen_case(seed: u64, ix: usize) -> FuzzCase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sort {
     pub n: usize,
-    /// Digit width in bits (1..= [`ms_sort::max_digit_bits`]); crosses the
-    /// Fused → FusedLargeM boundary at 6.
+    /// Digit width in bits (1..= [`ms_sort::max_digit_bits`]); crosses
+    /// from ballot → atomic pre-scan counting at digit 6.
     pub digit: u32,
     /// How many low key bits participate in the sort (0..=32). Keys are
     /// compared by `k & ((1 << bits) - 1)`; ties keep input order.
@@ -713,16 +716,16 @@ impl Family for Sort {
 /// Deterministically generate sort case `ix` of a run seeded with `seed`.
 /// kv and schedules rotate (12 consecutive indices cover the
 /// {key, kv} x 6-schedule matrix) while digit widths are drawn with a
-/// bias toward the Fused/FusedLargeM capacity boundaries and sizes toward
-/// tile multiples.
+/// bias toward the ballot → atomic pre-scan counting at digit 6 and
+/// sizes toward tile multiples.
 pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
     let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
     let mut common = Common::draw(&mut rng, ix % 2 == 1, ix / 2);
     let max_db = ms_sort::max_digit_bits(common.wpb, common.value_bytes());
     let digit = match rng.next_u32() % 4 {
         0 => 1,
-        1 => 5,             // last width on the Fused path
-        2 => 6.min(max_db), // first width on FusedLargeM
+        1 => 5,             // last width counted with ballots
+        2 => 6.min(max_db), // first width counted with atomics
         _ => 1 + rng.next_u32() % max_db,
     };
     // A digit pass is a direct sweep over 2^digit buckets.
@@ -988,7 +991,7 @@ pub fn gen_stream_case(seed: u64, ix: usize) -> StreamCase {
 /// next to `reserved_words`), one 32-key chunk per warp for the
 /// three-kernel ones and past the sweep's capacity.
 fn tile_of(method: Method, m: u32, kv: bool, wpb: usize, reserved_words: usize) -> usize {
-    if !matches!(method, Method::Fused | Method::FusedLargeM) {
+    if method != Method::Fused {
         return wpb * 32;
     }
     let ipt = items_per_thread(wpb, m as usize, if kv { 4 } else { 0 }, reserved_words);
@@ -1484,6 +1487,7 @@ mod tests {
             (t("n=1,m=2,method=nope"), "method: "),
             // A retired method fails loudly rather than replaying another.
             (t("n=1,m=2,method=onesweep"), "method: "),
+            (t("n=1,m=2,method=fusedlargem"), "method: "),
             (t("n=x,m=2,method=fused"), "n: "),
             (split("seq", "adv:x:y"), "sched: "),
             (split("kv=0", "kv=2"), "kv: "),
@@ -1492,7 +1496,7 @@ mod tests {
             (split("wpb=8", "wpb=64"), "wpb = 64"),
             // Split's contract: m inside the method's range.
             (t("n=1,m=0,method=fused"), "m = 0"),
-            (t("n=1,m=40,method=fused"), "m = 40"),
+            (t("n=1,m=257,method=fused"), "m = 257"),
             (t("n=1,m=32,method=largem"), "m = 32"),
             // Sort: `m` is not a sort field.
             ("sort,n=1".into(), "missing"),
@@ -1524,7 +1528,7 @@ mod tests {
                 t("stream,ns=1+1,ms=1+0,methods=fused+fused"),
                 "task 1: m = 0",
             ),
-            (t("stream,ns=1,ms=5,methods=fusedlargem"), "task 0: m = 5"),
+            (t("stream,ns=1,ms=5,methods=largem"), "task 0: m = 5"),
         ];
         for (token, want) in &rows {
             match parse_replay(token) {
@@ -1532,6 +1536,10 @@ mod tests {
                 Err(e) => assert!(e.contains(want), "{token:?}: {e:?} should name {want:?}"),
             }
         }
+        // Past the warp width is inside the fused method's range.
+        let wide = t("n=300,m=64,method=fused");
+        let case = parse_replay(&wide).expect(&wide);
+        assert!(run_case(&case).is_ok(), "{wide}");
     }
 
     /// Every generated case, as its replay token, hashed (FNV-1a) over
@@ -1547,21 +1555,30 @@ mod tests {
                 }
             }
         }
-        assert_eq!(h, 0x0406_e5c8_28c7_62f0, "digest {h:#018x}");
+        assert_eq!(h, 0x708d_0529_497d_2c2c, "digest {h:#018x}");
     }
 
     #[test]
     fn generator_covers_the_matrix() {
-        // 72 consecutive cases (6 methods x 2 kv x 6 schedules) hit every
+        // 60 consecutive cases (5 methods x 2 kv x 6 schedules) hit every
         // method x kv x schedule family exactly once.
-        let cases: Vec<FuzzCase> = (0..72).map(|ix| gen_case(5, ix)).collect();
+        let cases: Vec<FuzzCase> = (0..60).map(|ix| gen_case(5, ix)).collect();
         assert_matrix(&cases);
         let methods: HashSet<_> = cases.iter().map(|c| c.own.method.write()).collect();
-        assert_eq!(methods.len(), 6, "{methods:?}");
+        assert_eq!(methods.len(), 5, "{methods:?}");
         for Case { own: l, common: c } in &cases {
             let tile = tile_of(l.method, l.m, c.kv, c.wpb, 0);
             assert!(l.n <= MAX_N.max(MAX_TILES * tile));
         }
+        // The fused cases reach both pre-scan countings.
+        let fused: Vec<u32> = (cases.iter())
+            .filter(|c| c.own.method == Method::Fused)
+            .map(|c| c.own.m)
+            .collect();
+        assert!(
+            fused.iter().any(|&m| m <= 32) && fused.iter().any(|&m| m > 32),
+            "{fused:?}"
+        );
     }
 
     #[test]
@@ -1576,7 +1593,7 @@ mod tests {
         let digits: HashSet<u32> = cases.iter().map(|c| c.own.digit).collect();
         assert!(
             digits.contains(&5) && digits.contains(&6),
-            "the Fused→FusedLargeM crossover widths must both appear: {digits:?}"
+            "both sides of the ballot → atomic counting at digit 6 must appear: {digits:?}"
         );
     }
 
@@ -1671,7 +1688,7 @@ mod tests {
 
     #[test]
     fn hand_built_cases_run_clean() {
-        // A sort at the first FusedLargeM digit width, and zero-bit sorts
+        // A sort at the first atomic-counted digit width, and zero-bit sorts
         // (output must equal input) for both payloads.
         let sort_case = |bits, kv| {
             let common = header(kv, KeyDist::Uniform, 99, 4, SchedSpec::Parallel);
@@ -1707,30 +1724,32 @@ mod tests {
         assert!(matches!(check(sort, true), Err(Divergence::Output(_))));
     }
 
-    /// The size draws reach both sides of every sweep path's one-tile
-    /// edge (one launch at `n = tile`, the multi-tile pipeline at
-    /// `tile + 1`), and some segmented batch mixes a one-tile coalesced
-    /// segment with a multi-tile one.
+    /// The size draws reach both sides of the fused path's one-tile edge
+    /// (one launch at `n = tile`, the multi-tile pipeline at `tile + 1`)
+    /// under both pre-scan countings, and some segmented batch mixes a
+    /// one-tile coalesced segment with a multi-tile one.
     #[test]
     fn size_draws_cross_the_sweep_tile_edge() {
-        for method in [Method::Fused, Method::FusedLargeM] {
+        for wide in [false, true] {
             let (mut at, mut past) = (false, false);
             for Case { own: l, common: c } in (0..3000).map(|ix| gen_case(5, ix)) {
-                if l.method == method {
-                    let tile = tile_of(method, l.m, c.kv, c.wpb, 0);
+                if l.method == Method::Fused && (l.m > 32) == wide {
+                    let tile = tile_of(l.method, l.m, c.kv, c.wpb, 0);
                     at |= l.n == tile;
                     past |= l.n == tile + 1;
                 }
             }
-            assert!(at && past, "{method:?}: n = tile {at}, n = tile + 1 {past}");
+            assert!(
+                at && past,
+                "m > 32: {wide}: n = tile {at}, n = tile + 1 {past}"
+            );
         }
         let mixed = (0..500).map(|ix| gen_seg_case(5, ix)).any(|c| {
             let Common { kv, wpb, .. } = c.common;
             let tiles: Vec<usize> = (c.own.iter())
-                .filter(|s| Method::auto_for_segmented(s.m, kv, wpb).is_some())
+                .filter(|s| multisplit::segment_fits_sweep(s.m, kv, wpb))
                 .map(|s| {
-                    let method = Method::auto_for(s.m, kv, wpb);
-                    s.n.div_ceil(tile_of(method, s.m, kv, wpb, DESC_WORDS))
+                    s.n.div_ceil(tile_of(Method::Fused, s.m, kv, wpb, DESC_WORDS))
                 })
                 .collect();
             tiles.contains(&1) && tiles.iter().any(|&t| t > 1)

@@ -73,12 +73,12 @@ pub const DEFAULT_DIGIT_BITS: u32 = 8;
 /// reduction, copy): chunks of 32 elements per warp per tile.
 const UTIL_ITEMS_PER_THREAD: usize = 8;
 
-/// Largest digit width whose `2^b`-bucket pass still dispatches to a
-/// fused path at this block size and payload width (`value_bytes = 0` for
-/// key-only passes, `V::BYTES` otherwise). Widths up to 5 always fit
-/// ([`multisplit::Method::Fused`]); beyond that the fused large-m
-/// sweep's shared memory bounds `m`, and the bound shrinks with the
-/// payload staging.
+/// Largest digit width whose `2^b`-bucket pass still fits the fused
+/// sweep ([`multisplit::Method::Fused`]) at this block size and payload
+/// width (`value_bytes = 0` for key-only passes, `V::BYTES` otherwise).
+/// Widths up to 5 always fit; beyond that the sweep's shared memory
+/// bounds `m`, and the bound shrinks with the payload staging. Digit 6
+/// is where the pre-scan crosses from ballot to atomic counting.
 pub fn max_digit_bits(wpb: usize, value_bytes: u64) -> u32 {
     let cap = multisplit::fused_max_buckets_bytes(wpb, value_bytes);
     let large = 31 - cap.leading_zeros(); // floor(log2 cap)
@@ -862,7 +862,7 @@ mod tests {
 
     #[test]
     fn digit_cap_respects_payload_width() {
-        // u64 staging shrinks the fused large-m capacity, so the cap for
+        // u64 staging shrinks the fused capacity, so the cap for
         // 8-byte payloads can never exceed the key-only cap.
         for wpb in [1usize, 2, 8, 16, 32] {
             assert!(max_digit_bits(wpb, 8) <= max_digit_bits(wpb, 4));

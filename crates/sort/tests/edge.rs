@@ -1,6 +1,7 @@
 //! Property and edge-case tests for ms-sort, exercised through the
 //! public API only: degenerate sizes, pathological orders, the zero-bit
-//! range, the Fused → FusedLargeM digit-width crossover, and stability.
+//! range, the ballot → atomic pre-scan counting crossover at digit 6, and
+//! stability.
 
 use ms_sort::{
     argsort_by_bits, effective_key_bits, sort_by_bit_range_with, sort_keys, sort_keys_host,
@@ -86,10 +87,11 @@ fn zero_bit_range_is_the_identity() {
 
 #[test]
 fn crossover_digit_widths_agree_and_dispatch_differently() {
-    // b=5 is the last width on the Fused path (m = 32); b=6 is the first
-    // on FusedLargeM (m = 64). Same sorted output, different kernels.
-    // 24-bit keys: b=6 divides evenly (4 large-m passes, no narrow tail
-    // pass that would drop back to Fused), b=5 runs 5,5,5,5,4 all-Fused.
+    // b=5 is the last width whose pre-scan counts with ballots (m = 32);
+    // b=6 is the first counted with shared atomics (m = 64). Same sorted
+    // output, different launches. 24-bit keys: b=6 divides evenly (4
+    // atomic-counted passes, no narrow tail pass that would drop back to
+    // ballots), b=5 runs 5,5,5,5,4 all ballot-counted.
     let n = 4000;
     let input: Vec<u32> = scrambled(n, 4).iter().map(|k| k & 0xFF_FFFF).collect();
     let mut expect = input.clone();
@@ -106,12 +108,12 @@ fn crossover_digit_widths_agree_and_dispatch_differently() {
         if digit_bits <= 5 {
             assert!(
                 fused && !large,
-                "b={digit_bits} must stay on Fused: {labels:?}"
+                "b={digit_bits} must stay on ballot counting: {labels:?}"
             );
         } else {
             assert!(
                 large && !fused,
-                "b={digit_bits} must cross to FusedLargeM: {labels:?}"
+                "b={digit_bits} must cross to atomic counting: {labels:?}"
             );
         }
         outputs.push(sk.to_vec());

@@ -101,23 +101,17 @@ fn straggler_scan_terminates_and_matches_sequential() {
 }
 
 /// The same parking schedule against the multi-row look-back
-/// (`resolve_rows`): FusedLargeM at m = 64 publishes and walks two 32-row
+/// (`resolve_rows`): the fused path at m = 64 publishes and walks two 32-row
 /// groups per tile, and the whole pipeline must still terminate with a
 /// bit-identical fingerprint.
 #[test]
 fn straggler_multi_row_lookback_terminates_and_matches_sequential() {
     let keys = gen_keys(6000, 0xAD02);
     for kv in [false, true] {
-        let seq = run_fingerprint(
-            &Device::sequential(K40C),
-            Method::FusedLargeM,
-            &keys,
-            kv,
-            64,
-        );
+        let seq = run_fingerprint(&Device::sequential(K40C), Method::Fused, &keys, kv, 64);
         let adv = run_fingerprint(
             &Device::adversarial(K40C, AdvSchedule::with_flavor(0xBEEF, AdvFlavor::Straggler)),
-            Method::FusedLargeM,
+            Method::Fused,
             &keys,
             kv,
             64,
@@ -175,7 +169,7 @@ fn all_methods_agree_with_sequential_under_every_flavor() {
         (Method::BlockLevel, 13),
         (Method::LargeM, 64),
         (Method::Fused, 13),
-        (Method::FusedLargeM, 64),
+        (Method::Fused, 64),
     ] {
         let seq = run_fingerprint(&Device::sequential(K40C), method, &keys, false, m);
         let (ek, _, eo) = multisplit_kv_ref(&keys, None, &RangeBuckets::new(m));

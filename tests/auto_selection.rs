@@ -52,23 +52,21 @@ fn auto_picks_fused_up_to_32_and_fused_large_m_above() {
             labels.iter().any(|l| l == "fused/sweep"),
             "kv={kv}: fused pipeline must end in its sweep kernel, got {labels:?}"
         );
-        // m = 33 crosses the warp width → multi-row fused large-m pipeline.
+        // m = 33 crosses the warp width → the same fused method, its
+        // pre-scan counting with atomics (multi-row look-back).
         let labels = labels_of(kv, 33);
         assert_prefix(&labels, "fused_large_m/", &format!("kv={kv} m=33"));
     }
     assert_eq!(Method::auto(32, false), Method::Fused);
-    assert_eq!(Method::auto(33, false), Method::FusedLargeM);
+    assert_eq!(Method::auto(33, false), Method::Fused);
 }
 
 #[test]
 fn auto_falls_back_to_three_kernel_large_m_past_the_fused_capacity() {
     for kv in [false, true] {
         let cap = fused_max_buckets(multisplit::DEFAULT_WARPS_PER_BLOCK, kv);
-        assert!(
-            cap > 33,
-            "fused large-m capacity should exceed the crossover"
-        );
-        assert_eq!(Method::auto(cap, kv), Method::FusedLargeM, "kv={kv} at cap");
+        assert!(cap > 33, "fused capacity should exceed the warp width");
+        assert_eq!(Method::auto(cap, kv), Method::Fused, "kv={kv} at cap");
         assert_eq!(
             Method::auto(cap + 1, kv),
             Method::LargeM,
@@ -88,7 +86,7 @@ fn auto_falls_back_to_three_kernel_large_m_past_the_fused_capacity() {
     }
 }
 
-/// `Method::auto_for` sends every `m` past the fused large-m capacity to
+/// `Method::auto_for` sends every `m` past the fused capacity to
 /// the three-kernel path, so that path must fit strictly more buckets at
 /// every block size and payload.
 #[test]

@@ -1,7 +1,8 @@
 //! Degenerate-input matrix (ISSUE 5 satellite): zero-length,
 //! single-element, and all-one-bucket inputs across every public entry
 //! point — host-slice multisplit and multisplit_kv, multisplit_device for
-//! all six methods, the compaction primitives, and both device-wide scans —
+//! all five methods (the fused one on both sides of the warp width), the
+//! compaction primitives, and both device-wide scans —
 //! on parallel, sequential, and adversarial devices alike.
 
 use multisplit::{
@@ -10,13 +11,16 @@ use multisplit::{
 };
 use simt::{AdvSchedule, Device, GlobalBuffer, K40C};
 
-const METHODS: [Method; 6] = [
-    Method::Direct,
-    Method::WarpLevel,
-    Method::BlockLevel,
-    Method::LargeM,
-    Method::Fused,
-    Method::FusedLargeM,
+/// Every method with a bucket count it takes: the three-kernel large-m
+/// pipeline needs `m > 32`, the fused one runs on both sides of 32, the
+/// rest take any `m <= 32`.
+const CASES: [(Method, u32); 6] = [
+    (Method::Direct, 7),
+    (Method::WarpLevel, 7),
+    (Method::BlockLevel, 7),
+    (Method::LargeM, 48),
+    (Method::Fused, 7),
+    (Method::Fused, 48),
 ];
 
 type Scan = fn(&Device, &str, &GlobalBuffer<u32>, &GlobalBuffer<u32>, usize, usize) -> u32;
@@ -36,24 +40,15 @@ fn devices() -> [Device; 3] {
     ]
 }
 
-fn m_for(method: Method) -> u32 {
-    // Large-m pipelines require m > 32; the rest take any m <= 32.
-    match method {
-        Method::LargeM | Method::FusedLargeM => 48,
-        _ => 7,
-    }
-}
-
 #[test]
 fn zero_length_input_is_a_clean_no_op_everywhere() {
     for dev in devices() {
-        for method in METHODS {
-            let m = m_for(method);
+        for (method, m) in CASES {
             let bucket = RangeBuckets::new(m);
             let empty = GlobalBuffer::<u32>::zeroed(0);
             let r = multisplit_device(&dev, method, &empty, no_values(), 0, &bucket, 8);
-            assert_eq!(r.keys.len(), 0, "{method:?}");
-            assert_eq!(r.offsets, vec![0; m as usize + 1], "{method:?}");
+            assert_eq!(r.keys.len(), 0, "{method:?} m={m}");
+            assert_eq!(r.offsets, vec![0; m as usize + 1], "{method:?} m={m}");
         }
         let (out, offs) = multisplit(&dev, &[], &RangeBuckets::new(5));
         assert!(out.is_empty());
@@ -78,15 +73,14 @@ fn zero_length_input_is_a_clean_no_op_everywhere() {
 #[test]
 fn single_element_input_lands_in_its_bucket_everywhere() {
     for dev in devices() {
-        for method in METHODS {
-            let m = m_for(method);
+        for (method, m) in CASES {
             let bucket = RangeBuckets::new(m);
             let keys = [0xDEAD_BEEFu32];
             let buf = GlobalBuffer::from_slice(&keys);
             let r = multisplit_device(&dev, method, &buf, no_values(), 1, &bucket, 8);
             let (ek, _, eo) = multisplit_kv_ref(&keys, None, &bucket);
-            assert_eq!(r.keys.to_vec(), ek, "{method:?}");
-            assert_eq!(r.offsets, eo, "{method:?}");
+            assert_eq!(r.keys.to_vec(), ek, "{method:?} m={m}");
+            assert_eq!(r.offsets, eo, "{method:?} m={m}");
         }
         let (ok, ov, offs) = multisplit_kv(&dev, &[7], &[99], &RangeBuckets::new(4));
         assert_eq!((ok, ov), (vec![7], vec![99]));
@@ -112,19 +106,16 @@ fn all_one_bucket_input_is_the_identity_permutation_everywhere() {
     // table. 2600 elements spans a ragged final tile at wpb = 8.
     let keys: Vec<u32> = (0..2600u32).map(|i| i.wrapping_mul(2654435761)).collect();
     for dev in devices() {
-        for method in METHODS {
-            let (m, hot) = match method {
-                Method::LargeM | Method::FusedLargeM => (48u32, 40u32),
-                _ => (5, 2),
-            };
+        for (method, m) in CASES {
+            let (m, hot) = if m > 32 { (48u32, 40u32) } else { (5, 2) };
             let one = FnBuckets::new(m, move |_| hot);
             let buf = GlobalBuffer::from_slice(&keys);
             let r = multisplit_device(&dev, method, &buf, no_values(), keys.len(), &one, 8);
-            assert_eq!(r.keys.to_vec(), keys, "{method:?}");
+            assert_eq!(r.keys.to_vec(), keys, "{method:?} m={m}");
             let expect: Vec<u32> = (0..=m)
                 .map(|b| if b <= hot { 0 } else { keys.len() as u32 })
                 .collect();
-            assert_eq!(r.offsets, expect, "{method:?}");
+            assert_eq!(r.offsets, expect, "{method:?} m={m}");
         }
         // Predicate false for everything / true for everything.
         let buf = GlobalBuffer::from_slice(&keys);

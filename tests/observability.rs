@@ -65,7 +65,7 @@ fn per_block_stats_are_schedule_independent() {
     for (method, m) in [
         (Method::BlockLevel, 32),
         (Method::Fused, 32),
-        (Method::FusedLargeM, 64),
+        (Method::Fused, 64),
     ] {
         let mut per_dev: Vec<(BlockStats, Vec<Vec<BlockStats>>)> = Vec::new();
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
@@ -133,13 +133,13 @@ fn lookback_totals_are_schedule_independent_end_to_end() {
     let keys_host = keys_for(n, 9);
     // Block-level resolves look-backs in its chained scan; fused in its
     // sweep. Depth *distribution* varies with scheduling, but one resolve
-    // fires per tile per 32-row group (one group for the m <= 32 paths,
-    // ceil(m/32) for fused large-m), so totals must match across
+    // fires per tile per 32-row group (one group for m <= 32,
+    // ceil(m/32) beyond), so totals must match across
     // schedulers.
     for (method, m) in [
         (Method::BlockLevel, 32),
         (Method::Fused, 32),
-        (Method::FusedLargeM, 64),
+        (Method::Fused, 64),
     ] {
         let mut resolves = Vec::new();
         for dev in [Device::new(K40C), Device::sequential(K40C)] {

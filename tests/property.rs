@@ -172,7 +172,7 @@ fn large_m_matches_reference() {
 
 #[test]
 fn fused_large_m_matches_reference_and_three_kernel() {
-    // The fused large-m path's correctness sweep (ISSUE 4, satellite 2):
+    // The fused path's correctness sweep past the warp width:
     // bit-identical to the CPU reference AND the three-kernel large-m
     // pipeline, key-only and key-value, for bucket counts spanning the
     // supported range up to the exact shared-memory capacity boundary
@@ -191,7 +191,7 @@ fn fused_large_m_matches_reference_and_three_kernel() {
             let kbuf = GlobalBuffer::from_slice(&keys);
             let vbuf = GlobalBuffer::from_slice(&values);
             let vals = kv.then_some(&vbuf);
-            let f = multisplit_device(&dev, Method::FusedLargeM, &kbuf, vals, n, &bucket, 8);
+            let f = multisplit_device(&dev, Method::Fused, &kbuf, vals, n, &bucket, 8);
             let t = multisplit_device(&dev, Method::LargeM, &kbuf, vals, n, &bucket, 8);
             let (ek, ev, eo) = multisplit_kv_ref(&keys, kv.then_some(&values), &bucket);
             assert_eq!(f.keys.to_vec(), ek, "kv={kv} m={m} n={n} vs reference");
@@ -221,22 +221,14 @@ fn fused_large_m_edge_cases() {
     let bucket = RangeBuckets::new(80);
     // Zero-length input: no launches, all-zero offsets.
     let empty = GlobalBuffer::<u32>::zeroed(0);
-    let r = multisplit_device(
-        &dev,
-        Method::FusedLargeM,
-        &empty,
-        no_values(),
-        0,
-        &bucket,
-        8,
-    );
+    let r = multisplit_device(&dev, Method::Fused, &empty, no_values(), 0, &bucket, 8);
     assert_eq!(r.offsets, vec![0; 81]);
     assert!(dev.records().is_empty());
     // Tiny and one-past-a-tile lengths against the reference.
     for n in [1usize, 2049] {
         let keys: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
         let buf = GlobalBuffer::from_slice(&keys);
-        let r = multisplit_device(&dev, Method::FusedLargeM, &buf, no_values(), n, &bucket, 8);
+        let r = multisplit_device(&dev, Method::Fused, &buf, no_values(), n, &bucket, 8);
         let (ek, _, eo) = multisplit_kv_ref(&keys, None, &bucket);
         assert_eq!(r.keys.to_vec(), ek, "n={n}");
         assert_eq!(r.offsets, eo, "n={n}");
@@ -246,15 +238,7 @@ fn fused_large_m_edge_cases() {
     let keys: Vec<u32> = (0..5000u32).map(|i| i.wrapping_mul(2654435761)).collect();
     let one = multisplit::FnBuckets::new(64, |_| 40);
     let buf = GlobalBuffer::from_slice(&keys);
-    let r = multisplit_device(
-        &dev,
-        Method::FusedLargeM,
-        &buf,
-        no_values(),
-        keys.len(),
-        &one,
-        8,
-    );
+    let r = multisplit_device(&dev, Method::Fused, &buf, no_values(), keys.len(), &one, 8);
     assert_eq!(r.keys.to_vec(), keys);
     let expect: Vec<u32> = (0..=64).map(|b| if b <= 40 { 0 } else { 5000 }).collect();
     assert_eq!(r.offsets, expect);

@@ -6,8 +6,8 @@
 //! sequential, and adversarial schedulers.
 
 use multisplit::{
-    fused_max_buckets, multisplit_kv_ref, multisplit_ref, no_values, BucketFn, FnBuckets, Method,
-    RangeBuckets, SegmentSpec,
+    fused_max_buckets, multisplit_kv_ref, multisplit_ref, no_values, segment_fits_sweep, BucketFn,
+    FnBuckets, RangeBuckets, SegmentSpec,
 };
 use simt::{AdvSchedule, Device, GlobalBuffer, K40C};
 
@@ -133,16 +133,34 @@ fn heterogeneous_m_across_segments() {
     check_all_schedulers(&parts);
 }
 
+/// The one classification predicate: every `m` up to the warp width
+/// coalesces at every block size, and whatever coalesces also fits a
+/// standalone fused run, so a coalesced segment never needs any other
+/// method.
+#[test]
+fn segment_fits_sweep_covers_the_warp_width_within_fused_capacity() {
+    for wpb in [1usize, 2, 8, 16, 32] {
+        for kv in [false, true] {
+            let cap = fused_max_buckets(wpb, kv);
+            for m in 1..=cap + 1 {
+                let fits = segment_fits_sweep(m, kv, wpb);
+                assert!(fits || m > 32, "wpb={wpb} kv={kv}: m={m} must coalesce");
+                assert!(!fits || m <= cap, "wpb={wpb} kv={kv}: m={m} past cap {cap}");
+            }
+        }
+    }
+}
+
 #[test]
 fn oversized_m_segment_falls_back_to_standalone_launches() {
-    // A segment past the fused large-m shared-memory capacity cannot run
+    // A segment past the fused shared-memory capacity cannot run
     // inside the coalesced sweep; it must fall back to its own launches
     // (scoped `segmented/fallback/...`) while the rest of the batch still
     // coalesces — and the combined result must still match per-segment
     // references.
     let wpb = 8;
     let big_m = fused_max_buckets(wpb, false) + 1;
-    assert_eq!(Method::auto_for_segmented(big_m, false, wpb), None);
+    assert!(!segment_fits_sweep(big_m, false, wpb));
     let parts = [(2048usize, 8u32), (3000, big_m), (2048, 40)];
     let (flat, ranges) = pack(&parts);
     let buckets: Vec<RangeBuckets> = parts.iter().map(|&(_, m)| RangeBuckets::new(m)).collect();
