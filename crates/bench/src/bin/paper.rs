@@ -1750,37 +1750,13 @@ fn profile_cmd(opts: &Opts) {
     let m = 32u32;
     let data = metrics::profile_data(n, m, opts.verify);
     let mut out = format!(
-        "Profile: hierarchical scope-tree roll-up, n = 2^{}, m = {m}, seed {}\n\
+        "Profile: hierarchical scope-tree roll-up, n = 2^{}, m = {m}, seed {}, sequential schedule\n\
          (per-block telemetry on; direct/warp/block/fused on the K40c; per-stage\n\
           sector totals line up with the `fused` report's first trial)\n",
         n.ilog2(),
         metrics::PROFILE_SEED
     );
-    for p in &data {
-        out.push_str(&format!("\n== {} ==\n", p.name));
-        out.push_str(&p.tree().render_text());
-        let mut t = Table::new(&["launch", "blocks", "imbalance", "crit-path ms", "sum ms"]);
-        for r in p.launch_reports(&K40C) {
-            t.row(vec![
-                r.label.clone(),
-                r.blocks.to_string(),
-                format!("{:.2}", r.imbalance),
-                format!("{:.3}", r.critical_path_seconds * 1e3),
-                format!("{:.3}", r.sum_seconds * 1e3),
-            ]);
-        }
-        out.push_str(&t.render());
-        for rec in p.lookback_records() {
-            out.push_str(&format!(
-                "look-back {}: {} resolves, mean depth {:.2}, spin polls {}\n  depth hist {:?}\n",
-                rec.label,
-                rec.obs.lookback_resolves,
-                rec.obs.mean_depth(),
-                rec.obs.spin_polls,
-                rec.obs.lookback_depth_hist,
-            ));
-        }
-    }
+    out.push_str(&metrics::render_profile(&data));
     emit("profile", out);
     let doc = Json::Obj(vec![
         ("n".into(), Json::int(n as u64)),

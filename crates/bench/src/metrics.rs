@@ -224,7 +224,9 @@ pub const PROFILE_SEED: u64 = 3000;
 
 /// Run the four `m <= 32` contenders under per-block telemetry. The
 /// testable core of `paper profile` (and of `paper check`, which only
-/// keeps the sector splits).
+/// keeps the sector splits). Runs on the sequential schedule, so the
+/// look-back introspection (spin polls, depths) and the per-block
+/// critical paths repeat run to run, as `paper trace`'s do.
 pub fn profile_data(n: usize, m: u32, verify: bool) -> Vec<ContenderProfile> {
     profile_data_for(&PROFILE_CONTENDERS, n, m, verify)
 }
@@ -237,25 +239,59 @@ pub fn profile_data_for(
     m: u32,
     verify: bool,
 ) -> Vec<ContenderProfile> {
-    contenders
-        .iter()
-        .map(|&(c, name)| ContenderProfile {
-            name,
-            outcome: with_telemetry(Telemetry::PerBlock, || {
-                run_contender(
-                    c,
-                    false,
-                    n,
-                    m,
-                    Distribution::Uniform,
-                    simt::K40C,
-                    8,
-                    PROFILE_SEED,
-                    verify,
-                )
-            }),
-        })
-        .collect()
+    crate::with_run_schedule(simt::Schedule::Sequential, || {
+        contenders
+            .iter()
+            .map(|&(c, name)| ContenderProfile {
+                name,
+                outcome: with_telemetry(Telemetry::PerBlock, || {
+                    run_contender(
+                        c,
+                        false,
+                        n,
+                        m,
+                        Distribution::Uniform,
+                        simt::K40C,
+                        8,
+                        PROFILE_SEED,
+                        verify,
+                    )
+                }),
+            })
+            .collect()
+    })
+}
+
+/// The body of `paper profile`'s text report: per contender, its scope
+/// tree, a launch table and its look-back introspection.
+pub fn render_profile(data: &[ContenderProfile]) -> String {
+    let mut out = String::new();
+    for p in data {
+        out.push_str(&format!("\n== {} ==\n", p.name));
+        out.push_str(&p.tree().render_text());
+        let mut t = crate::Table::new(&["launch", "blocks", "imbalance", "crit-path ms", "sum ms"]);
+        for r in p.launch_reports(&simt::K40C) {
+            t.row(vec![
+                r.label.clone(),
+                r.blocks.to_string(),
+                format!("{:.2}", r.imbalance),
+                format!("{:.3}", r.critical_path_seconds * 1e3),
+                format!("{:.3}", r.sum_seconds * 1e3),
+            ]);
+        }
+        out.push_str(&t.render());
+        for rec in p.lookback_records() {
+            out.push_str(&format!(
+                "look-back {}: {} resolves, mean depth {:.2}, spin polls {}\n  depth hist {:?}\n",
+                rec.label,
+                rec.obs.lookback_resolves,
+                rec.obs.mean_depth(),
+                rec.obs.spin_polls,
+                rec.obs.lookback_depth_hist,
+            ));
+        }
+    }
+    out
 }
 
 /// Current per-stage sector counts in the committed-baseline shape:
@@ -666,6 +702,31 @@ mod tests {
         );
         let json = fused.to_json(&simt::K40C).pretty();
         assert!(Json::parse(&json).is_ok());
+    }
+
+    /// `paper profile` repeats byte for byte: the rendered report and
+    /// every look-back record's introspection.
+    #[test]
+    fn profile_runs_repeat_exactly() {
+        let run = || {
+            let data = profile_data(1 << 13, 32, false);
+            let obs: Vec<Vec<String>> = data
+                .iter()
+                .map(|p| {
+                    p.lookback_records()
+                        .iter()
+                        .map(|r| simt::obs::obs_json(&r.obs).pretty())
+                        .collect()
+                })
+                .collect();
+            (render_profile(&data), obs)
+        };
+        let (text, obs) = run();
+        assert!(
+            obs.iter().any(|o| !o.is_empty()),
+            "some contender looks back"
+        );
+        assert_eq!(run(), (text, obs));
     }
 
     #[test]

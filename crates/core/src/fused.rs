@@ -32,19 +32,20 @@
 //! the offsets from its look-back record, with no pre-scan:
 //!
 //! 1. `fused/pre-scan` — the one pre-scan kernel of [`crate::prescan`]:
-//!    each block counts an 8,192-key tile (at 8 warps) into block-private
-//!    shared counters, then adds its non-zero counters into `m` global
-//!    counters. Traffic: n key reads + at most `m` atomics per 8,192
-//!    keys; the m × L matrix never exists.
+//!    one resident wave of blocks walks the 8,192-key tiles (at 8 warps),
+//!    each block counting into block-private shared counters and then
+//!    adding its non-zero counters into `m` global counters once.
+//!    Traffic: n key reads + at most `m` atomics per block; the m × L
+//!    matrix never exists.
 //! 2. `fused/sweep` — everything else, with the per-bucket tile prefixes
 //!    resolved through flag words instead of a scanned matrix. Traffic:
 //!    n key reads + n coalesced writes + 3 record-sized flag accesses per
 //!    tile per 32-row group.
 //!
 //! Past 32 buckets the same two launches are labelled
-//! `fused_large_m/…`: the labels name how the pre-scan counts (ballot
-//! histograms up to the warp width, one shared atomic per key beyond;
-//! [`HistStrategy`]), not a different algorithm.
+//! `fused_large_m/…`: the labels name how the pre-scan counts
+//! (thread-private packed byte counters up to the warp width, one shared
+//! atomic per key beyond; [`HistStrategy`]), not a different algorithm.
 //!
 //! Net: keys cross DRAM twice-read + once-written becomes ~1.5×n total
 //! sectors saved — measured ≈ one-third fewer counted sectors than the
@@ -137,11 +138,11 @@ fn check_into_buffers<V: Scalar>(
 }
 
 /// The standalone `[pre-scan, sweep]` launch labels, which name the
-/// pre-scan's counting (`fused/…` for ballots, `fused_large_m/…` for
-/// shared atomics).
+/// pre-scan's counting (`fused/…` for private counters,
+/// `fused_large_m/…` for shared atomics).
 fn labels(m: u32) -> [&'static str; 2] {
     match HistStrategy::for_buckets(m) {
-        HistStrategy::Ballot => ["fused/pre-scan", "fused/sweep"],
+        HistStrategy::Private => ["fused/pre-scan", "fused/sweep"],
         HistStrategy::Atomic => ["fused_large_m/pre-scan", "fused_large_m/sweep"],
     }
 }

@@ -15,15 +15,17 @@
 //! Every segment is classified by [`segment_fits_sweep`]: a segment whose
 //! sweep fits shared memory next to its tile descriptor joins the
 //! coalesced launch, every such `m` with the same per-warp `m × N_W`
-//! histogram (the pre-scan counts `m ≤ 32` segments with ballots and
-//! wider ones with shared atomics); anything else (near or past fused
-//! capacity) falls back to its own standalone [`Method::auto_for`]
-//! launches under a `segmented/fallback` scope. The coalesced work is
+//! histogram (the pre-scan counts `m ≤ 32` segments into thread-private
+//! byte counters and wider ones with shared atomics); anything else
+//! (near or past fused capacity) falls back to its own standalone
+//! [`Method::auto_for`] launches under a `segmented/fallback` scope. The coalesced work is
 //! the shared tile sweep of [`crate::sweep`] over many segments:
 //!
 //! 1. `segmented/pre-scan[fused=K,largem=J]` — the one pre-scan kernel
 //!    of [`crate::prescan`], one block per 8,192-key pre-scan tile (at 8
-//!    warps) of every segment that spans more than one sweep tile (its
+//!    warps; a standalone pre-scan's grid is one resident wave instead,
+//!    but a batch's blocks each need their own descriptor) of every
+//!    segment that spans more than one sweep tile (its
 //!    label counts only those; with none, there is no pre-scan launch).
 //!    Each block reads its 8-word tile
 //!    descriptor (segment id, offset, n, m, coarsening, local tile,
@@ -221,7 +223,7 @@ pub fn multisplit_segmented_into<V: Scalar>(
             let nf = covered
                 .iter()
                 .filter(|s| {
-                    HistStrategy::for_buckets(s.bucket.num_buckets()) == HistStrategy::Ballot
+                    HistStrategy::for_buckets(s.bucket.num_buckets()) == HistStrategy::Private
                 })
                 .count();
             let nl = covered.len() - nf;
@@ -396,7 +398,7 @@ mod tests {
 
     #[test]
     fn label_encodes_per_segment_dispatch_at_the_boundary() {
-        // m = 32 and m = 33 in ONE segmented launch dispatch to the ballot
+        // m = 32 and m = 33 in ONE segmented launch dispatch to the private
         // and atomic pre-scan counting, visible in the label.
         assert!(segment_fits_sweep(32, false, 8) && segment_fits_sweep(33, false, 8));
         let dev = Device::sequential(K40C);

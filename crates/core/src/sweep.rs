@@ -920,7 +920,8 @@ mod tests {
 
     /// An input that fits one sweep tile is one launch, the sweep: no
     /// pre-scan. One key more is two launches. The labels name the
-    /// pre-scan's counting: ballots up to 32 buckets, atomics beyond.
+    /// pre-scan's counting: private counters up to 32 buckets, atomics
+    /// beyond.
     #[test]
     fn one_tile_is_one_launch_and_one_key_more_is_two() {
         for (m, pair) in [

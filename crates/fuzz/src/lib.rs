@@ -524,7 +524,7 @@ pub struct Launch {
 
 impl Launch {
     /// Draw `m` (biased to the method's range ends, and for the fused
-    /// path to both sides of its ballot → atomic pre-scan counting at
+    /// path to both sides of its private → atomic pre-scan counting at
     /// 32 | 33), then `n` (biased to the edges of its tile, uniform up to
     /// `max_uniform`).
     fn draw(rng: &mut SmallRng, method: Method, c: &Common, max_uniform: usize) -> Launch {
@@ -632,7 +632,9 @@ pub fn gen_case(seed: u64, ix: usize) -> FuzzCase {
 pub struct Sort {
     pub n: usize,
     /// Digit width in bits (1..= [`ms_sort::max_digit_bits`]); crosses
-    /// from ballot → atomic pre-scan counting at digit 6.
+    /// from private → atomic pre-scan counting at digit 6 (digits of 5
+    /// bits or fewer fall back to atomics when their private rows do not
+    /// fit shared memory).
     pub digit: u32,
     /// How many low key bits participate in the sort (0..=32). Keys are
     /// compared by `k & ((1 << bits) - 1)`; ties keep input order.
@@ -716,7 +718,7 @@ impl Family for Sort {
 /// Deterministically generate sort case `ix` of a run seeded with `seed`.
 /// kv and schedules rotate (12 consecutive indices cover the
 /// {key, kv} x 6-schedule matrix) while digit widths are drawn with a
-/// bias toward the ballot → atomic pre-scan counting at digit 6 and
+/// bias toward the private → atomic pre-scan counting at digit 6 and
 /// sizes toward tile multiples.
 pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
     let mut rng = SmallRng::seed_from_u64(seed ^ (ix as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
@@ -724,7 +726,7 @@ pub fn gen_sort_case(seed: u64, ix: usize) -> SortCase {
     let max_db = ms_sort::max_digit_bits(common.wpb, common.value_bytes());
     let digit = match rng.next_u32() % 4 {
         0 => 1,
-        1 => 5,             // last width counted with ballots
+        1 => 5,             // last width counted privately
         2 => 6.min(max_db), // first width counted with atomics
         _ => 1 + rng.next_u32() % max_db,
     };
@@ -1593,7 +1595,7 @@ mod tests {
         let digits: HashSet<u32> = cases.iter().map(|c| c.own.digit).collect();
         assert!(
             digits.contains(&5) && digits.contains(&6),
-            "both sides of the ballot → atomic counting at digit 6 must appear: {digits:?}"
+            "both sides of the private → atomic counting at digit 6 must appear: {digits:?}"
         );
     }
 

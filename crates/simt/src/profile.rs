@@ -53,6 +53,12 @@ pub struct DeviceProfile {
     /// uses `blocks / sm_count` as the launch's occupancy share, letting
     /// small concurrent grids overlap on one device.
     pub sm_count: usize,
+    /// Resident threads per SM (the occupancy limit on block size).
+    pub max_threads_per_sm: usize,
+    /// Resident blocks per SM, whatever their size.
+    pub max_blocks_per_sm: usize,
+    /// Shared memory per SM, split among its resident blocks (bytes).
+    pub smem_per_sm_bytes: usize,
 }
 
 /// NVIDIA Tesla K40c (Kepler GK110B): the paper's primary device.
@@ -71,6 +77,9 @@ pub const K40C: DeviceProfile = DeviceProfile {
     replay_gops: 20.0,
     barrier_ns: 1.0,
     sm_count: 15,
+    max_threads_per_sm: 2048,
+    max_blocks_per_sm: 16,
+    smem_per_sm_bytes: 48 * 1024,
 };
 
 /// NVIDIA GeForce GTX 750 Ti (Maxwell GM107): the §6.3 comparison device.
@@ -89,6 +98,9 @@ pub const GTX750TI: DeviceProfile = DeviceProfile {
     replay_gops: 8.0,
     barrier_ns: 3.5,
     sm_count: 5,
+    max_threads_per_sm: 2048,
+    max_blocks_per_sm: 32,
+    smem_per_sm_bytes: 64 * 1024,
 };
 
 impl DeviceProfile {
@@ -119,6 +131,20 @@ impl DeviceProfile {
         let accesses = if key_value { 5.0 } else { 3.0 };
         self.peak_gbps / (accesses * 4.0)
     }
+
+    /// Blocks of `threads` threads and `smem_bytes` of shared memory that
+    /// one SM holds at once: the least of its thread, block-slot and
+    /// shared-memory limits. A grid of `sm_count` times this many blocks
+    /// fills the device in one wave. At least 1 for any block a launch
+    /// accepts (at most 1,024 threads and 48 kB).
+    pub fn resident_blocks(&self, threads: usize, smem_bytes: usize) -> usize {
+        let by_threads = self.max_threads_per_sm / threads.max(1);
+        let by_smem = self
+            .smem_per_sm_bytes
+            .checked_div(smem_bytes)
+            .unwrap_or(usize::MAX);
+        by_threads.min(self.max_blocks_per_sm).min(by_smem)
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +156,29 @@ mod tests {
         // Paper §6.2.2: 24 Gkeys/s key-only, 14.4 Gkeys/s key-value on K40c.
         assert!((K40C.speed_of_light_gkeys(false) - 24.0).abs() < 1e-9);
         assert!((K40C.speed_of_light_gkeys(true) - 14.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn resident_blocks_take_the_tightest_limit() {
+        // Thread-limited: 256-thread blocks with little shared memory.
+        assert_eq!(K40C.resident_blocks(256, 1024), 8);
+        assert_eq!(GTX750TI.resident_blocks(256, 1024), 8);
+        assert_eq!(K40C.resident_blocks(1024, 0), 2);
+        // Shared-limited: 8 kB + one 32-word window per block.
+        assert_eq!(K40C.resident_blocks(256, 8 * 1024 + 128), 5);
+        assert_eq!(GTX750TI.resident_blocks(256, 8 * 1024 + 128), 7);
+        assert_eq!(K40C.resident_blocks(32, 48 * 1024), 1);
+        assert_eq!(GTX750TI.resident_blocks(32, 48 * 1024), 1);
+        // Block-limited: one-warp blocks hit the block slots first.
+        assert_eq!(K40C.resident_blocks(32, 0), 16);
+        assert_eq!(GTX750TI.resident_blocks(32, 0), 32);
+        assert_eq!(GTX750TI.resident_blocks(64, 1024), 32);
+        // Any block a launch accepts is resident at least once.
+        for p in [K40C, GTX750TI] {
+            for threads in [32, 256, 1024] {
+                assert!(p.resident_blocks(threads, crate::SMEM_CAPACITY_BYTES) >= 1);
+            }
+        }
     }
 
     #[test]

@@ -68,33 +68,46 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
     /// active lane count; conflicts = the passes *beyond* the first times
     /// the active lane count (the serialization a conflict-free layout
     /// would have avoided — zero for an unconflicted access).
+    ///
+    /// Broadcast dedupe is bank-local: a word equal to its bank's first
+    /// word is free, and only a bank that sees a second distinct word
+    /// falls back to the exact linear search over those later words. A
+    /// conflict-free access (one word per bank) never searches.
     #[allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
     fn bank_cost(idx: &Lanes<usize>, mask: u32, serialize_duplicates: bool) -> (u64, u64) {
-        let mut per_bank = [0u64; SMEM_BANKS];
-        let mut seen_words = [usize::MAX; WARP_SIZE];
-        let mut n_seen = 0usize;
-        let mut active = false;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                active = true;
-                // Bank id depends on the 4-byte word address.
-                let word = idx[lane] * (T::BYTES as usize / 4).max(1);
-                if !serialize_duplicates {
-                    if seen_words[..n_seen].contains(&word) {
-                        continue; // broadcast: no extra pass
-                    }
-                    seen_words[n_seen] = word;
-                    n_seen += 1;
-                }
-                per_bank[word % SMEM_BANKS] += 1;
-            }
-        }
-        if !active {
+        if mask == 0 {
             return (0, 0);
         }
-        let worst = *per_bank.iter().max().unwrap();
+        let mut banks_seen = 0u32;
+        let mut first_word = [0usize; SMEM_BANKS];
+        // Passes each bank takes beyond its first word's.
+        let mut extra = [0u64; SMEM_BANKS];
+        let mut worst_extra = 0;
+        let mut later_words = [0usize; WARP_SIZE];
+        let mut n_later = 0usize;
+        for lane in 0..WARP_SIZE {
+            if lane_active(mask, lane) {
+                // Bank id depends on the 4-byte word address.
+                let word = idx[lane] * (T::BYTES as usize / 4).max(1);
+                let bank = word % SMEM_BANKS;
+                if banks_seen >> bank & 1 == 0 {
+                    banks_seen |= 1 << bank;
+                    first_word[bank] = word;
+                    continue;
+                }
+                if !serialize_duplicates {
+                    if first_word[bank] == word || later_words[..n_later].contains(&word) {
+                        continue; // broadcast: no extra pass
+                    }
+                    later_words[n_later] = word;
+                    n_later += 1;
+                }
+                extra[bank] += 1;
+                worst_extra = worst_extra.max(extra[bank]);
+            }
+        }
         let lanes = mask.count_ones() as u64;
-        (worst * lanes, (worst - 1) * lanes)
+        ((1 + worst_extra) * lanes, worst_extra * lanes)
     }
 
     /// Charge one warp-wide access: serialized passes into `smem_ops`,
@@ -230,6 +243,51 @@ mod tests {
         buf.ld(splat(0), 0b1111);
         assert_eq!(st.smem_ops.get(), 4, "one pass for 4 active lanes");
         assert_eq!(st.smem_bank_conflicts.get(), 0);
+    }
+
+    /// The bank-local dedupe prices every access exactly as a linear
+    /// search over all distinct words does.
+    #[test]
+    fn bank_local_dedupe_matches_a_linear_search() {
+        fn linear(idx: &Lanes<usize>, mask: u32, dups: bool) -> (u64, u64) {
+            let mut per_bank = [0u64; SMEM_BANKS];
+            let mut seen = Vec::new();
+            for lane in (0..WARP_SIZE).filter(|&l| lane_active(mask, l)) {
+                if !dups && seen.contains(&idx[lane]) {
+                    continue;
+                }
+                seen.push(idx[lane]);
+                per_bank[idx[lane] % SMEM_BANKS] += 1;
+            }
+            let worst = per_bank.into_iter().max().unwrap().max(1);
+            let lanes = mask.count_ones() as u64;
+            (worst * lanes, (worst - 1) * lanes)
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..4000 {
+            // Few distinct words per pattern force broadcasts and
+            // same-bank repeats; many force conflicts.
+            let spread = [1, 3, 40, 100, 1 << 12][case % 5];
+            let idx = lanes_from_fn(|_| (next() % spread) as usize);
+            let mask = if case % 3 == 0 {
+                FULL_MASK
+            } else {
+                next() as u32
+            };
+            for dups in [false, true] {
+                assert_eq!(
+                    SharedBuf::<u32>::bank_cost(&idx, mask, dups),
+                    linear(&idx, mask, dups),
+                    "{idx:?} mask {mask:#x} dups {dups}"
+                );
+            }
+        }
     }
 
     #[test]

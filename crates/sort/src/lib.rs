@@ -4,9 +4,9 @@
 //! multisplit. The engine is a OneSweep LSB radix sort over `b`-bit
 //! digits ([`DigitBuckets`]): one up-front pre-scan launch histograms
 //! every digit, and each digit pass is then a single direct sweep
-//! ([`multisplit::multisplit_sweep_into`], ballot histograms up to 5-bit
-//! digits, per-warp `m × N_W` rows beyond) whose bucket bases come from
-//! that one histogram. Stability of each pass makes the whole sort correct.
+//! ([`multisplit::multisplit_sweep_into`], the per-warp `m × N_W`
+//! histogram at every digit width) whose bucket bases come from that one
+//! histogram. Stability of each pass makes the whole sort correct.
 //!
 //! Four design points carry the cost:
 //!
@@ -17,8 +17,10 @@
 //!   ([`multisplit::bucket_totals`], one counter window per digit) reads
 //!   each key once and counts all digits into block-private shared
 //!   counters (`Σ 2^width` words, at most 8,448 at the widest legal
-//!   digits): ballot histograms up to 5-bit digits, shared atomics
-//!   beyond. A digit whose histogram has one non-empty bucket is the
+//!   digits): thread-private packed byte counters for digits up to 5
+//!   bits while their rows fit next to the windows, shared atomics
+//!   otherwise. The launch is one resident wave of blocks, each merging
+//!   once. A digit whose histogram has one non-empty bucket is the
 //!   identity pass and is skipped.
 //! * **Ping-pong buffers** — the engine allocates two output buffers once
 //!   and alternates, so every pass scatters *directly into the next
@@ -78,7 +80,7 @@ const UTIL_ITEMS_PER_THREAD: usize = 8;
 /// width (`value_bytes = 0` for key-only passes, `V::BYTES` otherwise).
 /// Widths up to 5 always fit; beyond that the sweep's shared memory
 /// bounds `m`, and the bound shrinks with the payload staging. Digit 6
-/// is where the pre-scan crosses from ballot to atomic counting.
+/// is where the pre-scan crosses from private to atomic counting.
 pub fn max_digit_bits(wpb: usize, value_bytes: u64) -> u32 {
     let cap = multisplit::fused_max_buckets_bytes(wpb, value_bytes);
     let large = 31 - cap.leading_zeros(); // floor(log2 cap)

@@ -1,6 +1,6 @@
 //! Property and edge-case tests for ms-sort, exercised through the
 //! public API only: degenerate sizes, pathological orders, the zero-bit
-//! range, the ballot → atomic pre-scan counting crossover at digit 6, and
+//! range, the private → atomic pre-scan counting crossover at digit 6, and
 //! stability.
 
 use ms_sort::{
@@ -87,11 +87,12 @@ fn zero_bit_range_is_the_identity() {
 
 #[test]
 fn crossover_digit_widths_agree_and_dispatch_differently() {
-    // b=5 is the last width whose pre-scan counts with ballots (m = 32);
-    // b=6 is the first counted with shared atomics (m = 64). Same sorted
-    // output, different launches. 24-bit keys: b=6 divides evenly (4
-    // atomic-counted passes, no narrow tail pass that would drop back to
-    // ballots), b=5 runs 5,5,5,5,4 all ballot-counted.
+    // b=5 is the last width whose pre-scan counts with private counters
+    // (m = 32); b=6 is the first counted with shared atomics (m = 64).
+    // Same sorted output, different launches. 24-bit keys: b=6 divides
+    // evenly (4 atomic-counted passes, no narrow tail pass that would
+    // drop back to private counting), b=5 runs 5,5,5,5,4, all counted
+    // privately (36 rows of 256 threads fit next to the windows).
     let n = 4000;
     let input: Vec<u32> = scrambled(n, 4).iter().map(|k| k & 0xFF_FFFF).collect();
     let mut expect = input.clone();
@@ -108,7 +109,7 @@ fn crossover_digit_widths_agree_and_dispatch_differently() {
         if digit_bits <= 5 {
             assert!(
                 fused && !large,
-                "b={digit_bits} must stay on ballot counting: {labels:?}"
+                "b={digit_bits} must stay on private counting: {labels:?}"
             );
         } else {
             assert!(
