@@ -745,7 +745,8 @@ fn sssp_experiment(_opts: &Opts) {
     let mut out = String::from(
         "SSSP delta-stepping: bucketing strategy comparison (paper footnote 1)\n\
          Graphs are seeded generator stand-ins for flickr / yahoo-social /\n\
-         rmat / GBF-like; times are simulated-device totals.\n\n",
+         rmat / GBF-like; times are simulated-device totals on the\n\
+         sequential schedule, so the report repeats byte for byte.\n\n",
     );
     let suite = footnote1_suite(32, 42);
     let strategies = [
@@ -770,7 +771,7 @@ fn sssp_experiment(_opts: &Opts) {
         let reference = dijkstra(g, 0);
         let mut totals = Vec::new();
         for s in strategies {
-            let dev = Device::new(K40C);
+            let dev = Device::sequential(K40C);
             let r = delta_stepping(&dev, g, 0, 32, s);
             assert_eq!(
                 r.dist,
@@ -1393,16 +1394,17 @@ fn sort_cmd(opts: &Opts) {
     let mut out = format!(
         "ms-sort (multisplit-iterated radix, b = {} bits/pass) vs radix sort\n\
          n = 2^{}, K40c. Keys are uniform over an 8-, 16- or 32-bit range;\n\
-         the radix baseline always sorts all 32 bits, ms-sort probes the\n\
-         effective width first (one counted reduction, stage `probe`),\n\
-         histograms every digit in one pre-scan launch, and runs\n\
-         ceil(eff/{}) fused digit sweeps over ping-pong buffers.\n\n",
+         the radix baseline always sorts all 32 bits, ms-sort histograms\n\
+         every digit in one pre-scan launch (its one read of the keys\n\
+         before the passes), skips the constant digits, narrows the rest\n\
+         to their highest live bucket, and runs ceil(eff/{}) fused digit\n\
+         sweeps over ping-pong buffers (eff: the keys' highest set bit).\n\n",
         ms_sort::DEFAULT_DIGIT_BITS,
         n.ilog2(),
         ms_sort::DEFAULT_DIGIT_BITS,
     );
     let mut t = Table::new(&[
-        "keys", "kv", "method", "eff", "passes", "probe", "pre", "sweep", "total", "vs-radix", "ms",
+        "keys", "kv", "method", "eff", "passes", "pre", "sweep", "total", "vs-radix", "ms",
     ]);
     let mut rows: Vec<Json> = Vec::new();
     let mut pass_rows: Vec<(u32, Vec<u64>)> = Vec::new();
@@ -1425,14 +1427,14 @@ fn sort_cmd(opts: &Opts) {
                         baselines::radix_sort(&dev, "radix", &keys, values.as_ref(), n, wpb);
                     (k, v, 32)
                 } else {
-                    let eff = ms_sort::effective_key_bits(&dev, &keys, n, wpb);
                     let (k, v) = if let Some(v) = &values {
                         let (k, v) = ms_sort::sort_pairs(&dev, &keys, v, n, wpb);
                         (k, Some(v))
                     } else {
                         (ms_sort::sort_keys(&dev, &keys, n, wpb), None)
                     };
-                    (k, v, eff)
+                    let top = keys_host.iter().fold(0, |a, &k| a | k);
+                    (k, v, 32 - top.leading_zeros())
                 };
                 if opts.verify {
                     let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
@@ -1454,8 +1456,8 @@ fn sort_cmd(opts: &Opts) {
                 };
                 let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
                 // Per-pass sectors from the "ms_sort/passK/" scopes. The
-                // probe runs once (before any pass); ms-sort's effective-
-                // bit pruning is what shrinks this list below 32/b.
+                // pre-scan's skipped constant digits are what shrink this
+                // list below 32/b.
                 let passes: Vec<u64> = {
                     let mut acc: Vec<u64> = Vec::new();
                     for rec in dev.records() {
@@ -1504,7 +1506,6 @@ fn sort_cmd(opts: &Opts) {
                     } else {
                         String::new()
                     },
-                    stage("probe").to_string(),
                     stage("pre-scan").to_string(),
                     stage("sweep").to_string(),
                     total.to_string(),

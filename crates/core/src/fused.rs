@@ -32,9 +32,10 @@
 //! the offsets from its look-back record, with no pre-scan:
 //!
 //! 1. `fused/pre-scan` — the one pre-scan kernel of [`crate::prescan`]:
-//!    one resident wave of blocks walks the 8,192-key tiles (at 8 warps),
-//!    each block counting into block-private shared counters and then
-//!    adding its non-zero counters into `m` global counters once.
+//!    one resident wave of blocks, at the pre-scan's own block size,
+//!    walks the tiles, each block counting into block-private shared
+//!    counters and then adding its non-zero counters into `m` global
+//!    counters once.
 //!    Traffic: n key reads + at most `m` atomics per block; the m × L
 //!    matrix never exists.
 //! 2. `fused/sweep` — everything else, with the per-bucket tile prefixes

@@ -22,9 +22,10 @@
 //! the shared tile sweep of [`crate::sweep`] over many segments:
 //!
 //! 1. `segmented/pre-scan[fused=K,largem=J]` — the one pre-scan kernel
-//!    of [`crate::prescan`], one block per 8,192-key pre-scan tile (at 8
-//!    warps; a standalone pre-scan's grid is one resident wave instead,
-//!    but a batch's blocks each need their own descriptor) of every
+//!    of [`crate::prescan`], one block per pre-scan tile (32 keys per
+//!    thread, at the block size the largest segment's counters choose;
+//!    a standalone pre-scan's grid is one resident wave instead, but a
+//!    batch's blocks each need their own descriptor) of every
 //!    segment that spans more than one sweep tile (its
 //!    label counts only those; with none, there is no pre-scan launch).
 //!    Each block reads its 8-word tile

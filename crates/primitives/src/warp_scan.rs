@@ -100,25 +100,6 @@ pub fn reduce_add(w: &WarpCtx, v: Lanes<u32>) -> u32 {
     acc[0]
 }
 
-/// Warp-wide max reduction; every lane receives the maximum.
-pub fn reduce_max(w: &WarpCtx, v: Lanes<u32>) -> u32 {
-    let mut acc = v;
-    let mut d = WARP_SIZE / 2;
-    while d > 0 {
-        let down = w.shfl_down(acc, d);
-        acc = lanes_from_fn(|lane| {
-            if lane + d < WARP_SIZE {
-                acc[lane].max(down[lane])
-            } else {
-                acc[lane]
-            }
-        });
-        w.charge(WARP_SIZE as u64);
-        d >>= 1;
-    }
-    acc[0]
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
@@ -169,14 +150,6 @@ mod tests {
         with_warp(|w| {
             assert_eq!(reduce_add(w, lane_ids()), (0..32).sum::<u32>());
             assert_eq!(reduce_add(w, splat(0)), 0);
-        });
-    }
-
-    #[test]
-    fn reduce_max_finds_maximum() {
-        with_warp(|w| {
-            let v = lanes_from_fn(|i| if i == 13 { 999 } else { i as u32 });
-            assert_eq!(reduce_max(w, v), 999);
         });
     }
 

@@ -14,24 +14,28 @@
 //!   the key order the earlier passes leave behind, so the `{local,
 //!   global, local}` factoring of a multisplit hoists its global step out
 //!   of the pass loop. The `ms_sort/pre-scan` launch
-//!   ([`multisplit::bucket_totals`], one counter window per digit) reads
-//!   each key once and counts all digits into block-private shared
-//!   counters (`Σ 2^width` words, at most 8,448 at the widest legal
-//!   digits): thread-private packed byte counters for digits up to 5
-//!   bits while their rows fit next to the windows, shared atomics
-//!   otherwise. The launch is one resident wave of blocks, each merging
-//!   once. A digit whose histogram has one non-empty bucket is the
-//!   identity pass and is skipped.
+//!   ([`multisplit::bucket_totals`], one counter window per digit) is the
+//!   one read of the keys before the digit passes: it counts all digits
+//!   into block-private shared counters (`Σ 2^width` words, at most 8,448
+//!   at the widest legal digits): thread-private packed byte counters for
+//!   digits up to 5 bits while their rows fit next to the windows, shared
+//!   atomics otherwise, one per warp when the warp's digits agree. The
+//!   launch is one resident wave of blocks at the pre-scan's own block
+//!   size, each merging once.
+//! * **Passes laid out from the histograms** — a digit whose histogram
+//!   has one non-empty bucket is the identity pass and is skipped. Any
+//!   other digit narrows to the bit width of its highest non-empty bucket
+//!   and keeps that many buckets of its totals. [`sort_keys`] /
+//!   [`sort_pairs`] sort all 32 bits, so keys drawn from an 8- or 16-bit
+//!   range cost 1–2 passes instead of 4 (the mechanism behind the
+//!   paper's reduced-range wins) with no read of the keys beyond the
+//!   pre-scan, and a middle digit with few live values runs a narrower
+//!   pass.
 //! * **Ping-pong buffers** — the engine allocates two output buffers once
 //!   and alternates, so every pass scatters *directly into the next
 //!   pass's input*. No copy kernels, no re-tracking: each launch opens a
 //!   fresh race-detector epoch, so reusing a tracked buffer across passes
 //!   is safe by construction.
-//! * **Effective-bit-range pruning** — [`sort_keys`] / [`sort_pairs`]
-//!   first run one counted OR-reduction over the keys
-//!   ([`effective_key_bits`]) and sort only the live low bits. Keys drawn
-//!   from an 8- or 16-bit range then cost 1–2 passes instead of 4 — the
-//!   mechanism behind the paper's reduced-range wins.
 //! * **Tunable digit width** — `m = 2^b` buckets per pass.
 //!   [`DEFAULT_DIGIT_BITS`] holds the counted-sector sweet spot measured
 //!   by `paper sorttune` (wider digits mean fewer passes until the
@@ -58,21 +62,21 @@
 //! ```
 
 use multisplit::{bucket_totals, multisplit_sweep_into, DigitBuckets};
-use primitives::{tail_mask, warp_scan};
-use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, Scalar, WARP_SIZE};
+use primitives::tail_mask;
+use simt::{blocks_for, lanes_from_fn, Device, GlobalBuffer, Scalar, WARP_SIZE};
 
 /// Digit width `b` (buckets per pass `m = 2^b`) used when the caller does
 /// not choose one: the counted-sector sweet spot of the `paper sorttune`
 /// sweep at `n = 2^20`. Eight bits means four passes over full 32-bit
 /// keys, each a large-m sweep over 256 buckets. The sweep's per-warp
 /// histogram does not grow with the tile, so a 256-bucket pass still
-/// runs tiles of 3,072 keys with payloads (4,096 without), and dropping
+/// runs tiles of 4,096 keys, with payloads or without, and dropping
 /// the fifth pass of b = 7 saves more than the wider look-back records
 /// cost: ~3.5% fewer counted sectors than b = 7.
 pub const DEFAULT_DIGIT_BITS: u32 = 8;
 
-/// Thread-coarsening of the small ms-sort utility kernels (bit-range
-/// reduction, copy): chunks of 32 elements per warp per tile.
+/// Thread-coarsening of the ms-sort copy kernel: chunks of 32 elements
+/// per warp per tile.
 const UTIL_ITEMS_PER_THREAD: usize = 8;
 
 /// Largest digit width whose `2^b`-bucket pass still fits the fused
@@ -94,60 +98,6 @@ pub fn index_bits(n: usize) -> u32 {
     } else {
         32 - ((n - 1) as u32).leading_zeros()
     }
-}
-
-/// One counted reduction over the keys returning the *effective* key
-/// width: the bit position of the highest bit set in any key (`32 -
-/// leading_zeros(OR of all keys)`). Per-warp register OR, shuffle
-/// reduction, one global `atomicMin` of the complement per block —
-/// `O(blocks)` atomic traffic on top of one coalesced read of the keys.
-pub fn effective_key_bits(dev: &Device, keys: &GlobalBuffer<u32>, n: usize, wpb: usize) -> u32 {
-    if n == 0 {
-        return 0;
-    }
-    assert!(keys.len() >= n, "key buffer shorter than n");
-    // atomicMin of !x over blocks: the final complement is the lane-wise
-    // OR's upper envelope — same leading-zero count as the true OR.
-    let inv = GlobalBuffer::<u32>::from_slice(&[u32::MAX]);
-    let ipt = UTIL_ITEMS_PER_THREAD;
-    let tile = wpb * WARP_SIZE * ipt;
-    dev.launch("ms_sort/bits", n.div_ceil(tile), wpb, |blk| {
-        let nw = blk.warps_per_block;
-        let warp_or = blk.alloc_shared::<u32>(nw);
-        let tile_start = blk.block_id * tile;
-        for w in blk.warps() {
-            let mut acc = [0u32; WARP_SIZE];
-            for c in 0..ipt {
-                let base = tile_start + (w.warp_id * ipt + c) * WARP_SIZE;
-                let mask = tail_mask(base, n);
-                if mask == 0 {
-                    break;
-                }
-                let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
-                let k = w.gather(keys, idx, mask);
-                acc = lanes_from_fn(|l| {
-                    if mask >> l & 1 == 1 {
-                        acc[l] | k[l]
-                    } else {
-                        acc[l]
-                    }
-                });
-                w.charge(mask.count_ones() as u64);
-            }
-            warp_or.set(w.warp_id, warp_scan::reduce_max(&w, acc));
-        }
-        blk.sync();
-        {
-            let w = blk.warp(0);
-            let mut block_or = 0u32;
-            for i in 0..nw {
-                block_or |= warp_or.get(i);
-            }
-            w.charge(nw as u64);
-            w.atomic_min(&inv, splat(0), splat(!block_or), 1);
-        }
-    });
-    32 - (!inv.get(0)).leading_zeros()
 }
 
 /// Counted streaming copy into a fresh tracked buffer — the zero-pass
@@ -189,7 +139,8 @@ fn copy_out<T: Scalar>(
 /// from that histogram, ping-ponging between two internally-allocated
 /// output buffers so each pass scatters directly into the next pass's
 /// input. A digit whose keys all share one value is the identity pass and
-/// is skipped; when every digit is, the result is a copy. Bits outside
+/// is skipped; when every digit is, the result is a copy. Any other digit
+/// narrows to the width of its highest non-empty bucket. Bits outside
 /// the field ride along untouched (the reduced-bit paths sort
 /// `[index_bits, index_bits + label_bits)` and keep the packed index
 /// intact). Returns the sorted keys and, when given, the payload values
@@ -239,8 +190,18 @@ pub fn sort_by_bit_range_with<V: Scalar>(
     // key order, so these totals hold for every pass.
     let targets: Vec<&DigitBuckets> = digits.iter().collect();
     let totals = bucket_totals(dev, "ms_sort/pre-scan", keys, n, &targets, wpb);
-    let live: Vec<usize> = (0..digits.len())
-        .filter(|&d| totals[d].iter().filter(|&&t| t > 0).count() > 1)
+    // The passes: each digit with more than one non-empty bucket, narrowed
+    // to the width of its highest one (its pass index, digit and totals).
+    let live: Vec<(usize, DigitBuckets, &[u32])> = digits
+        .iter()
+        .zip(&totals)
+        .enumerate()
+        .filter(|(_, (_, t))| t.iter().filter(|&&c| c > 0).count() > 1)
+        .map(|(d, (digit, t))| {
+            let top = t.iter().rposition(|&c| c > 0).expect("a non-empty bucket") as u32;
+            let width = 32 - top.leading_zeros();
+            (d, DigitBuckets::new(digit.shift, width), &t[..1 << width])
+        })
         .collect();
     if live.is_empty() {
         return copy();
@@ -255,7 +216,7 @@ pub fn sort_by_bit_range_with<V: Scalar>(
             .map(|_| GlobalBuffer::zeroed(n).tracked())
             .collect()
     });
-    for (i, &d) in live.iter().enumerate() {
+    for (i, (d, digit, totals)) in live.iter().enumerate() {
         let dst = i % nbuf;
         let src = (i + 1) % nbuf;
         let (kin, vin): (&GlobalBuffer<u32>, Option<&GlobalBuffer<V>>) = if i == 0 {
@@ -271,9 +232,9 @@ pub fn sort_by_bit_range_with<V: Scalar>(
                 kin,
                 vin,
                 n,
-                &digits[d],
+                digit,
                 wpb,
-                &totals[d],
+                totals,
                 &kbufs[dst],
                 vbufs.as_ref().map(|v| &v[dst]),
             )
@@ -317,21 +278,21 @@ pub fn sort_pairs_by_bits<V: Scalar>(
     (k, v.expect("payload present"))
 }
 
-/// Full 32-bit stable key sort with the effective-bit-range fast path:
-/// one counted reduction finds the highest live bit, and dead high-bit
-/// passes are skipped entirely.
+/// Full 32-bit stable key sort. The pre-scan's histograms skip the
+/// constant digits and narrow the rest, so keys of a narrow range cost
+/// only the passes their live bits need.
 pub fn sort_keys(
     dev: &Device,
     keys: &GlobalBuffer<u32>,
     n: usize,
     wpb: usize,
 ) -> GlobalBuffer<u32> {
-    let eff = effective_key_bits(dev, keys, n, wpb);
-    sort_keys_by_bits(dev, keys, n, eff, wpb)
+    sort_keys_by_bits(dev, keys, n, 32, wpb)
 }
 
-/// Full 32-bit stable key–value sort with the effective-bit-range fast
-/// path. Stability: pairs with equal keys keep their input order.
+/// Full 32-bit stable key–value sort, with passes laid out as in
+/// [`sort_keys`]. Stability: pairs with equal keys keep their input
+/// order.
 pub fn sort_pairs<V: Scalar>(
     dev: &Device,
     keys: &GlobalBuffer<u32>,
@@ -339,8 +300,7 @@ pub fn sort_pairs<V: Scalar>(
     n: usize,
     wpb: usize,
 ) -> (GlobalBuffer<u32>, GlobalBuffer<V>) {
-    let eff = effective_key_bits(dev, keys, n, wpb);
-    sort_pairs_by_bits(dev, keys, values, n, eff, wpb)
+    sort_pairs_by_bits(dev, keys, values, n, 32, wpb)
 }
 
 /// Host-convenience full key sort: upload, sort, download.
@@ -566,9 +526,9 @@ mod tests {
             let out = sort_keys(&dev, &keys, n, 8);
             let launches = dev.records().len() - launches_before;
             assert_eq!(out.to_vec(), host_sorted(&data), "range={range_bits}");
-            // The bits probe, the all-digit pre-scan, one sweep per pass.
+            // The all-digit pre-scan, one sweep per pass.
             let expect_passes = range_bits.div_ceil(DEFAULT_DIGIT_BITS) as usize;
-            assert_eq!(launches, 2 + expect_passes, "range={range_bits}");
+            assert_eq!(launches, 1 + expect_passes, "range={range_bits}");
         }
     }
 
@@ -659,7 +619,8 @@ mod tests {
         assert_eq!(sv.to_vec(), expect.iter().map(|p| p.1).collect::<Vec<_>>());
         let labels: Vec<String> = dev.records().iter().map(|r| r.label.clone()).collect();
         let sweeps: Vec<&String> = labels.iter().filter(|l| l.ends_with("/sweep")).collect();
-        let passes = effective_key_bits(&dev, &keys, n, 8).div_ceil(DEFAULT_DIGIT_BITS);
+        let top = data.iter().fold(0, |a, &k| a | k);
+        let passes = (32 - top.leading_zeros()).div_ceil(DEFAULT_DIGIT_BITS);
         assert_eq!(sweeps.len(), passes as usize - 1, "{labels:?}");
         assert!(
             sweeps.iter().all(|l| !l.starts_with("ms_sort/pass0/")),
@@ -702,27 +663,51 @@ mod tests {
         }
     }
 
+    /// A middle digit whose live values fit 4 bits runs its pass at
+    /// m = 16: its sweep bills exactly what a standalone 16-bucket sweep
+    /// of that digit bills on the same input, and the sort stays exact.
     #[test]
-    fn effective_bits_match_the_data() {
-        let dev = Device::new(K40C);
-        let data = [0u32, 5, 1 << 13, 900];
+    fn a_narrow_middle_digit_runs_a_narrow_pass() {
+        let n = 20_000;
+        let data: Vec<u32> = keys_for(n, 43).iter().map(|k| k & 0xFFFF_0FFF).collect();
+        let vals: Vec<u32> = (0..n as u32).map(|i| !i).collect();
+        let mut expect: Vec<(u32, u32)> = data.iter().copied().zip(vals.clone()).collect();
+        expect.sort_by_key(|&(k, _)| k);
+        let dev = Device::sequential(K40C);
         let keys = GlobalBuffer::from_slice(&data);
-        assert_eq!(effective_key_bits(&dev, &keys, 4, 8), 14);
-        let zeros = GlobalBuffer::from_slice(&[0u32; 100]);
-        assert_eq!(effective_key_bits(&dev, &zeros, 100, 8), 0);
-        assert_eq!(effective_key_bits(&dev, &zeros, 0, 8), 0);
-        let big = GlobalBuffer::from_slice(&[u32::MAX]);
-        assert_eq!(effective_key_bits(&dev, &big, 1, 8), 32);
-        // Large enough for several blocks: the atomic combine across
-        // blocks must preserve the envelope.
-        let n = 100_000;
-        let data = keys_for(n, 3);
-        let hi = data.iter().copied().max().unwrap();
-        let keys = GlobalBuffer::from_slice(&data);
-        assert_eq!(
-            effective_key_bits(&dev, &keys, n, 8),
-            32 - hi.leading_zeros()
+        let values = GlobalBuffer::from_slice(&vals);
+        let (sk, sv) = sort_pairs(&dev, &keys, &values, n, 8);
+        assert_eq!(sk.to_vec(), expect.iter().map(|p| p.0).collect::<Vec<_>>());
+        assert_eq!(sv.to_vec(), expect.iter().map(|p| p.1).collect::<Vec<_>>());
+        // Pass 1 reads the pairs stably sorted by digit 0.
+        let mut by0: Vec<(u32, u32)> = data.iter().copied().zip(vals).collect();
+        by0.sort_by_key(|&(k, _)| k & 0xFF);
+        let (k1, v1): (Vec<u32>, Vec<u32>) = by0.into_iter().unzip();
+        let digit = DigitBuckets::new(8, 4);
+        let mut totals = vec![0u32; 16];
+        for &k in &k1 {
+            totals[digit.bucket_of(k) as usize] += 1;
+        }
+        let alone = Device::sequential(K40C);
+        multisplit_sweep_into(
+            &alone,
+            &GlobalBuffer::from_slice(&k1),
+            Some(&GlobalBuffer::from_slice(&v1)),
+            n,
+            &digit,
+            8,
+            &totals,
+            &GlobalBuffer::zeroed(n).tracked(),
+            Some(&GlobalBuffer::<u32>::zeroed(n).tracked()),
         );
+        let records = dev.records();
+        let pass1: Vec<_> = records
+            .iter()
+            .filter(|r| r.label.starts_with("ms_sort/pass1/"))
+            .collect();
+        assert_eq!(pass1.len(), 1);
+        assert_eq!(pass1[0].label, "ms_sort/pass1/fused/sweep");
+        assert_eq!(pass1[0].stats, alone.records()[0].stats);
     }
 
     #[test]

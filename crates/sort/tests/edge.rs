@@ -4,8 +4,8 @@
 //! stability.
 
 use ms_sort::{
-    argsort_by_bits, effective_key_bits, sort_by_bit_range_with, sort_keys, sort_keys_host,
-    sort_pairs, sort_pairs_by_bits, sort_pairs_host, sort_pairs_reduced_bit,
+    argsort_by_bits, sort_by_bit_range_with, sort_keys, sort_keys_host, sort_pairs,
+    sort_pairs_by_bits, sort_pairs_host, sort_pairs_reduced_bit,
 };
 use simt::{Device, GlobalBuffer, K40C};
 
@@ -142,34 +142,54 @@ fn sort_pairs_is_stable_under_heavy_duplication() {
 }
 
 #[test]
-fn effective_bits_prune_matches_full_sort() {
-    // Keys confined to 11 bits: sort_keys (auto-pruned) and an explicit
-    // full 32-bit sort must agree, and neither runs a pass over the dead
-    // high bits.
+fn eleven_bit_keys_narrow_to_the_probe_layout() {
+    // Keys confined to 11 bits: the full 32-bit sort's pre-scan finds
+    // digits 2 and 3 all zero and skips them, and narrows digit 1 to its
+    // 3 live bits. Its launches are the pre-scan and two sweeps, the
+    // second at m = 8, billed exactly as an explicit sort of bits
+    // [0, 11) bills them; keys and payloads match a host stable sort.
     let n = 3000;
     let input: Vec<u32> = scrambled(n, 5).iter().map(|k| k & 0x7FF).collect();
-
-    let d_auto = dev();
-    let keys = GlobalBuffer::from_slice(&input);
-    assert_eq!(effective_key_bits(&d_auto, &keys, n, WPB), 11);
-    let pruned = sort_keys(&d_auto, &keys, n, WPB).to_vec();
-
-    let d_full = dev();
-    let keys_full = GlobalBuffer::from_slice(&input);
-    let (full, _) = sort_by_bit_range_with::<u32>(&d_full, &keys_full, None, n, 0, 32, 8, WPB);
-    assert_eq!(pruned, full.to_vec());
-    // The probe narrows the field to 11 bits: two passes at the default
-    // digit width. The full
-    // 32-bit sort at 8-bit digits finds digits 2 and 3 all zero in its
-    // pre-scan and skips them. Either way two passes run, not four.
-    let sweeps = |d: &Device| {
-        d.records()
-            .iter()
-            .filter(|r| r.label.ends_with("/sweep"))
-            .count()
-    };
-    assert_eq!(sweeps(&d_auto), 2, "pruned sort");
-    assert_eq!(sweeps(&d_full), 2, "full-range sort skips its dead digits");
+    let vals: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(7)).collect();
+    let mut expect: Vec<(u32, u32)> = input.iter().copied().zip(vals.clone()).collect();
+    expect.sort_by_key(|&(k, _)| k);
+    let (ek, ev): (Vec<u32>, Vec<u32>) = expect.into_iter().unzip();
+    for kv in [false, true] {
+        let d_full = Device::sequential(K40C);
+        let keys = GlobalBuffer::from_slice(&input);
+        let values = GlobalBuffer::from_slice(&vals);
+        let (sk, sv) = if kv {
+            let (k, v) = sort_pairs(&d_full, &keys, &values, n, WPB);
+            (k, Some(v))
+        } else {
+            (sort_keys(&d_full, &keys, n, WPB), None)
+        };
+        assert_eq!(sk.to_vec(), ek, "kv={kv}");
+        if let Some(sv) = sv {
+            assert_eq!(sv.to_vec(), ev, "payloads");
+        }
+        let labels: Vec<String> = d_full.records().iter().map(|r| r.label.clone()).collect();
+        assert_eq!(
+            labels,
+            [
+                "ms_sort/pre-scan",
+                "ms_sort/pass0/fused_large_m/sweep",
+                "ms_sort/pass1/fused/sweep"
+            ],
+            "kv={kv}"
+        );
+        let d_11 = Device::sequential(K40C);
+        let vin = kv.then_some(&values);
+        let _ = sort_by_bit_range_with(&d_11, &keys, vin, n, 0, 11, 8, WPB);
+        let sweeps = |d: &Device| -> Vec<simt::BlockStats> {
+            d.records()
+                .iter()
+                .filter(|r| r.label.ends_with("/sweep"))
+                .map(|r| r.stats)
+                .collect()
+        };
+        assert_eq!(sweeps(&d_full), sweeps(&d_11), "kv={kv}: m = 256, then 8");
+    }
 }
 
 #[test]
