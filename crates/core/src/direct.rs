@@ -7,7 +7,7 @@
 //! full coalescing penalty, which grows with the bucket count — exactly
 //! the trade the reordering variants attack.
 
-use simt::{lanes_from_fn, Device, GlobalBuffer, Scalar, FULL_MASK, WARP_SIZE};
+use simt::{lanes_from_fn, Device, GlobalBuffer, Scalar, WARP_SIZE};
 
 use primitives::{exclusive_scan_u32, low_lanes_mask, tail_mask};
 
@@ -119,13 +119,6 @@ pub fn multisplit_direct<B: BucketFn + ?Sized, V: Scalar>(
         values: out_values,
         offsets,
     }
-}
-
-/// The warp-level mask convention guarantees full warps everywhere except
-/// possibly the last, so expose it for reuse in tests.
-#[allow(dead_code)]
-pub(crate) fn full_warp_mask() -> u32 {
-    FULL_MASK
 }
 
 #[cfg(test)]

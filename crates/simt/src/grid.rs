@@ -3,14 +3,26 @@
 //! [`Device::launch`] runs a kernel over a grid of blocks. Blocks are
 //! independent in the classic sense (no intra-kernel barrier across
 //! blocks — the CUDA guarantee the paper's `{local, global, local}`
-//! structure is built around), so the simulator runs them in parallel
-//! across host threads. Worker threads claim block ids from a shared
-//! atomic counter (dynamic self-scheduling), which gives the one
-//! forward-progress property single-pass chained scans need: a block
-//! that has claimed a ticket has, by definition, already started, so a
-//! later block spin-waiting on its published state only ever waits on
-//! running (or finished) work. Per-block event counters are merged with
-//! a reduction; no locks sit on the hot path.
+//! structure is built around), so every schedule runs the same claim
+//! loop: a worker claims the next block id from a shared atomic counter
+//! (dynamic self-scheduling), runs the block and retires its counters
+//! into a worker-local accumulator, until the grid is exhausted. Claiming
+//! in id order gives the one forward-progress property single-pass
+//! chained scans need: a block that has claimed a ticket has, by
+//! definition, already started, so a later block spin-waiting on its
+//! published state only ever waits on running (or finished) work. The
+//! workers' accumulators merge after the join; no locks sit on the hot
+//! path.
+//!
+//! A [`Schedule`] makes two choices and no others: how many host workers
+//! run the loop, and whether they share an adversarial run token (see
+//! [`crate::sched`]). Sequential launches, and parallel launches below
+//! `PARALLEL_GRID_THRESHOLD` blocks, run one worker on the calling
+//! thread. Larger parallel launches run one worker per host core.
+//! Adversarial launches run `min(blocks, ADV_WORKERS)` workers on a fresh
+//! token. A launch inside an adversarial [`Device::concurrent`] session
+//! runs one worker inline, on the session's token. [`Device::concurrent`]
+//! starts its stream tasks on the same scoped worker pool.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,7 +34,7 @@ use crate::obs::{telemetry, ObsStats, Telemetry};
 use crate::profile::DeviceProfile;
 use crate::sched::{self, AdvCore, AdvSchedule, Schedule, ScheduleAborted, ADV_WORKERS};
 use crate::stats::{BlockStats, LaunchRecord};
-use crate::stream::{self, SessionKind, Stream, TimelineEntry, HOST_STREAM};
+use crate::stream::{self, Stream, TimelineEntry, HOST_STREAM};
 
 /// Below this grid size the thread fan-out costs more than it saves.
 const PARALLEL_GRID_THRESHOLD: usize = 16;
@@ -195,243 +207,78 @@ impl Device {
         if stream_ix != HOST_STREAM {
             sched::note_stream(stream_ix);
         }
-        let run_block = |b: usize| -> (BlockStats, ObsStats, Vec<FlightEvent>, u64) {
+        let run_block = |b: usize, retired: &mut Retired| {
             // Attribute every tracked memory access in this block to block
             // id `b` (the read-write hazard detector names reader/writer),
             // and carry the stream identity onto whatever worker thread
             // runs the block so cross-stream checks see the right reader.
             let _stream_guard = stream_ctx
                 .as_ref()
-                .map(|(s, k)| stream::enter_stream_kind(Arc::clone(s), *k));
+                .map(|(s, session)| stream::enter_stream(Arc::clone(s), *session));
             let _blk_guard = crate::memory::enter_block(b);
             let _epoch_pin = crate::memory::enter_epoch(epoch);
             let blk = BlockCtx::new(b, num_blocks, warps_per_block);
             blk.stats().obs.set_flight_capacity(flight_cap);
             kernel(&blk);
-            let (bs, bo, (mut fl, dropped)) = blk.into_parts();
+            let (stats, obs, (flight, dropped)) = blk.into_parts();
+            retired.stats += stats;
+            retired.obs += obs;
+            if per_block_wanted {
+                retired.per_block.push((b, stats));
+            }
             // The ring doesn't know its block; stamp events at retirement.
-            for e in &mut fl {
-                e.block = b as u32;
-            }
-            (bs, bo, fl, dropped)
+            let block = b as u32;
+            retired
+                .flight
+                .extend(flight.into_iter().map(|e| FlightEvent { block, ..e }));
+            retired.dropped += dropped;
         };
-        // Each worker accumulates locally (no locks on the hot path) and
-        // keeps `(block_id, stats)` pairs when per-block telemetry is on;
-        // the pairs are scattered into an id-indexed Vec after the join,
-        // so the retained order is deterministic whatever the claim order.
-        let parallel_wanted =
-            self.schedule == Schedule::Parallel && num_blocks >= PARALLEL_GRID_THRESHOLD;
-        let (stats, obs, per_block, flight) = if sched::in_adversarial_session() {
-            // This thread is already an installed adversarial worker — a
-            // stream task inside Device::concurrent. Spawning a nested
-            // AdvCore here would deadlock (the nested workers would wait
-            // on a token this thread holds), so the launch's blocks run
-            // sequentially inline on this worker, yielding at the block
-            // claim and at every device-scope op — which is exactly where
-            // the session scheduler interleaves *other streams'* blocks.
-            // Within the launch, block b always follows block b-1, so
-            // every look-back predecessor is published before anyone
-            // spins on it; cross-stream hostility comes from the session
-            // policy, not intra-launch reordering.
-            let mut acc = BlockStats::default();
-            let mut obs = ObsStats::default();
-            let mut per_block = per_block_wanted.then(|| Vec::with_capacity(num_blocks));
-            let mut fl: Vec<FlightEvent> = Vec::new();
-            let mut fl_dropped = 0u64;
-            for b in 0..num_blocks {
+        let next = AtomicUsize::new(0);
+        // The one claim loop. The yield lets an adversarial policy order
+        // the claims and the note names the block in watchdog diagnoses;
+        // both are no-ops on a thread that is no adversarial worker.
+        let drain = || {
+            let mut retired = Retired::default();
+            loop {
                 sched::yield_block_start();
+                let b = next.fetch_add(1, Ordering::Relaxed);
+                if b >= num_blocks {
+                    return retired;
+                }
                 sched::note_block(b);
-                let (bs, bo, f, d) = run_block(b);
-                acc += bs;
-                obs += bo;
-                fl.extend(f);
-                fl_dropped += d;
-                if let Some(pb) = per_block.as_mut() {
-                    pb.push(bs);
-                }
+                run_block(b, &mut retired);
             }
-            (acc, obs, per_block, (fl, fl_dropped))
-        } else if let Schedule::Adversarial(adv) = self.schedule {
-            // Adversarial executor: dynamic self-scheduling like the
-            // parallel path, but exactly one worker runs at a time and the
-            // seeded policy picks who at every yield point. Each launch
-            // mixes the launch index into the seed so a multi-kernel
-            // pipeline explores a different interleaving per kernel while
-            // staying deterministic (launch order is program order).
-            let workers = num_blocks.min(ADV_WORKERS);
-            let seed = adv.seed ^ launch_ix.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let core = Arc::new(AdvCore::new(adv.flavor, seed, workers, adv.spin_budget));
-            let next = AtomicUsize::new(0);
-            let next = &next;
-            let run_block = &run_block;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let core = Arc::clone(&core);
-                        s.spawn(move || {
-                            // On unwind (ours or a preempted neighbour's)
-                            // retire this worker so nobody waits on it.
-                            struct FinishGuard<'a> {
-                                core: &'a AdvCore,
-                                w: usize,
-                            }
-                            impl Drop for FinishGuard<'_> {
-                                fn drop(&mut self) {
-                                    self.core.finish(self.w, std::thread::panicking());
-                                }
-                            }
-                            let _fin = FinishGuard { core: &core, w };
-                            let _inst = sched::install(Arc::clone(&core), w);
-                            let mut acc = BlockStats::default();
-                            let mut obs = ObsStats::default();
-                            let mut kept: Vec<(usize, BlockStats)> = Vec::new();
-                            let mut fl: Vec<FlightEvent> = Vec::new();
-                            let mut fl_dropped = 0u64;
-                            loop {
-                                sched::yield_block_start();
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                if b >= num_blocks {
-                                    break;
-                                }
-                                // Tell the watchdog which block this worker
-                                // runs, for its wait-for diagnosis.
-                                sched::note_block(b);
-                                let (bs, bo, f, d) = run_block(b);
-                                acc += bs;
-                                obs += bo;
-                                fl.extend(f);
-                                fl_dropped += d;
-                                if per_block_wanted {
-                                    kept.push((b, bs));
-                                }
-                            }
-                            (acc, obs, kept, fl, fl_dropped)
-                        })
-                    })
-                    .collect();
-                let mut acc = BlockStats::default();
-                let mut obs = ObsStats::default();
-                let mut per_block =
-                    per_block_wanted.then(|| vec![BlockStats::default(); num_blocks]);
-                let mut fl: Vec<FlightEvent> = Vec::new();
-                let mut fl_dropped = 0u64;
-                // Re-raise the *original* panic; workers torn down with the
-                // `ScheduleAborted` marker were collateral, not the bug.
-                let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-                for h in handles {
-                    match h.join() {
-                        Ok((s, o, kept, f, d)) => {
-                            acc += s;
-                            obs += o;
-                            fl.extend(f);
-                            fl_dropped += d;
-                            if let Some(pb) = per_block.as_mut() {
-                                for (b, bs) in kept {
-                                    pb[b] = bs;
-                                }
-                            }
-                        }
-                        Err(payload) => {
-                            if !payload.is::<ScheduleAborted>() && first_panic.is_none() {
-                                first_panic = Some(payload);
-                            }
-                        }
-                    }
-                }
-                if let Some(payload) = first_panic {
-                    std::panic::resume_unwind(payload);
-                }
-                (acc, obs, per_block, (fl, fl_dropped))
-            })
-        } else if parallel_wanted {
-            let workers = std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(num_blocks);
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut acc = BlockStats::default();
-                            let mut obs = ObsStats::default();
-                            let mut kept: Vec<(usize, BlockStats)> = Vec::new();
-                            let mut fl: Vec<FlightEvent> = Vec::new();
-                            let mut fl_dropped = 0u64;
-                            loop {
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                if b >= num_blocks {
-                                    break;
-                                }
-                                let (bs, bo, f, d) = run_block(b);
-                                acc += bs;
-                                obs += bo;
-                                fl.extend(f);
-                                fl_dropped += d;
-                                if per_block_wanted {
-                                    kept.push((b, bs));
-                                }
-                            }
-                            (acc, obs, kept, fl, fl_dropped)
-                        })
-                    })
-                    .collect();
-                let mut acc = BlockStats::default();
-                let mut obs = ObsStats::default();
-                let mut per_block =
-                    per_block_wanted.then(|| vec![BlockStats::default(); num_blocks]);
-                let mut fl: Vec<FlightEvent> = Vec::new();
-                let mut fl_dropped = 0u64;
-                for h in handles {
-                    match h.join() {
-                        Ok((s, o, kept, f, d)) => {
-                            acc += s;
-                            obs += o;
-                            fl.extend(f);
-                            fl_dropped += d;
-                            if let Some(pb) = per_block.as_mut() {
-                                for (b, bs) in kept {
-                                    pb[b] = bs;
-                                }
-                            }
-                        }
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                (acc, obs, per_block, (fl, fl_dropped))
-            })
-        } else {
-            let mut acc = BlockStats::default();
-            let mut obs = ObsStats::default();
-            let mut per_block = per_block_wanted.then(|| Vec::with_capacity(num_blocks));
-            let mut fl: Vec<FlightEvent> = Vec::new();
-            let mut fl_dropped = 0u64;
-            for b in 0..num_blocks {
-                let (bs, bo, f, d) = run_block(b);
-                acc += bs;
-                obs += bo;
-                fl.extend(f);
-                fl_dropped += d;
-                if let Some(pb) = per_block.as_mut() {
-                    pb.push(bs);
-                }
-            }
-            (acc, obs, per_block, (fl, fl_dropped))
         };
-        // Merge every block's ring into one stream sorted by (block, seq):
-        // deterministic whatever order workers retired blocks in.
-        let (mut fl_events, fl_dropped) = flight;
-        fl_events.sort_by_key(|e| (e.block, e.seq));
-        let seconds = self.profile.estimate(&stats);
+        let retired = match self.workers(num_blocks, launch_ix) {
+            (1, None) => drain(),
+            (workers, core) => run_workers(vec![drain; workers], core)
+                .into_iter()
+                .reduce(Retired::merge)
+                .unwrap_or_default(),
+        };
+        // Scatter the kept pairs into an id-indexed vector and merge every
+        // block's ring into one stream sorted by (block, seq): both are
+        // deterministic whatever order the workers retired blocks in.
+        let per_block = per_block_wanted.then(|| {
+            let mut per_block = vec![BlockStats::default(); num_blocks];
+            for (b, stats) in retired.per_block {
+                per_block[b] = stats;
+            }
+            per_block
+        });
+        let mut events = retired.flight;
+        events.sort_by_key(|e| (e.block, e.seq));
+        let seconds = self.profile.estimate(&retired.stats);
         let record = LaunchRecord {
             label,
             blocks: num_blocks,
             warps_per_block,
-            stats,
-            obs,
+            stats: retired.stats,
+            obs: retired.obs,
             per_block,
             flight: (flight_cap > 0).then_some(FlightLog {
-                events: fl_events,
-                dropped: fl_dropped,
+                events,
+                dropped: retired.dropped,
             }),
             seconds,
             stream: stream_ix,
@@ -446,6 +293,39 @@ impl Device {
         });
         lock_unpoisoned(&self.records).push(record.clone());
         record
+    }
+
+    /// The two choices a schedule makes for a launch: how many host
+    /// workers run the claim loop, and the adversarial run token they
+    /// share, if any. One worker without a token runs on the calling
+    /// thread.
+    fn workers(&self, num_blocks: usize, launch_ix: u64) -> (usize, Option<Arc<AdvCore>>) {
+        if sched::in_adversarial_session() {
+            // This thread is already an installed adversarial worker — a
+            // stream task inside Device::concurrent. A nested token would
+            // deadlock (its workers would wait on a token this thread
+            // holds), so the blocks run inline in id order, yielding at
+            // every claim and device-scope op — which is exactly where the
+            // session policy interleaves *other streams'* blocks. Every
+            // look-back predecessor is published before anyone spins on
+            // it; cross-stream hostility comes from the session policy,
+            // not intra-launch reordering.
+            return (1, None);
+        }
+        match self.schedule {
+            Schedule::Adversarial(adv) => {
+                let workers = num_blocks.min(ADV_WORKERS);
+                (
+                    workers,
+                    Some(Arc::new(AdvCore::new(adv, launch_ix, workers))),
+                )
+            }
+            Schedule::Parallel if num_blocks >= PARALLEL_GRID_THRESHOLD => {
+                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                (cores.min(num_blocks), None)
+            }
+            _ => (1, None),
+        }
     }
 
     /// All launches so far, in submission order. With concurrent streams
@@ -568,113 +448,26 @@ impl Device {
             "Device::concurrent does not nest: already inside a stream task"
         );
         let session = stream::fresh_session_id();
-        let streams: Vec<Stream> = (0..tasks.len())
-            .map(|_| Stream::new(self.stream_count.fetch_add(1, Ordering::Relaxed), session))
+        let schedule = self.schedule;
+        let bodies: Vec<_> = tasks
+            .into_iter()
+            .map(|task| {
+                let s = Stream::new(self.stream_count.fetch_add(1, Ordering::Relaxed), session);
+                move || {
+                    sched::note_stream(s.index());
+                    let _ctx = stream::enter_stream(Arc::clone(&s.state), Some(schedule));
+                    task(&s)
+                }
+            })
             .collect();
-        match self.schedule {
-            Schedule::Sequential => tasks
-                .into_iter()
-                .zip(&streams)
-                .map(|(t, s)| {
-                    let _ctx = stream::enter_stream_kind(
-                        Arc::clone(&s.state),
-                        Some(SessionKind::Sequential),
-                    );
-                    t(s)
-                })
-                .collect(),
-            Schedule::Parallel => std::thread::scope(|sc| {
-                let handles: Vec<_> = tasks
-                    .into_iter()
-                    .zip(&streams)
-                    .map(|(t, s)| {
-                        sc.spawn(move || {
-                            let _ctx = stream::enter_stream_kind(
-                                Arc::clone(&s.state),
-                                Some(SessionKind::Parallel),
-                            );
-                            t(s)
-                        })
-                    })
-                    .collect();
-                let mut results = Vec::with_capacity(handles.len());
-                let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-                for h in handles {
-                    match h.join() {
-                        Ok(r) => results.push(r),
-                        Err(p) => {
-                            if first_panic.is_none() {
-                                first_panic = Some(p);
-                            }
-                        }
-                    }
-                }
-                if let Some(p) = first_panic {
-                    std::panic::resume_unwind(p);
-                }
-                results
-            }),
+        match schedule {
+            Schedule::Sequential => bodies.into_iter().map(|body| body()).collect(),
+            Schedule::Parallel => run_workers(bodies, None),
             Schedule::Adversarial(adv) => {
-                // One core for the whole session (workers = tasks); the
-                // seed mixes the device's launch count so back-to-back
-                // sessions explore different interleavings while staying
-                // deterministic (launch order is program order).
-                let seed = adv.seed
-                    ^ self
-                        .launch_counter
-                        .load(Ordering::Relaxed)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let core = Arc::new(AdvCore::new(
-                    adv.flavor,
-                    seed,
-                    streams.len(),
-                    adv.spin_budget,
-                ));
-                std::thread::scope(|sc| {
-                    let handles: Vec<_> = tasks
-                        .into_iter()
-                        .zip(&streams)
-                        .enumerate()
-                        .map(|(w, (t, s))| {
-                            let core = Arc::clone(&core);
-                            sc.spawn(move || {
-                                struct FinishGuard<'a> {
-                                    core: &'a AdvCore,
-                                    w: usize,
-                                }
-                                impl Drop for FinishGuard<'_> {
-                                    fn drop(&mut self) {
-                                        self.core.finish(self.w, std::thread::panicking());
-                                    }
-                                }
-                                let _fin = FinishGuard { core: &core, w };
-                                let _inst = sched::install(Arc::clone(&core), w);
-                                sched::note_stream(s.index());
-                                let _ctx = stream::enter_stream_kind(
-                                    Arc::clone(&s.state),
-                                    Some(SessionKind::Adversarial),
-                                );
-                                t(s)
-                            })
-                        })
-                        .collect();
-                    let mut results = Vec::with_capacity(handles.len());
-                    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-                    for h in handles {
-                        match h.join() {
-                            Ok(r) => results.push(r),
-                            Err(payload) => {
-                                if !payload.is::<ScheduleAborted>() && first_panic.is_none() {
-                                    first_panic = Some(payload);
-                                }
-                            }
-                        }
-                    }
-                    if let Some(p) = first_panic {
-                        std::panic::resume_unwind(p);
-                    }
-                    results
-                })
+                // One token for the whole session, one worker per task.
+                let launches = self.launch_counter.load(Ordering::Relaxed);
+                let core = AdvCore::new(adv, launches, bodies.len());
+                run_workers(bodies, Some(Arc::new(core)))
             }
         }
     }
@@ -684,6 +477,80 @@ impl Device {
 /// covers `n` elements with one element per thread.
 pub fn blocks_for(n: usize, warps_per_block: usize) -> usize {
     n.div_ceil(warps_per_block * crate::lanes::WARP_SIZE)
+}
+
+/// What a worker's claim loop retires, summed over its blocks; the
+/// workers of one launch merge theirs after the join.
+#[derive(Default)]
+struct Retired {
+    stats: BlockStats,
+    obs: ObsStats,
+    /// `(block id, stats)`, kept under per-block telemetry only.
+    per_block: Vec<(usize, BlockStats)>,
+    /// Block-stamped flight events, in retirement order.
+    flight: Vec<FlightEvent>,
+    dropped: u64,
+}
+
+impl Retired {
+    fn merge(mut self, other: Retired) -> Retired {
+        self.stats += other.stats;
+        self.obs += other.obs;
+        self.per_block.extend(other.per_block);
+        self.flight.extend(other.flight);
+        self.dropped += other.dropped;
+        self
+    }
+}
+
+/// Run every body on its own scoped host thread and return the results
+/// in body order. With `core`, thread `w` runs as adversarial worker `w`
+/// and is retired from the core when it exits or unwinds (ours or a
+/// preempted neighbour's panic), so nobody waits on it. Re-raises the
+/// first *original* panic: workers torn down with the `ScheduleAborted`
+/// marker were collateral, not the bug.
+fn run_workers<R: Send>(
+    bodies: Vec<impl FnOnce() -> R + Send>,
+    core: Option<Arc<AdvCore>>,
+) -> Vec<R> {
+    struct FinishGuard<'a> {
+        core: &'a AdvCore,
+        w: usize,
+    }
+    impl Drop for FinishGuard<'_> {
+        fn drop(&mut self) {
+            self.core.finish(self.w, std::thread::panicking());
+        }
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(w, body)| {
+                let core = core.clone();
+                s.spawn(move || {
+                    let _fin = core.as_deref().map(|core| FinishGuard { core, w });
+                    let _inst = core.clone().map(|core| sched::install(core, w));
+                    body()
+                })
+            })
+            .collect();
+        let mut results = Vec::with_capacity(handles.len());
+        let mut first_panic = None;
+        for h in handles {
+            match h.join() {
+                Ok(r) => results.push(r),
+                Err(payload) if !payload.is::<ScheduleAborted>() => {
+                    first_panic.get_or_insert(payload);
+                }
+                Err(_) => {}
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
+        results
+    })
 }
 
 #[cfg(test)]
@@ -723,47 +590,6 @@ mod tests {
         lock_unpoisoned(&dev.records).reverse();
         assert_eq!(dev.total_seconds().to_bits(), forward.to_bits());
         assert_eq!(dev.seconds_with_prefix("no").to_bits(), forward.to_bits());
-    }
-
-    /// A copy kernel: every thread moves one element.
-    fn copy_kernel(
-        dev: &Device,
-        src: &GlobalBuffer<u32>,
-        dst: &GlobalBuffer<u32>,
-        n: usize,
-        wpb: usize,
-    ) {
-        let blocks = blocks_for(n, wpb);
-        dev.launch("copy", blocks, wpb, |blk| {
-            for w in blk.warps() {
-                let base = w.global_warp_id * WARP_SIZE;
-                let idx = lanes_from_fn(|l| base + l);
-                let mask = crate::lanes::lanes_from_fn(|l| base + l < n)
-                    .iter()
-                    .enumerate()
-                    .fold(0u32, |m, (l, &a)| if a { m | 1 << l } else { m });
-                let v = w.gather(src, idx, mask);
-                w.scatter(dst, idx, v, mask);
-            }
-        });
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let n = 10_000;
-        let data: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        let mut outputs = Vec::new();
-        let mut stats = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let src = GlobalBuffer::from_slice(&data);
-            let dst = GlobalBuffer::<u32>::zeroed(n);
-            copy_kernel(&dev, &src, &dst, n, 8);
-            outputs.push(dst.to_vec());
-            stats.push(dev.records()[0].stats);
-        }
-        assert_eq!(outputs[0], data);
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(stats[0], stats[1], "stats must be schedule-independent");
     }
 
     #[test]
@@ -855,161 +681,146 @@ mod tests {
         assert_eq!(dev.seconds_with_prefix("outer/"), 0.0);
     }
 
+    /// Every schedule's claim loop runs each block exactly once and
+    /// retires the same launch: outputs, summed stats, id-indexed
+    /// per-block stats and the `(block, seq)`-sorted flight log.
     #[test]
-    fn per_block_telemetry_retains_indexed_stats() {
-        use crate::obs::{with_telemetry, Telemetry};
-        let n = 10_000;
-        let data: Vec<u32> = (0..n as u32).collect();
-        // Summary (default): no per-block vector.
-        let dev = Device::new(K40C);
-        let src = GlobalBuffer::from_slice(&data);
-        let dst = GlobalBuffer::<u32>::zeroed(n);
-        copy_kernel(&dev, &src, &dst, n, 8);
-        let summary = dev.records()[0].clone();
-        assert!(summary.per_block.is_none());
-        // PerBlock on both executors: same summed stats as Summary, same
-        // id-indexed per-block vectors, and the vector sums to the total.
-        let mut per_block_runs = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let src = GlobalBuffer::from_slice(&data);
-            let dst = GlobalBuffer::<u32>::zeroed(n);
-            with_telemetry(Telemetry::PerBlock, || {
-                copy_kernel(&dev, &src, &dst, n, 8);
-            });
-            per_block_runs.push(dev.records()[0].clone());
-        }
-        for rec in &per_block_runs {
-            assert_eq!(rec.stats, summary.stats, "telemetry must not change sums");
-            let pb = rec.per_block.as_ref().expect("per-block retained");
-            assert_eq!(pb.len(), rec.blocks);
-            let mut sum = BlockStats::default();
-            for b in pb {
-                sum += *b;
-            }
-            assert_eq!(sum, rec.stats, "per-block stats must sum to the total");
-        }
-        assert_eq!(
-            per_block_runs[0].per_block, per_block_runs[1].per_block,
-            "block-id-indexed stats must be schedule-independent"
-        );
-    }
-
-    #[test]
-    fn adversarial_flavors_agree_with_sequential() {
+    fn every_schedule_runs_each_block_once_and_retires_the_same_launch() {
+        use crate::flight::EventKind;
+        use crate::lanes::lane_mask_lt;
+        use crate::obs::with_telemetry;
         use crate::sched::{AdvFlavor, AdvSchedule};
-        let n = 10_000;
-        let data: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        let reference = {
-            let dev = Device::sequential(K40C);
+        let wpb = 2;
+        // A copy whose last warp is partial, one hit per block, one device
+        // ticket per block (an adversarial yield point) and `1 + b % 3`
+        // flight events per block.
+        let launch = |dev: &Device, blocks: usize, level: Telemetry| {
+            let n = blocks * wpb * WARP_SIZE - 7;
+            let data: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
             let src = GlobalBuffer::from_slice(&data);
             let dst = GlobalBuffer::<u32>::zeroed(n);
-            copy_kernel(&dev, &src, &dst, n, 8);
-            (dst.to_vec(), dev.records()[0].stats)
+            let hits = GlobalBuffer::<u32>::zeroed(blocks);
+            let tickets = GlobalBuffer::<u32>::zeroed(1);
+            let rec = with_telemetry(level, || {
+                dev.launch("copy", blocks, wpb, |blk| {
+                    let b = blk.block_id;
+                    let w0 = blk.warp(0);
+                    w0.device_fetch_add(&tickets, 0, 1);
+                    w0.atomic_add(&hits, splat(b), splat(1u32), 1);
+                    blk.stats()
+                        .obs
+                        .flight_emit(EventKind::TicketClaim, b as u32, 0, 0);
+                    for w in blk.warps() {
+                        let base = w.global_warp_id * WARP_SIZE;
+                        let live = n.saturating_sub(base).min(WARP_SIZE);
+                        let mask = if live == WARP_SIZE {
+                            u32::MAX
+                        } else {
+                            lane_mask_lt(live)
+                        };
+                        let idx = lanes_from_fn(|l| base + l);
+                        let v = w.gather(&src, idx, mask);
+                        w.scatter(&dst, idx, v, mask);
+                    }
+                    for k in 0..b % 3 {
+                        blk.stats().obs.flight_emit(
+                            EventKind::PublishAggregate,
+                            b as u32,
+                            k as u32,
+                            0,
+                        );
+                    }
+                })
+            });
+            assert_eq!(dst.to_vec(), data, "{blocks} blocks: output");
+            assert_eq!(hits.to_vec(), vec![1; blocks], "{blocks} blocks: hits");
+            rec
         };
-        for flavor in AdvFlavor::ALL {
-            let dev = Device::adversarial(K40C, AdvSchedule::with_flavor(0xC0FFEE, flavor));
-            assert!(matches!(
-                dev.schedule(),
-                crate::sched::Schedule::Adversarial(_)
-            ));
-            let src = GlobalBuffer::from_slice(&data);
-            let dst = GlobalBuffer::<u32>::zeroed(n);
-            copy_kernel(&dev, &src, &dst, n, 8);
-            assert_eq!(dst.to_vec(), reference.0, "{flavor:?} output");
+        for blocks in [1, 3, ADV_WORKERS, 64] {
+            let summary = launch(&Device::sequential(K40C), blocks, Telemetry::Summary);
+            assert!(summary.per_block.is_none());
+            let reference = launch(&Device::sequential(K40C), blocks, Telemetry::PerBlock);
             assert_eq!(
-                dev.records()[0].stats,
-                reference.1,
-                "{flavor:?} stats must be schedule-independent"
+                reference.stats, summary.stats,
+                "telemetry must not change sums"
             );
-        }
-    }
-
-    #[test]
-    fn adversarial_runs_every_block_once_even_on_small_grids() {
-        use crate::sched::AdvSchedule;
-        // Below PARALLEL_GRID_THRESHOLD and above ADV_WORKERS: both
-        // boundaries of the worker-multiplexing logic.
-        for n_blocks in [1, 3, ADV_WORKERS, 64] {
-            let dev = Device::adversarial(K40C, AdvSchedule::from_seed(7));
-            let hits = GlobalBuffer::<u32>::zeroed(n_blocks);
-            dev.launch("adv-dyn", n_blocks, 1, |blk| {
-                for w in blk.warps() {
-                    w.atomic_add(&hits, splat(blk.block_id), splat(1u32), 1);
+            let flight = reference.flight.as_ref().expect("flight recorder on");
+            assert_eq!(flight.count(EventKind::TicketClaim), blocks);
+            assert_eq!(flight.dropped, 0);
+            // (name, device, launch inside a `concurrent` session?)
+            let mut rows = vec![
+                ("sequential", Device::sequential(K40C), false),
+                ("parallel", Device::new(K40C), false),
+                (
+                    "adversarial session",
+                    Device::adversarial(K40C, AdvSchedule::from_seed(41)),
+                    true,
+                ),
+            ];
+            rows.extend(AdvFlavor::ALL.map(|flavor| {
+                let adv = AdvSchedule::with_flavor(0xC0FFEE, flavor);
+                (flavor.name(), Device::adversarial(K40C, adv), false)
+            }));
+            for (name, dev, in_session) in &rows {
+                let rec = if *in_session {
+                    let task: StreamTask<'_, LaunchRecord> =
+                        Box::new(|_| launch(dev, blocks, Telemetry::PerBlock));
+                    dev.concurrent(vec![task]).remove(0)
+                } else {
+                    launch(dev, blocks, Telemetry::PerBlock)
+                };
+                let ctx = format!("{name}, {blocks} blocks");
+                assert_eq!(rec.stats, reference.stats, "{ctx}: summed stats");
+                assert_eq!(rec.per_block, reference.per_block, "{ctx}: per-block");
+                let per_block = rec.per_block.as_ref().expect("per-block retained");
+                let mut sum = BlockStats::default();
+                for b in per_block {
+                    sum += *b;
                 }
-            });
-            assert_eq!(hits.to_vec(), vec![1u32; n_blocks], "{n_blocks} blocks");
-        }
-    }
-
-    #[test]
-    fn adversarial_per_block_telemetry_is_id_indexed() {
-        use crate::obs::{with_telemetry, Telemetry};
-        use crate::sched::AdvSchedule;
-        let n = 10_000;
-        let data: Vec<u32> = (0..n as u32).collect();
-        let mut runs = Vec::new();
-        for dev in [
-            Device::sequential(K40C),
-            Device::adversarial(K40C, AdvSchedule::from_seed(41)),
-        ] {
-            let src = GlobalBuffer::from_slice(&data);
-            let dst = GlobalBuffer::<u32>::zeroed(n);
-            with_telemetry(Telemetry::PerBlock, || {
-                copy_kernel(&dev, &src, &dst, n, 8);
-            });
-            runs.push(dev.records()[0].clone());
-        }
-        assert_eq!(
-            runs[0].per_block, runs[1].per_block,
-            "per-block stats must be schedule-independent"
-        );
-    }
-
-    #[test]
-    fn adversarial_panics_propagate_the_original_payload() {
-        use crate::sched::AdvSchedule;
-        let dev = Device::adversarial(K40C, AdvSchedule::from_seed(2));
-        let counter = GlobalBuffer::<u32>::zeroed(1);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dev.launch("doomed", 32, 1, |blk| {
-                let w = blk.warp(0);
-                let t = w.device_fetch_add(&counter, 0, 1);
-                if t == 13 {
-                    panic!("kernel bug in tile 13");
-                }
-                // Touch another yield point so preempted workers are
-                // plausibly waiting when the panic lands.
-                w.device_peek(&counter, 0);
-            });
-        }));
-        let payload = caught.expect_err("launch must propagate the kernel panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("kernel bug in tile 13"),
-            "must re-raise the original panic, not the abort marker (got {msg:?})"
-        );
-        // The device stays usable afterwards.
-        dev.launch("after", 4, 1, |_| {});
-        assert_eq!(dev.records().last().unwrap().label, "after");
-    }
-
-    #[test]
-    fn parallel_grid_uses_dynamic_scheduling() {
-        // Large enough to cross PARALLEL_GRID_THRESHOLD; every block must
-        // run exactly once regardless of how workers interleave.
-        let dev = Device::new(K40C);
-        let n_blocks = 64;
-        let hits = GlobalBuffer::<u32>::zeroed(n_blocks);
-        dev.launch("dyn", n_blocks, 1, |blk| {
-            for w in blk.warps() {
-                w.atomic_add(&hits, splat(blk.block_id), splat(1u32), 1);
+                assert_eq!(sum, rec.stats, "{ctx}: per-block stats sum to the total");
+                let fl = rec.flight.as_ref().expect("flight recorder on");
+                assert_eq!(fl.kind_counts(), flight.kind_counts(), "{ctx}: kinds");
+                assert_eq!(fl, flight, "{ctx}: flight log");
             }
-        });
-        assert_eq!(hits.to_vec(), vec![1u32; n_blocks]);
+        }
+    }
+
+    #[test]
+    fn kernel_panics_propagate_the_original_payload() {
+        use crate::sched::AdvSchedule;
+        // 32 blocks cross PARALLEL_GRID_THRESHOLD, so both devices spawn
+        // workers and re-raise from the join.
+        for dev in [
+            Device::new(K40C),
+            Device::adversarial(K40C, AdvSchedule::from_seed(2)),
+        ] {
+            let counter = GlobalBuffer::<u32>::zeroed(1);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dev.launch("doomed", 32, 1, |blk| {
+                    let w = blk.warp(0);
+                    let t = w.device_fetch_add(&counter, 0, 1);
+                    if t == 13 {
+                        panic!("kernel bug in tile 13");
+                    }
+                    // Touch another yield point so preempted workers are
+                    // plausibly waiting when the panic lands.
+                    w.device_peek(&counter, 0);
+                });
+            }));
+            let payload = caught.expect_err("launch must propagate the kernel panic");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .map(str::to_owned)
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("kernel bug in tile 13"),
+                "must re-raise the original panic, not the abort marker (got {msg:?})"
+            );
+            // The device stays usable afterwards.
+            dev.launch("after", 4, 1, |_| {});
+            assert_eq!(dev.records().last().unwrap().label, "after");
+        }
     }
 }

@@ -33,14 +33,11 @@ thread_local! {
     static CURRENT_BLOCK: Cell<u32> = const { Cell::new(HOST_ACTOR) };
 }
 
-fn current_actor() -> u32 {
+/// The block id the current thread is attributed to (`HOST_ACTOR`
+/// outside a block), for this module's and [`crate::stream`]'s hazard
+/// reports.
+pub(crate) fn current_actor() -> u32 {
     CURRENT_BLOCK.with(|c| c.get())
-}
-
-/// The block id the current thread is attributed to, for the
-/// cross-stream hazard reports in [`crate::stream`].
-pub(crate) fn current_actor_public() -> u32 {
-    current_actor()
 }
 
 fn actor_name(a: u32) -> String {

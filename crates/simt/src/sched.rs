@@ -2,18 +2,19 @@
 //!
 //! The paper's single-pass kernels (chained scan, fused multisplit) are
 //! only correct if decoupled look-back is deadlock-free and
-//! schedule-independent under *every* block execution order. The parallel
-//! and sequential executors in [`crate::grid`] each exercise exactly one
-//! order; [`Schedule::Adversarial`] adds a third mode that actively hunts
+//! schedule-independent under *every* block execution order. Every
+//! schedule runs the same block-claim loop of [`crate::grid`]; the
+//! parallel and sequential schedules each exercise one order of it, and
+//! [`Schedule::Adversarial`] adds a third mode that actively hunts
 //! interleaving bugs: blocks still take tile tickets from the shared
 //! device atomic, but a seeded policy controls **which host worker runs
 //! next and for how long**.
 //!
 //! ## Execution model
 //!
-//! An adversarial launch multiplexes blocks onto [`ADV_WORKERS`] host
-//! workers (dynamic self-scheduling, like the parallel executor), but
-//! only **one worker holds the run token at a time**. The token is handed
+//! An adversarial launch runs the claim loop on [`ADV_WORKERS`] host
+//! workers (fewer on smaller grids), but only **one worker holds the run
+//! token at a time**. The token is handed
 //! over at *yield points*: every device-scope memory access
 //! (`device_get` / `device_set` / `device_peek` / `device_fetch_add` /
 //! `device_gather` / `device_scatter`), every look-back spin-poll
@@ -266,10 +267,15 @@ pub(crate) struct AdvCore {
 }
 
 impl AdvCore {
-    pub(crate) fn new(flavor: AdvFlavor, seed: u64, workers: usize, spin_budget: u64) -> Self {
+    /// A fresh token for `workers` workers under `adv`. The seed mixes in
+    /// `mix` (the device's launch count) so each launch or session of a
+    /// multi-kernel pipeline explores its own interleaving while staying
+    /// deterministic: launch order on one device is program order.
+    pub(crate) fn new(adv: AdvSchedule, mix: u64, workers: usize) -> Self {
+        let seed = adv.seed ^ mix.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Self {
-            flavor,
-            spin_budget,
+            flavor: adv.flavor,
+            spin_budget: adv.spin_budget,
             inner: Mutex::new(Inner {
                 status: vec![WStatus::Ready; workers],
                 ticket: vec![None; workers],
@@ -628,7 +634,7 @@ fn wait_graph_string(g: &Inner) -> String {
 thread_local! {
     /// The adversarial core (and this thread's worker id) while a worker
     /// is executing blocks; `None` on every other thread, which makes all
-    /// yield hooks no-ops under the parallel and sequential executors.
+    /// yield hooks no-ops under the parallel and sequential schedules.
     static ACTIVE: RefCell<Option<(Arc<AdvCore>, usize)>> = const { RefCell::new(None) };
 }
 
@@ -690,9 +696,10 @@ pub(crate) fn note_stream(stream: u32) {
 }
 
 /// Is the current thread an installed adversarial worker? True both for
-/// the classic per-launch executor's workers and for stream-session task
-/// threads; [`crate::grid`] uses it to run in-session launches inline
-/// (one nested `AdvCore` would deadlock against the outer token) and
+/// a launch's own workers and for the task threads of an adversarial
+/// stream session; [`crate::grid`] uses it to run in-session launches on
+/// one inline worker (a nested `AdvCore` would deadlock against the
+/// session's token) and
 /// [`crate::stream`] to spin-poll events at yield points instead of
 /// blocking the token holder on a condvar.
 pub(crate) fn in_adversarial_session() -> bool {

@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::lock_unpoisoned;
+use crate::sched::Schedule;
 
 /// Device-local stream index recorded for launches issued outside any
 /// stream context (the "host lane" — everything PRs 1–9 ever launched).
@@ -156,7 +157,7 @@ impl Stream {
     /// every `Device::launch` inside is attributed to this stream and
     /// clocked by it. Contexts do not nest with a *different* stream.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _ctx = enter_stream(Arc::clone(&self.state));
+        let _ctx = enter_stream(Arc::clone(&self.state), None);
         f()
     }
 
@@ -263,14 +264,14 @@ impl Event {
         if let Some(rec) = g.clone() {
             return rec;
         }
-        match session_kind() {
-            Some(SessionKind::Parallel) => loop {
+        match session_schedule() {
+            Some(Schedule::Parallel) => loop {
                 g = self.inner.cv.wait(g).unwrap_or_else(|e| e.into_inner());
                 if let Some(rec) = g.clone() {
                     return rec;
                 }
             },
-            Some(SessionKind::Sequential) => panic!(
+            Some(Schedule::Sequential) => panic!(
                 "event wait deadlock: waiting on an event that no earlier task recorded \
                  (the sequential schedule runs tasks in order, so it never can be)"
             ),
@@ -284,17 +285,12 @@ impl Event {
 
 // ======================= thread-local stream context =======================
 
-/// What the executor of the current session is, for event-wait strategy.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SessionKind {
-    Sequential,
-    Parallel,
-    Adversarial,
-}
-
 struct Ctx {
     state: Arc<StreamState>,
-    kind: Option<SessionKind>,
+    /// Schedule of the [`crate::Device::concurrent`] session this stream
+    /// task runs in (`None` for manual [`Stream::run`] use): it picks the
+    /// event-wait strategy.
+    session: Option<Schedule>,
 }
 
 thread_local! {
@@ -305,8 +301,8 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-fn session_kind() -> Option<SessionKind> {
-    CURRENT.with(|c| c.borrow().as_ref().and_then(|ctx| ctx.kind))
+fn session_schedule() -> Option<Schedule> {
+    CURRENT.with(|c| c.borrow().as_ref().and_then(|ctx| ctx.session))
 }
 
 /// RAII stream-context guard; restores the previous context on drop.
@@ -326,12 +322,10 @@ impl Drop for StreamCtx {
     }
 }
 
-pub(crate) fn enter_stream(state: Arc<StreamState>) -> StreamCtx {
-    enter_stream_kind(state, None)
-}
-
-pub(crate) fn enter_stream_kind(state: Arc<StreamState>, kind: Option<SessionKind>) -> StreamCtx {
-    let new = Ctx { state, kind };
+/// Make `state` the current thread's stream, inside a session run under
+/// `session` (`None` outside [`crate::Device::concurrent`]).
+pub(crate) fn enter_stream(state: Arc<StreamState>, session: Option<Schedule>) -> StreamCtx {
+    let new = Ctx { state, session };
     StreamCtx(CURRENT.with(|c| c.borrow_mut().replace(new)))
 }
 
@@ -342,12 +336,12 @@ pub(crate) fn in_stream_context() -> bool {
 
 /// Clone the current context's stream state (for propagation onto the
 /// grid executor's worker threads, so detector checks *inside blocks*
-/// see the right stream identity whichever executor runs them).
-pub(crate) fn current_state() -> Option<(Arc<StreamState>, Option<SessionKind>)> {
+/// see the right stream identity whichever worker runs them).
+pub(crate) fn current_state() -> Option<(Arc<StreamState>, Option<Schedule>)> {
     CURRENT.with(|c| {
         c.borrow()
             .as_ref()
-            .map(|ctx| (Arc::clone(&ctx.state), ctx.kind))
+            .map(|ctx| (Arc::clone(&ctx.state), ctx.session))
     })
 }
 
@@ -417,7 +411,7 @@ pub(crate) fn check_cross_epoch(
         return;
     }
     let this_seq = state.seq.load(Ordering::SeqCst);
-    let this_block = crate::memory::current_actor_public();
+    let this_block = crate::memory::current_actor();
     panic!(
         "race detector: cross-stream {this_what}-after-{prior_what} hazard on element {idx}: \
          {this_what} by (stream {}, launch {}, block {}) overlaps unsynchronized with the \
