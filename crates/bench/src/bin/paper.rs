@@ -59,128 +59,110 @@
 //!               request, default 1024), --m M (max buckets, default 32),
 //!               --devices D (default 4), --batch B (default 256),
 //!               --seed S (default 9000), --no-verify, --json PATH
-//!   all         everything above (except profile/check/fuzz)
+//!   all         everything above except profile, trace, check, fuzz and serve
 //!
-//! options:
-//!   --n <log2>     input size exponent (default 22; the paper uses 25)
+//! options (report runs are always verified against the CPU reference):
+//!   --n <log2>     input size exponent, below 32 (default 22; the paper uses 25)
 //!   --full         shorthand for the paper's sizes (n=2^25, fig4 n=2^24)
-//!   --no-verify    skip CPU-reference verification of every run
-//!   --trials <k>   average over k seeded trials (default 1)
 //!   --json <path>  additionally write every run + report to <path> as JSON
 //!   --update       (check) rewrite the committed baseline from current counts
+//!
+//! An unknown command or option, or a bad value, prints the usage and
+//! exits 2 before anything runs.
 //! ```
 
 use msbench::*;
-use simt::{DeviceProfile, Json, GTX750TI, K40C};
+use simt::{BlockStats, Device, DeviceProfile, Json, Schedule, GTX750TI, K40C};
 
+/// The options every command but `fuzz` and `serve` shares.
 struct Opts {
     n: usize,
     fig4_n: usize,
-    verify: bool,
-    trials: u64,
     json: Option<String>,
     update: bool,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+/// The value after `flag`, parsed; a missing or malformed value is a
+/// usage error.
+fn value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
+}
+
+fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut n_log = 22u32;
     let mut fig4_log = 20u32;
-    let mut verify = true;
-    let mut trials = 1u64;
     let mut json = None;
     let mut update = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--n" => {
-                n_log = it
-                    .next()
-                    .expect("--n needs a value")
-                    .parse()
-                    .expect("bad --n")
+                n_log = value(&mut it, "--n")?;
+                if n_log >= 32 {
+                    return Err(format!(
+                        "--n {n_log} is out of range: offsets are u32, so LOG2 must be below 32"
+                    ));
+                }
             }
             "--full" => {
                 n_log = 25;
                 fig4_log = 24;
             }
-            "--no-verify" => verify = false,
-            "--trials" => {
-                trials = it
-                    .next()
-                    .expect("--trials needs a value")
-                    .parse()
-                    .expect("bad --trials")
-            }
-            "--json" => json = Some(it.next().expect("--json needs a path").clone()),
+            "--json" => json = Some(value(&mut it, "--json")?),
             "--update" => update = true,
-            other => panic!("unknown option {other}"),
+            other => return Err(format!("unknown option {other}")),
         }
     }
-    Opts {
+    Ok(Opts {
         n: 1 << n_log,
         fig4_n: 1 << fig4_log,
-        verify,
-        trials,
         json,
         update,
-    }
-}
-
-/// Average a contender over the configured trials. The launch log of the
-/// first trial rides along (timings/sectors are averaged; the log is not).
-fn avg(opts: &Opts, f: impl Fn(u64) -> Outcome) -> Outcome {
-    let mut total = 0.0;
-    let mut stages: Vec<(&'static str, f64)> = Vec::new();
-    let mut sectors: Vec<(&'static str, u64)> = Vec::new();
-    let mut records = Vec::new();
-    let mut buffer_reads = Vec::new();
-    for t in 0..opts.trials {
-        let mut o = f(t);
-        if t == 0 {
-            records = std::mem::take(&mut o.records);
-            buffer_reads = std::mem::take(&mut o.buffer_reads);
-        }
-        total += o.total;
-        for (k, v) in o.stages {
-            match stages.iter_mut().find(|(s, _)| *s == k) {
-                Some((_, acc)) => *acc += v,
-                None => stages.push((k, v)),
-            }
-        }
-        for (k, v) in o.sectors {
-            match sectors.iter_mut().find(|(s, _)| *s == k) {
-                Some((_, acc)) => *acc += v,
-                None => sectors.push((k, v)),
-            }
-        }
-    }
-    let k = opts.trials as f64;
-    Outcome {
-        total: total / k,
-        stages: stages.into_iter().map(|(s, v)| (s, v / k)).collect(),
-        sectors: sectors
-            .into_iter()
-            .map(|(s, v)| (s, v / opts.trials.max(1)))
-            .collect(),
-        records,
-        buffer_reads,
-    }
-}
-
-fn run(opts: &Opts, c: Contender, kv: bool, m: u32, profile: DeviceProfile) -> Outcome {
-    avg(opts, |t| {
-        run_contender(
-            c,
-            kv,
-            opts.n,
-            m,
-            Distribution::Uniform,
-            profile,
-            8,
-            1000 + t,
-            opts.verify,
-        )
     })
+}
+
+/// `c` at the report size with seed 1000, verified.
+fn run(opts: &Opts, c: Contender, kv: bool, m: u32, profile: DeviceProfile) -> Outcome {
+    run_contender(&Run {
+        key_value: kv,
+        profile,
+        seed: 1000,
+        ..Run::new(c, opts.n, m)
+    })
+}
+
+/// Write `body` to `path`, creating its directory; the error names the
+/// file.
+fn write_file(path: &str, body: &str) -> Result<(), String> {
+    let p = std::path::Path::new(path);
+    p.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(p, body))
+        .map_err(|e| format!("could not write {path}: {e}"))
+}
+
+/// Write `file` under `bench_results/` and say so on stdout.
+fn save(file: &str, body: &str) {
+    let path = format!("bench_results/{file}");
+    match write_file(&path, body) {
+        Ok(()) => println!("[saved {path}]\n"),
+        Err(e) => println!("[warn: {e}]\n"),
+    }
+}
+
+/// Write the armed `--json` sink to `path`; a failed write exits 1.
+fn write_sink(path: &str) {
+    if let Some(sink) = metrics::sink_take() {
+        if let Err(e) = write_file(path, &(sink.to_json().pretty() + "\n")) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+        println!("[json written to {path}]");
+    }
 }
 
 fn emit(name: &str, body: String) {
@@ -188,10 +170,48 @@ fn emit(name: &str, body: String) {
     if metrics::sink_active() {
         metrics::sink_push(&format!("report:{name}"), Json::Str(body.clone()));
     }
-    match save_report(name, &body) {
-        Ok(p) => println!("[saved {}]\n", p.display()),
-        Err(e) => println!("[warn: could not save report: {e}]\n"),
+    save(&format!("{name}.txt"), &body);
+}
+
+/// The parallel and the sequential schedule.
+const PAR_SEQ: [Schedule; 2] = [Schedule::Parallel, Schedule::Sequential];
+
+/// Run `f` on a fresh K40c under each of `schedules` and assert that
+/// every run gives the first one's output and summed counted stats.
+/// Returns the schedules' names.
+fn assert_schedule_independent<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    schedules: &[Schedule],
+    f: impl Fn(&Device) -> T,
+) -> Vec<String> {
+    let name = |s: &Schedule| match s {
+        Schedule::Parallel => "parallel".to_string(),
+        Schedule::Sequential => "sequential".to_string(),
+        Schedule::Adversarial(a) => format!("adversarial/{}", a.flavor.name()),
+    };
+    let run = |s: &Schedule| {
+        let dev = Device::with_schedule(K40C, *s);
+        let out = f(&dev);
+        let stats = dev
+            .records()
+            .iter()
+            .fold(BlockStats::default(), |mut a, rec| {
+                a += rec.stats;
+                a
+            });
+        (out, stats)
+    };
+    let first = run(&schedules[0]);
+    for s in &schedules[1..] {
+        assert_eq!(
+            run(s),
+            first,
+            "{what}: {} and {} schedulers diverge",
+            name(&schedules[0]),
+            name(s)
+        );
     }
+    schedules.iter().map(name).collect()
 }
 
 // ====================== Table 3 ======================
@@ -207,8 +227,14 @@ fn table3(opts: &Opts) {
     ]);
     let radix_k = run(opts, Contender::RadixSort, false, 2, K40C);
     let radix_kv = run(opts, Contender::RadixSort, true, 2, K40C);
-    let split_k = avg(opts, |t| run_scan_split(false, n, K40C, 8, 2000 + t));
-    let split_kv = avg(opts, |t| run_scan_split(true, n, K40C, 8, 2000 + t));
+    let split = |kv| {
+        run_contender(&Run {
+            key_value: kv,
+            seed: 2000,
+            ..Run::new(Contender::ScanSplit, n, 2)
+        })
+    };
+    let (split_k, split_kv) = (split(false), split(true));
     for (name, o, pms, pr) in [
         ("Radix sort (key-only)", &radix_k, "22.36", "1.50"),
         ("Radix sort (key-value)", &radix_kv, "37.36", "0.90"),
@@ -243,104 +269,63 @@ fn table4(opts: &Opts) {
     for kv in [false, true] {
         let scenario = if kv { "key-value" } else { "key-only" };
         let mut t = Table::new(&["Algorithm", "Stage", "m=2", "m=8", "m=32"]);
-        let ms_methods = [
-            (Contender::Direct, "Direct MS"),
-            (Contender::WarpLevel, "Warp-level MS"),
-            (Contender::BlockLevel, "Block-level MS"),
+        let ms_stages = [
+            ("pre-scan", "pre-scan"),
+            ("scan", "scan"),
+            ("post-scan", "post-scan"),
         ];
-        for (c, name) in ms_methods {
-            let runs: Vec<Outcome> = [2u32, 8, 32]
-                .iter()
-                .map(|&m| run(opts, c, kv, m, K40C))
-                .collect();
-            for stage in ["pre-scan", "scan", "post-scan"] {
-                t.row(vec![
-                    name.into(),
-                    stage.into(),
-                    ms(runs[0].stage(stage)),
-                    ms(runs[1].stage(stage)),
-                    ms(runs[2].stage(stage)),
-                ]);
-            }
-            t.row(vec![
-                name.into(),
-                "Total".into(),
-                ms(runs[0].total),
-                ms(runs[1].total),
-                ms(runs[2].total),
-            ]);
+        let row_blocks: [(Contender, &str, Stages); 6] = [
+            (Contender::Direct, "Direct MS", &ms_stages),
+            (Contender::WarpLevel, "Warp-level MS", &ms_stages),
+            (Contender::BlockLevel, "Block-level MS", &ms_stages),
+            (
+                Contender::ReducedBit,
+                "Reduced-bit sort",
+                &[
+                    ("labeling", "Labeling"),
+                    ("pre-scan", "Sort: pre-scan"),
+                    ("scan", "Sort: scan"),
+                    ("post-scan", "Sort: post-scan"),
+                    ("packing", "(un)Packing"),
+                ],
+            ),
+            // The real recursive split; the paper only quotes an ideal
+            // lower bound.
+            (
+                Contender::RecursiveSplit,
+                "Recursive split",
+                &[
+                    ("labeling", "Labeling"),
+                    ("scan", "Scan"),
+                    ("splitting", "Splitting"),
+                ],
+            ),
+            (Contender::IdentitySort, "Sort on identity buckets", &[]),
+        ];
+        for (c, name, stages) in row_blocks {
+            let runs = [2u32, 8, 32].map(|m| run(opts, c, kv, m, K40C));
+            stage_rows(&mut t, name, &runs, stages, c == Contender::ReducedBit);
         }
-        // Reduced-bit sort rows.
-        let runs: Vec<Outcome> = [2u32, 8, 32]
-            .iter()
-            .map(|&m| run(opts, Contender::ReducedBit, kv, m, K40C))
-            .collect();
-        for (stage, label) in [
-            ("labeling", "Labeling"),
-            ("pre-scan", "Sort: pre-scan"),
-            ("scan", "Sort: scan"),
-            ("post-scan", "Sort: post-scan"),
-            ("packing", "(un)Packing"),
-        ] {
-            let cells: Vec<String> = runs.iter().map(|r| ms(r.stage(stage))).collect();
-            if cells.iter().any(|c| c != "0.00") {
-                t.row(vec![
-                    "Reduced-bit sort".into(),
-                    label.into(),
-                    cells[0].clone(),
-                    cells[1].clone(),
-                    cells[2].clone(),
-                ]);
-            }
-        }
-        t.row(vec![
-            "Reduced-bit sort".into(),
-            "Total".into(),
-            ms(runs[0].total),
-            ms(runs[1].total),
-            ms(runs[2].total),
-        ]);
-        // Recursive scan-based split (real implementation; the paper only
-        // quotes an ideal lower bound).
-        let runs: Vec<Outcome> = [2u32, 8, 32]
-            .iter()
-            .map(|&m| run(opts, Contender::RecursiveSplit, kv, m, K40C))
-            .collect();
-        for (stage, label) in [
-            ("labeling", "Labeling"),
-            ("scan", "Scan"),
-            ("splitting", "Splitting"),
-        ] {
-            t.row(vec![
-                "Recursive split".into(),
-                label.into(),
-                ms(runs[0].stage(stage)),
-                ms(runs[1].stage(stage)),
-                ms(runs[2].stage(stage)),
-            ]);
-        }
-        t.row(vec![
-            "Recursive split".into(),
-            "Total".into(),
-            ms(runs[0].total),
-            ms(runs[1].total),
-            ms(runs[2].total),
-        ]);
-        // Identity-bucket sort comparison row.
-        let runs: Vec<Outcome> = [2u32, 8, 32]
-            .iter()
-            .map(|&m| run(opts, Contender::IdentitySort, kv, m, K40C))
-            .collect();
-        t.row(vec![
-            "Sort on identity buckets".into(),
-            "Total".into(),
-            ms(runs[0].total),
-            ms(runs[1].total),
-            ms(runs[2].total),
-        ]);
         out.push_str(&format!("\n== {scenario} ==\n{}", t.render()));
     }
     emit("table4", out);
+}
+
+/// Table 4 stages as `(stage, row label)`.
+type Stages<'a> = &'a [(&'a str, &'a str)];
+
+/// One algorithm's Table 4 rows: a row per `(stage, label)`, then its
+/// total. `skip_zero` drops a stage row that reads 0.00 everywhere (the
+/// reduced-bit stages a pipeline does not run).
+fn stage_rows(t: &mut Table, name: &str, runs: &[Outcome], stages: Stages, skip_zero: bool) {
+    for (stage, label) in stages {
+        let cells: Vec<String> = runs.iter().map(|r| ms(r.stage(stage))).collect();
+        if !skip_zero || cells.iter().any(|c| c != "0.00") {
+            t.row([vec![name.into(), label.to_string()], cells].concat());
+        }
+    }
+    let totals = runs.iter().map(|r| ms(r.total)).collect();
+    t.row([vec![name.into(), "Total".into()], totals].concat());
 }
 
 // ====================== Table 5 ======================
@@ -524,7 +509,10 @@ fn fig2(_opts: &Opts) {
             (Contender::WarpLevel, "warp"),
             (Contender::BlockLevel, "block"),
         ] {
-            let o = run_contender(c, false, n, m, Distribution::Uniform, K40C, 8, 7, false);
+            let o = run_contender(&Run {
+                seed: 7,
+                ..Run::new(c, n, m)
+            });
             out.push_str(&format!(
                 "measured {name:>6}: post-scan {:.3} ms for n=2^16\n",
                 o.stage("post-scan") * 1e3
@@ -595,20 +583,15 @@ fn fig4(opts: &Opts) {
     );
     for kv in [false, true] {
         let scenario = if kv { "key-value" } else { "key-only" };
-        let radix = avg(opts, |t| {
-            run_contender(
-                Contender::RadixSort,
-                kv,
-                n,
-                32,
-                Distribution::Uniform,
-                K40C,
-                8,
-                4000 + t,
-                opts.verify,
-            )
-        })
-        .total;
+        let time = |c, m, seed| {
+            run_contender(&Run {
+                key_value: kv,
+                seed,
+                ..Run::new(c, n, m)
+            })
+            .total
+        };
+        let radix = time(Contender::RadixSort, 32, 4000);
         let mut t = Table::new(&[
             "m",
             "Block-level MS (ms)",
@@ -621,25 +604,12 @@ fn fig4(opts: &Opts) {
             32u32, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 2048, 4096, 16384, 65536,
         ] {
             let b = if m <= block_cap {
-                let t = avg(opts, |tr| {
-                    let c = if m <= 32 {
-                        Contender::BlockLevel
-                    } else {
-                        Contender::LargeM
-                    };
-                    run_contender(
-                        c,
-                        kv,
-                        n,
-                        m,
-                        Distribution::Uniform,
-                        K40C,
-                        8,
-                        4100 + tr,
-                        opts.verify,
-                    )
-                })
-                .total;
+                let c = if m <= 32 {
+                    Contender::BlockLevel
+                } else {
+                    Contender::LargeM
+                };
+                let t = time(c, m, 4100);
                 if t > radix && block_conv.is_none() {
                     block_conv = Some(m);
                 }
@@ -647,20 +617,7 @@ fn fig4(opts: &Opts) {
             } else {
                 "- (smem)".into() // beyond the 48 kB histogram limit (§6.4)
             };
-            let r = avg(opts, |tr| {
-                run_contender(
-                    Contender::ReducedBit,
-                    kv,
-                    n,
-                    m,
-                    Distribution::Uniform,
-                    K40C,
-                    8,
-                    4200 + tr,
-                    opts.verify,
-                )
-            })
-            .total;
+            let r = time(Contender::ReducedBit, m, 4200);
             t.row(vec![m.to_string(), b, ms(r), ms(radix)]);
         }
         out.push_str(&format!("\n== {scenario} ==\n{}", t.render()));
@@ -700,8 +657,11 @@ fn fig5(opts: &Opts) {
                     Distribution::Binomial,
                     Distribution::Skew75,
                 ] {
-                    let o = avg(opts, |tr| {
-                        run_contender(c, kv, opts.n, m, dist, K40C, 8, 5000 + tr, opts.verify)
+                    let o = run_contender(&Run {
+                        key_value: kv,
+                        dist,
+                        seed: 5000,
+                        ..Run::new(c, opts.n, m)
                     });
                     row.push(ms(o.total));
                 }
@@ -811,36 +771,18 @@ fn randomized(opts: &Opts) {
         "Randomized dart-throwing insertion (§3.5), n = 2^{}, m = 8\n\n",
         n.ilog2()
     );
-    let radix = avg(opts, |t| {
-        run_contender(
-            Contender::RadixSort,
-            false,
-            n,
-            8,
-            Distribution::Uniform,
-            K40C,
-            8,
-            6000 + t,
-            false,
-        )
+    let radix = run_contender(&Run {
+        seed: 6000,
+        ..Run::new(Contender::RadixSort, n, 8)
     })
     .total;
     let mut t = Table::new(&["relaxation x", "time (ms)", "vs radix", "verdict"]);
     let mut best = f64::INFINITY;
     let mut best_x = 0.0;
     for x in [1.25, 1.5, 2.0, 3.0, 4.0] {
-        let o = avg(opts, |tr| {
-            run_contender(
-                Contender::Randomized(x),
-                false,
-                n,
-                8,
-                Distribution::Uniform,
-                K40C,
-                8,
-                6100 + tr,
-                opts.verify,
-            )
+        let o = run_contender(&Run {
+            seed: 6100,
+            ..Run::new(Contender::Randomized(x), n, 8)
         });
         if o.total < best {
             best = o.total;
@@ -879,34 +821,14 @@ fn ablate(opts: &Opts) {
     let mut base_w = 0.0;
     let mut base_b = 0.0;
     for wpb in [1usize, 2, 4, 8, 16] {
-        let w = avg(opts, |tr| {
-            run_contender(
-                Contender::WarpLevel,
-                false,
-                n,
-                16,
-                Distribution::Uniform,
-                K40C,
+        let [w, b] = [Contender::WarpLevel, Contender::BlockLevel].map(|c| {
+            run_contender(&Run {
                 wpb,
-                7000 + tr,
-                false,
-            )
-        })
-        .total;
-        let b = avg(opts, |tr| {
-            run_contender(
-                Contender::BlockLevel,
-                false,
-                n,
-                16,
-                Distribution::Uniform,
-                K40C,
-                wpb,
-                7000 + tr,
-                false,
-            )
-        })
-        .total;
+                seed: 7000,
+                ..Run::new(c, n, 16)
+            })
+            .total
+        });
         if wpb == 8 {
             base_w = w;
             base_b = b;
@@ -1042,7 +964,7 @@ fn ablate(opts: &Opts) {
 /// histogram, so matching scan outputs mean matching multisplits.
 fn scan_compare(opts: &Opts) {
     use multisplit::{check_multisplit, multisplit_device, no_values, Method, RangeBuckets};
-    use simt::{Device, GlobalBuffer};
+    use simt::GlobalBuffer;
     // Capped at the claim's 2^20, but honoring smaller --n (CI smoke runs).
     let n: usize = opts.n.min(1 << 20);
     let m = 32u32;
@@ -1080,30 +1002,23 @@ fn scan_compare(opts: &Opts) {
         let input = GlobalBuffer::from_slice(&hist);
         primitives::recursive_scan_u32(&dev, "scan", &input, &scanned, hist.len(), 8);
         let (rs, rsecs) = scan_stage_cost(&dev);
-        if opts.verify {
-            check_multisplit(&keys_host, &result.0, &result.1, &bucket)
-                .expect("invalid multisplit");
-            assert_eq!(
-                run(&Device::new(K40C)),
-                result,
-                "{name}: parallel and sequential devices diverge"
-            );
-            // The recursive scan is exact, and its bucket rows start at the
-            // chained run's offsets.
-            let expect: Vec<u32> = hist
-                .iter()
-                .scan(0, |acc, &h| Some(std::mem::replace(acc, *acc + h)))
-                .collect();
-            let scanned = scanned.to_vec();
-            assert_eq!(scanned, expect, "{name}: recursive scan is wrong");
-            let l = hist.len() / m as usize;
-            let row_starts: Vec<u32> = (0..m as usize).map(|b| scanned[b * l]).collect();
-            assert_eq!(
-                row_starts,
-                result.1[..m as usize],
-                "{name}: scan strategies give different results"
-            );
-        }
+        check_multisplit(&keys_host, &result.0, &result.1, &bucket).expect("invalid multisplit");
+        assert_schedule_independent(name, &PAR_SEQ, run);
+        // The recursive scan is exact, and its bucket rows start at the
+        // chained run's offsets.
+        let expect: Vec<u32> = hist
+            .iter()
+            .scan(0, |acc, &h| Some(std::mem::replace(acc, *acc + h)))
+            .collect();
+        let scanned = scanned.to_vec();
+        assert_eq!(scanned, expect, "{name}: recursive scan is wrong");
+        let l = hist.len() / m as usize;
+        let row_starts: Vec<u32> = (0..m as usize).map(|b| scanned[b * l]).collect();
+        assert_eq!(
+            row_starts,
+            result.1[..m as usize],
+            "{name}: scan strategies give different results"
+        );
         t.row(vec![
             name.into(),
             cs.to_string(),
@@ -1132,7 +1047,7 @@ fn scan_compare(opts: &Opts) {
 /// CPU reference) and to itself across parallel/sequential schedulers.
 fn fused_compare(opts: &Opts) {
     use multisplit::{multisplit_device, no_values, Method, RangeBuckets};
-    use simt::{BlockStats, Device, GlobalBuffer};
+    use simt::GlobalBuffer;
     let sizes = [opts.n / 4, opts.n];
     let mut out = format!(
         "Fused single-pass multisplit vs three-kernel pipeline\n\
@@ -1154,20 +1069,12 @@ fn fused_compare(opts: &Opts) {
                     Contender::BlockLevel,
                     Contender::Fused,
                 ] {
-                    let o = avg(opts, |tr| {
-                        run_contender(
-                            c,
-                            false,
-                            n,
-                            m,
-                            Distribution::Uniform,
-                            profile,
-                            8,
-                            3000 + tr,
-                            opts.verify,
-                        )
+                    let o = run_contender(&Run {
+                        profile,
+                        seed: 3000,
+                        ..Run::new(c, n, m)
                     });
-                    let total: u64 = o.sectors.iter().map(|(_, s)| s).sum();
+                    let total = o.total_sectors();
                     if c == Contender::BlockLevel {
                         block_total = total;
                     }
@@ -1204,32 +1111,18 @@ fn fused_compare(opts: &Opts) {
     // Scheduler independence: the fused look-back may walk different paths
     // under the parallel executor, but outputs and counted stats must be
     // identical to the sequential device's.
-    if opts.verify {
-        let n = sizes[0];
-        let keys_host = gen_keys(n, 32, Distribution::Uniform, 9);
-        let bucket = RangeBuckets::new(32);
-        let mut runs = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let r = multisplit_device(&dev, Method::Fused, &keys, no_values(), n, &bucket, 8);
-            let stats = dev
-                .records()
-                .iter()
-                .fold(BlockStats::default(), |mut a, rec| {
-                    a += rec.stats;
-                    a
-                });
-            runs.push((r.keys.to_vec(), r.offsets, stats));
-        }
-        assert_eq!(
-            runs[0], runs[1],
-            "fused: parallel and sequential devices diverge"
-        );
-        out.push_str(
-            "\nfused outputs and counted stats verified bit-identical across\n\
-             parallel/sequential schedulers and against the three-kernel paths.\n",
-        );
-    }
+    let n = sizes[0];
+    let keys_host = gen_keys(n, 32, Distribution::Uniform, 9);
+    let bucket = RangeBuckets::new(32);
+    assert_schedule_independent("fused", &PAR_SEQ, |dev| {
+        let keys = GlobalBuffer::from_slice(&keys_host);
+        let r = multisplit_device(dev, Method::Fused, &keys, no_values(), n, &bucket, 8);
+        (r.keys.to_vec(), r.offsets)
+    });
+    out.push_str(
+        "\nfused outputs and counted stats verified bit-identical across\n\
+         parallel/sequential schedulers and against the three-kernel paths.\n",
+    );
     out.push_str(
         "\nthe fused pipeline reads each key twice (histogram pass + sweep) and\n\
          writes it once; the three-kernel pipeline reads twice, writes once, AND\n\
@@ -1250,7 +1143,7 @@ fn fused_compare(opts: &Opts) {
 /// against the CPU reference) and across parallel/sequential schedulers.
 fn largem_compare(opts: &Opts) {
     use multisplit::{multisplit_device, no_values, Method, RangeBuckets};
-    use simt::{BlockStats, Device, GlobalBuffer};
+    use simt::GlobalBuffer;
     let n = opts.n.min(1 << 20);
     let mut out = format!(
         "Fused large-m multisplit vs three-kernel large-m pipeline\n\
@@ -1270,20 +1163,12 @@ fn largem_compare(opts: &Opts) {
         for m in [64u32, 128, 256] {
             let mut three_total = 0u64;
             for c in [Contender::LargeM, Contender::Fused] {
-                let o = avg(opts, |tr| {
-                    run_contender(
-                        c,
-                        kv,
-                        n,
-                        m,
-                        Distribution::Uniform,
-                        K40C,
-                        8,
-                        8000 + tr,
-                        opts.verify,
-                    )
+                let o = run_contender(&Run {
+                    key_value: kv,
+                    seed: 8000,
+                    ..Run::new(c, n, m)
                 });
-                let total: u64 = o.sectors.iter().map(|(_, s)| s).sum();
+                let total = o.total_sectors();
                 let confl: u64 = o.records.iter().map(|r| r.stats.smem_bank_conflicts).sum();
                 if c == Contender::LargeM {
                     three_total = total;
@@ -1332,33 +1217,19 @@ fn largem_compare(opts: &Opts) {
     // Scheduler independence: multi-row look-backs may walk different
     // paths under the parallel executor, but outputs and counted stats
     // must be identical to the sequential device's.
-    if opts.verify {
-        let sn = n.min(1 << 16);
-        let m = 100u32;
-        let keys_host = gen_keys(sn, m, Distribution::Uniform, 9);
-        let bucket = RangeBuckets::new(m);
-        let mut runs = Vec::new();
-        for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let r = multisplit_device(&dev, Method::Fused, &keys, no_values(), sn, &bucket, 8);
-            let stats = dev
-                .records()
-                .iter()
-                .fold(BlockStats::default(), |mut a, rec| {
-                    a += rec.stats;
-                    a
-                });
-            runs.push((r.keys.to_vec(), r.offsets, stats));
-        }
-        assert_eq!(
-            runs[0], runs[1],
-            "fused large-m: parallel and sequential devices diverge"
-        );
-        out.push_str(
-            "\nfused large-m outputs and counted stats verified bit-identical across\n\
-             parallel/sequential schedulers and against the three-kernel path.\n",
-        );
-    }
+    let sn = n.min(1 << 16);
+    let m = 100u32;
+    let keys_host = gen_keys(sn, m, Distribution::Uniform, 9);
+    let bucket = RangeBuckets::new(m);
+    assert_schedule_independent("fused large-m", &PAR_SEQ, |dev| {
+        let keys = GlobalBuffer::from_slice(&keys_host);
+        let r = multisplit_device(dev, Method::Fused, &keys, no_values(), sn, &bucket, 8);
+        (r.keys.to_vec(), r.offsets)
+    });
+    out.push_str(
+        "\nfused large-m outputs and counted stats verified bit-identical across\n\
+         parallel/sequential schedulers and against the three-kernel path.\n",
+    );
     out.push_str(
         "\nboth pipelines read every key twice and write it once; the three-kernel\n\
          pipeline additionally round-trips its m x L histogram matrix through\n\
@@ -1388,7 +1259,7 @@ fn largem_compare(opts: &Opts) {
 /// reduced-bit pipeline's MsSort-vs-Legacy strategy delta.
 fn sort_cmd(opts: &Opts) {
     use msrng::SmallRng;
-    use simt::{AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer};
+    use simt::{AdvFlavor, AdvSchedule, GlobalBuffer};
     let n = opts.n;
     let wpb = 8;
     let mut out = format!(
@@ -1436,15 +1307,13 @@ fn sort_cmd(opts: &Opts) {
                     let top = keys_host.iter().fold(0, |a, &k| a | k);
                     (k, v, 32 - top.leading_zeros())
                 };
-                if opts.verify {
-                    let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
-                    assert_eq!(sk.to_vec(), ek, "{method} keys, {key_bits}-bit range");
-                    if method == "ms-sort" {
-                        // ms-sort additionally promises stability.
-                        if let Some(sv) = &sv {
-                            let ev: Vec<u32> = expect.iter().map(|&(_, v)| v).collect();
-                            assert_eq!(sv.to_vec(), ev, "ms-sort stability, {key_bits}-bit");
-                        }
+                let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
+                assert_eq!(sk.to_vec(), ek, "{method} keys, {key_bits}-bit range");
+                if method == "ms-sort" {
+                    // ms-sort additionally promises stability.
+                    if let Some(sv) = &sv {
+                        let ev: Vec<u32> = expect.iter().map(|&(_, v)| v).collect();
+                        assert_eq!(sv.to_vec(), ev, "ms-sort stability, {key_bits}-bit");
                     }
                 }
                 let stage = |name: &str| -> u64 {
@@ -1545,50 +1414,27 @@ fn sort_cmd(opts: &Opts) {
     // Scheduler independence: outputs and counted stats must be
     // bit-identical on all six schedulers (and equal to the host stable
     // sort — established above for the parallel device).
-    if opts.verify {
-        let sn = n.min(1 << 16);
-        let mut rng = SmallRng::seed_from_u64(77);
-        let keys_host: Vec<u32> = (0..sn)
-            .map(|_| rng.gen_range(0..(1u64 << 16)) as u32)
-            .collect();
-        let values_host = gen_values(sn);
-        let mut runs = Vec::new();
-        let mut sched_names = vec!["parallel".to_string(), "sequential".to_string()];
-        let mut devices = vec![Device::new(K40C), Device::sequential(K40C)];
-        for flavor in AdvFlavor::ALL {
-            sched_names.push(format!("adversarial/{}", flavor.name()));
-            devices.push(Device::adversarial(
-                K40C,
-                AdvSchedule::with_flavor(0xC0FFEE, flavor),
-            ));
-        }
-        for dev in devices {
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let values = GlobalBuffer::from_slice(&values_host);
-            let (sk, sv) = ms_sort::sort_pairs(&dev, &keys, &values, sn, wpb);
-            let stats = dev
-                .records()
-                .iter()
-                .fold(BlockStats::default(), |mut a, rec| {
-                    a += rec.stats;
-                    a
-                });
-            runs.push((sk.to_vec(), sv.to_vec(), stats));
-        }
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            assert_eq!(
-                runs[0], *run,
-                "ms-sort: {} and {} schedulers diverge",
-                sched_names[0], sched_names[i]
-            );
-        }
-        out.push_str(&format!(
-            "\nms-sort outputs, payloads and counted stats verified bit-identical\n\
-             across {} schedulers ({}) and against the host stable sort.\n",
-            sched_names.len(),
-            sched_names.join(", ")
-        ));
-    }
+    let sn = n.min(1 << 16);
+    let mut rng = SmallRng::seed_from_u64(77);
+    let keys_host: Vec<u32> = (0..sn)
+        .map(|_| rng.gen_range(0..(1u64 << 16)) as u32)
+        .collect();
+    let values_host = gen_values(sn);
+    let adversarial = AdvFlavor::ALL
+        .map(|flavor| Schedule::Adversarial(AdvSchedule::with_flavor(0xC0FFEE, flavor)));
+    let schedules = [&PAR_SEQ[..], &adversarial].concat();
+    let sched_names = assert_schedule_independent("ms-sort", &schedules, |dev| {
+        let keys = GlobalBuffer::from_slice(&keys_host);
+        let values = GlobalBuffer::from_slice(&values_host);
+        let (sk, sv) = ms_sort::sort_pairs(dev, &keys, &values, sn, wpb);
+        (sk.to_vec(), sv.to_vec())
+    });
+    out.push_str(&format!(
+        "\nms-sort outputs, payloads and counted stats verified bit-identical\n\
+         across {} schedulers ({}) and against the host stable sort.\n",
+        sched_names.len(),
+        sched_names.join(", ")
+    ));
 
     // The reduced-bit multisplit under both label sorts: this repo's
     // ms-sort extension and the paper's radix-sort pipeline.
@@ -1649,7 +1495,7 @@ fn sort_cmd(opts: &Opts) {
 /// sit at the key-only sweep's counted-sector minimum.
 fn sorttune_cmd(opts: &Opts) {
     use msrng::SmallRng;
-    use simt::{Device, GlobalBuffer};
+    use simt::GlobalBuffer;
     let n = opts.n.min(1 << 20);
     let wpb = 8;
     let mut rng = SmallRng::seed_from_u64(3000);
@@ -1682,9 +1528,7 @@ fn sorttune_cmd(opts: &Opts) {
         let dev = Device::new(K40C);
         let keys = GlobalBuffer::from_slice(&keys_host);
         let (sk, _) = ms_sort::sort_by_bit_range_with::<u32>(&dev, &keys, None, n, 0, 32, b, wpb);
-        if opts.verify {
-            assert_eq!(sk.to_vec(), expect, "b={b}");
-        }
+        assert_eq!(sk.to_vec(), expect, "b={b}");
         let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
         let (kv_total, kv_secs) = if b <= max_kv {
             let kdev = Device::new(K40C);
@@ -1749,7 +1593,7 @@ fn sorttune_cmd(opts: &Opts) {
 fn profile_cmd(opts: &Opts) {
     let n = opts.n.min(1 << 20);
     let m = 32u32;
-    let data = metrics::profile_data(n, m, opts.verify);
+    let data = metrics::profile_data(&metrics::PROFILE_CONTENDERS, n, m, true);
     let mut out = format!(
         "Profile: hierarchical scope-tree roll-up, n = 2^{}, m = {m}, seed {}, sequential schedule\n\
          (per-block telemetry on; direct/warp/block/fused on the K40c; per-stage\n\
@@ -1769,14 +1613,7 @@ fn profile_cmd(opts: &Opts) {
             Json::Arr(data.iter().map(|p| p.to_json(&K40C)).collect()),
         ),
     ]);
-    let path = std::path::Path::new("bench_results/profile.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(path, doc.pretty() + "\n") {
-        Ok(()) => println!("[saved {}]\n", path.display()),
-        Err(e) => println!("[warn: could not save profile.json: {e}]\n"),
-    }
+    save("profile.json", &(doc.pretty() + "\n"));
     metrics::sink_push("profile", doc);
 }
 
@@ -1808,19 +1645,12 @@ fn trace_cmd(opts: &Opts) {
     let mut all_records = Vec::new();
     let mut contender_docs = Vec::new();
     for &(c, name, m) in &runs {
-        let outcome = msbench::with_run_schedule(simt::Schedule::Sequential, || {
+        let outcome = msbench::with_run_schedule(Schedule::Sequential, || {
             simt::with_telemetry(simt::Telemetry::PerBlock, || {
-                run_contender(
-                    c,
-                    false,
-                    n,
-                    m,
-                    Distribution::Uniform,
-                    K40C,
-                    8,
-                    metrics::PROFILE_SEED,
-                    opts.verify,
-                )
+                run_contender(&Run {
+                    seed: metrics::PROFILE_SEED,
+                    ..Run::new(c, n, m)
+                })
             })
         });
         out.push_str(&format!("\n== {name} (m = {m}) ==\n"));
@@ -1889,14 +1719,10 @@ fn trace_cmd(opts: &Opts) {
         ("device".into(), Json::Str(K40C.name.into())),
         ("contenders".into(), Json::Arr(contender_docs)),
     ]);
-    let path = std::path::Path::new("bench_results/trace_chrome.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match simt::write_chrome_trace_with_tiles(&all_records, &K40C, path) {
-        Ok(()) => println!("[saved {}]\n", path.display()),
-        Err(e) => println!("[warn: could not save trace_chrome.json: {e}]\n"),
-    }
+    save(
+        "trace_chrome.json",
+        &simt::chrome_trace_json_with_tiles(&all_records, &K40C),
+    );
     metrics::sink_push("trace", doc);
 }
 
@@ -1912,23 +1738,19 @@ fn trace_cmd(opts: &Opts) {
 fn check_cmd(opts: &Opts) {
     let n = 1usize << 16;
     let m = 32u32;
-    let largem_m = 64u32;
-    let path = std::path::Path::new("bench_results/baseline_sectors.json");
+    let path = "bench_results/baseline_sectors.json";
     println!(
-        "check: per-stage sector counts, n = 2^16, m = {m} (largem section: m = {largem_m}), \
+        "check: per-stage sector counts, n = 2^16, m = {m} (largem section: m = 64), \
          seed {}, tolerance ±2%",
         metrics::PROFILE_SEED
     );
-    let mut current = metrics::sector_baseline_current(n, m);
-    let sections = [
-        (
-            "largem",
-            metrics::largem_sector_baseline_current(n, largem_m),
-        ),
-        ("sort", metrics::sort_sector_baseline_current(n, m)),
-        ("serve", metrics::serve_sector_baseline_current()),
-        ("serve_overlap", metrics::serve_overlap_baseline_current()),
-    ];
+    let mut current = metrics::sector_baseline(&metrics::PROFILE_CONTENDERS, n, m);
+    let mut sections: Vec<(&str, Json)> = metrics::CHECK_SECTIONS
+        .iter()
+        .map(|&(name, m, contenders)| (name, metrics::sector_baseline(contenders, n, m)))
+        .collect();
+    sections.push(("serve", metrics::serve_sector_baseline_current()));
+    sections.push(("serve_overlap", metrics::serve_overlap_baseline_current()));
     if let Json::Obj(fields) = &mut current {
         fields.extend(
             sections
@@ -1937,21 +1759,15 @@ fn check_cmd(opts: &Opts) {
         );
     }
     if opts.update {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(path, current.pretty() + "\n").expect("cannot write baseline");
-        println!("[wrote {}]", path.display());
+        write_file(path, &(current.pretty() + "\n")).expect("cannot write baseline");
+        println!("[wrote {path}]");
         return;
     }
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!(
-            "check: cannot read {} ({e}); create it with `paper check --update`",
-            path.display()
-        );
+        eprintln!("check: cannot read {path} ({e}); create it with `paper check --update`");
         std::process::exit(1);
     });
-    let baseline = simt::Json::parse(&text).expect("committed baseline is not valid JSON");
+    let baseline = Json::parse(&text).expect("committed baseline is not valid JSON");
     let mut notes = Vec::new();
     let mut failures = Vec::new();
     match metrics::sector_baseline_compare(&current, &baseline, 0.02) {
@@ -1997,36 +1813,21 @@ fn check_cmd(opts: &Opts) {
 /// reproducer, written to `bench_results/fuzz_repro.txt`, and exits 1.
 ///
 /// Parsed here (not via `parse_opts`) because the options differ.
-fn fuzz_cmd(args: &[String]) {
+fn fuzz_cmd(args: &[String]) -> Result<(), String> {
     let mut iters = 200usize;
     let mut seed = 5000u64;
     let mut replay: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--iters" => {
-                iters = it
-                    .next()
-                    .expect("--iters needs a value")
-                    .parse()
-                    .expect("bad --iters")
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("bad --seed")
-            }
-            "--replay" => replay = Some(it.next().expect("--replay needs a token").clone()),
-            other => panic!("unknown fuzz option {other}"),
+            "--iters" => iters = value(&mut it, "--iters")?,
+            "--seed" => seed = value(&mut it, "--seed")?,
+            "--replay" => replay = Some(value(&mut it, "--replay")?),
+            other => return Err(format!("unknown fuzz option {other}")),
         }
     }
     if let Some(token) = replay {
-        let case = msfuzz::parse_replay(&token).unwrap_or_else(|e| {
-            eprintln!("fuzz: bad replay token: {e}");
-            std::process::exit(2);
-        });
+        let case = msfuzz::parse_replay(&token).map_err(|e| format!("bad replay token: {e}"))?;
         println!("fuzz: replaying {}", case.replay_token());
         match msfuzz::run_case(&case) {
             Ok(()) => println!("fuzz: replay clean — no divergence"),
@@ -2035,7 +1836,7 @@ fn fuzz_cmd(args: &[String]) {
                 std::process::exit(1);
             }
         }
-        return;
+        return Ok(());
     }
     println!("fuzz: {iters} iterations, seed {seed}");
     let mut last_pct = 0usize;
@@ -2047,11 +1848,14 @@ fn fuzz_cmd(args: &[String]) {
         }
     });
     match report.failure {
-        None => println!(
-            "fuzz: OK — {} cases, zero divergences across every method, \
-             distribution, and schedule",
-            report.iters_run
-        ),
+        None => {
+            println!(
+                "fuzz: OK — {} cases, zero divergences across every method, \
+                 distribution, and schedule",
+                report.iters_run
+            );
+            Ok(())
+        }
         Some(f) => {
             eprintln!(
                 "fuzz: FAILURE at iteration {} ({})",
@@ -2060,10 +1864,7 @@ fn fuzz_cmd(args: &[String]) {
             eprintln!("fuzz: original case: {}", f.case.replay_token());
             eprintln!("fuzz: shrunk case:   {}", f.shrunk.replay_token());
             eprintln!("fuzz: replay with:   {}", f.replay_command());
-            let path = std::path::Path::new("bench_results/fuzz_repro.txt");
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
+            let path = "bench_results/fuzz_repro.txt";
             let body = format!(
                 "divergence: {}\niteration: {}\noriginal: {}\nshrunk: {}\nreplay: {}\n",
                 f.divergence,
@@ -2072,9 +1873,9 @@ fn fuzz_cmd(args: &[String]) {
                 f.shrunk.replay_token(),
                 f.replay_command()
             );
-            match std::fs::write(path, body) {
-                Ok(()) => eprintln!("fuzz: reproducer written to {}", path.display()),
-                Err(e) => eprintln!("fuzz: could not write {}: {e}", path.display()),
+            match write_file(path, &body) {
+                Ok(()) => eprintln!("fuzz: reproducer written to {path}"),
+                Err(e) => eprintln!("fuzz: {e}"),
             }
             std::process::exit(1);
         }
@@ -2093,130 +1894,133 @@ fn fuzz_cmd(args: &[String]) {
 /// `Method::auto` run.
 ///
 /// Parsed here (not via `parse_opts`) because the options differ.
-fn serve_cmd(args: &[String]) {
+fn serve_cmd(args: &[String]) -> Result<(), String> {
     let mut cfg = serve::ServeConfig::default();
     let mut json: Option<String> = None;
-    fn num(it: &mut std::slice::Iter<'_, String>, what: &str) -> u64 {
-        it.next()
-            .unwrap_or_else(|| panic!("{what} needs a value"))
-            .parse()
-            .unwrap_or_else(|_| panic!("bad {what}"))
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--requests" => cfg.requests = num(&mut it, "--requests") as usize,
-            "--n" => cfg.n = num(&mut it, "--n") as usize,
-            "--m" => cfg.m_max = num(&mut it, "--m") as u32,
-            "--devices" => cfg.devices = (num(&mut it, "--devices") as usize).max(1),
-            "--batch" => cfg.batch = (num(&mut it, "--batch") as usize).max(1),
-            "--streams" => cfg.streams = (num(&mut it, "--streams") as usize).max(1),
-            "--seed" => cfg.seed = num(&mut it, "--seed"),
+            "--requests" => cfg.requests = value(&mut it, "--requests")?,
+            "--n" => cfg.n = value(&mut it, "--n")?,
+            "--m" => cfg.m_max = value(&mut it, "--m")?,
+            "--devices" => cfg.devices = value::<usize>(&mut it, "--devices")?.max(1),
+            "--batch" => cfg.batch = value::<usize>(&mut it, "--batch")?.max(1),
+            "--streams" => cfg.streams = value::<usize>(&mut it, "--streams")?.max(1),
+            "--seed" => cfg.seed = value(&mut it, "--seed")?,
             "--no-verify" => cfg.verify = false,
-            "--json" => json = Some(it.next().expect("--json needs a path").clone()),
-            other => panic!("unknown serve option {other}"),
+            "--json" => json = Some(value(&mut it, "--json")?),
+            other => return Err(format!("unknown serve option {other}")),
         }
     }
-    assert!(
-        cfg.m_max <= 32,
-        "serve coalesces the m <= 32 fused path; got --m {}",
-        cfg.m_max
-    );
+    if cfg.m_max > 32 {
+        return Err(format!(
+            "serve coalesces the m <= 32 fused path; got --m {}",
+            cfg.m_max
+        ));
+    }
     if json.is_some() {
         metrics::sink_begin();
     }
     let report = serve::run_serve(&cfg);
     emit("serve", serve::render(&cfg, &report));
-    let doc = serve::report_json(&cfg, &report);
-    metrics::sink_push("serve", doc);
+    metrics::sink_push("serve", serve::report_json(&cfg, &report));
     if let Some(path) = &json {
-        if let Some(sink) = metrics::sink_take() {
-            match sink.write(std::path::Path::new(path)) {
-                Ok(()) => println!("[json written to {path}]"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
+        write_sink(path);
+    }
+    Ok(())
+}
+
+/// How a command takes its arguments.
+enum Runner {
+    /// The shared [`Opts`].
+    Shared(fn(&Opts)),
+    /// Its own option set, whose usage the text gives.
+    Own(fn(&[String]) -> Result<(), String>, &'static str),
+}
+
+/// Every command: its name, its runner, and whether `paper all` runs it.
+const COMMANDS: [(&str, Runner, bool); 24] = [
+    ("table1", Runner::Shared(table1), true),
+    ("table3", Runner::Shared(table3), true),
+    ("table4", Runner::Shared(table4), true),
+    ("table5", Runner::Shared(table5), true),
+    ("table6", Runner::Shared(table6), true),
+    ("fig2", Runner::Shared(fig2), true),
+    ("fig3", Runner::Shared(fig3), true),
+    ("fig4", Runner::Shared(fig4), true),
+    ("fig5", Runner::Shared(fig5), true),
+    ("light", Runner::Shared(light), true),
+    ("sssp", Runner::Shared(sssp_experiment), true),
+    ("randomized", Runner::Shared(randomized), true),
+    ("ablate", Runner::Shared(ablate), true),
+    ("scan", Runner::Shared(scan_compare), true),
+    ("fused", Runner::Shared(fused_compare), true),
+    ("largem", Runner::Shared(largem_compare), true),
+    ("sort", Runner::Shared(sort_cmd), true),
+    ("sorttune", Runner::Shared(sorttune_cmd), true),
+    ("profile", Runner::Shared(profile_cmd), false),
+    ("trace", Runner::Shared(trace_cmd), false),
+    ("check", Runner::Shared(check_cmd), false),
+    (
+        "fuzz",
+        Runner::Own(fuzz_cmd, "[--iters K] [--seed S] [--replay TOKEN]"),
+        false,
+    ),
+    (
+        "serve",
+        Runner::Own(
+            serve_cmd,
+            "[--requests K] [--n N] [--m M] [--devices D] [--batch B] [--streams S] \
+             [--seed S] [--no-verify] [--json PATH]",
+        ),
+        false,
+    ),
+    ("all", Runner::Shared(all), false),
+];
+
+/// Every command `COMMANDS` marks for `paper all`, in table order.
+fn all(opts: &Opts) {
+    for (_, runner, in_all) in &COMMANDS {
+        if let (Runner::Shared(f), true) = (runner, in_all) {
+            f(opts);
         }
     }
 }
 
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+    let mut usage = format!(
+        "usage: paper <{}> [--n LOG2] [--full] [--json PATH] [--update]",
+        names.join("|")
+    );
+    for (name, runner, _) in &COMMANDS {
+        if let Runner::Own(_, options) = runner {
+            usage.push_str(&format!("\n       paper {name} {options}"));
+        }
+    }
+    usage
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
-    // `fuzz` and `serve` own their argument sets; dispatch before
-    // parse_opts (which rejects unknown options).
-    if cmd == "fuzz" {
-        fuzz_cmd(&args[1..]);
-        return;
-    }
-    if cmd == "serve" {
-        serve_cmd(&args[1..]);
-        return;
-    }
-    let opts = parse_opts(&args[1.min(args.len())..]);
-    if opts.json.is_some() {
-        metrics::sink_begin();
-    }
-    match cmd {
-        "table1" => table1(&opts),
-        "table3" => table3(&opts),
-        "table4" => table4(&opts),
-        "table5" => table5(&opts),
-        "table6" => table6(&opts),
-        "fig2" => fig2(&opts),
-        "fig3" => fig3(&opts),
-        "fig4" => fig4(&opts),
-        "fig5" => fig5(&opts),
-        "light" => light(&opts),
-        "sssp" => sssp_experiment(&opts),
-        "randomized" => randomized(&opts),
-        "ablate" => ablate(&opts),
-        "scan" => scan_compare(&opts),
-        "fused" => fused_compare(&opts),
-        "largem" => largem_compare(&opts),
-        "sort" => sort_cmd(&opts),
-        "sorttune" => sorttune_cmd(&opts),
-        "profile" => profile_cmd(&opts),
-        "trace" => trace_cmd(&opts),
-        "check" => check_cmd(&opts),
-        "all" => {
-            table1(&opts);
-            table3(&opts);
-            table4(&opts);
-            table5(&opts);
-            table6(&opts);
-            fig2(&opts);
-            fig3(&opts);
-            fig4(&opts);
-            fig5(&opts);
-            light(&opts);
-            sssp_experiment(&opts);
-            randomized(&opts);
-            ablate(&opts);
-            scan_compare(&opts);
-            fused_compare(&opts);
-            largem_compare(&opts);
-            sort_cmd(&opts);
-            sorttune_cmd(&opts);
-        }
-        _ => {
-            eprintln!("usage: paper <table1|table3|table4|table5|table6|fig2|fig3|fig4|fig5|light|sssp|randomized|ablate|scan|fused|largem|sort|sorttune|profile|trace|check|fuzz|serve|all> [--n LOG2] [--full] [--no-verify] [--trials K] [--json PATH] [--update]");
-            eprintln!("       paper fuzz [--iters K] [--seed S] [--replay TOKEN]");
-            eprintln!("       paper serve [--requests K] [--n N] [--m M] [--devices D] [--batch B] [--streams S] [--seed S] [--no-verify] [--json PATH]");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &opts.json {
-        if let Some(sink) = metrics::sink_take() {
-            match sink.write(std::path::Path::new(path)) {
-                Ok(()) => println!("[json written to {path}]"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    std::process::exit(1);
+    let result = match args.split_first() {
+        None => Err("no command".to_string()),
+        Some((cmd, rest)) => match COMMANDS.iter().find(|c| c.0 == cmd) {
+            None => Err(format!("unknown command {cmd}")),
+            Some((_, Runner::Own(f, _), _)) => f(rest),
+            Some((_, Runner::Shared(f), _)) => parse_opts(rest).map(|opts| {
+                if opts.json.is_some() {
+                    metrics::sink_begin();
                 }
-            }
-        }
+                f(&opts);
+                if let Some(path) = &opts.json {
+                    write_sink(path);
+                }
+            }),
+        },
+    };
+    if let Err(e) = result {
+        eprintln!("paper: {e}\n{}", usage());
+        std::process::exit(2);
     }
 }

@@ -213,6 +213,8 @@ pub enum Contender {
     /// Reduced-bit sort (§3.4) with its labels sorted by ms-sort.
     ReducedBit,
     RecursiveSplit,
+    /// One scan-based split (Table 3's second baseline); runs at m = 2.
+    ScanSplit,
     /// Full 32-bit radix sort (valid as multisplit for range buckets).
     RadixSort,
     /// ms-sort: multisplit-iterated radix sort on the fused pipelines,
@@ -234,6 +236,7 @@ impl Contender {
             Contender::LargeM => "Block-level MS".into(),
             Contender::ReducedBit => "Reduced-bit sort".into(),
             Contender::RecursiveSplit => "Recursive scan split".into(),
+            Contender::ScanSplit => "Scan-based split".into(),
             Contender::RadixSort => "Radix sort (CUB-like)".into(),
             Contender::MsSort => "ms-sort (fused MS radix)".into(),
             Contender::IdentitySort => "Sort on identity buckets".into(),
@@ -274,26 +277,83 @@ impl Outcome {
             .unwrap_or(0)
     }
 
+    /// Global-memory sectors moved by the whole run.
+    pub fn total_sectors(&self) -> u64 {
+        self.sectors.iter().map(|(_, s)| s).sum()
+    }
+
     /// Processing rate in G keys/s for `n` keys.
     pub fn gkeys(&self, n: usize) -> f64 {
         n as f64 / self.total / 1e9
     }
 }
 
-/// Run one contender on `n` keys over `m` range buckets, verifying the
-/// result, and report its timing breakdown.
-#[allow(clippy::too_many_arguments)]
-pub fn run_contender(
-    contender: Contender,
-    key_value: bool,
-    n: usize,
-    m: u32,
-    dist: Distribution,
-    profile: DeviceProfile,
-    wpb: usize,
-    seed: u64,
-    verify: bool,
-) -> Outcome {
+/// One contender run: the method, its input and the device it runs on.
+/// Call sites start from [`Run::new`] and set the fields that differ
+/// (`Run { key_value: true, ..Run::new(c, n, m) }`).
+#[derive(Debug, Clone, Copy)]
+pub struct Run {
+    pub contender: Contender,
+    pub key_value: bool,
+    pub n: usize,
+    /// Range buckets the keys fall into.
+    pub m: u32,
+    pub dist: Distribution,
+    pub profile: DeviceProfile,
+    /// Warps per block.
+    pub wpb: usize,
+    pub seed: u64,
+    /// Check the output against the CPU reference.
+    pub verify: bool,
+}
+
+impl Run {
+    /// Key-only uniform keys at seed 0 on the K40c, 8 warps per block,
+    /// verified.
+    pub fn new(contender: Contender, n: usize, m: u32) -> Self {
+        Run {
+            contender,
+            key_value: false,
+            n,
+            m,
+            dist: Distribution::Uniform,
+            profile: simt::K40C,
+            wpb: 8,
+            seed: 0,
+            verify: true,
+        }
+    }
+}
+
+/// What a contender hands back for verification.
+enum Output {
+    /// A stable multisplit: keys, values, bucket offsets.
+    Split(Vec<u32>, Option<Vec<u32>>, Vec<u32>),
+    /// A stable sort: keys, values.
+    Sorted(Vec<u32>, Option<Vec<u32>>),
+    /// An unstable multisplit: keys, bucket offsets.
+    Unstable(Vec<u32>, Vec<u32>),
+}
+
+/// Run one contender on a fresh device, verify its output when
+/// `run.verify` is set, and report its timing breakdown (also into the
+/// armed `--json` sink).
+pub fn run_contender(run: &Run) -> Outcome {
+    let &Run {
+        contender,
+        key_value,
+        n,
+        m,
+        dist,
+        profile,
+        wpb,
+        seed,
+        verify,
+    } = run;
+    assert!(
+        m == 2 || contender != Contender::ScanSplit,
+        "the scan-based split runs at m = 2, got m = {m}"
+    );
     let keys_host = if matches!(contender, Contender::IdentitySort) {
         // Identity buckets: keys *are* bucket ids.
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -306,11 +366,9 @@ pub fn run_contender(
     let dev = Device::with_schedule(profile, run_schedule());
     let keys = GlobalBuffer::from_slice(&keys_host);
     let values = values_host.as_ref().map(|v| GlobalBuffer::from_slice(v));
+    let host = |v: Option<GlobalBuffer<u32>>| v.map(|v| v.to_vec());
 
-    // Run, collecting the output for verification where the method
-    // produces a multisplit (plain sorts are checked for sortedness).
-    type HostOutput = Option<(Vec<u32>, Option<Vec<u32>>, Vec<u32>)>;
-    let output: HostOutput = match contender {
+    let output = match contender {
         Contender::Direct
         | Contender::WarpLevel
         | Contender::BlockLevel
@@ -324,7 +382,7 @@ pub fn run_contender(
                 _ => Method::LargeM,
             };
             let r = multisplit_device(&dev, method, &keys, values.as_ref(), n, &bucket, wpb);
-            Some((r.keys.to_vec(), r.values.map(|v| v.to_vec()), r.offsets))
+            Output::Split(r.keys.to_vec(), host(r.values), r.offsets)
         }
         Contender::ReducedBit => {
             // The label sort runs on this repo's ms-sort extension, not the
@@ -333,17 +391,24 @@ pub fn run_contender(
             if let Some(v) = &values {
                 let (k, v, o) =
                     baselines::reduced_bit_multisplit_kv(&dev, strategy, &keys, v, n, &bucket, wpb);
-                Some((k.to_vec(), Some(v.to_vec()), o))
+                Output::Split(k.to_vec(), Some(v.to_vec()), o)
             } else {
                 let (k, o) =
                     baselines::reduced_bit_multisplit(&dev, strategy, &keys, n, &bucket, wpb);
-                Some((k.to_vec(), None, o))
+                Output::Split(k.to_vec(), None, o)
             }
         }
         Contender::RecursiveSplit => {
             let (k, v, o) =
                 baselines::recursive_scan_multisplit(&dev, &keys, values.as_ref(), n, &bucket, wpb);
-            Some((k.to_vec(), v.map(|v| v.to_vec()), o))
+            Output::Split(k.to_vec(), host(v), o)
+        }
+        Contender::ScanSplit => {
+            let (k, v, o) =
+                baselines::scan_based_split(&dev, &keys, values.as_ref(), n, wpb, move |k| {
+                    bucket.bucket_of(k) == 1
+                });
+            Output::Split(k.to_vec(), host(v), o)
         }
         Contender::RadixSort | Contender::IdentitySort => {
             // Identity buckets: keys are bucket ids, so (as CUB's
@@ -356,38 +421,16 @@ pub fn run_contender(
             };
             let (k, v) =
                 baselines::radix_sort_by_bits(&dev, "radix", &keys, values.as_ref(), n, bits, wpb);
-            if verify {
-                let kv = k.to_vec();
-                assert!(
-                    kv.windows(2).all(|w| w[0] <= w[1]),
-                    "radix output must be sorted"
-                );
-                let _ = v;
-            }
-            None
+            Output::Sorted(k.to_vec(), host(v))
         }
         Contender::MsSort => {
-            let (sk, sv) = if let Some(v) = &values {
+            let (k, v) = if let Some(v) = &values {
                 let (k, v) = ms_sort::sort_pairs(&dev, &keys, v, n, wpb);
                 (k, Some(v))
             } else {
                 (ms_sort::sort_keys(&dev, &keys, n, wpb), None)
             };
-            if verify {
-                // ms-sort promises bit-identical agreement with a host
-                // stable sort — stronger than the sortedness check the
-                // radix baseline gets.
-                let mut expect: Vec<(u32, u32)> =
-                    keys_host.iter().copied().zip(gen_values(n)).collect();
-                expect.sort_by_key(|&(k, _)| k);
-                let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
-                assert_eq!(sk.to_vec(), ek, "ms-sort keys mismatch");
-                if let Some(sv) = &sv {
-                    let ev: Vec<u32> = expect.iter().map(|&(_, v)| v).collect();
-                    assert_eq!(sv.to_vec(), ev, "ms-sort stability mismatch");
-                }
-            }
-            None
+            Output::Sorted(k.to_vec(), host(v))
         }
         Contender::Randomized(x) => {
             assert!(
@@ -400,21 +443,36 @@ pub fn run_contender(
                 ..Default::default()
             };
             let (k, o) = baselines::randomized_multisplit(&dev, &keys, n, &bucket, cfg);
-            if verify {
-                check_multisplit(&keys_host, &k.to_vec(), &o, &bucket)
-                    .expect("randomized output invalid");
-            }
-            None
+            Output::Unstable(k.to_vec(), o)
         }
     };
 
     if verify {
-        if let Some((out_k, out_v, offs)) = &output {
-            let (ek, ev, eo) = multisplit_kv_ref(&keys_host, values_host.as_deref(), &bucket);
-            assert_eq!(out_k, &ek, "{} keys mismatch", contender.name());
-            assert_eq!(offs, &eo, "{} offsets mismatch", contender.name());
-            if let Some(ov) = out_v {
-                assert_eq!(ov, &ev, "{} values mismatch", contender.name());
+        let name = contender.name();
+        match output {
+            Output::Split(k, v, o) => {
+                let (ek, ev, eo) = multisplit_kv_ref(&keys_host, values_host.as_deref(), &bucket);
+                assert_eq!(k, ek, "{name} keys mismatch");
+                assert_eq!(o, eo, "{name} offsets mismatch");
+                if let Some(v) = v {
+                    assert_eq!(v, ev, "{name} values mismatch");
+                }
+            }
+            Output::Sorted(k, v) => {
+                // The sorts promise agreement with a host stable sort; the
+                // values are element indices, so stability shows in them.
+                let mut expect: Vec<(u32, u32)> =
+                    keys_host.iter().copied().zip(gen_values(n)).collect();
+                expect.sort_by_key(|&(k, _)| k);
+                let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
+                assert_eq!(k, ek, "{name} keys mismatch");
+                if let Some(v) = v {
+                    let ev: Vec<u32> = expect.iter().map(|&(_, v)| v).collect();
+                    assert_eq!(v, ev, "{name} values mismatch");
+                }
+            }
+            Output::Unstable(k, o) => {
+                check_multisplit(&keys_host, &k, &o, &bucket).expect("randomized output invalid")
             }
         }
     }
@@ -431,69 +489,7 @@ pub fn run_contender(
         records: dev.take_records(),
     };
     if metrics::sink_active() {
-        metrics::sink_push(
-            "run",
-            metrics::run_entry(
-                &contender.name(),
-                key_value,
-                n,
-                m,
-                dist,
-                profile.name,
-                wpb,
-                seed,
-                &outcome,
-            ),
-        );
-    }
-    outcome
-}
-
-/// Two-bucket scan-based split runner (Table 3's second baseline).
-pub fn run_scan_split(
-    key_value: bool,
-    n: usize,
-    profile: DeviceProfile,
-    wpb: usize,
-    seed: u64,
-) -> Outcome {
-    let keys_host = gen_keys(n, 2, Distribution::Uniform, seed);
-    let bucket = RangeBuckets::new(2);
-    let dev = Device::with_schedule(profile, run_schedule());
-    let keys = GlobalBuffer::from_slice(&keys_host);
-    let values_host = key_value.then(|| gen_values(n));
-    let values = values_host.as_ref().map(|v| GlobalBuffer::from_slice(v));
-    let (out, _, offs) =
-        baselines::scan_based_split(&dev, &keys, values.as_ref(), n, wpb, move |k| {
-            bucket.bucket_of(k) == 1
-        });
-    check_multisplit(&keys_host, &out.to_vec(), &offs, &bucket).expect("scan split invalid");
-    let mut buffer_reads = vec![("keys", keys.read_sectors())];
-    if let Some(v) = &values {
-        buffer_reads.push(("values", v.read_sectors()));
-    }
-    let outcome = Outcome {
-        total: dev.total_seconds(),
-        stages: stage_seconds(&dev),
-        sectors: stage_sector_counts(&dev),
-        buffer_reads,
-        records: dev.take_records(),
-    };
-    if metrics::sink_active() {
-        metrics::sink_push(
-            "run",
-            metrics::run_entry(
-                "Scan-based split",
-                key_value,
-                n,
-                2,
-                Distribution::Uniform,
-                profile.name,
-                wpb,
-                seed,
-                &outcome,
-            ),
-        );
+        metrics::sink_push("run", metrics::run_entry(run, &outcome));
     }
     outcome
 }
@@ -501,15 +497,6 @@ pub fn run_scan_split(
 /// Format milliseconds with two decimals.
 pub fn ms(seconds: f64) -> String {
     format!("{:.2}", seconds * 1e3)
-}
-
-/// Write a report file under `bench_results/` (and echo the path).
-pub fn save_report(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("bench_results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.txt"));
-    std::fs::write(&path, contents)?;
-    Ok(path)
 }
 
 /// Simple fixed-width table printer.
@@ -633,17 +620,11 @@ mod tests {
     #[test]
     fn ms_sort_contender_runs_and_verifies() {
         for kv in [false, true] {
-            let o = run_contender(
-                Contender::MsSort,
-                kv,
-                4096,
-                8,
-                Distribution::Uniform,
-                simt::K40C,
-                8,
-                7,
-                true,
-            );
+            let o = run_contender(&Run {
+                key_value: kv,
+                seed: 7,
+                ..Run::new(Contender::MsSort, 4096, 8)
+            });
             assert!(o.stage("sweep") > 0.0, "kv={kv}");
             assert!(o.stage("pre-scan") > 0.0, "kv={kv}");
             assert_eq!(o.stage_sectors("probe"), 0, "kv={kv}: no bits probe");
@@ -658,58 +639,50 @@ mod tests {
             Contender::BlockLevel,
             Contender::Fused,
             Contender::ReducedBit,
+            Contender::RadixSort,
+            Contender::IdentitySort,
         ] {
-            let o = run_contender(
-                c,
-                false,
-                4096,
-                8,
-                Distribution::Uniform,
-                simt::K40C,
-                8,
-                1,
-                true,
-            );
-            assert!(o.total > 0.0, "{}", c.name());
+            for kv in [false, true] {
+                let o = run_contender(&Run {
+                    key_value: kv,
+                    seed: 1,
+                    ..Run::new(c, 4096, 8)
+                });
+                assert!(o.total > 0.0, "{} kv={kv}", c.name());
+            }
         }
         // The m > 32 pair needs a larger bucket count.
         for c in [Contender::LargeM, Contender::Fused] {
-            let o = run_contender(
-                c,
-                false,
-                4096,
-                64,
-                Distribution::Uniform,
-                simt::K40C,
-                8,
-                1,
-                true,
-            );
+            let o = run_contender(&Run {
+                seed: 1,
+                ..Run::new(c, 4096, 64)
+            });
             assert!(o.total > 0.0, "{}", c.name());
         }
     }
 
     #[test]
     fn kv_contender_runs_and_verifies() {
-        let o = run_contender(
-            Contender::BlockLevel,
-            true,
-            4096,
-            16,
-            Distribution::Binomial,
-            simt::K40C,
-            8,
-            2,
-            true,
-        );
+        let o = run_contender(&Run {
+            key_value: true,
+            dist: Distribution::Binomial,
+            seed: 2,
+            ..Run::new(Contender::BlockLevel, 4096, 16)
+        });
         assert!(o.stage("post-scan") > 0.0);
         assert!(o.gkeys(4096) > 0.0);
     }
 
     #[test]
     fn scan_split_runs() {
-        let o = run_scan_split(false, 4096, simt::K40C, 8, 5);
-        assert!(o.stage("splitting") > 0.0 || o.stage("scan") > 0.0);
+        for kv in [false, true] {
+            let o = run_contender(&Run {
+                key_value: kv,
+                seed: 5,
+                ..Run::new(Contender::ScanSplit, 4096, 2)
+            });
+            assert!(o.stage("splitting") > 0.0 || o.stage("scan") > 0.0);
+        }
     }
 
     #[test]

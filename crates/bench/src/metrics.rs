@@ -3,10 +3,10 @@
 //! Three pieces:
 //!
 //! * a **thread-local run sink** — when armed (the `paper` binary's
-//!   `--json <path>` flag), every [`crate::run_contender`] /
-//!   [`crate::run_scan_split`] call appends a JSON entry describing the
-//!   run (parameters, per-stage split, full launch log) to the active
-//!   [`simt::MetricsSink`], which the binary writes at exit;
+//!   `--json <path>` flag), every [`crate::run_contender`] call appends
+//!   a JSON entry describing the run (parameters, per-stage split, full
+//!   launch log) to the active [`simt::MetricsSink`], which the binary
+//!   writes at exit;
 //! * **profile data** — the testable core of `paper profile`: run the
 //!   four `m <= 32` contenders under [`simt::Telemetry::PerBlock`] and
 //!   derive scope trees, launch reports and look-back histograms;
@@ -19,7 +19,7 @@ use std::cell::RefCell;
 
 use simt::{launch_report, scope_tree, with_telemetry, Json, LaunchRecord, MetricsSink, Telemetry};
 
-use crate::{run_contender, Contender, Distribution, Outcome};
+use crate::{run_contender, Contender, Outcome, Run};
 
 thread_local! {
     static SINK: RefCell<Option<MetricsSink>> = const { RefCell::new(None) };
@@ -63,9 +63,13 @@ fn stages_json(outcome: &Outcome) -> (Json, Json) {
             })
             .collect(),
     );
-    let sectors = Json::Arr(
-        outcome
-            .sectors
+    (seconds, stage_sectors_json(&outcome.sectors))
+}
+
+/// Per-stage sectors as JSON: `[{"stage": ..., "sectors": ...}]`.
+pub(crate) fn stage_sectors_json(sectors: &[(&'static str, u64)]) -> Json {
+    Json::Arr(
+        sectors
             .iter()
             .map(|(k, v)| {
                 Json::Obj(vec![
@@ -74,33 +78,21 @@ fn stages_json(outcome: &Outcome) -> (Json, Json) {
                 ])
             })
             .collect(),
-    );
-    (seconds, sectors)
+    )
 }
 
 /// The sink entry [`crate::run_contender`] logs for one verified run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_entry(
-    name: &str,
-    key_value: bool,
-    n: usize,
-    m: u32,
-    dist: Distribution,
-    device: &str,
-    wpb: usize,
-    seed: u64,
-    outcome: &Outcome,
-) -> Json {
+pub(crate) fn run_entry(run: &Run, outcome: &Outcome) -> Json {
     let (stage_seconds, stage_sectors) = stages_json(outcome);
     Json::Obj(vec![
-        ("contender".into(), Json::Str(name.into())),
-        ("key_value".into(), Json::Bool(key_value)),
-        ("n".into(), Json::int(n as u64)),
-        ("m".into(), Json::int(m as u64)),
-        ("distribution".into(), Json::Str(dist.name().into())),
-        ("device".into(), Json::Str(device.into())),
-        ("warps_per_block".into(), Json::int(wpb as u64)),
-        ("seed".into(), Json::int(seed)),
+        ("contender".into(), Json::Str(run.contender.name())),
+        ("key_value".into(), Json::Bool(run.key_value)),
+        ("n".into(), Json::int(run.n as u64)),
+        ("m".into(), Json::int(run.m as u64)),
+        ("distribution".into(), Json::Str(run.dist.name().into())),
+        ("device".into(), Json::Str(run.profile.name.into())),
+        ("warps_per_block".into(), Json::int(run.wpb as u64)),
+        ("seed".into(), Json::int(run.seed)),
         ("total_seconds".into(), Json::Num(outcome.total)),
         ("stage_seconds".into(), stage_seconds),
         ("stage_sectors".into(), stage_sectors),
@@ -121,6 +113,9 @@ pub(crate) fn buffer_reads_json(outcome: &Outcome) -> Json {
     )
 }
 
+/// Contenders with the short names committed in baselines.
+pub type Named = [(Contender, &'static str)];
+
 /// The contenders `paper profile` / `paper check` cover, with the short
 /// names committed in baselines.
 pub const PROFILE_CONTENDERS: [(Contender, &str); 4] = [
@@ -130,21 +125,31 @@ pub const PROFILE_CONTENDERS: [(Contender, &str); 4] = [
     (Contender::Fused, "fused"),
 ];
 
-/// The `m > 32` pair the `largem` section of `paper check` covers: the
-/// three-kernel pipeline and the fused single-pass method, whose row
-/// keeps its committed short name `fused-large-m`.
-pub const LARGEM_CONTENDERS: [(Contender, &str); 2] = [
-    (Contender::LargeM, "large-m"),
-    (Contender::Fused, "fused-large-m"),
-];
-
-/// The pair the `sort` section of `paper check` covers: the CUB-like
-/// three-kernel radix sort vs ms-sort (the multisplit-iterated sort on
-/// the fused pipelines). The committed baseline pins ms-sort's lower
-/// total sector count.
-pub const SORT_CONTENDERS: [(Contender, &str); 2] = [
-    (Contender::RadixSort, "radix"),
-    (Contender::MsSort, "ms-sort"),
+/// The named sections `paper check` adds to the [`PROFILE_CONTENDERS`]
+/// one: the key each sits under in the committed baseline, its bucket
+/// count, and its contenders with their committed short names.
+/// * `largem`: the three-kernel `m > 32` pipeline vs the fused method,
+///   whose row keeps its committed short name `fused-large-m`;
+/// * `sort`: the CUB-like three-kernel radix sort vs ms-sort (the
+///   multisplit-iterated sort on the fused pipelines); the committed
+///   baseline pins ms-sort's lower total sector count.
+pub const CHECK_SECTIONS: [(&str, u32, &Named); 2] = [
+    (
+        "largem",
+        64,
+        &[
+            (Contender::LargeM, "large-m"),
+            (Contender::Fused, "fused-large-m"),
+        ],
+    ),
+    (
+        "sort",
+        32,
+        &[
+            (Contender::RadixSort, "radix"),
+            (Contender::MsSort, "ms-sort"),
+        ],
+    ),
 ];
 
 /// One contender's profile: the outcome plus everything derived from its
@@ -162,7 +167,7 @@ impl ContenderProfile {
 
     /// Per-launch reports (imbalance, sector histograms) — one per
     /// launch, since every profile run retains per-block stats.
-    pub fn launch_reports(&self, profile: &simt::DeviceProfile) -> Vec<simt::LaunchReport> {
+    fn launch_reports(&self, profile: &simt::DeviceProfile) -> Vec<simt::LaunchReport> {
         self.outcome
             .records
             .iter()
@@ -171,7 +176,7 @@ impl ContenderProfile {
     }
 
     /// Launches that resolved look-backs (chained scans, fused sweeps).
-    pub fn lookback_records(&self) -> Vec<&LaunchRecord> {
+    fn lookback_records(&self) -> Vec<&LaunchRecord> {
         self.outcome
             .records
             .iter()
@@ -222,40 +227,24 @@ impl ContenderProfile {
 /// so per-stage sector totals line up exactly with that report.
 pub const PROFILE_SEED: u64 = 3000;
 
-/// Run the four `m <= 32` contenders under per-block telemetry. The
-/// testable core of `paper profile` (and of `paper check`, which only
-/// keeps the sector splits). Runs on the sequential schedule, so the
-/// look-back introspection (spin polls, depths) and the per-block
-/// critical paths repeat run to run, as `paper trace`'s do.
-pub fn profile_data(n: usize, m: u32, verify: bool) -> Vec<ContenderProfile> {
-    profile_data_for(&PROFILE_CONTENDERS, n, m, verify)
-}
-
-/// [`profile_data`] over an explicit contender list (the `largem` check
-/// section profiles [`LARGEM_CONTENDERS`] instead of the `m <= 32` four).
-pub fn profile_data_for(
-    contenders: &[(Contender, &'static str)],
-    n: usize,
-    m: u32,
-    verify: bool,
-) -> Vec<ContenderProfile> {
+/// Run `contenders` (the four `m <= 32` ones for `paper profile`) under
+/// per-block telemetry, key-only at [`PROFILE_SEED`]. The testable core
+/// of `paper profile` (and of `paper check`, which only keeps the sector
+/// splits). Runs on the sequential schedule, so the look-back
+/// introspection (spin polls, depths) and the per-block critical paths
+/// repeat run to run, as `paper trace`'s do.
+pub fn profile_data(contenders: &Named, n: usize, m: u32, verify: bool) -> Vec<ContenderProfile> {
     crate::with_run_schedule(simt::Schedule::Sequential, || {
         contenders
             .iter()
             .map(|&(c, name)| ContenderProfile {
                 name,
                 outcome: with_telemetry(Telemetry::PerBlock, || {
-                    run_contender(
-                        c,
-                        false,
-                        n,
-                        m,
-                        Distribution::Uniform,
-                        simt::K40C,
-                        8,
-                        PROFILE_SEED,
+                    run_contender(&Run {
+                        seed: PROFILE_SEED,
                         verify,
-                    )
+                        ..Run::new(c, n, m)
+                    })
                 }),
             })
             .collect()
@@ -294,30 +283,39 @@ pub fn render_profile(data: &[ContenderProfile]) -> String {
     out
 }
 
-/// Current per-stage sector counts in the committed-baseline shape:
-/// `{"n", "m", "seed", "contenders": [{"contender", "total_sectors",
-/// "stages": [{"stage", "sectors"}]}]}`.
-pub fn sector_baseline_current(n: usize, m: u32) -> Json {
-    sector_baseline_for(&PROFILE_CONTENDERS, n, m)
+/// Current per-stage sector counts of `contenders` in the
+/// committed-baseline shape: `{"n", "m", "seed", "contenders":
+/// [{"contender", "total_sectors", "stages": [{"stage", "sectors"}]}]}`.
+pub fn sector_baseline(contenders: &Named, n: usize, m: u32) -> Json {
+    let rows = profile_data(contenders, n, m, false)
+        .iter()
+        .map(|p| sector_row(p.name, p.outcome.total_sectors(), &p.outcome.sectors))
+        .collect();
+    baseline_doc(n, m, rows)
 }
 
-/// The `m > 32` companion of [`sector_baseline_current`]: three-kernel
-/// large-m vs fused sector counts, same shape, stored under the
-/// `"largem"` key of the committed baseline (its `n`/`m` differ from the
-/// main section's, so it gets its own config header).
-pub fn largem_sector_baseline_current(n: usize, m: u32) -> Json {
-    sector_baseline_for(&LARGEM_CONTENDERS, n, m)
+/// One contender of a baseline section.
+fn sector_row(name: &str, total: u64, stages: &[(&'static str, u64)]) -> Json {
+    Json::Obj(vec![
+        ("contender".into(), Json::Str(name.into())),
+        ("total_sectors".into(), Json::int(total)),
+        ("stages".into(), stage_sectors_json(stages)),
+    ])
 }
 
-/// The sort companion: radix-sort vs ms-sort sector counts, stored under
-/// the `"sort"` key of the committed baseline.
-pub fn sort_sector_baseline_current(n: usize, m: u32) -> Json {
-    sector_baseline_for(&SORT_CONTENDERS, n, m)
+/// A baseline section: its config header and contender rows.
+fn baseline_doc(n: usize, m: u32, rows: Vec<Json>) -> Json {
+    Json::Obj(vec![
+        ("n".into(), Json::int(n as u64)),
+        ("m".into(), Json::int(m as u64)),
+        ("seed".into(), Json::int(PROFILE_SEED)),
+        ("contenders".into(), Json::Arr(rows)),
+    ])
 }
 
 /// The serve companion: naive per-request vs coalesced segmented serving
 /// sector counts at a small fixed config, stored under the `"serve"` key
-/// of the committed baseline. Same shape as [`sector_baseline_current`]
+/// of the committed baseline. Same shape as [`sector_baseline`]
 /// (its `n`/`m` header fields are the per-request size and `m_max`), so
 /// [`sector_baseline_compare`] gates it unchanged; verification of every
 /// answer against its standalone `Method::auto` run rides along.
@@ -333,38 +331,16 @@ pub fn serve_sector_baseline_current() -> Json {
         ..Default::default()
     };
     let report = crate::serve::run_serve(&cfg);
-    let contender = |name: &str, e: &crate::serve::ExecStats| {
-        Json::Obj(vec![
-            ("contender".into(), Json::Str(name.into())),
-            ("total_sectors".into(), Json::int(e.total_sectors)),
-            (
-                "stages".into(),
-                Json::Arr(
-                    e.stage_sectors
-                        .iter()
-                        .map(|(k, v)| {
-                            Json::Obj(vec![
-                                ("stage".into(), Json::Str((*k).into())),
-                                ("sectors".into(), Json::int(*v)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    };
-    Json::Obj(vec![
-        ("n".into(), Json::int(cfg.n as u64)),
-        ("m".into(), Json::int(cfg.m_max as u64)),
-        ("seed".into(), Json::int(PROFILE_SEED)),
-        (
-            "contenders".into(),
-            Json::Arr(vec![
-                contender("serve-naive", &report.naive),
-                contender("serve-coalesced", &report.coalesced),
-            ]),
-        ),
-    ])
+    let row =
+        |name, e: &crate::serve::ExecStats| sector_row(name, e.total_sectors, &e.stage_sectors);
+    baseline_doc(
+        cfg.n,
+        cfg.m_max,
+        vec![
+            row("serve-naive", &report.naive),
+            row("serve-coalesced", &report.coalesced),
+        ],
+    )
 }
 
 /// The overlapped-serve companion, stored under the `"serve_overlap"`
@@ -401,64 +377,20 @@ pub fn serve_overlap_baseline_current() -> Json {
         report.overlapped.wall_s,
         report.serialized_wall_s
     );
-    let metric = |name: &str, v: u64| {
-        Json::Obj(vec![
-            ("contender".into(), Json::Str(name.into())),
-            ("total_sectors".into(), Json::int(v)),
-            ("stages".into(), Json::Arr(Vec::new())),
-        ])
-    };
+    let metric = |name, v| sector_row(name, v, &[]);
     let ns = |s: f64| (s * 1e9).round() as u64;
-    Json::Obj(vec![
-        ("n".into(), Json::int(cfg.n as u64)),
-        ("m".into(), Json::int(cfg.m_max as u64)),
-        ("seed".into(), Json::int(PROFILE_SEED)),
-        (
-            "contenders".into(),
-            Json::Arr(vec![
-                metric("serve-overlap-makespan-ns", ns(report.overlapped.wall_s)),
-                metric("serve-overlap-serialized-ns", ns(report.serialized_wall_s)),
-                metric(
-                    "serve-overlap-idle-bp",
-                    ((1.0 - report.utilization) * 1e4).round() as u64,
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn sector_baseline_for(contenders: &[(Contender, &'static str)], n: usize, m: u32) -> Json {
-    let contenders = profile_data_for(contenders, n, m, false)
-        .iter()
-        .map(|p| {
-            let total: u64 = p.outcome.sectors.iter().map(|(_, s)| s).sum();
-            Json::Obj(vec![
-                ("contender".into(), Json::Str(p.name.into())),
-                ("total_sectors".into(), Json::int(total)),
-                (
-                    "stages".into(),
-                    Json::Arr(
-                        p.outcome
-                            .sectors
-                            .iter()
-                            .map(|(k, v)| {
-                                Json::Obj(vec![
-                                    ("stage".into(), Json::Str((*k).into())),
-                                    ("sectors".into(), Json::int(*v)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("n".into(), Json::int(n as u64)),
-        ("m".into(), Json::int(m as u64)),
-        ("seed".into(), Json::int(PROFILE_SEED)),
-        ("contenders".into(), Json::Arr(contenders)),
-    ])
+    baseline_doc(
+        cfg.n,
+        cfg.m_max,
+        vec![
+            metric("serve-overlap-makespan-ns", ns(report.overlapped.wall_s)),
+            metric("serve-overlap-serialized-ns", ns(report.serialized_wall_s)),
+            metric(
+                "serve-overlap-idle-bp",
+                ((1.0 - report.utilization) * 1e4).round() as u64,
+            ),
+        ],
+    )
 }
 
 /// Compare current sector counts against a committed baseline.
@@ -641,17 +573,10 @@ mod tests {
     #[test]
     fn run_contender_logs_into_armed_sink() {
         sink_begin();
-        let o = run_contender(
-            Contender::Fused,
-            false,
-            4096,
-            8,
-            Distribution::Uniform,
-            simt::K40C,
-            8,
-            1,
-            true,
-        );
+        let o = run_contender(&Run {
+            seed: 1,
+            ..Run::new(Contender::Fused, 4096, 8)
+        });
         assert!(!o.records.is_empty(), "outcome must carry the launch log");
         let sink = sink_take().unwrap();
         let text = sink.to_json().pretty();
@@ -675,7 +600,7 @@ mod tests {
 
     #[test]
     fn profile_data_retains_per_block_and_lookback() {
-        let profiles = profile_data(1 << 14, 8, true);
+        let profiles = profile_data(&PROFILE_CONTENDERS, 1 << 14, 8, true);
         assert_eq!(profiles.len(), 4);
         for p in &profiles {
             assert!(p.outcome.total > 0.0, "{}", p.name);
@@ -709,7 +634,7 @@ mod tests {
     #[test]
     fn profile_runs_repeat_exactly() {
         let run = || {
-            let data = profile_data(1 << 13, 32, false);
+            let data = profile_data(&PROFILE_CONTENDERS, 1 << 13, 32, false);
             let obs: Vec<Vec<String>> = data
                 .iter()
                 .map(|p| {
@@ -731,7 +656,9 @@ mod tests {
 
     #[test]
     fn largem_baseline_section_roundtrips_and_fused_wins() {
-        let current = largem_sector_baseline_current(1 << 13, 64);
+        let (name, m, contenders) = CHECK_SECTIONS[0];
+        assert_eq!((name, m), ("largem", 64));
+        let current = sector_baseline(contenders, 1 << 13, m);
         let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
         assert_eq!(
             sector_baseline_compare(&current, &reparsed, 0.0),
@@ -860,7 +787,9 @@ mod tests {
     /// baseline on total counted sectors.
     #[test]
     fn sort_baseline_section_roundtrips_and_ms_sort_wins() {
-        let current = sort_sector_baseline_current(1 << 13, 32);
+        let (name, m, contenders) = CHECK_SECTIONS[1];
+        assert_eq!(name, "sort");
+        let current = sector_baseline(contenders, 1 << 13, m);
         let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
         assert_eq!(
             sector_baseline_compare(&current, &reparsed, 0.0),
@@ -891,7 +820,7 @@ mod tests {
     #[test]
     fn sector_baseline_roundtrips_and_compares() {
         let n = 1 << 13;
-        let current = sector_baseline_current(n, 8);
+        let current = sector_baseline(&PROFILE_CONTENDERS, n, 8);
         let text = current.pretty();
         let reparsed = Json::parse(&text).expect("baseline must be valid JSON");
         // Identical runs pass with zero tolerance (sectors deterministic).
@@ -929,7 +858,7 @@ mod tests {
         let notes = res.expect("improvement must pass");
         assert!(!notes.is_empty(), "improvement beyond tolerance is noted");
         // Config mismatch is an immediate failure.
-        let other = sector_baseline_current(n / 2, 8);
+        let other = sector_baseline(&PROFILE_CONTENDERS, n / 2, 8);
         assert!(sector_baseline_compare(&current, &other, 0.02).is_err());
     }
 }

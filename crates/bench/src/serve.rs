@@ -564,17 +564,7 @@ fn exec_json(e: &ExecStats) -> Json {
         ("total_sectors".into(), Json::int(e.total_sectors)),
         (
             "stages".into(),
-            Json::Arr(
-                e.stage_sectors
-                    .iter()
-                    .map(|(k, v)| {
-                        Json::Obj(vec![
-                            ("stage".into(), Json::Str((*k).into())),
-                            ("sectors".into(), Json::int(*v)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            crate::metrics::stage_sectors_json(&e.stage_sectors),
         ),
     ])
 }

@@ -19,7 +19,7 @@ use simt::{lane_mask_lt, lanes_from_fn, popc, Lanes, WarpCtx, WARP_SIZE};
 
 /// Rounds of ballots needed for `m` buckets.
 #[inline]
-pub fn ballot_rounds(m: u32) -> u32 {
+fn ballot_rounds(m: u32) -> u32 {
     debug_assert!(m >= 1);
     32 - (m - 1).leading_zeros().min(32)
 }

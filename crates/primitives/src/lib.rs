@@ -15,7 +15,7 @@
 //! * [`lookback`] — the decoupled look-back tile-state machinery itself,
 //!   parameterized over the aggregate shape (scalar rows for [`scan`],
 //!   m-vector histogram rows for `ms-core`'s fused multisplit).
-//! * [`histogram`] — atomic-based device histograms (related-work §2).
+//! * [`histogram`] — a block-privatized atomic histogram (related-work §2).
 //! * [`compact`] — scan-based two-bucket split and compaction (§3.2).
 
 pub mod block_scan;
@@ -30,7 +30,7 @@ pub use block_scan::{
     multi_reduce_across_warps, tail_mask,
 };
 pub use compact::{compact_by_pred, split_by_pred, SplitResult};
-pub use histogram::{histogram_global_atomic, histogram_per_thread, histogram_shared_atomic};
+pub use histogram::histogram_shared_atomic;
 pub use lookback::SegmentedTileStates;
 pub use scan::{
     exclusive_scan_u32, recursive_scan_u32, reduce_add_u32, scan_tile, ITEMS_PER_THREAD,

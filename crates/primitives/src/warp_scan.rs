@@ -54,12 +54,6 @@ pub fn inclusive_scan_add_low(w: &WarpCtx, v: Lanes<u32>, k: usize) -> Lanes<u32
     acc
 }
 
-/// Exclusive prefix sum over the low `k` lanes.
-pub fn exclusive_scan_add_low(w: &WarpCtx, v: Lanes<u32>, k: usize) -> Lanes<u32> {
-    let inc = inclusive_scan_add_low(w, v, k);
-    lanes_from_fn(|lane| if lane < k { inc[lane] - v[lane] } else { 0 })
-}
-
 /// Sum the low `k` lanes (`ceil(log2 k)` shuffle rounds); every lane
 /// receives the total.
 pub fn reduce_add_low(w: &WarpCtx, v: Lanes<u32>, k: usize) -> u32 {
@@ -161,10 +155,8 @@ mod tests {
                 let expect_total: u32 = v[..k].iter().sum();
                 assert_eq!(reduce_add_low(w, v, k), expect_total, "k={k}");
                 let inc = inclusive_scan_add_low(w, v, k);
-                let exc = exclusive_scan_add_low(w, v, k);
                 let mut run = 0;
                 for lane in 0..k {
-                    assert_eq!(exc[lane], run, "k={k} lane={lane}");
                     run += v[lane];
                     assert_eq!(inc[lane], run, "k={k} lane={lane}");
                 }

@@ -79,11 +79,6 @@ impl BlockCtx {
         SharedBuf::new(len, &self.stats)
     }
 
-    /// Shared-memory bytes allocated so far.
-    pub fn shared_used(&self) -> usize {
-        self.smem_used.get()
-    }
-
     /// The block's counter bundle (for primitives layered on the simulator).
     pub fn stats(&self) -> &StatCells {
         &self.stats
@@ -128,9 +123,9 @@ mod tests {
     fn shared_allocation_tracks_bytes() {
         let blk = BlockCtx::new(0, 1, 8);
         let _a = blk.alloc_shared::<u32>(1024);
-        assert_eq!(blk.shared_used(), 4096);
+        assert_eq!(blk.smem_used.get(), 4096);
         let _b = blk.alloc_shared::<u64>(512);
-        assert_eq!(blk.shared_used(), 8192);
+        assert_eq!(blk.smem_used.get(), 8192);
     }
 
     #[test]

@@ -63,13 +63,6 @@ impl Json {
         }
     }
 
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Compact rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -88,10 +88,7 @@ pub use sched::{AdvFlavor, AdvSchedule, Schedule, ADV_WORKERS, DEFAULT_SPIN_BUDG
 pub use shared::{padded_index, padded_len, SharedBuf, SMEM_BANKS};
 pub use stats::{BlockStats, LaunchRecord, StatCells};
 pub use stream::{Event, Stream, HOST_STREAM};
-pub use trace::{
-    chrome_trace_json, chrome_trace_json_with_tiles, write_chrome_trace,
-    write_chrome_trace_with_tiles,
-};
+pub use trace::{chrome_trace_json, chrome_trace_json_with_tiles, write_chrome_trace};
 pub use warp::WarpCtx;
 
 /// Lock a mutex, recovering the data if a previous holder panicked. Every

@@ -223,15 +223,6 @@ impl<T: Scalar> GlobalBuffer<T> {
         self
     }
 
-    /// Start a new race-detection epoch on the calling thread, as a kernel
-    /// launch boundary would. [`crate::Device::launch`] opens a fresh epoch
-    /// for every kernel automatically; this is for host-side tests that
-    /// drive tracked buffers directly (the epoch id is globally fresh, so
-    /// it never collides with a launch's).
-    pub fn next_epoch(&self) {
-        CURRENT_EPOCH.with(|c| c.set(fresh_epoch()));
-    }
-
     pub fn len(&self) -> usize {
         self.words.len()
     }
@@ -665,6 +656,12 @@ mod tests {
     use super::*;
     use crate::lanes::{lanes_from_fn, splat, FULL_MASK};
 
+    /// Start a new race-detection epoch on this thread, as a kernel
+    /// launch boundary would.
+    fn next_epoch() {
+        CURRENT_EPOCH.with(|c| c.set(fresh_epoch()));
+    }
+
     fn cells() -> StatCells {
         StatCells::default()
     }
@@ -752,7 +749,7 @@ mod tests {
         let st = cells();
         buf.scatter(&st, lanes_from_fn(|i| i), splat(1), FULL_MASK);
         buf.scatter(&st, lanes_from_fn(|i| 32 + i), splat(2), FULL_MASK);
-        buf.next_epoch();
+        next_epoch();
         // Same cells again are fine in a new epoch.
         buf.scatter(&st, lanes_from_fn(|i| i), splat(3), FULL_MASK);
     }
@@ -806,7 +803,7 @@ mod tests {
             assert_eq!(got[5], 7);
         }
         // After an epoch bump (kernel boundary) any block may read.
-        buf.next_epoch();
+        next_epoch();
         let _r = enter_block(9);
         let got = buf.gather(&st, lanes_from_fn(|i| i), FULL_MASK);
         assert_eq!(got[31], 7);

@@ -434,7 +434,7 @@ pub fn scope_tree(records: &[LaunchRecord]) -> ScopeNode {
 /// Every [`BlockStats`] field as a JSON object (all 12 counters — the
 /// Chrome trace exporter and the metrics sink share this so neither can
 /// silently drop one again).
-pub fn stats_json(s: &BlockStats) -> Json {
+fn stats_json(s: &BlockStats) -> Json {
     Json::Obj(vec![
         ("sectors".into(), Json::int(s.sectors)),
         ("useful_bytes".into(), Json::int(s.useful_bytes)),
@@ -479,7 +479,7 @@ pub fn obs_json(o: &ObsStats) -> Json {
 }
 
 /// One launch record as JSON (per-block stats included when retained).
-pub fn record_json(rec: &LaunchRecord) -> Json {
+fn record_json(rec: &LaunchRecord) -> Json {
     let mut fields = vec![
         ("label".into(), Json::Str(rec.label.clone())),
         ("blocks".into(), Json::int(rec.blocks as u64)),
@@ -539,18 +539,6 @@ impl MetricsSink {
         self.sections.push((name.to_string(), value));
     }
 
-    /// Append a launch log as a section: the raw records plus their
-    /// scope-tree roll-up.
-    pub fn push_records(&mut self, name: &str, records: &[LaunchRecord]) {
-        self.push(
-            name,
-            Json::Obj(vec![
-                ("launches".into(), records_json(records)),
-                ("scope_tree".into(), scope_tree(records).to_json()),
-            ]),
-        );
-    }
-
     /// The whole sink as one JSON object (`{"sections": [{name, data}]}` —
     /// an array, not a map, because section names may repeat).
     pub fn to_json(&self) -> Json {
@@ -568,14 +556,6 @@ impl MetricsSink {
                     .collect(),
             ),
         )])
-    }
-
-    /// Pretty-print the sink to a file.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json().pretty() + "\n")
     }
 }
 
@@ -713,7 +693,10 @@ mod tests {
         let mut sink = MetricsSink::new();
         assert!(sink.is_empty());
         sink.push("meta", Json::Obj(vec![("n".into(), Json::int(65536))]));
-        sink.push_records("run \"quoted\\label\"", &[rec("a/b", 10, 1e-6)]);
+        sink.push(
+            "run \"quoted\\label\"",
+            records_json(&[rec("a/b", 10, 1e-6)]),
+        );
         let text = sink.to_json().pretty();
         let parsed = Json::parse(&text).expect("sink output must parse");
         let sections = parsed.get("sections").unwrap().as_arr().unwrap();

@@ -20,15 +20,6 @@
 //! per-launch attribution snapshot the counter before the launch and
 //! subtract ([`read_sectors`](GlobalBuffer::read_sectors) deltas are
 //! schedule-independent because only counted read paths bump it).
-//!
-//! ### Race-detector interaction
-//!
-//! A tracked pool ([`BufferPool::new_tracked`]) hands out buffers with
-//! the write-race detector enabled. Reuse is safe without clearing marks:
-//! every `Device::launch` opens a globally fresh epoch, so marks left by
-//! a previous checkout can never collide with the next launch's writes.
-//! Host-side zeroing ([`acquire_zeroed`](BufferPool::acquire_zeroed))
-//! goes through the mark-free `set` path for the same reason.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +37,6 @@ struct Shelves<T: Scalar> {
 /// A reusable arena of [`GlobalBuffer`]s (see the module docs).
 pub struct BufferPool<T: Scalar = u32> {
     shelves: Mutex<Shelves<T>>,
-    /// Hand out tracked (race-detected) buffers.
-    tracked: bool,
     /// Fresh `GlobalBuffer` allocations performed by this pool.
     allocs: AtomicU64,
     /// Checkouts served by reusing a shelved buffer.
@@ -55,39 +44,25 @@ pub struct BufferPool<T: Scalar = u32> {
 }
 
 impl<T: Scalar> BufferPool<T> {
-    /// An empty pool of untracked buffers.
+    /// An empty pool.
     pub fn new() -> Self {
-        Self::with_tracking(false)
-    }
-
-    /// An empty pool whose buffers have the write-race detector enabled —
-    /// for output buffers, matching the `tracked()` convention of the
-    /// fused pipelines.
-    pub fn new_tracked() -> Self {
-        Self::with_tracking(true)
-    }
-
-    fn with_tracking(tracked: bool) -> Self {
         Self {
             shelves: Mutex::new(Shelves {
                 classes: Vec::new(),
             }),
-            tracked,
             allocs: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
         }
     }
 
     /// Size class a request of `len` elements is served from.
-    pub fn size_class(len: usize) -> usize {
+    fn size_class(len: usize) -> usize {
         len.max(1).next_power_of_two()
     }
 
     /// Check out a buffer of at least `len` elements. Contents are
     /// whatever the previous checkout left behind (like a freshly
-    /// `cudaMalloc`ed region); use
-    /// [`acquire_zeroed`](Self::acquire_zeroed) when that matters. The
-    /// buffer's `len()` is the size class, not `len` — kernels take an
+    /// `cudaMalloc`ed region). The buffer's `len()` is the size class, not `len` — kernels take an
     /// explicit `n`, so spare capacity is inert.
     pub fn acquire(&self, len: usize) -> PooledBuffer<'_, T> {
         let cap = Self::size_class(len);
@@ -107,28 +82,13 @@ impl<T: Scalar> BufferPool<T> {
             }
             None => {
                 self.allocs.fetch_add(1, Ordering::Relaxed);
-                let b = GlobalBuffer::<T>::zeroed(cap);
-                if self.tracked {
-                    b.tracked()
-                } else {
-                    b
-                }
+                GlobalBuffer::<T>::zeroed(cap)
             }
         };
         PooledBuffer {
             pool: self,
             buf: Some(buf),
         }
-    }
-
-    /// [`acquire`](Self::acquire) plus a host-side clear of the whole
-    /// buffer (mark-free stores, so a tracked buffer stays reusable).
-    pub fn acquire_zeroed(&self, len: usize) -> PooledBuffer<'_, T> {
-        let b = self.acquire(len);
-        for i in 0..b.len() {
-            b.set(i, T::default());
-        }
-        b
     }
 
     /// Fresh allocations this pool has performed.
@@ -219,9 +179,6 @@ mod tests {
             assert_eq!(c.get(0), 0, "shelf empty: second checkout is fresh");
         }
         assert_eq!((pool.allocs(), pool.reuses(), pool.idle()), (2, 1, 2));
-        let z = pool.acquire_zeroed(100);
-        assert_eq!(z.get(0), 0, "zeroed checkout clears stale contents");
-        assert_eq!(pool.reuses(), 2);
     }
 
     /// The satellite-1 regression: per-buffer `read_sectors` is a lifetime
@@ -261,29 +218,5 @@ mod tests {
         }
         assert_eq!(pool.allocs(), 1, "one allocation serves every round");
         assert_eq!(pool.reuses(), 3);
-    }
-
-    /// Tracked buffers reuse safely across launches: each launch opens a
-    /// fresh race-detector epoch, so marks from the previous checkout
-    /// cannot collide — including through a host-side zero (mark-free).
-    #[test]
-    fn tracked_buffers_are_reusable_across_launches() {
-        let pool = BufferPool::<u32>::new_tracked();
-        let dev = Device::new(K40C);
-        for round in 0..3u32 {
-            let out = pool.acquire_zeroed(WARP_SIZE);
-            dev.launch("pool-write", 1, 1, |blk| {
-                for w in blk.warps() {
-                    w.scatter(
-                        &out,
-                        lanes_from_fn(|l| l),
-                        lanes_from_fn(|l| round * 100 + l as u32),
-                        FULL_MASK,
-                    );
-                }
-            });
-            assert_eq!(out.get(5), round * 100 + 5);
-        }
-        assert_eq!((pool.allocs(), pool.reuses()), (1, 2));
     }
 }

@@ -242,11 +242,6 @@ impl Event {
         }
     }
 
-    /// Has the event been recorded yet?
-    pub fn is_recorded(&self) -> bool {
-        lock_unpoisoned(&self.inner.state).is_some()
-    }
-
     fn block_until_recorded(&self) -> EventRecord {
         // Adversarial session: spin at a scheduler yield point so the
         // policy controls the interleaving, the straggler release sees
@@ -703,9 +698,10 @@ mod tests {
         let b = Stream::new(1, 99);
         a.state.seq.store(3, Ordering::SeqCst);
         let ev = Event::new();
-        assert!(!ev.is_recorded());
+        let recorded = |ev: &Event| lock_unpoisoned(&ev.inner.state).is_some();
+        assert!(!recorded(&ev));
         a.record(&ev);
-        assert!(ev.is_recorded());
+        assert!(recorded(&ev));
         b.wait(&ev);
         let f = lock_unpoisoned(&b.state.frontier);
         assert_eq!(f.get(&a.state.gid).copied(), Some(3));

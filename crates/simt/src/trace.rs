@@ -227,16 +227,6 @@ pub fn write_chrome_trace(records: &[LaunchRecord], path: &std::path::Path) -> s
     f.write_all(chrome_trace_json(records).as_bytes())
 }
 
-/// Write the tile-timeline variant ([`chrome_trace_json_with_tiles`]).
-pub fn write_chrome_trace_with_tiles(
-    records: &[LaunchRecord],
-    profile: &DeviceProfile,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(chrome_trace_json_with_tiles(records, profile).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

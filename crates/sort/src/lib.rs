@@ -248,7 +248,7 @@ pub fn sort_by_bit_range_with<V: Scalar>(
 }
 
 /// Stable sort of the low `bits` key bits at the default digit width.
-pub fn sort_keys_by_bits(
+fn sort_keys_by_bits(
     dev: &Device,
     keys: &GlobalBuffer<u32>,
     n: usize,
@@ -328,7 +328,7 @@ pub fn sort_pairs_host(dev: &Device, keys: &[u32], values: &[u32]) -> (Vec<u32>,
 /// packed `(label << index_bits) | original_index` words in sorted order.
 /// The expensive part of applying it — one random-gather pass per payload
 /// — is explicit as [`Argsort::permute`]; the sorted labels themselves
-/// fall out of the high bits at streaming cost ([`Argsort::sorted_keys`]).
+/// fall out of the high bits at streaming cost (`Argsort::sorted_keys`).
 pub struct Argsort {
     packed: GlobalBuffer<u32>,
     idx_bits: u32,
@@ -371,7 +371,7 @@ impl Argsort {
 
     /// The sorted labels (high bits of the packed words), at streaming
     /// cost — no gather.
-    pub fn sorted_keys(&self, dev: &Device, wpb: usize) -> GlobalBuffer<u32> {
+    fn sorted_keys(&self, dev: &Device, wpb: usize) -> GlobalBuffer<u32> {
         let n = self.n;
         let out = GlobalBuffer::<u32>::zeroed(n).tracked();
         if n == 0 {

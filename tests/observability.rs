@@ -3,7 +3,7 @@
 //! the public `multisplit` API and the bench harness.
 
 use msbench::metrics::{profile_data, PROFILE_CONTENDERS, PROFILE_SEED};
-use msbench::{run_contender, Distribution};
+use msbench::{run_contender, Run};
 use multisplit::{multisplit_device, no_values, with_telemetry, Method, RangeBuckets, Telemetry};
 use simt::{
     chrome_trace_json, launch_report, BlockStats, Device, GlobalBuffer, Json, LaunchRecord,
@@ -198,23 +198,17 @@ fn profile_sector_totals_match_the_plain_reports() {
     let m = 32;
     // `paper profile` runs under PerBlock telemetry; the text reports run
     // without it. Totals and per-stage sector splits must agree exactly.
-    let profiles = profile_data(n, m, true);
+    let profiles = profile_data(&PROFILE_CONTENDERS, n, m, true);
     for p in &profiles {
         let (c, _) = *PROFILE_CONTENDERS
             .iter()
             .find(|(_, name)| *name == p.name)
             .unwrap();
-        let plain = run_contender(
-            c,
-            false,
-            n,
-            m,
-            Distribution::Uniform,
-            K40C,
-            8,
-            PROFILE_SEED,
-            false,
-        );
+        let plain = run_contender(&Run {
+            seed: PROFILE_SEED,
+            verify: false,
+            ..Run::new(c, n, m)
+        });
         assert_eq!(plain.sectors, p.outcome.sectors, "{}", p.name);
         assert_eq!(plain.total, p.outcome.total, "{}", p.name);
     }

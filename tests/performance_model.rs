@@ -3,8 +3,7 @@
 //! quantifies; here they gate CI).
 
 use msbench::{
-    gen_keys, run_contender, run_scan_split, scan_stage_cost, subproblem_histogram, Contender,
-    Distribution,
+    gen_keys, run_contender, scan_stage_cost, subproblem_histogram, Contender, Distribution, Run,
 };
 use multisplit::{
     multisplit_device, multisplit_segmented, no_values, Method, RangeBuckets, SegmentSpec,
@@ -13,8 +12,21 @@ use simt::{BlockStats, Device, GlobalBuffer, GTX750TI, K40C};
 
 const N: usize = 1 << 16;
 
+/// An unverified run of `c` at seed 42.
+fn at(c: Contender, n: usize, m: u32) -> Run {
+    Run {
+        seed: 42,
+        verify: false,
+        ..Run::new(c, n, m)
+    }
+}
+
 fn time(c: Contender, kv: bool, m: u32) -> f64 {
-    run_contender(c, kv, N, m, Distribution::Uniform, K40C, 8, 42, false).total
+    run_contender(&Run {
+        key_value: kv,
+        ..at(c, N, m)
+    })
+    .total
 }
 
 #[test]
@@ -47,9 +59,7 @@ fn warp_level_wins_at_two_buckets_block_level_wins_at_thirty_two() {
     // size — at tiny n kernel-launch overheads swamp the work and invert
     // the small-m ordering.
     let big = 1 << 20;
-    let t = |c: Contender, m: u32| {
-        run_contender(c, false, big, m, Distribution::Uniform, K40C, 8, 42, false).total
-    };
+    let t = |c: Contender, m: u32| run_contender(&at(c, big, m)).total;
     let w2 = t(Contender::WarpLevel, 2);
     let d2 = t(Contender::Direct, 2);
     assert!(
@@ -89,18 +99,7 @@ fn reduced_bit_sort_scales_logarithmically_not_linearly() {
     // Fig. 4: reduced-bit sort depends on ceil(log m) while the block
     // method's histogram machinery scales with m.
     let r64 = time(Contender::ReducedBit, false, 64);
-    let r1024 = run_contender(
-        Contender::ReducedBit,
-        false,
-        N,
-        1024,
-        Distribution::Uniform,
-        K40C,
-        8,
-        42,
-        false,
-    )
-    .total;
+    let r1024 = time(Contender::ReducedBit, false, 1024);
     // log2: 6 bits -> 10 bits: at most ~2x, nowhere near 16x.
     assert!(
         r1024 < 2.5 * r64,
@@ -126,18 +125,14 @@ fn key_value_costs_more_than_key_only() {
 fn skewed_distributions_are_faster_than_uniform() {
     // Fig. 5: uniform is the worst case for the reordering methods.
     for dist in [Distribution::Binomial, Distribution::Skew75] {
-        let u = run_contender(
-            Contender::BlockLevel,
-            false,
-            N,
-            16,
-            Distribution::Uniform,
-            K40C,
-            8,
-            7,
-            false,
-        );
-        let s = run_contender(Contender::BlockLevel, false, N, 16, dist, K40C, 8, 7, false);
+        let run = |dist| {
+            run_contender(&Run {
+                dist,
+                seed: 7,
+                ..at(Contender::BlockLevel, N, 16)
+            })
+        };
+        let (u, s) = (run(Distribution::Uniform), run(dist));
         assert!(
             s.total < u.total,
             "{}: skewed {:.4}ms should beat uniform {:.4}ms",
@@ -151,7 +146,12 @@ fn skewed_distributions_are_faster_than_uniform() {
 #[test]
 fn scan_split_beats_radix_at_two_buckets() {
     // Table 3's story: for 2 buckets a single split crushes a full sort.
-    let split = run_scan_split(false, N, K40C, 8, 1).total;
+    let split = run_contender(&Run {
+        seed: 1,
+        verify: true,
+        ..Run::new(Contender::ScanSplit, N, 2)
+    })
+    .total;
     let radix = time(Contender::RadixSort, false, 2);
     assert!(
         split * 2.0 < radix,
@@ -167,30 +167,8 @@ fn randomized_insertion_loses_to_radix() {
     // paper's asymptotic claim is about; from 2^17 up the gap is >= 1.5x
     // and widens with n.
     let n = 4 * N;
-    let rand = run_contender(
-        Contender::Randomized(2.0),
-        false,
-        n,
-        8,
-        Distribution::Uniform,
-        K40C,
-        8,
-        42,
-        false,
-    )
-    .total;
-    let radix = run_contender(
-        Contender::RadixSort,
-        false,
-        n,
-        8,
-        Distribution::Uniform,
-        K40C,
-        8,
-        42,
-        false,
-    )
-    .total;
+    let rand = run_contender(&at(Contender::Randomized(2.0), n, 8)).total;
+    let radix = run_contender(&at(Contender::RadixSort, n, 8)).total;
     assert!(
         rand > radix,
         "randomized {rand} should lose to radix {radix}"
@@ -204,30 +182,14 @@ fn maxwell_is_slower_but_prefers_reordering_more() {
     let m = 16u32;
     let k40_direct = time(Contender::Direct, false, m);
     let k40_block = time(Contender::BlockLevel, false, m);
-    let max_direct = run_contender(
-        Contender::Direct,
-        false,
-        N,
-        m,
-        Distribution::Uniform,
-        GTX750TI,
-        8,
-        42,
-        false,
-    )
-    .total;
-    let max_block = run_contender(
-        Contender::BlockLevel,
-        false,
-        N,
-        m,
-        Distribution::Uniform,
-        GTX750TI,
-        8,
-        42,
-        false,
-    )
-    .total;
+    let maxwell = |c| {
+        run_contender(&Run {
+            profile: GTX750TI,
+            ..at(c, N, m)
+        })
+        .total
+    };
+    let (max_direct, max_block) = (maxwell(Contender::Direct), maxwell(Contender::BlockLevel));
     assert!(max_direct > k40_direct, "750 Ti must be slower overall");
     let k40_gain = k40_direct / k40_block;
     let max_gain = max_direct / max_block;
@@ -248,7 +210,11 @@ fn speed_of_light_is_respected() {
             Contender::BlockLevel,
         ] {
             for m in [2u32, 32] {
-                let o = run_contender(c, kv, N, m, Distribution::Uniform, K40C, 8, 3, false);
+                let o = run_contender(&Run {
+                    key_value: kv,
+                    seed: 3,
+                    ..at(c, N, m)
+                });
                 let rate = o.gkeys(N);
                 assert!(
                     rate < light,
@@ -262,17 +228,10 @@ fn speed_of_light_is_respected() {
 
 #[test]
 fn stage_breakdown_sums_to_total() {
-    let o = run_contender(
-        Contender::BlockLevel,
-        false,
-        N,
-        16,
-        Distribution::Uniform,
-        K40C,
-        8,
-        5,
-        false,
-    );
+    let o = run_contender(&Run {
+        seed: 5,
+        ..at(Contender::BlockLevel, N, 16)
+    });
     let sum: f64 = o.stages.iter().map(|(_, t)| t).sum();
     assert!(
         (sum - o.total).abs() < 1e-12,
