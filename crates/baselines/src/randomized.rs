@@ -16,6 +16,7 @@
 
 use simt::{blocks_for, lanes_from_fn, splat, Device, GlobalBuffer, WARP_SIZE};
 
+use multisplit::common::eval_buckets;
 use multisplit::BucketFn;
 use primitives::{exclusive_scan_u32, histogram_shared_atomic, tail_mask};
 
@@ -185,8 +186,7 @@ pub fn randomized_multisplit<B: BucketFn + ?Sized>(
             }
             let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
             let k = w.gather(keys, idx, mask);
-            let b = lanes_from_fn(|l| bucket.bucket_of(k[l]) as usize);
-            w.charge(bucket.eval_cost() * mask.count_ones() as u64);
+            let b = eval_buckets(&w, bucket, k, mask).map(|b| b as usize);
             // Throw darts: every active lane probes until it claims a slot.
             // The warp stalls for as many rounds as its unluckiest lane.
             let mut max_probes = 0u64;

@@ -27,6 +27,7 @@
 
 use simt::{blocks_for, lanes_from_fn, Device, GlobalBuffer, Scalar, WARP_SIZE};
 
+use multisplit::common::eval_buckets;
 use multisplit::BucketFn;
 use primitives::tail_mask;
 
@@ -71,8 +72,7 @@ fn write_labels<B: BucketFn + ?Sized>(
             }
             let idx = lanes_from_fn(|j| if base + j < n { base + j } else { base });
             let k = w.gather(keys, idx, mask);
-            w.charge(bucket.eval_cost() * mask.count_ones() as u64);
-            w.scatter(labels, idx, lanes_from_fn(|l| bucket.bucket_of(k[l])), mask);
+            w.scatter(labels, idx, eval_buckets(&w, bucket, k, mask), mask);
         }
     });
 }

@@ -576,7 +576,7 @@ fn fig3(opts: &Opts) {
 // ====================== Figure 4 ======================
 
 fn fig4(opts: &Opts) {
-    let n = opts.fig4_n;
+    let n = opts.n.min(opts.fig4_n);
     let mut out = format!(
         "Figure 4: m > 32 — block-level MS vs reduced-bit sort, n = 2^{}\n",
         n.ilog2()
@@ -765,10 +765,16 @@ fn sssp_experiment(_opts: &Opts) {
 
 // ====================== Randomized sweep ======================
 
+/// Runs on the sequential schedule: the dart throws' collisions, and so
+/// the counted stats, depend on how the blocks interleave.
 fn randomized(opts: &Opts) {
+    msbench::with_run_schedule(Schedule::Sequential, || randomized_report(opts));
+}
+
+fn randomized_report(opts: &Opts) {
     let n = opts.n.min(1 << 22);
     let mut out = format!(
-        "Randomized dart-throwing insertion (§3.5), n = 2^{}, m = 8\n\n",
+        "Randomized dart-throwing insertion (§3.5), n = 2^{}, m = 8, sequential schedule\n\n",
         n.ilog2()
     );
     let radix = run_contender(&Run {
@@ -1511,7 +1517,8 @@ fn sorttune_cmd(opts: &Opts) {
         "ms-sort digit-width sweep: full 32-bit keys, n = 2^{}, K40c.\n\
          Wider digits mean fewer passes but a bigger m = 2^b per pass;\n\
          key-only passes fit up to b = {max_key}, key-value up to b = {max_kv}\n\
-         (payload staging shrinks the fused sweep's shared-memory budget).\n\n",
+         (a 4-byte payload is staged in its key's slot after the key, so it\n\
+         costs the fused sweep no shared memory).\n\n",
         n.ilog2()
     );
     let mut t = Table::new(&[

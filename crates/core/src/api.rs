@@ -266,6 +266,63 @@ mod tests {
         assert_eq!(r.keys.to_vec(), expect);
     }
 
+    /// `k % m`, except key 77 (`0x4d`), filed one past the last bucket.
+    /// (`FnBuckets` would catch the bad id itself in a debug build.)
+    struct OnePastTheEnd(u32);
+
+    impl BucketFn for OnePastTheEnd {
+        fn num_buckets(&self) -> u32 {
+            self.0
+        }
+        fn bucket_of(&self, key: u32) -> u32 {
+            if key == 77 {
+                self.0
+            } else {
+                key % self.0
+            }
+        }
+    }
+
+    /// Run `method` over 300 keys, key 77 among them with a bad bucket id.
+    fn run_with_a_bad_bucket_id(method: Method, m: u32) {
+        let dev = Device::sequential(K40C);
+        let keys: Vec<u32> = (0..300u32).collect();
+        let bucket = OnePastTheEnd(m);
+        let buf = GlobalBuffer::from_slice(&keys);
+        let values = crate::common::no_values();
+        multisplit_device(&dev, method, &buf, values, keys.len(), &bucket, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket_of(0x4d) = 8 is out of range for m = 8 buckets")]
+    fn direct_rejects_a_bucket_id_past_m() {
+        run_with_a_bad_bucket_id(Method::Direct, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket_of(0x4d) = 8 is out of range for m = 8 buckets")]
+    fn warp_level_rejects_a_bucket_id_past_m() {
+        run_with_a_bad_bucket_id(Method::WarpLevel, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket_of(0x4d) = 8 is out of range for m = 8 buckets")]
+    fn block_level_rejects_a_bucket_id_past_m() {
+        run_with_a_bad_bucket_id(Method::BlockLevel, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket_of(0x4d) = 40 is out of range for m = 40 buckets")]
+    fn large_m_rejects_a_bucket_id_past_m() {
+        run_with_a_bad_bucket_id(Method::LargeM, 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket_of(0x4d) = 8 is out of range for m = 8 buckets")]
+    fn fused_rejects_a_bucket_id_past_m() {
+        run_with_a_bad_bucket_id(Method::Fused, 8);
+    }
+
     #[test]
     fn names_are_paper_terms() {
         assert_eq!(Method::Direct.name(), "Direct MS");

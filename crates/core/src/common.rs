@@ -8,7 +8,7 @@
 //! position for bucket `b` of subproblem `s` (equation (2)'s two global
 //! terms at once).
 
-use simt::{GlobalBuffer, Lanes, Scalar, WarpCtx};
+use simt::{lane_active, GlobalBuffer, Lanes, Scalar, WarpCtx};
 
 use crate::bucket::BucketFn;
 
@@ -30,6 +30,11 @@ pub fn no_values() -> Option<&'static GlobalBuffer<u32>> {
 }
 
 /// Evaluate the bucket function on a warp's keys, charging its ALU cost.
+///
+/// Panics, naming the key, its id and `m`, when an active lane's id is
+/// not below `m`: every method then fails the same way, not with an index
+/// error inside a kernel or a key filed under the wrong bucket. The check
+/// is the simulator's, not the kernel's, and costs no counted op.
 #[inline]
 pub fn eval_buckets<B: BucketFn + ?Sized>(
     w: &WarpCtx,
@@ -38,7 +43,17 @@ pub fn eval_buckets<B: BucketFn + ?Sized>(
     mask: u32,
 ) -> Lanes<u32> {
     w.charge(bucket.eval_cost() * mask.count_ones() as u64);
-    simt::lanes_from_fn(|l| bucket.bucket_of(keys[l]))
+    let m = bucket.num_buckets();
+    simt::lanes_from_fn(|l| {
+        let b = bucket.bucket_of(keys[l]);
+        if b >= m && lane_active(mask, l) {
+            panic!(
+                "bucket_of({:#x}) = {b} is out of range for m = {m} buckets",
+                keys[l]
+            );
+        }
+        b
+    })
 }
 
 /// Read the `m + 1` bucket offsets off the scanned matrix `G`: bucket `b`
@@ -63,14 +78,16 @@ pub fn offsets_from_scanned(g: &GlobalBuffer<u32>, m: usize, l: usize, n: usize)
 pub const SMEM_BUDGET_WORDS: usize = simt::SMEM_CAPACITY_BYTES / 4;
 
 /// Shared-memory staging words per staged element in a block-wide reorder:
-/// one word for the permuted key plus `value_words` for the payload (0
-/// key-only, 1 for `u32` values, 2 for packed `u64` pairs). No bucket id is
-/// staged: the scatter recomputes it from the key (paper §5.1). Single
-/// source of truth for the shared-memory budgets of both the three-kernel
-/// `large_m` path and the sweep — they must never disagree on how big
-/// staging is.
-pub const fn staging_words_per_element(value_words: usize) -> usize {
-    1 + value_words
+/// `max(1, value_words)` (`value_words` is 0 key-only, 1 for `u32` values,
+/// 2 for packed `u64` pairs). Keys and payloads take turns in one buffer,
+/// as in CUB's Onesweep: the keys are staged, read back and scattered, and
+/// after a barrier the payloads are staged into the same slots and
+/// scattered to the kept destinations. No bucket id is staged: the
+/// scatter recomputes it from the key (paper §5.1). Single source of truth
+/// for the shared-memory budgets of both the three-kernel `large_m` path
+/// and the sweep — they must never disagree on how big staging is.
+pub fn staging_words_per_element(value_words: usize) -> usize {
+    value_words.max(1)
 }
 
 /// Run a caller-provided-output entry point (`multisplit_*_into`) on fresh

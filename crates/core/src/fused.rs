@@ -26,8 +26,9 @@
 //! the OneSweep radix sort keeps a separate lightweight histogram kernel. So
 //! the fused path is **two** launches instead of five-plus
 //! (pre-scan + the chained scan + post-scan), and **one** when `n` fits
-//! one sweep tile (`wpb × 32 × items_per_thread` keys, 4,096 at 8 warps
-//! key-only): the tile's own histogram scan then gives every final
+//! one sweep tile (`wpb × 32 × items_per_thread` keys, 8,192 at 8 warps
+//! up to 256 buckets, key-only or with 4-byte payloads): the tile's own
+//! histogram scan then gives every final
 //! position, so the sweep writes its reordered tile in place and reads
 //! the offsets from its look-back record, with no pre-scan:
 //!
@@ -54,11 +55,13 @@
 //! the three-kernel large-m pipeline, whose histogram matrix grows with
 //! `m` (see `paper fused` / `paper largem` / EXPERIMENTS.md).
 //!
-//! Tiles are coarsened as far as shared memory allows (the per-warp
-//! histogram does not grow with the tile, so staging takes the rest of
-//! the budget; key-only tiles at 8 warps reach [`MAX_ITEMS_PER_THREAD`])
+//! Tiles are coarsened as far as shared memory and the register bound
+//! [`MAX_ITEMS_PER_THREAD`] allow (the per-warp histogram does not grow
+//! with the tile, so staging takes the rest of the budget, and keys and
+//! payloads take turns in one staging buffer; at 8 warps every tile up
+//! to 256 buckets, key-only or with 4-byte payloads, reaches the bound)
 //! so flag-word traffic and the histogram scan amortize and same-bucket
-//! runs in the block reorder approach sector length even at m = 32.
+//! runs in the block reorder approach sector length even at m = 256.
 //!
 //! The sweep is the shared tile sweep of [`crate::sweep`], the same
 //! kernel for every `m`, and the whole pipeline is the one-segment case
@@ -105,10 +108,11 @@ pub fn max_buckets(wpb: usize, key_value: bool) -> u32 {
 }
 
 /// [`max_buckets`] for an explicit payload width. The bool form assumes a
-/// one-word payload, but staging grows with `V::BYTES` — ms-sort's
-/// reduced-bit fallback runs packed `u64` payloads through this sweep, and
-/// at wide blocks the capacity difference is real (e.g. `wpb = 32`:
-/// 298 buckets for `u32` payloads, 267 for `u64`).
+/// one-word payload, which fits its key's staging slot, but a wider
+/// payload widens the slot — ms-sort's reduced-bit fallback runs packed
+/// `u64` payloads through this sweep, and at wide blocks the capacity
+/// difference is real (e.g. `wpb = 32`: 329 buckets for `u32` payloads,
+/// 298 for `u64`).
 pub fn max_buckets_bytes(wpb: usize, value_bytes: u64) -> u32 {
     // The footprint is affine in m: a fixed part plus one histogram row
     // (pitch wpb | 1) and one scatter-base word per bucket.
@@ -433,9 +437,9 @@ mod tests {
         // (and the odd histogram pitch), every shared access in both
         // kernels is structured: zero bank conflicts end to end.
         let wpb = 8;
-        let m = 128u32;
+        let m = 256u32;
         let ipt = items_per_thread(wpb, m as usize, 0, 0).unwrap();
-        assert_eq!(ipt, 16);
+        assert_eq!(ipt, 32);
         let tile = wpb * WARP_SIZE * ipt;
         assert_eq!(tile / WARP_SIZE, m as usize);
         let n = 2 * tile;

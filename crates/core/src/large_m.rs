@@ -26,8 +26,9 @@ use crate::common::{
 use crate::warp_ops::{warp_histogram_multi, warp_offsets};
 
 /// Largest supported bucket count for a given block size: the `m x N_W`
-/// histogram plus staging of keys and payloads (the store recomputes bucket
-/// ids) must fit in shared memory. Above the fused sweep's capacity.
+/// histogram plus one staging buffer that keys and then payloads take
+/// turns in (the store recomputes bucket ids) must fit in shared memory.
+/// Above the fused sweep's capacity.
 ///
 /// The post-scan kernel allocates, in words: the row-vectorized histogram
 /// `m * (wpb | 1)` (odd pitch for bank-conflict-free strided access),
@@ -36,7 +37,14 @@ use crate::warp_ops::{warp_histogram_multi, warp_offsets};
 /// derived from those allocations — no magic constants — so the budget is
 /// exact: `m == max_buckets` fits, `m == max_buckets + 1` would overflow.
 pub fn max_buckets(wpb: usize, key_value: bool) -> u32 {
-    let sw = staging_words_per_element(if key_value { 1 } else { 0 });
+    max_buckets_bytes(wpb, if key_value { 4 } else { 0 })
+}
+
+/// [`max_buckets`] for an explicit payload width: a payload wider than a
+/// word widens every staging slot (e.g. `wpb = 8`: 1,335 buckets for
+/// `u32` payloads, 1,307 for `u64`).
+pub fn max_buckets_bytes(wpb: usize, value_bytes: u64) -> u32 {
+    let sw = staging_words_per_element(value_bytes as usize / 4);
     let words = simt::SMEM_CAPACITY_BYTES / 4;
     let fixed = wpb * WARP_SIZE * sw + (wpb + 1);
     ((words - fixed) / (wpb | 1)) as u32
@@ -56,10 +64,10 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
         m > 32,
         "use the dedicated m <= 32 paths below the warp width"
     );
+    let cap = max_buckets_bytes(wpb, if values.is_some() { V::BYTES } else { 0 });
     assert!(
-        m <= max_buckets(wpb, values.is_some()),
-        "m = {m} exceeds shared-memory capacity for {wpb} warps/block (max {})",
-        max_buckets(wpb, values.is_some())
+        m <= cap,
+        "m = {m} exceeds shared-memory capacity for {wpb} warps/block (max {cap})"
     );
     assert!(keys.len() >= n, "key buffer shorter than n");
     if n == 0 {
@@ -138,13 +146,17 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
         let nwp = nw | 1;
         let tile = blk.block_id * nw * WARP_SIZE;
         let hrow = blk.alloc_shared::<u32>(mu * nwp);
-        let keys2_s = blk.alloc_shared::<u32>(nw * WARP_SIZE);
-        let values2_s = values.map(|_| blk.alloc_shared::<V>(nw * WARP_SIZE));
-        // Per-warp registers persisting across barriers.
+        // One staging buffer: the keys' slots, later the payloads'.
+        let vw = values.map_or(0, |_| V::BYTES as usize / 4);
+        let keys2_s = blk.alloc_shared::<u32>(nw * WARP_SIZE * staging_words_per_element(vw));
+        // Per-warp registers persisting across barriers. `offs_reg` holds
+        // each lane's offset, then its block position; `dest_reg` the
+        // destinations the payloads follow the keys to.
         let mut key_reg = vec![[0u32; WARP_SIZE]; nw];
         let mut bucket_reg = vec![[0u32; WARP_SIZE]; nw];
         let mut offs_reg = vec![[0u32; WARP_SIZE]; nw];
         let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; nw]);
+        let mut dest_reg = values.map(|_| vec![[0usize; WARP_SIZE]; nw]);
 
         // Phase 1: histograms + offsets; elements stay in registers. Warp
         // 0 also zeroes the odd-pitch pad column of an even block, which
@@ -201,18 +213,14 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
             if mask == 0 {
                 continue;
             }
-            let k = key_reg[w.warp_id];
             let b = bucket_reg[w.warp_id];
-            let offs = offs_reg[w.warp_id];
             let bases = hrow.ld(
                 lanes_from_fn(|lane| b[lane] as usize * nwp + w.warp_id),
                 mask,
             );
-            let new_idx = lanes_from_fn(|lane| (bases[lane] + offs[lane]) as usize);
-            keys2_s.st(new_idx, k, mask);
-            if let (Some(vr), Some(vs2)) = (&val_reg, &values2_s) {
-                vs2.st(new_idx, vr[w.warp_id], mask);
-            }
+            let offs = &mut offs_reg[w.warp_id];
+            *offs = lanes_from_fn(|lane| bases[lane] + offs[lane]);
+            keys2_s.st(offs.map(|o| o as usize), key_reg[w.warp_id], mask);
         }
         blk.sync();
 
@@ -235,9 +243,32 @@ pub fn multisplit_large_m<B: BucketFn + ?Sized, V: Scalar>(
             );
             let dest = lanes_from_fn(|lane| (gbase[lane] + tid[lane] as u32 - bb[lane]) as usize);
             w.scatter(&out_keys, dest, k2, mask);
-            if let (Some(vs2), Some(vout)) = (&values2_s, &out_values) {
-                let v2 = vs2.ld(tid, mask);
-                w.scatter(vout, dest, v2, mask);
+            if let Some(dr) = &mut dest_reg {
+                dr[w.warp_id] = dest;
+            }
+        }
+
+        // Phases 5–6: the payloads take the keys' slots and follow them
+        // to the kept destinations; the barrier orders every key
+        // read-back before the payload stores into the same words.
+        let (Some(vr), Some(dr), Some(vout)) = (val_reg, dest_reg, &out_values) else {
+            return;
+        };
+        blk.sync();
+        let values2_s = keys2_s.recast::<V>();
+        for w in blk.warps() {
+            let mask = tail_mask(tile + w.warp_id * WARP_SIZE, n);
+            if mask != 0 {
+                let slot = offs_reg[w.warp_id].map(|o| o as usize);
+                values2_s.st(slot, vr[w.warp_id], mask);
+            }
+        }
+        blk.sync();
+        for w in blk.warps() {
+            let mask = tail_mask(tile + w.warp_id * WARP_SIZE, n);
+            if mask != 0 {
+                let tid = lanes_from_fn(|lane| w.warp_id * WARP_SIZE + lane);
+                w.scatter(vout, dr[w.warp_id], values2_s.ld(tid, mask), mask);
             }
         }
     });
@@ -308,8 +339,8 @@ mod tests {
     fn max_buckets_respects_shared_memory() {
         assert!(max_buckets(8, false) >= 1024);
         assert!(max_buckets(2, false) > max_buckets(8, false));
-        // Key-value staging shrinks the budget.
-        assert!(max_buckets(8, true) < max_buckets(8, false));
+        // A u32 payload takes the key's staging slot after it.
+        assert_eq!(max_buckets(8, true), max_buckets(8, false));
     }
 
     #[test]
@@ -349,6 +380,37 @@ mod tests {
                 "kv={kv}: max_buckets must be tight, not merely safe"
             );
         }
+    }
+
+    #[test]
+    fn u64_payloads_run_at_their_capacity() {
+        let dev = Device::new(K40C);
+        let wpb = 8;
+        let m = max_buckets_bytes(wpb, 8);
+        assert!(m < max_buckets(wpb, true), "a u64 payload widens the slot");
+        let bucket = RangeBuckets::new(m);
+        let n = 600;
+        let data = keys_for(n, 2);
+        let vals: Vec<u64> = (0..n as u64).map(|i| i << 32 | i).collect();
+        let keys = GlobalBuffer::from_slice(&data);
+        let values = GlobalBuffer::from_slice(&vals);
+        let r = multisplit_large_m(&dev, &keys, Some(&values), n, &bucket, wpb);
+        let idx: Vec<u32> = (0..n as u32).collect();
+        let (ek, ei, _) = multisplit_kv_ref(&data, Some(&idx), &bucket);
+        let ev: Vec<u64> = ei.iter().map(|&i| vals[i as usize]).collect();
+        assert_eq!(r.keys.to_vec(), ek);
+        assert_eq!(r.values.unwrap().to_vec(), ev);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds shared-memory capacity")]
+    fn u64_payloads_past_their_capacity_panic_at_the_boundary() {
+        let dev = Device::new(K40C);
+        let m = max_buckets_bytes(8, 8) + 1;
+        let bucket = RangeBuckets::new(m);
+        let keys = GlobalBuffer::from_slice(&[1u32, 2, 3]);
+        let values = GlobalBuffer::from_slice(&[1u64, 2, 3]);
+        let _ = multisplit_large_m(&dev, &keys, Some(&values), 3, &bucket, 8);
     }
 
     #[test]

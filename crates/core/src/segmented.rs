@@ -372,12 +372,21 @@ mod tests {
             (33, 32),
             (2048, 8),
             (2049, 17),
-            (5000, 64),
+            (2 * tile(64) + 5, 64),
             (257, 100),
             (4096, 2),
         ];
         for kv in [false, true] {
-            let seq = check_against_reference(&Device::sequential(K40C), &parts, kv);
+            let dev = Device::sequential(K40C);
+            let seq = check_against_reference(&dev, &parts, kv);
+            assert_eq!(
+                labels(&dev),
+                [
+                    "segmented/pre-scan[fused=0,largem=1]",
+                    "segmented/sweep[fused=5,largem=2]",
+                ],
+                "kv={kv}: only the m = 64 segment spans several tiles"
+            );
             for dev in [
                 Device::new(K40C),
                 Device::adversarial(K40C, AdvSchedule::from_seed(9)),

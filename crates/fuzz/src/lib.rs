@@ -68,7 +68,7 @@ use simt::{
 
 /// Upper bound on a uniformly drawn `n`, small enough that a 200-case run
 /// finishes in seconds. Tile-edge draws (`draw_n`) go past it: they come
-/// from the case's real tile (a sweep tile holds 4,096 keys at 8 warps),
+/// from the case's real tile (a sweep tile holds 8,192 keys at 8 warps),
 /// up to [`MAX_TILES`] of them.
 pub const MAX_N: usize = 4096;
 
@@ -1545,8 +1545,9 @@ mod tests {
     }
 
     /// Every generated case, as its replay token, hashed (FNV-1a) over
-    /// seeds 1 and 5000 and the first 5,000 indices: a moved RNG draw or a
-    /// changed token format changes the digest.
+    /// seeds 1 and 5000 and the first 5,000 indices: a moved RNG draw, a
+    /// changed token format or a changed sweep tile (sizes are drawn
+    /// around it) changes the digest.
     #[test]
     fn generator_stream_is_pinned() {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -1557,7 +1558,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(h, 0x708d_0529_497d_2c2c, "digest {h:#018x}");
+        assert_eq!(h, 0xe6b9_16e8_41c1_d31f, "digest {h:#018x}");
     }
 
     #[test]

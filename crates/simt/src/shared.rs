@@ -175,6 +175,16 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
         self.data.borrow_mut()[idx] = v;
     }
 
+    /// The same shared bytes as `U` elements, like a CUDA kernel that
+    /// casts one staging array to another type once it is done with the
+    /// first: the block's budget is not charged again. The old contents
+    /// do not carry over, so a kernel must write every word it reads
+    /// back (here it reads zero, on a GPU the bits of the old type).
+    pub fn recast<U: Scalar>(self) -> SharedBuf<'a, U> {
+        let bytes = self.len() * T::BYTES as usize;
+        SharedBuf::new(bytes / U::BYTES as usize, self.stats)
+    }
+
     /// Zero-cost debug snapshot (host-side inspection in tests).
     pub fn snapshot(&self) -> Vec<T> {
         self.data.borrow().to_vec()
@@ -314,6 +324,19 @@ mod tests {
         buf.ld(lanes_from_fn(|i| i), FULL_MASK);
         assert_eq!(st.smem_ops.get(), 64);
         assert_eq!(st.smem_bank_conflicts.get(), 32);
+    }
+
+    #[test]
+    fn recast_keeps_the_bytes_and_their_banks() {
+        let st = StatCells::default();
+        let words = SharedBuf::<u32>::new(64, &st);
+        let pairs = words.recast::<u64>();
+        assert_eq!(pairs.len(), 32);
+        // Consecutive u64s cost what a freshly allocated u64 buffer does.
+        pairs.st(lanes_from_fn(|i| i), lanes_from_fn(|i| i as u64), FULL_MASK);
+        assert_eq!(st.smem_ops.get(), 64);
+        assert_eq!(st.smem_bank_conflicts.get(), 32);
+        assert_eq!(pairs.recast::<u32>().len(), 64);
     }
 
     #[test]

@@ -21,13 +21,29 @@ use multisplit::{
 use simt::{AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer, K40C};
 
 /// One run's schedule-independent fingerprint: outputs plus, per launch,
-/// the label, counted stats, and look-back resolve count.
+/// the label, block count, counted stats, and look-back resolve count.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     keys: Vec<u32>,
     values: Option<Vec<u32>>,
     offsets: Vec<u32>,
-    launches: Vec<(String, BlockStats, u64)>,
+    launches: Vec<(String, usize, BlockStats, u64)>,
+}
+
+impl Fingerprint {
+    /// Blocks of the run's sweep launch, one per tile.
+    fn sweep_tiles(&self) -> usize {
+        let sweep = self.launches.iter().find(|l| l.0.ends_with("/sweep"));
+        sweep.expect("a fused run launches a sweep").1
+    }
+}
+
+/// Keys in `tiles` full fused sweep tiles for `m` buckets at 8 warps (the
+/// same with or without a 4-byte payload) plus a ragged tail of 5, so a
+/// fused run spans `tiles + 1` tiles.
+fn multi_tile_len(tiles: usize, m: u32) -> usize {
+    let ipt = multisplit::sweep::items_per_thread(8, m as usize, 4, 0).unwrap();
+    tiles * 8 * 32 * ipt + 5
 }
 
 fn run_fingerprint(dev: &Device, method: Method, keys: &[u32], kv: bool, m: u32) -> Fingerprint {
@@ -56,7 +72,12 @@ fn run_fingerprint(dev: &Device, method: Method, keys: &[u32], kv: bool, m: u32)
                 "{}: depth histogram does not sum to the resolve count",
                 rec.label
             );
-            (rec.label.clone(), rec.stats, rec.obs.lookback_resolves)
+            (
+                rec.label.clone(),
+                rec.blocks,
+                rec.stats,
+                rec.obs.lookback_resolves,
+            )
         })
         .collect();
     Fingerprint {
@@ -106,7 +127,8 @@ fn straggler_scan_terminates_and_matches_sequential() {
 /// bit-identical fingerprint.
 #[test]
 fn straggler_multi_row_lookback_terminates_and_matches_sequential() {
-    let keys = gen_keys(6000, 0xAD02);
+    let n = multi_tile_len(2, 64);
+    let keys = gen_keys(n, 0xAD02);
     for kv in [false, true] {
         let seq = run_fingerprint(&Device::sequential(K40C), Method::Fused, &keys, kv, 64);
         let adv = run_fingerprint(
@@ -117,7 +139,8 @@ fn straggler_multi_row_lookback_terminates_and_matches_sequential() {
             64,
         );
         assert_eq!(seq, adv, "kv={kv}: multi-row straggler run diverges");
-        let vals: Vec<u32> = (0..6000).collect();
+        assert_eq!(adv.sweep_tiles(), 3, "kv={kv}");
+        let vals: Vec<u32> = (0..n as u32).collect();
         let (ek, ev, eo) =
             multisplit_kv_ref(&keys, kv.then_some(&vals[..]), &RangeBuckets::new(64));
         assert_eq!(adv.keys, ek, "kv={kv}");
@@ -136,7 +159,8 @@ fn straggler_multi_row_lookback_terminates_and_matches_sequential() {
 /// input.
 #[test]
 fn straggler_fused_histograms_terminate_and_match_sequential() {
-    let keys = gen_keys(6000, 0xAD07);
+    let n = multi_tile_len(2, 13);
+    let keys = gen_keys(n, 0xAD07);
     for (kv, m) in [(false, 32u32), (true, 32), (false, 13)] {
         let seq = run_fingerprint(&Device::sequential(K40C), Method::Fused, &keys, kv, m);
         let adv = run_fingerprint(
@@ -147,7 +171,8 @@ fn straggler_fused_histograms_terminate_and_match_sequential() {
             m,
         );
         assert_eq!(seq, adv, "kv={kv} m={m}: straggler fused run diverges");
-        let vals: Vec<u32> = (0..6000).collect();
+        assert_eq!(adv.sweep_tiles(), 3, "kv={kv} m={m}");
+        let vals: Vec<u32> = (0..n as u32).collect();
         let (ek, ev, eo) = multisplit_kv_ref(&keys, kv.then_some(&vals[..]), &RangeBuckets::new(m));
         assert_eq!(adv.keys, ek, "kv={kv} m={m}");
         assert_eq!(adv.offsets, eo, "kv={kv} m={m}");
@@ -159,10 +184,11 @@ fn straggler_fused_histograms_terminate_and_match_sequential() {
 
 /// Every method under every adversarial flavor agrees with the sequential
 /// device and the CPU reference — outputs, label sequences, counted
-/// per-launch stats, and look-back resolve counts.
+/// per-launch stats, and look-back resolve counts. The input spans two
+/// fused tiles at every m here.
 #[test]
 fn all_methods_agree_with_sequential_under_every_flavor() {
-    let keys = gen_keys(5000, 0xAD03);
+    let keys = gen_keys(multi_tile_len(1, 64), 0xAD03);
     for (method, m) in [
         (Method::Direct, 13u32),
         (Method::WarpLevel, 13),
@@ -175,6 +201,9 @@ fn all_methods_agree_with_sequential_under_every_flavor() {
         let (ek, _, eo) = multisplit_kv_ref(&keys, None, &RangeBuckets::new(m));
         assert_eq!(seq.keys, ek, "{method:?} sequential vs reference");
         assert_eq!(seq.offsets, eo, "{method:?}");
+        if method == Method::Fused {
+            assert_eq!(seq.sweep_tiles(), 2, "m={m}");
+        }
         for flavor in AdvFlavor::ALL {
             let adv = run_fingerprint(
                 &Device::adversarial(K40C, AdvSchedule::with_flavor(0x5EED_0001, flavor)),
@@ -198,10 +227,11 @@ fn all_methods_agree_with_sequential_under_every_flavor() {
 /// the schedule-dependent counters (spin polls, depth histograms).
 #[test]
 fn same_seed_replays_identically() {
-    let keys = gen_keys(5000, 0xAD04);
+    let keys = gen_keys(multi_tile_len(2, 29), 0xAD04);
     let dump = || {
         let dev = Device::adversarial(K40C, AdvSchedule::from_seed(0xD5EED));
         let fp = run_fingerprint(&dev, Method::Fused, &keys, true, 29);
+        assert_eq!(fp.sweep_tiles(), 3);
         let nondet: Vec<(u64, [u64; 16])> = dev
             .records()
             .iter()

@@ -11,8 +11,8 @@ use simt::{Device, K40C};
 
 fn keys_for(_m: u32) -> Vec<u32> {
     // A full-range multiplicative hash: every bucket is populated for every
-    // m under test, and 10,000 elements end on a ragged third tile at
-    // wpb = 8 (4,096-key sweep tiles), so every pipeline runs all of its
+    // m under test, and 10,000 elements end on a ragged second tile at
+    // wpb = 8 (8,192-key sweep tiles), so every pipeline runs all of its
     // launches (an input of one tile is one sweep launch).
     (0..10_000u32).map(|i| i.wrapping_mul(2654435761)).collect()
 }

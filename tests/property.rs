@@ -22,6 +22,29 @@ fn rand_keys(rng: &mut SmallRng, max_len: usize) -> Vec<u32> {
     (0..len).map(|_| rng.next_u32()).collect()
 }
 
+/// Random keys filling one key-only fused sweep tile of `m` buckets at 8
+/// warps and part of a second, ragged one (a tile with a payload is no
+/// longer, so a key-value run spans at least two tiles too).
+fn two_tile_keys(rng: &mut SmallRng, m: u32) -> Vec<u32> {
+    let ipt = multisplit::sweep::items_per_thread(8, m as usize, 0, 0).unwrap();
+    let tile = 8 * 32 * ipt;
+    let len = rng.gen_range(tile + 1..2 * tile);
+    (0..len).map(|_| rng.next_u32()).collect()
+}
+
+/// Panic unless every sweep launch on `dev` ran more than one tile.
+fn assert_multi_tile_sweeps(dev: &Device, ctx: &str) {
+    let records = dev.records();
+    let sweeps: Vec<_> = records
+        .iter()
+        .filter(|r| r.label.ends_with("/sweep"))
+        .collect();
+    assert!(!sweeps.is_empty(), "{ctx}: no sweep launch");
+    for r in sweeps {
+        assert!(r.blocks > 1, "{ctx}: {} ran one tile", r.label);
+    }
+}
+
 /// Self-contained reproducer line for a failing seeded case. Each suite
 /// draws from a fixed seed, so `case` pins the exact inputs: re-run the
 /// test with the loop skipped to `case` (or rebuild the inputs from the
@@ -94,13 +117,12 @@ fn multisplit_kv_matches_reference() {
 fn fused_matches_reference_and_three_kernel_for_every_m() {
     // The fused path's correctness sweep (ISSUE 2): bit-identical to the
     // CPU reference AND the three-kernel pipeline for every m in 1..=32,
-    // key-only and key-value, including a partial final tile (the fused
-    // tile is wpb*32*ipt = 2048 elements at wpb=8, so n = 5000 ends on a
-    // ragged tile). The fused output buffers carry the simulator's
+    // key-only and key-value, on inputs that end on a ragged second
+    // fused tile. The fused output buffers carry the simulator's
     // write-race detector (`tracked()`): any double-write panics here.
     let mut rng = SmallRng::seed_from_u64(0x51ca_000b);
     for m in 1u32..=32 {
-        let keys = rand_keys(&mut rng, 5000);
+        let keys = two_tile_keys(&mut rng, m);
         let values: Vec<u32> = (0..keys.len() as u32).collect();
         let bucket = RangeBuckets::new(m);
         let dev = Device::new(K40C);
@@ -117,6 +139,7 @@ fn fused_matches_reference_and_three_kernel_for_every_m() {
         let fkv = multisplit_device(&dev, Method::Fused, &kbuf, Some(&vbuf), n, &bucket, 8);
         assert_eq!(fkv.keys.to_vec(), ek, "kv m={m}");
         assert_eq!(fkv.values.unwrap().to_vec(), ev, "kv m={m}");
+        assert_multi_tile_sweeps(&dev, &format!("m={m} n={n}"));
     }
 }
 
@@ -176,14 +199,14 @@ fn fused_large_m_matches_reference_and_three_kernel() {
     // bit-identical to the CPU reference AND the three-kernel large-m
     // pipeline, key-only and key-value, for bucket counts spanning the
     // supported range up to the exact shared-memory capacity boundary
-    // (`fused_max_buckets`). Random lengths end on ragged tiles at every
-    // coarsening factor. The fused output buffers carry the simulator's
+    // (`fused_max_buckets`). Random lengths end on a ragged second tile at
+    // every coarsening factor. The fused output buffers carry the simulator's
     // write-race detector (`tracked()`): any double-write panics here.
     let mut rng = SmallRng::seed_from_u64(0x51ca_000c);
     for kv in [false, true] {
         let cap = multisplit::fused_max_buckets(8, kv);
         for m in [33u32, 64, 100, 256, cap] {
-            let keys = rand_keys(&mut rng, 6000);
+            let keys = two_tile_keys(&mut rng, m);
             let n = keys.len();
             let values: Vec<u32> = (0..n as u32).collect();
             let bucket = RangeBuckets::new(m);
@@ -202,6 +225,7 @@ fn fused_large_m_matches_reference_and_three_kernel() {
                 "kv={kv} m={m} vs three-kernel"
             );
             assert_eq!(f.offsets, t.offsets, "kv={kv} m={m} vs three-kernel");
+            assert_multi_tile_sweeps(&dev, &format!("kv={kv} m={m} n={n}"));
             if kv {
                 let fv = f.values.unwrap().to_vec();
                 assert_eq!(fv, ev, "m={m} n={n} values vs reference");

@@ -41,7 +41,8 @@ fn devices() -> Vec<Device> {
 
 /// Run the batch on every scheduler and check each segment against its
 /// own CPU reference; all schedulers must produce bit-identical output.
-fn check_all_schedulers(parts: &[(usize, u32)]) {
+/// Returns the launch labels of the first run.
+fn check_all_schedulers(parts: &[(usize, u32)]) -> Vec<String> {
     let (flat, ranges) = pack(parts);
     let buckets: Vec<RangeBuckets> = parts.iter().map(|&(_, m)| RangeBuckets::new(m)).collect();
     let specs: Vec<SegmentSpec> = ranges
@@ -54,10 +55,14 @@ fn check_all_schedulers(parts: &[(usize, u32)]) {
         })
         .collect();
     let mut outs: Vec<(Vec<u32>, Vec<Vec<u32>>)> = Vec::new();
+    let mut labels = Vec::new();
     for dev in devices() {
         let keys = GlobalBuffer::from_slice(&flat);
         let r = multisplit::multisplit_segmented(&dev, &keys, no_values(), &specs, 8);
         outs.push((r.keys.to_vec(), r.offsets));
+        if labels.is_empty() {
+            labels = dev.records().into_iter().map(|rec| rec.label).collect();
+        }
     }
     let (out, offsets) = &outs[0];
     for (i, (&(off, n), b)) in ranges.iter().zip(&buckets).enumerate() {
@@ -67,6 +72,7 @@ fn check_all_schedulers(parts: &[(usize, u32)]) {
     }
     assert_eq!(outs[0], outs[1], "parallel vs sequential");
     assert_eq!(outs[0], outs[2], "parallel vs adversarial");
+    labels
 }
 
 #[test]
@@ -121,16 +127,22 @@ fn single_element_segments() {
 #[test]
 fn heterogeneous_m_across_segments() {
     // Every class boundary in one batch: m = 1, the warp boundary 32/33,
-    // and a large-m segment, with different tile counts per segment.
+    // and a large-m segment, with different tile counts per segment: at
+    // most 8,192 keys fill a tile, so m = 1 spans three tiles, m = 33 two
+    // and the rest one.
     let parts = [
-        (4096usize, 1u32),
+        (20_000usize, 1u32),
         (4096, 32),
-        (4096, 33),
+        (9000, 33),
         (4096, 17),
         (4096, 256),
         (4096, 5),
     ];
-    check_all_schedulers(&parts);
+    let labels = check_all_schedulers(&parts);
+    assert_eq!(
+        labels[0], "segmented/pre-scan[fused=1,largem=1]",
+        "one multi-tile segment of each class"
+    );
 }
 
 /// The one classification predicate: every `m` up to the warp width
