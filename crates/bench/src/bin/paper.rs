@@ -39,7 +39,9 @@
 //!               large-m section at m=64, a sort section
 //!               radix-vs-ms-sort and a serve section
 //!               naive-vs-coalesced) against
-//!               bench_results/baseline_sectors.json; exits 1 on regression
+//!               bench_results/baseline_sectors.json; exits 1 on regression.
+//!               own option: --update (rewrite the committed baseline from
+//!               current counts)
 //!   fuzz        differential fuzz harness: seeded (n, m, method, distribution,
 //!               schedule) cases across every method, interleaved with ms-sort
 //!               cases (`sort,` tokens) and segmented batches (`seg,` tokens —
@@ -65,21 +67,26 @@
 //!   --n <log2>     input size exponent, below 32 (default 22; the paper uses 25)
 //!   --full         shorthand for the paper's sizes (n=2^25, fig4 n=2^24)
 //!   --json <path>  additionally write every run + report to <path> as JSON
-//!   --update       (check) rewrite the committed baseline from current counts
 //!
-//! An unknown command or option, or a bad value, prints the usage and
-//! exits 2 before anything runs.
+//! Every report lands in `bench_results/<command>.txt` under a header
+//! naming the parameters it ran at and the command that regenerates it;
+//! a report that cannot be written exits 1. An unknown command or
+//! option, or a bad value, prints the usage and exits 2 before anything
+//! runs.
 //! ```
 
+use msbench::report::{size, write_file};
 use msbench::*;
 use simt::{BlockStats, Device, DeviceProfile, Json, Schedule, GTX750TI, K40C};
 
-/// The options every command but `fuzz` and `serve` shares.
+/// The options every report command shares.
 struct Opts {
     n: usize,
     fig4_n: usize,
     json: Option<String>,
-    update: bool,
+    /// The size options in canonical form (`--n 22`, `--full`), for a
+    /// report's regenerate line.
+    args: String,
 }
 
 /// The value after `flag`, parsed; a missing or malformed value is a
@@ -94,9 +101,8 @@ fn value<T: std::str::FromStr>(
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut n_log = 22u32;
-    let mut fig4_log = 20u32;
+    let mut full = false;
     let mut json = None;
-    let mut update = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -110,18 +116,21 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--full" => {
                 n_log = 25;
-                fig4_log = 24;
+                full = true;
             }
             "--json" => json = Some(value(&mut it, "--json")?),
-            "--update" => update = true,
             other => return Err(format!("unknown option {other}")),
         }
     }
     Ok(Opts {
         n: 1 << n_log,
-        fig4_n: 1 << fig4_log,
+        fig4_n: 1 << if full { 24 } else { 20 },
         json,
-        update,
+        args: match (full, n_log) {
+            (true, 25) => "--full".into(),
+            (true, _) => format!("--full --n {n_log}"),
+            (false, _) => format!("--n {n_log}"),
+        },
     })
 }
 
@@ -135,23 +144,11 @@ fn run(opts: &Opts, c: Contender, kv: bool, m: u32, profile: DeviceProfile) -> O
     })
 }
 
-/// Write `body` to `path`, creating its directory; the error names the
-/// file.
-fn write_file(path: &str, body: &str) -> Result<(), String> {
-    let p = std::path::Path::new(path);
-    p.parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(p, body))
-        .map_err(|e| format!("could not write {path}: {e}"))
-}
-
-/// Write `file` under `bench_results/` and say so on stdout.
-fn save(file: &str, body: &str) {
-    let path = format!("bench_results/{file}");
-    match write_file(&path, body) {
-        Ok(()) => println!("[saved {path}]\n"),
-        Err(e) => println!("[warn: {e}]\n"),
-    }
+/// Run `f` on a fresh K40c and take its outcome.
+fn on_k40c(f: impl FnOnce(&Device)) -> Outcome {
+    let dev = Device::new(K40C);
+    f(&dev);
+    Outcome::of(&dev)
 }
 
 /// Write the armed `--json` sink to `path`; a failed write exits 1.
@@ -165,16 +162,28 @@ fn write_sink(path: &str) {
     }
 }
 
-fn emit(name: &str, body: String) {
-    println!("{body}");
-    if metrics::sink_active() {
-        metrics::sink_push(&format!("report:{name}"), Json::Str(body.clone()));
+/// Publish `report` (regenerated by `args`); a report that cannot be
+/// written exits 1.
+fn publish(report: &Report, args: &str) {
+    if let Err(e) = report.publish(args) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
-    save(&format!("{name}.txt"), &body);
 }
 
 /// The parallel and the sequential schedule.
 const PAR_SEQ: [Schedule; 2] = [Schedule::Parallel, Schedule::Sequential];
+
+/// Key-only, then key-value, with their section headings.
+const SCENARIOS: [(bool, &str); 2] = [(false, "key-only"), (true, "key-value")];
+
+/// The paper's four multisplits for m <= 32, in its row order.
+const METHODS: [Contender; 4] = [
+    Contender::Direct,
+    Contender::WarpLevel,
+    Contender::BlockLevel,
+    Contender::ReducedBit,
+];
 
 /// Run `f` on a fresh K40c under each of `schedules` and assert that
 /// every run gives the first one's output and summed counted stats.
@@ -214,9 +223,36 @@ fn assert_schedule_independent<T: PartialEq + std::fmt::Debug>(
     schedules.iter().map(name).collect()
 }
 
+/// Assert that the fused pipeline on `n` uniform keys over `m` buckets
+/// (seed 9) gives the same output and counted stats on the parallel and
+/// the sequential schedule: its look-backs may walk different paths.
+fn fused_schedules_agree(what: &str, n: usize, m: u32) {
+    use multisplit::{multisplit_device, no_values, Method, RangeBuckets};
+    let keys_host = gen_keys(n, m, Distribution::Uniform, 9);
+    let bucket = RangeBuckets::new(m);
+    assert_schedule_independent(what, &PAR_SEQ, |dev| {
+        let keys = simt::GlobalBuffer::from_slice(&keys_host);
+        let r = multisplit_device(dev, Method::Fused, &keys, no_values(), n, &bucket, 8);
+        (r.keys.to_vec(), r.offsets)
+    });
+}
+
+/// `o`'s counted sectors per stage (pre-scan, scan, post-scan, sweep) and
+/// in total, as table cells.
+fn sector_cells(o: &Outcome) -> [String; 5] {
+    let stages = ["pre-scan", "scan", "post-scan", "sweep"].map(|s| o.stage_sectors(s));
+    let [pre, scan, post, sweep] = stages.map(|s| s.to_string());
+    [pre, scan, post, sweep, o.total_sectors().to_string()]
+}
+
+/// How much less `sectors` is than `base`, as a percentage cell.
+fn saved(sectors: u64, base: u64) -> String {
+    format!("{:.1}%", 100.0 * (1.0 - sectors as f64 / base as f64))
+}
+
 // ====================== Table 3 ======================
 
-fn table3(opts: &Opts) {
+fn table3(opts: &Opts) -> Report {
     let n = opts.n;
     let mut t = Table::new(&[
         "Method",
@@ -249,25 +285,26 @@ fn table3(opts: &Opts) {
             pr.into(),
         ]);
     }
-    emit(
+    let mut r = Report::new(
         "table3",
-        format!(
-            "Table 3: common approaches, n = 2^{} (paper: n = 2^25), uniform over 2 buckets\n{}",
-            n.ilog2(),
-            t.render()
-        ),
+        "Table 3: common approaches (paper: n = 2^25), uniform over 2 buckets",
+        &[n],
+        &[1000, 2000],
     );
+    r.table(t);
+    r
 }
 
 // ====================== Table 4 ======================
 
-fn table4(opts: &Opts) {
-    let mut out = format!(
-        "Table 4: per-stage average running time (ms), n = 2^{}\n",
-        opts.n.ilog2()
+fn table4(opts: &Opts) -> Report {
+    let mut r = Report::new(
+        "table4",
+        "Table 4: per-stage average running time (ms)",
+        &[opts.n],
+        &[1000],
     );
-    for kv in [false, true] {
-        let scenario = if kv { "key-value" } else { "key-only" };
+    for (kv, scenario) in SCENARIOS {
         let mut t = Table::new(&["Algorithm", "Stage", "m=2", "m=8", "m=32"]);
         let ms_stages = [
             ("pre-scan", "pre-scan"),
@@ -306,9 +343,10 @@ fn table4(opts: &Opts) {
             let runs = [2u32, 8, 32].map(|m| run(opts, c, kv, m, K40C));
             stage_rows(&mut t, name, &runs, stages, c == Contender::ReducedBit);
         }
-        out.push_str(&format!("\n== {scenario} ==\n{}", t.render()));
+        r.heading(scenario);
+        r.table(t);
     }
-    emit("table4", out);
+    r
 }
 
 /// Table 4 stages as `(stage, row label)`.
@@ -330,139 +368,131 @@ fn stage_rows(t: &mut Table, name: &str, runs: &[Outcome], stages: Stages, skip_
 
 // ====================== Table 5 ======================
 
-fn table5(opts: &Opts) {
+fn table5(opts: &Opts) -> Report {
     let n = opts.n;
-    let mut out = format!(
-        "Table 5: processing rate (G keys/s), n = 2^{}, uniform distribution\n\
-         (speed of light on K40c: 24.0 key-only / 14.4 key-value, §6.2.2)\n",
-        n.ilog2()
+    let mut r = Report::new(
+        "table5",
+        "Table 5: processing rate (G keys/s), uniform distribution\n\
+         (speed of light on K40c: 24.0 key-only / 14.4 key-value, §6.2.2)",
+        &[n],
+        &[1000],
     );
-    for kv in [false, true] {
-        let scenario = if kv { "key-value" } else { "key-only" };
-        let mut t = Table::new(&["Algorithm", "m=2", "m=4", "m=8", "m=16", "m=32"]);
-        for (c, name) in [
-            (Contender::Direct, "Direct MS"),
-            (Contender::WarpLevel, "Warp-level MS"),
-            (Contender::BlockLevel, "Block-level MS"),
-            (Contender::ReducedBit, "Reduced-bit sort"),
-        ] {
-            let mut row = vec![name.to_string()];
-            for m in [2u32, 4, 8, 16, 32] {
-                let o = run(opts, c, kv, m, K40C);
-                row.push(format!("{:.2}", o.gkeys(n)));
-            }
-            t.row(row);
-        }
-        out.push_str(&format!("\n== {scenario} ==\n{}", t.render()));
+    for (kv, scenario) in SCENARIOS {
+        r.heading(scenario);
+        r.table(m_table(opts, kv, K40C, |_, o| format!("{:.2}", o.gkeys(n))));
     }
-    emit("table5", out);
+    r
 }
 
 // ====================== Table 6 ======================
 
-fn table6(opts: &Opts) {
-    let mut out = format!("Table 6: speedup vs radix sort, n = 2^{}\n", opts.n.ilog2());
+fn table6(opts: &Opts) -> Report {
+    let mut r = Report {
+        profiles: vec![K40C.name, GTX750TI.name],
+        ..Report::new(
+            "table6",
+            "Table 6: speedup vs radix sort",
+            &[opts.n],
+            &[1000],
+        )
+    };
     for (profile, pname) in [
         (K40C, "Tesla K40c (Kepler)"),
         (GTX750TI, "GTX 750 Ti (Maxwell)"),
     ] {
-        for kv in [false, true] {
-            let scenario = if kv { "key-value" } else { "key-only" };
-            let mut t = Table::new(&["Algorithm", "m=2", "m=4", "m=8", "m=16", "m=32"]);
-            let radix: Vec<f64> = [2u32, 4, 8, 16, 32]
-                .iter()
-                .map(|&m| run(opts, Contender::RadixSort, kv, m, profile).total)
-                .collect();
-            for (c, name) in [
-                (Contender::Direct, "Direct MS"),
-                (Contender::WarpLevel, "Warp-level MS"),
-                (Contender::BlockLevel, "Block-level MS"),
-                (Contender::ReducedBit, "Reduced-bit sort"),
-            ] {
-                let mut row = vec![name.to_string()];
-                for (i, m) in [2u32, 4, 8, 16, 32].iter().enumerate() {
-                    let o = run(opts, c, kv, *m, profile);
-                    row.push(format!("{:.2}x", radix[i] / o.total));
-                }
-                t.row(row);
-            }
-            out.push_str(&format!("\n== {pname}, {scenario} ==\n{}", t.render()));
+        for (kv, scenario) in SCENARIOS {
+            let radix = TABLE_MS.map(|m| run(opts, Contender::RadixSort, kv, m, profile).total);
+            r.heading(format!("{pname}, {scenario}"));
+            r.table(m_table(opts, kv, profile, |i, o| {
+                format!("{:.2}x", radix[i] / o.total)
+            }));
         }
     }
-    emit("table6", out);
+    r
+}
+
+/// The bucket counts of Tables 5 and 6.
+const TABLE_MS: [u32; 5] = [2, 4, 8, 16, 32];
+
+/// A Table 5/6 body: a row per method of [`METHODS`], a column per m of
+/// [`TABLE_MS`], and in each cell `cell(column, run)`.
+fn m_table(
+    opts: &Opts,
+    kv: bool,
+    profile: DeviceProfile,
+    cell: impl Fn(usize, &Outcome) -> String,
+) -> Table {
+    let mut t = Table::new(&["Algorithm", "m=2", "m=4", "m=8", "m=16", "m=32"]);
+    for c in METHODS {
+        let runs = TABLE_MS.iter().map(|&m| run(opts, c, kv, m, profile));
+        t.row(
+            [c.name()]
+                .into_iter()
+                .chain(runs.enumerate().map(|(i, o)| cell(i, &o)))
+                .collect(),
+        );
+    }
+    t
 }
 
 // ====================== Table 1 (granularity) ======================
 
-fn table1(opts: &Opts) {
-    use multisplit::{multisplit_block_level, multisplit_direct, no_values, RangeBuckets};
-    use simt::{Device, GlobalBuffer};
-    let n = opts.n;
-    let mut out = format!(
-        "Table 1: local granularity vs global-operation size, n = 2^{}, m = 16\n\
-         (thread-level follows He et al. [14] with T = {} elements/thread)\n\n",
-        n.ilog2(),
-        baselines::THREAD_COARSENING
+fn table1(opts: &Opts) -> Report {
+    use multisplit::{no_values, RangeBuckets};
+    let (n, m, seed) = (opts.n, 16u32, 31);
+    let t_elems = baselines::THREAD_COARSENING;
+    let mut r = Report::new(
+        "table1",
+        format!(
+            "Table 1: local granularity vs global-operation size, m = {m}\n\
+             (thread-level follows He et al. [14] with T = {t_elems} elements/thread)"
+        ),
+        &[n],
+        &[seed],
     );
-    let m = 16u32;
-    let keys_host = gen_keys(n, m, Distribution::Uniform, 31);
-    let bucket = RangeBuckets::new(m);
-    let mut t = Table::new(&["granularity", "H entries", "scan (ms)", "total (ms)"]);
-    let scan_ms = |dev: &Device| {
-        dev.records()
-            .iter()
-            .filter(|r| stage_of(&r.label) == "scan")
-            .map(|r| r.seconds)
-            .sum::<f64>()
-            * 1e3
+    let keys = simt::GlobalBuffer::from_slice(&gen_keys(n, m, Distribution::Uniform, seed));
+    let thread = on_k40c(|dev| {
+        baselines::multisplit_thread_level(dev, &keys, no_values(), n, &RangeBuckets::new(m), 8);
+    });
+    let split = |c| {
+        run_contender(&Run {
+            seed,
+            ..Run::new(c, n, m)
+        })
     };
-    {
-        let dev = Device::new(K40C);
-        let keys = GlobalBuffer::from_slice(&keys_host);
-        baselines::multisplit_thread_level(&dev, &keys, no_values(), n, &bucket, 8);
-        let l = n.div_ceil(baselines::THREAD_COARSENING);
+    let mut t = Table::new(&["granularity", "H entries", "scan (ms)", "total (ms)"]);
+    for (name, sub, o) in [
+        ("thread (m x n/T)", t_elems, thread),
+        ("warp (m x n/32)", 32, split(Contender::Direct)),
+        ("block (m x n/256)", 256, split(Contender::BlockLevel)),
+    ] {
         t.row(vec![
-            "thread (m x n/T)".into(),
-            (m as usize * l).to_string(),
-            format!("{:.3}", scan_ms(&dev)),
-            ms(dev.total_seconds()),
+            name.into(),
+            (m as usize * n.div_ceil(sub)).to_string(),
+            format!("{:.3}", o.stage("scan") * 1e3),
+            ms(o.total),
         ]);
     }
-    {
-        let dev = Device::new(K40C);
-        let keys = GlobalBuffer::from_slice(&keys_host);
-        multisplit_direct(&dev, &keys, no_values(), n, &bucket, 8);
-        t.row(vec![
-            "warp (m x n/32)".into(),
-            (m as usize * n.div_ceil(32)).to_string(),
-            format!("{:.3}", scan_ms(&dev)),
-            ms(dev.total_seconds()),
-        ]);
-    }
-    {
-        let dev = Device::new(K40C);
-        let keys = GlobalBuffer::from_slice(&keys_host);
-        multisplit_block_level(&dev, &keys, no_values(), n, &bucket, 8);
-        t.row(vec![
-            "block (m x n/256)".into(),
-            (m as usize * n.div_ceil(256)).to_string(),
-            format!("{:.3}", scan_ms(&dev)),
-            ms(dev.total_seconds()),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str("\nLarger subproblems shrink the global stage (Table 1's point); the\nper-element local work grows instead — the paper's central trade.\n");
-    emit("table1", out);
+    r.table(t);
+    r.note(
+        "\nLarger subproblems shrink the global stage (Table 1's point); the\n\
+         per-element local work grows instead — the paper's central trade.",
+    );
+    r
 }
 
 // ====================== Figure 2 ======================
 
-fn fig2(_opts: &Opts) {
+fn fig2(_opts: &Opts) -> Report {
     use multisplit::{BucketFn, RangeBuckets};
-    let mut out = String::from(
+    let n = 1 << 16;
+    let mut r = Report::new(
+        "fig2",
         "Figure 2: write-order bucket streams for one 256-element window\n\
          (each char = the bucket id of the next element written; runs of\n\
-          equal digits are coalesced writes)\n",
+          equal digits are coalesced writes)",
+        &[256, n],
+        &[7],
     );
     for m in [2u32, 8] {
         let keys = gen_keys(256, m, Distribution::Uniform, 7);
@@ -486,24 +516,13 @@ fn fig2(_opts: &Opts) {
         let mut block = ids.clone();
         block.sort_by_key(|&b| b);
         let runs = |seq: &[u32]| seq.windows(2).filter(|w| w[0] != w[1]).count() + 1;
-        out.push_str(&format!("\n== {m} buckets ==\n"));
-        out.push_str(&format!(
-            "input    ({:3} runs): {}\n",
-            runs(&direct),
-            render(&direct)
-        ));
-        out.push_str(&format!(
-            "warp  MS ({:3} runs): {}\n",
-            runs(&warp),
-            render(&warp)
-        ));
-        out.push_str(&format!(
-            "block MS ({:3} runs): {}\n",
-            runs(&block),
-            render(&block)
-        ));
+        r.heading(format!("{m} buckets"));
+        let mut lines = vec![
+            format!("input    ({:3} runs): {}", runs(&direct), render(&direct)),
+            format!("warp  MS ({:3} runs): {}", runs(&warp), render(&warp)),
+            format!("block MS ({:3} runs): {}", runs(&block), render(&block)),
+        ];
         // Confirm with measured store behaviour.
-        let n = 1 << 16;
         for (c, name) in [
             (Contender::Direct, "direct"),
             (Contender::WarpLevel, "warp"),
@@ -513,25 +532,27 @@ fn fig2(_opts: &Opts) {
                 seed: 7,
                 ..Run::new(c, n, m)
             });
-            out.push_str(&format!(
-                "measured {name:>6}: post-scan {:.3} ms for n=2^16\n",
-                o.stage("post-scan") * 1e3
+            lines.push(format!(
+                "measured {name:>6}: post-scan {:.3} ms for n={}",
+                o.stage("post-scan") * 1e3,
+                size(n)
             ));
         }
+        r.note(lines.join("\n"));
     }
-    emit("fig2", out);
+    r
 }
 
 // ====================== Figure 3 ======================
 
-fn fig3(opts: &Opts) {
-    let n = opts.n;
-    let mut out = format!(
-        "Figure 3: average running time (ms) vs number of buckets, n = 2^{}\n",
-        n.ilog2()
+fn fig3(opts: &Opts) -> Report {
+    let mut r = Report::new(
+        "fig3",
+        "Figure 3: average running time (ms) vs number of buckets",
+        &[opts.n],
+        &[1000],
     );
-    for kv in [false, true] {
-        let scenario = if kv { "key-value" } else { "key-only" };
+    for (kv, scenario) in SCENARIOS {
         let mut t = Table::new(&[
             "m",
             "Direct",
@@ -542,47 +563,40 @@ fn fig3(opts: &Opts) {
         ]);
         let mut crossover_block = None;
         for m in 1..=32u32 {
-            let d = run(opts, Contender::Direct, kv, m, K40C).total;
-            let w = run(opts, Contender::WarpLevel, kv, m, K40C).total;
-            let b = run(opts, Contender::BlockLevel, kv, m, K40C).total;
-            let r = run(opts, Contender::ReducedBit, kv, m, K40C).total;
-            let best = [("direct", d), ("warp", w), ("block", b), ("reduced", r)]
-                .into_iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
+            let times = METHODS.map(|c| run(opts, c, kv, m, K40C).total);
+            let best = (0..times.len())
+                .min_by(|&a, &b| times[a].total_cmp(&times[b]))
                 .unwrap();
-            if best.0 == "block" && crossover_block.is_none() {
+            let best = ["direct", "warp", "block", "reduced"][best];
+            if best == "block" && crossover_block.is_none() {
                 crossover_block = Some(m);
             }
-            t.row(vec![
-                m.to_string(),
-                ms(d),
-                ms(w),
-                ms(b),
-                ms(r),
-                best.0.into(),
-            ]);
+            let cells = times.map(ms).into_iter().chain([best.into()]);
+            t.row([m.to_string()].into_iter().chain(cells).collect());
         }
-        out.push_str(&format!("\n== {scenario} ==\n{}", t.render()));
+        r.heading(scenario);
+        r.table(t);
         if let Some(m) = crossover_block {
-            out.push_str(&format!(
-                "block-level becomes fastest at m = {m} (paper: >= {} for {scenario})\n",
+            r.note(format!(
+                "block-level becomes fastest at m = {m} (paper: >= {} for {scenario})",
                 if kv { 16 } else { 22 }
             ));
         }
     }
-    emit("fig3", out);
+    r
 }
 
 // ====================== Figure 4 ======================
 
-fn fig4(opts: &Opts) {
+fn fig4(opts: &Opts) -> Report {
     let n = opts.n.min(opts.fig4_n);
-    let mut out = format!(
-        "Figure 4: m > 32 — block-level MS vs reduced-bit sort, n = 2^{}\n",
-        n.ilog2()
+    let mut r = Report::new(
+        "fig4",
+        "Figure 4: m > 32 — block-level MS vs reduced-bit sort",
+        &[n],
+        &[4000, 4100, 4200],
     );
-    for kv in [false, true] {
-        let scenario = if kv { "key-value" } else { "key-only" };
+    for (kv, scenario) in SCENARIOS {
         let time = |c, m, seed| {
             run_contender(&Run {
                 key_value: kv,
@@ -620,26 +634,28 @@ fn fig4(opts: &Opts) {
             let r = time(Contender::ReducedBit, m, 4200);
             t.row(vec![m.to_string(), b, ms(r), ms(radix)]);
         }
-        out.push_str(&format!("\n== {scenario} ==\n{}", t.render()));
+        r.heading(scenario);
+        r.table(t);
         if let Some(m) = block_conv {
-            out.push_str(&format!(
-                "block-level MS exceeds the radix-sort limit near m = {m} (paper: {})\n",
+            r.note(format!(
+                "block-level MS exceeds the radix-sort limit near m = {m} (paper: {})",
                 if kv { 224 } else { 192 }
             ));
         }
     }
-    emit("fig4", out);
+    r
 }
 
 // ====================== Figure 5 ======================
 
-fn fig5(opts: &Opts) {
-    let mut out = format!(
-        "Figure 5: initial key distribution effects, n = 2^{} (block-level MS and reduced-bit sort)\n",
-        opts.n.ilog2()
+fn fig5(opts: &Opts) -> Report {
+    let mut r = Report::new(
+        "fig5",
+        "Figure 5: initial key distribution effects (block-level MS and reduced-bit sort)",
+        &[opts.n],
+        &[5000],
     );
-    for kv in [false, true] {
-        let scenario = if kv { "key-value" } else { "key-only" };
+    for (kv, scenario) in SCENARIOS {
         let mut t = Table::new(&[
             "m",
             "block uniform",
@@ -668,47 +684,66 @@ fn fig5(opts: &Opts) {
             }
             t.row(row);
         }
-        out.push_str(&format!("\n== {scenario} ==\n{}", t.render()));
+        r.heading(scenario);
+        r.table(t);
     }
-    out.push_str("\nExpected shape: both methods get faster as the distribution skews (less\nintermediate movement, better write locality); uniform is the worst case.\n");
-    emit("fig5", out);
+    r.note(
+        "\nExpected shape: both methods get faster as the distribution skews (less\n\
+         intermediate movement, better write locality); uniform is the worst case.",
+    );
+    r
 }
 
 // ====================== Speed of light ======================
 
-fn light(opts: &Opts) {
+fn light(opts: &Opts) -> Report {
     let n = opts.n;
-    let mut out = String::from(
-        "Speed of light (§6.2.2): 3 (key) / 5 (key-value) coalesced accesses per element\n\n",
-    );
+    let mut r = Report {
+        profiles: vec![K40C.name, GTX750TI.name],
+        ..Report::new(
+            "light",
+            "Speed of light (§6.2.2): 3 (key) / 5 (key-value) coalesced accesses per element",
+            &[n],
+            &[1000],
+        )
+    };
+    let mut lines = Vec::new();
     for (profile, pname) in [(K40C, "K40c"), (GTX750TI, "GTX 750 Ti")] {
         for kv in [false, true] {
             let sol = profile.speed_of_light_gkeys(kv);
             let o = run(opts, Contender::WarpLevel, kv, 2, profile);
             let rate = o.gkeys(n);
-            out.push_str(&format!(
-                "{pname:>10} {:>9}: light = {sol:5.1} Gkeys/s, warp-level m=2 achieves {rate:5.2} ({:.0}% of light)\n",
+            lines.push(format!(
+                "{pname:>10} {:>9}: light = {sol:5.1} Gkeys/s, warp-level m=2 achieves {rate:5.2} ({:.0}% of light)",
                 if kv { "key-value" } else { "key-only" },
                 100.0 * rate / sol
             ));
         }
     }
-    out.push_str("\nPaper: peak 10.04 Gkeys/s key-only (42% of light) on the K40c.\n");
-    emit("light", out);
+    r.note(lines.join("\n"));
+    r.note("\nPaper: peak 10.04 Gkeys/s key-only (42% of light) on the K40c.");
+    r
 }
 
 // ====================== SSSP (footnote 1) ======================
 
-fn sssp_experiment(_opts: &Opts) {
+fn sssp_experiment(_opts: &Opts) -> Report {
     use simt::Device;
     use sssp::{delta_stepping, dijkstra, footnote1_suite, Bucketing};
-    let mut out = String::from(
-        "SSSP delta-stepping: bucketing strategy comparison (paper footnote 1)\n\
+    let seed = 42;
+    let mut r = Report {
+        schedule: "sequential",
+        ..Report::new(
+            "sssp",
+            "SSSP delta-stepping: bucketing strategy comparison (paper footnote 1)\n\
          Graphs are seeded generator stand-ins for flickr / yahoo-social /\n\
          rmat / GBF-like; times are simulated-device totals on the\n\
-         sequential schedule, so the report repeats byte for byte.\n\n",
-    );
-    let suite = footnote1_suite(32, 42);
+         sequential schedule, so the report repeats byte for byte.",
+            &[],
+            &[seed],
+        )
+    };
+    let suite = footnote1_suite(32, seed);
     let strategies = [
         Bucketing::Multisplit { m: 2 },
         Bucketing::Multisplit { m: 10 },
@@ -732,9 +767,9 @@ fn sssp_experiment(_opts: &Opts) {
         let mut totals = Vec::new();
         for s in strategies {
             let dev = Device::sequential(K40C);
-            let r = delta_stepping(&dev, g, 0, 32, s);
+            let res = delta_stepping(&dev, g, 0, 32, s);
             assert_eq!(
-                r.dist,
+                res.dist,
                 reference,
                 "{name}/{} disagrees with Dijkstra",
                 s.name()
@@ -744,39 +779,44 @@ fn sssp_experiment(_opts: &Opts) {
                 g.num_nodes().to_string(),
                 g.num_edges().to_string(),
                 s.name(),
-                r.iterations.to_string(),
-                ms(r.bucketing_seconds),
-                ms(r.total_seconds),
+                res.iterations.to_string(),
+                ms(res.bucketing_seconds),
+                ms(res.total_seconds),
             ]);
-            totals.push(r.total_seconds);
+            totals.push(res.total_seconds);
         }
         geo_nf += (totals[2] / totals[0]).ln();
         geo_sort += (totals[3] / totals[0]).ln();
     }
     let k = suite.len() as f64;
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nGeometric-mean speedup of multisplit(m=2) bucketing:\n  vs near-far: {:.2}x (paper: 1.3x)\n  vs radix-sort bucketing: {:.2}x (paper: 2.1x)\n",
+    r.table(t);
+    r.note(format!(
+        "\nGeometric-mean speedup of multisplit(m=2) bucketing:\n  vs near-far: {:.2}x (paper: 1.3x)\n  vs radix-sort bucketing: {:.2}x (paper: 2.1x)",
         (geo_nf / k).exp(),
         (geo_sort / k).exp()
     ));
-    emit("sssp", out);
+    r
 }
 
 // ====================== Randomized sweep ======================
 
 /// Runs on the sequential schedule: the dart throws' collisions, and so
 /// the counted stats, depend on how the blocks interleave.
-fn randomized(opts: &Opts) {
-    msbench::with_run_schedule(Schedule::Sequential, || randomized_report(opts));
+fn randomized(opts: &Opts) -> Report {
+    msbench::with_run_schedule(Schedule::Sequential, || randomized_report(opts))
 }
 
-fn randomized_report(opts: &Opts) {
+fn randomized_report(opts: &Opts) -> Report {
     let n = opts.n.min(1 << 22);
-    let mut out = format!(
-        "Randomized dart-throwing insertion (§3.5), n = 2^{}, m = 8, sequential schedule\n\n",
-        n.ilog2()
-    );
+    let mut r = Report {
+        schedule: "sequential",
+        ..Report::new(
+            "randomized",
+            "Randomized dart-throwing insertion (§3.5), m = 8",
+            &[n],
+            &[6000, 6100],
+        )
+    };
     let radix = run_contender(&Run {
         seed: 6000,
         ..Run::new(Contender::RadixSort, n, 8)
@@ -805,24 +845,29 @@ fn randomized_report(opts: &Opts) {
             },
         ]);
     }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nBest x = {best_x} ({} ms); radix = {} ms. Paper: best at x = 2, ~2x slower than radix.\n",
+    r.table(t);
+    r.note(format!(
+        "\nBest x = {best_x} ({} ms); radix = {} ms. Paper: best at x = 2, ~2x slower than radix.",
         ms(best),
         ms(radix)
     ));
-    emit("randomized", out);
+    r
 }
 
 // ====================== Ablations ======================
 
-fn ablate(opts: &Opts) {
+fn ablate(opts: &Opts) -> Report {
     let n = opts.n.min(1 << 22);
-    let mut out = format!("Design-choice ablations, n = 2^{}\n", n.ilog2());
+    let mut r = Report::new(
+        "ablate",
+        "Design-choice ablations",
+        &[n],
+        &[7000, 11, 17, 13],
+    );
 
     // (a) Warps per block (paper §6: N_W=2 is 1.4x slower for warp-level,
     //     2x for block-level).
-    out.push_str("\n== warps per block (N_W), m = 16, key-only ==\n");
+    r.heading("warps per block (N_W), m = 16, key-only");
     let mut t = Table::new(&["N_W", "Warp-level (ms)", "Block-level (ms)"]);
     let mut base_w = 0.0;
     let mut base_b = 0.0;
@@ -841,115 +886,95 @@ fn ablate(opts: &Opts) {
         }
         t.row(vec![wpb.to_string(), ms(w), ms(b)]);
     }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "N_W=8 is the paper's default; slowdowns vs it are shown above (base {} / {} ms)\n",
+    r.table(t);
+    r.note(format!(
+        "N_W=8 is the paper's default; slowdowns vs it are shown above (base {} / {} ms)",
         ms(base_w),
         ms(base_b)
     ));
 
     // (b) Reduced-bit key-value: packed u64 vs (label, index) + gather.
-    out.push_str("\n== reduced-bit key-value: packed vs index permute (§3.4) ==\n");
-    {
-        use multisplit::RangeBuckets;
-        use simt::{Device, GlobalBuffer};
-        let mut t = Table::new(&["m", "packed (ms)", "index (ms)", "index permute waste (MB)"]);
-        for m in [4u32, 16, 64] {
-            let keys_host = gen_keys(n, m, Distribution::Uniform, 11);
-            let vals = gen_values(n);
-            let keys = GlobalBuffer::from_slice(&keys_host);
-            let values = GlobalBuffer::from_slice(&vals);
+    use multisplit::{no_values, RangeBuckets};
+    use simt::GlobalBuffer;
+    r.heading("reduced-bit key-value: packed vs index permute (§3.4)");
+    let mut t = Table::new(&["m", "packed (ms)", "index (ms)", "index permute waste (MB)"]);
+    for m in [4u32, 16, 64] {
+        let packed = run_contender(&Run {
+            key_value: true,
+            seed: 11,
+            ..Run::new(Contender::ReducedBit, n, m)
+        });
+        let keys = GlobalBuffer::from_slice(&gen_keys(n, m, Distribution::Uniform, 11));
+        let values = GlobalBuffer::from_slice(&gen_values(n));
+        let index = on_k40c(|dev| {
             let bucket = RangeBuckets::new(m);
-            let dev_p = Device::new(K40C);
-            baselines::reduced_bit_multisplit_kv(
-                &dev_p,
-                baselines::ReducedBitStrategy::MsSort,
-                &keys,
-                &values,
-                n,
-                &bucket,
-                8,
-            );
-            let dev_i = Device::new(K40C);
-            baselines::reduced_bit_multisplit_kv_by_index(&dev_i, &keys, &values, n, &bucket, 8);
-            let waste: u64 = dev_i
-                .records()
-                .iter()
-                .filter(|r| r.label.contains("permute"))
-                .map(|r| r.stats.wasted_bytes())
-                .sum();
-            t.row(vec![
-                m.to_string(),
-                ms(dev_p.total_seconds()),
-                ms(dev_i.total_seconds()),
-                format!("{:.1}", waste as f64 / 1e6),
-            ]);
-        }
-        out.push_str(&t.render());
+            baselines::reduced_bit_multisplit_kv_by_index(dev, &keys, &values, n, &bucket, 8);
+        });
+        let waste = index.sum(|r| match r.label.contains("permute") {
+            true => r.stats.wasted_bytes(),
+            false => 0,
+        });
+        t.row(vec![
+            m.to_string(),
+            ms(packed.total),
+            ms(index.total),
+            format!("{:.1}", waste as f64 / 1e6),
+        ]);
     }
+    r.table(t);
 
     // (c) Ranking mechanism: ballot bitmaps (paper Alg. 2-3) vs Patidar's
     //     shared-atomic counters (§2), same pipeline otherwise.
-    out.push_str("\n== ranking mechanism: ballot bitmaps vs shared atomics ==\n");
-    {
-        use multisplit::{multisplit_block_level, no_values, RangeBuckets};
-        use simt::{Device, GlobalBuffer};
-        let mut t = Table::new(&["m", "ballot (ms)", "atomic (ms)", "atomic smem passes (M)"]);
-        for m in [2u32, 8, 32, 128] {
-            let keys_host = gen_keys(n, m, Distribution::Uniform, 17);
-            let keys = GlobalBuffer::from_slice(&keys_host);
+    r.heading("ranking mechanism: ballot bitmaps vs shared atomics");
+    let mut t = Table::new(&["m", "ballot (ms)", "atomic (ms)", "atomic smem passes (M)"]);
+    for m in [2u32, 8, 32, 128] {
+        let c = if m <= 32 {
+            Contender::BlockLevel
+        } else {
+            Contender::LargeM
+        };
+        let ballot = run_contender(&Run {
+            seed: 17,
+            ..Run::new(c, n, m)
+        });
+        let keys = GlobalBuffer::from_slice(&gen_keys(n, m, Distribution::Uniform, 17));
+        let atomic = on_k40c(|dev| {
             let bucket = RangeBuckets::new(m);
-            let ballot = if m <= 32 {
-                let dev = Device::new(K40C);
-                multisplit_block_level(&dev, &keys, no_values(), n, &bucket, 8);
-                ms(dev.total_seconds())
-            } else {
-                let dev = Device::new(K40C);
-                multisplit::multisplit_large_m(&dev, &keys, no_values(), n, &bucket, 8);
-                ms(dev.total_seconds())
-            };
-            let dev = Device::new(K40C);
-            baselines::multisplit_block_atomic(&dev, &keys, no_values(), n, &bucket, 8);
-            // Shared-atomic serialization shows up as extra bank passes.
-            let smem: u64 = dev.records().iter().map(|r| r.stats.smem_ops).sum();
-            t.row(vec![
-                m.to_string(),
-                ballot,
-                ms(dev.total_seconds()),
-                format!("{:.1}", smem as f64 / 1e6),
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push_str("ballot ranking is contention-free; atomics serialize same-bucket lanes\n(the paper's reason to prefer warp-synchronous schemes, lesson 3).\n");
+            baselines::multisplit_block_atomic(dev, &keys, no_values(), n, &bucket, 8);
+        });
+        // Shared-atomic serialization shows up as extra bank passes.
+        let smem = atomic.sum(|r| r.stats.smem_ops);
+        t.row(vec![
+            m.to_string(),
+            ms(ballot.total),
+            ms(atomic.total),
+            format!("{:.1}", smem as f64 / 1e6),
+        ]);
     }
+    r.table(t);
+    r.note(
+        "ballot ranking is contention-free; atomics serialize same-bucket lanes\n\
+         (the paper's reason to prefer warp-synchronous schemes, lesson 3).",
+    );
 
     // (d) Reordering on/off is Direct vs Warp-level with identical address
     //     sets: compare store replays.
-    out.push_str("\n== reordering ablation: store replays per warp (m = 2) ==\n");
-    {
-        use multisplit::{multisplit_direct, multisplit_warp_level, no_values, RangeBuckets};
-        use simt::{Device, GlobalBuffer};
-        let keys_host = gen_keys(n, 2, Distribution::Uniform, 13);
-        let keys = GlobalBuffer::from_slice(&keys_host);
-        let bucket = RangeBuckets::new(2);
-        let replays = |dev: &Device, prefix: &str| -> u64 {
-            dev.records()
-                .iter()
-                .filter(|r| r.label.starts_with(prefix))
-                .map(|r| r.stats.replays)
-                .sum()
-        };
-        let dev_d = Device::new(K40C);
-        multisplit_direct(&dev_d, &keys, no_values(), n, &bucket, 8);
-        let dev_w = Device::new(K40C);
-        multisplit_warp_level(&dev_w, &keys, no_values(), n, &bucket, 8);
-        out.push_str(&format!(
-            "direct post-scan replays: {}\nwarp   post-scan replays: {} (same address set, lane-contiguous order)\n",
-            replays(&dev_d, "direct/post-scan"),
-            replays(&dev_w, "warp/post-scan"),
-        ));
-    }
-    emit("ablate", out);
+    r.heading("reordering ablation: store replays per warp (m = 2)");
+    let [direct, warp] = [Contender::Direct, Contender::WarpLevel].map(|c| {
+        let o = run_contender(&Run {
+            seed: 13,
+            ..Run::new(c, n, 2)
+        });
+        o.sum(|r| match stage_of(&r.label) {
+            "post-scan" => r.stats.replays,
+            _ => 0,
+        })
+    });
+    r.note(format!(
+        "direct post-scan replays: {direct}\n\
+         warp   post-scan replays: {warp} (same address set, lane-contiguous order)"
+    ));
+    r
 }
 
 // ====================== Scan strategy comparison ======================
@@ -968,18 +993,26 @@ fn ablate(opts: &Opts) {
 /// [`primitives::recursive_scan_u32`]: a scan's counted stats depend only
 /// on its length, and the post-scan consumes nothing but the scanned
 /// histogram, so matching scan outputs mean matching multisplits.
-fn scan_compare(opts: &Opts) {
+fn scan_compare(opts: &Opts) -> Report {
     use multisplit::{check_multisplit, multisplit_device, no_values, Method, RangeBuckets};
     use simt::GlobalBuffer;
     // Capped at the claim's 2^20, but honoring smaller --n (CI smoke runs).
     let n: usize = opts.n.min(1 << 20);
     let m = 32u32;
-    let mut out = format!(
-        "Scan strategy: single-pass chained (decoupled lookback) vs recursive\n\
-         n = 2^{}, m = {m}, sequential K40c; scan stage = every */scan-* launch\n\n",
-        n.ilog2()
-    );
-    let keys_host = gen_keys(n, m, Distribution::Uniform, 7);
+    let seed = 7;
+    let mut r = Report {
+        schedule: "sequential",
+        ..Report::new(
+            "scan",
+            format!(
+                "Scan strategy: single-pass chained (decoupled lookback) vs recursive\n\
+             m = {m}; scan stage = every */scan-* launch"
+            ),
+            &[n],
+            &[seed],
+        )
+    };
+    let keys_host = gen_keys(n, m, Distribution::Uniform, seed);
     let bucket = RangeBuckets::new(m);
     let mut t = Table::new(&[
         "method",
@@ -1029,18 +1062,18 @@ fn scan_compare(opts: &Opts) {
             name.into(),
             cs.to_string(),
             rs.to_string(),
-            format!("{:.1}%", 100.0 * (1.0 - cs as f64 / rs as f64)),
+            saved(cs, rs),
             format!("{:.3}", csecs * 1e3),
             format!("{:.3}", rsecs * 1e3),
         ]);
     }
-    out.push_str(&t.render());
-    out.push_str(
+    r.table(t);
+    r.note(
         "\nchained moves ~2n words through DRAM (read once, write once, plus 3 state\n\
          words per 2048-element tile) where the recursive reduce+downsweep pair\n\
-         moves ~3n; both end-to-end outputs verified bit-identical.\n",
+         moves ~3n; both end-to-end outputs verified bit-identical.",
     );
-    emit("scan", out);
+    r
 }
 
 // ====================== Fused pipeline ======================
@@ -1051,18 +1084,20 @@ fn scan_compare(opts: &Opts) {
 /// block-level MS at n = 2^20, m = 32 on the K40c — with every output
 /// bit-identical to the three-kernel paths (all are verified against the
 /// CPU reference) and to itself across parallel/sequential schedulers.
-fn fused_compare(opts: &Opts) {
-    use multisplit::{multisplit_device, no_values, Method, RangeBuckets};
-    use simt::GlobalBuffer;
+fn fused_compare(opts: &Opts) -> Report {
     let sizes = [opts.n / 4, opts.n];
-    let mut out = format!(
-        "Fused single-pass multisplit vs three-kernel pipeline\n\
-         n in {{2^{}, 2^{}}}, m in {{2, 8, 32}}, uniform keys; total counted DRAM\n\
+    let mut r = Report {
+        profiles: vec![K40C.name, GTX750TI.name],
+        ..Report::new(
+            "fused",
+            "Fused single-pass multisplit vs three-kernel pipeline\n\
+         m in {2, 8, 32}, uniform keys; total counted DRAM\n\
          sectors per stage (pre = pre-scan/histogram, scan, post = post-scan,\n\
-         sweep = the fused kernel) and estimated ms.\n\n",
-        sizes[0].ilog2(),
-        sizes[1].ilog2()
-    );
+         sweep = the fused kernel) and estimated ms.",
+            &sizes,
+            &[3000, 9],
+        )
+    };
     let mut t = Table::new(&[
         "device", "n", "m", "method", "pre", "scan", "post", "sweep", "total", "saved", "ms",
     ]);
@@ -1084,58 +1119,42 @@ fn fused_compare(opts: &Opts) {
                     if c == Contender::BlockLevel {
                         block_total = total;
                     }
-                    let saved = if c == Contender::Fused && block_total > 0 {
-                        format!("{:.1}%", 100.0 * (1.0 - total as f64 / block_total as f64))
-                    } else {
-                        String::new()
-                    };
-                    if c == Contender::Fused && pname == "K40c" && m == 32 {
+                    let fused = c == Contender::Fused;
+                    if fused && pname == "K40c" && m == 32 {
                         assert!(
                             (total as f64) <= 0.80 * block_total as f64,
                             "fused {total} vs block {block_total} sectors at n={n}, m=32: \
                              need >= 20% reduction"
                         );
                     }
-                    t.row(vec![
-                        pname.into(),
-                        format!("2^{}", n.ilog2()),
-                        m.to_string(),
-                        c.name(),
-                        o.stage_sectors("pre-scan").to_string(),
-                        o.stage_sectors("scan").to_string(),
-                        o.stage_sectors("post-scan").to_string(),
-                        o.stage_sectors("sweep").to_string(),
-                        total.to_string(),
-                        saved,
-                        ms(o.total),
-                    ]);
+                    let head = [pname.into(), size(n), m.to_string(), c.name()];
+                    let saved = if fused {
+                        saved(total, block_total)
+                    } else {
+                        String::new()
+                    };
+                    t.row(
+                        head.into_iter()
+                            .chain(sector_cells(&o))
+                            .chain([saved, ms(o.total)])
+                            .collect(),
+                    );
                 }
             }
         }
     }
-    out.push_str(&t.render());
-    // Scheduler independence: the fused look-back may walk different paths
-    // under the parallel executor, but outputs and counted stats must be
-    // identical to the sequential device's.
-    let n = sizes[0];
-    let keys_host = gen_keys(n, 32, Distribution::Uniform, 9);
-    let bucket = RangeBuckets::new(32);
-    assert_schedule_independent("fused", &PAR_SEQ, |dev| {
-        let keys = GlobalBuffer::from_slice(&keys_host);
-        let r = multisplit_device(dev, Method::Fused, &keys, no_values(), n, &bucket, 8);
-        (r.keys.to_vec(), r.offsets)
-    });
-    out.push_str(
+    r.table(t);
+    fused_schedules_agree("fused", sizes[0], 32);
+    r.note(
         "\nfused outputs and counted stats verified bit-identical across\n\
-         parallel/sequential schedulers and against the three-kernel paths.\n",
-    );
-    out.push_str(
-        "\nthe fused pipeline reads each key twice (histogram pass + sweep) and\n\
+         parallel/sequential schedulers and against the three-kernel paths.\n\
+         \n\
+         the fused pipeline reads each key twice (histogram pass + sweep) and\n\
          writes it once; the three-kernel pipeline reads twice, writes once, AND\n\
          round-trips the m x L histogram matrix plus its scan through DRAM and\n\
-         gathers scanned bases per warp in the post-scan — the ~1/3 saved here.\n",
+         gathers scanned bases per warp in the post-scan — the ~1/3 saved here.",
     );
-    emit("fused", out);
+    r
 }
 
 // ====================== Large-m fused pipeline ======================
@@ -1147,24 +1166,23 @@ fn fused_compare(opts: &Opts) {
 /// pipeline at n = 2^20 for both m = 64 and m = 256 on the K40c — with
 /// outputs bit-identical to the three-kernel path (both are verified
 /// against the CPU reference) and across parallel/sequential schedulers.
-fn largem_compare(opts: &Opts) {
-    use multisplit::{multisplit_device, no_values, Method, RangeBuckets};
-    use simt::GlobalBuffer;
+fn largem_compare(opts: &Opts) -> Report {
     let n = opts.n.min(1 << 20);
-    let mut out = format!(
+    let mut r = Report::new(
+        "largem",
         "Fused large-m multisplit vs three-kernel large-m pipeline\n\
-         n = 2^{}, m in {{64, 128, 256}}, uniform keys; total counted DRAM\n\
+         m in {64, 128, 256}, uniform keys; total counted DRAM\n\
          sectors per stage and estimated ms. `confl` = shared-memory bank\n\
          conflicts over the whole run (the fused sweep's reorder staging is\n\
          padded, so a stride-32 permutation costs none; what remains comes\n\
          from buckets whose histogram counts share a bank and from reorder\n\
-         stores at data-dependent offsets).\n\n",
-        n.ilog2()
+         stores at data-dependent offsets).",
+        &[n.min(1 << 16), n],
+        &[8000, 9],
     );
     let mut t = Table::new(&[
         "kv", "m", "method", "pre", "scan", "post", "sweep", "total", "saved", "confl", "ms",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
     for kv in [false, true] {
         for m in [64u32, 128, 256] {
             let mut three_total = 0u64;
@@ -1175,13 +1193,10 @@ fn largem_compare(opts: &Opts) {
                     ..Run::new(c, n, m)
                 });
                 let total = o.total_sectors();
-                let confl: u64 = o.records.iter().map(|r| r.stats.smem_bank_conflicts).sum();
                 if c == Contender::LargeM {
                     three_total = total;
                 }
                 let fused = c == Contender::Fused;
-                let saved_frac =
-                    (fused && three_total > 0).then(|| 1.0 - total as f64 / three_total as f64);
                 if fused && !kv && (m == 64 || m == 256) {
                     assert!(
                         (total as f64) <= 0.80 * three_total as f64,
@@ -1189,68 +1204,40 @@ fn largem_compare(opts: &Opts) {
                          n={n}, m={m}: need >= 20% reduction"
                     );
                 }
-                t.row(vec![
+                let head = [
                     if kv { "kv" } else { "key" }.into(),
                     m.to_string(),
                     c.name(),
-                    o.stage_sectors("pre-scan").to_string(),
-                    o.stage_sectors("scan").to_string(),
-                    o.stage_sectors("post-scan").to_string(),
-                    o.stage_sectors("sweep").to_string(),
-                    total.to_string(),
-                    saved_frac
-                        .map(|s| format!("{:.1}%", 100.0 * s))
-                        .unwrap_or_default(),
-                    confl.to_string(),
-                    ms(o.total),
-                ]);
-                rows.push(Json::Obj(vec![
-                    ("key_value".into(), Json::Bool(kv)),
-                    ("m".into(), Json::int(m as u64)),
-                    ("contender".into(), Json::Str(c.name())),
-                    ("total_sectors".into(), Json::int(total)),
-                    (
-                        "saved".into(),
-                        saved_frac.map(Json::Num).unwrap_or(Json::Null),
-                    ),
-                    ("smem_bank_conflicts".into(), Json::int(confl)),
-                    ("total_seconds".into(), Json::Num(o.total)),
-                ]));
+                ];
+                let saved = if fused {
+                    saved(total, three_total)
+                } else {
+                    String::new()
+                };
+                let confl = o.sum(|r| r.stats.smem_bank_conflicts).to_string();
+                t.row(
+                    head.into_iter()
+                        .chain(sector_cells(&o))
+                        .chain([saved, confl, ms(o.total)])
+                        .collect(),
+                );
             }
         }
     }
-    out.push_str(&t.render());
-    // Scheduler independence: multi-row look-backs may walk different
-    // paths under the parallel executor, but outputs and counted stats
-    // must be identical to the sequential device's.
-    let sn = n.min(1 << 16);
-    let m = 100u32;
-    let keys_host = gen_keys(sn, m, Distribution::Uniform, 9);
-    let bucket = RangeBuckets::new(m);
-    assert_schedule_independent("fused large-m", &PAR_SEQ, |dev| {
-        let keys = GlobalBuffer::from_slice(&keys_host);
-        let r = multisplit_device(dev, Method::Fused, &keys, no_values(), sn, &bucket, 8);
-        (r.keys.to_vec(), r.offsets)
-    });
-    out.push_str(
+    r.table(t);
+    fused_schedules_agree("fused large-m", n.min(1 << 16), 100);
+    r.note(
         "\nfused large-m outputs and counted stats verified bit-identical across\n\
-         parallel/sequential schedulers and against the three-kernel path.\n",
-    );
-    out.push_str(
-        "\nboth pipelines read every key twice and write it once; the three-kernel\n\
+         parallel/sequential schedulers and against the three-kernel path.\n\
+         \n\
+         both pipelines read every key twice and write it once; the three-kernel\n\
          pipeline additionally round-trips its m x L histogram matrix through\n\
          DRAM (plus the matrix's own scan traffic and per-warp base gathers),\n\
          which grows linearly with m — the fused sweep replaces all of that\n\
          with m global totals and 3 look-back state words per tile per 32-row\n\
-         group, so the saving widens from m = 64 to m = 256.\n",
+         group, so the saving widens from m = 64 to m = 256.",
     );
-    emit("largem", out);
-    let doc = Json::Obj(vec![
-        ("n".into(), Json::int(n as u64)),
-        ("device".into(), Json::Str(K40C.name.into())),
-        ("rows".into(), Json::Arr(rows)),
-    ]);
-    metrics::sink_push("largem", doc);
+    r
 }
 
 // ====================== ms-sort (iterated multisplit) ======================
@@ -1263,29 +1250,33 @@ fn largem_compare(opts: &Opts) {
 /// Verifies bit-identity with the host stable sort under sequential,
 /// parallel, and all four adversarial schedulers, and reports the
 /// reduced-bit pipeline's MsSort-vs-Legacy strategy delta.
-fn sort_cmd(opts: &Opts) {
+fn sort_cmd(opts: &Opts) -> Report {
     use msrng::SmallRng;
     use simt::{AdvFlavor, AdvSchedule, GlobalBuffer};
     let n = opts.n;
+    let (sn, rn) = (n.min(1 << 16), n.min(1 << 18));
     let wpb = 8;
-    let mut out = format!(
-        "ms-sort (multisplit-iterated radix, b = {} bits/pass) vs radix sort\n\
-         n = 2^{}, K40c. Keys are uniform over an 8-, 16- or 32-bit range;\n\
-         the radix baseline always sorts all 32 bits, ms-sort histograms\n\
-         every digit in one pre-scan launch (its one read of the keys\n\
-         before the passes), skips the constant digits, narrows the rest\n\
-         to their highest live bucket, and runs ceil(eff/{}) fused digit\n\
-         sweeps over ping-pong buffers (eff: the keys' highest set bit).\n\n",
-        ms_sort::DEFAULT_DIGIT_BITS,
-        n.ilog2(),
-        ms_sort::DEFAULT_DIGIT_BITS,
+    let mut r = Report::new(
+        "sort",
+        format!(
+            "ms-sort (multisplit-iterated radix, b = {b} bits/pass) vs radix sort\n\
+             Keys are uniform over an 8-, 16- or 32-bit range;\n\
+             the radix baseline always sorts all 32 bits, ms-sort histograms\n\
+             every digit in one pre-scan launch (its one read of the keys\n\
+             before the passes), skips the constant digits, narrows the rest\n\
+             to their highest live bucket, and runs ceil(eff/{b}) fused digit\n\
+             sweeps over ping-pong buffers (eff: the keys' highest set bit).",
+            b = ms_sort::DEFAULT_DIGIT_BITS,
+        ),
+        &[sn, rn, n],
+        &[3008, 3016, 3032, 77, 3000],
     );
     let mut t = Table::new(&[
         "keys", "kv", "method", "eff", "passes", "pre", "sweep", "total", "vs-radix", "ms",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
-    let mut pass_rows: Vec<(u32, Vec<u64>)> = Vec::new();
-    for kv in [false, true] {
+    let mut pass_rows: Vec<[String; 2]> = Vec::new();
+    let mut pass_sectors: Vec<Vec<u64>> = Vec::new();
+    for (kv, kv_name) in [(false, "key"), (true, "kv")] {
         for key_bits in [8u32, 16, 32] {
             let mut rng = SmallRng::seed_from_u64(3000 + key_bits as u64);
             let keys_host: Vec<u32> = (0..n)
@@ -1296,131 +1287,87 @@ fn sort_cmd(opts: &Opts) {
             expect.sort_by_key(|&(k, _)| k);
             let mut radix_total = 0u64;
             for method in ["radix", "ms-sort"] {
-                let dev = Device::new(K40C);
                 let keys = GlobalBuffer::from_slice(&keys_host);
                 let values = values_host.as_ref().map(|v| GlobalBuffer::from_slice(v));
-                let (sk, sv, eff) = if method == "radix" {
-                    let (k, v) =
-                        baselines::radix_sort(&dev, "radix", &keys, values.as_ref(), n, wpb);
-                    (k, v, 32)
-                } else {
-                    let (k, v) = if let Some(v) = &values {
-                        let (k, v) = ms_sort::sort_pairs(&dev, &keys, v, n, wpb);
-                        (k, Some(v))
-                    } else {
-                        (ms_sort::sort_keys(&dev, &keys, n, wpb), None)
-                    };
-                    let top = keys_host.iter().fold(0, |a, &k| a | k);
-                    (k, v, 32 - top.leading_zeros())
-                };
-                let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
-                assert_eq!(sk.to_vec(), ek, "{method} keys, {key_bits}-bit range");
-                if method == "ms-sort" {
-                    // ms-sort additionally promises stability.
-                    if let Some(sv) = &sv {
-                        let ev: Vec<u32> = expect.iter().map(|&(_, v)| v).collect();
-                        assert_eq!(sv.to_vec(), ev, "ms-sort stability, {key_bits}-bit");
-                    }
-                }
-                let stage = |name: &str| -> u64 {
-                    dev.records()
-                        .iter()
-                        .filter(|rec| stage_of(&rec.label) == name)
-                        .map(|rec| rec.stats.sectors)
-                        .sum()
-                };
-                let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
-                // Per-pass sectors from the "ms_sort/passK/" scopes. The
-                // pre-scan's skipped constant digits are what shrink this
-                // list below 32/b.
-                let passes: Vec<u64> = {
-                    let mut acc: Vec<u64> = Vec::new();
-                    for rec in dev.records() {
-                        if let Some(rest) = rec.label.strip_prefix("ms_sort/pass") {
-                            let k: usize = rest
-                                .split('/')
-                                .next()
-                                .and_then(|s| s.parse().ok())
-                                .expect("pass index in label");
-                            if acc.len() <= k {
-                                acc.resize(k + 1, 0);
-                            }
-                            acc[k] += rec.stats.sectors;
+                let mut sorted = (Vec::new(), None);
+                let o = on_k40c(|dev| {
+                    let (k, v) = match (method, &values) {
+                        ("radix", v) => {
+                            baselines::radix_sort(dev, "radix", &keys, v.as_ref(), n, wpb)
                         }
-                    }
-                    acc
-                };
+                        (_, Some(v)) => {
+                            let (k, v) = ms_sort::sort_pairs(dev, &keys, v, n, wpb);
+                            (k, Some(v))
+                        }
+                        (_, None) => (ms_sort::sort_keys(dev, &keys, n, wpb), None),
+                    };
+                    sorted = (k.to_vec(), v.map(|v| v.to_vec()));
+                });
+                let ek: Vec<u32> = expect.iter().map(|&(k, _)| k).collect();
+                assert_eq!(sorted.0, ek, "{method} keys, {key_bits}-bit range");
+                let total = o.total_sectors();
+                let head = [format!("{key_bits}-bit"), kv_name.into()];
+                let mut row = [&head[..], &[method.into()]].concat();
                 if method == "radix" {
                     radix_total = total;
+                    row.extend(["32".into(), String::new()]);
                 } else {
-                    if !kv {
-                        pass_rows.push((key_bits, passes.clone()));
+                    // ms-sort additionally promises stability.
+                    if let Some(sv) = &sorted.1 {
+                        let ev: Vec<u32> = expect.iter().map(|&(_, v)| v).collect();
+                        assert_eq!(*sv, ev, "ms-sort stability, {key_bits}-bit");
                     }
                     // The tentpole claim: fewer total counted sectors than
                     // the 32-bit radix baseline at every key range.
-                    if n >= 1 << 12 {
-                        assert!(
-                            total < radix_total,
-                            "ms-sort moved {total} sectors vs radix {radix_total} at \
-                             {key_bits}-bit keys, kv={kv}, n={n}"
-                        );
-                    }
+                    assert!(
+                        n < 1 << 12 || total < radix_total,
+                        "ms-sort moved {total} sectors vs radix {radix_total} at \
+                         {key_bits}-bit keys, kv={kv}, n={n}"
+                    );
+                    // Per-pass sectors from the "ms_sort/passK" scopes. The
+                    // pre-scan's skipped constant digits are what shrink this
+                    // list below 32/b.
+                    let tree = simt::scope_tree(&o.records);
+                    let passes: Vec<u64> = tree
+                        .children
+                        .iter()
+                        .filter(|c| c.name == "ms_sort")
+                        .flat_map(|c| &c.children)
+                        .filter(|c| c.name.starts_with("pass"))
+                        .map(|c| c.stats.sectors)
+                        .collect();
+                    let eff = 32 - keys_host.iter().fold(0, |a, &k| a | k).leading_zeros();
+                    row.extend([eff.to_string(), passes.len().to_string()]);
+                    pass_rows.push(head);
+                    pass_sectors.push(passes);
                 }
-                let vs = (method == "ms-sort").then(|| 1.0 - total as f64 / radix_total as f64);
-                t.row(vec![
-                    format!("{key_bits}-bit"),
-                    if kv { "kv" } else { "key" }.into(),
-                    method.into(),
-                    if method == "ms-sort" {
-                        eff.to_string()
-                    } else {
-                        "32".into()
-                    },
-                    if method == "ms-sort" {
-                        passes.len().to_string()
-                    } else {
-                        String::new()
-                    },
-                    stage("pre-scan").to_string(),
-                    stage("sweep").to_string(),
+                let vs = (method == "ms-sort").then(|| format!("-{}", saved(total, radix_total)));
+                row.extend([
+                    o.stage_sectors("pre-scan").to_string(),
+                    o.stage_sectors("sweep").to_string(),
                     total.to_string(),
-                    vs.map(|s| format!("-{:.1}%", 100.0 * s))
-                        .unwrap_or_default(),
-                    ms(dev.total_seconds()),
+                    vs.unwrap_or_default(),
+                    ms(o.total),
                 ]);
-                rows.push(Json::Obj(vec![
-                    ("key_bits".into(), Json::int(key_bits as u64)),
-                    ("kv".into(), Json::Bool(kv)),
-                    ("method".into(), Json::Str(method.into())),
-                    ("effective_bits".into(), Json::int(eff as u64)),
-                    (
-                        "passes".into(),
-                        Json::Arr(passes.iter().map(|&s| Json::int(s)).collect()),
-                    ),
-                    ("total_sectors".into(), Json::int(total)),
-                    ("total_seconds".into(), Json::Num(dev.total_seconds())),
-                ]));
+                t.row(row);
             }
         }
     }
-    out.push_str(&t.render());
-    out.push_str("\nper-pass counted sectors (key-only; pass = one fused sweep):\n");
-    for (key_bits, passes) in &pass_rows {
-        out.push_str(&format!(
-            "  {key_bits:>2}-bit keys: {}\n",
-            passes
-                .iter()
-                .enumerate()
-                .map(|(i, s)| format!("pass{i}={s}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        ));
+    r.table(t);
+    r.note("\nms-sort counted sectors per pass (pass = one fused sweep):");
+    let most = pass_sectors.iter().map(Vec::len).max().unwrap_or(0);
+    let names: Vec<String> = (0..most).map(|i| format!("pass{i}")).collect();
+    let names = names.iter().map(String::as_str);
+    let mut t = Table::new(&["keys", "kv"].into_iter().chain(names).collect::<Vec<_>>());
+    for (head, passes) in pass_rows.into_iter().zip(pass_sectors) {
+        let cells = (0..most).map(|i| passes.get(i).map(u64::to_string).unwrap_or_default());
+        t.row(head.into_iter().chain(cells).collect());
     }
+    r.table(t);
 
     // Scheduler independence: outputs and counted stats must be
     // bit-identical on all six schedulers (and equal to the host stable
     // sort — established above for the parallel device).
-    let sn = n.min(1 << 16);
     let mut rng = SmallRng::seed_from_u64(77);
     let keys_host: Vec<u32> = (0..sn)
         .map(|_| rng.gen_range(0..(1u64 << 16)) as u32)
@@ -1435,9 +1382,9 @@ fn sort_cmd(opts: &Opts) {
         let (sk, sv) = ms_sort::sort_pairs(dev, &keys, &values, sn, wpb);
         (sk.to_vec(), sv.to_vec())
     });
-    out.push_str(&format!(
+    r.note(format!(
         "\nms-sort outputs, payloads and counted stats verified bit-identical\n\
-         across {} schedulers ({}) and against the host stable sort.\n",
+         across {} schedulers ({}) and against the host stable sort.",
         sched_names.len(),
         sched_names.join(", ")
     ));
@@ -1447,59 +1394,42 @@ fn sort_cmd(opts: &Opts) {
     {
         use baselines::ReducedBitStrategy;
         use multisplit::RangeBuckets;
-        let rn = n.min(1 << 18);
         let m = 32u32;
         let keys_host = gen_keys(rn, m, Distribution::Uniform, 3000);
         let values_host = gen_values(rn);
         let bucket = RangeBuckets::new(m);
-        out.push_str(&format!(
-            "\nreduced-bit multisplit (key-value, m = {m}, n = 2^{}) by strategy:\n",
-            rn.ilog2()
+        r.note(format!(
+            "\nreduced-bit multisplit (key-value, m = {m}, n = {}) by strategy:",
+            size(rn)
         ));
-        let mut strat_rows: Vec<Json> = Vec::new();
+        let mut t = Table::new(&["strategy", "sectors", "ms"]);
         for (strategy, name) in [
             (ReducedBitStrategy::MsSort, "ms-sort"),
             (ReducedBitStrategy::Legacy, "legacy"),
         ] {
-            let dev = Device::new(K40C);
             let keys = GlobalBuffer::from_slice(&keys_host);
             let values = GlobalBuffer::from_slice(&values_host);
-            baselines::reduced_bit_multisplit_kv(&dev, strategy, &keys, &values, rn, &bucket, wpb);
-            let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
-            out.push_str(&format!(
-                "  {name:>8}: {total} sectors, {} ms\n",
-                ms(dev.total_seconds())
-            ));
-            strat_rows.push(Json::Obj(vec![
-                ("strategy".into(), Json::Str(name.into())),
-                ("total_sectors".into(), Json::int(total)),
-                ("total_seconds".into(), Json::Num(dev.total_seconds())),
-            ]));
+            let o = on_k40c(|dev| {
+                baselines::reduced_bit_multisplit_kv(
+                    dev, strategy, &keys, &values, rn, &bucket, wpb,
+                );
+            });
+            t.row(vec![
+                name.into(),
+                o.total_sectors().to_string(),
+                ms(o.total),
+            ]);
         }
-        rows.push(Json::Obj(vec![(
-            "reduced_bit_strategies".into(),
-            Json::Arr(strat_rows),
-        )]));
+        r.table(t);
     }
-
-    emit("sort", out);
-    let doc = Json::Obj(vec![
-        ("n".into(), Json::int(n as u64)),
-        ("device".into(), Json::Str(K40C.name.into())),
-        (
-            "digit_bits".into(),
-            Json::int(ms_sort::DEFAULT_DIGIT_BITS as u64),
-        ),
-        ("rows".into(), Json::Arr(rows)),
-    ]);
-    metrics::sink_push("sort", doc);
+    r
 }
 
 /// Digit-width sweep behind [`ms_sort::DEFAULT_DIGIT_BITS`]: sort 32-bit
 /// keys at every width `b` in `1..=max_digit_bits` and report passes and
 /// counted sectors (key-only and key-value). The committed default must
 /// sit at the key-only sweep's counted-sector minimum.
-fn sorttune_cmd(opts: &Opts) {
+fn sorttune_cmd(opts: &Opts) -> Report {
     use msrng::SmallRng;
     use simt::GlobalBuffer;
     let n = opts.n.min(1 << 20);
@@ -1513,13 +1443,17 @@ fn sorttune_cmd(opts: &Opts) {
     expect.sort_unstable();
     let max_key = ms_sort::max_digit_bits(wpb, 0);
     let max_kv = ms_sort::max_digit_bits(wpb, 4);
-    let mut out = format!(
-        "ms-sort digit-width sweep: full 32-bit keys, n = 2^{}, K40c.\n\
-         Wider digits mean fewer passes but a bigger m = 2^b per pass;\n\
-         key-only passes fit up to b = {max_key}, key-value up to b = {max_kv}\n\
-         (a 4-byte payload is staged in its key's slot after the key, so it\n\
-         costs the fused sweep no shared memory).\n\n",
-        n.ilog2()
+    let mut r = Report::new(
+        "sorttune",
+        format!(
+            "ms-sort digit-width sweep: full 32-bit keys.\n\
+             Wider digits mean fewer passes but a bigger m = 2^b per pass;\n\
+             key-only passes fit up to b = {max_key}, key-value up to b = {max_kv}\n\
+             (a 4-byte payload is staged in its key's slot after the key, so it\n\
+             costs the fused sweep no shared memory)."
+        ),
+        &[n],
+        &[3000],
     );
     let mut t = Table::new(&[
         "b",
@@ -1529,24 +1463,22 @@ fn sorttune_cmd(opts: &Opts) {
         "kv sectors",
         "kv ms",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
     let mut best: Option<(u32, u64)> = None;
     for b in 1..=max_key {
-        let dev = Device::new(K40C);
         let keys = GlobalBuffer::from_slice(&keys_host);
-        let (sk, _) = ms_sort::sort_by_bit_range_with::<u32>(&dev, &keys, None, n, 0, 32, b, wpb);
-        assert_eq!(sk.to_vec(), expect, "b={b}");
-        let total: u64 = dev.records().iter().map(|rec| rec.stats.sectors).sum();
-        let (kv_total, kv_secs) = if b <= max_kv {
-            let kdev = Device::new(K40C);
+        let key = on_k40c(|dev| {
+            let (sk, _) =
+                ms_sort::sort_by_bit_range_with::<u32>(dev, &keys, None, n, 0, 32, b, wpb);
+            assert_eq!(sk.to_vec(), expect, "b={b}");
+        });
+        let kv = (b <= max_kv).then(|| {
             let keys = GlobalBuffer::from_slice(&keys_host);
             let values = GlobalBuffer::from_slice(&values_host);
-            let _ = ms_sort::sort_by_bit_range_with(&kdev, &keys, Some(&values), n, 0, 32, b, wpb);
-            let kt: u64 = kdev.records().iter().map(|rec| rec.stats.sectors).sum();
-            (Some(kt), Some(kdev.total_seconds()))
-        } else {
-            (None, None)
-        };
+            on_k40c(|dev| {
+                ms_sort::sort_by_bit_range_with(dev, &keys, Some(&values), n, 0, 32, b, wpb);
+            })
+        });
+        let total = key.total_sectors();
         if best.is_none_or(|(_, s)| total < s) {
             best = Some((b, total));
         }
@@ -1554,41 +1486,26 @@ fn sorttune_cmd(opts: &Opts) {
             b.to_string(),
             32u32.div_ceil(b).to_string(),
             total.to_string(),
-            ms(dev.total_seconds()),
-            kv_total.map(|s| s.to_string()).unwrap_or_default(),
-            kv_secs.map(ms).unwrap_or_default(),
+            ms(key.total),
+            kv.as_ref()
+                .map(|o| o.total_sectors().to_string())
+                .unwrap_or_default(),
+            kv.as_ref().map(|o| ms(o.total)).unwrap_or_default(),
         ]);
-        rows.push(Json::Obj(vec![
-            ("digit_bits".into(), Json::int(b as u64)),
-            ("passes".into(), Json::int(32u32.div_ceil(b) as u64)),
-            ("key_sectors".into(), Json::int(total)),
-            (
-                "kv_sectors".into(),
-                kv_total.map(Json::int).unwrap_or(Json::Null),
-            ),
-        ]));
     }
-    out.push_str(&t.render());
+    r.table(t);
     let (best_b, best_sectors) = best.expect("non-empty sweep");
-    out.push_str(&format!(
-        "\nsweet spot: b = {best_b} ({best_sectors} sectors); the committed default is \
-         b = {}.\n",
+    let sweet = format!(
+        "sweet spot: b = {best_b} ({best_sectors} sectors); the committed default is b = {}.",
         ms_sort::DEFAULT_DIGIT_BITS
-    ));
-    emit("sorttune", out);
+    );
     assert_eq!(
         best_b,
         ms_sort::DEFAULT_DIGIT_BITS,
-        "DEFAULT_DIGIT_BITS no longer sits at the sweep minimum — retune it"
+        "DEFAULT_DIGIT_BITS no longer sits at the sweep minimum — retune it ({sweet})"
     );
-    metrics::sink_push(
-        "sorttune",
-        Json::Obj(vec![
-            ("n".into(), Json::int(n as u64)),
-            ("best_digit_bits".into(), Json::int(best_b as u64)),
-            ("rows".into(), Json::Arr(rows)),
-        ]),
-    );
+    r.note(format!("\n{sweet}"));
+    r
 }
 
 // ====================== Profile (observability) ======================
@@ -1597,19 +1514,11 @@ fn sorttune_cmd(opts: &Opts) {
 /// introspection for the four `m <= 32` contenders. Per-stage sector
 /// totals match the `fused` / `scan` text reports exactly (same seed,
 /// same sequential-equivalent counts). Writes `bench_results/profile.json`.
-fn profile_cmd(opts: &Opts) {
+fn profile_cmd(opts: &Opts) -> Report {
     let n = opts.n.min(1 << 20);
     let m = 32u32;
     let data = metrics::profile_data(&metrics::PROFILE_CONTENDERS, n, m, true);
-    let mut out = format!(
-        "Profile: hierarchical scope-tree roll-up, n = 2^{}, m = {m}, seed {}, sequential schedule\n\
-         (per-block telemetry on; direct/warp/block/fused on the K40c; per-stage\n\
-          sector totals line up with the `fused` report's first trial)\n",
-        n.ilog2(),
-        metrics::PROFILE_SEED
-    );
-    out.push_str(&metrics::render_profile(&data));
-    emit("profile", out);
+    let mut r = metrics::profile_report(&data, n, m);
     let doc = Json::Obj(vec![
         ("n".into(), Json::int(n as u64)),
         ("m".into(), Json::int(m as u64)),
@@ -1620,8 +1529,9 @@ fn profile_cmd(opts: &Opts) {
             Json::Arr(data.iter().map(|p| p.to_json(&K40C)).collect()),
         ),
     ]);
-    save("profile.json", &(doc.pretty() + "\n"));
-    metrics::sink_push("profile", doc);
+    r.files.push(("profile.json", doc.pretty() + "\n"));
+    metrics::sink_push("profile.json", doc);
+    r
 }
 
 // ====================== Trace (flight recorder) ======================
@@ -1635,20 +1545,24 @@ fn profile_cmd(opts: &Opts) {
 /// (load in `chrome://tracing` or <https://ui.perfetto.dev>) with one
 /// slice per tile and flow arrows along every stalled publisher →
 /// resolver edge.
-fn trace_cmd(opts: &Opts) {
+fn trace_cmd(opts: &Opts) -> Report {
     let n = opts.n.min(1 << 20);
     let runs: [(Contender, &'static str, u32); 2] = [
         (Contender::Fused, "fused", 32),
         (Contender::Fused, "fused-large-m", 64),
     ];
-    let mut out = format!(
-        "Trace: flight-recorder causal analysis, n = 2^{}, seed {}, sequential schedule\n\
+    let mut r = Report {
+        schedule: "sequential",
+        ..Report::new(
+            "trace",
+            "Trace: flight-recorder causal analysis\n\
          (exact critical path = launch overhead + longest stall-edge chain of modeled\n\
           block times; under the sequential schedule no resolve ever spins, so the\n\
-          exact path must equal the launch_report estimate)\n",
-        n.ilog2(),
-        metrics::PROFILE_SEED
-    );
+          exact path must equal the launch_report estimate)",
+            &[n],
+            &[metrics::PROFILE_SEED],
+        )
+    };
     let mut all_records = Vec::new();
     let mut contender_docs = Vec::new();
     for &(c, name, m) in &runs {
@@ -1660,7 +1574,8 @@ fn trace_cmd(opts: &Opts) {
                 })
             })
         });
-        out.push_str(&format!("\n== {name} (m = {m}) ==\n"));
+        r.heading(format!("{name} (m = {m})"));
+        let mut warnings = Vec::new();
         let mut t = Table::new(&[
             "launch", "tiles", "edges", "stalls", "depth", "exact ms", "model ms", "delta %",
             "slack ms",
@@ -1696,9 +1611,9 @@ fn trace_cmd(opts: &Opts) {
                 format!("{:.4}", slack * 1e3),
             ]);
             if a.truncated {
-                out.push_str(&format!(
+                warnings.push(format!(
                     "warn: {} flight ring overflowed ({} dropped) — DAG is partial; \
-                     re-run with a larger capacity\n",
+                     re-run with a larger capacity",
                     a.label,
                     rec.flight.as_ref().map(|f| f.dropped).unwrap_or(0)
                 ));
@@ -1711,7 +1626,10 @@ fn trace_cmd(opts: &Opts) {
             fields.push(("slack_seconds".into(), Json::Num(slack)));
             launch_docs.push(Json::Obj(fields));
         }
-        out.push_str(&t.render());
+        if !warnings.is_empty() {
+            r.note(warnings.join("\n"));
+        }
+        r.table(t);
         contender_docs.push(Json::Obj(vec![
             ("contender".into(), Json::Str(name.into())),
             ("m".into(), Json::int(m as u64)),
@@ -1719,18 +1637,18 @@ fn trace_cmd(opts: &Opts) {
         ]));
         all_records.extend(outcome.records);
     }
-    emit("trace", out);
     let doc = Json::Obj(vec![
         ("n".into(), Json::int(n as u64)),
         ("seed".into(), Json::int(metrics::PROFILE_SEED)),
         ("device".into(), Json::Str(K40C.name.into())),
         ("contenders".into(), Json::Arr(contender_docs)),
     ]);
-    save(
+    r.files.push((
         "trace_chrome.json",
-        &simt::chrome_trace_json_with_tiles(&all_records, &K40C),
-    );
-    metrics::sink_push("trace", doc);
+        simt::chrome_trace_json_with_tiles(&all_records, &K40C),
+    ));
+    metrics::sink_push("trace.json", doc);
+    r
 }
 
 // ====================== Check (sector regression gate) ======================
@@ -1742,7 +1660,15 @@ fn trace_cmd(opts: &Opts) {
 /// regression. Sectors are schedule-independent, so this is a meaningful
 /// Rust-only CI gate. `--update` rewrites the baseline from the current
 /// counts instead.
-fn check_cmd(opts: &Opts) {
+///
+/// Parsed here (not via `parse_opts`): its sizes are fixed, and
+/// `--update` is its only option.
+fn check_cmd(args: &[String]) -> Result<(), String> {
+    let update = match args {
+        [] => false,
+        [flag] if flag == "--update" => true,
+        [other, ..] => return Err(format!("unknown check option {other}")),
+    };
     let n = 1usize << 16;
     let m = 32u32;
     let path = "bench_results/baseline_sectors.json";
@@ -1765,10 +1691,10 @@ fn check_cmd(opts: &Opts) {
                 .map(|(name, cur)| (name.to_string(), cur.clone())),
         );
     }
-    if opts.update {
+    if update {
         write_file(path, &(current.pretty() + "\n")).expect("cannot write baseline");
         println!("[wrote {path}]");
-        return;
+        return Ok(());
     }
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check: cannot read {path} ({e}); create it with `paper check --update`");
@@ -1797,6 +1723,7 @@ fn check_cmd(opts: &Opts) {
             println!("note: {note}");
         }
         println!("check: OK — all sector counts within tolerance of the baseline");
+        Ok(())
     } else {
         for f in &failures {
             eprintln!("FAIL: {f}");
@@ -1929,8 +1856,19 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         metrics::sink_begin();
     }
     let report = serve::run_serve(&cfg);
-    emit("serve", serve::render(&cfg, &report));
-    metrics::sink_push("serve", serve::report_json(&cfg, &report));
+    metrics::sink_push("serve.json", serve::report_json(&cfg, &report));
+    let args = format!(
+        "--requests {} --n {} --m {} --devices {} --batch {} --streams {} --seed {}{}",
+        cfg.requests,
+        cfg.n,
+        cfg.m_max,
+        cfg.devices,
+        cfg.batch,
+        cfg.streams,
+        cfg.seed,
+        if cfg.verify { "" } else { " --no-verify" }
+    );
+    publish(&serve::report(&cfg, &report), &args);
     if let Some(path) = &json {
         write_sink(path);
     }
@@ -1939,35 +1877,37 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 
 /// How a command takes its arguments.
 enum Runner {
-    /// The shared [`Opts`].
-    Shared(fn(&Opts)),
+    /// An experiment on the shared [`Opts`], published as its report.
+    Report(fn(&Opts) -> Report),
+    /// Every `Report` command marked for `paper all`, on the shared [`Opts`].
+    All,
     /// Its own option set, whose usage the text gives.
     Own(fn(&[String]) -> Result<(), String>, &'static str),
 }
 
 /// Every command: its name, its runner, and whether `paper all` runs it.
 const COMMANDS: [(&str, Runner, bool); 24] = [
-    ("table1", Runner::Shared(table1), true),
-    ("table3", Runner::Shared(table3), true),
-    ("table4", Runner::Shared(table4), true),
-    ("table5", Runner::Shared(table5), true),
-    ("table6", Runner::Shared(table6), true),
-    ("fig2", Runner::Shared(fig2), true),
-    ("fig3", Runner::Shared(fig3), true),
-    ("fig4", Runner::Shared(fig4), true),
-    ("fig5", Runner::Shared(fig5), true),
-    ("light", Runner::Shared(light), true),
-    ("sssp", Runner::Shared(sssp_experiment), true),
-    ("randomized", Runner::Shared(randomized), true),
-    ("ablate", Runner::Shared(ablate), true),
-    ("scan", Runner::Shared(scan_compare), true),
-    ("fused", Runner::Shared(fused_compare), true),
-    ("largem", Runner::Shared(largem_compare), true),
-    ("sort", Runner::Shared(sort_cmd), true),
-    ("sorttune", Runner::Shared(sorttune_cmd), true),
-    ("profile", Runner::Shared(profile_cmd), false),
-    ("trace", Runner::Shared(trace_cmd), false),
-    ("check", Runner::Shared(check_cmd), false),
+    ("table1", Runner::Report(table1), true),
+    ("table3", Runner::Report(table3), true),
+    ("table4", Runner::Report(table4), true),
+    ("table5", Runner::Report(table5), true),
+    ("table6", Runner::Report(table6), true),
+    ("fig2", Runner::Report(fig2), true),
+    ("fig3", Runner::Report(fig3), true),
+    ("fig4", Runner::Report(fig4), true),
+    ("fig5", Runner::Report(fig5), true),
+    ("light", Runner::Report(light), true),
+    ("sssp", Runner::Report(sssp_experiment), true),
+    ("randomized", Runner::Report(randomized), true),
+    ("ablate", Runner::Report(ablate), true),
+    ("scan", Runner::Report(scan_compare), true),
+    ("fused", Runner::Report(fused_compare), true),
+    ("largem", Runner::Report(largem_compare), true),
+    ("sort", Runner::Report(sort_cmd), true),
+    ("sorttune", Runner::Report(sorttune_cmd), true),
+    ("profile", Runner::Report(profile_cmd), false),
+    ("trace", Runner::Report(trace_cmd), false),
+    ("check", Runner::Own(check_cmd, "[--update]"), false),
     (
         "fuzz",
         Runner::Own(fuzz_cmd, "[--iters K] [--seed S] [--replay TOKEN]"),
@@ -1982,22 +1922,27 @@ const COMMANDS: [(&str, Runner, bool); 24] = [
         ),
         false,
     ),
-    ("all", Runner::Shared(all), false),
+    ("all", Runner::All, false),
 ];
 
-/// Every command `COMMANDS` marks for `paper all`, in table order.
-fn all(opts: &Opts) {
-    for (_, runner, in_all) in &COMMANDS {
-        if let (Runner::Shared(f), true) = (runner, in_all) {
-            f(opts);
-        }
+/// Run each of `experiments` and publish its report, then write the
+/// armed `--json` sink.
+fn run_reports(opts: &Opts, experiments: &[fn(&Opts) -> Report]) {
+    if opts.json.is_some() {
+        metrics::sink_begin();
+    }
+    for f in experiments {
+        publish(&f(opts), &opts.args);
+    }
+    if let Some(path) = &opts.json {
+        write_sink(path);
     }
 }
 
 fn usage() -> String {
     let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
     let mut usage = format!(
-        "usage: paper <{}> [--n LOG2] [--full] [--json PATH] [--update]",
+        "usage: paper <{}> [--n LOG2] [--full] [--json PATH]",
         names.join("|")
     );
     for (name, runner, _) in &COMMANDS {
@@ -2015,14 +1960,18 @@ fn main() {
         Some((cmd, rest)) => match COMMANDS.iter().find(|c| c.0 == cmd) {
             None => Err(format!("unknown command {cmd}")),
             Some((_, Runner::Own(f, _), _)) => f(rest),
-            Some((_, Runner::Shared(f), _)) => parse_opts(rest).map(|opts| {
-                if opts.json.is_some() {
-                    metrics::sink_begin();
-                }
-                f(&opts);
-                if let Some(path) = &opts.json {
-                    write_sink(path);
-                }
+            Some((_, Runner::Report(f), _)) => {
+                parse_opts(rest).map(|opts| run_reports(&opts, &[*f]))
+            }
+            Some((_, Runner::All, _)) => parse_opts(rest).map(|opts| {
+                let marked: Vec<fn(&Opts) -> Report> = COMMANDS
+                    .iter()
+                    .filter_map(|c| match c {
+                        (_, Runner::Report(f), true) => Some(*f),
+                        _ => None,
+                    })
+                    .collect();
+                run_reports(&opts, &marked)
             }),
         },
     };

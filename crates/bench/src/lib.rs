@@ -9,7 +9,10 @@
 
 pub mod metrics;
 pub mod microbench;
+pub mod report;
 pub mod serve;
+
+pub use report::{Report, Table};
 
 use msrng::SmallRng;
 
@@ -260,6 +263,23 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    /// Everything launched on `dev` so far (its launch log is taken),
+    /// with no buffer reads.
+    pub fn of(dev: &Device) -> Self {
+        Outcome {
+            total: dev.total_seconds(),
+            stages: stage_seconds(dev),
+            sectors: stage_sector_counts(dev),
+            buffer_reads: Vec::new(),
+            records: dev.take_records(),
+        }
+    }
+
+    /// `stat` summed over the launches.
+    pub fn sum(&self, stat: impl Fn(&simt::LaunchRecord) -> u64) -> u64 {
+        self.records.iter().map(stat).sum()
+    }
+
     pub fn stage(&self, name: &str) -> f64 {
         self.stages
             .iter()
@@ -482,11 +502,8 @@ pub fn run_contender(run: &Run) -> Outcome {
         buffer_reads.push(("values", v.read_sectors()));
     }
     let outcome = Outcome {
-        total: dev.total_seconds(),
-        stages: stage_seconds(&dev),
-        sectors: stage_sector_counts(&dev),
         buffer_reads,
-        records: dev.take_records(),
+        ..Outcome::of(&dev)
     };
     if metrics::sink_active() {
         metrics::sink_push("run", metrics::run_entry(run, &outcome));
@@ -497,53 +514,6 @@ pub fn run_contender(run: &Run) -> Outcome {
 /// Format milliseconds with two decimals.
 pub fn ms(seconds: f64) -> String {
     format!("{:.2}", seconds * 1e3)
-}
-
-/// Simple fixed-width table printer.
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    pub fn new(header: &[&str]) -> Self {
-        Self {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells);
-    }
-
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let line = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&line(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&line(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -683,15 +653,5 @@ mod tests {
             });
             assert!(o.stage("splitting") > 0.0 || o.stage("scan") > 0.0);
         }
-    }
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["a", "bb"]);
-        t.row(vec!["1".into(), "2".into()]);
-        t.row(vec!["333".into(), "4".into()]);
-        let s = t.render();
-        assert!(s.contains("333"));
-        assert_eq!(s.lines().count(), 4);
     }
 }

@@ -19,7 +19,7 @@ use std::cell::RefCell;
 
 use simt::{launch_report, scope_tree, with_telemetry, Json, LaunchRecord, MetricsSink, Telemetry};
 
-use crate::{run_contender, Contender, Outcome, Run};
+use crate::{run_contender, Contender, Outcome, Report, Run};
 
 thread_local! {
     static SINK: RefCell<Option<MetricsSink>> = const { RefCell::new(None) };
@@ -251,36 +251,56 @@ pub fn profile_data(contenders: &Named, n: usize, m: u32, verify: bool) -> Vec<C
     })
 }
 
-/// The body of `paper profile`'s text report: per contender, its scope
-/// tree, a launch table and its look-back introspection.
-pub fn render_profile(data: &[ContenderProfile]) -> String {
-    let mut out = String::new();
+/// `paper profile`'s report on `data` (run at `n`, `m`): per
+/// contender, its scope tree, a launch table and its look-back
+/// introspection.
+pub fn profile_report(data: &[ContenderProfile], n: usize, m: u32) -> Report {
+    let mut r = Report {
+        schedule: "sequential",
+        ..Report::new(
+            "profile",
+            format!(
+                "Profile: hierarchical scope-tree roll-up, m = {m}\n\
+             (per-block telemetry on; direct/warp/block/fused on the K40c; per-stage\n\
+             sector totals line up with the `fused` report's first trial)"
+            ),
+            &[n],
+            &[PROFILE_SEED],
+        )
+    };
     for p in data {
-        out.push_str(&format!("\n== {} ==\n", p.name));
-        out.push_str(&p.tree().render_text());
+        r.heading(p.name);
+        r.note(p.tree().render_text().trim_end_matches('\n'));
         let mut t = crate::Table::new(&["launch", "blocks", "imbalance", "crit-path ms", "sum ms"]);
-        for r in p.launch_reports(&simt::K40C) {
+        for rep in p.launch_reports(&simt::K40C) {
             t.row(vec![
-                r.label.clone(),
-                r.blocks.to_string(),
-                format!("{:.2}", r.imbalance),
-                format!("{:.3}", r.critical_path_seconds * 1e3),
-                format!("{:.3}", r.sum_seconds * 1e3),
+                rep.label.clone(),
+                rep.blocks.to_string(),
+                format!("{:.2}", rep.imbalance),
+                format!("{:.3}", rep.critical_path_seconds * 1e3),
+                format!("{:.3}", rep.sum_seconds * 1e3),
             ]);
         }
-        out.push_str(&t.render());
-        for rec in p.lookback_records() {
-            out.push_str(&format!(
-                "look-back {}: {} resolves, mean depth {:.2}, spin polls {}\n  depth hist {:?}\n",
-                rec.label,
-                rec.obs.lookback_resolves,
-                rec.obs.mean_depth(),
-                rec.obs.spin_polls,
-                rec.obs.lookback_depth_hist,
-            ));
+        r.table(t);
+        let lookbacks: Vec<String> = p
+            .lookback_records()
+            .iter()
+            .map(|rec| {
+                format!(
+                    "look-back {}: {} resolves, mean depth {:.2}, spin polls {}\n  depth hist {:?}",
+                    rec.label,
+                    rec.obs.lookback_resolves,
+                    rec.obs.mean_depth(),
+                    rec.obs.spin_polls,
+                    rec.obs.lookback_depth_hist,
+                )
+            })
+            .collect();
+        if !lookbacks.is_empty() {
+            r.note(lookbacks.join("\n"));
         }
     }
-    out
+    r
 }
 
 /// Current per-stage sector counts of `contenders` in the
@@ -644,7 +664,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            (render_profile(&data), obs)
+            (profile_report(&data, 1 << 13, 32), obs)
         };
         let (text, obs) = run();
         assert!(

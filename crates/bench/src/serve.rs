@@ -29,7 +29,7 @@
 //! devices' completion times. Everything is counted, not timed: the
 //! numbers are deterministic for a given config.
 
-use crate::{gen_keys, run_schedule, stage_sector_counts, Distribution, Table};
+use crate::{gen_keys, run_schedule, stage_sector_counts, Distribution, Report, Table};
 use msrng::SmallRng;
 use multisplit::{
     multisplit_device, multisplit_ref, multisplit_segmented_into, no_values, Method, RangeBuckets,
@@ -494,19 +494,24 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
     }
 }
 
-/// Console rendering of a report (the `paper serve` table).
-pub fn render(cfg: &ServeConfig, r: &ServeReport) -> String {
-    let mut out = format!(
-        "serve: {} requests of n = {} (m <= {}), {} devices, batch = {}, {} streams/device, seed {}, {}\n\n",
-        cfg.requests,
-        cfg.n,
-        cfg.m_max,
-        cfg.devices,
-        cfg.batch,
-        cfg.streams.max(1),
-        cfg.seed,
-        cfg.profile.name
-    );
+/// The `paper serve` report: its executor table and summary lines.
+pub fn report(cfg: &ServeConfig, r: &ServeReport) -> Report {
+    let mut report = Report {
+        profiles: vec![cfg.profile.name],
+        ..Report::new(
+            "serve",
+            format!(
+                "serve: {} requests of n keys (m <= {}), {} devices, batch = {}, {} streams/device",
+                cfg.requests,
+                cfg.m_max,
+                cfg.devices,
+                cfg.batch,
+                cfg.streams.max(1),
+            ),
+            &[cfg.n],
+            &[cfg.seed],
+        )
+    };
     let mut t = Table::new(&[
         "Executor",
         "Launches",
@@ -531,11 +536,11 @@ pub fn render(cfg: &ServeConfig, r: &ServeReport) -> String {
             e.total_sectors.to_string(),
         ]);
     }
-    out.push_str(&t.render());
-    out.push_str(&format!(
+    report.table(t);
+    report.note(format!(
         "\nthroughput speedup {:.1}x; coalesced sectors / naive sectors = {:.4}\n\
          arena: {} allocations, {} pooled reuses\n\
-         overlap: makespan {:.3} ms vs serialized {:.3} ms -> {:.2}x, modeled utilization {:.0}%\n",
+         overlap: makespan {:.3} ms vs serialized {:.3} ms -> {:.2}x, modeled utilization {:.0}%",
         r.speedup,
         r.sector_ratio,
         r.pool_allocs,
@@ -546,12 +551,12 @@ pub fn render(cfg: &ServeConfig, r: &ServeReport) -> String {
         r.utilization * 100.0
     ));
     if cfg.verify {
-        out.push_str(&format!(
-            "{} / {} answers verified bit-identical to the host reference on every executor\n",
+        report.note(format!(
+            "{} / {} answers verified bit-identical to the host reference on every executor",
             r.verified, cfg.requests
         ));
     }
-    out
+    report
 }
 
 fn exec_json(e: &ExecStats) -> Json {
