@@ -1656,9 +1656,10 @@ fn trace_cmd(opts: &Opts) -> Report {
 /// Compare the four `m <= 32` contenders' per-stage sector counts at
 /// n = 2^16, m = 32 — plus the `largem` section's three-kernel vs fused
 /// large-m pair at n = 2^16, m = 64 — against the committed
-/// `bench_results/baseline_sectors.json` with a ±2% tolerance; exit 1 on
-/// regression. Sectors are schedule-independent, so this is a meaningful
-/// Rust-only CI gate. `--update` rewrites the baseline from the current
+/// `bench_results/baseline_sectors.json` with a ±2% tolerance, and each
+/// row's modeled microseconds with a ±0.5% one; exit 1 on regression.
+/// Sectors and modeled time are schedule-independent, so this is a
+/// meaningful Rust-only CI gate. `--update` rewrites the baseline from the current
 /// counts instead.
 ///
 /// Parsed here (not via `parse_opts`): its sizes are fixed, and
@@ -1674,7 +1675,7 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
     let path = "bench_results/baseline_sectors.json";
     println!(
         "check: per-stage sector counts, n = 2^16, m = {m} (largem section: m = 64), \
-         seed {}, tolerance ±2%",
+         seed {}, tolerance ±2% (modeled µs: ±0.5%)",
         metrics::PROFILE_SEED
     );
     let mut current = metrics::sector_baseline(&metrics::PROFILE_CONTENDERS, n, m);
@@ -1722,14 +1723,16 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
         for note in &notes {
             println!("note: {note}");
         }
-        println!("check: OK — all sector counts within tolerance of the baseline");
+        println!(
+            "check: OK — all sector counts and modeled times within tolerance of the baseline"
+        );
         Ok(())
     } else {
         for f in &failures {
             eprintln!("FAIL: {f}");
         }
         eprintln!(
-            "check: sector counts regressed; investigate, or refresh an intended\n\
+            "check: sector counts or modeled times regressed; investigate, or refresh an intended\n\
              change with `paper check --update` and commit the new baseline"
         );
         std::process::exit(1);

@@ -303,24 +303,43 @@ pub fn profile_report(data: &[ContenderProfile], n: usize, m: u32) -> Report {
     r
 }
 
-/// Current per-stage sector counts of `contenders` in the
-/// committed-baseline shape: `{"n", "m", "seed", "contenders":
-/// [{"contender", "total_sectors", "stages": [{"stage", "sectors"}]}]}`.
+/// Tolerance of `paper check` on a row's modeled microseconds: a
+/// compute-bound launch can slow down while its sectors hold, so the
+/// modeled time is gated tighter than the sectors' ±2%.
+pub const MODELED_TOLERANCE: f64 = 0.005;
+
+/// Current per-stage sector counts and modeled time of `contenders` in
+/// the committed-baseline shape: `{"n", "m", "seed", "contenders":
+/// [{"contender", "total_sectors", "modeled_us", "stages": [{"stage",
+/// "sectors"}]}]}`.
 pub fn sector_baseline(contenders: &Named, n: usize, m: u32) -> Json {
     let rows = profile_data(contenders, n, m, false)
         .iter()
-        .map(|p| sector_row(p.name, p.outcome.total_sectors(), &p.outcome.sectors))
+        .map(|p| {
+            let o = &p.outcome;
+            sector_row(p.name, o.total_sectors(), Some(o.total), &o.sectors)
+        })
         .collect();
     baseline_doc(n, m, rows)
 }
 
-/// One contender of a baseline section.
-fn sector_row(name: &str, total: u64, stages: &[(&'static str, u64)]) -> Json {
-    Json::Obj(vec![
+/// One contender of a baseline section, with its modeled seconds (as
+/// microseconds, to the nanosecond) when it has them.
+fn sector_row(
+    name: &str,
+    total: u64,
+    seconds: Option<f64>,
+    stages: &[(&'static str, u64)],
+) -> Json {
+    let mut fields = vec![
         ("contender".into(), Json::Str(name.into())),
         ("total_sectors".into(), Json::int(total)),
-        ("stages".into(), stage_sectors_json(stages)),
-    ])
+    ];
+    if let Some(s) = seconds {
+        fields.push(("modeled_us".into(), Json::Num((s * 1e9).round() / 1e3)));
+    }
+    fields.push(("stages".into(), stage_sectors_json(stages)));
+    Json::Obj(fields)
 }
 
 /// A baseline section: its config header and contender rows.
@@ -351,8 +370,9 @@ pub fn serve_sector_baseline_current() -> Json {
         ..Default::default()
     };
     let report = crate::serve::run_serve(&cfg);
-    let row =
-        |name, e: &crate::serve::ExecStats| sector_row(name, e.total_sectors, &e.stage_sectors);
+    let row = |name, e: &crate::serve::ExecStats| {
+        sector_row(name, e.total_sectors, Some(e.wall_s), &e.stage_sectors)
+    };
     baseline_doc(
         cfg.n,
         cfg.m_max,
@@ -397,7 +417,7 @@ pub fn serve_overlap_baseline_current() -> Json {
         report.overlapped.wall_s,
         report.serialized_wall_s
     );
-    let metric = |name, v| sector_row(name, v, &[]);
+    let metric = |name, v| sector_row(name, v, None, &[]);
     let ns = |s: f64| (s * 1e9).round() as u64;
     baseline_doc(
         cfg.n,
@@ -418,7 +438,9 @@ pub fn serve_overlap_baseline_current() -> Json {
 /// Returns `Ok(notes)` when nothing regressed (notes flag improvements
 /// beyond the tolerance, i.e. a stale baseline worth refreshing) or
 /// `Err(failures)` listing every count that **grew** more than
-/// `tolerance` (e.g. `0.02` for ±2%).
+/// `tolerance` (e.g. `0.02` for ±2%), and every row whose `modeled_us`
+/// grew more than [`MODELED_TOLERANCE`]. A row carries `modeled_us` on
+/// both sides or on neither.
 pub fn sector_baseline_compare(
     current: &Json,
     baseline: &Json,
@@ -476,32 +498,33 @@ pub fn sector_baseline_compare(
         fn check_one(
             notes: &mut Vec<String>,
             failures: &mut Vec<String>,
-            tolerance: f64,
+            (tolerance, unit): (f64, &str),
             what: String,
             cur_v: f64,
             base_v: f64,
         ) {
             if base_v == 0.0 {
                 if cur_v != 0.0 {
-                    failures.push(format!("{what}: {cur_v} sectors where baseline has 0"));
+                    failures.push(format!("{what}: {cur_v} {unit} where baseline has 0"));
                 }
                 return;
             }
             let ratio = cur_v / base_v;
             if ratio > 1.0 + tolerance {
                 failures.push(format!(
-                    "{what}: {cur_v} sectors vs baseline {base_v} (+{:.1}% > {:.0}% tolerance)",
+                    "{what}: {cur_v} {unit} vs baseline {base_v} (+{:.2}% > {}% tolerance)",
                     (ratio - 1.0) * 100.0,
                     tolerance * 100.0
                 ));
             } else if ratio < 1.0 - tolerance {
                 notes.push(format!(
-                    "{what}: improved to {cur_v} sectors vs baseline {base_v} ({:.1}%) — \
+                    "{what}: improved to {cur_v} {unit} vs baseline {base_v} ({:.2}%) — \
                      consider `paper check --update`",
                     (ratio - 1.0) * 100.0
                 ));
             }
         }
+        let sectors = (tolerance, "sectors");
         // An absent `total_sectors` on either side used to fall through
         // the `if let (Some, Some)` silently — treat it as the gate
         // failure it is (the field is how a regression is measured).
@@ -512,7 +535,7 @@ pub fn sector_baseline_compare(
             (Some(c), Some(b)) => check_one(
                 &mut notes,
                 &mut failures,
-                tolerance,
+                sectors,
                 format!("{name}/total"),
                 c,
                 b,
@@ -525,6 +548,28 @@ pub fn sector_baseline_compare(
                     failures.push(format!("baseline missing `{name}/total_sectors`"));
                 }
             }
+        }
+        match (
+            cur.get("modeled_us").and_then(Json::as_f64),
+            base.get("modeled_us").and_then(Json::as_f64),
+        ) {
+            (Some(c), Some(b)) => check_one(
+                &mut notes,
+                &mut failures,
+                (MODELED_TOLERANCE, "modeled µs"),
+                format!("{name}/modeled_us"),
+                c,
+                b,
+            ),
+            (None, None) => {}
+            (c, _) => failures.push(format!(
+                "{} missing `{name}/modeled_us`",
+                if c.is_none() {
+                    "current report"
+                } else {
+                    "baseline"
+                }
+            )),
         }
         let base_stages = base.get("stages").and_then(Json::as_arr).unwrap_or(&empty);
         let cur_stages = cur.get("stages").and_then(Json::as_arr).unwrap_or(&empty);
@@ -555,7 +600,7 @@ pub fn sector_baseline_compare(
                 Some(b) => check_one(
                     &mut notes,
                     &mut failures,
-                    tolerance,
+                    sectors,
                     format!("{name}/{sname}"),
                     cur_v,
                     b,
@@ -877,6 +922,37 @@ mod tests {
         let res = sector_baseline_compare(&current, &worse, 0.02);
         let notes = res.expect("improvement must pass");
         assert!(!notes.is_empty(), "improvement beyond tolerance is noted");
+        // Modeled time is gated at ±0.5%, with sectors unchanged.
+        fn slow(v: &Json, factor: f64) -> Json {
+            match v {
+                Json::Obj(fields) => Json::Obj(
+                    fields
+                        .iter()
+                        .map(|(k, val)| match (k.as_str(), val.as_f64()) {
+                            ("modeled_us", Some(us)) => (k.clone(), Json::Num(us * factor)),
+                            _ => (k.clone(), slow(val, factor)),
+                        })
+                        .collect(),
+                ),
+                Json::Arr(items) => Json::Arr(items.iter().map(|i| slow(i, factor)).collect()),
+                other => other.clone(),
+            }
+        }
+        assert!(text.contains("\"modeled_us\""), "rows carry modeled µs");
+        let err = sector_baseline_compare(&slow(&current, 1.01), &current, 0.02)
+            .expect_err("1% slower must fail the 0.5% gate");
+        assert!(err.iter().all(|e| e.contains("modeled_us")), "{err:?}");
+        assert_eq!(
+            sector_baseline_compare(&slow(&current, 1.004), &current, 0.02),
+            Ok(vec![])
+        );
+        let notes =
+            sector_baseline_compare(&current, &slow(&current, 1.01), 0.02).expect("faster passes");
+        assert!(notes.iter().any(|n| n.contains("modeled_us")), "{notes:?}");
+        // A row that lost its modeled time fails, on either side.
+        let untimed = Json::parse(&text.replace("\"modeled_us\"", "\"was_us\"")).unwrap();
+        assert!(sector_baseline_compare(&untimed, &current, 0.02).is_err());
+        assert!(sector_baseline_compare(&current, &untimed, 0.02).is_err());
         // Config mismatch is an immediate failure.
         let other = sector_baseline(&PROFILE_CONTENDERS, n / 2, 8);
         assert!(sector_baseline_compare(&current, &other, 0.02).is_err());

@@ -11,8 +11,10 @@
 //! pre-scan of [`crate::prescan`]. A tile that is its whole segment needs
 //! no bases: it writes its reordered tile in place.
 //!
-//! The reorder stages keys and payloads only: the scatter recomputes
-//! each key's bucket (paper §5.1) and reads one folded base per bucket.
+//! The reorder stages keys and payloads only: the dense scatter
+//! recomputes each key's bucket (paper §5.1) and reads one folded base
+//! per bucket; the sector-aligned scatter (below) reads a group
+//! descriptor instead.
 //! Keys and payloads share one staging buffer, as in CUB's Onesweep: the
 //! keys are staged, read back and scattered, each thread keeping its
 //! destinations; after a barrier the payloads are staged into the same
@@ -31,6 +33,24 @@
 //! staging takes the rest of shared memory, up to the register bound
 //! [`MAX_ITEMS_PER_THREAD`]. What varies is only how the pre-scan counts
 //! ([`crate::prescan::HistStrategy`]).
+//!
+//! A tile of a multi-tile segment whose spare shared memory holds the
+//! worst case scatters through sector-aligned windows (`Layout::for_tile`;
+//! at 8 warps, m ≤ 64 standalone and m ≤ 63 in a batch, key-only or with
+//! 4-byte payloads; fewer warps leave room for more buckets, 16 and 32
+//! warps for none). Each bucket's run is staged at *virtual slots*
+//! starting at a group boundary plus its destination's offset within its
+//! 32-byte sector, and each group of 8 slots holds one run, so a
+//! group maps onto one output sector. Warp 0 computes the layout after
+//! the look-back and folds it into the histogram rows and the scatter
+//! bases; in the reorder the first live lane of each group writes the
+//! group's descriptor (its sector-aligned destination and live slot
+//! range), and the scatter reads that descriptor instead of recomputing
+//! the key's bucket. Every output sector of a run is then written by one
+//! warp request, and the bucket function runs twice per key, not three
+//! times. Gap slots are never written or read. Wider `m` keeps the dense
+//! layout: there the up to 14 gap slots per bucket and the descriptors do
+//! not fit beside the histogram, and those sweeps are compute-bound.
 //!
 //! A standalone run is the one-segment case (`SweepPlan::one`). Its
 //! descriptor reaches every block by value, so it costs no table sector
@@ -71,6 +91,18 @@ pub const MAX_ITEMS_PER_THREAD: usize = 32;
 /// read.
 pub const DESC_WORDS: usize = 8;
 
+/// Keys per 32-byte output sector: the group width of the sector-aligned
+/// layout.
+const GROUP: usize = simt::SECTOR_BYTES as usize / 4;
+
+/// Gap slots the sector-aligned layout may need for `m` buckets: at most
+/// `GROUP - 1` before each run (its destination's offset within its
+/// sector) and `GROUP - 1` after it (the rest of its last group), but
+/// none after the last run.
+fn max_gap_slots(m: usize) -> usize {
+    (2 * (GROUP - 1) * m).saturating_sub(GROUP - 1)
+}
+
 /// The shared-memory words of one sweep block, buffer by buffer, plus
 /// the one-word tile ticket. The kernel allocates from this struct, so the
 /// budget searches and the allocations cannot drift apart.
@@ -80,31 +112,97 @@ struct Layout {
     hist: usize,
     /// The folded scatter bases (`m` words).
     tables: usize,
-    /// Staging slots for the reordered tile, addressed through
-    /// [`padded_index`].
+    /// Logical staging slots for the reordered tile, addressed through
+    /// [`padded_index`]: the tile's keys, plus the worst-case gaps in the
+    /// sector-aligned layout.
     slots: usize,
     /// Words per slot: the key, then (after a barrier) the payload, in
-    /// the same slot. The scatter recomputes the bucket id from the staged
-    /// key.
+    /// the same slot.
     slot_words: usize,
+    /// The sector-aligned layout's group descriptors, one `u64` per
+    /// [`GROUP`] slots; 0 in the dense layout.
+    groups: usize,
     /// The block-wide scan's warp-sums scratch.
     scan_scratch: usize,
 }
 
 impl Layout {
+    /// The dense layout, the one the coarsening search sizes.
     fn new(wpb: usize, m: usize, ipt: usize, value_words: usize) -> Self {
         Layout {
             hist: m * (wpb | 1),
             tables: m,
-            slots: padded_len(wpb * ipt * WARP_SIZE),
+            slots: wpb * ipt * WARP_SIZE,
             slot_words: staging_words_per_element(value_words),
+            groups: 0,
             scan_scratch: wpb + 1,
         }
     }
 
-    fn words(&self) -> usize {
-        self.hist + self.tables + self.slots * self.slot_words + 1 + self.scan_scratch
+    /// The layout a tile runs: sector-aligned when it is one of several
+    /// tiles of its segment and the worst case of the aligned layout (the
+    /// gap slots and one descriptor per group) fits the shared memory
+    /// the dense layout and `reserved_words` leave; dense otherwise. The
+    /// tile's coarsening is the dense layout's in both cases.
+    fn for_tile(
+        wpb: usize,
+        m: usize,
+        ipt: usize,
+        value_words: usize,
+        reserved_words: usize,
+        multi_tile: bool,
+    ) -> Self {
+        let dense = Self::new(wpb, m, ipt, value_words);
+        let slots = dense.slots + max_gap_slots(m);
+        let aligned = Layout {
+            slots,
+            groups: slots.div_ceil(GROUP),
+            ..dense
+        };
+        if multi_tile && aligned.words() + reserved_words <= SMEM_BUDGET_WORDS {
+            aligned
+        } else {
+            dense
+        }
     }
+
+    fn aligned(&self) -> bool {
+        self.groups > 0
+    }
+
+    fn words(&self) -> usize {
+        self.hist
+            + self.tables
+            + padded_len(self.slots) * self.slot_words
+            + 2 * self.groups
+            + 1
+            + self.scan_scratch
+    }
+}
+
+/// Bits of each position field of an aligned-layout histogram entry. Every
+/// staging slot index is below the shared-memory budget, so it fits.
+const POS_BITS: u32 = 14;
+const POS_MASK: u32 = (1 << POS_BITS) - 1;
+const _: () = assert!(SMEM_BUDGET_WORDS <= 1 << POS_BITS);
+/// Entry flag: no earlier warp holds a key of the entry's bucket, so the
+/// warp's first one is the run's first.
+const RUN_HEAD: u32 = 1 << (2 * POS_BITS);
+
+/// An aligned-layout histogram entry: the warp's first virtual slot of
+/// the bucket, the end of the bucket's run, and the [`RUN_HEAD`] flag.
+fn pack_entry(slot: u32, run_end: u32, head: bool) -> u32 {
+    slot | run_end << POS_BITS | if head { RUN_HEAD } else { 0 }
+}
+
+/// A group descriptor: the sector-aligned, segment-local destination of
+/// the group's first slot and its live slot range `lo..hi`.
+fn pack_desc(base: u32, lo: u32, hi: u32) -> u64 {
+    u64::from(base) | u64::from(lo) << 32 | u64::from(hi) << 40
+}
+
+fn unpack_desc(d: u64) -> (u32, u32, u32) {
+    (d as u32, (d >> 32) as u32 & 0xFF, (d >> 40) as u32 & 0xFF)
 }
 
 /// Shared words one sweep block allocates at coarsening `ipt` — the one
@@ -326,7 +424,9 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
             blk.sync();
             let t = tile_id.get(0) as usize;
             let d = self.desc(blk, t);
-            sweep_tile(blk, keys, values, self.segs[d.seg].bucket, &d, &states, out);
+            let reserved = if self.table.is_some() { DESC_WORDS } else { 0 };
+            let bucket = self.segs[d.seg].bucket;
+            sweep_tile(blk, keys, values, bucket, &d, &states, out, reserved);
             blk.stats()
                 .obs
                 .flight_emit(EventKind::ScatterComplete, t as u32, 0, 0);
@@ -531,16 +631,55 @@ impl<'b> TileHist<'b> {
 
     /// Tile-local rank base of each lane's bucket in warp `w`: the
     /// bucket's tile start plus its count in earlier warps (the lanes'
-    /// ranks already count the warp's earlier chunks).
+    /// ranks already count the warp's earlier chunks). In the aligned
+    /// layout the base is a virtual slot, packed with its run's end and
+    /// head flag ([`fold_runs`](Self::fold_runs)).
     fn rank_base(&self, w: &WarpCtx, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
         self.hrow.ld(
             lanes_from_fn(|l| b[l] as usize * self.pitch + w.warp_id),
             mask,
         )
     }
+
+    /// Warp 0, aligned layout, after [`aggregate`](Self::aggregate): move
+    /// the runs of buckets `g0..g0 + cnt` to their first virtual slots
+    /// `slot`, holding `count` keys each. Every warp's entry of a run's
+    /// row becomes [`pack_entry`] of its first slot, the run's end, and
+    /// whether no earlier warp holds a key of the run.
+    fn fold_runs(&self, w: &WarpCtx, g0: usize, cnt: usize, slot: Lanes<u32>, count: &[u32]) {
+        let sm = low_lanes_mask(cnt);
+        let at = |col: usize| lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * self.pitch + col);
+        let start = self.hrow.ld(at(0), sm);
+        for col in 0..self.pad.unwrap_or(self.pitch) {
+            let e = if col == 0 {
+                start
+            } else {
+                self.hrow.ld(at(col), sm)
+            };
+            self.hrow.st(
+                at(col),
+                lanes_from_fn(|l| {
+                    let before = e[l].wrapping_sub(start[l]);
+                    let run_end = slot[l] + count.get(l).copied().unwrap_or(0);
+                    pack_entry(slot[l].wrapping_add(before), run_end, before == 0)
+                }),
+                sm,
+            );
+            w.charge(3 * cnt as u64); // the shift, the end and the packing
+        }
+    }
+
+    /// Aligned layout, after the fold: the end of the last run, read from
+    /// the last row's head.
+    fn runs_end(&self) -> usize {
+        (self.hrow.get((self.m - 1) * self.pitch) >> POS_BITS & POS_MASK) as usize
+    }
 }
 
 /// Sweep body for one tile (see the module docs for the phases).
+/// `reserved_words` is the shared memory the launch holds besides the
+/// tile's layout (a batch's descriptor).
+#[allow(clippy::too_many_arguments)]
 fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     blk: &BlockCtx,
     keys: &GlobalBuffer<u32>,
@@ -549,6 +688,7 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     d: &TileDesc,
     states: &SegmentedTileStates,
     out: &Out<'_, V>,
+    reserved_words: usize,
 ) {
     let mu = d.m as usize;
     let nw = blk.warps_per_block;
@@ -562,20 +702,19 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let chunks_of = |w: &WarpCtx| w.warp_id * d.ipt..((w.warp_id + 1) * d.ipt).min(live);
     let chunk_mask = |chunk: usize| tail_mask(tile_start + chunk * WARP_SIZE, d.n);
     let value_words = values.map_or(0, |_| V::BYTES as usize / 4);
-    let lay = Layout::new(nw, mu, d.ipt, value_words);
+    let lay = Layout::for_tile(nw, mu, d.ipt, value_words, reserved_words, multi_tile);
     let hist = TileHist::alloc(blk, mu);
     let scatter_base = multi_tile.then(|| blk.alloc_shared::<u32>(mu));
     // One staging buffer: the keys' slots, later the payloads'.
-    let keys_s = blk.alloc_shared::<u32>(lay.slots * lay.slot_words);
+    let keys_s = blk.alloc_shared::<u32>(padded_len(lay.slots) * lay.slot_words);
+    let desc_s = lay.aligned().then(|| blk.alloc_shared::<u64>(lay.groups));
     // Per-chunk registers persisting across barriers, as in a real kernel:
     // the tile's keys are read from DRAM exactly once. `pos_reg` holds each
-    // lane's rank, then its tile position; `dest_reg` the destinations the
-    // payloads follow the keys to.
+    // lane's rank, then its staging slot.
     let mut key_reg = vec![[0u32; WARP_SIZE]; live];
     let mut bucket_reg = vec![[0u32; WARP_SIZE]; live];
     let mut pos_reg = vec![[0u32; WARP_SIZE]; live];
     let mut val_reg = values.map(|_| vec![[V::default(); WARP_SIZE]; live]);
-    let mut dest_reg = values.map(|_| vec![[0usize; WARP_SIZE]; live]);
 
     // Phase 1: count every chunk and rank its lanes; elements stay in
     // registers.
@@ -602,12 +741,16 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     // Phase 3 (warp 0): publish the tile aggregate and resolve the
     // m-vector tile prefix by decoupled look-back in the segment's window;
     // a multi-tile segment folds it, the global bases and the tile-local
-    // bucket starts into scatter_base (plus tile position: the destination).
+    // bucket starts into scatter_base (plus staging slot: the
+    // destination). The aligned layout also moves each run to its virtual
+    // slots and folds that shift into the histogram rows.
     {
         let w = blk.warp(0);
         let (agg, start) = hist.aggregate(&w, tile_total);
         let prefix = states.resolve_rows(&w, d.seg, d.local_tile, &agg);
         if let Some(sb) = &scatter_base {
+            // The first virtual slot of the next bucket group's runs.
+            let mut cursor = 0u32;
             for g0 in (0..mu).step_by(WARP_SIZE) {
                 let cnt = (mu - g0).min(WARP_SIZE);
                 let sm = low_lanes_mask(cnt);
@@ -616,12 +759,20 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
                     lanes_from_fn(|l| d.hist_base + g0 + l.min(cnt - 1)),
                     sm,
                 );
+                let bucket_of = |l: usize| g0 + l.min(cnt - 1);
+                // The segment-local destination of each run's first key.
+                let dst = lanes_from_fn(|l| gb[l].wrapping_add(prefix[bucket_of(l)]));
+                let slot = if lay.aligned() {
+                    let (slot, end) = align_runs(&w, &agg[g0..g0 + cnt], dst, d.offset, cursor);
+                    cursor = end;
+                    hist.fold_runs(&w, g0, cnt, slot, &agg[g0..g0 + cnt]);
+                    slot
+                } else {
+                    lanes_from_fn(|l| start[bucket_of(l)])
+                };
                 sb.st(
-                    lanes_from_fn(|l| g0 + l.min(cnt - 1)),
-                    lanes_from_fn(|l| {
-                        let b = g0 + l.min(cnt - 1);
-                        gb[l].wrapping_add(prefix[b]).wrapping_sub(start[b])
-                    }),
+                    lanes_from_fn(bucket_of),
+                    lanes_from_fn(|l| dst[l].wrapping_sub(slot[l])),
                     sm,
                 );
             }
@@ -629,37 +780,123 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     }
     blk.sync();
 
-    // Phase 4: block-wide reorder of the keys into shared staging.
+    // Phase 4: block-wide reorder of the keys into shared staging. In the
+    // aligned layout the first live lane of each group also writes the
+    // group's descriptor.
+    #[cfg(debug_assertions)]
+    let mut audit = desc_s.as_ref().map(|_| Audit::new(lay.slots, lay.groups));
     for w in blk.warps() {
         for chunk in chunks_of(&w) {
             let mask = chunk_mask(chunk);
-            let base = hist.rank_base(&w, bucket_reg[chunk], mask);
-            pos_reg[chunk] = lanes_from_fn(|l| base[l] + pos_reg[chunk][l]);
-            let slot = lanes_from_fn(|l| padded_index(pos_reg[chunk][l] as usize));
-            keys_s.st(slot, key_reg[chunk], mask);
+            let b = bucket_reg[chunk];
+            let rank = pos_reg[chunk];
+            let entry = hist.rank_base(&w, b, mask);
+            let slot = match (&desc_s, &scatter_base) {
+                (Some(desc), Some(sb)) => {
+                    let slot = lanes_from_fn(|l| (entry[l] & POS_MASK) + rank[l]);
+                    let writers = (0..WARP_SIZE)
+                        .filter(|&l| {
+                            slot[l].is_multiple_of(GROUP as u32)
+                                || (entry[l] & RUN_HEAD != 0 && rank[l] == 0)
+                        })
+                        .fold(0u32, |acc, l| acc | 1 << l)
+                        & mask;
+                    let base = sb.ld(lanes_from_fn(|l| b[l] as usize), writers);
+                    let lo = lanes_from_fn(|l| slot[l] % GROUP as u32);
+                    let group = lanes_from_fn(|l| (slot[l] / GROUP as u32) as usize);
+                    desc.st(
+                        group,
+                        lanes_from_fn(|l| {
+                            let run_end = entry[l] >> POS_BITS & POS_MASK;
+                            let first = slot[l] - lo[l];
+                            let hi = run_end.wrapping_sub(first).min(GROUP as u32);
+                            pack_desc(base[l].wrapping_add(first), lo[l], hi)
+                        }),
+                        writers,
+                    );
+                    // Each writer's base and range: predicates and address
+                    // arithmetic go uncharged, as elsewhere in the sweep.
+                    w.charge(2 * u64::from(writers.count_ones()));
+                    #[cfg(debug_assertions)]
+                    if let Some(a) = &mut audit {
+                        a.stage(&slot, &group, mask, writers);
+                    }
+                    slot
+                }
+                _ => lanes_from_fn(|l| entry[l] + rank[l]),
+            };
+            pos_reg[chunk] = slot;
+            keys_s.st(
+                lanes_from_fn(|l| padded_index(slot[l] as usize)),
+                key_reg[chunk],
+                mask,
+            );
         }
     }
     blk.sync();
 
     // Phase 5: coalesced read of the staged keys, written to final
-    // positions: the key's bucket, recomputed, picks its scatter base, or
-    // a one-tile segment writes its bucket-dense tile at its own range.
+    // positions, one 32-slot window at a time. The aligned layout reads
+    // each slot's group descriptor; the dense one recomputes the key's
+    // bucket to pick its scatter base, or (one-tile segment) writes its
+    // bucket-dense tile at its own range. Each warp keeps its windows'
+    // live lanes and destinations for the payloads.
+    let mut kept: Vec<Vec<(usize, u32, Lanes<usize>)>> = match values {
+        Some(_) => vec![Vec::new(); nw],
+        None => Vec::new(),
+    };
     for w in blk.warps() {
-        for chunk in chunks_of(&w) {
-            let mask = chunk_mask(chunk);
-            let tid = lanes_from_fn(|l| chunk * WARP_SIZE + l);
-            let k2 = keys_s.ld(lanes_from_fn(|l| padded_index(tid[l])), mask);
-            let dest = match &scatter_base {
-                Some(sb) => {
+        // The warp's windows, and the end of the slots they cover.
+        let (windows, span) = match &desc_s {
+            Some(_) => {
+                let span = hist.runs_end().next_multiple_of(GROUP);
+                #[cfg(debug_assertions)]
+                if let (Some(a), 0) = (&audit, w.warp_id) {
+                    a.check_writers(span);
+                }
+                let count = span.div_ceil(WARP_SIZE);
+                let per = count.div_ceil(nw);
+                (w.warp_id * per..((w.warp_id + 1) * per).min(count), span)
+            }
+            None => (chunks_of(&w), d.n - tile_start),
+        };
+        for win in windows {
+            let mask = tail_mask(win * WARP_SIZE, span);
+            let tid = lanes_from_fn(|l| win * WARP_SIZE + l);
+            let (live, k2, dest) = match (&desc_s, &scatter_base) {
+                (Some(desc), _) => {
+                    let dsc = desc.ld(lanes_from_fn(|l| tid[l] / GROUP), mask);
+                    let mut live = 0u32;
+                    let dest = lanes_from_fn(|l| {
+                        let (base, lo, hi) = unpack_desc(dsc[l]);
+                        let off = (tid[l] % GROUP) as u32;
+                        live |= u32::from(lo <= off && off < hi) << l;
+                        d.offset + base.wrapping_add(off) as usize
+                    });
+                    live &= mask;
+                    #[cfg(debug_assertions)]
+                    if let Some(a) = &audit {
+                        a.check_read(&tid, live);
+                    }
+                    let k2 = keys_s.ld(lanes_from_fn(|l| padded_index(tid[l])), live);
+                    (live, k2, dest)
+                }
+                (None, Some(sb)) => {
+                    let k2 = keys_s.ld(lanes_from_fn(|l| padded_index(tid[l])), mask);
                     let b2 = eval_buckets(&w, bucket, k2, mask);
                     let base = sb.ld(lanes_from_fn(|l| b2[l] as usize), mask);
-                    lanes_from_fn(|l| d.offset + base[l].wrapping_add(tid[l] as u32) as usize)
+                    let dest =
+                        lanes_from_fn(|l| d.offset + base[l].wrapping_add(tid[l] as u32) as usize);
+                    (mask, k2, dest)
                 }
-                None => lanes_from_fn(|l| d.offset + tile_start + tid[l]),
+                (None, None) => {
+                    let k2 = keys_s.ld(lanes_from_fn(|l| padded_index(tid[l])), mask);
+                    (mask, k2, lanes_from_fn(|l| d.offset + tile_start + tid[l]))
+                }
             };
-            w.scatter(out.keys, dest, k2, mask);
-            if let Some(dr) = &mut dest_reg {
-                dr[chunk] = dest;
+            w.scatter(out.keys, dest, k2, live);
+            if values.is_some() {
+                kept[w.warp_id].push((win, live, dest));
             }
         }
     }
@@ -668,7 +905,7 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     // the kept destinations. The first barrier orders every key read-back
     // before the payload stores into the same words (the simulator runs
     // warps in order, so it cannot catch a missing one).
-    let (Some(vr), Some(dr), Some(vout)) = (val_reg, dest_reg, out.values) else {
+    let (Some(vr), Some(vout)) = (val_reg, out.values) else {
         return;
     };
     blk.sync();
@@ -681,10 +918,92 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     }
     blk.sync();
     for w in blk.warps() {
-        for chunk in chunks_of(&w) {
-            let mask = chunk_mask(chunk);
-            let slot = lanes_from_fn(|l| padded_index(chunk * WARP_SIZE + l));
-            w.scatter(vout, dr[chunk], values_s.ld(slot, mask), mask);
+        for &(win, live, dest) in &kept[w.warp_id] {
+            let slot = lanes_from_fn(|l| padded_index(win * WARP_SIZE + l));
+            w.scatter(vout, dest, values_s.ld(slot, live), live);
+        }
+    }
+}
+
+/// Warp 0, aligned layout: the virtual slots of one group of up to 32
+/// buckets' runs. Each non-empty run starts at a group boundary plus its
+/// destination's offset within its 32-byte sector, and fills its groups
+/// with no other run, so the virtual slots of each group map onto one
+/// output sector. `count` holds the runs' key counts, `dst` their
+/// segment-local destinations, and `cursor` the first free group
+/// boundary. Returns each run's first slot and the next free boundary.
+fn align_runs(
+    w: &WarpCtx,
+    count: &[u32],
+    dst: Lanes<u32>,
+    offset: usize,
+    cursor: u32,
+) -> (Lanes<u32>, u32) {
+    let cnt = count.len();
+    let g = GROUP as u32;
+    let lead = lanes_from_fn(|l| {
+        let c = count.get(l).copied().unwrap_or(0);
+        if c == 0 {
+            0
+        } else {
+            (offset as u32).wrapping_add(dst[l]) % g
+        }
+    });
+    let span = lanes_from_fn(|l| {
+        let c = count.get(l).copied().unwrap_or(0);
+        (lead[l] + c).next_multiple_of(g)
+    });
+    let ends = primitives::warp_scan::inclusive_scan_add(w, span);
+    w.charge(4 * cnt as u64); // the lead, the span and the slot
+    (
+        lanes_from_fn(|l| cursor + ends[l] - span[l] + lead[l]),
+        cursor + ends[cnt - 1],
+    )
+}
+
+/// Host-side audit of the aligned layout, kept in debug builds: each
+/// descriptor has exactly one writer, and the scatter reads only slots
+/// the reorder staged, never a gap slot.
+#[cfg(debug_assertions)]
+struct Audit {
+    staged: Vec<bool>,
+    writers: Vec<u8>,
+}
+
+#[cfg(debug_assertions)]
+impl Audit {
+    fn new(slots: usize, groups: usize) -> Self {
+        Audit {
+            staged: vec![false; slots],
+            writers: vec![0; groups],
+        }
+    }
+
+    fn stage(&mut self, slot: &Lanes<u32>, group: &Lanes<usize>, mask: u32, writers: u32) {
+        for l in (0..WARP_SIZE).filter(|&l| mask >> l & 1 == 1) {
+            assert!(
+                !self.staged[slot[l] as usize],
+                "slot {} staged twice",
+                slot[l]
+            );
+            self.staged[slot[l] as usize] = true;
+            if writers >> l & 1 == 1 {
+                self.writers[group[l]] += 1;
+            }
+        }
+    }
+
+    fn check_writers(&self, span: usize) {
+        let groups = span / GROUP;
+        for (g, &n) in self.writers.iter().enumerate() {
+            let want = u8::from(g < groups);
+            assert_eq!(n, want, "group {g} of {groups} has {n} descriptor writers");
+        }
+    }
+
+    fn check_read(&self, slot: &Lanes<usize>, live: u32) {
+        for l in (0..WARP_SIZE).filter(|&l| live >> l & 1 == 1) {
+            assert!(self.staged[slot[l]], "gap slot {} read", slot[l]);
         }
     }
 }
@@ -1011,49 +1330,78 @@ mod tests {
         }
     }
 
-    /// A one-tile run bills the same counted stats, and writes the same
+    /// A sweep run bills the same counted stats, and writes the same
     /// outputs, under all six schedules: sequential, parallel and the four
-    /// adversarial flavors.
+    /// adversarial flavors. One-tile runs (one launch, written in place)
+    /// and multi-tile runs in the sector-aligned layout, key-only and
+    /// key-value.
     #[test]
-    fn one_tile_runs_are_schedule_independent() {
+    fn sweep_runs_are_schedule_independent() {
         use simt::{AdvFlavor, AdvSchedule};
-        let n = 3000;
-        let data = keys_for(n, 100);
-        let vals: Vec<u32> = (0..n as u32).collect();
-        for m in [13u32, 100] {
-            for kv in [false, true] {
-                let bucket = RangeBuckets::new(m);
-                let mut devs = vec![Device::sequential(K40C), Device::new(K40C)];
-                devs.extend(
-                    AdvFlavor::ALL
-                        .map(|f| Device::adversarial(K40C, AdvSchedule::with_flavor(0x0717, f))),
-                );
-                let runs: Vec<_> = devs
-                    .iter()
-                    .map(|dev| {
-                        let keys = GlobalBuffer::from_slice(&data);
-                        let values = GlobalBuffer::from_slice(&vals);
-                        let values = kv.then_some(&values);
-                        let r = multisplit_device(dev, Method::Fused, &keys, values, n, &bucket, 8);
-                        let stats: Vec<_> = dev.records().iter().map(|rec| rec.stats).collect();
-                        assert_eq!(stats.len(), 1, "m={m} kv={kv}: one launch");
-                        (
-                            r.keys.to_vec(),
-                            r.values.map(|v| v.to_vec()),
-                            r.offsets,
-                            stats,
-                        )
-                    })
-                    .collect();
-                let (ek, ev, eo) = multisplit_kv_ref(&data, kv.then_some(&vals[..]), &bucket);
-                assert_eq!((&runs[0].0, &runs[0].2), (&ek, &eo), "m={m} kv={kv}");
-                if kv {
-                    assert_eq!(runs[0].1.as_ref(), Some(&ev), "m={m}");
-                }
-                for run in &runs[1..] {
-                    assert_eq!(run, &runs[0], "m={m} kv={kv}: schedule-independent");
+        for (n, launches, ms) in [(3000, 1, [13u32, 100]), (2 * 8192 + 700, 2, [2, 32])] {
+            let data = keys_for(n, 100);
+            let vals: Vec<u32> = (0..n as u32).collect();
+            for m in ms {
+                for kv in [false, true] {
+                    let bucket = RangeBuckets::new(m);
+                    let mut devs = vec![Device::sequential(K40C), Device::new(K40C)];
+                    devs.extend(
+                        AdvFlavor::ALL.map(|f| {
+                            Device::adversarial(K40C, AdvSchedule::with_flavor(0x0717, f))
+                        }),
+                    );
+                    let runs: Vec<_> = devs
+                        .iter()
+                        .map(|dev| {
+                            let keys = GlobalBuffer::from_slice(&data);
+                            let values = GlobalBuffer::from_slice(&vals);
+                            let values = kv.then_some(&values);
+                            let r =
+                                multisplit_device(dev, Method::Fused, &keys, values, n, &bucket, 8);
+                            let stats: Vec<_> = dev.records().iter().map(|rec| rec.stats).collect();
+                            assert_eq!(stats.len(), launches, "n={n} m={m} kv={kv}");
+                            (
+                                r.keys.to_vec(),
+                                r.values.map(|v| v.to_vec()),
+                                r.offsets,
+                                stats,
+                            )
+                        })
+                        .collect();
+                    let (ek, ev, eo) = multisplit_kv_ref(&data, kv.then_some(&vals[..]), &bucket);
+                    let case = format!("n={n} m={m} kv={kv}");
+                    assert_eq!((&runs[0].0, &runs[0].2), (&ek, &eo), "{case}");
+                    assert_eq!(runs[0].1, kv.then_some(ev), "{case}");
+                    for run in &runs[1..] {
+                        assert_eq!(run, &runs[0], "{case}: schedule-independent");
+                    }
                 }
             }
+        }
+    }
+
+    /// The aligned scatter reads each slot's destination from its group
+    /// descriptor, so a multi-tile fused split evaluates each key's bucket
+    /// twice (pre-scan and count); the dense layout of 256 buckets
+    /// recomputes it in the scatter, three times.
+    #[test]
+    fn aligned_sweeps_evaluate_each_key_twice() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        for (m, evals) in [(2u32, 2u64), (32, 2), (64, 2), (256, 3)] {
+            let calls = AtomicU64::new(0);
+            let bucket = FnBuckets::new(m, |k| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                k % m
+            });
+            // Whole tiles: every lane of every chunk holds a key.
+            let n = 4 * 8192;
+            let data = keys_for(n, m);
+            let keys = GlobalBuffer::from_slice(&data);
+            let dev = Device::sequential(K40C);
+            let r = multisplit_device(&dev, Method::Fused, &keys, no_values(), n, &bucket, 8);
+            let evaluated = calls.swap(0, Ordering::Relaxed);
+            assert_eq!(r.keys.to_vec(), multisplit_kv_ref(&data, None, &bucket).0);
+            assert_eq!(evaluated, evals * n as u64, "m={m}");
         }
     }
 

@@ -56,6 +56,19 @@ pub fn lane_active(mask: u32, lane: usize) -> bool {
     mask >> lane & 1 == 1
 }
 
+/// The set lanes of `mask`, in ascending order: a sparse mask costs only
+/// its set lanes.
+#[inline]
+pub fn active_lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// Mask with bits strictly below `lane` set (CUDA `%lanemask_lt`).
 #[inline]
 pub fn lane_mask_lt(lane: usize) -> u32 {

@@ -190,6 +190,9 @@ pub struct GlobalBuffer<T: Scalar> {
     /// key buffer is read once" need the traffic split by buffer instead.
     /// Only counted read paths bump it, so it is schedule-independent.
     read_sectors: AtomicU64,
+    /// Counted write sectors of warp-wide `scatter`s into this buffer:
+    /// the write side of `read_sectors`.
+    write_sectors: AtomicU64,
     _elem: std::marker::PhantomData<T>,
 }
 
@@ -201,6 +204,7 @@ impl<T: Scalar> GlobalBuffer<T> {
             marks: None,
             read_marks: None,
             read_sectors: AtomicU64::new(0),
+            write_sectors: AtomicU64::new(0),
             _elem: std::marker::PhantomData,
         }
     }
@@ -245,6 +249,13 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// inspection channels, not the bulk data stream this attributes.
     pub fn read_sectors(&self) -> u64 {
         self.read_sectors.load(Ordering::Relaxed)
+    }
+
+    /// Total 32 B sectors billed to counted warp-wide `scatter`s into this
+    /// buffer since allocation (the merged and device-scope write paths
+    /// are excluded, as for [`read_sectors`](Self::read_sectors)).
+    pub fn write_sectors(&self) -> u64 {
+        self.write_sectors.load(Ordering::Relaxed)
     }
 
     /// Host-side single element read (no transaction accounting).
@@ -386,7 +397,8 @@ impl<T: Scalar> GlobalBuffer<T> {
                 self.words[idx[lane]].store(val[lane].to_bits(), Ordering::Relaxed);
             }
         }
-        self.account(stats, &idx, mask);
+        let sectors = self.account(stats, &idx, mask);
+        self.write_sectors.fetch_add(sectors, Ordering::Relaxed);
     }
 
     /// Warp-wide scatter through the write-merging (L2 write-back) path.
@@ -741,6 +753,8 @@ mod tests {
         for i in 0..32 {
             assert_eq!(v[i], 31 - i as u32);
         }
+        assert_eq!(buf.write_sectors(), 4, "the buffer's own write sectors");
+        assert_eq!(buf.read_sectors(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 
-use crate::lanes::{lane_active, Lanes, WARP_SIZE};
+use crate::lanes::{active_lanes, Lanes, WARP_SIZE};
 use crate::memory::Scalar;
 use crate::stats::StatCells;
 
@@ -85,26 +85,24 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
         let mut worst_extra = 0;
         let mut later_words = [0usize; WARP_SIZE];
         let mut n_later = 0usize;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                // Bank id depends on the 4-byte word address.
-                let word = idx[lane] * (T::BYTES as usize / 4).max(1);
-                let bank = word % SMEM_BANKS;
-                if banks_seen >> bank & 1 == 0 {
-                    banks_seen |= 1 << bank;
-                    first_word[bank] = word;
-                    continue;
-                }
-                if !serialize_duplicates {
-                    if first_word[bank] == word || later_words[..n_later].contains(&word) {
-                        continue; // broadcast: no extra pass
-                    }
-                    later_words[n_later] = word;
-                    n_later += 1;
-                }
-                extra[bank] += 1;
-                worst_extra = worst_extra.max(extra[bank]);
+        for lane in active_lanes(mask) {
+            // Bank id depends on the 4-byte word address.
+            let word = idx[lane] * (T::BYTES as usize / 4).max(1);
+            let bank = word % SMEM_BANKS;
+            if banks_seen >> bank & 1 == 0 {
+                banks_seen |= 1 << bank;
+                first_word[bank] = word;
+                continue;
             }
+            if !serialize_duplicates {
+                if first_word[bank] == word || later_words[..n_later].contains(&word) {
+                    continue; // broadcast: no extra pass
+                }
+                later_words[n_later] = word;
+                n_later += 1;
+            }
+            extra[bank] += 1;
+            worst_extra = worst_extra.max(extra[bank]);
         }
         let lanes = mask.count_ones() as u64;
         ((1 + worst_extra) * lanes, worst_extra * lanes)
@@ -123,10 +121,8 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
         self.charge(&idx, mask, false);
         let data = self.data.borrow();
         let mut out = [T::default(); WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                out[lane] = data[idx[lane]];
-            }
+        for lane in active_lanes(mask) {
+            out[lane] = data[idx[lane]];
         }
         out
     }
@@ -135,10 +131,8 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
     pub fn st(&self, idx: Lanes<usize>, val: Lanes<T>, mask: u32) {
         self.charge(&idx, mask, false);
         let mut data = self.data.borrow_mut();
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                data[idx[lane]] = val[lane];
-            }
+        for lane in active_lanes(mask) {
+            data[idx[lane]] = val[lane];
         }
     }
 
@@ -154,11 +148,9 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
         self.charge(&idx, mask, true);
         let mut data = self.data.borrow_mut();
         let mut out = [T::default(); WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                out[lane] = data[idx[lane]];
-                data[idx[lane]] = out[lane] + val[lane];
-            }
+        for lane in active_lanes(mask) {
+            out[lane] = data[idx[lane]];
+            data[idx[lane]] = out[lane] + val[lane];
         }
         out
     }
@@ -194,7 +186,7 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::{lanes_from_fn, splat, FULL_MASK};
+    use crate::lanes::{lane_active, lanes_from_fn, splat, FULL_MASK};
 
     #[test]
     fn conflict_free_access_costs_warp_width() {
