@@ -35,7 +35,7 @@ pub(crate) fn warp_granularity_prescan<B: BucketFn + ?Sized>(
     dev.launch(label, blocks, wpb, |blk| {
         for w in blk.warps() {
             if w.global_warp_id >= l {
-                break;
+                continue;
             }
             let base = w.global_warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);
@@ -91,7 +91,7 @@ pub fn multisplit_direct<B: BucketFn + ?Sized, V: Scalar>(
     dev.launch("direct/post-scan", blocks, wpb, |blk| {
         for w in blk.warps() {
             if w.global_warp_id >= l {
-                break;
+                continue;
             }
             let base = w.global_warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);

@@ -58,7 +58,7 @@ pub fn multisplit_warp_level<B: BucketFn + ?Sized, V: Scalar>(
         let values_s = values.map(|_| blk.alloc_shared::<V>(nw * WARP_SIZE));
         for w in blk.warps() {
             if w.global_warp_id >= l {
-                break;
+                continue;
             }
             let base = w.global_warp_id * WARP_SIZE;
             let mask = tail_mask(base, n);

@@ -150,7 +150,7 @@ pub fn block_exclusive_scan_shared(blk: &BlockCtx, data: &SharedBuf<u32>, len: u
     }
     blk.sync();
     // Phase C: every later slice adds its offset.
-    for w in blk.warps().skip(1) {
+    for w in blk.warps().filter(|w| w.warp_id != 0) {
         let off = warp_sums.get(w.warp_id);
         for base in chunks(w.warp_id) {
             let mask = tail_mask(base, len);

@@ -28,7 +28,7 @@
 //! [lb]: crate::ObsCells::flight_emit
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::profile::DeviceProfile;
@@ -199,114 +199,122 @@ pub struct FlightAnalysis {
     pub truncated: bool,
 }
 
+/// One launch's tile DAG under unlimited parallelism: the binding edges
+/// from `Resolve` events and each tile's schedule along them. Built once
+/// for [`analyze`] and [`tile_schedule`].
+struct TileDag {
+    overhead: f64,
+    /// Slowest single block's modeled time (overhead excluded).
+    max_block: f64,
+    max_depth: u32,
+    /// `tile → pred → stalled`: an edge stalls if any resolve of that
+    /// `(tile, pred)` pair spun.
+    preds: BTreeMap<u32, BTreeMap<u32, bool>>,
+    /// Per tile: `(start, finish, binding stalled predecessor)`, in
+    /// modeled seconds from launch start (overhead excluded).
+    timing: BTreeMap<u32, (f64, f64, Option<u32>)>,
+}
+
+impl TileDag {
+    /// `None` unless the record carries a flight log and per-block stats
+    /// for at least one block.
+    fn new(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<Self> {
+        let flight = rec.flight.as_ref()?;
+        let block_secs = crate::obs::block_seconds(rec.per_block.as_ref()?, profile);
+        if block_secs.is_empty() {
+            return None;
+        }
+        // Tile → block mapping from any stamped event mentioning the
+        // ticket, and the binding edges from Resolve events.
+        let mut tile_block: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut preds: BTreeMap<u32, BTreeMap<u32, bool>> = BTreeMap::new();
+        let mut max_depth = 0u32;
+        for e in &flight.events {
+            tile_block.entry(e.ticket).or_insert(e.block);
+            if e.kind == EventKind::Resolve && e.a >= 1 {
+                max_depth = max_depth.max(e.a);
+                let edge = preds.entry(e.ticket).or_default();
+                *edge.entry(e.ticket - e.a).or_insert(false) |= e.b > 0;
+            }
+        }
+        // A tile starts when its latest *stalled* predecessor finishes
+        // (non-stalled edges were satisfied before the waiter even
+        // looked, so they add nothing) and runs for its own modeled block
+        // time. Tickets ascend along edges (pred < tile), so one ascending
+        // pass settles the DAG.
+        let mut timing: BTreeMap<u32, (f64, f64, Option<u32>)> = BTreeMap::new();
+        for (&tile, &b) in &tile_block {
+            let (mut start, mut binding) = (0.0f64, None);
+            for (&p, &stalled) in preds.get(&tile).into_iter().flatten() {
+                let pf = timing.get(&p).map_or(0.0, |t| t.1);
+                if stalled && pf > start {
+                    start = pf;
+                    binding = Some(p);
+                }
+            }
+            let secs = block_secs.get(b as usize).copied().unwrap_or(0.0);
+            timing.insert(tile, (start, start + secs, binding));
+        }
+        Some(TileDag {
+            overhead: profile.launch_overhead_us * 1e-6,
+            max_block: block_secs.iter().cloned().fold(0.0f64, f64::max),
+            max_depth,
+            preds,
+            timing,
+        })
+    }
+
+    /// The stalled edges as `(pred, tile)` pairs, ascending.
+    fn stall_edges(&self) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = self
+            .preds
+            .iter()
+            .flat_map(|(&t, ps)| ps.iter().filter(|p| *p.1).map(move |(&p, _)| (p, t)))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+}
+
 /// Derive a [`FlightAnalysis`] from a record that carried both a flight
 /// log and [`crate::Telemetry::PerBlock`] stats; `None` if either is
 /// missing (or the launch had no blocks).
 pub fn analyze(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<FlightAnalysis> {
-    let flight = rec.flight.as_ref()?;
-    let per_block = rec.per_block.as_ref()?;
-    if per_block.is_empty() {
-        return None;
-    }
-    let overhead = profile.launch_overhead_us * 1e-6;
-    // Per-block modeled time with the fixed launch overhead stripped,
-    // exactly as `launch_report` computes it.
-    let block_secs: Vec<f64> = per_block
+    let dag = TileDag::new(rec, profile)?;
+    let (last, longest) = dag
+        .timing
         .iter()
-        .map(|b| (profile.estimate(b) - overhead).max(0.0))
-        .collect();
-    let max_block = block_secs.iter().cloned().fold(0.0f64, f64::max);
-
-    // Tile → block mapping from any stamped event mentioning the ticket.
-    let mut tile_block: BTreeMap<u32, u32> = BTreeMap::new();
-    for e in &flight.events {
-        tile_block.entry(e.ticket).or_insert(e.block);
-    }
-    // Binding edges from Resolve events; an edge stalls if any resolve
-    // of that (tile, pred) pair spun.
-    let mut preds: BTreeMap<u32, BTreeMap<u32, bool>> = BTreeMap::new();
-    let mut max_depth = 0u32;
-    for e in &flight.events {
-        if e.kind == EventKind::Resolve && e.a >= 1 {
-            max_depth = max_depth.max(e.a);
-            let pred = e.ticket - e.a;
-            let stalled = preds
-                .entry(e.ticket)
-                .or_default()
-                .entry(pred)
-                .or_insert(false);
-            *stalled |= e.b > 0;
-        }
-    }
-    let edges: usize = preds.values().map(BTreeMap::len).sum();
-    let stall_edges: usize = preds
-        .values()
-        .flat_map(BTreeMap::values)
-        .filter(|&&s| s)
-        .count();
-
-    // Finish time per tile under unlimited parallelism: a tile's own
-    // modeled block time, serialized behind the latest *stalled*
-    // predecessor (non-stalled edges were satisfied before the waiter
-    // even looked, so they add nothing). Tickets ascend along edges
-    // (pred < tile), so one ascending pass settles the DAG.
-    let secs_of = |tile: u32| -> f64 {
-        tile_block
-            .get(&tile)
-            .and_then(|&b| block_secs.get(b as usize))
-            .copied()
-            .unwrap_or(0.0)
-    };
-    let mut finish: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut best_pred: BTreeMap<u32, u32> = BTreeMap::new();
-    for &tile in tile_block.keys() {
-        let mut start = 0.0f64;
-        if let Some(ps) = preds.get(&tile) {
-            for (&p, &stalled) in ps {
-                if !stalled {
-                    continue;
-                }
-                let pf = finish.get(&p).copied().unwrap_or_else(|| secs_of(p));
-                if pf > start {
-                    start = pf;
-                    best_pred.insert(tile, p);
-                }
-            }
-        }
-        finish.insert(tile, start + secs_of(tile));
-    }
-    let (&last, &longest) = finish
-        .iter()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .unwrap_or((&0, &0.0));
+        .map(|(&t, &(_, finish, _))| (t, finish))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap_or((0, 0.0));
     // Blocks outside the tile map (e.g. a launch with no lookback at
     // all) still bound the path from below by their own modeled time.
-    let critical = overhead + longest.max(max_block);
-    let modeled = overhead + max_block;
+    let critical = dag.overhead + longest.max(dag.max_block);
+    let modeled = dag.overhead + dag.max_block;
 
     let mut chain = vec![last];
     let mut cur = last;
-    while let Some(&p) = best_pred.get(&cur) {
+    while let Some(p) = dag.timing.get(&cur).and_then(|t| t.2) {
         chain.push(p);
         cur = p;
     }
     chain.reverse();
-    if finish.is_empty() {
+    if dag.timing.is_empty() {
         chain.clear();
     }
 
     Some(FlightAnalysis {
         label: rec.label.clone(),
-        tiles: tile_block.len(),
-        edges,
-        stall_edges,
-        max_depth,
+        tiles: dag.timing.len(),
+        edges: dag.preds.values().map(BTreeMap::len).sum(),
+        stall_edges: dag.stall_edges().len(),
+        max_depth: dag.max_depth,
         critical_path_seconds: critical,
         critical_chain: chain,
-        max_block_seconds: max_block,
+        max_block_seconds: dag.max_block,
         modeled_critical_path_seconds: modeled,
         stall_extra_seconds: (critical - modeled).max(0.0),
-        truncated: flight.truncated(),
+        truncated: rec.flight.as_ref().is_some_and(FlightLog::truncated),
     })
 }
 
@@ -358,39 +366,17 @@ pub(crate) fn tile_schedule(
     rec: &LaunchRecord,
     profile: &DeviceProfile,
 ) -> Option<(Vec<(u32, f64, f64)>, Vec<(u32, u32)>)> {
-    let flight = rec.flight.as_ref()?;
-    let per_block = rec.per_block.as_ref()?;
-    if per_block.is_empty() || flight.events.is_empty() {
+    let dag = TileDag::new(rec, profile)?;
+    if dag.timing.is_empty() {
         return None;
     }
-    let overhead = profile.launch_overhead_us * 1e-6;
-    let block_secs: Vec<f64> = per_block
+    let mut out: Vec<(u32, f64, f64)> = dag
+        .timing
         .iter()
-        .map(|b| (profile.estimate(b) - overhead).max(0.0))
+        .map(|(&t, &(start, finish, _))| (t, start, finish))
         .collect();
-    let mut tile_block: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut stall: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for e in &flight.events {
-        tile_block.entry(e.ticket).or_insert(e.block);
-        if e.kind == EventKind::Resolve && e.a >= 1 && e.b > 0 {
-            stall.insert((e.ticket - e.a, e.ticket));
-        }
-    }
-    let mut out = Vec::with_capacity(tile_block.len());
-    let mut finish: BTreeMap<u32, f64> = BTreeMap::new();
-    for (&tile, &b) in &tile_block {
-        let start = stall
-            .iter()
-            .filter(|&&(_, t)| t == tile)
-            .filter_map(|&(p, _)| finish.get(&p))
-            .cloned()
-            .fold(0.0f64, f64::max);
-        let end = start + block_secs.get(b as usize).copied().unwrap_or(0.0);
-        finish.insert(tile, end);
-        out.push((tile, start, end));
-    }
     out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    Some((out, stall.into_iter().collect()))
+    Some((out, dag.stall_edges()))
 }
 
 #[cfg(test)]

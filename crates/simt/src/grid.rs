@@ -804,7 +804,7 @@ mod tests {
                     }
                     // Touch another yield point so preempted workers are
                     // plausibly waiting when the panic lands.
-                    w.device_peek(&counter, 0);
+                    w.device_gather(&counter, splat(0), 1);
                 });
             }));
             let payload = caught.expect_err("launch must propagate the kernel panic");

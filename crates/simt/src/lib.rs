@@ -9,7 +9,7 @@
 //! the crate implements that machine model directly:
 //!
 //! * [`WarpCtx`] — lockstep 32-lane warps: `ballot`, `shfl`, `shfl_up`,
-//!   `shfl_down`, `shfl_xor`, and counted global gathers/scatters.
+//!   `shfl_down`, `shfl_xor`, and every counted global-memory access.
 //! * [`BlockCtx`] — shared memory (48 kB, bank-conflict aware) and
 //!   barrier-separated warp phases.
 //! * [`Device`] — kernel launches over grids of blocks, executed in
@@ -17,9 +17,9 @@
 //!   (blocks are independent within a kernel, exactly as on the GPU, and
 //!   the claim order gives single-pass chained scans their
 //!   forward-progress guarantee).
-//! * [`GlobalBuffer`] — device global memory that counts the distinct
-//!   32-byte DRAM sectors each warp-wide access touches: the coalescing
-//!   model that drives every performance result in the paper.
+//! * [`GlobalBuffer`] — device global memory. A warp-wide access to it
+//!   counts the distinct 32-byte DRAM sectors its lanes touch: the
+//!   coalescing model that drives every performance result in the paper.
 //! * [`DeviceProfile`] — converts event counts into estimated time;
 //!   calibrated [`K40C`] and [`GTX750TI`] profiles match the paper's two
 //!   evaluation machines.

@@ -7,17 +7,21 @@
 //! any cross-block communication discipline is the kernel's problem, not
 //! the hardware's.
 //!
-//! Every warp-wide access counts the number of **distinct 32-byte sectors**
-//! its active lanes touch. Modern NVIDIA DRAM moves data in 32 B sectors
-//! (four per 128 B cache line), so a fully coalesced warp-wide read of 32
-//! consecutive `u32`s costs 4 sectors, while a fully scattered one costs up
-//! to 32 — an 8x difference that is precisely the scatter penalty the paper
-//! attacks with its reordering stages.
+//! Kernels access a buffer through [`WarpCtx`](crate::WarpCtx), which
+//! owns every counted access; this module holds the storage, the race
+//! marks and the access bodies, each billed on a path (DRAM or L2) under
+//! a scope (warp or device). On the DRAM path a warp-wide access counts
+//! the **distinct 32-byte sectors** its active lanes touch. Modern NVIDIA
+//! DRAM moves data in 32 B sectors (four per 128 B cache line), so a fully
+//! coalesced warp-wide read of 32 consecutive `u32`s costs 4 sectors,
+//! while a fully scattered one costs up to 32 — an 8x difference that is
+//! precisely the scatter penalty the paper attacks with its reordering
+//! stages.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::lanes::{lane_active, Lanes, WARP_SIZE};
+use crate::lanes::{active_lanes, lane_active, Lanes, WARP_SIZE};
 use crate::stats::StatCells;
 
 /// DRAM sector size in bytes.
@@ -136,30 +140,6 @@ impl Scalar for u64 {
     }
 }
 
-impl Scalar for i32 {
-    const BYTES: u64 = 4;
-    #[inline]
-    fn to_bits(self) -> u64 {
-        self as u32 as u64
-    }
-    #[inline]
-    fn from_bits(bits: u64) -> Self {
-        bits as u32 as i32
-    }
-}
-
-impl Scalar for f32 {
-    const BYTES: u64 = 4;
-    #[inline]
-    fn to_bits(self) -> u64 {
-        self.to_bits() as u64
-    }
-    #[inline]
-    fn from_bits(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
-    }
-}
-
 /// A key–value pair moved as one 8-byte element (used by the packed
 /// reduced-bit sort path, paper §3.4).
 impl Scalar for (u32, u32) {
@@ -185,13 +165,13 @@ pub struct GlobalBuffer<T: Scalar> {
     /// cross-stream write over an unsynchronized read is a hazard too.
     read_marks: Option<Box<[AtomicU64]>>,
     /// Counted read sectors attributed to *this* buffer across its lifetime
-    /// (warp-wide `gather`/`gather_cached` only). `BlockStats` aggregates
-    /// sectors per launch with no per-buffer attribution; claims like "the
-    /// key buffer is read once" need the traffic split by buffer instead.
-    /// Only counted read paths bump it, so it is schedule-independent.
+    /// (warp-scope reads only). `BlockStats` aggregates sectors per launch
+    /// with no per-buffer attribution; claims like "the key buffer is read
+    /// once" need the traffic split by buffer instead. Only counted reads
+    /// bump it, so it is schedule-independent.
     read_sectors: AtomicU64,
-    /// Counted write sectors of warp-wide `scatter`s into this buffer:
-    /// the write side of `read_sectors`.
+    /// Counted write sectors of warp-scope writes into this buffer: the
+    /// write side of `read_sectors`.
     write_sectors: AtomicU64,
     _elem: std::marker::PhantomData<T>,
 }
@@ -243,17 +223,18 @@ impl<T: Scalar> GlobalBuffer<T> {
             .collect()
     }
 
-    /// Total 32 B sectors billed to counted warp-wide *reads* of this
+    /// Total 32 B sectors billed to counted warp-scope *reads* of this
     /// buffer (`gather` + `gather_cached`) since allocation. Device-scope
-    /// ops and host access are excluded: they are the communication /
-    /// inspection channels, not the bulk data stream this attributes.
+    /// ops, atomics and host access are excluded: they are the
+    /// communication / inspection channels, not the bulk data stream this
+    /// attributes.
     pub fn read_sectors(&self) -> u64 {
         self.read_sectors.load(Ordering::Relaxed)
     }
 
-    /// Total 32 B sectors billed to counted warp-wide `scatter`s into this
-    /// buffer since allocation (the merged and device-scope write paths
-    /// are excluded, as for [`read_sectors`](Self::read_sectors)).
+    /// Total 32 B sectors billed to counted warp-scope *writes* into this
+    /// buffer (`scatter` + `scatter_merged`) since allocation, with the
+    /// exclusions of [`read_sectors`](Self::read_sectors).
     pub fn write_sectors(&self) -> u64 {
         self.write_sectors.load(Ordering::Relaxed)
     }
@@ -340,325 +321,195 @@ impl<T: Scalar> GlobalBuffer<T> {
         }
     }
 
-    /// Warp-wide gather: active lanes read `idx[lane]`.
-    ///
-    /// Counts one global request, the distinct sectors touched, and the
-    /// useful payload bytes.
-    pub fn gather(&self, stats: &StatCells, idx: Lanes<usize>, mask: u32) -> Lanes<T> {
+    /// The body of every counted load: active lanes read `idx[lane]`.
+    pub(crate) fn read(
+        &self,
+        stats: &StatCells,
+        path: Path,
+        scope: Scope,
+        idx: Lanes<usize>,
+        mask: u32,
+    ) -> Lanes<T> {
+        let order = scope.enter();
         let mut out = [T::default(); WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
+        for lane in active_lanes(mask) {
+            if scope == Scope::Warp {
                 self.check_read_mark(idx[lane]);
-                out[lane] = T::from_bits(self.words[idx[lane]].load(Ordering::Relaxed));
             }
+            out[lane] = T::from_bits(self.words[idx[lane]].load(order));
         }
-        let sectors = self.account(stats, &idx, mask);
-        self.read_sectors.fetch_add(sectors, Ordering::Relaxed);
-        out
-    }
-
-    /// Warp-wide gather through the read-only / L2-cached path.
-    ///
-    /// Small, heavily reused tables (the scanned offset matrix `G`, bucket
-    /// descriptors) stay resident in L2 on real hardware: every 32 B sector
-    /// is fetched from DRAM once and then served to the many warps that
-    /// share it. Charging full sectors per *access* would bill that DRAM
-    /// fetch hundreds of times over, so this path bills only the useful
-    /// bytes (sector-rounded per request). Use it for read-only data whose
-    /// footprint is far below the L2 size; bulk key/value streams must use
-    /// [`GlobalBuffer::gather`].
-    pub fn gather_cached(&self, stats: &StatCells, idx: Lanes<usize>, mask: u32) -> Lanes<T> {
-        let mut out = [T::default(); WARP_SIZE];
-        let mut active = 0u64;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                self.check_read_mark(idx[lane]);
-                out[lane] = T::from_bits(self.words[idx[lane]].load(Ordering::Relaxed));
-                active += 1;
-            }
-        }
-        if active > 0 {
-            let bytes = active * T::BYTES;
-            StatCells::bump(&stats.sectors, bytes.div_ceil(SECTOR_BYTES));
-            StatCells::bump(&stats.useful_bytes, bytes);
-            StatCells::bump(&stats.global_requests, 1);
-            StatCells::bump(&stats.lane_ops, active);
-            self.read_sectors
-                .fetch_add(bytes.div_ceil(SECTOR_BYTES), Ordering::Relaxed);
+        let sectors = path.bill::<T>(stats, &idx, mask);
+        if scope == Scope::Warp {
+            self.read_sectors.fetch_add(sectors, Ordering::Relaxed);
         }
         out
     }
 
-    /// Warp-wide scatter: active lanes write `val[lane]` to `idx[lane]`.
-    pub fn scatter(&self, stats: &StatCells, idx: Lanes<usize>, val: Lanes<T>, mask: u32) {
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
+    /// The body of every counted store: active lanes write `val[lane]` to
+    /// `idx[lane]`.
+    pub(crate) fn write(
+        &self,
+        stats: &StatCells,
+        path: Path,
+        scope: Scope,
+        idx: Lanes<usize>,
+        val: Lanes<T>,
+        mask: u32,
+    ) {
+        let order = scope.enter();
+        for lane in active_lanes(mask) {
+            if scope == Scope::Warp {
                 self.check_write_mark(idx[lane]);
-                self.words[idx[lane]].store(val[lane].to_bits(), Ordering::Relaxed);
             }
+            self.words[idx[lane]].store(val[lane].to_bits(), order);
         }
-        let sectors = self.account(stats, &idx, mask);
-        self.write_sectors.fetch_add(sectors, Ordering::Relaxed);
-    }
-
-    /// Warp-wide scatter through the write-merging (L2 write-back) path.
-    ///
-    /// Histogram tables are stored strided (`H[bucket * L + subproblem]`),
-    /// so one warp's stores land in `m` different sectors — but *adjacent
-    /// subproblems write adjacent columns at nearly the same time*, and the
-    /// GPU's write-back L2 merges those partial-sector writes before DRAM
-    /// sees them. Billing full sectors per warp would charge that merged
-    /// traffic `8x` over. This path bills sector-rounded useful bytes; use
-    /// it only for stores where neighbouring warps/blocks fill in the rest
-    /// of each sector (histogram matrices), never for the final data
-    /// scatter whose whole cost *is* the unmerged waste.
-    pub fn scatter_merged(&self, stats: &StatCells, idx: Lanes<usize>, val: Lanes<T>, mask: u32) {
-        let mut active = 0u64;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                self.check_write_mark(idx[lane]);
-                self.words[idx[lane]].store(val[lane].to_bits(), Ordering::Relaxed);
-                active += 1;
-            }
+        let sectors = path.bill::<T>(stats, &idx, mask);
+        if scope == Scope::Warp {
+            self.write_sectors.fetch_add(sectors, Ordering::Relaxed);
         }
-        if active > 0 {
-            let bytes = active * T::BYTES;
-            StatCells::bump(&stats.sectors, bytes.div_ceil(SECTOR_BYTES));
-            StatCells::bump(&stats.useful_bytes, bytes);
-            StatCells::bump(&stats.global_requests, 1);
-            StatCells::bump(&stats.lane_ops, active);
-        }
-    }
-
-    /// Count sectors / useful bytes / LSU replays for one warp-wide request.
-    ///
-    /// *Sectors* (order-insensitive distinct 32 B regions) model the DRAM
-    /// traffic. *Replays* model the load/store unit: the memory pipeline
-    /// issues one pass per maximal run of consecutive lanes accessing
-    /// consecutive addresses, so a request whose lanes are shuffled across
-    /// buckets replays many times even when its address *set* is compact —
-    /// this is precisely the cost the paper's shared-memory reordering
-    /// eliminates (same addresses, lane-contiguous order).
-    #[allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
-    fn account(&self, stats: &StatCells, idx: &Lanes<usize>, mask: u32) -> u64 {
-        if mask == 0 {
-            return 0;
-        }
-        let mut sectors = [0u64; WARP_SIZE];
-        let mut n = 0usize;
-        let mut active = 0u64;
-        let mut replays = 0u64;
-        let mut prev: Option<usize> = None;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                active += 1;
-                let byte = idx[lane] as u64 * T::BYTES;
-                // An element may straddle two sectors only if misaligned;
-                // our 4/8-byte elements never straddle 32 B sectors.
-                let s = byte / SECTOR_BYTES;
-                if !sectors[..n].contains(&s) {
-                    sectors[n] = s;
-                    n += 1;
-                }
-                if prev != Some(idx[lane].wrapping_sub(1)) {
-                    replays += 1;
-                }
-                prev = Some(idx[lane]);
-            } else {
-                prev = None;
-            }
-        }
-        StatCells::bump(&stats.sectors, n as u64);
-        StatCells::bump(&stats.useful_bytes, active * T::BYTES);
-        StatCells::bump(&stats.global_requests, 1);
-        StatCells::bump(&stats.replays, replays.saturating_sub(1));
-        StatCells::bump(&stats.lane_ops, active);
-        n as u64
-    }
-}
-
-/// Device-scope single-element operations (sequentially consistent).
-///
-/// These are the communication primitives single-pass chained scans need:
-/// a block publishes its tile state and its successors read it *within the
-/// same kernel*. On hardware they compile to `ld.global.acq`/`st.global.rel`
-/// (or `volatile` + `__threadfence()` on Kepler); here they are `SeqCst`
-/// atomics so cross-block happens-before is real on the host too.
-///
-/// Accounting: one lane touching one element costs one 32 B sector and
-/// `T::BYTES` useful bytes. [`GlobalBuffer::device_peek`] is the exception —
-/// it is the *spin-poll* read, modeled as L2-resident (a poll that misses
-/// re-reads a line the SM already owns), so it is deliberately uncounted;
-/// that also keeps stats schedule-independent, since retry counts depend on
-/// thread interleaving. Charge the one *successful* read via
-/// [`GlobalBuffer::device_get`] after the poll succeeds.
-impl<T: Scalar> GlobalBuffer<T> {
-    /// Single-lane device-scope read (counted: 1 sector + `T::BYTES` useful).
-    pub fn device_get(&self, stats: &StatCells, idx: usize) -> T {
-        crate::sched::yield_op();
-        let v = T::from_bits(self.words[idx].load(Ordering::SeqCst));
-        Self::account_single(stats);
-        v
-    }
-
-    /// Single-lane device-scope write (counted: 1 sector + `T::BYTES` useful).
-    ///
-    /// Skips the write-race detector: chained-scan state words are written
-    /// twice per epoch *by design* (aggregate, then inclusive prefix), and
-    /// the `SeqCst` ordering is exactly the discipline that makes it safe.
-    pub fn device_set(&self, stats: &StatCells, idx: usize, v: T) {
-        crate::sched::yield_op();
-        self.words[idx].store(v.to_bits(), Ordering::SeqCst);
-        Self::account_single(stats);
     }
 
     /// Single-lane device-scope read with **no accounting** — the spin-poll
-    /// path (see the impl-level docs for why polls are free). Also not an
-    /// adversarial yield point on its own: spin loops mark themselves as
-    /// *waiting* via [`crate::sched::spin_yield`] instead, which is what
-    /// lets the straggler policy see "every other block is stuck polling".
+    /// path. A poll that misses re-reads a line the SM already owns, so it
+    /// is modeled as L2-resident and free; that also keeps stats
+    /// schedule-independent, since retry counts depend on thread
+    /// interleaving. Charge the one *successful* read with a one-lane
+    /// `device_gather` after the poll succeeds. Also not an adversarial
+    /// yield point on its own: spin loops mark themselves as *waiting* via
+    /// [`crate::sched::spin_yield`] instead, which is what lets the
+    /// straggler policy see "every other block is stuck polling".
     pub fn device_peek(&self, idx: usize) -> T {
         T::from_bits(self.words[idx].load(Ordering::SeqCst))
-    }
-
-    /// Warp-wide device-scope gather (SeqCst): the vector counterpart of
-    /// [`GlobalBuffer::device_get`], for reading an m-row tile-state record
-    /// in one request. Bills sector-rounded useful bytes (the flag words
-    /// are the hottest lines on the device and stay L2-resident, like
-    /// [`GlobalBuffer::gather_cached`] tables).
-    pub fn device_gather(&self, stats: &StatCells, idx: Lanes<usize>, mask: u32) -> Lanes<T> {
-        crate::sched::yield_op();
-        let mut out = [T::default(); WARP_SIZE];
-        let mut active = 0u64;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                out[lane] = T::from_bits(self.words[idx[lane]].load(Ordering::SeqCst));
-                active += 1;
-            }
-        }
-        if active > 0 {
-            let bytes = active * T::BYTES;
-            StatCells::bump(&stats.sectors, bytes.div_ceil(SECTOR_BYTES));
-            StatCells::bump(&stats.useful_bytes, bytes);
-            StatCells::bump(&stats.global_requests, 1);
-            StatCells::bump(&stats.lane_ops, active);
-        }
-        out
-    }
-
-    /// Warp-wide device-scope scatter (SeqCst): the vector counterpart of
-    /// [`GlobalBuffer::device_set`], publishing an m-row tile-state record
-    /// in one request. Skips the write-race detector (state words are
-    /// written twice per epoch by design: aggregate, then inclusive
-    /// prefix) and bills sector-rounded useful bytes like
-    /// [`GlobalBuffer::device_gather`].
-    pub fn device_scatter(&self, stats: &StatCells, idx: Lanes<usize>, val: Lanes<T>, mask: u32) {
-        crate::sched::yield_op();
-        let mut active = 0u64;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                self.words[idx[lane]].store(val[lane].to_bits(), Ordering::SeqCst);
-                active += 1;
-            }
-        }
-        if active > 0 {
-            let bytes = active * T::BYTES;
-            StatCells::bump(&stats.sectors, bytes.div_ceil(SECTOR_BYTES));
-            StatCells::bump(&stats.useful_bytes, bytes);
-            StatCells::bump(&stats.global_requests, 1);
-            StatCells::bump(&stats.lane_ops, active);
-        }
-    }
-
-    fn account_single(stats: &StatCells) {
-        StatCells::bump(&stats.sectors, 1);
-        StatCells::bump(&stats.useful_bytes, T::BYTES);
-        StatCells::bump(&stats.global_requests, 1);
-        StatCells::bump(&stats.lane_ops, 1);
     }
 }
 
 impl GlobalBuffer<u32> {
-    /// Single-lane device-scope `fetch_add`; returns the previous value.
-    ///
-    /// The ticket counter of the chained scan: each block claims its tile
-    /// id in task-start order, which is what makes the decoupled lookback
-    /// deadlock-free (a block only ever waits on already-started blocks).
-    pub fn device_fetch_add(&self, stats: &StatCells, idx: usize, val: u32) -> u32 {
-        // Yield *before* the add so the adversarial scheduler controls the
-        // ticket claim order, and note the claimed value *after* so the
-        // ticket-aware policies (reverse-ticket, straggler) can key on it
-        // before the block publishes anything.
-        crate::sched::yield_op();
-        let prev = self.words[idx].fetch_add(val as u64, Ordering::SeqCst) as u32;
-        Self::account_single(stats);
-        StatCells::bump(&stats.atomic_ops, 1);
-        crate::sched::note_ticket(prev);
-        prev
-    }
-
-    /// Warp-wide atomic minimum; returns the previous values. The workhorse
-    /// of SSSP edge relaxation.
-    pub fn atomic_min(
+    /// The body of every counted atomic: active lanes apply `rmw` with
+    /// `val[lane]` to `idx[lane]` and get the previous values. Counts one
+    /// atomic op per active lane and one conflict per lane whose address an
+    /// earlier lane hit (they serialize on real hardware). Atomics commute,
+    /// so neither scope race-checks them.
+    #[allow(clippy::too_many_arguments)] // path and scope ride with every access
+    pub(crate) fn atomic(
         &self,
         stats: &StatCells,
+        path: Path,
+        scope: Scope,
         idx: Lanes<usize>,
         val: Lanes<u32>,
         mask: u32,
+        rmw: impl Fn(&AtomicU64, u64, Ordering) -> u64,
     ) -> Lanes<u32> {
+        let order = scope.enter();
         let mut out = [0u32; WARP_SIZE];
         let mut conflicts = 0u64;
         let mut seen = [0usize; WARP_SIZE];
         let mut n = 0usize;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                out[lane] =
-                    self.words[idx[lane]].fetch_min(val[lane] as u64, Ordering::Relaxed) as u32;
-                if seen[..n].contains(&idx[lane]) {
-                    conflicts += 1;
-                } else {
-                    seen[n] = idx[lane];
-                    n += 1;
-                }
+        for lane in active_lanes(mask) {
+            out[lane] = rmw(&self.words[idx[lane]], val[lane] as u64, order) as u32;
+            if seen[..n].contains(&idx[lane]) {
+                conflicts += 1;
+            } else {
+                seen[n] = idx[lane];
+                n += 1;
             }
         }
-        self.account(stats, &idx, mask);
+        path.bill::<u32>(stats, &idx, mask);
         StatCells::bump(&stats.atomic_ops, mask.count_ones() as u64);
         StatCells::bump(&stats.atomic_conflicts, conflicts);
         out
     }
+}
 
-    /// Warp-wide atomic add; returns the previous values.
+/// How a counted request is billed. Warp-scope reads and writes also
+/// bill the buffer's own `read_sectors`/`write_sectors`.
+#[derive(Clone, Copy)]
+pub(crate) enum Path {
+    /// The bulk data stream: distinct 32 B sectors plus LSU replays.
+    Dram,
+    /// Useful bytes rounded up to whole sectors per request: small reused
+    /// tables that stay L2-resident, strided histogram stores the
+    /// write-back L2 merges, and the hot device-scope state words. Billing
+    /// full sectors per access would charge their one DRAM trip many times
+    /// over. Never for the final data scatter, whose whole cost *is* the
+    /// unmerged waste.
+    L2,
+}
+
+impl Path {
+    /// Bill one request (sectors, useful bytes, the request, a lane op per
+    /// active lane) and return its sectors; an empty mask is free.
     ///
-    /// Same-address conflicts within the warp serialize on real hardware;
-    /// we count them so the cost model can penalize contended histograms.
-    pub fn atomic_add(
-        &self,
-        stats: &StatCells,
-        idx: Lanes<usize>,
-        val: Lanes<u32>,
-        mask: u32,
-    ) -> Lanes<u32> {
-        let mut out = [0u32; WARP_SIZE];
-        let mut conflicts = 0u64;
-        let mut seen = [0usize; WARP_SIZE];
-        let mut n = 0usize;
-        for lane in 0..WARP_SIZE {
-            if lane_active(mask, lane) {
-                out[lane] =
-                    self.words[idx[lane]].fetch_add(val[lane] as u64, Ordering::Relaxed) as u32;
-                if seen[..n].contains(&idx[lane]) {
-                    conflicts += 1;
-                } else {
-                    seen[n] = idx[lane];
-                    n += 1;
+    /// On [`Path::Dram`], *replays* model the load/store unit: it issues
+    /// one pass per maximal run of consecutive lanes accessing consecutive
+    /// addresses, so a request whose lanes are shuffled across buckets
+    /// replays many times even when its address *set* is compact — the cost
+    /// the paper's shared-memory reordering eliminates.
+    #[allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
+    fn bill<T: Scalar>(self, stats: &StatCells, idx: &Lanes<usize>, mask: u32) -> u64 {
+        if mask == 0 {
+            return 0;
+        }
+        let active = mask.count_ones() as u64;
+        let sectors = match self {
+            Path::Dram => {
+                let mut seen = [0u64; WARP_SIZE];
+                let mut n = 0usize;
+                let mut replays = 0u64;
+                let mut prev: Option<usize> = None;
+                for lane in 0..WARP_SIZE {
+                    if lane_active(mask, lane) {
+                        // An element may straddle two sectors only if
+                        // misaligned; our 4/8-byte elements never do.
+                        let s = idx[lane] as u64 * T::BYTES / SECTOR_BYTES;
+                        if !seen[..n].contains(&s) {
+                            seen[n] = s;
+                            n += 1;
+                        }
+                        if prev != Some(idx[lane].wrapping_sub(1)) {
+                            replays += 1;
+                        }
+                        prev = Some(idx[lane]);
+                    } else {
+                        prev = None;
+                    }
                 }
+                StatCells::bump(&stats.replays, replays - 1);
+                n as u64
+            }
+            Path::L2 => (active * T::BYTES).div_ceil(SECTOR_BYTES),
+        };
+        StatCells::bump(&stats.sectors, sectors);
+        StatCells::bump(&stats.useful_bytes, active * T::BYTES);
+        StatCells::bump(&stats.global_requests, 1);
+        StatCells::bump(&stats.lane_ops, active);
+        sectors
+    }
+}
+
+/// Ordering and race checking of a counted access.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// Plain warp access: `Relaxed`, race-checked on a
+    /// [tracked](GlobalBuffer::tracked) buffer.
+    Warp,
+    /// Cross-block communication within a kernel (`ld.global.acq` /
+    /// `st.global.rel` on hardware): an adversarial yield point, then
+    /// `SeqCst`. Not race-checked: it *is* the ordering discipline, and
+    /// state words are written twice per epoch by design.
+    Device,
+}
+
+impl Scope {
+    /// Yield if this is a device-scope access, and return its ordering.
+    fn enter(self) -> Ordering {
+        match self {
+            Scope::Warp => Ordering::Relaxed,
+            Scope::Device => {
+                crate::sched::yield_op();
+                Ordering::SeqCst
             }
         }
-        self.account(stats, &idx, mask);
-        StatCells::bump(&stats.atomic_ops, mask.count_ones() as u64);
-        StatCells::bump(&stats.atomic_conflicts, conflicts);
-        out
     }
 }
 
@@ -667,6 +518,7 @@ mod tests {
     #![allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
     use super::*;
     use crate::lanes::{lanes_from_fn, splat, FULL_MASK};
+    use crate::warp::WarpCtx;
 
     /// Start a new race-detection epoch on this thread, as a kernel
     /// launch boundary would.
@@ -678,12 +530,14 @@ mod tests {
         StatCells::default()
     }
 
+    fn warp(st: &StatCells) -> WarpCtx<'_> {
+        WarpCtx::new(0, 0, st)
+    }
+
     #[test]
     fn scalar_roundtrips() {
         assert_eq!(u32::from_bits(12345u32.to_bits()), 12345);
         assert_eq!(u64::from_bits(u64::MAX.to_bits()), u64::MAX);
-        assert_eq!(i32::from_bits((-7i32).to_bits()), -7);
-        assert_eq!(f32::from_bits(3.5f32.to_bits()), 3.5);
         assert_eq!(
             <(u32, u32)>::from_bits((0xDEAD, 0xBEEF).to_bits()),
             (0xDEAD, 0xBEEF)
@@ -694,7 +548,7 @@ mod tests {
     fn coalesced_u32_read_costs_four_sectors() {
         let buf = GlobalBuffer::from_slice(&(0..64u32).collect::<Vec<_>>());
         let st = cells();
-        let got = buf.gather(&st, lanes_from_fn(|i| i), FULL_MASK);
+        let got = warp(&st).gather(&buf, lanes_from_fn(|i| i), FULL_MASK);
         assert_eq!(got[31], 31);
         let s = st.snapshot();
         // 32 consecutive u32 = 128 bytes = 4 sectors of 32 B.
@@ -707,7 +561,7 @@ mod tests {
     fn strided_read_touches_every_sector() {
         let buf = GlobalBuffer::<u32>::zeroed(32 * 8);
         let st = cells();
-        buf.gather(&st, lanes_from_fn(|i| i * 8), FULL_MASK);
+        warp(&st).gather(&buf, lanes_from_fn(|i| i * 8), FULL_MASK);
         // stride 8 u32 = 32 bytes: each lane in its own sector.
         assert_eq!(st.snapshot().sectors, 32);
     }
@@ -716,7 +570,7 @@ mod tests {
     fn u64_coalesced_read_costs_eight_sectors() {
         let buf = GlobalBuffer::<u64>::zeroed(32);
         let st = cells();
-        buf.gather(&st, lanes_from_fn(|i| i), FULL_MASK);
+        warp(&st).gather(&buf, lanes_from_fn(|i| i), FULL_MASK);
         assert_eq!(st.snapshot().sectors, 8);
         assert_eq!(st.snapshot().useful_bytes, 256);
     }
@@ -725,7 +579,7 @@ mod tests {
     fn partial_mask_counts_only_active_lanes() {
         let buf = GlobalBuffer::<u32>::zeroed(32);
         let st = cells();
-        buf.gather(&st, lanes_from_fn(|i| i), 0x0000_00FF);
+        warp(&st).gather(&buf, lanes_from_fn(|i| i), 0x0000_00FF);
         let s = st.snapshot();
         assert_eq!(s.useful_bytes, 8 * 4);
         assert_eq!(s.sectors, 1);
@@ -735,7 +589,7 @@ mod tests {
     fn empty_mask_is_free() {
         let buf = GlobalBuffer::<u32>::zeroed(32);
         let st = cells();
-        buf.gather(&st, splat(0), 0);
+        warp(&st).gather(&buf, splat(0), 0);
         assert_eq!(st.snapshot(), Default::default());
     }
 
@@ -743,8 +597,8 @@ mod tests {
     fn scatter_roundtrip() {
         let buf = GlobalBuffer::<u32>::zeroed(32);
         let st = cells();
-        buf.scatter(
-            &st,
+        warp(&st).scatter(
+            &buf,
             lanes_from_fn(|i| 31 - i),
             lanes_from_fn(|i| i as u32),
             FULL_MASK,
@@ -761,11 +615,12 @@ mod tests {
     fn race_detector_accepts_disjoint_writes() {
         let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
         let st = cells();
-        buf.scatter(&st, lanes_from_fn(|i| i), splat(1), FULL_MASK);
-        buf.scatter(&st, lanes_from_fn(|i| 32 + i), splat(2), FULL_MASK);
+        let w = warp(&st);
+        w.scatter(&buf, lanes_from_fn(|i| i), splat(1), FULL_MASK);
+        w.scatter(&buf, lanes_from_fn(|i| 32 + i), splat(2), FULL_MASK);
         next_epoch();
         // Same cells again are fine in a new epoch.
-        buf.scatter(&st, lanes_from_fn(|i| i), splat(3), FULL_MASK);
+        w.scatter(&buf, lanes_from_fn(|i| i), splat(3), FULL_MASK);
     }
 
     #[test]
@@ -773,8 +628,9 @@ mod tests {
     fn race_detector_catches_double_write() {
         let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
         let st = cells();
-        buf.scatter(&st, lanes_from_fn(|i| i), splat(1), FULL_MASK);
-        buf.scatter(&st, lanes_from_fn(|i| i), splat(2), FULL_MASK);
+        let w = warp(&st);
+        w.scatter(&buf, lanes_from_fn(|i| i), splat(1), FULL_MASK);
+        w.scatter(&buf, lanes_from_fn(|i| i), splat(2), FULL_MASK);
     }
 
     #[test]
@@ -782,14 +638,15 @@ mod tests {
     fn race_detector_catches_cross_block_read_after_write() {
         let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
         let st = cells();
+        let w = warp(&st);
         {
             let _w = enter_block(0);
-            buf.scatter(&st, lanes_from_fn(|i| i), splat(1), FULL_MASK);
+            w.scatter(&buf, lanes_from_fn(|i| i), splat(1), FULL_MASK);
         }
         // A different block reading block 0's same-epoch writes has no
         // happens-before edge to them: hazard.
         let _r = enter_block(1);
-        buf.gather(&st, lanes_from_fn(|i| i), FULL_MASK);
+        w.gather(&buf, lanes_from_fn(|i| i), FULL_MASK);
     }
 
     #[test]
@@ -797,29 +654,31 @@ mod tests {
     fn race_detector_catches_cross_block_cached_read_after_write() {
         let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
         let st = cells();
+        let w = warp(&st);
         {
             let _w = enter_block(3);
-            buf.scatter_merged(&st, lanes_from_fn(|i| i), splat(1), FULL_MASK);
+            w.scatter_merged(&buf, lanes_from_fn(|i| i), splat(1), FULL_MASK);
         }
         let _r = enter_block(4);
-        buf.gather_cached(&st, lanes_from_fn(|i| i), FULL_MASK);
+        w.gather_cached(&buf, lanes_from_fn(|i| i), FULL_MASK);
     }
 
     #[test]
     fn race_detector_allows_same_block_and_new_epoch_reads() {
         let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
         let st = cells();
+        let w = warp(&st);
         {
             // A block re-reading its own writes is program-ordered: fine.
             let _b = enter_block(0);
-            buf.scatter(&st, lanes_from_fn(|i| i), splat(7), FULL_MASK);
-            let got = buf.gather(&st, lanes_from_fn(|i| i), FULL_MASK);
+            w.scatter(&buf, lanes_from_fn(|i| i), splat(7), FULL_MASK);
+            let got = w.gather(&buf, lanes_from_fn(|i| i), FULL_MASK);
             assert_eq!(got[5], 7);
         }
         // After an epoch bump (kernel boundary) any block may read.
         next_epoch();
         let _r = enter_block(9);
-        let got = buf.gather(&st, lanes_from_fn(|i| i), FULL_MASK);
+        let got = w.gather(&buf, lanes_from_fn(|i| i), FULL_MASK);
         assert_eq!(got[31], 7);
     }
 
@@ -829,43 +688,58 @@ mod tests {
         // lanes, and host-context reads of host writes are self-reads.
         let plain = GlobalBuffer::<u32>::zeroed(32);
         let st = cells();
-        plain.scatter(&st, lanes_from_fn(|i| i), splat(1), FULL_MASK);
-        plain.gather(&st, lanes_from_fn(|i| i), FULL_MASK);
+        let w = warp(&st);
+        w.scatter(&plain, lanes_from_fn(|i| i), splat(1), FULL_MASK);
+        w.gather(&plain, lanes_from_fn(|i| i), FULL_MASK);
         let tracked = GlobalBuffer::<u32>::zeroed(32).tracked();
         {
             let _w = enter_block(0);
-            tracked.scatter(&st, lanes_from_fn(|i| i), splat(2), 0x0000_FFFF);
+            w.scatter(&tracked, lanes_from_fn(|i| i), splat(2), 0x0000_FFFF);
         }
         let _r = enter_block(1);
         // Only the upper 16 lanes read — none written this epoch.
-        tracked.gather(&st, lanes_from_fn(|i| i), 0xFFFF_0000);
+        w.gather(&tracked, lanes_from_fn(|i| i), 0xFFFF_0000);
     }
 
     #[test]
     fn atomic_add_counts_conflicts() {
-        let buf = GlobalBuffer::<u32>::zeroed(4);
-        let st = cells();
-        // All 32 lanes add 1 to index 0: 31 conflicts.
-        let prev = buf.atomic_add(&st, splat(0), splat(1), FULL_MASK);
-        assert_eq!(buf.get(0), 32);
-        let mut seen: Vec<u32> = prev.to_vec();
-        seen.sort_unstable();
-        assert_eq!(
-            seen,
-            (0..32).collect::<Vec<_>>(),
-            "each lane saw a distinct previous value"
-        );
-        let s = st.snapshot();
-        assert_eq!(s.atomic_ops, 32);
-        assert_eq!(s.atomic_conflicts, 31);
+        // Even lanes hit element 0 and odd lanes element 32, two sectors
+        // apart: 15 conflicts each. Lanes apply in lane order.
+        let idx = lanes_from_fn(|l| l % 2 * 32);
+        let rows = [
+            // (op, initial value, previous values, stored at 0 and 32)
+            ("add", 0, lanes_from_fn(|l| l as u32 / 2), [16, 16]),
+            (
+                "min",
+                100,
+                lanes_from_fn(|l| if l < 2 { 100 } else { 52 - l as u32 }),
+                [20, 19],
+            ),
+        ];
+        for (op, init, want_prev, want_stored) in rows {
+            let buf = GlobalBuffer::from_slice(&[init; 64]);
+            let st = cells();
+            let w = warp(&st);
+            let prev = match op {
+                "add" => w.atomic_add(&buf, idx, splat(1), FULL_MASK),
+                _ => w.atomic_min(&buf, idx, lanes_from_fn(|l| 50 - l as u32), FULL_MASK),
+            };
+            assert_eq!(prev, want_prev, "{op}: previous values");
+            assert_eq!([buf.get(0), buf.get(32)], want_stored, "{op}: stored");
+            let s = st.snapshot();
+            assert_eq!(s.sectors, 2, "{op}: sectors");
+            assert_eq!(s.atomic_ops, 32, "{op}: atomic ops");
+            assert_eq!(s.atomic_conflicts, 30, "{op}: conflicts");
+        }
     }
 
     #[test]
     fn device_ops_account_one_sector_each() {
         let buf = GlobalBuffer::<u64>::zeroed(4);
         let st = cells();
-        buf.device_set(&st, 2, 77);
-        assert_eq!(buf.device_get(&st, 2), 77);
+        let w = warp(&st);
+        w.device_scatter(&buf, splat(2), splat(77), 1);
+        assert_eq!(w.device_gather(&buf, splat(2), 1)[0], 77);
         assert_eq!(buf.device_peek(2), 77, "peek sees the value");
         let s = st.snapshot();
         assert_eq!(s.sectors, 2, "set + get; peek is free");
@@ -880,22 +754,24 @@ mod tests {
         // words are re-published within one epoch (aggregate → inclusive).
         let buf = GlobalBuffer::<u64>::zeroed(32).tracked();
         let st = cells();
+        let w = warp(&st);
         let idx = lanes_from_fn(|i| i);
-        buf.device_scatter(&st, idx, lanes_from_fn(|i| i as u64), FULL_MASK);
-        buf.device_scatter(&st, idx, lanes_from_fn(|i| 100 + i as u64), FULL_MASK);
-        let got = buf.device_gather(&st, idx, FULL_MASK);
+        w.device_scatter(&buf, idx, lanes_from_fn(|i| i as u64), FULL_MASK);
+        w.device_scatter(&buf, idx, lanes_from_fn(|i| 100 + i as u64), FULL_MASK);
+        let got = w.device_gather(&buf, idx, FULL_MASK);
         assert_eq!(got[31], 131);
         let s = st.snapshot();
         assert_eq!(s.sectors, 24, "3 requests x 8 sectors");
         assert_eq!(s.useful_bytes, 3 * 256);
         assert_eq!(s.global_requests, 3);
-        // A single-lane record costs one sector, same as device_set/get.
+        // A single-lane record costs one sector.
         let st = cells();
-        buf.device_scatter(&st, idx, splat(7), 1);
-        buf.device_gather(&st, idx, 1);
+        let w = warp(&st);
+        w.device_scatter(&buf, idx, splat(7), 1);
+        w.device_gather(&buf, idx, 1);
         assert_eq!(st.snapshot().sectors, 2);
         // An empty mask is free.
-        buf.device_gather(&st, idx, 0);
+        w.device_gather(&buf, idx, 0);
         assert_eq!(st.snapshot().global_requests, 2);
     }
 
@@ -903,8 +779,9 @@ mod tests {
     fn device_fetch_add_is_a_ticket_counter() {
         let buf = GlobalBuffer::<u32>::zeroed(1);
         let st = cells();
-        let t0 = buf.device_fetch_add(&st, 0, 1);
-        let t1 = buf.device_fetch_add(&st, 0, 1);
+        let w = warp(&st);
+        let t0 = w.device_fetch_add(&buf, 0, 1);
+        let t1 = w.device_fetch_add(&buf, 0, 1);
         assert_eq!((t0, t1), (0, 1));
         assert_eq!(buf.get(0), 2);
         let s = st.snapshot();

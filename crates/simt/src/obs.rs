@@ -247,6 +247,16 @@ pub struct LaunchReport {
     pub sector_hist: Vec<(u32, u64)>,
 }
 
+/// Per-block modeled time: the profile prices a whole launch, so strip
+/// the fixed launch overhead to isolate each block's own work.
+pub(crate) fn block_seconds(per_block: &[BlockStats], profile: &DeviceProfile) -> Vec<f64> {
+    let overhead = profile.launch_overhead_us * 1e-6;
+    per_block
+        .iter()
+        .map(|b| (profile.estimate(b) - overhead).max(0.0))
+        .collect()
+}
+
 /// Derive a [`LaunchReport`] from a record that carried
 /// [`Telemetry::PerBlock`]; `None` if per-block stats were not retained.
 pub fn launch_report(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<LaunchReport> {
@@ -254,13 +264,7 @@ pub fn launch_report(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<Laun
     if per_block.is_empty() {
         return None;
     }
-    let overhead = profile.launch_overhead_us * 1e-6;
-    // Per-block modeled time: the profile prices a whole launch, so strip
-    // the fixed launch overhead to isolate the block's own work.
-    let times: Vec<f64> = per_block
-        .iter()
-        .map(|b| (profile.estimate(b) - overhead).max(0.0))
-        .collect();
+    let times = block_seconds(per_block, profile);
     let max = times.iter().cloned().fold(0.0f64, f64::max);
     let mean = times.iter().sum::<f64>() / times.len() as f64;
     let mut hist = std::collections::BTreeMap::new();
@@ -276,7 +280,7 @@ pub fn launch_report(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<Laun
         label: rec.label.clone(),
         blocks: per_block.len(),
         sum_seconds: rec.seconds,
-        critical_path_seconds: overhead + max,
+        critical_path_seconds: profile.launch_overhead_us * 1e-6 + max,
         max_block_seconds: max,
         mean_block_seconds: mean,
         imbalance: if mean > 0.0 { max / mean } else { 1.0 },
@@ -431,27 +435,15 @@ pub fn scope_tree(records: &[LaunchRecord]) -> ScopeNode {
     root
 }
 
-/// Every [`BlockStats`] field as a JSON object (all 12 counters — the
-/// Chrome trace exporter and the metrics sink share this so neither can
-/// silently drop one again).
+/// Every [`BlockStats`] counter as a JSON object, from the same list the
+/// Chrome trace exporter writes, so neither can silently drop one.
 fn stats_json(s: &BlockStats) -> Json {
-    Json::Obj(vec![
-        ("sectors".into(), Json::int(s.sectors)),
-        ("useful_bytes".into(), Json::int(s.useful_bytes)),
-        ("global_requests".into(), Json::int(s.global_requests)),
-        ("replays".into(), Json::int(s.replays)),
-        ("atomic_ops".into(), Json::int(s.atomic_ops)),
-        ("atomic_conflicts".into(), Json::int(s.atomic_conflicts)),
-        ("smem_ops".into(), Json::int(s.smem_ops)),
-        (
-            "smem_bank_conflicts".into(),
-            Json::int(s.smem_bank_conflicts),
-        ),
-        ("intrinsics".into(), Json::int(s.intrinsics)),
-        ("lane_ops".into(), Json::int(s.lane_ops)),
-        ("barriers".into(), Json::int(s.barriers)),
-        ("divergent_iters".into(), Json::int(s.divergent_iters)),
-    ])
+    Json::Obj(
+        s.counters()
+            .into_iter()
+            .map(|(name, v)| (name.into(), Json::int(v)))
+            .collect(),
+    )
 }
 
 /// [`ObsStats`] as JSON. The histogram is emitted in full so chain-length

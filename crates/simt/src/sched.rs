@@ -15,10 +15,10 @@
 //! An adversarial launch runs the claim loop on [`ADV_WORKERS`] host
 //! workers (fewer on smaller grids), but only **one worker holds the run
 //! token at a time**. The token is handed
-//! over at *yield points*: every device-scope memory access
-//! (`device_get` / `device_set` / `device_peek` / `device_fetch_add` /
-//! `device_gather` / `device_scatter`), every look-back spin-poll
-//! iteration ([`spin_yield`], called by `primitives::lookback`), and
+//! over at *yield points*: every counted device-scope memory access
+//! (`device_gather` / `device_scatter` / `device_fetch_add`), every
+//! look-back spin-poll iteration ([`spin_yield`], called by
+//! `primitives::lookback` before each uncounted `device_peek`), and
 //! every block claim. These are the natural preemption points of the
 //! model: everything between two device-scope accesses is block-local
 //! (or a commutative warp atomic) and cannot be interleaved against.

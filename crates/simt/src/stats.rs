@@ -63,6 +63,25 @@ impl AddAssign for BlockStats {
 }
 
 impl BlockStats {
+    /// Every counter as `(name, value)`, in field order: the one list the
+    /// profile JSON and the Chrome trace serialize.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 12] {
+        [
+            ("sectors", self.sectors),
+            ("useful_bytes", self.useful_bytes),
+            ("global_requests", self.global_requests),
+            ("replays", self.replays),
+            ("atomic_ops", self.atomic_ops),
+            ("atomic_conflicts", self.atomic_conflicts),
+            ("smem_ops", self.smem_ops),
+            ("smem_bank_conflicts", self.smem_bank_conflicts),
+            ("intrinsics", self.intrinsics),
+            ("lane_ops", self.lane_ops),
+            ("barriers", self.barriers),
+            ("divergent_iters", self.divergent_iters),
+        ]
+    }
+
     /// Total bytes moved over DRAM under the 32 B sector model.
     pub fn dram_bytes(&self) -> u64 {
         self.sectors * crate::memory::SECTOR_BYTES

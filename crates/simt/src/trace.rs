@@ -78,27 +78,12 @@ fn build_trace(records: &[LaunchRecord], profile: Option<&DeviceProfile>) -> Str
             + 1;
         let s = &r.stats;
         let mut args = format!(
-            concat!(
-                "\"blocks\":{},\"warps_per_block\":{},\"sectors\":{},\"useful_bytes\":{},",
-                "\"global_requests\":{},\"replays\":{},\"atomic_ops\":{},\"atomic_conflicts\":{},",
-                "\"smem_ops\":{},\"smem_bank_conflicts\":{},\"intrinsics\":{},\"lane_ops\":{},",
-                "\"barriers\":{},\"divergent_iters\":{}"
-            ),
-            r.blocks,
-            r.warps_per_block,
-            s.sectors,
-            s.useful_bytes,
-            s.global_requests,
-            s.replays,
-            s.atomic_ops,
-            s.atomic_conflicts,
-            s.smem_ops,
-            s.smem_bank_conflicts,
-            s.intrinsics,
-            s.lane_ops,
-            s.barriers,
-            s.divergent_iters,
+            "\"blocks\":{},\"warps_per_block\":{}",
+            r.blocks, r.warps_per_block
         );
+        for (name, v) in s.counters() {
+            args.push_str(&format!(",\"{name}\":{v}"));
+        }
         if r.obs.lookback_resolves > 0 {
             args.push_str(&format!(
                 ",\"lookback_resolves\":{},\"lookback_depth_total\":{},\"spin_polls\":{}",

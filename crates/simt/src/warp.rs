@@ -5,9 +5,17 @@
 //! `__shfl_up`, `__shfl_xor` — and each invocation is counted so the cost
 //! model can price the "local work" the paper trades against global
 //! operations.
+//!
+//! It is also the only API for counted global-memory access. Each access
+//! picks a billing path — DRAM (distinct sectors plus replays) or L2
+//! (sector-rounded useful bytes) — and a scope — warp (`Relaxed`,
+//! race-checked) or device (an adversarial yield point, `SeqCst`, not
+//! race-checked); see [`crate::memory`].
 
-use crate::lanes::{lane_active, lanes_from_fn, Lanes, WARP_SIZE};
-use crate::memory::{GlobalBuffer, Scalar};
+use std::sync::atomic::AtomicU64;
+
+use crate::lanes::{lane_active, lanes_from_fn, splat, Lanes, WARP_SIZE};
+use crate::memory::{GlobalBuffer, Path, Scalar, Scope};
 use crate::stats::StatCells;
 
 /// Execution context of one warp within a block.
@@ -109,29 +117,30 @@ impl<'a> WarpCtx<'a> {
         [v[src % WARP_SIZE]; WARP_SIZE]
     }
 
-    /// Warp-wide gather from global memory (counts DRAM sectors).
+    /// Warp-wide gather: active lanes read `idx[lane]` (DRAM path).
     pub fn gather<T: Scalar>(
         &self,
         buf: &GlobalBuffer<T>,
         idx: Lanes<usize>,
         mask: u32,
     ) -> Lanes<T> {
-        buf.gather(self.stats, idx, mask)
+        buf.read(self.stats, Path::Dram, Scope::Warp, idx, mask)
     }
 
-    /// Warp-wide gather through the L2-cached read-only path (for small
-    /// reused tables such as the scanned offsets `G`); see
-    /// [`GlobalBuffer::gather_cached`].
+    /// Warp-wide gather on the L2 path, for small reused tables (the
+    /// scanned offsets `G`, bucket descriptors); bulk key/value streams
+    /// must use [`WarpCtx::gather`].
     pub fn gather_cached<T: Scalar>(
         &self,
         buf: &GlobalBuffer<T>,
         idx: Lanes<usize>,
         mask: u32,
     ) -> Lanes<T> {
-        buf.gather_cached(self.stats, idx, mask)
+        buf.read(self.stats, Path::L2, Scope::Warp, idx, mask)
     }
 
-    /// Warp-wide scatter to global memory (counts DRAM sectors).
+    /// Warp-wide scatter: active lanes write `val[lane]` to `idx[lane]`
+    /// (DRAM path).
     pub fn scatter<T: Scalar>(
         &self,
         buf: &GlobalBuffer<T>,
@@ -139,12 +148,11 @@ impl<'a> WarpCtx<'a> {
         val: Lanes<T>,
         mask: u32,
     ) {
-        buf.scatter(self.stats, idx, val, mask)
+        buf.write(self.stats, Path::Dram, Scope::Warp, idx, val, mask)
     }
 
-    /// Warp-wide scatter through the L2 write-merging path (for strided
-    /// histogram-table stores that neighbouring warps complete); see
-    /// [`GlobalBuffer::scatter_merged`].
+    /// Warp-wide scatter on the L2 path, for strided histogram stores
+    /// whose sectors neighbouring warps fill in at nearly the same time.
     pub fn scatter_merged<T: Scalar>(
         &self,
         buf: &GlobalBuffer<T>,
@@ -152,10 +160,10 @@ impl<'a> WarpCtx<'a> {
         val: Lanes<T>,
         mask: u32,
     ) {
-        buf.scatter_merged(self.stats, idx, val, mask)
+        buf.write(self.stats, Path::L2, Scope::Warp, idx, val, mask)
     }
 
-    /// Warp-wide global atomic minimum (counts sectors + conflicts).
+    /// Warp-wide global atomic minimum; returns the previous values.
     pub fn atomic_min(
         &self,
         buf: &GlobalBuffer<u32>,
@@ -163,10 +171,11 @@ impl<'a> WarpCtx<'a> {
         val: Lanes<u32>,
         mask: u32,
     ) -> Lanes<u32> {
-        buf.atomic_min(self.stats, idx, val, mask)
+        let min = AtomicU64::fetch_min;
+        buf.atomic(self.stats, Path::Dram, Scope::Warp, idx, val, mask, min)
     }
 
-    /// Warp-wide global atomic add (counts sectors + conflicts).
+    /// Warp-wide global atomic add; returns the previous values.
     pub fn atomic_add(
         &self,
         buf: &GlobalBuffer<u32>,
@@ -174,46 +183,38 @@ impl<'a> WarpCtx<'a> {
         val: Lanes<u32>,
         mask: u32,
     ) -> Lanes<u32> {
-        buf.atomic_add(self.stats, idx, val, mask)
+        let add = AtomicU64::fetch_add;
+        buf.atomic(self.stats, Path::Dram, Scope::Warp, idx, val, mask, add)
     }
 
-    /// Single-lane device-scope read (lane 0 of the warp; counted). Used by
-    /// the chained scan's lookback to read predecessor tile states.
-    pub fn device_get<T: Scalar>(&self, buf: &GlobalBuffer<T>, idx: usize) -> T {
-        buf.device_get(self.stats, idx)
-    }
-
-    /// Single-lane device-scope write (lane 0 of the warp; counted). Used
-    /// to publish a tile's aggregate / inclusive-prefix state.
-    pub fn device_set<T: Scalar>(&self, buf: &GlobalBuffer<T>, idx: usize, v: T) {
-        buf.device_set(self.stats, idx, v)
-    }
-
-    /// Single-lane device-scope spin-poll read (uncounted; modeled as
-    /// L2-resident — see [`GlobalBuffer::device_peek`]).
-    pub fn device_peek<T: Scalar>(&self, buf: &GlobalBuffer<T>, idx: usize) -> T {
-        buf.device_peek(idx)
-    }
-
-    /// Single-lane device-scope ticket fetch-add (counted).
+    /// Single-lane device-scope ticket `fetch_add`; returns the previous
+    /// value. Blocks claim tile ids in task-start order, which makes the
+    /// decoupled lookback deadlock-free (a block only ever waits on
+    /// already-started blocks).
     pub fn device_fetch_add(&self, buf: &GlobalBuffer<u32>, idx: usize, val: u32) -> u32 {
-        buf.device_fetch_add(self.stats, idx, val)
+        // The scope yields *before* the add, so the adversarial scheduler
+        // controls the claim order; noting the ticket *after* lets the
+        // ticket-aware policies key on it before the block publishes.
+        let (idx, val) = (splat(idx), splat(val));
+        let add = AtomicU64::fetch_add;
+        let prev = buf.atomic(self.stats, Path::L2, Scope::Device, idx, val, 1, add)[0];
+        crate::sched::note_ticket(prev);
+        prev
     }
 
-    /// Warp-wide device-scope gather (counted, sector-rounded bytes). Used
-    /// by the fused multisplit's look-back to read an m-row predecessor
-    /// state record in one request.
+    /// Warp-wide device-scope gather (L2 path): an m-row tile-state record
+    /// in one request, or a single word with one lane.
     pub fn device_gather<T: Scalar>(
         &self,
         buf: &GlobalBuffer<T>,
         idx: Lanes<usize>,
         mask: u32,
     ) -> Lanes<T> {
-        buf.device_gather(self.stats, idx, mask)
+        buf.read(self.stats, Path::L2, Scope::Device, idx, mask)
     }
 
-    /// Warp-wide device-scope scatter (counted, sector-rounded bytes). Used
-    /// to publish an m-row tile-state record in one request.
+    /// Warp-wide device-scope scatter (L2 path): publishes an m-row
+    /// tile-state record in one request, or a single word with one lane.
     pub fn device_scatter<T: Scalar>(
         &self,
         buf: &GlobalBuffer<T>,
@@ -221,7 +222,7 @@ impl<'a> WarpCtx<'a> {
         val: Lanes<T>,
         mask: u32,
     ) {
-        buf.device_scatter(self.stats, idx, val, mask)
+        buf.write(self.stats, Path::L2, Scope::Device, idx, val, mask)
     }
 
     /// Charge `n` generic per-lane ALU operations (address arithmetic,
@@ -246,7 +247,7 @@ impl<'a> WarpCtx<'a> {
 mod tests {
     #![allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
     use super::*;
-    use crate::lanes::{lane_ids, splat, FULL_MASK};
+    use crate::lanes::{lane_ids, FULL_MASK};
 
     fn warp(stats: &StatCells) -> WarpCtx<'_> {
         WarpCtx::new(0, 0, stats)
