@@ -28,20 +28,20 @@
 //!               bit-identity, reduced-bit strategy delta
 //!   sorttune    digit-width sweep behind ms-sort's DEFAULT_DIGIT_BITS:
 //!               passes and counted sectors for b in 1..=max
-//!   profile     hierarchical scope-tree roll-up with per-block telemetry
-//!               and look-back introspection; writes bench_results/profile.json
+//!   profile     hierarchical scope-tree roll-up with per-block launch
+//!               reports and look-back introspection; writes
+//!               bench_results/profile.json
 //!   trace       flight-recorder causal analysis: tile dependency DAG and
 //!               exact critical path per look-back launch (vs the modeled
 //!               launch_report estimate), per-launch slack; writes a
 //!               chrome trace with per-tile slices and publisher→resolver
 //!               flow arrows to bench_results/trace_chrome.json
-//!   check       compare per-stage sector counts (n=2^16, m=32, plus a
-//!               large-m section at m=64, a sort section
-//!               radix-vs-ms-sort and a serve section
-//!               naive-vs-coalesced) against
-//!               bench_results/baseline_sectors.json; exits 1 on regression.
-//!               own option: --update (rewrite the committed baseline from
-//!               current counts)
+//!   check       compare per-stage sector counts and modeled times (n=2^16,
+//!               m=32, plus a large-m section at m=64, a sort section
+//!               radix-vs-ms-sort and two serve sections) byte for byte
+//!               with bench_results/baseline_sectors.json; exits 1 on any
+//!               difference. own option: --update (rewrite the committed
+//!               baseline from current counts)
 //!   fuzz        differential fuzz harness: seeded (n, m, method, distribution,
 //!               schedule) cases across every method, interleaved with ms-sort
 //!               cases (`sort,` tokens) and segmented batches (`seg,` tokens —
@@ -1510,7 +1510,7 @@ fn sorttune_cmd(opts: &Opts) -> Report {
 
 // ====================== Profile (observability) ======================
 
-/// Hierarchical scope-tree roll-up with per-block telemetry and look-back
+/// Hierarchical scope-tree roll-up, per-block launch reports and look-back
 /// introspection for the four `m <= 32` contenders. Per-stage sector
 /// totals match the `fused` / `scan` text reports exactly (same seed,
 /// same sequential-equivalent counts). Writes `bench_results/profile.json`.
@@ -1538,7 +1538,7 @@ fn profile_cmd(opts: &Opts) -> Report {
 
 /// Causal tracing from the flight recorder: run the single-pass fused
 /// method at m = 32 (`fused`) and m = 64 (`fused-large-m`) on the
-/// sequential scheduler with per-block telemetry, derive each look-back
+/// sequential scheduler, derive each look-back
 /// launch's tile dependency DAG and **exact** critical path from the
 /// recorded event stream, and compare against `launch_report`'s modeled
 /// estimate. Writes `bench_results/trace_chrome.json` — a chrome trace
@@ -1567,11 +1567,9 @@ fn trace_cmd(opts: &Opts) -> Report {
     let mut contender_docs = Vec::new();
     for &(c, name, m) in &runs {
         let outcome = msbench::with_run_schedule(Schedule::Sequential, || {
-            simt::with_telemetry(simt::Telemetry::PerBlock, || {
-                run_contender(&Run {
-                    seed: metrics::PROFILE_SEED,
-                    ..Run::new(c, n, m)
-                })
+            run_contender(&Run {
+                seed: metrics::PROFILE_SEED,
+                ..Run::new(c, n, m)
             })
         });
         r.heading(format!("{name} (m = {m})"));
@@ -1653,14 +1651,13 @@ fn trace_cmd(opts: &Opts) -> Report {
 
 // ====================== Check (sector regression gate) ======================
 
-/// Compare the four `m <= 32` contenders' per-stage sector counts at
-/// n = 2^16, m = 32 — plus the `largem` section's three-kernel vs fused
-/// large-m pair at n = 2^16, m = 64 — against the committed
-/// `bench_results/baseline_sectors.json` with a ±2% tolerance, and each
-/// row's modeled microseconds with a ±0.5% one; exit 1 on regression.
-/// Sectors and modeled time are schedule-independent, so this is a
-/// meaningful Rust-only CI gate. `--update` rewrites the baseline from the current
-/// counts instead.
+/// Render the four `m <= 32` contenders' per-stage sector counts and
+/// modeled times at n = 2^16, m = 32 — plus the `largem` (m = 64) and
+/// `sort` sections and the two serve sections — and compare the text
+/// byte for byte with the committed `bench_results/baseline_sectors.json`;
+/// exit 1 on any difference. Sectors and modeled time are
+/// schedule-independent, so this is a meaningful Rust-only CI gate.
+/// `--update` rewrites the baseline from the current counts instead.
 ///
 /// Parsed here (not via `parse_opts`): its sizes are fixed, and
 /// `--update` is its only option.
@@ -1675,68 +1672,48 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
     let path = "bench_results/baseline_sectors.json";
     println!(
         "check: per-stage sector counts, n = 2^16, m = {m} (largem section: m = 64), \
-         seed {}, tolerance ±2% (modeled µs: ±0.5%)",
+         seed {}, compared byte for byte",
         metrics::PROFILE_SEED
     );
-    let mut current = metrics::sector_baseline(&metrics::PROFILE_CONTENDERS, n, m);
-    let mut sections: Vec<(&str, Json)> = metrics::CHECK_SECTIONS
-        .iter()
-        .map(|&(name, m, contenders)| (name, metrics::sector_baseline(contenders, n, m)))
-        .collect();
-    sections.push(("serve", metrics::serve_sector_baseline_current()));
-    sections.push(("serve_overlap", metrics::serve_overlap_baseline_current()));
-    if let Json::Obj(fields) = &mut current {
-        fields.extend(
-            sections
-                .iter()
-                .map(|(name, cur)| (name.to_string(), cur.clone())),
-        );
-    }
+    let Json::Obj(mut fields) = metrics::sector_baseline(&metrics::PROFILE_CONTENDERS, n, m) else {
+        unreachable!("a baseline section is a JSON object")
+    };
+    fields.extend(
+        metrics::CHECK_SECTIONS
+            .iter()
+            .map(|&(name, m, contenders)| {
+                (name.into(), metrics::sector_baseline(contenders, n, m))
+            }),
+    );
+    fields.push(("serve".into(), metrics::serve_sector_baseline_current()));
+    fields.push((
+        "serve_overlap".into(),
+        metrics::serve_overlap_baseline_current(),
+    ));
+    let fresh = Json::Obj(fields).pretty() + "\n";
     if update {
-        write_file(path, &(current.pretty() + "\n")).expect("cannot write baseline");
+        write_file(path, &fresh).expect("cannot write baseline");
         println!("[wrote {path}]");
         return Ok(());
     }
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check: cannot read {path} ({e}); create it with `paper check --update`");
         std::process::exit(1);
     });
-    let baseline = Json::parse(&text).expect("committed baseline is not valid JSON");
-    let mut notes = Vec::new();
-    let mut failures = Vec::new();
-    match metrics::sector_baseline_compare(&current, &baseline, 0.02) {
-        Ok(ns) => notes.extend(ns),
-        Err(fs) => failures.extend(fs),
+    let diff = metrics::baseline_diff(&committed, &fresh);
+    if diff.is_empty() {
+        println!("check: OK — the baseline is byte-identical");
+        return Ok(());
     }
-    for (name, cur) in &sections {
-        match baseline.get(name) {
-            Some(base) => match metrics::sector_baseline_compare(cur, base, 0.02) {
-                Ok(ns) => notes.extend(ns.into_iter().map(|s| format!("{name}: {s}"))),
-                Err(fs) => failures.extend(fs.into_iter().map(|s| format!("{name}: {s}"))),
-            },
-            None => failures.push(format!(
-                "baseline has no `{name}` section; refresh with `paper check --update`"
-            )),
-        }
+    for d in &diff {
+        eprintln!("FAIL: {d}");
     }
-    if failures.is_empty() {
-        for note in &notes {
-            println!("note: {note}");
-        }
-        println!(
-            "check: OK — all sector counts and modeled times within tolerance of the baseline"
-        );
-        Ok(())
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        eprintln!(
-            "check: sector counts or modeled times regressed; investigate, or refresh an intended\n\
-             change with `paper check --update` and commit the new baseline"
-        );
-        std::process::exit(1);
-    }
+    eprintln!(
+        "check: {} line(s) differ from {path}; investigate, or refresh an intended\n\
+         change with `paper check --update` and commit the new baseline",
+        diff.len()
+    );
+    std::process::exit(1);
 }
 
 // ====================== Fuzz (differential harness) ======================

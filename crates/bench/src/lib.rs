@@ -1,6 +1,6 @@
 //! # ms-bench — harness regenerating the paper's tables and figures
 //!
-//! Shared machinery for the `paper` binary and the criterion benches:
+//! Shared machinery for the `paper` binary and perfbench:
 //! workload generators matching §6's setups (uniform / binomial /
 //! 25%-uniform key distributions over range buckets), contender runners
 //! that execute a method on a fresh device and verify its output against
@@ -8,7 +8,6 @@
 //! breakdown.
 
 pub mod metrics;
-pub mod microbench;
 pub mod report;
 pub mod serve;
 
@@ -33,7 +32,7 @@ pub fn run_schedule() -> Schedule {
 }
 
 /// Run `f` with every contender launched under `schedule` on this host
-/// thread (RAII restore, like `simt::with_telemetry`). `paper trace`
+/// thread (RAII restore, like `simt::with_flight_capacity`). `paper trace`
 /// uses this to rerun pipelines sequentially, where the flight
 /// recorder's exact critical path must equal the modeled one.
 pub fn with_run_schedule<R>(schedule: Schedule, f: impl FnOnce() -> R) -> R {

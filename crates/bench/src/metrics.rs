@@ -8,16 +8,16 @@
 //!   launch log) to the active [`simt::MetricsSink`], which the binary
 //!   writes at exit;
 //! * **profile data** — the testable core of `paper profile`: run the
-//!   four `m <= 32` contenders under [`simt::Telemetry::PerBlock`] and
-//!   derive scope trees, launch reports and look-back histograms;
+//!   four `m <= 32` contenders and derive scope trees, launch reports
+//!   and look-back histograms from their per-block launch logs;
 //! * **sector baselines** — the `paper check` regression gate: current
-//!   per-stage sector counts as JSON, compared against a committed
-//!   baseline with a tolerance (sectors are schedule-independent, so an
-//!   exact-ish comparison is meaningful).
+//!   per-stage sector counts and modeled times as JSON, compared byte for
+//!   byte with the committed baseline ([`baseline_diff`]). Both are
+//!   schedule-independent, so any difference is a real change.
 
 use std::cell::RefCell;
 
-use simt::{launch_report, scope_tree, with_telemetry, Json, LaunchRecord, MetricsSink, Telemetry};
+use simt::{launch_report, scope_tree, Json, LaunchRecord, MetricsSink};
 
 use crate::{run_contender, Contender, Outcome, Report, Run};
 
@@ -227,8 +227,8 @@ impl ContenderProfile {
 /// so per-stage sector totals line up exactly with that report.
 pub const PROFILE_SEED: u64 = 3000;
 
-/// Run `contenders` (the four `m <= 32` ones for `paper profile`) under
-/// per-block telemetry, key-only at [`PROFILE_SEED`]. The testable core
+/// Run `contenders` (the four `m <= 32` ones for `paper profile`)
+/// key-only at [`PROFILE_SEED`]. The testable core
 /// of `paper profile` (and of `paper check`, which only keeps the sector
 /// splits). Runs on the sequential schedule, so the look-back
 /// introspection (spin polls, depths) and the per-block critical paths
@@ -239,12 +239,10 @@ pub fn profile_data(contenders: &Named, n: usize, m: u32, verify: bool) -> Vec<C
             .iter()
             .map(|&(c, name)| ContenderProfile {
                 name,
-                outcome: with_telemetry(Telemetry::PerBlock, || {
-                    run_contender(&Run {
-                        seed: PROFILE_SEED,
-                        verify,
-                        ..Run::new(c, n, m)
-                    })
+                outcome: run_contender(&Run {
+                    seed: PROFILE_SEED,
+                    verify,
+                    ..Run::new(c, n, m)
                 }),
             })
             .collect()
@@ -303,11 +301,6 @@ pub fn profile_report(data: &[ContenderProfile], n: usize, m: u32) -> Report {
     r
 }
 
-/// Tolerance of `paper check` on a row's modeled microseconds: a
-/// compute-bound launch can slow down while its sectors hold, so the
-/// modeled time is gated tighter than the sectors' ±2%.
-pub const MODELED_TOLERANCE: f64 = 0.005;
-
 /// Current per-stage sector counts and modeled time of `contenders` in
 /// the committed-baseline shape: `{"n", "m", "seed", "contenders":
 /// [{"contender", "total_sectors", "modeled_us", "stages": [{"stage",
@@ -355,9 +348,9 @@ fn baseline_doc(n: usize, m: u32, rows: Vec<Json>) -> Json {
 /// The serve companion: naive per-request vs coalesced segmented serving
 /// sector counts at a small fixed config, stored under the `"serve"` key
 /// of the committed baseline. Same shape as [`sector_baseline`]
-/// (its `n`/`m` header fields are the per-request size and `m_max`), so
-/// [`sector_baseline_compare`] gates it unchanged; verification of every
-/// answer against its standalone `Method::auto` run rides along.
+/// (its `n`/`m` header fields are the per-request size and `m_max`);
+/// verification of every answer against its standalone `Method::auto`
+/// run rides along.
 pub fn serve_sector_baseline_current() -> Json {
     let cfg = crate::serve::ServeConfig {
         requests: 32,
@@ -385,12 +378,11 @@ pub fn serve_sector_baseline_current() -> Json {
 
 /// The overlapped-serve companion, stored under the `"serve_overlap"`
 /// key of the committed baseline: the modeled concurrency numbers of the
-/// same fixed config run with 2 streams per device. Every metric is
-/// encoded so that *growth is a regression*, letting
-/// [`sector_baseline_compare`] gate it unchanged: makespan and
-/// serialized walls in nanoseconds, and *idle* (not utilization) in
-/// basis points. A lost overlap shows up as makespan growing toward the
-/// serialized wall; a scheduling pessimization shows up directly.
+/// same fixed config run with 2 streams per device, as integer rows of
+/// the [`sector_baseline`] shape: makespan and serialized walls in
+/// nanoseconds, and *idle* (not utilization) in basis points. A lost
+/// overlap shows up as makespan growing toward the serialized wall; a
+/// scheduling pessimization shows up directly.
 pub fn serve_overlap_baseline_current() -> Json {
     // Each device gets 32 requests in 8 batches of 4, so each of its 2
     // streams carries 4 batches. A 128-key request is one sweep tile, so
@@ -433,187 +425,24 @@ pub fn serve_overlap_baseline_current() -> Json {
     )
 }
 
-/// Compare current sector counts against a committed baseline.
-///
-/// Returns `Ok(notes)` when nothing regressed (notes flag improvements
-/// beyond the tolerance, i.e. a stale baseline worth refreshing) or
-/// `Err(failures)` listing every count that **grew** more than
-/// `tolerance` (e.g. `0.02` for ±2%), and every row whose `modeled_us`
-/// grew more than [`MODELED_TOLERANCE`]. A row carries `modeled_us` on
-/// both sides or on neither.
-pub fn sector_baseline_compare(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut notes = Vec::new();
-    let mut failures = Vec::new();
-    for key in ["n", "m", "seed"] {
-        let (c, b) = (
-            current.get(key).and_then(Json::as_f64),
-            baseline.get(key).and_then(Json::as_f64),
-        );
-        if c != b {
-            failures.push(format!(
-                "config mismatch on `{key}`: current {c:?} vs baseline {b:?}"
-            ));
-        }
-    }
-    if !failures.is_empty() {
-        return Err(failures);
-    }
-    let empty: [Json; 0] = [];
-    let baseline_contenders = baseline
-        .get("contenders")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    let current_contenders = current
-        .get("contenders")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    // A contender present in the baseline but absent from the report —
-    // renamed, removed, or dropped by a serialization bug — is a gate
-    // failure, not a vacuous pass: its regressions would otherwise be
-    // invisible forever.
-    for base in baseline_contenders {
-        let name = base.get("contender").and_then(Json::as_str).unwrap_or("?");
-        if !current_contenders
-            .iter()
-            .any(|c| c.get("contender").and_then(Json::as_str) == Some(name))
-        {
-            failures.push(format!(
-                "baseline contender `{name}` is missing from the current report"
-            ));
-        }
-    }
-    for cur in current_contenders {
-        let name = cur.get("contender").and_then(Json::as_str).unwrap_or("?");
-        let Some(base) = baseline_contenders
-            .iter()
-            .find(|b| b.get("contender").and_then(Json::as_str) == Some(name))
-        else {
-            failures.push(format!("baseline has no entry for contender `{name}`"));
-            continue;
-        };
-        fn check_one(
-            notes: &mut Vec<String>,
-            failures: &mut Vec<String>,
-            (tolerance, unit): (f64, &str),
-            what: String,
-            cur_v: f64,
-            base_v: f64,
-        ) {
-            if base_v == 0.0 {
-                if cur_v != 0.0 {
-                    failures.push(format!("{what}: {cur_v} {unit} where baseline has 0"));
-                }
-                return;
-            }
-            let ratio = cur_v / base_v;
-            if ratio > 1.0 + tolerance {
-                failures.push(format!(
-                    "{what}: {cur_v} {unit} vs baseline {base_v} (+{:.2}% > {}% tolerance)",
-                    (ratio - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else if ratio < 1.0 - tolerance {
-                notes.push(format!(
-                    "{what}: improved to {cur_v} {unit} vs baseline {base_v} ({:.2}%) — \
-                     consider `paper check --update`",
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-        let sectors = (tolerance, "sectors");
-        // An absent `total_sectors` on either side used to fall through
-        // the `if let (Some, Some)` silently — treat it as the gate
-        // failure it is (the field is how a regression is measured).
-        match (
-            cur.get("total_sectors").and_then(Json::as_f64),
-            base.get("total_sectors").and_then(Json::as_f64),
-        ) {
-            (Some(c), Some(b)) => check_one(
-                &mut notes,
-                &mut failures,
-                sectors,
-                format!("{name}/total"),
-                c,
-                b,
-            ),
-            (c, b) => {
-                if c.is_none() {
-                    failures.push(format!("current report missing `{name}/total_sectors`"));
-                }
-                if b.is_none() {
-                    failures.push(format!("baseline missing `{name}/total_sectors`"));
-                }
-            }
-        }
-        match (
-            cur.get("modeled_us").and_then(Json::as_f64),
-            base.get("modeled_us").and_then(Json::as_f64),
-        ) {
-            (Some(c), Some(b)) => check_one(
-                &mut notes,
-                &mut failures,
-                (MODELED_TOLERANCE, "modeled µs"),
-                format!("{name}/modeled_us"),
-                c,
-                b,
-            ),
-            (None, None) => {}
-            (c, _) => failures.push(format!(
-                "{} missing `{name}/modeled_us`",
-                if c.is_none() {
-                    "current report"
-                } else {
-                    "baseline"
-                }
-            )),
-        }
-        let base_stages = base.get("stages").and_then(Json::as_arr).unwrap_or(&empty);
-        let cur_stages = cur.get("stages").and_then(Json::as_arr).unwrap_or(&empty);
-        // Baseline-only stages are the per-stage shape of the missing-
-        // contender bug: a stage that vanished from the report must fail.
-        for stage in base_stages {
-            let sname = stage.get("stage").and_then(Json::as_str).unwrap_or("?");
-            if !cur_stages
-                .iter()
-                .any(|s| s.get("stage").and_then(Json::as_str) == Some(sname))
-            {
-                failures.push(format!(
-                    "baseline stage `{name}/{sname}` is missing from the current report"
-                ));
-            }
-        }
-        for stage in cur_stages {
-            let sname = stage.get("stage").and_then(Json::as_str).unwrap_or("?");
-            let Some(cur_v) = stage.get("sectors").and_then(Json::as_f64) else {
-                failures.push(format!("current report missing `{name}/{sname}` sectors"));
-                continue;
-            };
-            let base_v = base_stages
-                .iter()
-                .find(|s| s.get("stage").and_then(Json::as_str) == Some(sname))
-                .and_then(|s| s.get("sectors").and_then(Json::as_f64));
-            match base_v {
-                Some(b) => check_one(
-                    &mut notes,
-                    &mut failures,
-                    sectors,
-                    format!("{name}/{sname}"),
-                    cur_v,
-                    b,
-                ),
-                None => failures.push(format!("baseline missing stage `{name}/{sname}`")),
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(notes)
-    } else {
-        Err(failures)
-    }
+/// The lines where `fresh` differs from `committed`, each naming its
+/// 1-based line number and both texts (`<missing>` past the end of the
+/// shorter one). Empty exactly when the two are byte-identical.
+pub fn baseline_diff(committed: &str, fresh: &str) -> Vec<String> {
+    let (c, f): (Vec<&str>, Vec<&str>) =
+        (committed.split('\n').collect(), fresh.split('\n').collect());
+    (0..c.len().max(f.len()))
+        .filter(|&i| c.get(i) != f.get(i))
+        .map(|i| {
+            let text = |side: &[&str]| side.get(i).copied().unwrap_or("<missing>").to_string();
+            format!(
+                "line {}:\n  committed: {}\n  fresh:     {}",
+                i + 1,
+                text(&c),
+                text(&f)
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -670,8 +499,9 @@ mod tests {
         for p in &profiles {
             assert!(p.outcome.total > 0.0, "{}", p.name);
             for rec in &p.outcome.records {
-                assert!(
-                    rec.per_block.is_some(),
+                assert_eq!(
+                    rec.per_block.len(),
+                    rec.blocks,
                     "{}/{}: profile runs must retain per-block stats",
                     p.name,
                     rec.label
@@ -720,15 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn largem_baseline_section_roundtrips_and_fused_wins() {
+    fn largem_baseline_section_fused_wins() {
         let (name, m, contenders) = CHECK_SECTIONS[0];
         assert_eq!((name, m), ("largem", 64));
         let current = sector_baseline(contenders, 1 << 13, m);
-        let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
-        assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
-        );
         let totals: Vec<(String, f64)> = current
             .get("contenders")
             .and_then(Json::as_arr)
@@ -750,116 +575,14 @@ mod tests {
         );
     }
 
-    /// One hand-built contender row: name, optional total, stages as
-    /// (name, optional sectors).
-    type ContenderSpec<'a> = (&'a str, Option<u64>, &'a [(&'a str, Option<u64>)]);
-
-    /// Build a small baseline-shaped document by hand — the compare
-    /// function only looks at the JSON shape, so the vacuous-pass
-    /// regressions can be pinned without running contenders.
-    fn doc(contenders: &[ContenderSpec<'_>]) -> Json {
-        Json::Obj(vec![
-            ("n".into(), Json::int(1024)),
-            ("m".into(), Json::int(8)),
-            ("seed".into(), Json::int(PROFILE_SEED)),
-            (
-                "contenders".into(),
-                Json::Arr(
-                    contenders
-                        .iter()
-                        .map(|(name, total, stages)| {
-                            let mut fields = vec![("contender".into(), Json::Str((*name).into()))];
-                            if let Some(t) = total {
-                                fields.push(("total_sectors".into(), Json::int(*t)));
-                            }
-                            fields.push((
-                                "stages".into(),
-                                Json::Arr(
-                                    stages
-                                        .iter()
-                                        .map(|(sname, sv)| {
-                                            let mut sf =
-                                                vec![("stage".into(), Json::Str((*sname).into()))];
-                                            if let Some(v) = sv {
-                                                sf.push(("sectors".into(), Json::int(*v)));
-                                            }
-                                            Json::Obj(sf)
-                                        })
-                                        .collect(),
-                                ),
-                            ));
-                            Json::Obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Satellite-2 regression: a contender present in the baseline but
-    /// deleted from the report used to pass the gate vacuously (the loop
-    /// only visited *current* contenders). It must fail now.
-    #[test]
-    fn deleting_a_contender_from_the_report_fails_the_gate() {
-        let stages: &[(&str, Option<u64>)] = &[("sweep", Some(100))];
-        let baseline = doc(&[("fused", Some(100), stages), ("large-m", Some(50), stages)]);
-        let current = doc(&[("fused", Some(100), stages)]); // large-m dropped
-        let err = sector_baseline_compare(&current, &baseline, 0.02)
-            .expect_err("a missing contender must fail the gate");
-        assert!(
-            err.iter()
-                .any(|e| e.contains("`large-m`") && e.contains("missing")),
-            "failure must name the dropped contender: {err:?}"
-        );
-        // The unmodified report still passes.
-        assert_eq!(
-            sector_baseline_compare(&baseline, &baseline, 0.0),
-            Ok(vec![])
-        );
-    }
-
-    /// Satellite-2 regression: an absent `total_sectors` (or per-stage
-    /// `sectors`) field used to skip the comparison via `if let
-    /// (Some, Some)` fallthrough. Both sides must fail loudly now.
-    #[test]
-    fn absent_sector_fields_fail_the_gate() {
-        let stages: &[(&str, Option<u64>)] = &[("sweep", Some(100))];
-        let good = doc(&[("fused", Some(100), stages)]);
-        // Current report lost its total_sectors field.
-        let no_total = doc(&[("fused", None, stages)]);
-        let err = sector_baseline_compare(&no_total, &good, 0.02).expect_err("must fail");
-        assert!(err.iter().any(|e| e.contains("total_sectors")), "{err:?}");
-        // Baseline lost it (e.g. hand-edited) — also a failure.
-        let err = sector_baseline_compare(&good, &no_total, 0.02).expect_err("must fail");
-        assert!(err.iter().any(|e| e.contains("total_sectors")), "{err:?}");
-        // A stage entry without a `sectors` value fails.
-        let no_stage_v: &[(&str, Option<u64>)] = &[("sweep", None)];
-        let bad_stage = doc(&[("fused", Some(100), no_stage_v)]);
-        assert!(sector_baseline_compare(&bad_stage, &good, 0.02).is_err());
-        // A stage present in the baseline but dropped from the report fails.
-        let no_stages: &[(&str, Option<u64>)] = &[];
-        let dropped_stage = doc(&[("fused", Some(100), no_stages)]);
-        let err = sector_baseline_compare(&dropped_stage, &good, 0.02).expect_err("must fail");
-        assert!(
-            err.iter()
-                .any(|e| e.contains("fused/sweep") && e.contains("missing")),
-            "{err:?}"
-        );
-    }
-
     /// The sort check section: ms-sort's effective-bit pruning plus the
     /// fused single-pass digit passes must beat the CUB-like radix
     /// baseline on total counted sectors.
     #[test]
-    fn sort_baseline_section_roundtrips_and_ms_sort_wins() {
+    fn sort_baseline_section_ms_sort_wins() {
         let (name, m, contenders) = CHECK_SECTIONS[1];
         assert_eq!(name, "sort");
         let current = sector_baseline(contenders, 1 << 13, m);
-        let reparsed = Json::parse(&current.pretty()).expect("valid JSON");
-        assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
-        );
         let totals: Vec<(String, f64)> = current
             .get("contenders")
             .and_then(Json::as_arr)
@@ -882,79 +605,23 @@ mod tests {
         );
     }
 
+    /// `paper check` passes only on byte-identical text, and names each
+    /// differing line with both of its versions.
     #[test]
-    fn sector_baseline_roundtrips_and_compares() {
-        let n = 1 << 13;
-        let current = sector_baseline(&PROFILE_CONTENDERS, n, 8);
-        let text = current.pretty();
-        let reparsed = Json::parse(&text).expect("baseline must be valid JSON");
-        // Identical runs pass with zero tolerance (sectors deterministic).
+    fn baseline_diff_is_exact_and_names_each_line() {
+        let committed = "{\n  \"n\": 65536,\n  \"total_sectors\": 1234\n}\n";
+        assert!(baseline_diff(committed, committed).is_empty());
+        let digit = committed.replace("1234", "1235");
         assert_eq!(
-            sector_baseline_compare(&current, &reparsed, 0.0),
-            Ok(vec![])
+            baseline_diff(committed, &digit),
+            ["line 3:\n  committed:   \"total_sectors\": 1234\n  fresh:       \"total_sectors\": 1235"]
         );
-        // A 5% inflation of every sector count fails a 2% gate.
-        fn inflate(v: &Json, factor: f64) -> Json {
-            match v {
-                Json::Obj(fields) => Json::Obj(
-                    fields
-                        .iter()
-                        .map(|(k, val)| {
-                            if k == "sectors" || k == "total_sectors" {
-                                (
-                                    k.clone(),
-                                    Json::Num((val.as_f64().unwrap() * factor).round()),
-                                )
-                            } else {
-                                (k.clone(), inflate(val, factor))
-                            }
-                        })
-                        .collect(),
-                ),
-                Json::Arr(items) => Json::Arr(items.iter().map(|i| inflate(i, factor)).collect()),
-                other => other.clone(),
-            }
-        }
-        let worse = inflate(&current, 1.05);
-        let res = sector_baseline_compare(&worse, &current, 0.02);
-        assert!(res.is_err(), "5% growth must fail a 2% gate");
-        // The inverse direction (shrinkage) is a note, not a failure.
-        let res = sector_baseline_compare(&current, &worse, 0.02);
-        let notes = res.expect("improvement must pass");
-        assert!(!notes.is_empty(), "improvement beyond tolerance is noted");
-        // Modeled time is gated at ±0.5%, with sectors unchanged.
-        fn slow(v: &Json, factor: f64) -> Json {
-            match v {
-                Json::Obj(fields) => Json::Obj(
-                    fields
-                        .iter()
-                        .map(|(k, val)| match (k.as_str(), val.as_f64()) {
-                            ("modeled_us", Some(us)) => (k.clone(), Json::Num(us * factor)),
-                            _ => (k.clone(), slow(val, factor)),
-                        })
-                        .collect(),
-                ),
-                Json::Arr(items) => Json::Arr(items.iter().map(|i| slow(i, factor)).collect()),
-                other => other.clone(),
-            }
-        }
-        assert!(text.contains("\"modeled_us\""), "rows carry modeled µs");
-        let err = sector_baseline_compare(&slow(&current, 1.01), &current, 0.02)
-            .expect_err("1% slower must fail the 0.5% gate");
-        assert!(err.iter().all(|e| e.contains("modeled_us")), "{err:?}");
-        assert_eq!(
-            sector_baseline_compare(&slow(&current, 1.004), &current, 0.02),
-            Ok(vec![])
+        let dropped = committed.replace("  \"n\": 65536,\n", "");
+        let diff = baseline_diff(committed, &dropped);
+        assert!(diff[0].starts_with("line 2:"), "{diff:?}");
+        assert!(
+            diff.last().unwrap().contains("fresh:     <missing>"),
+            "{diff:?}"
         );
-        let notes =
-            sector_baseline_compare(&current, &slow(&current, 1.01), 0.02).expect("faster passes");
-        assert!(notes.iter().any(|n| n.contains("modeled_us")), "{notes:?}");
-        // A row that lost its modeled time fails, on either side.
-        let untimed = Json::parse(&text.replace("\"modeled_us\"", "\"was_us\"")).unwrap();
-        assert!(sector_baseline_compare(&untimed, &current, 0.02).is_err());
-        assert!(sector_baseline_compare(&current, &untimed, 0.02).is_err());
-        // Config mismatch is an immediate failure.
-        let other = sector_baseline(&PROFILE_CONTENDERS, n / 2, 8);
-        assert!(sector_baseline_compare(&current, &other, 0.02).is_err());
     }
 }

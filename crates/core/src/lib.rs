@@ -80,7 +80,3 @@ pub use segmented::{
     SegmentedMultisplit,
 };
 pub use warp_level::multisplit_warp_level;
-// Observability knob: callers profile multisplit runs by wrapping them in
-// `with_telemetry(Telemetry::PerBlock, ..)`. It chooses no algorithm,
-// only what each launch records.
-pub use simt::{telemetry, with_telemetry, Telemetry};

@@ -117,7 +117,7 @@ pub fn flight_capacity() -> usize {
 
 /// Run `f` with the flight-ring capacity set to `cap` events per block
 /// for launches on this host thread, restoring the previous value on the
-/// way out (RAII guard, like [`crate::with_telemetry`]). `cap == 0`
+/// way out (RAII guard, like [`crate::Device::with_scope`]). `cap == 0`
 /// disables the recorder entirely: no allocation, no events, and
 /// [`LaunchRecord::flight`] stays `None`.
 pub fn with_flight_capacity<R>(cap: usize, f: impl FnOnce() -> R) -> R {
@@ -216,11 +216,11 @@ struct TileDag {
 }
 
 impl TileDag {
-    /// `None` unless the record carries a flight log and per-block stats
-    /// for at least one block.
+    /// `None` unless the record carries a flight log and at least one
+    /// block.
     fn new(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<Self> {
         let flight = rec.flight.as_ref()?;
-        let block_secs = crate::obs::block_seconds(rec.per_block.as_ref()?, profile);
+        let block_secs = crate::obs::block_seconds(&rec.per_block, profile);
         if block_secs.is_empty() {
             return None;
         }
@@ -276,9 +276,8 @@ impl TileDag {
     }
 }
 
-/// Derive a [`FlightAnalysis`] from a record that carried both a flight
-/// log and [`crate::Telemetry::PerBlock`] stats; `None` if either is
-/// missing (or the launch had no blocks).
+/// Derive a [`FlightAnalysis`] from a record's flight log and per-block
+/// stats; `None` if the recorder was off or the launch had no blocks.
 pub fn analyze(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<FlightAnalysis> {
     let dag = TileDag::new(rec, profile)?;
     let (last, longest) = dag
@@ -404,7 +403,7 @@ mod tests {
             warps_per_block: 1,
             stats: BlockStats::default(),
             obs: ObsStats::default(),
-            per_block: Some(per_block),
+            per_block,
             flight: Some(FlightLog { events, dropped: 0 }),
             seconds: 1e-6,
             stream: crate::stream::HOST_STREAM,
@@ -485,9 +484,6 @@ mod tests {
     fn analysis_needs_flight_and_per_block() {
         let mut r = rec_with(vec![], blocks(2));
         r.flight = None;
-        assert!(analyze(&r, &K40C).is_none());
-        let mut r = rec_with(vec![], blocks(2));
-        r.per_block = None;
         assert!(analyze(&r, &K40C).is_none());
         let r = rec_with(vec![], vec![]);
         assert!(analyze(&r, &K40C).is_none());

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use crate::block::BlockCtx;
 use crate::flight::{FlightEvent, FlightLog};
 use crate::lock_unpoisoned;
-use crate::obs::{telemetry, ObsStats, Telemetry};
+use crate::obs::ObsStats;
 use crate::profile::DeviceProfile;
 use crate::sched::{self, AdvCore, AdvSchedule, Schedule, ScheduleAborted, ADV_WORKERS};
 use crate::stats::{BlockStats, LaunchRecord};
@@ -146,12 +146,10 @@ impl Device {
     /// The label names the launch for per-stage reporting; by convention
     /// it is `"algorithm/stage"` (e.g. `"direct/pre-scan"`).
     ///
-    /// Under [`crate::obs::Telemetry::PerBlock`] (see
-    /// [`crate::obs::with_telemetry`], read from the **calling** host
-    /// thread) the record additionally retains every block's own stats,
-    /// indexed by block id. Summed stats are bit-identical whichever
-    /// telemetry level or executor is active: per-block counts are
-    /// schedule-independent and u64 addition commutes.
+    /// The record keeps every block's own stats beside their sum, indexed
+    /// by block id. Both are bit-identical whichever executor is active:
+    /// per-block counts are schedule-independent and u64 addition
+    /// commutes.
     ///
     /// **Zero-block contract**: a zero-block launch is a true no-op —
     /// nothing runs and nothing is appended to the launch log, so empty
@@ -170,7 +168,6 @@ impl Device {
         F: Fn(&BlockCtx) + Sync,
     {
         let label = format!("{}{}", lock_unpoisoned(&self.scope), label);
-        let per_block_wanted = telemetry() == Telemetry::PerBlock;
         // Flight-recorder capacity is a thread-local of the *calling*
         // thread; read it once here so worker threads see the same value.
         let flight_cap = crate::flight::flight_capacity();
@@ -181,7 +178,7 @@ impl Device {
                 warps_per_block,
                 stats: BlockStats::default(),
                 obs: ObsStats::default(),
-                per_block: per_block_wanted.then(Vec::new),
+                per_block: Vec::new(),
                 flight: (flight_cap > 0).then(FlightLog::default),
                 seconds: 0.0,
                 stream: HOST_STREAM,
@@ -223,9 +220,7 @@ impl Device {
             let (stats, obs, (flight, dropped)) = blk.into_parts();
             retired.stats += stats;
             retired.obs += obs;
-            if per_block_wanted {
-                retired.per_block.push((b, stats));
-            }
+            retired.per_block.push((b, stats));
             // The ring doesn't know its block; stamp events at retirement.
             let block = b as u32;
             retired
@@ -259,13 +254,10 @@ impl Device {
         // Scatter the kept pairs into an id-indexed vector and merge every
         // block's ring into one stream sorted by (block, seq): both are
         // deterministic whatever order the workers retired blocks in.
-        let per_block = per_block_wanted.then(|| {
-            let mut per_block = vec![BlockStats::default(); num_blocks];
-            for (b, stats) in retired.per_block {
-                per_block[b] = stats;
-            }
-            per_block
-        });
+        let mut per_block = vec![BlockStats::default(); num_blocks];
+        for (b, stats) in retired.per_block {
+            per_block[b] = stats;
+        }
         let mut events = retired.flight;
         events.sort_by_key(|e| (e.block, e.seq));
         let seconds = self.profile.estimate(&retired.stats);
@@ -485,7 +477,7 @@ pub fn blocks_for(n: usize, warps_per_block: usize) -> usize {
 struct Retired {
     stats: BlockStats,
     obs: ObsStats,
-    /// `(block id, stats)`, kept under per-block telemetry only.
+    /// `(block id, stats)` of every retired block.
     per_block: Vec<(usize, BlockStats)>,
     /// Block-stamped flight events, in retirement order.
     flight: Vec<FlightEvent>,
@@ -688,62 +680,50 @@ mod tests {
     fn every_schedule_runs_each_block_once_and_retires_the_same_launch() {
         use crate::flight::EventKind;
         use crate::lanes::lane_mask_lt;
-        use crate::obs::with_telemetry;
         use crate::sched::{AdvFlavor, AdvSchedule};
         let wpb = 2;
         // A copy whose last warp is partial, one hit per block, one device
         // ticket per block (an adversarial yield point) and `1 + b % 3`
         // flight events per block.
-        let launch = |dev: &Device, blocks: usize, level: Telemetry| {
+        let launch = |dev: &Device, blocks: usize| {
             let n = blocks * wpb * WARP_SIZE - 7;
             let data: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
             let src = GlobalBuffer::from_slice(&data);
             let dst = GlobalBuffer::<u32>::zeroed(n);
             let hits = GlobalBuffer::<u32>::zeroed(blocks);
             let tickets = GlobalBuffer::<u32>::zeroed(1);
-            let rec = with_telemetry(level, || {
-                dev.launch("copy", blocks, wpb, |blk| {
-                    let b = blk.block_id;
-                    let w0 = blk.warp(0);
-                    w0.device_fetch_add(&tickets, 0, 1);
-                    w0.atomic_add(&hits, splat(b), splat(1u32), 1);
+            let rec = dev.launch("copy", blocks, wpb, |blk| {
+                let b = blk.block_id;
+                let w0 = blk.warp(0);
+                w0.device_fetch_add(&tickets, 0, 1);
+                w0.atomic_add(&hits, splat(b), splat(1u32), 1);
+                blk.stats()
+                    .obs
+                    .flight_emit(EventKind::TicketClaim, b as u32, 0, 0);
+                for w in blk.warps() {
+                    let base = w.global_warp_id * WARP_SIZE;
+                    let live = n.saturating_sub(base).min(WARP_SIZE);
+                    let mask = if live == WARP_SIZE {
+                        u32::MAX
+                    } else {
+                        lane_mask_lt(live)
+                    };
+                    let idx = lanes_from_fn(|l| base + l);
+                    let v = w.gather(&src, idx, mask);
+                    w.scatter(&dst, idx, v, mask);
+                }
+                for k in 0..b % 3 {
                     blk.stats()
                         .obs
-                        .flight_emit(EventKind::TicketClaim, b as u32, 0, 0);
-                    for w in blk.warps() {
-                        let base = w.global_warp_id * WARP_SIZE;
-                        let live = n.saturating_sub(base).min(WARP_SIZE);
-                        let mask = if live == WARP_SIZE {
-                            u32::MAX
-                        } else {
-                            lane_mask_lt(live)
-                        };
-                        let idx = lanes_from_fn(|l| base + l);
-                        let v = w.gather(&src, idx, mask);
-                        w.scatter(&dst, idx, v, mask);
-                    }
-                    for k in 0..b % 3 {
-                        blk.stats().obs.flight_emit(
-                            EventKind::PublishAggregate,
-                            b as u32,
-                            k as u32,
-                            0,
-                        );
-                    }
-                })
+                        .flight_emit(EventKind::PublishAggregate, b as u32, k as u32, 0);
+                }
             });
             assert_eq!(dst.to_vec(), data, "{blocks} blocks: output");
             assert_eq!(hits.to_vec(), vec![1; blocks], "{blocks} blocks: hits");
             rec
         };
         for blocks in [1, 3, ADV_WORKERS, 64] {
-            let summary = launch(&Device::sequential(K40C), blocks, Telemetry::Summary);
-            assert!(summary.per_block.is_none());
-            let reference = launch(&Device::sequential(K40C), blocks, Telemetry::PerBlock);
-            assert_eq!(
-                reference.stats, summary.stats,
-                "telemetry must not change sums"
-            );
+            let reference = launch(&Device::sequential(K40C), blocks);
             let flight = reference.flight.as_ref().expect("flight recorder on");
             assert_eq!(flight.count(EventKind::TicketClaim), blocks);
             assert_eq!(flight.dropped, 0);
@@ -763,18 +743,16 @@ mod tests {
             }));
             for (name, dev, in_session) in &rows {
                 let rec = if *in_session {
-                    let task: StreamTask<'_, LaunchRecord> =
-                        Box::new(|_| launch(dev, blocks, Telemetry::PerBlock));
+                    let task: StreamTask<'_, LaunchRecord> = Box::new(|_| launch(dev, blocks));
                     dev.concurrent(vec![task]).remove(0)
                 } else {
-                    launch(dev, blocks, Telemetry::PerBlock)
+                    launch(dev, blocks)
                 };
                 let ctx = format!("{name}, {blocks} blocks");
                 assert_eq!(rec.stats, reference.stats, "{ctx}: summed stats");
                 assert_eq!(rec.per_block, reference.per_block, "{ctx}: per-block");
-                let per_block = rec.per_block.as_ref().expect("per-block retained");
                 let mut sum = BlockStats::default();
-                for b in per_block {
+                for b in &rec.per_block {
                     sum += *b;
                 }
                 assert_eq!(sum, rec.stats, "{ctx}: per-block stats sum to the total");

@@ -12,9 +12,8 @@
 //!   debug-asserts finiteness and renders any non-finite number as `0`
 //!   rather than emitting an unparseable token.
 //! * **Round-trips validate** — [`Json::parse`] is a strict
-//!   recursive-descent parser used by tests (and by `paper check`, which
-//!   reads committed baselines) to prove that everything we emit is real
-//!   JSON, not JSON-shaped text.
+//!   recursive-descent parser used by tests to prove that everything we
+//!   emit is real JSON, not JSON-shaped text.
 
 /// A JSON value. Object keys keep insertion order (reports stay diffable).
 #[derive(Debug, Clone, PartialEq)]

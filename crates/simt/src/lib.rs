@@ -79,8 +79,7 @@ pub use lanes::{
 };
 pub use memory::{GlobalBuffer, Scalar, SECTOR_BYTES};
 pub use obs::{
-    launch_report, scope_tree, telemetry, with_telemetry, LaunchReport, MetricsSink, ObsCells,
-    ObsStats, ScopeNode, Telemetry,
+    launch_report, scope_tree, LaunchReport, MetricsSink, ObsCells, ObsStats, ScopeNode,
 };
 pub use pool::{BufferPool, PooledBuffer};
 pub use profile::{DeviceProfile, GTX750TI, K40C};

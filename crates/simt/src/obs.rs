@@ -1,14 +1,12 @@
-//! Observability: per-block telemetry, derived launch reports, scope-tree
-//! roll-ups and a JSON metrics sink.
+//! Observability: derived launch reports, scope-tree roll-ups and a JSON
+//! metrics sink.
 //!
-//! The simulator's whole argument is an *accounting* of where time goes —
-//! but [`crate::Device::launch`] sums [`BlockStats`] across blocks before
-//! recording, which hides load imbalance, and every report the bench
-//! harness writes is plain text. This module adds the missing layers:
+//! The simulator's whole argument is an *accounting* of where time goes.
+//! [`crate::Device::launch`] sums [`BlockStats`] across blocks, and keeps
+//! every block's own stats beside the sum in
+//! [`crate::LaunchRecord::per_block`], so load imbalance stays visible.
+//! This module derives the layers above that:
 //!
-//! * [`Telemetry`] — an RAII-scoped knob that asks `launch` to retain
-//!   per-block stats in [`crate::LaunchRecord::per_block`]. It chooses
-//!   no algorithm, only what a launch records.
 //! * [`ObsCells`] / [`ObsStats`] — an **uncounted side-channel** for
 //!   introspection counters that must never feed the cost model. The
 //!   rules: deterministic fields (look-back resolves) are asserted
@@ -32,41 +30,6 @@ use crate::flight::{EventKind, FlightEvent};
 use crate::json::Json;
 use crate::profile::DeviceProfile;
 use crate::stats::{BlockStats, LaunchRecord};
-
-/// How much detail [`crate::Device::launch`] retains per launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Telemetry {
-    /// Summed stats only (default; zero extra allocation per launch).
-    #[default]
-    Summary,
-    /// Additionally keep every block's [`BlockStats`], indexed by block
-    /// id, in [`LaunchRecord::per_block`]. Summed stats are bit-identical
-    /// either way (u64 addition is commutative and associative).
-    PerBlock,
-}
-
-thread_local! {
-    static TELEMETRY: Cell<Telemetry> = const { Cell::new(Telemetry::Summary) };
-}
-
-/// The telemetry level launches on this host thread currently record.
-pub fn telemetry() -> Telemetry {
-    TELEMETRY.with(Cell::get)
-}
-
-/// Run `f` with the telemetry knob set to `t` for this host thread,
-/// restoring the previous value on the way out — **including on panic**
-/// (an RAII drop guard, like `Device::with_scope`).
-pub fn with_telemetry<R>(t: Telemetry, f: impl FnOnce() -> R) -> R {
-    struct Restore(Telemetry);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TELEMETRY.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(TELEMETRY.with(|c| c.replace(t)));
-    f()
-}
 
 /// Look-back depth histogram buckets: depths `0..15` each get a bucket,
 /// anything deeper lands in the last one.
@@ -257,10 +220,10 @@ pub(crate) fn block_seconds(per_block: &[BlockStats], profile: &DeviceProfile) -
         .collect()
 }
 
-/// Derive a [`LaunchReport`] from a record that carried
-/// [`Telemetry::PerBlock`]; `None` if per-block stats were not retained.
+/// Derive a [`LaunchReport`] from a record's per-block stats; `None`
+/// for a zero-block launch, which has no blocks to compare.
 pub fn launch_report(rec: &LaunchRecord, profile: &DeviceProfile) -> Option<LaunchReport> {
-    let per_block = rec.per_block.as_ref()?;
+    let per_block = &rec.per_block;
     if per_block.is_empty() {
         return None;
     }
@@ -470,7 +433,10 @@ pub fn obs_json(o: &ObsStats) -> Json {
     ])
 }
 
-/// One launch record as JSON (per-block stats included when retained).
+/// One launch record as JSON: its summed stats and, of the flight log,
+/// only the event count. Per-block stats stay out, since a launch can
+/// have thousands of blocks; [`LaunchReport`] carries them in derived
+/// form.
 fn record_json(rec: &LaunchRecord) -> Json {
     let mut fields = vec![
         ("label".into(), Json::Str(rec.label.clone())),
@@ -484,12 +450,6 @@ fn record_json(rec: &LaunchRecord) -> Json {
     ];
     if rec.obs != ObsStats::default() {
         fields.push(("obs".into(), obs_json(&rec.obs)));
-    }
-    if let Some(per_block) = &rec.per_block {
-        fields.push((
-            "per_block".into(),
-            Json::Arr(per_block.iter().map(stats_json).collect()),
-        ));
     }
     // Flight log: summary only — full event streams belong in the chrome
     // trace, not in every JSON export.
@@ -567,29 +527,12 @@ mod tests {
                 ..Default::default()
             },
             obs: ObsStats::default(),
-            per_block: None,
+            per_block: Vec::new(),
             flight: None,
             seconds,
             stream: crate::stream::HOST_STREAM,
             stream_seq: 0,
         }
-    }
-
-    #[test]
-    fn telemetry_knob_is_scoped_and_panic_safe() {
-        assert_eq!(telemetry(), Telemetry::Summary);
-        with_telemetry(Telemetry::PerBlock, || {
-            assert_eq!(telemetry(), Telemetry::PerBlock);
-            with_telemetry(Telemetry::Summary, || {
-                assert_eq!(telemetry(), Telemetry::Summary);
-            });
-            assert_eq!(telemetry(), Telemetry::PerBlock);
-        });
-        assert_eq!(telemetry(), Telemetry::Summary);
-        let caught =
-            std::panic::catch_unwind(|| with_telemetry(Telemetry::PerBlock, || panic!("boom")));
-        assert!(caught.is_err());
-        assert_eq!(telemetry(), Telemetry::Summary, "knob must unwind");
     }
 
     #[test]
@@ -668,7 +611,7 @@ mod tests {
             ..Default::default()
         };
         let idle = BlockStats::default();
-        r.per_block = Some(vec![heavy, light, idle]);
+        r.per_block = vec![heavy, light, idle];
         let report = launch_report(&r, &K40C).expect("per-block stats present");
         assert_eq!(report.blocks, 3);
         assert!(report.imbalance > 1.0, "skewed blocks => imbalance > 1");
@@ -677,7 +620,14 @@ mod tests {
         // heavy: bucket 3 ([4,8)); light: bucket 2 ([2,4)); idle: bucket 0.
         assert_eq!(report.sector_hist, vec![(0, 1), (2, 1), (3, 1)]);
         assert!(Json::parse(&report.to_json().render()).is_ok());
-        assert!(launch_report(&rec("no-pb", 1, 1e-6), &K40C).is_none());
+        let empty = LaunchRecord {
+            blocks: 0,
+            ..rec("empty", 0, 0.0)
+        };
+        assert!(
+            launch_report(&empty, &K40C).is_none(),
+            "no blocks, no report"
+        );
     }
 
     #[test]

@@ -159,9 +159,9 @@ pub struct LaunchRecord {
     /// Introspection counters summed over all blocks (uncounted channel;
     /// see [`crate::obs::ObsStats`] for which fields are deterministic).
     pub obs: ObsStats,
-    /// Every block's own event counts, indexed by block id — retained only
-    /// under [`crate::obs::Telemetry::PerBlock`], `None` otherwise.
-    pub per_block: Option<Vec<BlockStats>>,
+    /// Every block's own event counts, indexed by block id (empty for a
+    /// zero-block launch).
+    pub per_block: Vec<BlockStats>,
     /// Merged flight-recorder event stream, sorted by `(block, seq)` —
     /// `Some` whenever the recorder was armed
     /// ([`crate::flight::flight_capacity`] > 0), `None` when disabled.

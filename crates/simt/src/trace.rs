@@ -230,7 +230,7 @@ mod tests {
                 ..Default::default()
             },
             obs: ObsStats::default(),
-            per_block: None,
+            per_block: Vec::new(),
             flight: None,
             seconds,
             stream: crate::stream::HOST_STREAM,

@@ -15,9 +15,7 @@
 //!   sequential run (walk depths and spin-poll counts legitimately differ);
 //! * **determinism** — the same seed replays the same execution exactly.
 
-use multisplit::{
-    multisplit_device, multisplit_kv_ref, with_telemetry, Method, RangeBuckets, Telemetry,
-};
+use multisplit::{multisplit_device, multisplit_kv_ref, Method, RangeBuckets};
 use simt::{AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer, K40C};
 
 /// One run's schedule-independent fingerprint: outputs plus, per launch,
@@ -264,17 +262,15 @@ fn seeded_schedules_stay_correct() {
 fn per_block_telemetry_is_schedule_independent_up_to_block_order() {
     let keys = gen_keys(6000, 0xAD06);
     let collect = |dev: Device| {
-        with_telemetry(Telemetry::PerBlock, || {
-            let _ = run_fingerprint(&dev, Method::BlockLevel, &keys, false, 16);
-            dev.records()
-                .iter()
-                .map(|r| {
-                    let mut pb = r.per_block.clone().expect("PerBlock telemetry on");
-                    pb.sort_by_key(|s| format!("{s:?}"));
-                    (r.label.clone(), pb)
-                })
-                .collect::<Vec<_>>()
-        })
+        let _ = run_fingerprint(&dev, Method::BlockLevel, &keys, false, 16);
+        dev.records()
+            .iter()
+            .map(|r| {
+                let mut pb = r.per_block.clone();
+                pb.sort_by_key(|s| format!("{s:?}"));
+                (r.label.clone(), pb)
+            })
+            .collect::<Vec<_>>()
     };
     let seq = collect(Device::sequential(K40C));
     let adv = collect(Device::adversarial(

@@ -4,7 +4,7 @@
 
 use msbench::metrics::{profile_data, PROFILE_CONTENDERS, PROFILE_SEED};
 use msbench::{run_contender, Run};
-use multisplit::{multisplit_device, no_values, with_telemetry, Method, RangeBuckets, Telemetry};
+use multisplit::{multisplit_device, no_values, Method, RangeBuckets};
 use simt::{
     chrome_trace_json, launch_report, BlockStats, Device, GlobalBuffer, Json, LaunchRecord,
     ObsStats, K40C,
@@ -69,15 +69,10 @@ fn per_block_stats_are_schedule_independent() {
     ] {
         let mut per_dev: Vec<(BlockStats, Vec<Vec<BlockStats>>)> = Vec::new();
         for dev in [Device::new(K40C), Device::sequential(K40C)] {
-            let records = with_telemetry(Telemetry::PerBlock, || {
-                run_with(&dev, method, &keys_host, m)
-            });
+            let records = run_with(&dev, method, &keys_host, m);
             let mut per_block: Vec<Vec<BlockStats>> = Vec::new();
             for rec in &records {
-                let blocks = rec
-                    .per_block
-                    .clone()
-                    .expect("PerBlock telemetry retains per-block stats");
+                let blocks = rec.per_block.clone();
                 // The retained vector is indexed by block id, so the sum
                 // must reproduce the launch's counted stats exactly.
                 assert_eq!(rec.stats, {
@@ -100,30 +95,34 @@ fn per_block_stats_are_schedule_independent() {
     }
 }
 
+/// Every launch keeps one per-block entry per block beside its counted
+/// stats, and two runs of the same input repeat both exactly.
 #[test]
 fn telemetry_knob_does_not_change_counted_stats() {
     let n = 65_536;
     let keys_host = keys_for(n, 5);
-    let plain = {
+    let run = || {
         let dev = Device::sequential(K40C);
         run_with(&dev, Method::BlockLevel, &keys_host, 8)
     };
-    let observed = with_telemetry(Telemetry::PerBlock, || {
-        let dev = Device::sequential(K40C);
-        run_with(&dev, Method::BlockLevel, &keys_host, 8)
-    });
+    let (plain, observed) = (run(), run());
     assert_eq!(plain.len(), observed.len());
     for (a, b) in plain.iter().zip(&observed) {
         assert_eq!(a.label, b.label);
         assert_eq!(
             a.stats, b.stats,
-            "{}: telemetry must not change counting",
+            "{}: per-block stats must not change counting",
             a.label
         );
         assert_eq!(a.obs, b.obs);
         assert_eq!(a.seconds, b.seconds);
-        assert!(a.per_block.is_none(), "Summary retains no per-block stats");
-        assert!(b.per_block.is_some());
+        assert_eq!(
+            a.per_block.len(),
+            a.blocks,
+            "{}: one entry per block",
+            a.label
+        );
+        assert_eq!(a.per_block, b.per_block);
     }
 }
 
@@ -162,10 +161,8 @@ fn exported_json_round_trips_with_hostile_labels() {
     let n = 8_192;
     let keys_host = keys_for(n, 11);
     let dev = Device::new(K40C);
-    let records = with_telemetry(Telemetry::PerBlock, || {
-        dev.with_scope("we\"ird\\scope\t", || {
-            run_with(&dev, Method::Fused, &keys_host, 8)
-        })
+    let records = dev.with_scope("we\"ird\\scope\t", || {
+        run_with(&dev, Method::Fused, &keys_host, 8)
     });
     assert!(records
         .iter()
@@ -196,8 +193,9 @@ fn exported_json_round_trips_with_hostile_labels() {
 fn profile_sector_totals_match_the_plain_reports() {
     let n = 1 << 14;
     let m = 32;
-    // `paper profile` runs under PerBlock telemetry; the text reports run
-    // without it. Totals and per-stage sector splits must agree exactly.
+    // `paper profile` runs on the sequential schedule; the text reports
+    // run on the parallel one. Totals and per-stage sector splits must
+    // agree exactly.
     let profiles = profile_data(&PROFILE_CONTENDERS, n, m, true);
     for p in &profiles {
         let (c, _) = *PROFILE_CONTENDERS
@@ -222,7 +220,7 @@ fn profile_sector_totals_match_the_plain_reports() {
 #[test]
 fn empty_launch_guards_hold() {
     assert_eq!(ObsStats::default().mean_depth(), 0.0);
-    let rec = |per_block: Option<Vec<BlockStats>>| LaunchRecord {
+    let rec = |per_block: Vec<BlockStats>| LaunchRecord {
         label: "empty/launch".into(),
         blocks: 0,
         warps_per_block: 8,
@@ -234,20 +232,17 @@ fn empty_launch_guards_hold() {
         stream: simt::HOST_STREAM,
         stream_seq: 0,
     };
-    // No per-block stats retained: no report rather than a crash.
-    assert!(launch_report(&rec(None), &K40C).is_none());
-    // Zero-block launch under PerBlock telemetry: an empty vector.
-    assert!(launch_report(&rec(Some(Vec::new())), &K40C).is_none());
+    // Zero-block launch: an empty vector, no report rather than a crash.
+    assert!(launch_report(&rec(Vec::new()), &K40C).is_none());
     // All-idle blocks: mean estimate may round to zero; imbalance must
     // stay finite (the guard pins it at 1.0, never NaN/inf).
-    let idle = rec(Some(vec![BlockStats::default(); 4]));
+    let idle = rec(vec![BlockStats::default(); 4]);
     if let Some(report) = launch_report(&idle, &K40C) {
         assert!(report.imbalance.is_finite());
         assert!(report.critical_path_seconds.is_finite());
     }
     // flight analysis shares the guards.
-    assert!(simt::flight_analyze(&rec(None), &K40C).is_none());
-    assert!(simt::flight_analyze(&rec(Some(Vec::new())), &K40C).is_none());
+    assert!(simt::flight_analyze(&rec(Vec::new()), &K40C).is_none());
 }
 
 /// Recorder events ride the uncounted channel: counted stats (and the
@@ -333,9 +328,7 @@ fn ring_overflow_is_flagged_not_silent() {
     let keys_host = keys_for(n, 27);
     let records = simt::with_flight_capacity(4, || {
         let dev = Device::sequential(K40C);
-        with_telemetry(Telemetry::PerBlock, || {
-            run_with(&dev, Method::Fused, &keys_host, 32)
-        })
+        run_with(&dev, Method::Fused, &keys_host, 32)
     });
     let sweep = records
         .iter()
@@ -364,12 +357,10 @@ fn exact_critical_path_matches_model_on_sequential_chained_scan() {
     let n = 1 << 16;
     let vals: Vec<u32> = keys_for(n, 31).iter().map(|k| k % 911).collect();
     let dev = Device::sequential(K40C);
-    let records = with_telemetry(Telemetry::PerBlock, || {
-        let input = GlobalBuffer::from_slice(&vals);
-        let output = GlobalBuffer::<u32>::zeroed(n);
-        primitives::exclusive_scan_u32(&dev, "flight", &input, &output, n, 8);
-        dev.records()
-    });
+    let input = GlobalBuffer::from_slice(&vals);
+    let output = GlobalBuffer::<u32>::zeroed(n);
+    primitives::exclusive_scan_u32(&dev, "flight", &input, &output, n, 8);
+    let records = dev.records();
     let scan = records
         .iter()
         .find(|r| r.obs.lookback_resolves > 0)
@@ -394,9 +385,7 @@ fn fused_sweep_critical_path_within_one_percent_at_2_20() {
     let n = 1 << 20;
     let keys_host = keys_for(n, 33);
     let dev = Device::sequential(K40C);
-    let records = with_telemetry(Telemetry::PerBlock, || {
-        run_with(&dev, Method::Fused, &keys_host, 32)
-    });
+    let records = run_with(&dev, Method::Fused, &keys_host, 32);
     let sweep = records
         .iter()
         .find(|r| r.label.ends_with("/sweep"))
