@@ -954,9 +954,7 @@ impl Family for Vec<Launch> {
             .map(|(i, t)| c.inputs(&c.keys(t.n, t.m, i)))
             .collect();
         let tasks: Vec<StreamTask<Task>> = (self.iter().zip(&inputs))
-            .map(|(t, input)| {
-                Box::new(move |s: &Stream| s.run(|| t.run(c, dev, input))) as StreamTask<Task>
-            })
+            .map(|(t, input)| Box::new(move |_: &Stream| t.run(c, dev, input)) as StreamTask<Task>)
             .collect();
         dev.concurrent(tasks)
     }

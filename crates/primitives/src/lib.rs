@@ -32,6 +32,4 @@ pub use block_scan::{
 pub use compact::{compact_by_pred, split_by_pred, SplitResult};
 pub use histogram::histogram_shared_atomic;
 pub use lookback::SegmentedTileStates;
-pub use scan::{
-    exclusive_scan_u32, recursive_scan_u32, reduce_add_u32, scan_tile, ITEMS_PER_THREAD,
-};
+pub use scan::{exclusive_scan_u32, recursive_scan_u32, scan_tile, ITEMS_PER_THREAD};

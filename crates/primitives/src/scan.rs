@@ -379,28 +379,6 @@ fn downsweep(
     });
 }
 
-/// Device-wide sum reduction of `input[0..n]`.
-pub fn reduce_add_u32(
-    dev: &Device,
-    label: &str,
-    input: &GlobalBuffer<u32>,
-    n: usize,
-    wpb: usize,
-) -> u32 {
-    if n == 0 {
-        return 0;
-    }
-    let tile = scan_tile(wpb);
-    let blocks = n.div_ceil(tile);
-    let partials = GlobalBuffer::<u32>::zeroed(blocks);
-    reduce_tiles(dev, &format!("{label}/reduce"), input, &partials, n, wpb);
-    if blocks == 1 {
-        partials.get(0)
-    } else {
-        reduce_add_u32(dev, label, &partials, blocks, wpb)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,24 +578,6 @@ mod tests {
             stats.dram_bytes(),
             ideal
         );
-    }
-
-    #[test]
-    fn reduce_matches_reference() {
-        let dev = Device::new(K40C);
-        for n in [1usize, 100, 2048, 50_000] {
-            let data: Vec<u32> = (0..n).map(|i| i as u32 % 7).collect();
-            let input = GlobalBuffer::from_slice(&data);
-            let got = reduce_add_u32(&dev, "t", &input, n, 8);
-            assert_eq!(got, data.iter().sum::<u32>(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn reduce_empty_is_zero() {
-        let dev = Device::new(K40C);
-        let input = GlobalBuffer::<u32>::zeroed(0);
-        assert_eq!(reduce_add_u32(&dev, "t", &input, 0, 8), 0);
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! token. A launch inside an adversarial [`Device::concurrent`] session
 //! runs one worker inline, on the session's token. [`Device::concurrent`]
 //! starts its stream tasks on the same scoped worker pool.
+//!
+//! A device keeps one launch log. `launch` appends each record to it
+//! once, and everything that reports on the device reads it: the records
+//! themselves, the serialized sums (`total_seconds`), and the
+//! [`crate::stream`] makespan model behind `makespan`, `utilization` and
+//! `completion_times`.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,7 +40,7 @@ use crate::obs::ObsStats;
 use crate::profile::DeviceProfile;
 use crate::sched::{self, AdvCore, AdvSchedule, Schedule, ScheduleAborted, ADV_WORKERS};
 use crate::stats::{BlockStats, LaunchRecord};
-use crate::stream::{self, Stream, TimelineEntry, HOST_STREAM};
+use crate::stream::{self, Stream, HOST_STREAM};
 
 /// Below this grid size the thread fan-out costs more than it saves.
 const PARALLEL_GRID_THRESHOLD: usize = 16;
@@ -46,9 +52,10 @@ pub type StreamTask<'env, R> = Box<dyn FnOnce(&Stream) -> R + Send + 'env>;
 /// A simulated GPU: a profile plus the log of every kernel launched on it.
 pub struct Device {
     profile: DeviceProfile,
-    /// Launch log, in push order. Concurrent streams push in whatever
-    /// order the host threads reach the lock; every reader that needs a
-    /// deterministic order sorts by `(stream, stream_seq)`.
+    /// The launch log, in push order. Concurrent streams push in
+    /// whatever order the host threads reach the lock; every reader that
+    /// needs a deterministic order sorts by `(stream, stream_seq)`, and
+    /// the makespan model replays it.
     records: Mutex<Vec<LaunchRecord>>,
     scope: Mutex<String>,
     schedule: Schedule,
@@ -56,15 +63,9 @@ pub struct Device {
     /// a multi-kernel pipeline gets its own interleaving (deterministic:
     /// launch order on one device is program order).
     launch_counter: AtomicU64,
-    /// Device-local stream indices handed out by [`Device::stream`] /
-    /// [`Device::concurrent`] (deterministic: creation program order).
+    /// Device-local stream indices handed out by [`Device::concurrent`]
+    /// (deterministic: creation program order).
     stream_count: AtomicU32,
-    /// Session id for streams created manually via [`Device::stream`];
-    /// each [`Device::concurrent`] call gets its own fresh session.
-    manual_session: u64,
-    /// Modeled-concurrency timeline: one entry per recorded launch, from
-    /// which [`Device::makespan`] computes overlapped execution time.
-    timeline: Mutex<Vec<TimelineEntry>>,
 }
 
 impl Device {
@@ -96,8 +97,6 @@ impl Device {
             schedule,
             launch_counter: AtomicU64::new(0),
             stream_count: AtomicU32::new(0),
-            manual_session: stream::fresh_session_id(),
-            timeline: Mutex::new(Vec::new()),
         }
     }
 
@@ -151,40 +150,23 @@ impl Device {
     /// per-block counts are schedule-independent and u64 addition
     /// commutes.
     ///
+    /// The record is appended to the launch log ([`Device::records`]);
+    /// nothing is returned.
+    ///
     /// **Zero-block contract**: a zero-block launch is a true no-op —
     /// nothing runs and nothing is appended to the launch log, so empty
-    /// grids cannot inflate `total_seconds()` or stage roll-ups. The
-    /// *returned* `LaunchRecord` is still fully formed (label carries the
-    /// active scope prefix, stats/seconds are zero) so callers can treat
-    /// every launch uniformly, but it exists only in the return value.
-    pub fn launch<F>(
-        &self,
-        label: &str,
-        num_blocks: usize,
-        warps_per_block: usize,
-        kernel: F,
-    ) -> LaunchRecord
+    /// grids cannot inflate `total_seconds()` or stage roll-ups.
+    pub fn launch<F>(&self, label: &str, num_blocks: usize, warps_per_block: usize, kernel: F)
     where
         F: Fn(&BlockCtx) + Sync,
     {
+        if num_blocks == 0 {
+            return;
+        }
         let label = format!("{}{}", lock_unpoisoned(&self.scope), label);
         // Flight-recorder capacity is a thread-local of the *calling*
         // thread; read it once here so worker threads see the same value.
         let flight_cap = crate::flight::flight_capacity();
-        if num_blocks == 0 {
-            return LaunchRecord {
-                label,
-                blocks: 0,
-                warps_per_block,
-                stats: BlockStats::default(),
-                obs: ObsStats::default(),
-                per_block: Vec::new(),
-                flight: (flight_cap > 0).then(FlightLog::default),
-                seconds: 0.0,
-                stream: HOST_STREAM,
-                stream_seq: 0,
-            };
-        }
         // Every launch is a race-detection epoch boundary: the id is pinned
         // per worker thread while it runs a block, so writes from earlier
         // launches (already ordered by the launch sync point) never read as
@@ -192,26 +174,20 @@ impl Device {
         let epoch = crate::memory::fresh_epoch();
         let launch_ix = self.launch_counter.fetch_add(1, Ordering::Relaxed);
         // Stream attribution: when the calling thread is inside a stream
-        // context, the launch ticks that stream's clock, registers its
-        // epoch with the versioned-clock detector, and collects any event
-        // edges observed since the stream's previous launch. Host-lane
-        // launches stay exactly as before.
+        // context, the launch ticks that stream's clock and registers its
+        // epoch with the versioned-clock detector. Host-lane launches are
+        // numbered by the device launch counter.
         let stream_ctx = stream::current_state();
-        let (stream_ix, stream_seq, deps) = match stream::stamp_launch(epoch) {
-            Some((ix, seq, deps)) => (ix, seq, deps),
-            None => (HOST_STREAM, launch_ix as u32, Vec::new()),
+        let (stream_ix, stream_seq) = match &stream_ctx {
+            Some(s) => (s.ix, s.stamp_launch(epoch)),
+            None => (HOST_STREAM, launch_ix as u32),
         };
-        if stream_ix != HOST_STREAM {
-            sched::note_stream(stream_ix);
-        }
         let run_block = |b: usize, retired: &mut Retired| {
             // Attribute every tracked memory access in this block to block
             // id `b` (the read-write hazard detector names reader/writer),
             // and carry the stream identity onto whatever worker thread
             // runs the block so cross-stream checks see the right reader.
-            let _stream_guard = stream_ctx
-                .as_ref()
-                .map(|(s, session)| stream::enter_stream(Arc::clone(s), *session));
+            let _stream_guard = stream_ctx.clone().map(stream::enter_stream);
             let _blk_guard = crate::memory::enter_block(b);
             let _epoch_pin = crate::memory::enter_epoch(epoch);
             let blk = BlockCtx::new(b, num_blocks, warps_per_block);
@@ -260,7 +236,6 @@ impl Device {
         }
         let mut events = retired.flight;
         events.sort_by_key(|e| (e.block, e.seq));
-        let seconds = self.profile.estimate(&retired.stats);
         let record = LaunchRecord {
             label,
             blocks: num_blocks,
@@ -272,19 +247,11 @@ impl Device {
                 events,
                 dropped: retired.dropped,
             }),
-            seconds,
+            seconds: self.profile.estimate(&retired.stats),
             stream: stream_ix,
             stream_seq,
         };
-        lock_unpoisoned(&self.timeline).push(TimelineEntry {
-            stream: stream_ix,
-            seq: stream_seq,
-            seconds,
-            occ: (num_blocks as f64 / self.profile.sm_count as f64).min(1.0),
-            deps,
-        });
-        lock_unpoisoned(&self.records).push(record.clone());
-        record
+        lock_unpoisoned(&self.records).push(record);
     }
 
     /// The two choices a schedule makes for a launch: how many host
@@ -332,10 +299,9 @@ impl Device {
         std::mem::take(&mut *lock_unpoisoned(&self.records))
     }
 
-    /// Clear the launch log (and the concurrency timeline with it).
+    /// Clear the launch log.
     pub fn reset(&self) {
         lock_unpoisoned(&self.records).clear();
-        lock_unpoisoned(&self.timeline).clear();
     }
 
     /// Total estimated seconds over all recorded launches — the
@@ -362,21 +328,22 @@ impl Device {
     }
 
     /// Modeled end-to-end time with stream overlap: a deterministic
-    /// discrete-event replay of the launch timeline under per-stream
-    /// FIFO, event-wait edges, and occupancy packing (a launch occupies
-    /// `min(1, blocks / sm_count)` of the device; concurrent launches
-    /// share it up to capacity 1.0). Host-lane launches serialize in
-    /// program order, so a device that never used streams has
-    /// `makespan() == total_seconds()` exactly; with streams,
-    /// `makespan() <= total_seconds()`, and the gap is the overlap win.
+    /// discrete-event replay of the launch log under per-stream FIFO and
+    /// occupancy packing (a launch occupies `min(1, blocks / sm_count)`
+    /// of the device; concurrent launches share it up to capacity 1.0).
+    /// Host-lane launches serialize in program order, so a device that
+    /// never used streams has `makespan() == total_seconds()` exactly;
+    /// with streams, `makespan() <= total_seconds()`, and the gap is the
+    /// overlap win. Reads the same log as [`Device::records`], so it is 0
+    /// after [`Device::take_records`] or [`Device::reset`].
     pub fn makespan(&self) -> f64 {
-        stream::simulate_makespan(&lock_unpoisoned(&self.timeline)).0
+        self.simulate().0
     }
 
-    /// Device utilization over the overlapped timeline:
+    /// Device utilization over the overlapped replay:
     /// `Σ duration·occupancy / makespan` (0.0 on an empty log).
     pub fn utilization(&self) -> f64 {
-        let (makespan, busy) = stream::simulate_makespan(&lock_unpoisoned(&self.timeline));
+        let (makespan, busy) = self.simulate();
         if makespan > 0.0 {
             busy / makespan
         } else {
@@ -385,52 +352,42 @@ impl Device {
     }
 
     /// Modeled finish time of every recorded launch on the overlapped
-    /// timeline, keyed by `(stream index, per-stream launch number)` —
+    /// replay, keyed by `(stream index, per-stream launch number)` —
     /// the same simulation [`Device::makespan`] summarizes. Host-lane
     /// launches appear under [`crate::HOST_STREAM`] keyed by device
     /// launch index.
     pub fn completion_times(&self) -> Vec<(u32, u32, f64)> {
-        let tl = lock_unpoisoned(&self.timeline);
-        let ends = stream::simulate_end_times(&tl);
-        tl.iter()
+        let records = lock_unpoisoned(&self.records);
+        let ends = stream::simulate_end_times(&records, self.profile.sm_count);
+        records
+            .iter()
             .zip(ends)
-            .map(|(e, t)| (e.stream, e.seq, t))
+            .map(|(r, t)| (r.stream, r.stream_seq, t))
             .collect()
     }
 
-    /// Create an independent launch queue on this device. Launches
-    /// issued inside [`Stream::run`] are attributed to the stream and
-    /// ordered FIFO against its other launches, but are *unordered*
-    /// against other streams until an [`crate::stream::Event`] edge says
-    /// otherwise — and the versioned-clock race detector holds the
-    /// program to exactly that contract on tracked buffers.
-    pub fn stream(&self) -> Stream {
-        Stream::new(
-            self.stream_count.fetch_add(1, Ordering::Relaxed),
-            self.manual_session,
-        )
+    fn simulate(&self) -> (f64, f64) {
+        stream::simulate_makespan(&lock_unpoisoned(&self.records), self.profile.sm_count)
     }
 
     /// Run `tasks` as one concurrency session: each task gets its own
     /// fresh [`Stream`] (device-local indices in task order) and every
-    /// launch it issues lands on that stream. Returns each task's result
-    /// in task order.
+    /// launch it issues lands on that stream. Streams of one session are
+    /// unordered against each other; the return is a full join. Returns
+    /// each task's result in task order.
     ///
     /// The execution strategy follows the device [`Schedule`]:
     ///
     /// * [`Schedule::Sequential`] — tasks run one after another on the
     ///   calling thread (the *serialized reference order*: stream `i`'s
-    ///   launches all precede stream `i+1`'s). Waiting on an event no
-    ///   earlier task recorded panics rather than deadlocking.
-    /// * [`Schedule::Parallel`] — one host thread per task; event waits
-    ///   block on a condvar.
+    ///   launches all precede stream `i+1`'s).
+    /// * [`Schedule::Parallel`] — one host thread per task.
     /// * [`Schedule::Adversarial`] — all tasks become workers of a
     ///   single session-wide `AdvCore`: one task runs at a time and
     ///   the seeded policy picks who at every yield point (block claim,
-    ///   ticket claim, device-scope op, look-back spin, event-wait
-    ///   poll), interleaving *blocks of different streams' launches*
-    ///   deterministically. The stall watchdog covers cross-stream
-    ///   waits, naming streams in its dump.
+    ///   ticket claim, device-scope op, look-back spin), interleaving
+    ///   *blocks of different streams' launches* deterministically. The
+    ///   stall watchdog names streams in its dump.
     ///
     /// Nested sessions are not supported (a task must not call
     /// `concurrent` again); doing so panics.
@@ -439,20 +396,22 @@ impl Device {
             !stream::in_stream_context(),
             "Device::concurrent does not nest: already inside a stream task"
         );
-        let session = stream::fresh_session_id();
-        let schedule = self.schedule;
+        // Dropped at the join, unwinding or not: the session's epochs
+        // leave the detector's registry with it.
+        let session = stream::Session::begin();
         let bodies: Vec<_> = tasks
             .into_iter()
             .map(|task| {
-                let s = Stream::new(self.stream_count.fetch_add(1, Ordering::Relaxed), session);
+                let ix = self.stream_count.fetch_add(1, Ordering::Relaxed);
+                let s = Stream::new(ix, session.id());
                 move || {
-                    sched::note_stream(s.index());
-                    let _ctx = stream::enter_stream(Arc::clone(&s.state), Some(schedule));
+                    sched::note_stream(ix);
+                    let _ctx = stream::enter_stream(Arc::clone(&s.state));
                     task(&s)
                 }
             })
             .collect();
-        match schedule {
+        match self.schedule {
             Schedule::Sequential => bodies.into_iter().map(|body| body()).collect(),
             Schedule::Parallel => run_workers(bodies, None),
             Schedule::Adversarial(adv) => {
@@ -601,10 +560,11 @@ mod tests {
     #[test]
     fn launch_reports_grid_shape() {
         let dev = Device::sequential(K40C);
-        let rec = dev.launch("shape", 7, 4, |blk| {
+        dev.launch("shape", 7, 4, |blk| {
             assert_eq!(blk.num_blocks, 7);
             assert_eq!(blk.warps_per_block, 4);
         });
+        let rec = dev.records().remove(0);
         assert_eq!(rec.blocks, 7);
         assert_eq!(rec.warps_per_block, 4);
         assert_eq!(rec.label, "shape");
@@ -643,34 +603,56 @@ mod tests {
     #[test]
     fn zero_block_launch_is_a_noop() {
         let dev = Device::new(K40C);
-        let rec = dev.launch("empty", 0, 8, |_| panic!("must not run"));
-        assert_eq!(rec.stats, BlockStats::default());
-        assert_eq!(rec.seconds, 0.0);
+        dev.launch("empty", 0, 8, |_| panic!("must not run"));
+        dev.with_scope("outer", || {
+            dev.launch("empty", 0, 8, |_| panic!("must not run"))
+        });
         assert!(
             dev.records().is_empty(),
             "no-op launches must not be recorded"
         );
         assert_eq!(dev.total_seconds(), 0.0);
+        assert_eq!(dev.seconds_with_prefix("outer/"), 0.0);
     }
 
+    /// `makespan`, `utilization` and `completion_times` replay the same
+    /// log `records` returns: draining or clearing it empties them too.
     #[test]
-    fn scoped_zero_block_launch_is_a_noop_with_prefixed_label() {
-        // The zero-block contract: the returned record carries the active
-        // scope prefix, but the launch log stays untouched.
+    fn overlap_model_reads_the_launch_log() {
         let dev = Device::new(K40C);
-        let rec = dev.with_scope("outer", || {
-            dev.with_scope("inner", || {
-                dev.launch("empty", 0, 8, |_| panic!("must not run"))
-            })
-        });
-        assert_eq!(rec.label, "outer/inner/empty");
-        assert_eq!(rec.stats, BlockStats::default());
-        assert_eq!(rec.seconds, 0.0);
+        let tasks: Vec<StreamTask<'_, ()>> = (0..2)
+            .map(|_| Box::new(|_: &Stream| dev.launch("k", 3, 1, |_| {})) as StreamTask<'_, ()>)
+            .collect();
+        dev.concurrent(tasks);
+        dev.launch("host", 2, 1, |_| {});
+        let mut keys: Vec<(u32, u32)> = dev
+            .completion_times()
+            .iter()
+            .map(|&(s, q, _)| (s, q))
+            .collect();
+        let mut logged: Vec<(u32, u32)> = dev
+            .records()
+            .iter()
+            .map(|r| (r.stream, r.stream_seq))
+            .collect();
+        keys.sort_unstable();
+        logged.sort_unstable();
+        assert_eq!(keys, logged, "one completion time per logged launch");
+        assert!(dev.makespan() > 0.0 && dev.utilization() > 0.0);
         assert!(
-            dev.records().is_empty(),
-            "zero-block launch must not record"
+            dev.makespan() < dev.total_seconds(),
+            "the two streams overlap"
         );
-        assert_eq!(dev.seconds_with_prefix("outer/"), 0.0);
+        let drained = dev.take_records();
+        assert_eq!(drained.len(), 3);
+        assert_eq!(dev.makespan(), 0.0, "take_records drains the replay");
+        assert_eq!(dev.utilization(), 0.0);
+        assert!(dev.completion_times().is_empty());
+        dev.launch("again", 2, 1, |_| {});
+        assert!(dev.makespan() > 0.0);
+        dev.reset();
+        assert_eq!(dev.makespan(), 0.0, "reset clears the replay");
+        assert!(dev.completion_times().is_empty());
     }
 
     /// Every schedule's claim loop runs each block exactly once and
@@ -692,7 +674,7 @@ mod tests {
             let dst = GlobalBuffer::<u32>::zeroed(n);
             let hits = GlobalBuffer::<u32>::zeroed(blocks);
             let tickets = GlobalBuffer::<u32>::zeroed(1);
-            let rec = dev.launch("copy", blocks, wpb, |blk| {
+            dev.launch("copy", blocks, wpb, |blk| {
                 let b = blk.block_id;
                 let w0 = blk.warp(0);
                 w0.device_fetch_add(&tickets, 0, 1);
@@ -720,7 +702,7 @@ mod tests {
             });
             assert_eq!(dst.to_vec(), data, "{blocks} blocks: output");
             assert_eq!(hits.to_vec(), vec![1; blocks], "{blocks} blocks: hits");
-            rec
+            dev.take_records().pop().expect("one launch recorded")
         };
         for blocks in [1, 3, ADV_WORKERS, 64] {
             let reference = launch(&Device::sequential(K40C), blocks);

@@ -86,13 +86,13 @@ pub use profile::{DeviceProfile, GTX750TI, K40C};
 pub use sched::{AdvFlavor, AdvSchedule, Schedule, ADV_WORKERS, DEFAULT_SPIN_BUDGET};
 pub use shared::{padded_index, padded_len, SharedBuf, SMEM_BANKS};
 pub use stats::{BlockStats, LaunchRecord, StatCells};
-pub use stream::{Event, Stream, HOST_STREAM};
-pub use trace::{chrome_trace_json, chrome_trace_json_with_tiles, write_chrome_trace};
+pub use stream::{Stream, HOST_STREAM};
+pub use trace::{chrome_trace_json, chrome_trace_json_with_tiles};
 pub use warp::WarpCtx;
 
 /// Lock a mutex, recovering the data if a previous holder panicked. Every
 /// mutex in this crate guards plain data (scope strings, launch logs,
-/// scheduler and stream state) that a panicking holder never leaves
+/// scheduler state, the epoch-origin registry) that a panicking holder never leaves
 /// invalid, and the panic itself is what the caller should see.
 pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())

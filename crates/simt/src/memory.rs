@@ -80,7 +80,7 @@ thread_local! {
     static CURRENT_EPOCH: Cell<u32> = const { Cell::new(1) };
 }
 
-fn current_epoch() -> u32 {
+pub(crate) fn current_epoch() -> u32 {
     CURRENT_EPOCH.with(|c| c.get())
 }
 
@@ -268,8 +268,8 @@ impl<T: Scalar> GlobalBuffer<T> {
                 "race detector: element {idx} written twice within one kernel epoch"
             );
             // Versioned-clock side: a write in a *different* epoch is
-            // ordered only if that epoch is host-lane, same-stream, or
-            // covered by an event edge (see crate::stream).
+            // ordered unless that epoch is another stream's in the same
+            // running session (see crate::stream).
             if prev_epoch != 0 {
                 crate::stream::check_cross_epoch(prev_epoch, prev as u32, idx, "write", "write");
             }
@@ -308,8 +308,8 @@ impl<T: Scalar> GlobalBuffer<T> {
                     actor_name(writer)
                 );
             } else if mark_epoch != 0 {
-                // Versioned-clock side: reading another stream's write
-                // from an earlier epoch is a hazard unless event-ordered.
+                // Versioned-clock side: reading the write of another
+                // stream of the same session is a hazard.
                 crate::stream::check_cross_epoch(mark_epoch, mark as u32, idx, "write", "read");
             }
             if let Some(reads) = &self.read_marks {

@@ -54,6 +54,15 @@
 //! forward-progress guarantee — a claimed ticket belongs to a started
 //! block — is preserved; the schedules stress *order*, not *liveness of
 //! the host*.
+//!
+//! ## Stream sessions
+//!
+//! A [`crate::Device::concurrent`] session on an adversarial device makes
+//! each stream task one worker of a single session-wide token, and every
+//! launch a task issues runs its blocks inline on that worker. The same
+//! yield points then interleave *blocks of different streams' launches*,
+//! the straggler release sees look-back spins on every stream, and the
+//! stall watchdog names each worker's stream in its diagnosis.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Condvar, Mutex};
@@ -208,13 +217,6 @@ pub(crate) enum Ev {
     /// kernels' tile-ticket counters this is the claimed ticket, which
     /// the reverse-ticket and straggler policies key on.
     Ticket(u32),
-    /// One poll of a not-yet-recorded [`crate::stream::Event`]: the
-    /// worker is waiting on *another stream's* progress. Counts as
-    /// spinning for the straggler release (a parked worker is the only
-    /// way forward once everyone else waits) and for the stall watchdog
-    /// (an event nobody will ever record is a deadlock, and the dump
-    /// must say which stream is stuck on it).
-    EventWait,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,8 +245,6 @@ struct Inner {
     /// the launch runs inside a stream session — so watchdog dumps name
     /// streams, not just anonymous workers.
     stream: Vec<Option<u32>>,
-    /// Worker is spin-polling an unrecorded event (not a tile ticket).
-    event_wait: Vec<bool>,
     /// The straggler policy's parked worker, if any.
     parked: Option<usize>,
     /// Set once the straggler has been parked and released; never park twice.
@@ -283,7 +283,6 @@ impl AdvCore {
                 spin_target: vec![None; workers],
                 spin_streak: vec![0; workers],
                 stream: vec![None; workers],
-                event_wait: vec![false; workers],
                 parked: None,
                 straggler_done: false,
                 running: 0,
@@ -310,38 +309,18 @@ impl AdvCore {
                 g.status[w] = WStatus::Ready;
                 g.spin_target[w] = None;
                 g.spin_streak[w] = 0;
-                g.event_wait[w] = false;
             }
             Ev::Op => {
                 g.status[w] = WStatus::Ready;
                 // Any non-spin event is progress: the streak resets.
                 g.spin_target[w] = None;
                 g.spin_streak[w] = 0;
-                g.event_wait[w] = false;
-            }
-            Ev::EventWait => {
-                g.status[w] = WStatus::Spinning;
-                g.spin_target[w] = None;
-                g.spin_streak[w] = if g.event_wait[w] {
-                    g.spin_streak[w] + 1
-                } else {
-                    1
-                };
-                g.event_wait[w] = true;
-                if self.spin_budget > 0 && g.spin_streak[w] > self.spin_budget {
-                    let msg = self.stall_diagnosis(&g, w);
-                    g.aborted = true;
-                    self.cv.notify_all();
-                    drop(g);
-                    std::panic::panic_any(msg);
-                }
             }
             Ev::Spin {
                 waiting_on,
                 last_word,
             } => {
                 g.status[w] = WStatus::Spinning;
-                g.event_wait[w] = false;
                 let same_target = matches!(g.spin_target[w], Some((t, _)) if t == waiting_on);
                 g.spin_streak[w] = if same_target { g.spin_streak[w] + 1 } else { 1 };
                 g.spin_target[w] = Some((waiting_on, last_word));
@@ -363,7 +342,6 @@ impl AdvCore {
                 g.status[w] = WStatus::Ready;
                 g.spin_target[w] = None;
                 g.spin_streak[w] = 0;
-                g.event_wait[w] = false;
                 if t == 0
                     && self.flavor == AdvFlavor::Straggler
                     && !g.straggler_done
@@ -434,27 +412,16 @@ impl AdvCore {
     fn stall_diagnosis(&self, g: &Inner, w: usize) -> String {
         let tile = opt_str(g.ticket[w]);
         let block = opt_str(g.block[w]);
-        let mut out = if g.event_wait[w] {
-            format!(
-                "event wait stall watchdog: {}worker {w} (block {block} ticket {tile}) \
-                 waiting on an event that was never recorded — {} consecutive polls \
-                 exceeded the budget of {}\n",
-                stream_prefix(g.stream[w]),
-                g.spin_streak[w],
-                self.spin_budget,
-            )
-        } else {
-            let (waited, last_word) = g.spin_target[w].unwrap_or((u32::MAX, u64::MAX));
-            format!(
-                "lookback stall watchdog: {}tile {tile} in block {block} waiting on ticket {}, \
-                 published={} — {} consecutive spin polls exceeded the budget of {}\n",
-                stream_prefix(g.stream[w]),
-                ticket_str(waited),
-                describe_word(last_word),
-                g.spin_streak[w],
-                self.spin_budget,
-            )
-        };
+        let (waited, last_word) = g.spin_target[w].unwrap_or((u32::MAX, u64::MAX));
+        let mut out = format!(
+            "lookback stall watchdog: {}tile {tile} in block {block} waiting on ticket {}, \
+             published={} — {} consecutive spin polls exceeded the budget of {}\n",
+            stream_prefix(g.stream[w]),
+            ticket_str(waited),
+            describe_word(last_word),
+            g.spin_streak[w],
+            self.spin_budget,
+        );
         out.push_str(&wait_graph_string(g));
         // Who owns the awaited ticket? Follow worker → awaited ticket →
         // owning worker to classify the stall.
@@ -606,10 +573,6 @@ fn wait_graph_string(g: &Inner) -> String {
         let role = match g.status[i] {
             WStatus::Done => "done".to_string(),
             _ if g.parked == Some(i) => "parked (straggler)".to_string(),
-            _ if g.event_wait[i] => format!(
-                "waiting on an unrecorded event (streak {})",
-                g.spin_streak[i]
-            ),
             WStatus::Spinning => match g.spin_target[i] {
                 Some((t, word)) => format!(
                     "spinning on ticket {} (last word {}, streak {})",
@@ -687,7 +650,7 @@ pub(crate) fn note_block(b: usize) {
     }
 }
 
-/// Non-yielding hook: the grid executor reports which stream this
+/// Non-yielding hook: a session's stream task reports which stream this
 /// worker's launches belong to, so watchdog diagnoses name streams.
 pub(crate) fn note_stream(stream: u32) {
     if let Some((core, w)) = active() {
@@ -699,18 +662,9 @@ pub(crate) fn note_stream(stream: u32) {
 /// a launch's own workers and for the task threads of an adversarial
 /// stream session; [`crate::grid`] uses it to run in-session launches on
 /// one inline worker (a nested `AdvCore` would deadlock against the
-/// session's token) and
-/// [`crate::stream`] to spin-poll events at yield points instead of
-/// blocking the token holder on a condvar.
+/// session's token).
 pub(crate) fn in_adversarial_session() -> bool {
     active().is_some()
-}
-
-/// Yield hook for one poll of an unrecorded event (see [`Ev::EventWait`]).
-pub(crate) fn event_wait_yield() {
-    if let Some((core, w)) = active() {
-        core.yield_event(w, Ev::EventWait);
-    }
 }
 
 /// Public yield hook for spin-wait loops: marks the current worker as

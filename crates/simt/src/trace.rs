@@ -1,7 +1,7 @@
 //! Chrome-trace export of a device's launch log.
 //!
 //! `about://tracing` / [Perfetto](https://ui.perfetto.dev) can open the
-//! JSON this module writes, giving a timeline of every kernel with its
+//! JSON this module renders, giving a timeline of every kernel with its
 //! counted events attached — handy when figuring out where a multisplit
 //! variant's modeled time goes.
 //!
@@ -11,8 +11,6 @@
 //! counter in its `args`, and two `"C"`-phase counter tracks — modeled
 //! DRAM bandwidth (GB/s) and coalescing waste (bytes) — so Perfetto plots
 //! bandwidth over (modeled) time.
-
-use std::io::Write;
 
 use crate::json::escape;
 use crate::profile::DeviceProfile;
@@ -206,12 +204,6 @@ fn emit_tile_events(
     }
 }
 
-/// Write the trace to a file.
-pub fn write_chrome_trace(records: &[LaunchRecord], path: &std::path::Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(chrome_trace_json(records).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,16 +321,5 @@ mod tests {
             .collect();
         assert!(names.contains(&"quote\"in/label"));
         assert!(names.contains(&"back\\slash"));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("simt-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        write_chrome_trace(&[record("k", 5e-6)], &path).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert!(s.contains("\"k\""));
-        std::fs::remove_file(path).ok();
     }
 }

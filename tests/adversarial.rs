@@ -407,135 +407,162 @@ fn injected_stall_in_a_later_segment_names_its_global_ticket() {
     );
 }
 
-// ================= cross-stream deadlock freedom (ISSUE 10) =================
+// ================= cross-stream deadlock freedom =================
 
-/// Straggler across streams: stream 0's ticket-0 claimant is parked the
-/// moment it claims its ticket, while stream 1 sits in an `Event` wait
-/// that only stream 0 can satisfy. The event wait counts as "stuck
-/// spinning" for the straggler release, so the parked publisher is the
-/// only way forward and gets released — the session terminates with both
-/// scans matching the CPU reference. Hanging here would mean the release
-/// heuristic can't see cross-stream event waits.
+/// Straggler across streams: two stream tasks each launch one tile of a
+/// shared look-back chain. Whichever claims ticket 0 is parked the moment
+/// it claims, so the other stream's tile 1 reaches its look-back spin on
+/// a word that only the parked stream can publish. Every non-parked
+/// worker is then stuck spinning, so the parked publisher is the only
+/// way forward and gets released — the session terminates and tile 1
+/// resolves to tile 0's aggregate. Hanging here would mean the release
+/// heuristic can't see a look-back spin on another stream's worker.
 #[test]
-fn straggler_parks_one_stream_while_another_waits_on_an_event() {
-    use simt::{Event, Stream};
-    let n = 1usize << 12;
-    let vals: Vec<u32> = gen_keys(n, 0xAD10).iter().map(|k| k % 1000).collect();
-    // CPU reference: scan, then scan-of-scan.
-    let scan_ref = |xs: &[u32]| -> (Vec<u32>, u32) {
-        let mut out = Vec::with_capacity(xs.len());
-        let mut acc = 0u32;
-        for &x in xs {
-            out.push(acc);
-            acc = acc.wrapping_add(x);
-        }
-        (out, acc)
-    };
-    let (first_ref, first_total) = scan_ref(&vals);
-    let (second_ref, second_total) = scan_ref(&first_ref);
-
+fn straggler_parks_one_stream_while_another_spins_in_lookback() {
+    use simt::{Stream, StreamTask};
     let dev = Device::adversarial(K40C, AdvSchedule::with_flavor(0xAD11, AdvFlavor::Straggler));
-    let input = GlobalBuffer::from_slice(&vals);
-    let mid = GlobalBuffer::<u32>::zeroed(n);
-    let out = GlobalBuffer::<u32>::zeroed(n);
-    let ready = Event::new();
-    let totals = dev.concurrent(vec![
-        Box::new(|s: &Stream| {
-            let t = s.run(|| primitives::exclusive_scan_u32(&dev, "s0", &input, &mid, n, 8));
-            s.record(&ready);
-            t
-        }),
-        Box::new(|s: &Stream| {
-            s.wait(&ready);
-            s.run(|| primitives::exclusive_scan_u32(&dev, "s1", &mid, &out, n, 8))
-        }),
-    ]);
-    assert_eq!(totals, vec![first_total, second_total]);
-    assert_eq!(mid.to_vec(), first_ref, "stream 0 scan diverges");
-    assert_eq!(out.to_vec(), second_ref, "stream 1 scan-of-scan diverges");
+    let states = primitives::SegmentedTileStates::new(&[(2, 1)]);
+    let ticket = GlobalBuffer::<u32>::zeroed(1);
+    let tile = |aggregate: u32| {
+        let (states, ticket, dev) = (&states, &ticket, &dev);
+        Box::new(move |_: &Stream| {
+            let got = std::sync::Mutex::new((0, 0));
+            dev.launch("chain", 1, 1, |blk| {
+                let w = blk.warp(0);
+                let t = w.device_fetch_add(ticket, 0, 1) as usize;
+                let prefix = states.resolve_rows(&w, 0, t, &[aggregate])[0];
+                *got.lock().unwrap() = (t, prefix);
+            });
+            got.into_inner().unwrap()
+        }) as StreamTask<'_, (usize, u32)>
+    };
+    let got = dev.concurrent(vec![tile(5), tile(7)]);
+    let aggregates = [5, 7];
+    let first = got
+        .iter()
+        .position(|&(t, _)| t == 0)
+        .expect("one stream claims ticket 0");
+    assert_eq!(got[first].1, 0, "tile 0 has no predecessor");
+    assert_eq!(
+        got[1 - first],
+        (1, aggregates[first]),
+        "tile 1 resolves to the parked stream's aggregate"
+    );
 }
 
-/// The negative case: a stream waits on an event nobody ever records.
-/// The stall watchdog must abort the session (not hang) with a dump that
-/// names the blocked **stream** and the worker's ticket state, plus the
-/// wait-for-graph snapshot with per-stream attribution.
+/// A look-back stall inside a session: stream 1's launch has tile 0's
+/// publish suppressed, so its tile 1 spins on an EMPTY word forever while
+/// stream 0 finishes independent work. The stall watchdog must abort the
+/// session (not hang) with a dump that names the blocked **stream**, the
+/// awaited ticket, and the wait-for-graph snapshot with per-stream
+/// attribution.
 #[test]
-fn unrecorded_event_wait_trips_watchdog_naming_the_stream() {
-    use simt::{Event, Stream};
+fn lookback_stall_in_a_session_trips_watchdog_naming_the_stream() {
+    use simt::Stream;
     let dev = Device::adversarial(
         K40C,
         AdvSchedule::with_flavor(0xAD12, AdvFlavor::Random).with_spin_budget(2_000),
     );
-    let never = Event::new();
+    let states = primitives::SegmentedTileStates::new(&[(2, 1)]);
+    states.inject_publish_stall(0, 0);
+    let ticket = GlobalBuffer::<u32>::zeroed(1);
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         dev.concurrent(vec![
-            Box::new(|s: &Stream| {
-                s.run(|| {
-                    dev.launch("orphan/work", 2, 1, |_blk| {});
-                })
-            }),
-            Box::new(|s: &Stream| {
-                s.wait(&never);
+            Box::new(|_: &Stream| dev.launch("idle/work", 2, 1, |_blk| {})),
+            Box::new(|_: &Stream| {
+                dev.launch("stall/chain", 2, 1, |blk| {
+                    let w = blk.warp(0);
+                    let t = w.device_fetch_add(&ticket, 0, 1) as usize;
+                    let _ = states.resolve_rows(&w, 0, t, &[1]);
+                });
             }),
         ]);
     }))
-    .expect_err("an event nobody records must abort via the watchdog, not hang");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("watchdog panics carry a String diagnosis");
+    .expect_err("a predecessor that never publishes must abort via the watchdog, not hang");
+    let msg = diagnosis(payload).expect("watchdog panics carry a String diagnosis");
     assert!(
-        msg.contains("event wait stall watchdog"),
-        "diagnosis must identify the event-wait watchdog: {msg}"
+        msg.contains("lookback stall watchdog: stream 1 tile 1"),
+        "diagnosis must name the blocked stream and tile: {msg}"
     );
     assert!(
-        msg.contains("stream 1"),
-        "diagnosis must name the blocked stream: {msg}"
+        msg.contains("waiting on ticket 0"),
+        "diagnosis must name the awaited ticket: {msg}"
     );
     assert!(
-        msg.contains("waiting on an event that was never recorded"),
-        "diagnosis must say what the worker is stuck on: {msg}"
-    );
-    assert!(
-        msg.contains("wait-for graph"),
-        "diagnosis must include the wait-for-graph snapshot: {msg}"
-    );
-    assert!(
-        msg.contains("ticket"),
-        "diagnosis must report the worker's ticket state: {msg}"
+        msg.contains("wait-for graph") && msg.contains("worker 0: stream 0"),
+        "diagnosis must include the per-stream wait-for-graph snapshot: {msg}"
     );
 }
 
-/// Every adversarial flavor drives the event-ordered two-stream scan
-/// pipeline to the same outputs (deadlock freedom + schedule
-/// independence for the cross-stream wait path, not just Straggler).
+/// Two independent multi-tile scan pipelines as stream tasks terminate
+/// under every adversarial flavor with the outputs and per-stream launch
+/// logs of the sequential session (deadlock freedom and schedule
+/// independence for cross-stream interleaving, not just Straggler).
 #[test]
-fn event_ordered_streams_terminate_under_every_flavor() {
-    use simt::{Event, Stream};
-    let n = 1usize << 10;
-    let vals: Vec<u32> = gen_keys(n, 0xAD13).iter().map(|k| k % 100).collect();
-    let mut expected = None;
+fn stream_sessions_terminate_and_match_sequential_under_every_flavor() {
+    use simt::{Stream, StreamTask};
+    let n = 1usize << 13;
+    let inputs: Vec<Vec<u32>> = [0xAD13, 0xAD14]
+        .iter()
+        .map(|&seed| gen_keys(n, seed).iter().map(|k| k % 100).collect())
+        .collect();
+    let run = |dev: Device| {
+        let outs: Vec<GlobalBuffer<u32>> = (0..2).map(|_| GlobalBuffer::zeroed(n)).collect();
+        let bufs: Vec<GlobalBuffer<u32>> =
+            inputs.iter().map(|v| GlobalBuffer::from_slice(v)).collect();
+        let tasks: Vec<StreamTask<'_, u32>> = (0..2)
+            .map(|i| {
+                let (dev, input, out) = (&dev, &bufs[i], &outs[i]);
+                Box::new(move |_: &Stream| {
+                    primitives::exclusive_scan_u32(dev, "scan", input, out, n, 8)
+                }) as StreamTask<'_, u32>
+            })
+            .collect();
+        let totals = dev.concurrent(tasks);
+        let mut log: Vec<_> = dev
+            .records()
+            .iter()
+            .map(|r| {
+                (
+                    r.stream,
+                    r.stream_seq,
+                    r.label.clone(),
+                    r.stats,
+                    r.obs.lookback_resolves,
+                )
+            })
+            .collect();
+        log.sort_by_key(|e| (e.0, e.1));
+        (
+            totals,
+            outs.iter().map(GlobalBuffer::to_vec).collect::<Vec<_>>(),
+            log,
+        )
+    };
+    let reference = run(Device::sequential(K40C));
+    for (i, v) in inputs.iter().enumerate() {
+        let mut acc = 0u32;
+        let expect: Vec<u32> = v
+            .iter()
+            .map(|&x| {
+                let e = acc;
+                acc += x;
+                e
+            })
+            .collect();
+        assert_eq!(reference.1[i], expect, "stream {i} vs CPU reference");
+        assert_eq!(reference.0[i], acc, "stream {i} total");
+    }
     for flavor in AdvFlavor::ALL {
-        let dev = Device::adversarial(K40C, AdvSchedule::with_flavor(0xAD14, flavor));
-        let input = GlobalBuffer::from_slice(&vals);
-        let mid = GlobalBuffer::<u32>::zeroed(n);
-        let out = GlobalBuffer::<u32>::zeroed(n);
-        let ready = Event::new();
-        let totals = dev.concurrent(vec![
-            Box::new(|s: &Stream| {
-                let t = s.run(|| primitives::exclusive_scan_u32(&dev, "f0", &input, &mid, n, 8));
-                s.record(&ready);
-                t
-            }),
-            Box::new(|s: &Stream| {
-                s.wait(&ready);
-                s.run(|| primitives::exclusive_scan_u32(&dev, "f1", &mid, &out, n, 8))
-            }),
-        ]);
-        let got = (totals, mid.to_vec(), out.to_vec());
-        match &expected {
-            None => expected = Some(got),
-            Some(e) => assert_eq!(e, &got, "{}: event-ordered run diverges", flavor.name()),
-        }
+        let got = run(Device::adversarial(
+            K40C,
+            AdvSchedule::with_flavor(0xAD15, flavor),
+        ));
+        assert_eq!(
+            got,
+            reference,
+            "{}: two-stream session diverges",
+            flavor.name()
+        );
     }
 }

@@ -1,10 +1,10 @@
-//! Stream-runtime integration tests (ISSUE 10 tentpole).
+//! Stream-runtime integration tests.
 //!
-//! `Device::stream` / `Device::concurrent` give one device independent
-//! launch queues whose grids overlap in the performance model, with
-//! [`Event`] record/wait edges as the only cross-stream ordering
-//! primitive. These tests drive real multisplit pipelines across streams
-//! and assert the contract:
+//! `Device::concurrent` gives one device a session of independent
+//! launch queues whose grids overlap in the performance model; streams
+//! of one session are unordered against each other, and the join is the
+//! only cross-stream ordering. These tests drive real multisplit
+//! pipelines across streams and assert the contract:
 //!
 //! * **overlap** — two independent multisplit runs on separate streams
 //!   have a modeled makespan strictly below the serialized sum, while
@@ -14,15 +14,15 @@
 //!   parallel, and all four adversarial session executors;
 //! * **race-detector precision** — a cross-stream same-buffer hazard
 //!   panics naming the exact `(stream, launch, block)` on both sides,
-//!   while disjoint-buffer overlap, same-stream pipelines, and
-//!   event-ordered hand-offs stay silent (the per-launch-epoch scheme
-//!   this replaces had no notion of concurrency: it would either miss
-//!   these races entirely or need a blanket cross-epoch rule that flags
-//!   every legitimate overlap).
+//!   while disjoint-buffer overlap, same-stream pipelines, and host
+//!   access after the join stay silent (a per-launch-epoch scheme alone
+//!   has no notion of concurrency: it would either miss these races
+//!   entirely or need a blanket cross-epoch rule that flags every
+//!   legitimate overlap).
 
 use multisplit::{multisplit_device, multisplit_kv_ref, Method, RangeBuckets};
 use simt::{
-    lanes_from_fn, splat, AdvFlavor, AdvSchedule, BlockStats, Device, Event, GlobalBuffer, Stream,
+    lanes_from_fn, splat, AdvFlavor, AdvSchedule, BlockStats, Device, GlobalBuffer, Stream,
     FULL_MASK, HOST_STREAM, K40C,
 };
 
@@ -89,8 +89,8 @@ fn two_streams_overlap_and_match_serialized_outputs() {
     // The same two pipelines as concurrent stream tasks.
     let dev = Device::new(K40C);
     let results = dev.concurrent(vec![
-        Box::new(|s: &Stream| s.run(|| run_ms(&dev, &keys_a, 13))),
-        Box::new(|s: &Stream| s.run(|| run_ms(&dev, &keys_b, 13))),
+        Box::new(|_: &Stream| run_ms(&dev, &keys_a, 13)),
+        Box::new(|_: &Stream| run_ms(&dev, &keys_b, 13)),
     ]);
     assert_eq!(results[0], ref_a, "stream 0 output diverges from serial");
     assert_eq!(results[1], ref_b, "stream 1 output diverges from serial");
@@ -130,8 +130,8 @@ fn concurrent_streams_agree_across_all_schedulers() {
     let keys_b = gen_keys(3000, 0x20B);
     let run = |dev: Device| {
         let results = dev.concurrent(vec![
-            Box::new(|s: &Stream| s.run(|| run_ms(&dev, &keys_a, 29))),
-            Box::new(|s: &Stream| s.run(|| run_ms(&dev, &keys_b, 29))),
+            Box::new(|_: &Stream| run_ms(&dev, &keys_a, 29)),
+            Box::new(|_: &Stream| run_ms(&dev, &keys_b, 29)),
         ]);
         (results, stream_log(&dev))
     };
@@ -174,34 +174,30 @@ fn host_lane_devices_never_overlap() {
 
 // ===================== race-detector precision (satellite) =====================
 
-/// A cross-stream read of another stream's write with no event edge is a
-/// race, and the versioned-clock detector reports it even though the
+/// A read of the write of another stream of the same session is a race,
+/// and the versioned-clock detector reports it even though the
 /// sequential session happened to serialize the two launches perfectly —
-/// the *ordering metadata* (no edge) is what's checked, not the lucky
-/// interleaving the executor produced.
+/// the *ordering metadata* (two streams of one session) is what's
+/// checked, not the lucky interleaving the executor produced.
 #[test]
 #[should_panic(expected = "race detector: cross-stream read-after-write hazard")]
 fn cross_stream_read_after_write_panics() {
     let dev = Device::sequential(K40C);
     let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
     dev.concurrent(vec![
-        Box::new(|s: &Stream| {
-            s.run(|| {
-                dev.launch("hazard/writer", 1, 1, |blk| {
-                    for w in blk.warps() {
-                        w.scatter(&buf, lanes_from_fn(|l| l), splat(7), FULL_MASK);
-                    }
-                });
-            })
+        Box::new(|_: &Stream| {
+            dev.launch("hazard/writer", 1, 1, |blk| {
+                for w in blk.warps() {
+                    w.scatter(&buf, lanes_from_fn(|l| l), splat(7), FULL_MASK);
+                }
+            });
         }),
-        Box::new(|s: &Stream| {
-            s.run(|| {
-                dev.launch("hazard/reader", 1, 1, |blk| {
-                    for w in blk.warps() {
-                        let _ = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
-                    }
-                });
-            })
+        Box::new(|_: &Stream| {
+            dev.launch("hazard/reader", 1, 1, |blk| {
+                for w in blk.warps() {
+                    let _ = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
+                }
+            });
         }),
     ]);
 }
@@ -214,23 +210,19 @@ fn cross_stream_write_after_read_panics() {
     let dev = Device::sequential(K40C);
     let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
     dev.concurrent(vec![
-        Box::new(|s: &Stream| {
-            s.run(|| {
-                dev.launch("anti/reader", 1, 1, |blk| {
-                    for w in blk.warps() {
-                        let _ = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
-                    }
-                });
-            })
+        Box::new(|_: &Stream| {
+            dev.launch("anti/reader", 1, 1, |blk| {
+                for w in blk.warps() {
+                    let _ = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
+                }
+            });
         }),
-        Box::new(|s: &Stream| {
-            s.run(|| {
-                dev.launch("anti/writer", 1, 1, |blk| {
-                    for w in blk.warps() {
-                        w.scatter(&buf, lanes_from_fn(|l| l), splat(9), FULL_MASK);
-                    }
-                });
-            })
+        Box::new(|_: &Stream| {
+            dev.launch("anti/writer", 1, 1, |blk| {
+                for w in blk.warps() {
+                    w.scatter(&buf, lanes_from_fn(|l| l), splat(9), FULL_MASK);
+                }
+            });
         }),
     ]);
 }
@@ -243,26 +235,22 @@ fn hazard_report_names_stream_launch_and_block() {
     let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         dev.concurrent(vec![
-            Box::new(|s: &Stream| {
-                s.run(|| {
-                    dev.launch("name/writer", 1, 1, |blk| {
-                        for w in blk.warps() {
-                            w.scatter(&buf, lanes_from_fn(|l| l), splat(1), FULL_MASK);
-                        }
-                    });
-                })
+            Box::new(|_: &Stream| {
+                dev.launch("name/writer", 1, 1, |blk| {
+                    for w in blk.warps() {
+                        w.scatter(&buf, lanes_from_fn(|l| l), splat(1), FULL_MASK);
+                    }
+                });
             }),
-            Box::new(|s: &Stream| {
-                s.run(|| {
-                    // Second launch on stream 1 so the report's launch
-                    // numbers differ between the two sides.
-                    dev.launch("name/warmup", 1, 1, |_blk| {});
-                    dev.launch("name/reader", 1, 1, |blk| {
-                        for w in blk.warps() {
-                            let _ = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
-                        }
-                    });
-                })
+            Box::new(|_: &Stream| {
+                // Second launch on stream 1 so the report's launch
+                // numbers differ between the two sides.
+                dev.launch("name/warmup", 1, 1, |_blk| {});
+                dev.launch("name/reader", 1, 1, |blk| {
+                    for w in blk.warps() {
+                        let _ = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
+                    }
+                });
             }),
         ]);
     }))
@@ -280,7 +268,7 @@ fn hazard_report_names_stream_launch_and_block() {
         "must name the writer side exactly: {msg}"
     );
     assert!(
-        msg.contains("Event record/wait edge"),
+        msg.contains("streams of one concurrent session are unordered"),
         "must tell the user the fix: {msg}"
     );
 }
@@ -322,149 +310,37 @@ fn disjoint_buffer_overlap_is_silent_under_every_executor() {
             });
         };
         dev.concurrent(vec![
-            Box::new(|s: &Stream| s.run(|| task(&a, 11))),
-            Box::new(|s: &Stream| s.run(|| task(&b, 22))),
+            Box::new(|_: &Stream| task(&a, 11)),
+            Box::new(|_: &Stream| task(&b, 22)),
         ]);
     }
-}
-
-/// An event record/wait edge makes a cross-stream hand-off legal: the
-/// consumer's frontier covers the producer's launch, the detector stays
-/// silent, and the consumed values are the produced ones — under every
-/// session executor.
-#[test]
-fn event_ordered_handoff_is_silent_and_correct() {
-    let mut devices = vec![Device::sequential(K40C), Device::new(K40C)];
-    for flavor in AdvFlavor::ALL {
-        devices.push(Device::adversarial(
-            K40C,
-            AdvSchedule::with_flavor(0xE40, flavor),
-        ));
-    }
-    for dev in devices {
-        let buf = GlobalBuffer::<u32>::zeroed(64).tracked();
-        let sum = GlobalBuffer::<u32>::zeroed(1);
-        let ready = Event::new();
-        dev.concurrent(vec![
-            Box::new(|s: &Stream| {
-                s.run(|| {
-                    dev.launch("handoff/produce", 1, 1, |blk| {
-                        for w in blk.warps() {
-                            w.scatter(
-                                &buf,
-                                lanes_from_fn(|l| l),
-                                lanes_from_fn(|l| l as u32 + 1),
-                                FULL_MASK,
-                            );
-                        }
-                    });
-                });
-                s.record(&ready);
-            }),
-            Box::new(|s: &Stream| {
-                s.wait(&ready);
-                s.run(|| {
-                    dev.launch("handoff/consume", 1, 1, |blk| {
-                        for w in blk.warps() {
-                            let v = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
-                            if w.warp_id == 0 {
-                                sum.set(0, v.iter().sum());
-                            }
-                        }
-                    });
-                });
-            }),
-        ]);
-        assert_eq!(
-            sum.get(0),
-            (1..=32).sum::<u32>(),
-            "consumed what was produced"
-        );
-    }
-}
-
-/// Manual streams (`Device::stream`, no `concurrent` session) share one
-/// session: the detector covers them too, and an event edge clears them.
-#[test]
-fn manual_streams_use_events_for_handoff() {
-    let dev = Device::sequential(K40C);
-    let s0 = dev.stream();
-    let s1 = dev.stream();
-    assert_eq!((s0.index(), s1.index()), (0, 1));
-    let buf = GlobalBuffer::<u32>::zeroed(32).tracked();
-    let ev = Event::new();
-    s0.run(|| {
-        dev.launch("manual/write", 1, 1, |blk| {
-            for w in blk.warps() {
-                w.scatter(&buf, lanes_from_fn(|l| l), splat(5), FULL_MASK);
-            }
-        });
-    });
-    s0.record(&ev);
-    s1.wait(&ev);
-    s1.run(|| {
-        dev.launch("manual/read", 1, 1, |blk| {
-            for w in blk.warps() {
-                let v = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
-                assert!(v.iter().all(|&x| x == 5));
-            }
-        });
-    });
-    // Attribution: one launch per stream, seq 0 each.
-    let log = stream_log(&dev);
-    assert_eq!(log.len(), 2);
-    assert_eq!((log[0].0, log[0].1), (0, 0));
-    assert_eq!((log[1].0, log[1].1), (1, 0));
-}
-
-/// The same manual-stream access *without* the event edge is the race the
-/// detector exists for.
-#[test]
-#[should_panic(expected = "cross-stream read-after-write")]
-fn manual_streams_without_event_edge_panic() {
-    let dev = Device::sequential(K40C);
-    let s0 = dev.stream();
-    let s1 = dev.stream();
-    let buf = GlobalBuffer::<u32>::zeroed(32).tracked();
-    s0.run(|| {
-        dev.launch("manual/write", 1, 1, |blk| {
-            for w in blk.warps() {
-                w.scatter(&buf, lanes_from_fn(|l| l), splat(5), FULL_MASK);
-            }
-        });
-    });
-    s1.run(|| {
-        dev.launch("manual/read", 1, 1, |blk| {
-            for w in blk.warps() {
-                let _ = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
-            }
-        });
-    });
 }
 
 /// Host access after the session join is ordered (the join is a full
-/// barrier), and a *later kernel on the host lane* reading session data
-/// is ordered too — launch boundaries outside sessions remain true sync
-/// points, exactly the pre-stream semantics.
+/// barrier), and so are a *later kernel on the host lane* and a stream
+/// of a *later session* reading session data — launch boundaries outside
+/// sessions remain true sync points, exactly the pre-stream semantics.
 #[test]
 fn post_session_host_lane_access_is_ordered() {
     let dev = Device::sequential(K40C);
     let buf = GlobalBuffer::<u32>::zeroed(32).tracked();
-    dev.concurrent(vec![Box::new(|s: &Stream| {
-        s.run(|| {
-            dev.launch("post/write", 1, 1, |blk| {
-                for w in blk.warps() {
-                    w.scatter(&buf, lanes_from_fn(|l| l), splat(3), FULL_MASK);
-                }
-            });
-        })
+    let read = |name: &str| {
+        dev.launch(name, 1, 1, |blk| {
+            for w in blk.warps() {
+                let v = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
+                assert!(v.iter().all(|&x| x == 3));
+            }
+        });
+    };
+    dev.concurrent(vec![Box::new(|_: &Stream| {
+        dev.launch("post/write", 1, 1, |blk| {
+            for w in blk.warps() {
+                w.scatter(&buf, lanes_from_fn(|l| l), splat(3), FULL_MASK);
+            }
+        });
     })]);
-    // Host read and a host-lane kernel read: both silent.
+    // Host read, a host-lane kernel read and a later session: all silent.
     assert_eq!(buf.get(0), 3);
-    dev.launch("post/read", 1, 1, |blk| {
-        for w in blk.warps() {
-            let v = w.gather(&buf, lanes_from_fn(|l| l), FULL_MASK);
-            assert!(v.iter().all(|&x| x == 3));
-        }
-    });
+    read("post/read");
+    dev.concurrent(vec![Box::new(|_: &Stream| read("post/session"))]);
 }
