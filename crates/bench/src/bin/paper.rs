@@ -1175,8 +1175,9 @@ fn largem_compare(opts: &Opts) -> Report {
          sectors per stage and estimated ms. `confl` = shared-memory bank\n\
          conflicts over the whole run (the fused sweep's reorder staging is\n\
          padded, so a stride-32 permutation costs none; what remains comes\n\
-         from buckets whose histogram counts share a bank and from reorder\n\
-         stores at data-dependent offsets).",
+         from buckets whose histogram counts share a bank, from reorder\n\
+         stores at data-dependent offsets, and from scatter windows that\n\
+         cross a 32-slot staging row).",
         &[n.min(1 << 16), n],
         &[8000, 9],
     );

@@ -11,10 +11,8 @@
 //! pre-scan of [`crate::prescan`]. A tile that is its whole segment needs
 //! no bases: it writes its reordered tile in place.
 //!
-//! The reorder stages keys and payloads only: the dense scatter
-//! recomputes each key's bucket (paper §5.1) and reads one folded base
-//! per bucket; the sector-aligned scatter (below) reads a group
-//! descriptor instead.
+//! The reorder stages keys and payloads only, bucket-dense: each
+//! bucket's run of the tile starts at the bucket's tile start.
 //! Keys and payloads share one staging buffer, as in CUB's Onesweep: the
 //! keys are staged, read back and scattered, each thread keeping its
 //! destinations; after a barrier the payloads are staged into the same
@@ -34,23 +32,25 @@
 //! [`MAX_ITEMS_PER_THREAD`]. What varies is only how the pre-scan counts
 //! ([`crate::prescan::HistStrategy`]).
 //!
-//! A tile of a multi-tile segment whose spare shared memory holds the
-//! worst case scatters through sector-aligned windows (`Layout::for_tile`;
-//! at 8 warps, m ≤ 64 standalone and m ≤ 63 in a batch, key-only or with
-//! 4-byte payloads; fewer warps leave room for more buckets, 16 and 32
-//! warps for none). Each bucket's run is staged at *virtual slots*
-//! starting at a group boundary plus its destination's offset within its
-//! 32-byte sector, and each group of 8 slots holds one run, so a
-//! group maps onto one output sector. Warp 0 computes the layout after
-//! the look-back and folds it into the histogram rows and the scatter
-//! bases; in the reorder the first live lane of each group writes the
-//! group's descriptor (its sector-aligned destination and live slot
-//! range), and the scatter reads that descriptor instead of recomputing
-//! the key's bucket. Every output sector of a run is then written by one
-//! warp request, and the bucket function runs twice per key, not three
-//! times. Gap slots are never written or read. Wider `m` keeps the dense
-//! layout: there the up to 14 gap slots per bucket and the descriptors do
-//! not fit beside the histogram, and those sweeps are compute-bound.
+//! A tile of a multi-tile segment scatters by the *run walk*. A run is
+//! one bucket's keys of the tile. Its window `j` covers the 32 output
+//! positions that start `32 j` past the 32-byte sector holding the run's
+//! first destination, so a run of `count` keys whose destination lies
+//! `lead` keys into its sector spans `⌈(lead + count) / 32⌉` windows.
+//! In phase 3, warp 0 counts each run's windows, scans the counts (one
+//! warp scan per 32 buckets) and packs each run's window end above its
+//! tile start in the bucket's scanned row head; it stores each run's
+//! destination in `run_dst`. In the scatter, each warp takes a
+//! contiguous range of the tile's windows. It caches 32 runs' row heads,
+//! counts and destinations lane-parallel, one shared load each, finds
+//! the run that holds its next window by ballot, and takes that run's
+//! parameters by shuffle. Each live lane of a window then reads one
+//! staged slot of the run, contiguous across the lanes, and writes one
+//! key. Every output sector of a run is thus written by one warp
+//! request, and the scatter evaluates no bucket function: a multi-tile
+//! split evaluates it twice per key, in the pre-scan and in the count.
+//! The walk adds no shared word to the dense layout, so it reaches every
+//! `m`, block size and payload width the coarsening admits.
 //!
 //! A standalone run is the one-segment case (`SweepPlan::one`). Its
 //! descriptor reaches every block by value, so it costs no table sector
@@ -68,6 +68,7 @@ use simt::{
     Scalar, SharedBuf, WarpCtx, WARP_SIZE,
 };
 
+use primitives::warp_scan::inclusive_scan_add;
 use primitives::{block_exclusive_scan_shared, low_lanes_mask, tail_mask, SegmentedTileStates};
 
 use crate::bucket::BucketFn;
@@ -91,17 +92,15 @@ pub const MAX_ITEMS_PER_THREAD: usize = 32;
 /// read.
 pub const DESC_WORDS: usize = 8;
 
-/// Keys per 32-byte output sector: the group width of the sector-aligned
-/// layout.
-const GROUP: usize = simt::SECTOR_BYTES as usize / 4;
+/// Keys per 32-byte output sector: the alignment of a run's windows.
+const SECTOR_KEYS: u32 = simt::SECTOR_BYTES as u32 / 4;
 
-/// Gap slots the sector-aligned layout may need for `m` buckets: at most
-/// `GROUP - 1` before each run (its destination's offset within its
-/// sector) and `GROUP - 1` after it (the rest of its last group), but
-/// none after the last run.
-fn max_gap_slots(m: usize) -> usize {
-    (2 * (GROUP - 1) * m).saturating_sub(GROUP - 1)
-}
+/// Bits of a row head's tile start. In a multi-tile tile, phase 3 packs
+/// the run's window end above them. Both are below `2^16`: a start is a
+/// staging slot, and a run of `c ≥ 1` keys spans at most `c` windows.
+const START_BITS: u32 = 16;
+const START_MASK: u32 = (1 << START_BITS) - 1;
+const _: () = assert!(SMEM_BUDGET_WORDS <= 1 << START_BITS);
 
 /// The shared-memory words of one sweep block, buffer by buffer, plus
 /// the one-word tile ticket. The kernel allocates from this struct, so the
@@ -110,99 +109,32 @@ fn max_gap_slots(m: usize) -> usize {
 struct Layout {
     /// The per-warp histogram, `m × (wpb | 1)`.
     hist: usize,
-    /// The folded scatter bases (`m` words).
+    /// Each run's segment-local destination (`m` words).
     tables: usize,
-    /// Logical staging slots for the reordered tile, addressed through
-    /// [`padded_index`]: the tile's keys, plus the worst-case gaps in the
-    /// sector-aligned layout.
+    /// Staging slots for the reordered tile, addressed through
+    /// [`padded_index`].
     slots: usize,
     /// Words per slot: the key, then (after a barrier) the payload, in
     /// the same slot.
     slot_words: usize,
-    /// The sector-aligned layout's group descriptors, one `u64` per
-    /// [`GROUP`] slots; 0 in the dense layout.
-    groups: usize,
     /// The block-wide scan's warp-sums scratch.
     scan_scratch: usize,
 }
 
 impl Layout {
-    /// The dense layout, the one the coarsening search sizes.
     fn new(wpb: usize, m: usize, ipt: usize, value_words: usize) -> Self {
         Layout {
             hist: m * (wpb | 1),
             tables: m,
             slots: wpb * ipt * WARP_SIZE,
             slot_words: staging_words_per_element(value_words),
-            groups: 0,
             scan_scratch: wpb + 1,
         }
     }
 
-    /// The layout a tile runs: sector-aligned when it is one of several
-    /// tiles of its segment and the worst case of the aligned layout (the
-    /// gap slots and one descriptor per group) fits the shared memory
-    /// the dense layout and `reserved_words` leave; dense otherwise. The
-    /// tile's coarsening is the dense layout's in both cases.
-    fn for_tile(
-        wpb: usize,
-        m: usize,
-        ipt: usize,
-        value_words: usize,
-        reserved_words: usize,
-        multi_tile: bool,
-    ) -> Self {
-        let dense = Self::new(wpb, m, ipt, value_words);
-        let slots = dense.slots + max_gap_slots(m);
-        let aligned = Layout {
-            slots,
-            groups: slots.div_ceil(GROUP),
-            ..dense
-        };
-        if multi_tile && aligned.words() + reserved_words <= SMEM_BUDGET_WORDS {
-            aligned
-        } else {
-            dense
-        }
-    }
-
-    fn aligned(&self) -> bool {
-        self.groups > 0
-    }
-
     fn words(&self) -> usize {
-        self.hist
-            + self.tables
-            + padded_len(self.slots) * self.slot_words
-            + 2 * self.groups
-            + 1
-            + self.scan_scratch
+        self.hist + self.tables + padded_len(self.slots) * self.slot_words + 1 + self.scan_scratch
     }
-}
-
-/// Bits of each position field of an aligned-layout histogram entry. Every
-/// staging slot index is below the shared-memory budget, so it fits.
-const POS_BITS: u32 = 14;
-const POS_MASK: u32 = (1 << POS_BITS) - 1;
-const _: () = assert!(SMEM_BUDGET_WORDS <= 1 << POS_BITS);
-/// Entry flag: no earlier warp holds a key of the entry's bucket, so the
-/// warp's first one is the run's first.
-const RUN_HEAD: u32 = 1 << (2 * POS_BITS);
-
-/// An aligned-layout histogram entry: the warp's first virtual slot of
-/// the bucket, the end of the bucket's run, and the [`RUN_HEAD`] flag.
-fn pack_entry(slot: u32, run_end: u32, head: bool) -> u32 {
-    slot | run_end << POS_BITS | if head { RUN_HEAD } else { 0 }
-}
-
-/// A group descriptor: the sector-aligned, segment-local destination of
-/// the group's first slot and its live slot range `lo..hi`.
-fn pack_desc(base: u32, lo: u32, hi: u32) -> u64 {
-    u64::from(base) | u64::from(lo) << 32 | u64::from(hi) << 40
-}
-
-fn unpack_desc(d: u64) -> (u32, u32, u32) {
-    (d as u32, (d >> 32) as u32 & 0xFF, (d >> 40) as u32 & 0xFF)
 }
 
 /// Shared words one sweep block allocates at coarsening `ipt` — the one
@@ -424,9 +356,8 @@ impl<'a, B: BucketFn + ?Sized> SweepPlan<'a, B> {
             blk.sync();
             let t = tile_id.get(0) as usize;
             let d = self.desc(blk, t);
-            let reserved = if self.table.is_some() { DESC_WORDS } else { 0 };
             let bucket = self.segs[d.seg].bucket;
-            sweep_tile(blk, keys, values, bucket, &d, &states, out, reserved);
+            sweep_tile(blk, keys, values, bucket, &d, &states, out);
             blk.stats()
                 .obs
                 .flight_emit(EventKind::ScatterComplete, t as u32, 0, 0);
@@ -525,7 +456,8 @@ struct TileHist<'b> {
     /// `hrow[b * pitch + warp]`: the warp's running count of bucket `b`,
     /// then (after the block-wide scan) the tile-local rank base of the
     /// warp's bucket-`b` elements; the row head `hrow[b * pitch]` is the
-    /// bucket's tile-local start.
+    /// bucket's tile-local start, with its run's window end above
+    /// [`START_BITS`] once phase 3 of a multi-tile tile packs it.
     hrow: SharedBuf<'b, u32>,
     /// The bucket count (rows).
     m: usize,
@@ -586,100 +518,98 @@ impl<'b> TileHist<'b> {
         block_exclusive_scan_shared(blk, &self.hrow, self.m * self.pitch)
     }
 
-    /// Warp 0, after [`scan`](Self::scan): the tile's per-bucket counts
-    /// and starts. The starts are the scanned row heads; each count is
-    /// `head[b+1] - head[b]`, the last bucket closing against the scan
-    /// total.
-    fn aggregate(&self, w: &WarpCtx, tile_total: u32) -> (Vec<u32>, Vec<u32>) {
+    /// Lane `l` addresses bucket `g0 + l`'s row head, over the up to 32
+    /// buckets from `g0`; returns the addresses and the live lanes.
+    fn head_lanes(&self, g0: usize) -> (Lanes<usize>, u32) {
+        let cnt = (self.m - g0).min(WARP_SIZE);
+        (
+            lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * self.pitch),
+            low_lanes_mask(cnt),
+        )
+    }
+
+    /// One load of the row heads of buckets `g0..g0 + 32` (after
+    /// [`scan`](Self::scan)), with the live lanes.
+    fn heads(&self, g0: usize) -> (Lanes<u32>, u32) {
+        let (idx, sm) = self.head_lanes(g0);
+        (self.hrow.ld(idx, sm), sm)
+    }
+
+    /// Warp `w`: the key counts of the runs whose row `heads` it holds,
+    /// each the next row's start minus its own, the last bucket closing
+    /// against the scan total.
+    fn counts(&self, w: &WarpCtx, g0: usize, heads: &Lanes<u32>, tile_total: u32) -> Lanes<u32> {
         let (m, pitch) = (self.m, self.pitch);
-        let mut agg = vec![0u32; m];
-        let mut start = vec![0u32; m];
-        for g0 in (0..m).step_by(WARP_SIZE) {
-            let cnt = (m - g0).min(WARP_SIZE);
-            let sm = low_lanes_mask(cnt);
-            let heads = self
-                .hrow
-                .ld(lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * pitch), sm);
-            // The final bucket has no successor row; it closes against the
-            // scan total, so mask it out of the load.
-            let has_next = if g0 + cnt == m {
-                low_lanes_mask(cnt - 1)
+        let cnt = (m - g0).min(WARP_SIZE);
+        // The final bucket has no successor row, so mask it out of the load.
+        let has_next = low_lanes_mask(if g0 + cnt == m { cnt - 1 } else { cnt });
+        let nexts = self
+            .hrow
+            .ld(lanes_from_fn(|l| (g0 + l + 1).min(m - 1) * pitch), has_next);
+        w.charge(cnt as u64); // the subtracts
+        lanes_from_fn(|l| {
+            let next = if has_next >> l & 1 == 1 {
+                nexts[l] & START_MASK
             } else {
-                sm
+                tile_total
             };
-            let nexts = self.hrow.ld(
-                lanes_from_fn(|l| {
-                    let b = g0 + l.min(cnt - 1);
-                    if b + 1 < m {
-                        (b + 1) * pitch
-                    } else {
-                        0
-                    }
-                }),
-                has_next,
-            );
-            for l in 0..cnt {
-                let b = g0 + l;
-                let next = if b + 1 < m { nexts[l] } else { tile_total };
-                agg[b] = next.wrapping_sub(heads[l]);
-                start[b] = heads[l];
-            }
-            w.charge(cnt as u64); // the subtracts
+            next.wrapping_sub(heads[l] & START_MASK)
+        })
+    }
+
+    /// Warp 0, after [`scan`](Self::scan): the tile's per-bucket counts
+    /// and starts, from the scanned row heads.
+    fn aggregate(&self, w: &WarpCtx, tile_total: u32) -> (Vec<u32>, Vec<u32>) {
+        let mut agg = Vec::with_capacity(self.m);
+        let mut start = Vec::with_capacity(self.m);
+        for g0 in (0..self.m).step_by(WARP_SIZE) {
+            let (heads, sm) = self.heads(g0);
+            let counts = self.counts(w, g0, &heads, tile_total);
+            let cnt = sm.count_ones() as usize;
+            agg.extend_from_slice(&counts[..cnt]);
+            start.extend_from_slice(&heads[..cnt]);
         }
         (agg, start)
     }
 
     /// Tile-local rank base of each lane's bucket in warp `w`: the
     /// bucket's tile start plus its count in earlier warps (the lanes'
-    /// ranks already count the warp's earlier chunks). In the aligned
-    /// layout the base is a virtual slot, packed with its run's end and
-    /// head flag ([`fold_runs`](Self::fold_runs)).
+    /// ranks already count the warp's earlier chunks).
     fn rank_base(&self, w: &WarpCtx, b: Lanes<u32>, mask: u32) -> Lanes<u32> {
-        self.hrow.ld(
+        let base = self.hrow.ld(
             lanes_from_fn(|l| b[l] as usize * self.pitch + w.warp_id),
             mask,
-        )
+        );
+        lanes_from_fn(|l| base[l] & START_MASK)
+    }
+}
+
+/// One scatter request of `hi - lo` consecutive keys: lane `l` of
+/// `lo..hi` reads staged slot `slot + (l - lo)` and writes output
+/// position `dst + (l - lo)`.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    slot: usize,
+    dst: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl Window {
+    fn live(&self) -> u32 {
+        low_lanes_mask(self.hi) & !low_lanes_mask(self.lo)
     }
 
-    /// Warp 0, aligned layout, after [`aggregate`](Self::aggregate): move
-    /// the runs of buckets `g0..g0 + cnt` to their first virtual slots
-    /// `slot`, holding `count` keys each. Every warp's entry of a run's
-    /// row becomes [`pack_entry`] of its first slot, the run's end, and
-    /// whether no earlier warp holds a key of the run.
-    fn fold_runs(&self, w: &WarpCtx, g0: usize, cnt: usize, slot: Lanes<u32>, count: &[u32]) {
-        let sm = low_lanes_mask(cnt);
-        let at = |col: usize| lanes_from_fn(|l| (g0 + l.min(cnt - 1)) * self.pitch + col);
-        let start = self.hrow.ld(at(0), sm);
-        for col in 0..self.pad.unwrap_or(self.pitch) {
-            let e = if col == 0 {
-                start
-            } else {
-                self.hrow.ld(at(col), sm)
-            };
-            self.hrow.st(
-                at(col),
-                lanes_from_fn(|l| {
-                    let before = e[l].wrapping_sub(start[l]);
-                    let run_end = slot[l] + count.get(l).copied().unwrap_or(0);
-                    pack_entry(slot[l].wrapping_add(before), run_end, before == 0)
-                }),
-                sm,
-            );
-            w.charge(3 * cnt as u64); // the shift, the end and the packing
-        }
+    fn slots(&self) -> Lanes<usize> {
+        lanes_from_fn(|l| padded_index(self.slot + l.saturating_sub(self.lo)))
     }
 
-    /// Aligned layout, after the fold: the end of the last run, read from
-    /// the last row's head.
-    fn runs_end(&self) -> usize {
-        (self.hrow.get((self.m - 1) * self.pitch) >> POS_BITS & POS_MASK) as usize
+    fn dsts(&self) -> Lanes<usize> {
+        lanes_from_fn(|l| self.dst + l.saturating_sub(self.lo))
     }
 }
 
 /// Sweep body for one tile (see the module docs for the phases).
-/// `reserved_words` is the shared memory the launch holds besides the
-/// tile's layout (a batch's descriptor).
-#[allow(clippy::too_many_arguments)]
 fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     blk: &BlockCtx,
     keys: &GlobalBuffer<u32>,
@@ -688,7 +618,6 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     d: &TileDesc,
     states: &SegmentedTileStates,
     out: &Out<'_, V>,
-    reserved_words: usize,
 ) {
     let mu = d.m as usize;
     let nw = blk.warps_per_block;
@@ -702,12 +631,11 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let chunks_of = |w: &WarpCtx| w.warp_id * d.ipt..((w.warp_id + 1) * d.ipt).min(live);
     let chunk_mask = |chunk: usize| tail_mask(tile_start + chunk * WARP_SIZE, d.n);
     let value_words = values.map_or(0, |_| V::BYTES as usize / 4);
-    let lay = Layout::for_tile(nw, mu, d.ipt, value_words, reserved_words, multi_tile);
+    let lay = Layout::new(nw, mu, d.ipt, value_words);
     let hist = TileHist::alloc(blk, mu);
-    let scatter_base = multi_tile.then(|| blk.alloc_shared::<u32>(mu));
+    let run_dst = multi_tile.then(|| blk.alloc_shared::<u32>(lay.tables));
     // One staging buffer: the keys' slots, later the payloads'.
     let keys_s = blk.alloc_shared::<u32>(padded_len(lay.slots) * lay.slot_words);
-    let desc_s = lay.aligned().then(|| blk.alloc_shared::<u64>(lay.groups));
     // Per-chunk registers persisting across barriers, as in a real kernel:
     // the tile's keys are read from DRAM exactly once. `pos_reg` holds each
     // lane's rank, then its staging slot.
@@ -739,92 +667,51 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     let tile_total = hist.scan(blk);
 
     // Phase 3 (warp 0): publish the tile aggregate and resolve the
-    // m-vector tile prefix by decoupled look-back in the segment's window;
-    // a multi-tile segment folds it, the global bases and the tile-local
-    // bucket starts into scatter_base (plus staging slot: the
-    // destination). The aligned layout also moves each run to its virtual
-    // slots and folds that shift into the histogram rows.
+    // m-vector tile prefix by decoupled look-back in the segment's window.
+    // A multi-tile segment stores each run's destination (global base
+    // plus prefix) and packs the run walk's window ends into the row
+    // heads.
     {
         let w = blk.warp(0);
         let (agg, start) = hist.aggregate(&w, tile_total);
         let prefix = states.resolve_rows(&w, d.seg, d.local_tile, &agg);
-        if let Some(sb) = &scatter_base {
-            // The first virtual slot of the next bucket group's runs.
-            let mut cursor = 0u32;
+        if let Some(rd) = &run_dst {
+            // The windows of the bucket groups before this one.
+            let mut windows = 0u32;
             for g0 in (0..mu).step_by(WARP_SIZE) {
-                let cnt = (mu - g0).min(WARP_SIZE);
-                let sm = low_lanes_mask(cnt);
-                let gb = w.gather_cached(
-                    out.bases,
-                    lanes_from_fn(|l| d.hist_base + g0 + l.min(cnt - 1)),
-                    sm,
-                );
+                let (idx, sm) = hist.head_lanes(g0);
+                let cnt = sm.count_ones() as usize;
                 let bucket_of = |l: usize| g0 + l.min(cnt - 1);
-                // The segment-local destination of each run's first key.
+                let gb =
+                    w.gather_cached(out.bases, lanes_from_fn(|l| d.hist_base + bucket_of(l)), sm);
                 let dst = lanes_from_fn(|l| gb[l].wrapping_add(prefix[bucket_of(l)]));
-                let slot = if lay.aligned() {
-                    let (slot, end) = align_runs(&w, &agg[g0..g0 + cnt], dst, d.offset, cursor);
-                    cursor = end;
-                    hist.fold_runs(&w, g0, cnt, slot, &agg[g0..g0 + cnt]);
-                    slot
-                } else {
-                    lanes_from_fn(|l| start[bucket_of(l)])
-                };
-                sb.st(
-                    lanes_from_fn(bucket_of),
-                    lanes_from_fn(|l| dst[l].wrapping_sub(slot[l])),
+                let span = lanes_from_fn(|l| match agg.get(g0 + l).filter(|_| l < cnt) {
+                    Some(&c) if c > 0 => {
+                        let lead = (d.offset as u32).wrapping_add(dst[l]) % SECTOR_KEYS;
+                        (lead + c).div_ceil(WARP_SIZE as u32)
+                    }
+                    _ => 0,
+                });
+                let ends = inclusive_scan_add(&w, span);
+                w.charge(3 * cnt as u64); // the lead, the window count and the packing
+                hist.hrow.st(
+                    idx,
+                    lanes_from_fn(|l| start[bucket_of(l)] | (windows + ends[l]) << START_BITS),
                     sm,
                 );
+                rd.st(lanes_from_fn(bucket_of), dst, sm);
+                windows += ends[WARP_SIZE - 1];
             }
         }
     }
     blk.sync();
 
-    // Phase 4: block-wide reorder of the keys into shared staging. In the
-    // aligned layout the first live lane of each group also writes the
-    // group's descriptor.
-    #[cfg(debug_assertions)]
-    let mut audit = desc_s.as_ref().map(|_| Audit::new(lay.slots, lay.groups));
+    // Phase 4: block-wide reorder of the keys into shared staging.
     for w in blk.warps() {
         for chunk in chunks_of(&w) {
             let mask = chunk_mask(chunk);
-            let b = bucket_reg[chunk];
-            let rank = pos_reg[chunk];
-            let entry = hist.rank_base(&w, b, mask);
-            let slot = match (&desc_s, &scatter_base) {
-                (Some(desc), Some(sb)) => {
-                    let slot = lanes_from_fn(|l| (entry[l] & POS_MASK) + rank[l]);
-                    let writers = (0..WARP_SIZE)
-                        .filter(|&l| {
-                            slot[l].is_multiple_of(GROUP as u32)
-                                || (entry[l] & RUN_HEAD != 0 && rank[l] == 0)
-                        })
-                        .fold(0u32, |acc, l| acc | 1 << l)
-                        & mask;
-                    let base = sb.ld(lanes_from_fn(|l| b[l] as usize), writers);
-                    let lo = lanes_from_fn(|l| slot[l] % GROUP as u32);
-                    let group = lanes_from_fn(|l| (slot[l] / GROUP as u32) as usize);
-                    desc.st(
-                        group,
-                        lanes_from_fn(|l| {
-                            let run_end = entry[l] >> POS_BITS & POS_MASK;
-                            let first = slot[l] - lo[l];
-                            let hi = run_end.wrapping_sub(first).min(GROUP as u32);
-                            pack_desc(base[l].wrapping_add(first), lo[l], hi)
-                        }),
-                        writers,
-                    );
-                    // Each writer's base and range: predicates and address
-                    // arithmetic go uncharged, as elsewhere in the sweep.
-                    w.charge(2 * u64::from(writers.count_ones()));
-                    #[cfg(debug_assertions)]
-                    if let Some(a) = &mut audit {
-                        a.stage(&slot, &group, mask, writers);
-                    }
-                    slot
-                }
-                _ => lanes_from_fn(|l| entry[l] + rank[l]),
-            };
+            let base = hist.rank_base(&w, bucket_reg[chunk], mask);
+            let slot = lanes_from_fn(|l| base[l] + pos_reg[chunk][l]);
             pos_reg[chunk] = slot;
             keys_s.st(
                 lanes_from_fn(|l| padded_index(slot[l] as usize)),
@@ -835,74 +722,40 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     }
     blk.sync();
 
-    // Phase 5: coalesced read of the staged keys, written to final
-    // positions, one 32-slot window at a time. The aligned layout reads
-    // each slot's group descriptor; the dense one recomputes the key's
-    // bucket to pick its scatter base, or (one-tile segment) writes its
-    // bucket-dense tile at its own range. Each warp keeps its windows'
-    // live lanes and destinations for the payloads.
-    let mut kept: Vec<Vec<(usize, u32, Lanes<usize>)>> = match values {
-        Some(_) => vec![Vec::new(); nw],
-        None => Vec::new(),
-    };
+    // Phase 5: read the staged keys back and write them to their final
+    // positions: a multi-tile tile by the run walk, a one-tile segment
+    // chunk by chunk at its own range. Each warp keeps its windows for
+    // the payloads.
+    #[cfg(debug_assertions)]
+    let mut audit = Audit::new(tile_total as usize);
+    let mut kept = vec![Vec::new(); if values.is_some() { nw } else { 0 }];
     for w in blk.warps() {
-        // The warp's windows, and the end of the slots they cover.
-        let (windows, span) = match &desc_s {
-            Some(_) => {
-                let span = hist.runs_end().next_multiple_of(GROUP);
-                #[cfg(debug_assertions)]
-                if let (Some(a), 0) = (&audit, w.warp_id) {
-                    a.check_writers(span);
-                }
-                let count = span.div_ceil(WARP_SIZE);
-                let per = count.div_ceil(nw);
-                (w.warp_id * per..((w.warp_id + 1) * per).min(count), span)
-            }
-            None => (chunks_of(&w), d.n - tile_start),
+        let windows = match &run_dst {
+            Some(rd) => walk_runs(&w, &hist, rd, tile_total, d.offset, nw),
+            None => chunks_of(&w)
+                .map(|chunk| Window {
+                    slot: chunk * WARP_SIZE,
+                    dst: d.offset + tile_start + chunk * WARP_SIZE,
+                    lo: 0,
+                    hi: chunk_mask(chunk).count_ones() as usize,
+                })
+                .collect(),
         };
-        for win in windows {
-            let mask = tail_mask(win * WARP_SIZE, span);
-            let tid = lanes_from_fn(|l| win * WARP_SIZE + l);
-            let (live, k2, dest) = match (&desc_s, &scatter_base) {
-                (Some(desc), _) => {
-                    let dsc = desc.ld(lanes_from_fn(|l| tid[l] / GROUP), mask);
-                    let mut live = 0u32;
-                    let dest = lanes_from_fn(|l| {
-                        let (base, lo, hi) = unpack_desc(dsc[l]);
-                        let off = (tid[l] % GROUP) as u32;
-                        live |= u32::from(lo <= off && off < hi) << l;
-                        d.offset + base.wrapping_add(off) as usize
-                    });
-                    live &= mask;
-                    #[cfg(debug_assertions)]
-                    if let Some(a) = &audit {
-                        a.check_read(&tid, live);
-                    }
-                    let k2 = keys_s.ld(lanes_from_fn(|l| padded_index(tid[l])), live);
-                    (live, k2, dest)
-                }
-                (None, Some(sb)) => {
-                    let k2 = keys_s.ld(lanes_from_fn(|l| padded_index(tid[l])), mask);
-                    let b2 = eval_buckets(&w, bucket, k2, mask);
-                    let base = sb.ld(lanes_from_fn(|l| b2[l] as usize), mask);
-                    let dest =
-                        lanes_from_fn(|l| d.offset + base[l].wrapping_add(tid[l] as u32) as usize);
-                    (mask, k2, dest)
-                }
-                (None, None) => {
-                    let k2 = keys_s.ld(lanes_from_fn(|l| padded_index(tid[l])), mask);
-                    (mask, k2, lanes_from_fn(|l| d.offset + tile_start + tid[l]))
-                }
-            };
-            w.scatter(out.keys, dest, k2, live);
-            if values.is_some() {
-                kept[w.warp_id].push((win, live, dest));
-            }
+        for win in &windows {
+            #[cfg(debug_assertions)]
+            audit.read(win);
+            let k = keys_s.ld(win.slots(), win.live());
+            w.scatter(out.keys, win.dsts(), k, win.live());
+        }
+        if values.is_some() {
+            kept[w.warp_id] = windows;
         }
     }
+    #[cfg(debug_assertions)]
+    audit.finish();
 
     // Phases 6–7: the payloads take the keys' slots and follow them to
-    // the kept destinations. The first barrier orders every key read-back
+    // the kept windows. The first barrier orders every key read-back
     // before the payload stores into the same words (the simulator runs
     // warps in order, so it cannot catch a missing one).
     let (Some(vr), Some(vout)) = (val_reg, out.values) else {
@@ -918,92 +771,118 @@ fn sweep_tile<B: BucketFn + ?Sized, V: Scalar>(
     }
     blk.sync();
     for w in blk.warps() {
-        for &(win, live, dest) in &kept[w.warp_id] {
-            let slot = lanes_from_fn(|l| padded_index(win * WARP_SIZE + l));
-            w.scatter(vout, dest, values_s.ld(slot, live), live);
+        for win in &kept[w.warp_id] {
+            w.scatter(
+                vout,
+                win.dsts(),
+                values_s.ld(win.slots(), win.live()),
+                win.live(),
+            );
         }
     }
 }
 
-/// Warp 0, aligned layout: the virtual slots of one group of up to 32
-/// buckets' runs. Each non-empty run starts at a group boundary plus its
-/// destination's offset within its 32-byte sector, and fills its groups
-/// with no other run, so the virtual slots of each group map onto one
-/// output sector. `count` holds the runs' key counts, `dst` their
-/// segment-local destinations, and `cursor` the first free group
-/// boundary. Returns each run's first slot and the next free boundary.
-fn align_runs(
+/// Warp `w`'s share of a multi-tile tile's run walk (module docs): a
+/// contiguous `1 / nw` of the tile's windows, whose total is the last
+/// row head's window end. The warp holds one group of 32 runs at a time
+/// lane-parallel: their row heads, and once it walks one of them, their
+/// key counts and destinations. A ballot finds the run holding the next
+/// window, and shuffles hand its start and count, its destination and,
+/// for the warp's first run only, its window end to every lane.
+fn walk_runs(
     w: &WarpCtx,
-    count: &[u32],
-    dst: Lanes<u32>,
+    hist: &TileHist,
+    run_dst: &SharedBuf<u32>,
+    tile_total: u32,
     offset: usize,
-    cursor: u32,
-) -> (Lanes<u32>, u32) {
-    let cnt = count.len();
-    let g = GROUP as u32;
-    let lead = lanes_from_fn(|l| {
-        let c = count.get(l).copied().unwrap_or(0);
-        if c == 0 {
-            0
-        } else {
-            (offset as u32).wrapping_add(dst[l]) % g
+    nw: usize,
+) -> Vec<Window> {
+    let total = (hist.hrow.get((hist.m - 1) * hist.pitch) >> START_BITS) as usize;
+    let per = total.div_ceil(nw);
+    let end = ((w.warp_id + 1) * per).min(total);
+    let mut win = (w.warp_id * per).min(end);
+    let mut out = Vec::with_capacity(end - win);
+    if win == end {
+        return out;
+    }
+    let mut g0 = 0;
+    let (mut h, mut sm) = hist.heads(g0);
+    // The start | count << START_BITS and the destination of the held
+    // group's runs.
+    let mut runs: Option<(Lanes<u32>, Lanes<u32>)> = None;
+    let mut first_run = true;
+    while win < end {
+        let ahead = w.ballot(lanes_from_fn(|l| (h[l] >> START_BITS) as usize > win), sm);
+        if ahead == 0 {
+            g0 += WARP_SIZE;
+            (h, sm) = hist.heads(g0);
+            runs = None;
+            continue;
         }
-    });
-    let span = lanes_from_fn(|l| {
-        let c = count.get(l).copied().unwrap_or(0);
-        (lead[l] + c).next_multiple_of(g)
-    });
-    let ends = primitives::warp_scan::inclusive_scan_add(w, span);
-    w.charge(4 * cnt as u64); // the lead, the span and the slot
-    (
-        lanes_from_fn(|l| cursor + ends[l] - span[l] + lead[l]),
-        cursor + ends[cnt - 1],
-    )
+        let f = ahead.trailing_zeros() as usize;
+        let (sc, dst) = *runs.get_or_insert_with(|| {
+            let counts = hist.counts(w, g0, &h, tile_total);
+            let dst = run_dst.ld(lanes_from_fn(|l| (g0 + l).min(hist.m - 1)), sm);
+            w.charge(u64::from(sm.count_ones())); // the packing
+            let sc = lanes_from_fn(|l| h[l] & START_MASK | counts[l] << START_BITS);
+            (sc, dst)
+        });
+        let sc = w.broadcast(sc, f)[0];
+        let (start, count) = ((sc & START_MASK) as usize, (sc >> START_BITS) as usize);
+        let dst = offset + w.broadcast(dst, f)[0] as usize;
+        let lead = dst % SECTOR_KEYS as usize;
+        let span = (lead + count).div_ceil(WARP_SIZE);
+        // The run's first window: the warp may start inside its first run.
+        let first = if first_run {
+            (w.broadcast(h, f)[0] >> START_BITS) as usize - span
+        } else {
+            win
+        };
+        first_run = false;
+        for j in win - first..span.min(end - first) {
+            let lo = if j == 0 { lead } else { 0 };
+            let at = j * WARP_SIZE + lo - lead;
+            out.push(Window {
+                slot: start + at,
+                dst: dst + at,
+                lo,
+                hi: (lead + count - j * WARP_SIZE).min(WARP_SIZE),
+            });
+        }
+        win = (first + span).min(end);
+    }
+    out
 }
 
-/// Host-side audit of the aligned layout, kept in debug builds: each
-/// descriptor has exactly one writer, and the scatter reads only slots
-/// the reorder staged, never a gap slot.
+/// Host-side audit of the scatter, kept in debug builds: it reads every
+/// staged slot of the tile exactly once, and no slot outside the tile.
 #[cfg(debug_assertions)]
 struct Audit {
-    staged: Vec<bool>,
-    writers: Vec<u8>,
+    reads: Vec<u8>,
 }
 
 #[cfg(debug_assertions)]
 impl Audit {
-    fn new(slots: usize, groups: usize) -> Self {
+    fn new(tile_keys: usize) -> Self {
         Audit {
-            staged: vec![false; slots],
-            writers: vec![0; groups],
+            reads: vec![0; tile_keys],
         }
     }
 
-    fn stage(&mut self, slot: &Lanes<u32>, group: &Lanes<usize>, mask: u32, writers: u32) {
-        for l in (0..WARP_SIZE).filter(|&l| mask >> l & 1 == 1) {
+    fn read(&mut self, win: &Window) {
+        for slot in win.slot..win.slot + (win.hi - win.lo) {
+            let keys = self.reads.len();
             assert!(
-                !self.staged[slot[l] as usize],
-                "slot {} staged twice",
-                slot[l]
+                slot < keys,
+                "slot {slot} read outside the tile's {keys} keys"
             );
-            self.staged[slot[l] as usize] = true;
-            if writers >> l & 1 == 1 {
-                self.writers[group[l]] += 1;
-            }
+            self.reads[slot] += 1;
         }
     }
 
-    fn check_writers(&self, span: usize) {
-        let groups = span / GROUP;
-        for (g, &n) in self.writers.iter().enumerate() {
-            let want = u8::from(g < groups);
-            assert_eq!(n, want, "group {g} of {groups} has {n} descriptor writers");
-        }
-    }
-
-    fn check_read(&self, slot: &Lanes<usize>, live: u32) {
-        for l in (0..WARP_SIZE).filter(|&l| live >> l & 1 == 1) {
-            assert!(self.staged[slot[l]], "gap slot {} read", slot[l]);
+    fn finish(&self) {
+        for (slot, &n) in self.reads.iter().enumerate() {
+            assert_eq!(n, 1, "staged slot {slot} read {n} times");
         }
     }
 }
@@ -1333,8 +1212,7 @@ mod tests {
     /// A sweep run bills the same counted stats, and writes the same
     /// outputs, under all six schedules: sequential, parallel and the four
     /// adversarial flavors. One-tile runs (one launch, written in place)
-    /// and multi-tile runs in the sector-aligned layout, key-only and
-    /// key-value.
+    /// and multi-tile runs (the run walk), key-only and key-value.
     #[test]
     fn sweep_runs_are_schedule_independent() {
         use simt::{AdvFlavor, AdvSchedule};
@@ -1380,14 +1258,13 @@ mod tests {
         }
     }
 
-    /// The aligned scatter reads each slot's destination from its group
-    /// descriptor, so a multi-tile fused split evaluates each key's bucket
-    /// twice (pre-scan and count); the dense layout of 256 buckets
-    /// recomputes it in the scatter, three times.
+    /// The run walk takes each staged key's destination from its run, so
+    /// a multi-tile fused split evaluates each key's bucket twice
+    /// (pre-scan and count), at every bucket count.
     #[test]
     fn aligned_sweeps_evaluate_each_key_twice() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        for (m, evals) in [(2u32, 2u64), (32, 2), (64, 2), (256, 3)] {
+        for m in [2u32, 32, 64, 256] {
             let calls = AtomicU64::new(0);
             let bucket = FnBuckets::new(m, |k| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -1401,7 +1278,7 @@ mod tests {
             let r = multisplit_device(&dev, Method::Fused, &keys, no_values(), n, &bucket, 8);
             let evaluated = calls.swap(0, Ordering::Relaxed);
             assert_eq!(r.keys.to_vec(), multisplit_kv_ref(&data, None, &bucket).0);
-            assert_eq!(evaluated, evals * n as u64, "m={m}");
+            assert_eq!(evaluated, 2 * n as u64, "m={m}");
         }
     }
 

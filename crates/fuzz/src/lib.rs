@@ -276,7 +276,7 @@ impl Common {
     /// `key_seed` itself, at their place among its own draws.
     fn draw(rng: &mut SmallRng, kv: bool, sched_ix: usize) -> Common {
         let sched = sched_for(sched_ix, rng);
-        let wpb = [2usize, 4, 8][(rng.next_u32() % 3) as usize];
+        let wpb = [2usize, 4, 8, 16, 32][(rng.next_u32() % 5) as usize];
         Common {
             kv,
             dist: KeyDist::Uniform,
@@ -1556,7 +1556,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(h, 0xe6b9_16e8_41c1_d31f, "digest {h:#018x}");
+        assert_eq!(h, 0xf6b0_5e46_3fd7_7a03, "digest {h:#018x}");
     }
 
     #[test]

@@ -80,8 +80,11 @@ fn spin_wait_published(
     waiting_on: usize,
     obs: &ObsCells,
 ) -> (u64, u64) {
-    let mut spins = 0u64;
-    let mut last_word = u64::MAX;
+    // The poll before the first decision point: a tile that the
+    // scheduler holds there until its predecessor publishes has seen the
+    // word unpublished, and counts it.
+    let mut last_word = state.device_peek(idx);
+    let mut spins = u64::from(last_word & 3 == FLAG_EMPTY);
     loop {
         // Adversarial yield point, marking this block as *waiting on
         // tile `waiting_on`'s published state* (the straggler policy's

@@ -417,37 +417,54 @@ fn injected_stall_in_a_later_segment_names_its_global_ticket() {
 /// way forward and gets released — the session terminates and tile 1
 /// resolves to tile 0's aggregate. Hanging here would mean the release
 /// heuristic can't see a look-back spin on another stream's worker.
+/// Tile 1 polled the unpublished word before the scheduler held it, so
+/// its launch and its flight-recorder `Resolve` count at least that poll,
+/// at every seed (some seeds release tile 0 before tile 1 polls again).
 #[test]
 fn straggler_parks_one_stream_while_another_spins_in_lookback() {
-    use simt::{Stream, StreamTask};
-    let dev = Device::adversarial(K40C, AdvSchedule::with_flavor(0xAD11, AdvFlavor::Straggler));
-    let states = primitives::SegmentedTileStates::new(&[(2, 1)]);
-    let ticket = GlobalBuffer::<u32>::zeroed(1);
-    let tile = |aggregate: u32| {
-        let (states, ticket, dev) = (&states, &ticket, &dev);
-        Box::new(move |_: &Stream| {
-            let got = std::sync::Mutex::new((0, 0));
-            dev.launch("chain", 1, 1, |blk| {
-                let w = blk.warp(0);
-                let t = w.device_fetch_add(ticket, 0, 1) as usize;
-                let prefix = states.resolve_rows(&w, 0, t, &[aggregate])[0];
-                *got.lock().unwrap() = (t, prefix);
-            });
-            got.into_inner().unwrap()
-        }) as StreamTask<'_, (usize, u32)>
-    };
-    let got = dev.concurrent(vec![tile(5), tile(7)]);
-    let aggregates = [5, 7];
-    let first = got
-        .iter()
-        .position(|&(t, _)| t == 0)
-        .expect("one stream claims ticket 0");
-    assert_eq!(got[first].1, 0, "tile 0 has no predecessor");
-    assert_eq!(
-        got[1 - first],
-        (1, aggregates[first]),
-        "tile 1 resolves to the parked stream's aggregate"
-    );
+    use simt::{EventKind, LaunchRecord, Stream, StreamTask};
+    for seed in 0xAD10..0xAD18 {
+        let dev = Device::adversarial(K40C, AdvSchedule::with_flavor(seed, AdvFlavor::Straggler));
+        let states = primitives::SegmentedTileStates::new(&[(2, 1)]);
+        let ticket = GlobalBuffer::<u32>::zeroed(1);
+        let tile = |aggregate: u32| {
+            let (states, ticket, dev) = (&states, &ticket, &dev);
+            Box::new(move |_: &Stream| {
+                let got = std::sync::Mutex::new((0, 0));
+                dev.launch("chain", 1, 1, |blk| {
+                    let w = blk.warp(0);
+                    let t = w.device_fetch_add(ticket, 0, 1) as usize;
+                    let prefix = states.resolve_rows(&w, 0, t, &[aggregate])[0];
+                    *got.lock().unwrap() = (t, prefix);
+                });
+                got.into_inner().unwrap()
+            }) as StreamTask<'_, (usize, u32)>
+        };
+        let got = dev.concurrent(vec![tile(5), tile(7)]);
+        let aggregates = [5, 7];
+        let first = got
+            .iter()
+            .position(|&(t, _)| t == 0)
+            .expect("one stream claims ticket 0");
+        assert_eq!(got[first].1, 0, "seed {seed:#x}: tile 0 has no predecessor");
+        assert_eq!(
+            got[1 - first],
+            (1, aggregates[first]),
+            "seed {seed:#x}: tile 1 resolves to the parked stream's aggregate"
+        );
+        let resolve_of_tile_1 = |r: &LaunchRecord| {
+            let events = &r.flight.as_ref()?.events;
+            let tile_1 = |e: &&simt::FlightEvent| e.kind == EventKind::Resolve && e.ticket == 1;
+            events.iter().find(tile_1).copied()
+        };
+        let records = dev.records();
+        let (held, resolve) = records
+            .iter()
+            .find_map(|r| Some((r, resolve_of_tile_1(r)?)))
+            .expect("tile 1's launch records its Resolve");
+        assert!(held.obs.spin_polls >= 1, "seed {seed:#x}: {:?}", held.obs);
+        assert!(resolve.b >= 1, "seed {seed:#x}: Resolve spins {resolve:?}");
+    }
 }
 
 /// A look-back stall inside a session: stream 1's launch has tile 0's
