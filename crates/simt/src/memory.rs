@@ -1,11 +1,12 @@
 //! Global (device DRAM) memory with a coalescing-aware transaction model.
 //!
-//! Storage is a slice of relaxed [`AtomicU64`] words, one per logical
-//! element. This keeps the simulator data-race free in the Rust sense even
-//! when blocks execute on different host threads — exactly mirroring the
-//! GPU, where global memory is shared and unordered within a kernel, and
-//! any cross-block communication discipline is the kernel's problem, not
-//! the hardware's.
+//! Storage is a slice of relaxed atomic words, each as wide as its
+//! element on the device ([`Scalar::Word`]: an [`AtomicU32`] per `u32`, an
+//! [`AtomicU64`] per 8-byte element). This keeps the simulator data-race
+//! free in the Rust sense even when blocks execute on different host
+//! threads — exactly mirroring the GPU, where global memory is shared and
+//! unordered within a kernel, and any cross-block communication
+//! discipline is the kernel's problem, not the hardware's.
 //!
 //! Kernels access a buffer through [`WarpCtx`](crate::WarpCtx), which
 //! owns every counted access; this module holds the storage, the race
@@ -19,10 +20,12 @@
 //! stages.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::lanes::{active_lanes, lane_active, Lanes, WARP_SIZE};
 use crate::stats::StatCells;
+use crate::stream::{self, CrossEpoch};
 
 /// DRAM sector size in bytes.
 pub const SECTOR_BYTES: u64 = 32;
@@ -105,93 +108,264 @@ pub(crate) fn enter_epoch(epoch: u32) -> EpochPin {
 
 /// An element type that can live in simulated global memory.
 ///
-/// Each element occupies one 64-bit storage word; `BYTES` is the *logical*
-/// size used for address/sector arithmetic, so a `u32` buffer has the same
-/// coalescing behaviour as on real hardware even though the host shadow
-/// storage is wider.
+/// Each element lives in one host atomic [`Word`](Scalar::Word) as wide as
+/// the element on the device; `BYTES` is that width, used for
+/// address/sector arithmetic, so a `u32` buffer has the coalescing
+/// behaviour (and the host footprint) it has on real hardware.
 pub trait Scalar: Copy + Default + Send + Sync + 'static {
-    /// Logical element size on the device, in bytes.
+    /// Element size on the device, in bytes.
     const BYTES: u64;
-    fn to_bits(self) -> u64;
-    fn from_bits(bits: u64) -> Self;
+    /// The host atomic one element is stored in.
+    type Word: Send + Sync;
+    fn word(self) -> Self::Word;
+    fn load(word: &Self::Word, order: Ordering) -> Self;
+    fn store(self, word: &Self::Word, order: Ordering);
 }
 
 impl Scalar for u32 {
     const BYTES: u64 = 4;
+    type Word = AtomicU32;
     #[inline]
-    fn to_bits(self) -> u64 {
-        self as u64
+    fn word(self) -> AtomicU32 {
+        AtomicU32::new(self)
     }
     #[inline]
-    fn from_bits(bits: u64) -> Self {
-        bits as u32
+    fn load(word: &AtomicU32, order: Ordering) -> Self {
+        word.load(order)
+    }
+    #[inline]
+    fn store(self, word: &AtomicU32, order: Ordering) {
+        word.store(self, order)
     }
 }
 
 impl Scalar for u64 {
     const BYTES: u64 = 8;
+    type Word = AtomicU64;
     #[inline]
-    fn to_bits(self) -> u64 {
-        self
+    fn word(self) -> AtomicU64 {
+        AtomicU64::new(self)
     }
     #[inline]
-    fn from_bits(bits: u64) -> Self {
-        bits
+    fn load(word: &AtomicU64, order: Ordering) -> Self {
+        word.load(order)
+    }
+    #[inline]
+    fn store(self, word: &AtomicU64, order: Ordering) {
+        word.store(self, order)
     }
 }
 
 /// A key–value pair moved as one 8-byte element (used by the packed
-/// reduced-bit sort path, paper §3.4).
+/// reduced-bit sort path, paper §3.4): the key in the high half.
 impl Scalar for (u32, u32) {
     const BYTES: u64 = 8;
+    type Word = AtomicU64;
     #[inline]
-    fn to_bits(self) -> u64 {
-        (self.0 as u64) << 32 | self.1 as u64
+    fn word(self) -> AtomicU64 {
+        AtomicU64::new((self.0 as u64) << 32 | self.1 as u64)
     }
     #[inline]
-    fn from_bits(bits: u64) -> Self {
+    fn load(word: &AtomicU64, order: Ordering) -> Self {
+        let bits = word.load(order);
         ((bits >> 32) as u32, bits as u32)
+    }
+    #[inline]
+    fn store(self, word: &AtomicU64, order: Ordering) {
+        word.store((self.0 as u64) << 32 | self.1 as u64, order)
     }
 }
 
 /// A buffer in simulated device global memory.
 pub struct GlobalBuffer<T: Scalar> {
-    words: Box<[AtomicU64]>,
-    /// Per-element race-detector write marks: `(epoch << 32) | writer_block`,
-    /// recording who last wrote each element and in which kernel epoch.
-    marks: Option<Box<[AtomicU64]>>,
-    /// Per-element race-detector read marks (same layout), recording the
-    /// last *counted* reader — the TL2-style versioned-clock side: a
+    words: Box<[T::Word]>,
+    /// The race detector's state, on a [tracked](Self::tracked) buffer.
+    marks: Option<Marks>,
+    /// Counted sectors attributed to *this* buffer across its lifetime
+    /// (warp-scope accesses only). `BlockStats` aggregates sectors per
+    /// launch with no per-buffer attribution; claims like "the key buffer
+    /// is read once" need the traffic split by buffer instead. Only counted
+    /// accesses bump it, so it is schedule-independent.
+    sectors: SectorTally,
+}
+
+/// The race detector's per-element marks, each `(epoch << 32) | actor`.
+struct Marks {
+    /// Who last wrote each element, and in which kernel epoch.
+    writes: Box<[AtomicU64]>,
+    /// The last counted reader of each element inside a
+    /// [`crate::Device::concurrent`] session — the versioned-clock side: a
     /// cross-stream write over an unsynchronized read is a hazard too.
-    read_marks: Option<Box<[AtomicU64]>>,
-    /// Counted read sectors attributed to *this* buffer across its lifetime
-    /// (warp-scope reads only). `BlockStats` aggregates sectors per launch
-    /// with no per-buffer attribution; claims like "the key buffer is read
-    /// once" need the traffic split by buffer instead. Only counted reads
-    /// bump it, so it is schedule-independent.
-    read_sectors: AtomicU64,
-    /// Counted write sectors of warp-scope writes into this buffer: the
-    /// write side of `read_sectors`.
-    write_sectors: AtomicU64,
-    _elem: std::marker::PhantomData<T>,
+    /// Reads outside a session are not recorded, since no later write can
+    /// race with them (see [`crate::stream`]), so the marks are allocated
+    /// at a buffer's first read inside a session.
+    reads: OnceLock<Box<[AtomicU64]>>,
+}
+
+fn zeroed_marks(len: usize) -> Box<[AtomicU64]> {
+    (0..len).map(|_| AtomicU64::new(0)).collect()
+}
+
+impl Marks {
+    /// Race-check the active lanes of a warp-scope read request.
+    fn check_reads(&self, idx: &Lanes<usize>, mask: u32) {
+        stream::with_current(|stream| {
+            let mut access = Access::new(stream);
+            let reads = access
+                .cross
+                .is_some()
+                .then(|| &self.reads.get_or_init(|| zeroed_marks(self.writes.len()))[..]);
+            for lane in active_lanes(mask) {
+                access.read(self, reads, idx[lane]);
+            }
+        })
+    }
+
+    /// Race-check the active lanes of a warp-scope write request.
+    fn check_writes(&self, idx: &Lanes<usize>, mask: u32) {
+        stream::with_current(|stream| {
+            let mut access = Access::new(stream);
+            for lane in active_lanes(mask) {
+                access.write(self, idx[lane]);
+            }
+        })
+    }
+}
+
+/// Shards of [`SectorTally`]: host threads bump their own shard, so the
+/// workers of one launch do not contend on one counter.
+const TALLY_SHARDS: usize = 8;
+
+static NEXT_TALLY_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The [`SectorTally`] shard this host thread bumps.
+    static TALLY_SHARD: usize = NEXT_TALLY_SHARD.fetch_add(1, Ordering::Relaxed) % TALLY_SHARDS;
+}
+
+/// A buffer's counted read and write sectors, summed over shards on read.
+#[derive(Default)]
+struct SectorTally([TallyShard; TALLY_SHARDS]);
+
+/// One cache line per shard: `[read sectors, write sectors]`.
+#[derive(Default)]
+#[repr(align(64))]
+struct TallyShard([AtomicU64; 2]);
+
+impl SectorTally {
+    fn add(&self, write: bool, sectors: u64) {
+        let shard = TALLY_SHARD.with(|s| *s);
+        self.0[shard].0[write as usize].fetch_add(sectors, Ordering::Relaxed);
+    }
+
+    fn total(&self, write: bool) -> u64 {
+        let counters = self.0.iter().map(|s| &s.0[write as usize]);
+        counters.map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+}
+
+/// The race-check context of one tracked warp request: who is accessing,
+/// read once per request.
+struct Access<'s> {
+    epoch: u32,
+    /// This access's mark, `(epoch << 32) | actor`.
+    mark: u64,
+    /// The versioned-clock check, inside a [`crate::Device::concurrent`]
+    /// session only: outside one every cross-epoch access is ordered.
+    cross: Option<CrossEpoch<'s>>,
+}
+
+impl<'s> Access<'s> {
+    fn new(stream: Option<&'s stream::StreamState>) -> Self {
+        let epoch = current_epoch();
+        Self {
+            epoch,
+            mark: (epoch as u64) << 32 | current_actor() as u64,
+            cross: stream.map(CrossEpoch::new),
+        }
+    }
+
+    /// Write-side check of element `idx`: within one epoch each element
+    /// may be written at most once, and inside a session a write must not
+    /// overlap another stream's write or read.
+    fn write(&mut self, marks: &Marks, idx: usize) {
+        let prev = marks.writes[idx].swap(self.mark, Ordering::Relaxed);
+        let prev_epoch = (prev >> 32) as u32;
+        assert_ne!(
+            prev_epoch, self.epoch,
+            "race detector: element {idx} written twice within one kernel epoch"
+        );
+        let Some(cross) = &mut self.cross else {
+            return;
+        };
+        // Versioned-clock side: a write in a *different* epoch is ordered
+        // unless that epoch is another stream's in the same running
+        // session.
+        if prev_epoch != 0 {
+            cross.check(prev, idx, "write", "write");
+        }
+        if let Some(reads) = marks.reads.get() {
+            let rm = reads[idx].load(Ordering::Relaxed);
+            let rm_epoch = (rm >> 32) as u32;
+            if rm_epoch != 0 && rm_epoch != self.epoch {
+                cross.check(rm, idx, "read", "write");
+            }
+        }
+    }
+
+    /// Read-side check of element `idx` for *counted* gathers: an element
+    /// written this epoch by a different block has no happens-before edge
+    /// to this read (plain loads/stores are unordered across blocks within
+    /// a kernel), so observing it is a hazard even if the simulator
+    /// happened to deliver the value. Reads of the writer's own data are
+    /// fine (program order), and `device_*` ops skip this by design — they
+    /// *are* the cross-block ordering discipline. Inside a session the
+    /// read is recorded in `reads` (that buffer's read marks).
+    fn read(&mut self, marks: &Marks, reads: Option<&[AtomicU64]>, idx: usize) {
+        let mark = marks.writes[idx].load(Ordering::Relaxed);
+        let mark_epoch = (mark >> 32) as u32;
+        if mark_epoch == self.epoch {
+            let writer = mark as u32;
+            let reader = self.mark as u32;
+            assert_eq!(
+                writer,
+                reader,
+                "race detector: read-write hazard on element {idx}: read by {} but \
+                 written by {} within the same kernel epoch (cross-block data must \
+                 flow through device-scope ops or a new epoch)",
+                actor_name(reader),
+                actor_name(writer)
+            );
+        } else if mark_epoch != 0 {
+            // Versioned-clock side: reading the write of another stream of
+            // the same session is a hazard.
+            if let Some(cross) = &mut self.cross {
+                cross.check(mark, idx, "write", "read");
+            }
+        }
+        if let Some(reads) = reads {
+            reads[idx].store(self.mark, Ordering::Relaxed);
+        }
+    }
 }
 
 impl<T: Scalar> GlobalBuffer<T> {
     /// Allocate and upload `data`.
     pub fn from_slice(data: &[T]) -> Self {
-        Self {
-            words: data.iter().map(|v| AtomicU64::new(v.to_bits())).collect(),
-            marks: None,
-            read_marks: None,
-            read_sectors: AtomicU64::new(0),
-            write_sectors: AtomicU64::new(0),
-            _elem: std::marker::PhantomData,
-        }
+        Self::from_words(data.iter().map(|v| v.word()).collect())
     }
 
     /// Allocate `len` default-initialized elements.
     pub fn zeroed(len: usize) -> Self {
-        Self::from_slice(&vec![T::default(); len])
+        Self::from_words((0..len).map(|_| T::default().word()).collect())
+    }
+
+    fn from_words(words: Box<[T::Word]>) -> Self {
+        Self {
+            words,
+            marks: None,
+            sectors: SectorTally::default(),
+        }
     }
 
     /// Enable the race detector: within one *epoch* (kernel launch) each
@@ -202,8 +376,10 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// panic with the offending index and the blocks involved. Used by
     /// tests to prove scatter disjointness and single-epoch data flow.
     pub fn tracked(mut self) -> Self {
-        self.marks = Some((0..self.words.len()).map(|_| AtomicU64::new(0)).collect());
-        self.read_marks = Some((0..self.words.len()).map(|_| AtomicU64::new(0)).collect());
+        self.marks = Some(Marks {
+            writes: zeroed_marks(self.words.len()),
+            reads: OnceLock::new(),
+        });
         self
     }
 
@@ -219,7 +395,7 @@ impl<T: Scalar> GlobalBuffer<T> {
     pub fn to_vec(&self) -> Vec<T> {
         self.words
             .iter()
-            .map(|w| T::from_bits(w.load(Ordering::Relaxed)))
+            .map(|w| T::load(w, Ordering::Relaxed))
             .collect()
     }
 
@@ -229,95 +405,31 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// communication / inspection channels, not the bulk data stream this
     /// attributes.
     pub fn read_sectors(&self) -> u64 {
-        self.read_sectors.load(Ordering::Relaxed)
+        self.sectors.total(false)
     }
 
     /// Total 32 B sectors billed to counted warp-scope *writes* into this
     /// buffer (`scatter` + `scatter_merged`) since allocation, with the
     /// exclusions of [`read_sectors`](Self::read_sectors).
     pub fn write_sectors(&self) -> u64 {
-        self.write_sectors.load(Ordering::Relaxed)
+        self.sectors.total(true)
     }
 
     /// Host-side single element read (no transaction accounting).
     pub fn get(&self, idx: usize) -> T {
-        T::from_bits(self.words[idx].load(Ordering::Relaxed))
+        T::load(&self.words[idx], Ordering::Relaxed)
     }
 
     /// Host-side single element write (no transaction accounting).
     pub fn set(&self, idx: usize, v: T) {
-        self.words[idx].store(v.to_bits(), Ordering::Relaxed);
+        v.store(&self.words[idx], Ordering::Relaxed);
     }
 
     /// Overwrite the whole buffer from the host.
     pub fn upload(&self, data: &[T]) {
         assert_eq!(data.len(), self.len(), "upload length mismatch");
         for (w, v) in self.words.iter().zip(data) {
-            w.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    fn check_write_mark(&self, idx: usize) {
-        if let Some(marks) = &self.marks {
-            let epoch = current_epoch();
-            let mark = (epoch as u64) << 32 | current_actor() as u64;
-            let prev = marks[idx].swap(mark, Ordering::Relaxed);
-            let prev_epoch = (prev >> 32) as u32;
-            assert_ne!(
-                prev_epoch, epoch,
-                "race detector: element {idx} written twice within one kernel epoch"
-            );
-            // Versioned-clock side: a write in a *different* epoch is
-            // ordered unless that epoch is another stream's in the same
-            // running session (see crate::stream).
-            if prev_epoch != 0 {
-                crate::stream::check_cross_epoch(prev_epoch, prev as u32, idx, "write", "write");
-            }
-            if let Some(reads) = &self.read_marks {
-                let rm = reads[idx].load(Ordering::Relaxed);
-                let rm_epoch = (rm >> 32) as u32;
-                if rm_epoch != 0 && rm_epoch != epoch {
-                    crate::stream::check_cross_epoch(rm_epoch, rm as u32, idx, "read", "write");
-                }
-            }
-        }
-    }
-
-    /// Read-side race check for *counted* gathers: an element written this
-    /// epoch by a different block has no happens-before edge to this read
-    /// (plain loads/stores are unordered across blocks within a kernel), so
-    /// observing it is a hazard even if the simulator happened to deliver
-    /// the value. Reads of the writer's own data are fine (program order),
-    /// and `device_*` ops skip this by design — they *are* the cross-block
-    /// ordering discipline.
-    fn check_read_mark(&self, idx: usize) {
-        if let Some(marks) = &self.marks {
-            let epoch = current_epoch();
-            let mark = marks[idx].load(Ordering::Relaxed);
-            let mark_epoch = (mark >> 32) as u32;
-            if mark_epoch == epoch {
-                let writer = mark as u32;
-                let reader = current_actor();
-                assert_eq!(
-                    writer,
-                    reader,
-                    "race detector: read-write hazard on element {idx}: read by {} but \
-                     written by {} within the same kernel epoch (cross-block data must \
-                     flow through device-scope ops or a new epoch)",
-                    actor_name(reader),
-                    actor_name(writer)
-                );
-            } else if mark_epoch != 0 {
-                // Versioned-clock side: reading the write of another
-                // stream of the same session is a hazard.
-                crate::stream::check_cross_epoch(mark_epoch, mark as u32, idx, "write", "read");
-            }
-            if let Some(reads) = &self.read_marks {
-                reads[idx].store(
-                    (epoch as u64) << 32 | current_actor() as u64,
-                    Ordering::Relaxed,
-                );
-            }
+            v.store(w, Ordering::Relaxed);
         }
     }
 
@@ -331,16 +443,16 @@ impl<T: Scalar> GlobalBuffer<T> {
         mask: u32,
     ) -> Lanes<T> {
         let order = scope.enter();
+        if let (Some(marks), Scope::Warp) = (&self.marks, scope) {
+            marks.check_reads(&idx, mask);
+        }
         let mut out = [T::default(); WARP_SIZE];
         for lane in active_lanes(mask) {
-            if scope == Scope::Warp {
-                self.check_read_mark(idx[lane]);
-            }
-            out[lane] = T::from_bits(self.words[idx[lane]].load(order));
+            out[lane] = T::load(&self.words[idx[lane]], order);
         }
         let sectors = path.bill::<T>(stats, &idx, mask);
         if scope == Scope::Warp {
-            self.read_sectors.fetch_add(sectors, Ordering::Relaxed);
+            self.sectors.add(false, sectors);
         }
         out
     }
@@ -357,15 +469,15 @@ impl<T: Scalar> GlobalBuffer<T> {
         mask: u32,
     ) {
         let order = scope.enter();
+        if let (Some(marks), Scope::Warp) = (&self.marks, scope) {
+            marks.check_writes(&idx, mask);
+        }
         for lane in active_lanes(mask) {
-            if scope == Scope::Warp {
-                self.check_write_mark(idx[lane]);
-            }
-            self.words[idx[lane]].store(val[lane].to_bits(), order);
+            val[lane].store(&self.words[idx[lane]], order);
         }
         let sectors = path.bill::<T>(stats, &idx, mask);
         if scope == Scope::Warp {
-            self.write_sectors.fetch_add(sectors, Ordering::Relaxed);
+            self.sectors.add(true, sectors);
         }
     }
 
@@ -379,13 +491,14 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// [`crate::sched::spin_yield`] instead, which is what lets the
     /// straggler policy see "every other block is stuck polling".
     pub fn device_peek(&self, idx: usize) -> T {
-        T::from_bits(self.words[idx].load(Ordering::SeqCst))
+        T::load(&self.words[idx], Ordering::SeqCst)
     }
 }
 
 impl GlobalBuffer<u32> {
     /// The body of every counted atomic: active lanes apply `rmw` with
-    /// `val[lane]` to `idx[lane]` and get the previous values. Counts one
+    /// `val[lane]` to `idx[lane]` and get the previous values, in 32-bit
+    /// arithmetic as on the device (an add wraps at 2^32). Counts one
     /// atomic op per active lane and one conflict per lane whose address an
     /// earlier lane hit (they serialize on real hardware). Atomics commute,
     /// so neither scope race-checks them.
@@ -398,7 +511,7 @@ impl GlobalBuffer<u32> {
         idx: Lanes<usize>,
         val: Lanes<u32>,
         mask: u32,
-        rmw: impl Fn(&AtomicU64, u64, Ordering) -> u64,
+        rmw: impl Fn(&AtomicU32, u32, Ordering) -> u32,
     ) -> Lanes<u32> {
         let order = scope.enter();
         let mut out = [0u32; WARP_SIZE];
@@ -406,7 +519,7 @@ impl GlobalBuffer<u32> {
         let mut seen = [0usize; WARP_SIZE];
         let mut n = 0usize;
         for lane in active_lanes(mask) {
-            out[lane] = rmw(&self.words[idx[lane]], val[lane] as u64, order) as u32;
+            out[lane] = rmw(&self.words[idx[lane]], val[lane], order);
             if seen[..n].contains(&idx[lane]) {
                 conflicts += 1;
             } else {
@@ -439,13 +552,6 @@ pub(crate) enum Path {
 impl Path {
     /// Bill one request (sectors, useful bytes, the request, a lane op per
     /// active lane) and return its sectors; an empty mask is free.
-    ///
-    /// On [`Path::Dram`], *replays* model the load/store unit: it issues
-    /// one pass per maximal run of consecutive lanes accessing consecutive
-    /// addresses, so a request whose lanes are shuffled across buckets
-    /// replays many times even when its address *set* is compact — the cost
-    /// the paper's shared-memory reordering eliminates.
-    #[allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
     fn bill<T: Scalar>(self, stats: &StatCells, idx: &Lanes<usize>, mask: u32) -> u64 {
         if mask == 0 {
             return 0;
@@ -453,29 +559,9 @@ impl Path {
         let active = mask.count_ones() as u64;
         let sectors = match self {
             Path::Dram => {
-                let mut seen = [0u64; WARP_SIZE];
-                let mut n = 0usize;
-                let mut replays = 0u64;
-                let mut prev: Option<usize> = None;
-                for lane in 0..WARP_SIZE {
-                    if lane_active(mask, lane) {
-                        // An element may straddle two sectors only if
-                        // misaligned; our 4/8-byte elements never do.
-                        let s = idx[lane] as u64 * T::BYTES / SECTOR_BYTES;
-                        if !seen[..n].contains(&s) {
-                            seen[n] = s;
-                            n += 1;
-                        }
-                        if prev != Some(idx[lane].wrapping_sub(1)) {
-                            replays += 1;
-                        }
-                        prev = Some(idx[lane]);
-                    } else {
-                        prev = None;
-                    }
-                }
-                StatCells::bump(&stats.replays, replays - 1);
-                n as u64
+                let (sectors, passes) = dram_cost::<T>(idx, mask);
+                StatCells::bump(&stats.replays, passes - 1);
+                sectors
             }
             Path::L2 => (active * T::BYTES).div_ceil(SECTOR_BYTES),
         };
@@ -485,6 +571,60 @@ impl Path {
         StatCells::bump(&stats.lane_ops, active);
         sectors
     }
+}
+
+/// The sector holding element `i`. An element may straddle two sectors
+/// only if misaligned; our 4/8-byte elements never do.
+#[inline]
+fn sector_of<T: Scalar>(i: usize) -> u64 {
+    i as u64 * T::BYTES / SECTOR_BYTES
+}
+
+/// `(distinct sectors, LSU passes)` of a non-empty DRAM request.
+///
+/// The load/store unit issues one pass per maximal run of consecutive
+/// lanes accessing consecutive addresses, so a request whose lanes are
+/// shuffled across buckets replays many times even when its address *set*
+/// is compact — the cost the paper's shared-memory reordering eliminates.
+/// A contiguous request — one run of active lanes at consecutive
+/// addresses — is one pass, and its sectors follow by arithmetic.
+fn dram_cost<T: Scalar>(idx: &Lanes<usize>, mask: u32) -> (u64, u64) {
+    let first = mask.trailing_zeros() as usize;
+    let run = mask.count_ones() as usize;
+    let last = first + run - 1;
+    let contiguous = u64::from(mask >> first) == u64::MAX >> (64 - run)
+        && (first..=last).all(|lane| idx[lane] == idx[first].wrapping_add(lane - first));
+    if contiguous {
+        let sectors = sector_of::<T>(idx[last]) - sector_of::<T>(idx[first]) + 1;
+        return (sectors, 1);
+    }
+    dram_cost_by_lanes::<T>(idx, mask)
+}
+
+/// [`dram_cost`] of any request, lane by lane: each sector is compared
+/// with the distinct ones seen so far.
+#[allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
+fn dram_cost_by_lanes<T: Scalar>(idx: &Lanes<usize>, mask: u32) -> (u64, u64) {
+    let mut seen = [0u64; WARP_SIZE];
+    let mut n = 0usize;
+    let mut passes = 0u64;
+    let mut prev: Option<usize> = None;
+    for lane in 0..WARP_SIZE {
+        if lane_active(mask, lane) {
+            let s = sector_of::<T>(idx[lane]);
+            if !seen[..n].contains(&s) {
+                seen[n] = s;
+                n += 1;
+            }
+            if prev != Some(idx[lane].wrapping_sub(1)) {
+                passes += 1;
+            }
+            prev = Some(idx[lane]);
+        } else {
+            prev = None;
+        }
+    }
+    (n as u64, passes)
 }
 
 /// Ordering and race checking of a counted access.
@@ -518,6 +658,7 @@ mod tests {
     #![allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
     use super::*;
     use crate::lanes::{lanes_from_fn, splat, FULL_MASK};
+    use crate::profile::K40C;
     use crate::warp::WarpCtx;
 
     /// Start a new race-detection epoch on this thread, as a kernel
@@ -534,14 +675,19 @@ mod tests {
         WarpCtx::new(0, 0, st)
     }
 
+    fn roundtrip<T: Scalar>(v: T) -> T {
+        let word = v.word();
+        T::default().store(&word, Ordering::Relaxed);
+        v.store(&word, Ordering::Relaxed);
+        T::load(&word, Ordering::Relaxed)
+    }
+
     #[test]
     fn scalar_roundtrips() {
-        assert_eq!(u32::from_bits(12345u32.to_bits()), 12345);
-        assert_eq!(u64::from_bits(u64::MAX.to_bits()), u64::MAX);
-        assert_eq!(
-            <(u32, u32)>::from_bits((0xDEAD, 0xBEEF).to_bits()),
-            (0xDEAD, 0xBEEF)
-        );
+        assert_eq!(roundtrip(12345u32), 12345);
+        assert_eq!(roundtrip(u64::MAX), u64::MAX);
+        assert_eq!(roundtrip((0xDEAD, 0xBEEF)), (0xDEAD, 0xBEEF));
+        assert_eq!(std::mem::size_of::<<u32 as Scalar>::Word>(), 4);
     }
 
     #[test]
@@ -730,6 +876,92 @@ mod tests {
             assert_eq!(s.sectors, 2, "{op}: sectors");
             assert_eq!(s.atomic_ops, 32, "{op}: atomic ops");
             assert_eq!(s.atomic_conflicts, 30, "{op}: conflicts");
+        }
+    }
+
+    /// `u32` atomics are 32-bit operations, as on the device: an add past
+    /// `u32::MAX` wraps, a later min compares the wrapped `u32`, and
+    /// device tickets count on through the wrap.
+    #[test]
+    fn u32_atomics_work_at_device_width() {
+        let buf = GlobalBuffer::from_slice(&[u32::MAX - 1, 0]);
+        let st = cells();
+        let w = warp(&st);
+        let prev = w.atomic_add(&buf, splat(0), splat(1), 0b111);
+        assert_eq!(prev[..3], [u32::MAX - 1, u32::MAX, 0]);
+        assert_eq!(buf.get(0), 1, "the add wraps");
+        // A 64-bit word would hold 2^32 + 1 here, and min would store 5.
+        let prev = w.atomic_min(&buf, splat(0), splat(5), 1);
+        assert_eq!((prev[0], buf.get(0)), (1, 1), "min compares as u32");
+        let tickets: Vec<u32> = (0..3).map(|_| w.device_fetch_add(&buf, 1, 1)).collect();
+        assert_eq!(tickets, [0, 1, 2]);
+        buf.set(1, u32::MAX);
+        let tickets: Vec<u32> = (0..2).map(|_| w.device_fetch_add(&buf, 1, 1)).collect();
+        assert_eq!(tickets, [u32::MAX, 0]);
+    }
+
+    /// The contiguous-request path prices every request exactly as the
+    /// lane-by-lane walk does.
+    #[test]
+    fn contiguous_dram_cost_matches_the_lane_walk() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..6000 {
+            let base = (next() % 200) as usize;
+            let mut idx = lanes_from_fn(|l| base + l);
+            // Mostly contiguous runs; some with one lane displaced.
+            if case % 4 == 3 {
+                idx[(next() % 32) as usize] = (next() % 300) as usize;
+            }
+            let mask = match case % 3 {
+                0 => FULL_MASK,
+                1 => {
+                    let (lo, len) = ((next() % 32) as u32, 1 + next() % 32);
+                    ((u64::MAX >> (64 - len)) << lo) as u32
+                }
+                _ => next() as u32,
+            };
+            if mask == 0 {
+                continue;
+            }
+            assert_eq!(
+                dram_cost::<u32>(&idx, mask),
+                dram_cost_by_lanes::<u32>(&idx, mask),
+                "u32 {idx:?} mask {mask:#x}"
+            );
+            assert_eq!(
+                dram_cost::<u64>(&idx, mask),
+                dram_cost_by_lanes::<u64>(&idx, mask),
+                "u64 {idx:?} mask {mask:#x}"
+            );
+        }
+    }
+
+    /// The per-buffer sector tallies are exact whichever host threads
+    /// bill them: a coalesced copy of n `u32`s reads and writes n / 8
+    /// sectors.
+    #[test]
+    fn buffer_sector_tallies_are_exact_on_every_executor() {
+        let n = 1 << 14;
+        for dev in [crate::Device::new(K40C), crate::Device::sequential(K40C)] {
+            let src = GlobalBuffer::from_slice(&(0..n as u32).collect::<Vec<_>>());
+            let dst = GlobalBuffer::<u32>::zeroed(n).tracked();
+            dev.launch("copy", n / 64, 2, |blk| {
+                for w in blk.warps() {
+                    let idx = lanes_from_fn(|l| w.global_warp_id * 32 + l);
+                    let v = w.gather(&src, idx, FULL_MASK);
+                    w.scatter(&dst, idx, v, FULL_MASK);
+                }
+            });
+            assert_eq!(dst.to_vec(), src.to_vec());
+            assert_eq!(src.read_sectors(), n as u64 / 8);
+            assert_eq!(dst.write_sectors(), n as u64 / 8);
+            assert_eq!((src.write_sectors(), dst.read_sectors()), (0, 0));
         }
     }
 

@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 
-use crate::lanes::{active_lanes, Lanes, WARP_SIZE};
+use crate::lanes::{active_lanes, lanes_from_fn, Lanes, WARP_SIZE};
 use crate::memory::Scalar;
 use crate::stats::StatCells;
 
@@ -69,43 +69,49 @@ impl<'a, T: Scalar> SharedBuf<'a, T> {
     /// the active lane count (the serialization a conflict-free layout
     /// would have avoided — zero for an unconflicted access).
     ///
-    /// Broadcast dedupe is bank-local: a word equal to its bank's first
-    /// word is free, and only a bank that sees a second distinct word
-    /// falls back to the exact linear search over those later words. A
-    /// conflict-free access (one word per bank) never searches.
-    #[allow(clippy::needless_range_loop)] // lane-indexed loops are the warp idiom
+    /// Plain accesses are priced in rounds: each round keeps one word per
+    /// bank (its last remaining lane's) and retires every lane holding
+    /// it, so the rounds a request takes are the most distinct words any
+    /// bank sees. A round is branch-free over all 32 lanes, with inactive
+    /// and retired lanes parked in a 33rd bank; a conflict-free access
+    /// takes one round. Atomics count the active lanes per bank instead.
     fn bank_cost(idx: &Lanes<usize>, mask: u32, serialize_duplicates: bool) -> (u64, u64) {
         if mask == 0 {
             return (0, 0);
         }
-        let mut banks_seen = 0u32;
-        let mut first_word = [0usize; SMEM_BANKS];
-        // Passes each bank takes beyond its first word's.
-        let mut extra = [0u64; SMEM_BANKS];
-        let mut worst_extra = 0;
-        let mut later_words = [0usize; WARP_SIZE];
-        let mut n_later = 0usize;
-        for lane in active_lanes(mask) {
-            // Bank id depends on the 4-byte word address.
-            let word = idx[lane] * (T::BYTES as usize / 4).max(1);
-            let bank = word % SMEM_BANKS;
-            if banks_seen >> bank & 1 == 0 {
-                banks_seen |= 1 << bank;
-                first_word[bank] = word;
-                continue;
+        // Bank id depends on the 4-byte word address.
+        let words = lanes_from_fn(|l| idx[l] * (T::BYTES as usize / 4).max(1));
+        let bank = |live: u32, l: usize| {
+            if live >> l & 1 == 1 {
+                words[l] % SMEM_BANKS
+            } else {
+                SMEM_BANKS
             }
-            if !serialize_duplicates {
-                if first_word[bank] == word || later_words[..n_later].contains(&word) {
-                    continue; // broadcast: no extra pass
+        };
+        let passes = if serialize_duplicates {
+            let mut lanes_in = [0u8; SMEM_BANKS + 1];
+            for l in 0..WARP_SIZE {
+                lanes_in[bank(mask, l)] += 1;
+            }
+            lanes_in[..SMEM_BANKS].iter().copied().max().unwrap_or(0) as u64
+        } else {
+            let (mut live, mut rounds) = (mask, 0);
+            while live != 0 {
+                let mut kept = [0usize; SMEM_BANKS + 1];
+                for l in 0..WARP_SIZE {
+                    kept[bank(live, l)] = words[l];
                 }
-                later_words[n_later] = word;
-                n_later += 1;
+                let mut other = 0u32;
+                for l in 0..WARP_SIZE {
+                    other |= ((kept[words[l] % SMEM_BANKS] != words[l]) as u32) << l;
+                }
+                live &= other;
+                rounds += 1;
             }
-            extra[bank] += 1;
-            worst_extra = worst_extra.max(extra[bank]);
-        }
+            rounds
+        };
         let lanes = mask.count_ones() as u64;
-        ((1 + worst_extra) * lanes, worst_extra * lanes)
+        (passes * lanes, (passes - 1) * lanes)
     }
 
     /// Charge one warp-wide access: serialized passes into `smem_ops`,
@@ -247,8 +253,8 @@ mod tests {
         assert_eq!(st.smem_bank_conflicts.get(), 0);
     }
 
-    /// The bank-local dedupe prices every access exactly as a linear
-    /// search over all distinct words does.
+    /// The rounds price every access exactly as a linear search over all
+    /// distinct words does.
     #[test]
     fn bank_local_dedupe_matches_a_linear_search() {
         fn linear(idx: &Lanes<usize>, mask: u32, dups: bool) -> (u64, u64) {

@@ -34,6 +34,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::lanes::WARP_SIZE;
 use crate::lock_unpoisoned;
 use crate::stats::LaunchRecord;
 
@@ -184,48 +185,74 @@ pub(crate) fn current_state() -> Option<Arc<StreamState>> {
 
 // ======================= versioned-clock hazard check =======================
 
-/// Cross-epoch hazard check, called by the tracked-buffer access paths in
-/// [`crate::memory`] for marks whose epoch differs from the current one.
-/// `prior_what` says what the marked access was ("written"/"read") and
-/// `this_what` what the current access is.
+/// Run `f` with the current thread's stream, if it is inside a
+/// [`crate::Device::concurrent`] session: the per-request entry of the
+/// race detector, which borrows the state rather than cloning it.
+pub(crate) fn with_current<R>(f: impl FnOnce(Option<&StreamState>) -> R) -> R {
+    CURRENT.with(|c| f(c.borrow().as_deref()))
+}
+
+/// Cross-epoch hazard check of one warp request inside a session, for
+/// marks whose epoch differs from the current one (see the module docs).
 ///
-/// Returns without panicking when the prior access is ordered before the
-/// current one: a host-context access, a host-lane or already-joined
-/// epoch (absent from the registry), a different session, or the same
-/// stream (FIFO program order). Anything else is a cross-stream race.
-pub(crate) fn check_cross_epoch(
-    mark_epoch: u32,
-    mark_block: u32,
-    idx: usize,
-    prior_what: &str,
-    this_what: &str,
-) {
-    let Some(state) = current_state() else {
-        // Host-context access: the host only touches buffers between
-        // sessions (concurrent() is a join), so it is always ordered.
-        return;
-    };
-    let Some(origin) = lookup_epoch(mark_epoch) else {
-        return;
-    };
-    if origin.session != state.session || origin.stream_ix == state.ix {
-        return;
+/// A prior access is ordered before the current one when its epoch is a
+/// host-lane or already-joined one (absent from the registry), another
+/// session's, or this stream's (FIFO program order); anything else is a
+/// cross-stream race and panics. The verdict depends on the epoch alone,
+/// so each distinct epoch is looked up once per request. Outside a
+/// session nothing is checked: the host and host-lane launches only touch
+/// buffers between sessions (`concurrent()` is a join), so they are
+/// always ordered.
+pub(crate) struct CrossEpoch<'s> {
+    state: &'s StreamState,
+    /// Epochs this request found ordered. A request checks at most a write
+    /// mark and a read mark per lane.
+    ordered: [u32; 2 * WARP_SIZE],
+    n: usize,
+}
+
+impl<'s> CrossEpoch<'s> {
+    pub(crate) fn new(state: &'s StreamState) -> Self {
+        Self {
+            state,
+            ordered: [0; 2 * WARP_SIZE],
+            n: 0,
+        }
     }
-    let this_seq = state.seq.load(Ordering::SeqCst);
-    let this_block = crate::memory::current_actor();
-    panic!(
-        "race detector: cross-stream {this_what}-after-{prior_what} hazard on element {idx}: \
-         {this_what} by (stream {}, launch {}, block {}) overlaps unsynchronized with the \
-         {prior_what} by (stream {}, launch {}, block {}) — streams of one concurrent \
-         session are unordered: give each stream its own buffers, or move the dependent \
-         launch into the same stream or a later session",
-        state.ix,
-        this_seq.saturating_sub(1),
-        actor(this_block),
-        origin.stream_ix,
-        origin.seq,
-        actor(mark_block),
-    );
+
+    /// Check the prior access `mark` (`(epoch << 32) | block`) to element
+    /// `idx`. `prior_what` says what it was ("write"/"read") and
+    /// `this_what` what the current access is.
+    pub(crate) fn check(&mut self, mark: u64, idx: usize, prior_what: &str, this_what: &str) {
+        let epoch = (mark >> 32) as u32;
+        if self.ordered[..self.n].contains(&epoch) {
+            return;
+        }
+        let state = self.state;
+        match lookup_epoch(epoch) {
+            Some(origin) if origin.session == state.session && origin.stream_ix != state.ix => {
+                let this_seq = state.seq.load(Ordering::SeqCst);
+                let this_block = crate::memory::current_actor();
+                panic!(
+                    "race detector: cross-stream {this_what}-after-{prior_what} hazard on element \
+                     {idx}: {this_what} by (stream {}, launch {}, block {}) overlaps \
+                     unsynchronized with the {prior_what} by (stream {}, launch {}, block {}) — \
+                     streams of one concurrent session are unordered: give each stream its own \
+                     buffers, or move the dependent launch into the same stream or a later session",
+                    state.ix,
+                    this_seq.saturating_sub(1),
+                    actor(this_block),
+                    origin.stream_ix,
+                    origin.seq,
+                    actor(mark as u32),
+                );
+            }
+            _ => {
+                self.ordered[self.n] = epoch;
+                self.n += 1;
+            }
+        }
+    }
 }
 
 fn actor(b: u32) -> String {

@@ -12,7 +12,7 @@
 //! race-checked) or device (an adversarial yield point, `SeqCst`, not
 //! race-checked); see [`crate::memory`].
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::AtomicU32;
 
 use crate::lanes::{lane_active, lanes_from_fn, splat, Lanes, WARP_SIZE};
 use crate::memory::{GlobalBuffer, Path, Scalar, Scope};
@@ -164,6 +164,7 @@ impl<'a> WarpCtx<'a> {
     }
 
     /// Warp-wide global atomic minimum; returns the previous values.
+    /// Compares as `u32`, as on the device.
     pub fn atomic_min(
         &self,
         buf: &GlobalBuffer<u32>,
@@ -171,11 +172,12 @@ impl<'a> WarpCtx<'a> {
         val: Lanes<u32>,
         mask: u32,
     ) -> Lanes<u32> {
-        let min = AtomicU64::fetch_min;
+        let min = AtomicU32::fetch_min;
         buf.atomic(self.stats, Path::Dram, Scope::Warp, idx, val, mask, min)
     }
 
-    /// Warp-wide global atomic add; returns the previous values.
+    /// Warp-wide global atomic add; returns the previous values. Wraps
+    /// at 2^32, as on the device.
     pub fn atomic_add(
         &self,
         buf: &GlobalBuffer<u32>,
@@ -183,7 +185,7 @@ impl<'a> WarpCtx<'a> {
         val: Lanes<u32>,
         mask: u32,
     ) -> Lanes<u32> {
-        let add = AtomicU64::fetch_add;
+        let add = AtomicU32::fetch_add;
         buf.atomic(self.stats, Path::Dram, Scope::Warp, idx, val, mask, add)
     }
 
@@ -196,7 +198,7 @@ impl<'a> WarpCtx<'a> {
         // controls the claim order; noting the ticket *after* lets the
         // ticket-aware policies key on it before the block publishes.
         let (idx, val) = (splat(idx), splat(val));
-        let add = AtomicU64::fetch_add;
+        let add = AtomicU32::fetch_add;
         let prev = buf.atomic(self.stats, Path::L2, Scope::Device, idx, val, 1, add)[0];
         crate::sched::note_ticket(prev);
         prev
